@@ -115,7 +115,8 @@ class SearchConfig:
     strict_merge2 (ablation):
         Use the *literal* Merge2 of Section 4.2 — ``sat(t1) ∩ sat(t2) = ∅``
         — instead of the relaxed reading this library argues for (overlap
-        allowed through the shared root; DESIGN.md §1.3).  With the strict
+        allowed through the shared root; the argument is in the
+        :mod:`repro.ctp.engine` docstring).  With the strict
         condition GAM loses completeness on results whose internal
         branching node is a seed; exposed to make that measurable.
     mo_inject_always (ablation):

@@ -13,7 +13,7 @@ LESP (Sec 4.6)        yes                  no         yes
 MoLESP (Sec 4.7)      yes                  yes        yes
 ====================  ===================  =========  ==========
 
-Faithfulness notes (also summarized in DESIGN.md §1.3):
+Faithfulness notes:
 
 * **Merge2** is implemented as ``sat(t1) ∩ sat(t2) ⊆ seed_sets(root)``: two
   trees may share satisfied seed sets only when the shared root itself is
@@ -38,6 +38,13 @@ Faithfulness notes (also summarized in DESIGN.md §1.3):
 Performance: tree state is *interned* (:mod:`repro.ctp.interning`) — edge
 sets are hash-consed handles, node sets carry exact bitmasks, merge
 partners are bucketed by sat mask, and balanced pops use a lazy size heap.
+The Grow frontier is *lazy*: a kept tree files one heap entry whose
+cursor walks the root's adjacency tuple, applying Grow1/Grow2 as it
+advances.  Both depend only on the immutable tree and the fixed seed map,
+and per-edge entries would share the tree's priority and hold consecutive
+tickets, so Grows pop exactly as from a queue with one entry per legal
+edge — but a search cut short by ``limit``/``max_trees`` never pays for
+the hub adjacencies it did not reach.
 Node bitmasks live in a dense per-search id space
 (:mod:`repro.ctp.idremap`, ``SearchConfig(dense_ids=True)``): masks are
 sized by |nodes this search touched| instead of the graph's largest node
@@ -55,11 +62,12 @@ counters (see ``tests/test_interning_equivalence.py``).
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro._util import Counter, Deadline, full_mask, popcount
+from repro._util import Deadline, full_mask, popcount
 from repro.ctp.config import DEFAULT_CONFIG, WILDCARD, SearchConfig
 from repro.ctp.idremap import make_remap
 from repro.ctp.interning import SearchContext, adopt_pool, pool_stats_delta
@@ -226,20 +234,19 @@ class _GAMRun:
         self.ss: Dict[int, int] = {}  # seed signatures (Section 4.6)
         self.result_keys: Set = set()
         self.results: List[ResultTree] = []
-        self.counter = Counter()
+        self._ticket = itertools.count().__next__  # FIFO tie-breaking among equal priorities
         self.deadline = Deadline(config.timeout)
         self.timed_out = False
-        self.stopped = False
-        # --- priority queues (single, or one per sat signature: Sec 4.9) ---
+        # --- priority queues (queue 0, or one per sat signature: Sec 4.9),
+        # holding one (priority, ticket, tree, cursor) entry per tree ---
         self.balanced = self._balanced_enabled()
         self.queues: Dict[int, list] = {}
-        self.total_queued = 0
         self.priority = self._priority_function()
         # Balanced mode (Section 4.9 (ii)) picks the least-filled queue per
-        # pop.  Scanning every queue per pop is O(q); instead queue sizes
-        # are cached and a lazy heap of (size, key) entries serves the
-        # minimum in O(log q) amortized (stale entries are discarded on
-        # sight — counted by stats.balanced_pop_scans).
+        # pop, by legal Grows still held.  Scanning every queue per pop is
+        # O(q); instead the counts are cached and a lazy heap of (size,
+        # key) entries serves the minimum in O(log q) amortized (stale
+        # entries are discarded on sight — stats.balanced_pop_scans).
         self._queue_sizes: Dict[int, int] = {}
         self._size_heap: List[Tuple[int, int]] = []
 
@@ -260,7 +267,7 @@ class _GAMRun:
     def _priority_function(self):
         order = self.config.order
         if order == "size":
-            return lambda tree: tree.size
+            return operator.attrgetter("size")
         if order == "score":
             score = self.config.score
             graph = self.graph
@@ -311,11 +318,9 @@ class _GAMRun:
         stats = self.stats
         ss = self.ss
         remap_bit = self.remap.bit
-        while self.total_queued:
+        for tree, edge_id, other, outgoing in self._grows():
             if deadline.expired():
                 raise _StopSearch(timed_out=True)
-            entry = self._pop()
-            _, _, tree, edge_id, other, outgoing = entry
             stats.grows += 1
             # The UNI filter and the history check both precede tree
             # construction: a rejected Grow costs a couple of int lookups,
@@ -357,78 +362,94 @@ class _GAMRun:
     # ------------------------------------------------------------------
     # queue management (single or balanced, Section 4.9 (ii))
     # ------------------------------------------------------------------
-    def _queue_key(self, tree: SearchTree) -> int:
-        return tree.sat if self.balanced else 0
+    def _queue_grows(self, tree: SearchTree) -> None:
+        """File the Grow frontier of ``tree`` (Algorithm 2 l.9-13): one entry.
 
-    def _push_grows(self, tree: SearchTree) -> None:
-        """Queue every legal Grow opportunity of ``tree`` (Algorithm 2 l.9-13)."""
+        Its cursor iterates the root's adjacency tuple; :meth:`_grows`
+        applies Grow1/Grow2 as it advances.  A tree without a legal Grow
+        files nothing — the check stops at the first legal edge, skipping
+        only edges into the tree or to a covered seed set: a prefix bounded
+        by the tree, not by the root's degree.  Balanced queues are ordered
+        by the legal Grows they hold, so that mode counts them all.
+        """
         config = self.config
-        labels = config.labels
-        max_edges = config.max_edges
-        if max_edges is not None and tree.size + 1 > max_edges:
+        if config.max_edges is not None and tree.size + 1 > config.max_edges:
             return
-        graph = self.graph
-        seed_mask = self.seed_mask
-        nodes = tree.nodes
-        sat = tree.sat
-        key = self._queue_key(tree)
-        queue = self.queues.setdefault(key, [])
-        priority = self.priority(tree)
-        pushed = 0
-        for edge_id, other, outgoing in graph.adjacent_filtered(tree.root, labels):
-            if other in nodes:  # Grow1
-                continue
-            if seed_mask.get(other, 0) & sat:  # Grow2
-                continue
-            heapq.heappush(queue, (priority, self.counter.next(), tree, edge_id, other, outgoing))
-            pushed += 1
-        if pushed:
-            self.total_queued += pushed
-            self.stats.queue_pushes += pushed
-            if self.balanced and self.interned:
-                size = self._queue_sizes.get(key, 0) + pushed
-                self._queue_sizes[key] = size
-                heapq.heappush(self._size_heap, (size, key))
-
-    def _pop(self):
-        if not self.balanced:
-            queue = self.queues[0]
-        elif self.interned:
-            # Grow from the least-filled non-empty queue (Section 4.9).
-            # The lazy size heap serves min-by-(size, key); entries whose
-            # recorded size is stale are discarded on sight.
-            size_heap = self._size_heap
-            sizes = self._queue_sizes
-            scans = 0
-            while True:
-                scans += 1
-                size, key = size_heap[0]
-                if sizes[key] == size:
+        adjacent = self.graph.adjacent_filtered(tree.root, config.labels)
+        nodes, sat, seed_sat, balanced = tree.nodes, tree.sat, self.seed_mask.get, self.balanced
+        legal = 0
+        for _, other, _ in adjacent:
+            if other not in nodes and not seed_sat(other, 0) & sat:  # Grow1, Grow2
+                legal += 1
+                if not balanced:
                     break
+        if not legal:
+            return
+        key = 0
+        if balanced:
+            key = sat
+            size = self._queue_sizes[key] = self._queue_sizes.get(key, 0) + legal
+            heapq.heappush(self._size_heap, (size, key))
+        entry = (self.priority(tree), self._ticket(), tree, iter(adjacent))
+        heapq.heappush(self.queues.setdefault(key, []), entry)
+        self.stats.queue_pushes += 1
+
+    def _grows(self):
+        """Yield the legal Grows ``(tree, edge_id, other, outgoing)`` in pop order.
+
+        The next Grow is the next legal edge under the cursor of the queue's
+        top entry; an exhausted entry is dropped.  The top is re-read after
+        every Grow — the caller may have filed a tree that now precedes it.
+        """
+        seed_sat = self.seed_mask.get
+        pick = self._least_filled if self.balanced else None
+        queue = self.queues.get(0)
+        while True:
+            if pick is not None:
+                queue = pick()
+            while queue:
+                entry = queue[0]
+                _, _, tree, cursor = entry
+                nodes, sat = tree.nodes, tree.sat
+                for edge_id, other, outgoing in cursor:
+                    if other in nodes or seed_sat(other, 0) & sat:  # Grow1, Grow2
+                        continue
+                    yield tree, edge_id, other, outgoing
+                    if pick is not None or queue[0] is not entry:
+                        break
+                else:
+                    heapq.heappop(queue)
+                    continue
+                break
+            else:
+                return
+
+    def _least_filled(self) -> Optional[list]:
+        """The non-empty queue holding the fewest Grows (Section 4.9 (ii)),
+        charged for the one about to be taken; ``None`` once all are drained.
+        Size-heap entries whose recorded size is stale are discarded on sight.
+        """
+        size_heap = self._size_heap
+        sizes = self._queue_sizes
+        scans = 0
+        while size_heap:
+            scans += 1
+            size, key = size_heap[0]
+            if sizes[key] != size:
                 heapq.heappop(size_heap)
+                continue
             self.stats.balanced_pop_scans += scans
-            heapq.heappop(size_heap)  # consume the entry we matched
             sizes[key] = size - 1
             if size > 1:
-                heapq.heappush(size_heap, (size - 1, key))
-            queue = self.queues[key]
-        else:
-            # Seed bookkeeping: re-scan every queue on every pop.
-            key = min(
-                (k for k, q in self.queues.items() if q),
-                key=lambda k: (len(self.queues[k]), k),
-            )
-            self.stats.balanced_pop_scans += len(self.queues)
-            queue = self.queues[key]
-        self.total_queued -= 1
-        return heapq.heappop(queue)
+                heapq.heapreplace(size_heap, (size - 1, key))
+            else:
+                heapq.heappop(size_heap)
+            return self.queues[key]
+        return None
 
     # ------------------------------------------------------------------
     # pruning (Algorithm 4: isNew)
     # ------------------------------------------------------------------
-    def _is_new(self, tree: SearchTree) -> bool:
-        return self._is_new_rooted(tree.root, tree.eset)
-
     def _is_new_rooted(self, root: int, eset) -> bool:
         """Algorithm 4 on the *identity* of a rooted tree.
 
@@ -456,12 +477,12 @@ class _GAMRun:
     # tree registration (Algorithm 2: processTree / Algorithm 3)
     # ------------------------------------------------------------------
     def _absorb(self, tree: SearchTree, gained: bool) -> List[SearchTree]:
-        """Register a tree that passed ``_is_new``; return merge-cascade work.
+        """Register a tree that passed ``_is_new_rooted``; return merge-cascade work.
 
         Results are reported and not recorded for merging (Algorithm 2);
         other trees are indexed in ``TreesRootedIn``, get their Mo copies
         when they gained seed coverage (Section 4.5), and have their Grow
-        opportunities queued unless their provenance contains Mo.
+        frontier queued unless their provenance contains Mo.
         """
         if self.algo.edge_set_pruning:
             self.hist.add(tree.eset)
@@ -482,7 +503,7 @@ class _GAMRun:
             if self.algo.mo_trees and (gained or self.config.mo_inject_always):
                 work.extend(self._inject_mo_copies(tree))
         if not tree.mo_tainted:
-            self._push_grows(tree)
+            self._queue_grows(tree)
         return work
 
     def _index_partner(self, tree: SearchTree) -> None:

@@ -20,10 +20,12 @@ The two hot constructors are memoized —
 — so rebuilding a set the search has already produced is a single dict
 lookup, and *membership* of a set in any history structure is an int
 lookup instead of an O(|tree|) frozenset hash.  Each set carries a
-deterministic Zobrist-style fingerprint (XOR of per-edge 64-bit codes from
-a splitmix64 stream) so interning a newly materialized union needs no
-re-hash of the frozenset in the common no-collision case; fingerprint
-collisions are resolved exactly by set comparison, never silently.
+deterministic Zobrist-style fingerprint — the XOR of its edges' 64-bit
+codes; an edge's code is the pure function ``splitmix64(edge_id)``,
+evaluated per memo miss (no code table sized by the graph's id space) —
+so interning a newly materialized union needs no re-hash of the frozenset
+in the common no-collision case; fingerprint collisions are resolved
+exactly by set comparison, never silently.
 
 Handles are engine-local: every search run owns one pool, ids from
 different pools are unrelated (see the isolation property tests).  The
@@ -79,19 +81,29 @@ from array import array
 from collections import OrderedDict
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
+from repro.errors import SearchError
+
 _MASK64 = (1 << 64) - 1
 
 
 def splitmix64(index: int) -> int:
-    """The splitmix64 mix of ``index`` — the per-edge Zobrist code stream.
+    """The splitmix64 mix of ``index`` — the Zobrist code of edge ``index``.
 
-    Deterministic (no process-level randomness), well-distributed, and
-    cheap to extend to any edge id on demand.
+    Deterministic (no process-level randomness), well-distributed, and a
+    pure function: pools evaluate it per memo miss and keep no table.
     """
     x = (index * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def fingerprint_of(edges: Iterable[int]) -> int:
+    """The Zobrist fingerprint of an edge set: the XOR of its edges' codes."""
+    fp = 0
+    for edge_id in edges:
+        fp ^= splitmix64(edge_id)
+    return fp
 
 
 class EdgeSetPool:
@@ -113,8 +125,8 @@ class EdgeSetPool:
 
     #: Memo/bucket keys are packed into single ints (``a << SHIFT | b``)
     #: instead of tuples — one small-int hash beats a tuple allocation in
-    #: the hot constructors.  Handles and edge ids must stay below 2**32;
-    #: an in-memory pool hits RAM limits orders of magnitude earlier.
+    #: the hot constructors.  Handles and edge ids must stay below 2**32:
+    #: :func:`adopt_pool` refuses graphs whose edge ids would alias.
     _SHIFT = 32
 
     __slots__ = (
@@ -122,7 +134,6 @@ class EdgeSetPool:
         "_by_key",
         "_union1",
         "_union2",
-        "_zobrist",
         "union_hits",
         "collisions",
     )
@@ -136,7 +147,6 @@ class EdgeSetPool:
         self._by_key: Dict[int, Union[int, List[int]]] = {0: 0}
         self._union1: Dict[int, int] = {}
         self._union2: Dict[int, int] = {}
-        self._zobrist: List[int] = []
         self.union_hits = 0
         self.collisions = 0
 
@@ -167,15 +177,6 @@ class EdgeSetPool:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _code(self, edge_id: int) -> int:
-        codes = self._zobrist
-        if edge_id >= len(codes):
-            # Extend geometrically: ids usually arrive in near-increasing
-            # order, and one big extend amortizes the generator setup.
-            target = max(edge_id + 1, 2 * len(codes), 64)
-            codes.extend(splitmix64(i) for i in range(len(codes), target))
-        return codes[edge_id]
-
     def _intern(self, edges: FrozenSet[int], fp: int, size: int) -> int:
         """Exact interning of a *materialized* set (slow path)."""
         bkey = (fp << self._SHIFT) | size
@@ -209,9 +210,7 @@ class EdgeSetPool:
     def intern(self, edge_ids: Iterable[int]) -> int:
         """Intern an arbitrary edge collection; returns its handle."""
         edges = frozenset(edge_ids)
-        fp = 0
-        for edge_id in edges:
-            fp ^= self._code(edge_id)
+        fp = fingerprint_of(edges)
         return self._intern(edges, fp, len(edges))
 
     def union1(self, set_id: int, edge_id: int) -> int:
@@ -234,10 +233,7 @@ class EdgeSetPool:
         if edge_id in base:
             memo[key] = set_id
             return set_id
-        codes = self._zobrist
-        if edge_id >= len(codes):
-            self._code(edge_id)
-        fp = base_fp ^ codes[edge_id]
+        fp = base_fp ^ splitmix64(edge_id)
         size = base_size + 1
         bkey = (fp << self._SHIFT) | size
         existing = self._by_key.get(bkey)
@@ -300,9 +296,7 @@ class EdgeSetPool:
             # but the pool stays total): XOR cancelled the shared edges
             # twice; fold them back in and intern the materialized union.
             edges = a | b
-            fp = a_fp ^ b_fp
-            for edge_id in a & b:
-                fp ^= self._code(edge_id)
+            fp = a_fp ^ b_fp ^ fingerprint_of(a & b)
             out = self._intern(edges, fp, len(edges))
         memo[key] = out
         return out
@@ -359,9 +353,8 @@ class ShardedEdgeSetPool(EdgeSetPool):
     * ``_recs`` appends go through one allocation lock so handle numbering
       is gap-free; published records are immutable, and a reader can only
       hold a handle that was published *after* its record was appended;
-    * the lazy ``_zobrist`` code table extends under its own lock (a torn
-      concurrent extend would hand two threads different codes for one
-      edge id — i.e. two fingerprints for one set);
+    * edge codes are the pure function :func:`splitmix64` — no shared
+      table, so two threads always compute one fingerprint for one set;
     * ``union_hits`` / ``collisions`` are telemetry: lost increments under
       contention are tolerated, counters stay approximate lower bounds.
 
@@ -374,34 +367,22 @@ class ShardedEdgeSetPool(EdgeSetPool):
     #: counts the dispatcher uses (≤ CPU count) without a lock per bucket.
     NUM_SHARDS = 16
 
-    __slots__ = ("_shard_locks", "_alloc_lock", "_zobrist_lock")
+    __slots__ = ("_shard_locks", "_alloc_lock")
 
     def __init__(self) -> None:
         super().__init__()
         self._shard_locks = [threading.Lock() for _ in range(self.NUM_SHARDS)]
         self._alloc_lock = threading.Lock()
-        self._zobrist_lock = threading.Lock()
 
     # -- locked primitives ---------------------------------------------
     def _new_id(self, edges: FrozenSet[int], fp: int, size: int) -> int:
         with self._alloc_lock:
             return super()._new_id(edges, fp, size)
 
-    def _code(self, edge_id: int) -> int:
-        codes = self._zobrist
-        if edge_id < len(codes):
-            return codes[edge_id]
-        with self._zobrist_lock:
-            if edge_id >= len(self._zobrist):
-                super()._code(edge_id)
-        return self._zobrist[edge_id]
-
     # -- sharded constructors ------------------------------------------
     def intern(self, edge_ids: Iterable[int]) -> int:
         edges = frozenset(edge_ids)
-        fp = 0
-        for edge_id in edges:
-            fp ^= self._code(edge_id)
+        fp = fingerprint_of(edges)
         with self._shard_locks[fp & (self.NUM_SHARDS - 1)]:
             return self._intern(edges, fp, len(edges))
 
@@ -416,7 +397,7 @@ class ShardedEdgeSetPool(EdgeSetPool):
         if edge_id in base:
             memo[key] = set_id
             return set_id
-        fp = base_fp ^ self._code(edge_id)
+        fp = base_fp ^ splitmix64(edge_id)
         size = base_size + 1
         bkey = (fp << self._SHIFT) | size
         with self._shard_locks[fp & (self.NUM_SHARDS - 1)]:
@@ -454,9 +435,7 @@ class ShardedEdgeSetPool(EdgeSetPool):
                     out = self._store_new(a | b, fp, size, bkey, existing)
         else:
             edges = a | b
-            fp = a_fp ^ b_fp
-            for edge_id in a & b:
-                fp ^= self._code(edge_id)
+            fp = a_fp ^ b_fp ^ fingerprint_of(a & b)
             with self._shard_locks[fp & (self.NUM_SHARDS - 1)]:
                 out = self._intern(edges, fp, len(edges))
         memo[key] = out
@@ -737,7 +716,7 @@ class FlatEdgeSetPool(EdgeSetPool):
         if edge_id in base:
             self._u1_put(key, set_id)
             return set_id
-        fp = base_fp ^ self._code(edge_id)
+        fp = base_fp ^ splitmix64(edge_id)
         out = self._union1_slow(base, edge_id, fp, base_size + 1)
         self._u1_put(key, out)
         return out
@@ -761,9 +740,7 @@ class FlatEdgeSetPool(EdgeSetPool):
             out = self._union2_slow(a, b, a_fp ^ b_fp, a_size + b_size)
         else:
             edges = a | b
-            fp = a_fp ^ b_fp
-            for edge_id in a & b:
-                fp ^= self._code(edge_id)
+            fp = a_fp ^ b_fp ^ fingerprint_of(a & b)
             out = self._intern(edges, fp, len(edges))
         self._u2_put(key, out)
         return out
@@ -794,28 +771,18 @@ class ShardedFlatEdgeSetPool(FlatEdgeSetPool):
 
     NUM_SHARDS = 16
 
-    __slots__ = ("_shard_locks", "_alloc_lock", "_zobrist_lock", "_table_lock")
+    __slots__ = ("_shard_locks", "_alloc_lock", "_table_lock")
 
     def __init__(self) -> None:
         super().__init__()
         self._shard_locks = [threading.Lock() for _ in range(self.NUM_SHARDS)]
         self._alloc_lock = threading.Lock()
-        self._zobrist_lock = threading.Lock()
         self._table_lock = threading.Lock()
 
     # -- locked primitives ---------------------------------------------
     def _new_id(self, edges: FrozenSet[int], fp: int, size: int) -> int:
         with self._alloc_lock:
             return EdgeSetPool._new_id(self, edges, fp, size)
-
-    def _code(self, edge_id: int) -> int:
-        codes = self._zobrist
-        if edge_id < len(codes):
-            return codes[edge_id]
-        with self._zobrist_lock:
-            if edge_id >= len(self._zobrist):
-                EdgeSetPool._code(self, edge_id)
-        return self._zobrist[edge_id]
 
     def _insert_fp(self, fp: int, set_id: int) -> None:
         with self._table_lock:
@@ -832,9 +799,7 @@ class ShardedFlatEdgeSetPool(FlatEdgeSetPool):
     # -- sharded constructors ------------------------------------------
     def intern(self, edge_ids: Iterable[int]) -> int:
         edges = frozenset(edge_ids)
-        fp = 0
-        for edge_id in edges:
-            fp ^= self._code(edge_id)
+        fp = fingerprint_of(edges)
         with self._shard_locks[fp & (self.NUM_SHARDS - 1)]:
             return self._intern(edges, fp, len(edges))
 
@@ -848,7 +813,7 @@ class ShardedFlatEdgeSetPool(FlatEdgeSetPool):
         if edge_id in base:
             self._u1_put(key, set_id)
             return set_id
-        fp = base_fp ^ self._code(edge_id)
+        fp = base_fp ^ splitmix64(edge_id)
         with self._shard_locks[fp & (self.NUM_SHARDS - 1)]:
             out = self._union1_slow(base, edge_id, fp, base_size + 1)
         self._u1_put(key, out)
@@ -875,9 +840,7 @@ class ShardedFlatEdgeSetPool(FlatEdgeSetPool):
                 out = self._union2_slow(a, b, fp, a_size + b_size)
         else:
             edges = a | b
-            fp = a_fp ^ b_fp
-            for edge_id in a & b:
-                fp ^= self._code(edge_id)
+            fp = a_fp ^ b_fp ^ fingerprint_of(a & b)
             with self._shard_locks[fp & (self.NUM_SHARDS - 1)]:
                 out = self._intern(edges, fp, len(edges))
         self._u2_put(key, out)
@@ -1338,8 +1301,13 @@ def adopt_pool(context: Optional[SearchContext], graph, interning: bool, dense_i
     context iff adopted (``None`` tells the engine to skip context
     caches), and the pool-counter baseline for :func:`pool_stats_delta` —
     the shared pool's current state, or zeros for a private pool so the
-    per-run stats keep the seed semantics (absolute values).
+    per-run stats keep the seed semantics (absolute values).  Raises
+    :class:`~repro.errors.SearchError` when the graph's edge ids do not fit
+    the pool's packed memo keys (they would alias silently otherwise).
     """
+    shift = EdgeSetPool._SHIFT
+    if interning and graph.num_edges > 1 << shift:
+        raise SearchError(f"graph has {graph.num_edges} edges; pool memo keys pack ids into {shift} bits")
     pool = context.adopt(graph, interning, dense_ids) if context is not None else None
     if pool is None:
         return make_pool(interning, dense_ids=dense_ids), None, (0, 0, 0)

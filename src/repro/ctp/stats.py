@@ -25,6 +25,9 @@ class SearchStats:
     pruned_history: int = 0
     pruned_filters: int = 0
     trees_kept: int = 0
+    #: Grow-frontier heap entries pushed: one per kept tree that has a legal
+    #: Grow, so ``queue_pushes <= trees_kept`` whatever the roots' degrees
+    #: (the entry's cursor yields the Grows one by one; ``grows`` counts those).
     queue_pushes: int = 0
     results_found: int = 0
     duplicate_results: int = 0
@@ -33,8 +36,7 @@ class SearchStats:
     #: every tree in the bucket.
     merge_buckets_skipped: int = 0
     #: Queue-size probes made by balanced-queue pops (Section 4.9 (ii)):
-    #: lazy size-heap entries examined under interning, full per-pop queue
-    #: scans under the ``interning=False`` fallback.
+    #: lazy size-heap entries examined, stale ones included.
     balanced_pop_scans: int = 0
     #: Edge-set pool telemetry (repro.ctp.interning): distinct sets interned
     #: and memoized-union hit/miss counts.  All zero under interning=False.

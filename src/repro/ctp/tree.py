@@ -12,6 +12,11 @@ family needs in its hot path:
     (Algorithm 4) is an O(1) lookup.  ``edges`` materializes the actual
     frozenset (free: the pool stores it interned);
 
+``size``
+    the number of edges (read per tree by the queue priority and the
+    ``max_edges`` checks): Grow adds one, Merge the operands' — exact
+    under Grow1 / Merge1, which the engine guarantees;
+
 ``node_mask``
     the node set as an exact bitmask.  Merge1 — "the trees share exactly
     their root" — becomes ``t1.node_mask & t2.node_mask == root_bit``, a
@@ -68,6 +73,7 @@ class SearchTree:
         "pool",
         "root",
         "eset",
+        "size",
         "nodes",
         "node_mask",
         "sat",
@@ -85,6 +91,7 @@ class SearchTree:
         pool,
         root: int,
         eset,
+        size: int,
         nodes: FrozenSet[int],
         node_mask: int,
         sat: int,
@@ -98,6 +105,7 @@ class SearchTree:
         self.pool = pool
         self.root = root
         self.eset = eset
+        self.size = size
         self.nodes = nodes
         self.node_mask = node_mask
         self.sat = sat
@@ -113,11 +121,6 @@ class SearchTree:
     def edges(self) -> FrozenSet[int]:
         """The edge set as a frozenset (interned — shared, do not mutate)."""
         return self.pool.edges(self.eset)
-
-    @property
-    def size(self) -> int:
-        """Number of edges."""
-        return self.pool.size(self.eset)
 
     def rooted_key(self):
         """Identity of the *rooted tree* (root + edge set), Section 4.2."""
@@ -140,6 +143,7 @@ def make_init(pool, node: int, sat: int, uni: bool, node_bit: Optional[int] = No
         pool=pool,
         root=node,
         eset=pool.EMPTY,
+        size=0,
         nodes=frozenset((node,)),
         node_mask=node_bit if node_bit is not None else 1 << node,
         sat=sat,
@@ -232,6 +236,7 @@ def make_grow(
         pool=pool,
         root=new_root,
         eset=eset if eset is not None else pool.union1(tree.eset, edge_id),
+        size=tree.size + 1,
         nodes=tree.nodes | {new_root},
         node_mask=tree.node_mask | (node_bit if node_bit is not None else 1 << new_root),
         sat=tree.sat | new_root_sat,
@@ -274,6 +279,7 @@ def make_merge(
         pool=pool,
         root=root,
         eset=eset if eset is not None else pool.union2(t1.eset, t2.eset),
+        size=t1.size + t2.size,
         nodes=t1.nodes | t2.nodes,
         node_mask=t1.node_mask | t2.node_mask,
         sat=t1.sat | t2.sat,
@@ -297,6 +303,7 @@ def make_mo(tree: SearchTree, new_root: int, new_root_in_deg: int) -> SearchTree
         pool=tree.pool,
         root=new_root,
         eset=tree.eset,
+        size=tree.size,
         nodes=tree.nodes,
         node_mask=tree.node_mask,
         sat=tree.sat,

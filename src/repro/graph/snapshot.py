@@ -30,7 +30,7 @@ header CRC is always checked) are detected up front and raised as
 :class:`~repro.errors.SnapshotError`.  Payload integrity is checked
 whenever the file is fully read — ``use_mmap=False``, or
 ``verify_payload=True`` — but NOT on a plain mmap load: checksumming
-would fault in every page and defeat the O(metadata) lazy load, so an
+would fault in every column page the mapping leaves untouched, so an
 mmap load trusts the payload bytes the way it trusts any mapped file.
 
 Entry points:
@@ -251,16 +251,19 @@ def load_snapshot(path: PathLike, use_mmap: bool = True, verify_payload: bool = 
 
     With ``use_mmap=True`` (default) the numeric columns are
     ``memoryview`` casts over a read-only shared mapping of the file — the
-    load is O(metadata), the adjacency pages are demand-faulted, and every
-    process mapping the same file shares one physical copy.  The mapping
-    lives as long as the returned graph.  ``use_mmap=False`` copies the
-    columns into plain ``array`` objects instead (no file dependence after
-    the call).
+    adjacency pages are demand-faulted, and every process mapping the same
+    file shares one physical copy.  Only the *columns* are lazy: the load
+    unpickles the metadata blob and materialises one ``Node`` and one
+    ``Edge`` object per graph element (reading the endpoint and weight
+    columns once), so it is O(nodes + edges) in time and private memory —
+    measured 1.9 s at 10^5 nodes / 2x10^5 edges.  The mapping lives as long
+    as the returned graph.  ``use_mmap=False`` copies the columns into
+    plain ``array`` objects instead (no file dependence after the call).
 
     The payload CRC is checked whenever the bytes are all read anyway
     (``use_mmap=False``) or when ``verify_payload=True`` forces it; a
-    plain mmap load skips it so the load stays O(metadata) — see the
-    module docstring for the integrity contract.
+    plain mmap load skips it so the untouched column pages stay unread —
+    see the module docstring for the integrity contract.
     """
     from repro import faults  # local: test-only hook, zero-cost without a plan
 

@@ -7,12 +7,22 @@ through LIMIT: the first result produced under a given order must be the
 one that order favours.
 """
 
+import heapq
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ctp.config import WILDCARD, SearchConfig
+from repro.ctp.engine import _GAMRun
+from repro.ctp.esp import ESPSearch
+from repro.ctp.gam import GAMSearch
+from repro.ctp.lesp import LESPSearch
+from repro.ctp.moesp import MoESPSearch
 from repro.ctp.molesp import MoLESPSearch
 from repro.graph.graph import Graph
 from repro.query.scoring import size_score
+from repro.testing import random_graph, random_seed_sets
 
 
 @pytest.fixture
@@ -98,3 +108,110 @@ class TestWildcardWithFilters:
         assert len(results) == 3
         # size_score: the single-node tree scores 1.0 and must be kept
         assert frozenset() in results.edge_sets()
+
+
+# ----------------------------------------------------------------------
+# The lazy Grow frontier pops in the order of an eager per-edge queue
+# ----------------------------------------------------------------------
+class _TracedRun(_GAMRun):
+    """The engine as shipped, recording every Grow it pops."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.trace = []
+
+    def _grows(self):
+        for grow in super()._grows():
+            tree, edge_id, other, _ = grow
+            self.trace.append((tree.root, edge_id, other))
+            yield grow
+
+
+class _EagerRun(_TracedRun):
+    """Reference frontier: one heap entry per legal Grow, pushed when the
+    tree is kept, popped by ``(priority, ticket)`` — from the least-filled
+    queue under balanced mode (Section 4.9 (ii)).  Everything else (filters,
+    history, merging) is the engine's own code."""
+
+    def _queue_grows(self, tree):
+        config = self.config
+        if config.max_edges is not None and tree.size + 1 > config.max_edges:
+            return
+        priority = self.priority(tree)
+        queue = self.queues.setdefault(tree.sat if self.balanced else 0, [])
+        for edge_id, other, outgoing in self.graph.adjacent_filtered(tree.root, config.labels):
+            if other in tree.nodes or self.seed_mask.get(other, 0) & tree.sat:
+                continue
+            heapq.heappush(queue, (priority, self._ticket(), tree, edge_id, other, outgoing))
+            self.stats.queue_pushes += 1
+
+    def _grows(self):
+        while True:
+            filled = [(len(queue), key) for key, queue in self.queues.items() if queue]
+            if not filled:
+                return
+            _, _, tree, edge_id, other, outgoing = heapq.heappop(self.queues[min(filled)[1]])
+            self.trace.append((tree.root, edge_id, other))
+            yield tree, edge_id, other, outgoing
+
+
+def _degree_score(graph, edges, nodes):
+    """Favours trees through hubs: larger trees may outrank smaller ones."""
+    return sum(graph.degree(n) for n in nodes) / (1.0 + len(edges))
+
+
+def _jumbled_order(tree):
+    """Few distinct values (ties) that do not grow with the tree (inversions:
+    a tree filed later may precede the entry being drained)."""
+    return (tree.root * 7 + tree.size * 3 + tree.sat) % 4
+
+
+ORDERS = {
+    "size": dict(order="size"),
+    "score": dict(order="score", score=_degree_score),
+    "callable": dict(order=_jumbled_order),
+}
+BOUNDS = {
+    "complete": dict(),
+    "limit": dict(limit=3),
+    "max_trees": dict(max_trees=40),
+    "max_edges": dict(max_edges=3),
+    "labels": dict(labels=frozenset({"l0", "l1"})),
+    "uni": dict(uni=True),
+}
+FRONTIER_STATS = ("queue_pushes", "balanced_pop_scans", "elapsed_seconds")
+
+
+def _run_traced(run_cls, algorithm, graph, seed_sets, config):
+    """(Grow trace, rows in discovery order, frontier-independent counters, complete), stats."""
+    run = run_cls(graph, seed_sets, config, algorithm, None)
+    result_set = run.execute()
+    counters = {k: v for k, v in result_set.stats.as_dict().items() if k not in FRONTIER_STATS}
+    rows = [(sorted(r.edges), r.seeds, r.weight) for r in result_set]
+    return (run.trace, rows, counters, result_set.complete), result_set.stats
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(sorted(ORDERS)),
+    st.booleans(),
+    st.sampled_from(sorted(BOUNDS)),
+    st.booleans(),
+)
+def test_lazy_frontier_pops_in_eager_order(seed, order, balanced, bound, interning):
+    rng = random.Random(seed)
+    graph = random_graph(rng, rng.randint(5, 12), rng.randint(6, 22), num_labels=3)
+    seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
+    # max_trees keeps GAM's exponential cases bounded; the cut is count-based.
+    options = dict(max_trees=3000, balanced_queues=balanced, interning=interning)
+    options.update(ORDERS[order], **BOUNDS[bound])
+    config = SearchConfig(**options)
+    for algorithm_cls in (GAMSearch, ESPSearch, MoESPSearch, LESPSearch, MoLESPSearch):
+        algorithm = algorithm_cls()
+        lazy, lazy_stats = _run_traced(_TracedRun, algorithm, graph, seed_sets, config)
+        eager, _ = _run_traced(_EagerRun, algorithm, graph, seed_sets, config)
+        assert lazy[0] == eager[0], f"{algorithm.name}: Grow sequence diverged"
+        assert lazy[1:] == eager[1:], algorithm.name
+        # One heap entry per kept tree at most: an eager regression fails here.
+        assert lazy_stats.queue_pushes <= lazy_stats.trees_kept, algorithm.name

@@ -18,20 +18,37 @@ bookkeeping now stands on, so it gets the strongest tests in the suite:
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
+import threading
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ctp import interning as interning_module
 from repro.ctp.bft import BFTAMSearch, BFTMSearch, BFTSearch
 from repro.ctp.config import SearchConfig
 from repro.ctp.esp import ESPSearch
 from repro.ctp.gam import GAMSearch
-from repro.ctp.interning import EdgeSetPool, FrozenEdgeSets, make_pool, splitmix64
+from repro.ctp.interning import (
+    EdgeSetPool,
+    FlatEdgeSetPool,
+    FrozenEdgeSets,
+    SearchContext,
+    ShardedEdgeSetPool,
+    ShardedFlatEdgeSetPool,
+    approx_bytes,
+    make_pool,
+    splitmix64,
+)
 from repro.ctp.lesp import LESPSearch
 from repro.ctp.moesp import MoESPSearch
 from repro.ctp.molesp import MoLESPSearch
 from repro.ctp.tree import make_grow, make_init
+from repro.errors import SearchError
 from repro.graph.datasets import figure1, figure1_seed_sets
+from repro.graph.graph import Graph
 from repro.testing import random_graph, random_seed_sets
 from repro.workloads.synthetic import chain_graph, star_graph
 
@@ -308,3 +325,155 @@ def test_interned_engines_match_fallback_on_random_graphs(seed, uni, balanced):
         interned = algorithm.run(graph, seed_sets, SearchConfig(interning=True, **config))
         fallback = algorithm.run(graph, seed_sets, SearchConfig(interning=False, **config))
         assert _outcome(interned) == _outcome(fallback), algorithm.name
+
+
+# ----------------------------------------------------------------------
+# id-space independence: a pool costs what the search touches
+# ----------------------------------------------------------------------
+PAD_EDGES = 200_000
+
+
+def _line(graph, length=6):
+    nodes = [graph.add_node(f"L{i}") for i in range(length + 1)]
+    for left, right in zip(nodes, nodes[1:]):
+        graph.add_edge(left, right, "e")
+    return ((nodes[0],), (nodes[-1],))
+
+
+def _star(graph, arms=4, arm_length=2):
+    center = graph.add_node("center")
+    tips = []
+    for arm in range(arms):
+        current = center
+        for j in range(arm_length):
+            node = graph.add_node(f"R{arm}_{j}")
+            graph.add_edge(current, node, "e")
+            current = node
+        tips.append(current)
+    return tuple((tip,) for tip in tips)
+
+
+@functools.lru_cache(maxsize=None)
+def _padded(pad_edges):
+    """A Line and a Star in one graph that first received ``pad_edges``
+    unrelated edges, so every edge id a search touches is >= pad_edges.
+    Returns the graph and the seed sets of each shape."""
+    graph = Graph("padded")
+    if pad_edges:
+        a, b = graph.add_node("pad-a"), graph.add_node("pad-b")
+        for _ in range(pad_edges):
+            graph.add_edge(a, b, "pad")
+    return graph, {"line": _line(graph), "star": _star(graph)}
+
+
+@pytest.fixture
+def count_splitmix(monkeypatch):
+    calls = []
+
+    def counting(index):
+        calls.append(index)
+        return splitmix64(index)
+
+    monkeypatch.setattr(interning_module, "splitmix64", counting)
+    return calls
+
+
+class TestIdSpaceIndependence:
+    @pytest.mark.parametrize("shape", ["line", "star"])
+    @pytest.mark.parametrize("dense_ids", [True, False], ids=["flat", "dict"])
+    def test_search_cost_ignores_untouched_edge_ids(self, shape, dense_ids, count_splitmix):
+        outcomes = []
+        for pad_edges in (0, PAD_EDGES):
+            graph, seeds_of = _padded(pad_edges)
+            seed_sets = seeds_of[shape]
+            context = SearchContext(dense_ids=dense_ids)
+            del count_splitmix[:]
+            result_set = MoLESPSearch().run(
+                graph, seed_sets, SearchConfig(dense_ids=dense_ids), context=context
+            )
+            assert context.rejects == 0  # the pool measured is the pool searched
+            assert min(count_splitmix) >= pad_edges  # the touched ids are the large ones
+            rows = sorted(sorted(e - pad_edges for e in r.edges) for r in result_set)
+            outcomes.append(
+                (rows, result_set.stats.provenances, len(count_splitmix), approx_bytes(context.pool))
+            )
+        (rows, provenances, codes, nbytes), (p_rows, p_provenances, p_codes, p_nbytes) = outcomes
+        assert (rows, provenances) == (p_rows, p_provenances) and rows
+        # One code per memo miss that needed one — not one per edge id below
+        # the largest touched (the per-pool table this replaced).
+        assert codes == p_codes <= result_set.stats.pool_union_misses
+        # Ids < 257 are CPython's shared small ints, larger ones are 28-byte
+        # objects of their own: a constant per touched edge, nothing per pad.
+        assert abs(p_nbytes - nbytes) <= 64 * (graph.num_edges - PAD_EDGES) + 1024
+
+    @pytest.mark.parametrize(
+        "pool_cls", [EdgeSetPool, FlatEdgeSetPool, ShardedEdgeSetPool, ShardedFlatEdgeSetPool]
+    )
+    def test_huge_edge_id_is_constant_cost(self, pool_cls, count_splitmix):
+        pool = pool_cls()
+        before = approx_bytes(pool)
+        handle = pool.union1(pool.EMPTY, 10**9)
+        assert pool.edges(handle) == frozenset({10**9})
+        assert pool.fingerprint(handle) == splitmix64(10**9)
+        assert count_splitmix == [10**9]
+        assert approx_bytes(pool) - before < 1024
+
+    @pytest.mark.parametrize("pool_cls", [ShardedEdgeSetPool, ShardedFlatEdgeSetPool])
+    def test_sharded_pools_one_handle_per_set_under_eight_threads(self, pool_cls):
+        pool = pool_cls()
+        chains = [[10**6 * (c + 1) + i for i in range(12)] for c in range(6)]
+        num_threads = 8
+        barrier = threading.Barrier(num_threads)
+        seen = [dict() for _ in range(num_threads)]
+        errors = []
+
+        def worker(tid):
+            try:
+                barrier.wait()
+                for chain in chains[tid % 3 :] + chains[: tid % 3]:
+                    handle = pool.EMPTY
+                    for i, edge_id in enumerate(chain):
+                        handle = pool.union1(handle, edge_id)
+                        seen[tid][frozenset(chain[: i + 1])] = handle
+                    whole = pool.union2(pool.intern(chain[:5]), pool.intern(chain[5:]))
+                    seen[tid][frozenset(chain)] = whole if whole == handle else -1
+            except Exception as error:  # pragma: no cover - only on real races
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(num_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleaving inside the miss paths
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert all(observed == seen[0] for observed in seen[1:])
+        for edges, handle in seen[0].items():
+            assert pool.edges(handle) == edges
+            expected = 0
+            for edge_id in edges:
+                expected ^= splitmix64(edge_id)
+            assert pool.fingerprint(handle) == expected
+        stored = [pool.edges(h) for h in range(len(pool))]
+        assert len(set(stored)) == len(stored)  # no set was interned twice
+
+
+class TestPackedKeyGuard:
+    """Memo keys pack ``set_id << _SHIFT | edge_id``: ids that do not fit
+    must be refused, not aliased."""
+
+    def test_graph_with_too_many_edges_is_refused(self, monkeypatch):
+        graph, seeds = chain_graph(4)  # 8 edges
+        monkeypatch.setattr(EdgeSetPool, "_SHIFT", 2)
+        for algorithm in (MoLESPSearch(), BFTSearch()):
+            with pytest.raises(SearchError, match="8 edges"):
+                algorithm.run(graph, seeds, SearchConfig())
+            with pytest.raises(SearchError):
+                algorithm.run(graph, seeds, SearchConfig(), context=SearchContext())
+            # The frozenset representation packs nothing.
+            assert len(algorithm.run(graph, seeds, SearchConfig(interning=False))) == 16

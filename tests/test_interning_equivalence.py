@@ -22,6 +22,13 @@ Regenerate the golden file (only meaningful on a commit whose engines are
 trusted) with::
 
     PYTHONPATH=src python tests/test_interning_equivalence.py --regen
+
+When a PR *redefines* one counter (PR 12: ``queue_pushes`` counts heap
+entries — one per tree — instead of one per adjacent edge), re-record that
+counter alone; the script refuses to write if any other golden field of
+any case (rows, other counters, completeness) differs from the live run::
+
+    PYTHONPATH=src python tests/test_interning_equivalence.py --rerecord queue_pushes
 """
 
 from __future__ import annotations
@@ -183,10 +190,38 @@ def test_matches_seed_golden(golden, graph_name, graph, seeds, config_name, over
     assert got == expected, f"{key}: interned engine diverged from seed behaviour"
 
 
+def rerecord_stat(field: str) -> int:
+    """Rewrite ``stats[field]`` of every golden case from a live run.
+
+    Every other golden field must match the live run exactly, else nothing
+    is written.  Returns the number of cases whose ``field`` changed.
+    """
+    golden = json.loads(GOLDEN_PATH.read_text())
+    live = generate_golden()
+    if live.keys() != golden.keys():
+        raise SystemExit("case matrix changed; nothing written")
+    changed = 0
+    for key, expected in golden.items():
+        got = live[key]
+        got["stats"] = {k: got["stats"].get(k) for k in expected["stats"]}
+        new_value = got["stats"][field]
+        got["stats"][field] = expected["stats"][field]
+        if got != expected:
+            raise SystemExit(f"{key}: fields other than stats.{field} differ; nothing written")
+        changed += new_value != expected["stats"][field]
+        expected["stats"][field] = new_value
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True))
+    return changed
+
+
 if __name__ == "__main__":
     import sys
 
-    if "--regen" in sys.argv:
+    if "--rerecord" in sys.argv:
+        name = sys.argv[sys.argv.index("--rerecord") + 1]
+        count = rerecord_stat(name)
+        print(f"re-recorded stats.{name} in {count} of {len(list(_cases()))} cases; all other fields identical")
+    elif "--regen" in sys.argv:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(generate_golden(), indent=1, sort_keys=True))
         print(f"wrote {GOLDEN_PATH}")
