@@ -31,14 +31,18 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -46,7 +50,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.errors import GraphError
+from repro.errors import GraphError, SnapshotError
 from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node
 
 #: Names accepted by :func:`resolve_backend` / ``SearchConfig.backend``.
@@ -108,6 +112,18 @@ class GraphBackend(Protocol):
     def edges_with_label(self, label: str) -> List[int]: ...
 
 
+def dictionary_encode(values: Iterable[Hashable]) -> Tuple[List[Any], "array"]:
+    """``(distinct values in first-occurrence order, per-item code column)``.
+
+    Bulk calls only (``dict.fromkeys`` / ``map`` / ``array`` from a list):
+    at 10^5 elements a per-item ``setdefault`` loop costs several times
+    as much.
+    """
+    values = list(values)
+    codes = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    return list(codes), array("q", list(map(codes.__getitem__, values)))
+
+
 class CSRGraph:
     """An immutable CSR (compressed sparse row) snapshot of a :class:`Graph`.
 
@@ -122,16 +138,18 @@ class CSRGraph:
     expands the same frontier nodes over and over, so after the first
     visit an expansion is a single list index.
 
-    Node and edge *objects* (labels, types, properties) are shared with
-    the source graph — CSR accelerates topology, not metadata.  The
-    snapshot is topology-immutable: :meth:`add_node` / :meth:`add_edge`
-    raise :class:`GraphError`; mutate the source graph and call
-    :meth:`Graph.freeze` again instead.
+    Node and edge *objects* (labels, types, properties) of a frozen graph
+    are shared with the source graph, in plain lists — CSR accelerates
+    topology, not metadata.  The snapshot is topology-immutable:
+    :meth:`add_node` / :meth:`add_edge` raise :class:`GraphError`; mutate
+    the source graph and call :meth:`Graph.freeze` again instead.
 
     A snapshot can also live *outside* the process: ``repro.graph.snapshot``
-    serializes the flat columns into a versioned binary file and loads them
-    back zero-copy through ``mmap`` (:meth:`_from_columns`), so N worker
-    processes share one physical copy of the adjacency.  ``snapshot_path``
+    serializes the flat columns (and the metadata, as columns too) into a
+    versioned binary file and loads them back zero-copy through ``mmap``
+    (:meth:`_from_columns`), so N worker processes share one physical copy.
+    A graph loaded that way holds lazy node/edge sequences that decode an
+    object from the columns when it is first asked for.  ``snapshot_path``
     is set on instances that came from (or were saved to) such a file.
     Instances are picklable — the ``memoryview`` columns round-trip through
     their raw bytes — which the process-pool dispatcher relies on for any
@@ -165,38 +183,35 @@ class CSRGraph:
         num_edges = source.num_edges
         self._num_nodes = num_nodes
         self._num_edges = num_edges
-        self._nodes: List[Node] = list(source._nodes)
-        self._edges: List[Edge] = list(source._edges)
+        self._nodes: Sequence[Node] = list(source._nodes)
+        self._edges: Sequence[Edge] = list(source._edges)
+        # Columns are filled by bulk calls (accumulate / chain / map into a
+        # list, then one array() per column): array() from a list is a
+        # tight C loop, array.append per adjacency entry is not.
         # --- CSR adjacency columns ---
-        offsets = array("q", bytes(8 * (num_nodes + 1)))
-        adj_edge = array("q")
-        adj_other = array("q")
-        adj_out = array("b")
-        for node_id in range(num_nodes):
-            entries = source._adjacency[node_id]
-            offsets[node_id + 1] = offsets[node_id] + len(entries)
-            for edge_id, other, outgoing in entries:
-                adj_edge.append(edge_id)
-                adj_other.append(other)
-                adj_out.append(1 if outgoing else 0)
-        self._offsets = offsets
-        self._adj_edge = memoryview(adj_edge)
-        self._adj_other = memoryview(adj_other)
-        self._adj_out = memoryview(adj_out)
+        adjacency = source._adjacency
+        entries = list(chain.from_iterable(adjacency))
+        self._offsets = array("q", list(accumulate(map(len, adjacency), initial=0)))
+        self._adj_edge = memoryview(array("q", list(map(itemgetter(0), entries))))
+        self._adj_other = memoryview(array("q", list(map(itemgetter(1), entries))))
+        self._adj_out = memoryview(array("b", list(map(itemgetter(2), entries))))
         # --- per-edge scalar columns ---
-        self._weights = array("d", (edge.weight for edge in self._edges))
-        self._edge_source = array("q", (edge.source for edge in self._edges))
-        self._edge_target = array("q", (edge.target for edge in self._edges))
-        label_ids: Dict[str, int] = {}
-        edge_label_ids = array("q", bytes(8 * num_edges))
-        for edge in self._edges:
-            edge_label_ids[edge.id] = label_ids.setdefault(edge.label, len(label_ids))
-        self._edge_label_ids = edge_label_ids
-        self._label_names: List[str] = list(label_ids)
-        # --- label / type indexes (per-label edge index included) ---
-        self._nodes_by_label = {label: tuple(ids) for label, ids in source._nodes_by_label.items()}
-        self._nodes_by_type = {name: tuple(ids) for name, ids in source._nodes_by_type.items()}
-        self._edges_by_label = {label: array("q", ids) for label, ids in source._edges_by_label.items()}
+        edges = self._edges
+        self._weights = array("d", list(map(attrgetter("weight"), edges)))
+        self._edge_source = array("q", list(map(attrgetter("source"), edges)))
+        self._edge_target = array("q", list(map(attrgetter("target"), edges)))
+        self._label_names, self._edge_label_ids = dictionary_encode(
+            map(attrgetter("label"), edges)
+        )
+        # --- label / type indexes (per-label edge index included); the
+        # node-label index is derived on first use (_label_index) ---
+        self._nodes_by_label: Optional[Dict[str, List[int]]] = None
+        self._nodes_by_type: Mapping[str, Sequence[int]] = {
+            name: tuple(ids) for name, ids in source._nodes_by_type.items()
+        }
+        self._edges_by_label: Mapping[str, Any] = {
+            label: array("q", ids) for label, ids in source._edges_by_label.items()
+        }
         self._mmap = None
         self.snapshot_path: Optional[str] = None
         self._reset_caches()
@@ -227,13 +242,12 @@ class CSRGraph:
     def _from_columns(
         cls,
         name: str,
-        nodes: List[Node],
-        edges: List[Edge],
+        nodes: Sequence[Node],
+        edges: Sequence[Edge],
         columns: Dict[str, Any],
         label_names: List[str],
-        nodes_by_label: Dict[str, Tuple[int, ...]],
-        nodes_by_type: Dict[str, Tuple[int, ...]],
-        edges_by_label: Dict[str, "array"],
+        nodes_by_type: Mapping[str, Sequence[int]],
+        edges_by_label: Mapping[str, Any],
         mmap_obj: Any = None,
         snapshot_path: Optional[str] = None,
     ) -> "CSRGraph":
@@ -242,115 +256,67 @@ class CSRGraph:
         The constructor used by the binary snapshot loader and by
         unpickling: ``columns`` maps each :attr:`_COLUMN_SPECS` attribute
         to an ``array`` or (possibly ``mmap``-backed) ``memoryview`` of the
-        right typecode.  ``mmap_obj`` is retained on the instance to pin
-        the mapping for the columns' lifetime.
+        right typecode.  ``nodes`` / ``edges`` are any sequences indexed by
+        id — plain lists, or the loader's column-backed lazy sequences; a
+        ``nodes`` sequence that offers ``labels()`` is asked for its labels
+        directly, so deriving the node-label index builds no ``Node``.
+        ``nodes_by_type`` / ``edges_by_label`` values are id sequences
+        (tuples, arrays or column slices).  ``mmap_obj`` is retained on the
+        instance to pin the mapping for the columns' lifetime.
         """
         graph = cls.__new__(cls)
-        graph._assemble(
-            name,
-            nodes,
-            edges,
-            columns,
-            label_names,
-            nodes_by_label,
-            nodes_by_type,
-            edges_by_label,
-            mmap_obj=mmap_obj,
-            snapshot_path=snapshot_path,
-        )
-        return graph
-
-    def _assemble(
-        self,
-        name: str,
-        nodes: List[Node],
-        edges: List[Edge],
-        columns: Dict[str, Any],
-        label_names: List[str],
-        nodes_by_label: Dict[str, Tuple[int, ...]],
-        nodes_by_type: Dict[str, Tuple[int, ...]],
-        edges_by_label: Dict[str, "array"],
-        mmap_obj: Any = None,
-        snapshot_path: Optional[str] = None,
-    ) -> None:
-        """Fill this (raw) instance from pre-built columns and metadata.
-
-        The single assembly path shared by :meth:`_from_columns` (snapshot
-        loading) and :meth:`__setstate__` (unpickling), so column handling
-        cannot diverge between the two.
-        """
-        self.name = name
-        self._num_nodes = len(nodes)
-        self._num_edges = len(edges)
-        self._nodes = nodes
-        self._edges = edges
-        for attr, _ in self._COLUMN_SPECS:
-            self.__dict__[attr] = columns[attr]
+        graph.name = name
+        graph._num_nodes = len(nodes)
+        graph._num_edges = len(edges)
+        graph._nodes = nodes
+        graph._edges = edges
+        for attr, _ in cls._COLUMN_SPECS:
+            graph.__dict__[attr] = columns[attr]
         # Adjacency columns are always exposed as memoryviews so slicing in
         # the hot accessors stays zero-copy under either storage.
         for attr in ("_adj_edge", "_adj_other", "_adj_out"):
-            if not isinstance(self.__dict__[attr], memoryview):
-                self.__dict__[attr] = memoryview(self.__dict__[attr])
-        self._label_names = label_names
-        self._nodes_by_label = nodes_by_label
-        self._nodes_by_type = nodes_by_type
-        self._edges_by_label = edges_by_label
-        self._mmap = mmap_obj
-        self.snapshot_path = snapshot_path
+            if not isinstance(graph.__dict__[attr], memoryview):
+                graph.__dict__[attr] = memoryview(graph.__dict__[attr])
+        graph._label_names = label_names
+        graph._nodes_by_label = None
+        graph._nodes_by_type = nodes_by_type
+        graph._edges_by_label = edges_by_label
+        graph._mmap = mmap_obj
+        graph.snapshot_path = snapshot_path
         # A loaded/unpickled snapshot has no live source graph: it must
         # never satisfy a Graph.freeze() memo check.
-        self.source_generation = None
-        self._reset_caches()
+        graph.source_generation = None
+        graph._reset_caches()
+        return graph
 
     # ------------------------------------------------------------------
     # pickling (memoryview columns round-trip through raw bytes)
     # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
+    def __reduce__(self) -> Tuple[Any, ...]:
         """Picklable state: raw column bytes + metadata, no caches/mmap.
 
         ``memoryview`` columns (including ``mmap``-backed ones) are
-        rendered to bytes; the lazy view caches are dropped (rebuilt on
+        rendered to bytes and lazy node/edge sequences to plain lists; the
+        view caches and the node-label index are dropped (rebuilt on
         demand) and the mapping handle stays with this process.
         """
-        columns = {}
-        for attr, typecode in self._COLUMN_SPECS:
+        columns = {
             # array and memoryview both render to raw bytes the same way.
-            columns[attr] = (typecode, self.__dict__[attr].tobytes())
-        return {
-            "name": self.name,
-            "nodes": self._nodes,
-            "edges": self._edges,
-            "columns": columns,
-            "label_names": self._label_names,
-            "nodes_by_label": self._nodes_by_label,
-            "nodes_by_type": self._nodes_by_type,
-            "edges_by_label": {label: ids.tobytes() for label, ids in self._edges_by_label.items()},
-            "snapshot_path": self.snapshot_path,
+            attr: (typecode, self.__dict__[attr].tobytes())
+            for attr, typecode in self._COLUMN_SPECS
         }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        columns: Dict[str, Any] = {}
-        for attr, _ in self._COLUMN_SPECS:
-            typecode, raw = state["columns"][attr]
-            column = array(typecode)
-            column.frombytes(raw)
-            columns[attr] = column
-        edges_by_label = {}
-        for label, raw in state["edges_by_label"].items():
-            ids = array("q")
-            ids.frombytes(raw)
-            edges_by_label[label] = ids
-        self._assemble(
-            state["name"],
-            state["nodes"],
-            state["edges"],
-            columns,
-            state["label_names"],
-            state["nodes_by_label"],
-            state["nodes_by_type"],
-            edges_by_label,
-            mmap_obj=None,
-            snapshot_path=state.get("snapshot_path"),
+        return (
+            _unpickle_csr,
+            (
+                self.name,
+                list(self._nodes),
+                list(self._edges),
+                columns,
+                self._label_names,
+                {name: tuple(ids) for name, ids in self._nodes_by_type.items()},
+                {label: ids.tobytes() for label, ids in self._edges_by_label.items()},
+                self.snapshot_path,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -488,7 +454,14 @@ class CSRGraph:
         return self._weights[edge_id]
 
     def edge_label(self, edge_id: int) -> str:
-        return self._label_names[self._edge_label_ids[edge_id]]
+        label_id = self._edge_label_ids[edge_id]
+        try:
+            return self._label_names[label_id]
+        except IndexError:  # only a corrupt mapped snapshot column gets here
+            raise SnapshotError(
+                f"corrupt snapshot (edge {edge_id} has label id {label_id}, "
+                f"label table has {len(self._label_names)} entries)"
+            ) from None
 
     def edge_endpoints(self, edge_id: int) -> Tuple[int, int]:
         """``(source, target)`` read off the flat endpoint columns."""
@@ -503,8 +476,26 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # label / type indexes
     # ------------------------------------------------------------------
+    def _label_index(self) -> Dict[str, List[int]]:
+        """``label -> node ids``, derived in id order on first use.
+
+        Id order is :meth:`Graph.add_node`'s insertion order, so keys (by
+        first occurrence) and id lists match the source graph's index.  A
+        snapshot neither stores the index nor pays for it at load.
+        """
+        index = self._nodes_by_label
+        if index is None:
+            # A loaded snapshot's lazy sequence reads labels off its column.
+            labels = getattr(self._nodes, "labels", None)
+            labels = labels() if labels is not None else map(attrgetter("label"), self._nodes)
+            index = {}
+            for node_id, label in enumerate(labels):
+                index.setdefault(label, []).append(node_id)
+            self._nodes_by_label = index
+        return index
+
     def nodes_with_label(self, label: str) -> List[int]:
-        return list(self._nodes_by_label.get(label, ()))
+        return list(self._label_index().get(label, ()))
 
     def nodes_with_type(self, type_name: str) -> List[int]:
         return list(self._nodes_by_type.get(type_name, ()))
@@ -513,7 +504,7 @@ class CSRGraph:
         return list(self._edges_by_label.get(label, ()))
 
     def node_labels(self) -> List[str]:
-        return list(self._nodes_by_label)
+        return list(self._label_index())
 
     def edge_labels(self) -> List[str]:
         return list(self._edges_by_label)
@@ -522,7 +513,7 @@ class CSRGraph:
         return [node.id for node in self._nodes if predicate(node)]
 
     def find_node_by_label(self, label: str) -> int:
-        ids = self._nodes_by_label.get(label, ())
+        ids = self._label_index().get(label, ())
         if len(ids) != 1:
             raise GraphError(f"expected exactly one node labelled {label!r}, found {len(ids)}")
         return ids[0]
@@ -546,6 +537,36 @@ class CSRGraph:
     def __repr__(self) -> str:
         name = f" {self.name!r}" if self.name else ""
         return f"CSRGraph({name} nodes={self.num_nodes}, edges={self.num_edges})"
+
+
+def column_from_bytes(typecode: str, raw: Any) -> "array":
+    """A private ``array`` copy of a column's raw bytes."""
+    column = array(typecode)
+    column.frombytes(raw)
+    return column
+
+
+def _unpickle_csr(
+    name: str,
+    nodes: List[Node],
+    edges: List[Edge],
+    columns: Dict[str, Tuple[str, bytes]],
+    label_names: List[str],
+    nodes_by_type: Dict[str, Tuple[int, ...]],
+    edges_by_label: Dict[str, bytes],
+    snapshot_path: Optional[str],
+) -> CSRGraph:
+    """Unpickling constructor (see :meth:`CSRGraph.__reduce__`)."""
+    return CSRGraph._from_columns(
+        name,
+        nodes,
+        edges,
+        {attr: column_from_bytes(*spec) for attr, spec in columns.items()},
+        label_names,
+        nodes_by_type,
+        {label: column_from_bytes("q", raw) for label, raw in edges_by_label.items()},
+        snapshot_path=snapshot_path,
+    )
 
 
 def freeze(graph: Graph) -> CSRGraph:

@@ -401,7 +401,7 @@ class Graph:
             snapshot = CSRGraph(self)
             # MVCC stamps: which graph lineage this view belongs to and the
             # source generation it can serve as a delta base for.  Plain
-            # instance attributes — CSRGraph's explicit __getstate__ keeps
+            # instance attributes — CSRGraph's explicit __reduce__ keeps
             # them out of pickles/snapshots (a worker-side copy has no live
             # source; the snapshot file carries the generation in its meta).
             snapshot.view_source = self

@@ -102,6 +102,49 @@ def random_graph(
     return graph
 
 
+def rich_graphs(max_nodes: int = 7, max_edges: int = 12) -> Any:
+    """Hypothesis strategy: small graphs using every kind of metadata.
+
+    Unicode (lone surrogates included), empty and duplicate node and edge
+    labels; untyped, single- and multi-type nodes; node and edge property
+    dicts; parallel edges, self-loops, non-default weights, and weights
+    rewritten afterwards through :meth:`Graph.set_edge_weight`.  What a
+    storage format or a freeze must carry over, as opposed to the
+    connected plain-label graphs of :func:`random_graph` that the search
+    algorithms are cross-checked on.  (Hypothesis is imported on use: the
+    library does not depend on it.)
+    """
+    from hypothesis import strategies as st
+
+    labels = st.sampled_from(["", "a", "b", "A", "é", "名前", "a b", "\U0001f600", "\ud800", "x\x00y"])
+    props = st.dictionaries(
+        st.sampled_from(["k", "age", "tags"]),
+        st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
+        max_size=2,
+    )
+    types = st.frozensets(st.sampled_from(["t", "person", "engineer", "型"]), max_size=3)
+    weights = st.sampled_from([0.25, 0.5, 1.0, 1.25, 3.0])
+
+    @st.composite
+    def build(draw: Any) -> Graph:
+        graph = Graph(draw(labels))
+        for _ in range(draw(st.integers(min_value=0, max_value=max_nodes))):
+            graph.add_node(draw(labels), draw(types), **draw(props))
+        if graph.num_nodes:
+            endpoint = st.integers(min_value=0, max_value=graph.num_nodes - 1)
+            for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+                graph.add_edge(
+                    draw(endpoint), draw(endpoint), draw(labels), draw(weights), **draw(props)
+                )
+        if graph.num_edges:
+            edge = st.integers(min_value=0, max_value=graph.num_edges - 1)
+            for edge_id in draw(st.lists(edge, max_size=3)):
+                graph.set_edge_weight(edge_id, draw(weights))
+        return graph
+
+    return build()
+
+
 def random_seed_sets(
     rng: random.Random,
     graph: Graph,

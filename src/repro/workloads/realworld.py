@@ -25,8 +25,10 @@ anchor nodes so results exist within a few hops.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.graph.graph import Graph
@@ -70,6 +72,24 @@ def _zipf_weights(n: int, exponent: float = 1.0) -> List[float]:
     return [1.0 / (rank + 1) ** exponent for rank in range(n)]
 
 
+def _weighted_picker(
+    rng: random.Random, population: Sequence[str], weights: Sequence[float]
+) -> Callable[[], str]:
+    """``lambda: rng.choices(population, weights=weights)[0]``, set up once.
+
+    ``Random.choices`` rebuilds the cumulative weights on every call; this
+    builds them once and repeats the rest of its arithmetic exactly — one
+    ``rng.random()`` scaled by the float total, one ``bisect`` over the
+    same bounds — so the draw sequence is bit-identical
+    (``tests/test_workloads_realworld.py`` pins a digest of it).
+    """
+    cum_weights = list(accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    hi = len(population) - 1
+    draw = rng.random
+    return lambda: population[bisect(cum_weights, draw() * total, 0, hi)]
+
+
 def scale_free_graph(
     num_nodes: int,
     num_edges: int,
@@ -85,20 +105,20 @@ def scale_free_graph(
         raise WorkloadError("need at least num_nodes - 1 edges to stay connected")
     rng = random.Random(seed)
     graph = Graph(name)
-    type_weights = _zipf_weights(len(node_types), 0.8)
+    pick_type = _weighted_picker(rng, node_types, _zipf_weights(len(node_types), 0.8))
     nodes_by_type: Dict[str, List[int]] = {t: [] for t in node_types}
     for index in range(num_nodes):
-        node_type = rng.choices(node_types, weights=type_weights)[0]
+        node_type = pick_type()
         node = graph.add_node(f"ent_{index}", types=(node_type,))
         nodes_by_type[node_type].append(node)
-    label_weights = _zipf_weights(len(edge_labels), 1.0)
+    pick_label = _weighted_picker(rng, edge_labels, _zipf_weights(len(edge_labels), 1.0))
     # endpoint pool for preferential attachment (degree-proportional picks)
     pool: List[int] = [0]
     edges_added = 0
     # spanning pass: node i attaches to a preferentially chosen earlier node
     for node in range(1, num_nodes):
         partner = pool[rng.randrange(len(pool))]
-        label = rng.choices(edge_labels, weights=label_weights)[0]
+        label = pick_label()
         if rng.random() < 0.5:
             graph.add_edge(node, partner, label)
         else:
@@ -112,7 +132,7 @@ def scale_free_graph(
         target = pool[rng.randrange(len(pool))]
         if source == target:
             continue
-        label = rng.choices(edge_labels, weights=label_weights)[0]
+        label = pick_label()
         graph.add_edge(source, target, label)
         pool.append(source)
         pool.append(target)

@@ -9,14 +9,18 @@ Two groups of tests:
   Dijkstra distances, traversal order, and the full MoLESP/BFT result
   trees;
 * freeze edge cases — empty graphs, self-loops, parallel edges,
-  unknown-label queries, memoization, and mutation-after-freeze errors.
+  unknown-label queries, memoization, and mutation-after-freeze errors;
+* the bulk column build against the per-entry loop it replaced, and the
+  node-label index derived on first use against the source graph's.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
 
 from repro.ctp.bft import BFTSearch
 from repro.ctp.config import SearchConfig
@@ -26,7 +30,7 @@ from repro.errors import GraphError
 from repro.graph.backend import BACKENDS, CSRGraph, GraphBackend, backend_name, resolve_backend
 from repro.graph.graph import Graph
 from repro.graph.traversal import ball, bfs_distances, dijkstra_distances
-from repro.testing import assert_all_valid, random_graph, random_seed_sets
+from repro.testing import assert_all_valid, random_graph, random_seed_sets, rich_graphs
 
 SEEDS = (1, 2, 3, 5, 8, 13)
 
@@ -267,3 +271,65 @@ class TestFreeze:
         assert frozen.describe_tree([e]) == graph.describe_tree([e])
         assert frozen.describe_tree([]) == "(single node)"
         assert "CSRGraph" in repr(frozen)
+
+
+# ----------------------------------------------------------------------
+# bulk column build and lazily derived label index
+# ----------------------------------------------------------------------
+def reference_columns(graph: Graph) -> dict:
+    """The CSR columns built one ``append`` per entry — the loop
+    ``CSRGraph.__init__`` used before it switched to bulk calls."""
+    offsets, adj_edge, adj_other, adj_out = array("q", [0]), array("q"), array("q"), array("b")
+    for node_id in graph.node_ids():
+        for edge_id, other, outgoing in graph.adjacent(node_id):
+            adj_edge.append(edge_id)
+            adj_other.append(other)
+            adj_out.append(1 if outgoing else 0)
+        offsets.append(len(adj_edge))
+    label_ids: dict = {}
+    return {
+        "_offsets": offsets,
+        "_adj_edge": adj_edge,
+        "_adj_other": adj_other,
+        "_adj_out": adj_out,
+        "_weights": array("d", [edge.weight for edge in graph.edges()]),
+        "_edge_source": array("q", [edge.source for edge in graph.edges()]),
+        "_edge_target": array("q", [edge.target for edge in graph.edges()]),
+        "_edge_label_ids": array(
+            "q", [label_ids.setdefault(edge.label, len(label_ids)) for edge in graph.edges()]
+        ),
+        "_label_names": list(label_ids),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=rich_graphs())
+def test_bulk_freeze_matches_per_entry_loop(graph):
+    frozen = CSRGraph(graph)
+    for name, column in reference_columns(graph).items():
+        built = getattr(frozen, name)
+        assert (built if isinstance(built, list) else array(column.typecode, built)) == column, name
+    # The label index is not copied at freeze: derived on first use, it
+    # equals the source's — keys in first-occurrence order, ids ascending.
+    assert frozen._nodes_by_label is None
+    assert frozen.node_labels() == graph.node_labels()
+    assert [frozen.nodes_with_label(label) for label in graph.node_labels()] == [
+        graph.nodes_with_label(label) for label in graph.node_labels()
+    ]
+    # Node and Edge objects stay shared with the source, in plain lists.
+    assert type(frozen._nodes) is list and type(frozen._edges) is list
+    assert all(frozen.node(i) is graph.node(i) for i in graph.node_ids())
+    assert all(frozen.edge(i) is graph.edge(i) for i in graph.edge_ids())
+
+
+def test_label_index_derived_after_source_mutation_is_as_of_freeze():
+    graph = Graph()
+    graph.add_node("A")
+    graph.add_node("A")
+    frozen = graph.freeze()
+    graph.add_node("A")
+    graph.add_node("B")
+    assert frozen.nodes_with_label("A") == [0, 1]
+    assert frozen.node_labels() == ["A"]
+    with pytest.raises(GraphError, match="found 2"):
+        frozen.find_node_by_label("A")

@@ -1,5 +1,8 @@
 """Checks that the real-world substitutes preserve what matters (DESIGN §3)."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -7,7 +10,10 @@ from repro.graph.stats import connected_components, graph_stats
 from repro.query.evaluator import evaluate_query
 from repro.query.parser import parse_query
 from repro.workloads.realworld import (
+    EDGE_LABELS,
     PAPER_M_DISTRIBUTION,
+    _weighted_picker,
+    _zipf_weights,
     dbpedia_like,
     j1_query,
     j2_query,
@@ -55,6 +61,30 @@ class TestGenerator:
         triples_a = [(e.source, e.label, e.target) for e in a.graph.edges()]
         triples_b = [(e.source, e.label, e.target) for e in b.graph.edges()]
         assert triples_a == triples_b
+
+    def test_generated_data_is_pinned(self):
+        """Node types, edge endpoints and labels of one fixed data set,
+        digested with the generator as it was *before* the per-draw
+        ``rng.choices`` was replaced by a precomputed picker:
+        ``benchmarks/e2e/expected.json`` pins result rows on these data."""
+        dataset = scale_free_graph(2000, 4000, seed=42)
+        digest = hashlib.sha256()
+        for node in dataset.graph.nodes():
+            digest.update(repr((node.id, node.label, sorted(node.types))).encode())
+        for edge in dataset.graph.edges():
+            digest.update(repr((edge.id, edge.source, edge.target, edge.label, edge.weight)).encode())
+        digest.update(repr(sorted(dataset.nodes_by_type.items())).encode())
+        assert digest.hexdigest() == (
+            "788c0d2e6a850911c2c3f037a7215dbfa93d14e9eb0ff94a808c0996900d1650"
+        )
+
+    def test_picker_draws_what_random_choices_draws(self):
+        weights = _zipf_weights(len(EDGE_LABELS))
+        reference = random.Random(11)
+        pick = _weighted_picker(random.Random(11), EDGE_LABELS, weights)
+        assert [pick() for _ in range(2000)] == [
+            reference.choices(EDGE_LABELS, weights=weights)[0] for _ in range(2000)
+        ]
 
     def test_different_seeds_differ(self):
         a = scale_free_graph(100, 300, seed=5)
