@@ -24,7 +24,11 @@ Three layers:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +107,16 @@ def _snapshot(result_set):
     }
 
 
+#: Counters that exist only because of the edge-set pool and the
+#: sat-bucketed partner index; the recorded frozenset run has no say on them.
+POOL_STATS = {"merges_attempted", "merge_buckets_skipped", "pool_sets", "pool_union_hits", "pool_union_misses"}
+
+
+def _without_pool_stats(snapshot):
+    stats = {k: v for k, v in snapshot["stats"].items() if k not in POOL_STATS}
+    return {**snapshot, "stats": stats}
+
+
 MAX_TREES = {"bft": 3000, "bft-m": 3000, "bft-am": 3000}
 
 
@@ -112,8 +126,22 @@ def _run(algo_name, graph, seeds, dense_ids, **overrides):
     return ALGORITHMS[algo_name]().run(graph, seeds, config)
 
 
+#: Digests of the legacy run (global-id masks, dict pools, tuple DP keys)
+#: of every case below — ``python tests/test_dense_ids.py --regen``.
+GOLDEN_PATH = Path(__file__).parent / "data" / "dense_ids_golden.json"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
 # ----------------------------------------------------------------------
-# the matrix: 8 algorithms x workload graphs, dense vs legacy
+# the matrix: 8 algorithms x workload graphs, dense vs recorded legacy
 # ----------------------------------------------------------------------
 def _matrix_cases():
     for graph_name, (graph, seeds) in _graphs().items():
@@ -125,51 +153,57 @@ def _matrix_cases():
     "graph_name,graph,seeds,algo_name",
     [pytest.param(*case, id=f"{case[0]}|{case[3]}") for case in _matrix_cases()],
 )
-def test_dense_matches_legacy(graph_name, graph, seeds, algo_name):
+def test_dense_matches_legacy(golden, graph_name, graph, seeds, algo_name):
     dense = _snapshot(_run(algo_name, graph, seeds, dense_ids=True))
     legacy = _snapshot(_run(algo_name, graph, seeds, dense_ids=False))
     assert dense == legacy, f"{graph_name}|{algo_name}: dense ids changed the outcome"
+    assert _digest(dense) == golden[f"{graph_name}|{algo_name}"]
+
+
+VARIANTS = [
+    {"uni": True},
+    {"limit": 5},
+    {"max_edges": 4},
+    {"balanced_queues": True},
+    {"interning": False},
+    {"backend": "csr"},
+]
 
 
 @pytest.mark.parametrize("algo_name", sorted(ALGORITHMS))
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"uni": True},
-        {"limit": 5},
-        {"max_edges": 4},
-        {"balanced_queues": True},
-        {"interning": False},
-        {"backend": "csr"},
-    ],
-    ids=lambda o: next(iter(o)),
-)
-def test_dense_matches_legacy_under_config_variants(algo_name, overrides):
+@pytest.mark.parametrize("overrides", VARIANTS, ids=lambda o: next(iter(o)))
+def test_dense_matches_legacy_under_config_variants(golden, algo_name, overrides):
     graph = figure1()
     seeds = figure1_seed_sets(graph)
     dense = _snapshot(_run(algo_name, graph, seeds, dense_ids=True, **overrides))
     legacy = _snapshot(_run(algo_name, graph, seeds, dense_ids=False, **overrides))
     assert dense == legacy
+    if "interning" in overrides:
+        # Recorded from the frozenset fallback, whose pool counters are zero
+        # and whose linear partner scan attempts more merges: the default
+        # path must reproduce everything else.
+        dense = _without_pool_stats(_snapshot(_run(algo_name, graph, seeds, dense_ids=True)))
+    assert _digest(dense) == golden[f"fig1|{next(iter(overrides))}|{algo_name}"]
 
 
 # ----------------------------------------------------------------------
-# DPBF: packed state keys vs legacy tuples
+# DPBF: packed state keys vs recorded legacy tuples
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("graph_name", ["fig1", "fig3", "chain5", "star", "comb", "random"])
-def test_dpbf_dense_matches_legacy(graph_name):
+DPBF_GRAPHS = ["fig1", "fig3", "chain5", "star", "comb", "random"]
+
+
+def _dpbf_row(graph, seeds, uni, **representation):
+    tree = dpbf_optimal_tree(graph, seeds, uni=uni, **representation)
+    return None if tree is None else (sorted(tree.edges), sorted(tree.nodes), tree.seeds, tree.weight)
+
+
+@pytest.mark.parametrize("graph_name", DPBF_GRAPHS)
+def test_dpbf_dense_matches_legacy(golden, graph_name):
     graph, seeds = _graphs()[graph_name]
     for uni in (False, True):
-        dense = dpbf_optimal_tree(graph, seeds, uni=uni, dense_ids=True)
-        legacy = dpbf_optimal_tree(graph, seeds, uni=uni, dense_ids=False)
-        if dense is None or legacy is None:
-            assert dense is None and legacy is None
-        else:
-            assert (dense.edges, dense.nodes, dense.seeds, dense.weight) == (
-                legacy.edges,
-                legacy.nodes,
-                legacy.seeds,
-                legacy.weight,
-            )
+        dense = _dpbf_row(graph, seeds, uni)
+        assert dense == _dpbf_row(graph, seeds, uni, dense_ids=False)
+        assert _digest(dense) == golden[f"dpbf|{graph_name}|{uni}"]
 
 
 # ----------------------------------------------------------------------
@@ -381,3 +415,39 @@ def test_flat_pool_accepts_overlapping_unions():
         assert p.edges(u) == frozenset({1, 2, 3, 4})
         assert p.union1(u, 2) == u  # already-present edge is a no-op
     assert len(pool) == len(dictpool)
+
+
+def _legacy_digests():
+    """Every golden case, run on the legacy representation (after checking
+    the dense path agrees with it)."""
+    out = {}
+
+    def record(key, algo_name, graph, seeds, **overrides):
+        legacy = _snapshot(_run(algo_name, graph, seeds, dense_ids=False, **overrides))
+        assert legacy == _snapshot(_run(algo_name, graph, seeds, dense_ids=True, **overrides)), key
+        if "interning" in overrides:
+            legacy = _without_pool_stats(legacy)
+            assert legacy == _without_pool_stats(_snapshot(_run(algo_name, graph, seeds, dense_ids=True))), key
+        out[key] = _digest(legacy)
+
+    for graph_name, graph, seeds, algo_name in _matrix_cases():
+        record(f"{graph_name}|{algo_name}", algo_name, graph, seeds)
+    fig1 = figure1()
+    for overrides in VARIANTS:
+        for algo_name in ALGORITHMS:
+            record(f"fig1|{next(iter(overrides))}|{algo_name}", algo_name, fig1, figure1_seed_sets(fig1), **overrides)
+    for graph_name in DPBF_GRAPHS:
+        graph, seeds = _graphs()[graph_name]
+        for uni in (False, True):
+            legacy = _dpbf_row(graph, seeds, uni, dense_ids=False)
+            assert legacy == _dpbf_row(graph, seeds, uni), (graph_name, uni)
+            out[f"dpbf|{graph_name}|{uni}"] = _digest(legacy)
+    return out
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        GOLDEN_PATH.write_text(json.dumps(_legacy_digests(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN_PATH}")
+    else:
+        print(__doc__)

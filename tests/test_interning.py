@@ -19,9 +19,12 @@ bookkeeping now stands on, so it gets the strongest tests in the suite:
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -297,7 +300,7 @@ class TestEngineIntegration:
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: interned engines vs the frozenset fallback, live
+# the engines vs the recorded frozenset fallback, on random multigraphs
 # ----------------------------------------------------------------------
 def _outcome(result_set):
     stats = result_set.stats
@@ -313,18 +316,44 @@ def _outcome(result_set):
     )
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(0, 10_000), st.booleans(), st.booleans())
-def test_interned_engines_match_fallback_on_random_graphs(seed, uni, balanced):
-    rng = random.Random(seed)
-    graph = random_graph(rng, rng.randint(5, 11), rng.randint(6, 18), num_labels=2)
-    seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
-    config = dict(uni=uni, balanced_queues=balanced, max_trees=20000)
-    for algorithm_cls in GAM_FAMILY + BFT_FAMILY:
-        algorithm = algorithm_cls()
-        interned = algorithm.run(graph, seed_sets, SearchConfig(interning=True, **config))
-        fallback = algorithm.run(graph, seed_sets, SearchConfig(interning=False, **config))
-        assert _outcome(interned) == _outcome(fallback), algorithm.name
+#: 64 fixed ``(seed, uni, balanced)`` triples: the seeds drive
+#: ``random_graph``/``random_seed_sets``; the two flags cycle through all
+#: four combinations.
+RANDOM_CORPUS = [
+    (seed, bool(index & 1), bool(index & 2))
+    for index, seed in enumerate(random.Random(2023).sample(range(10_001), 64))
+]
+RANDOM_CORPUS_GOLDEN = Path(__file__).parent / "data" / "random_graphs_golden.json"
+
+
+def _corpus_digests(**representation):
+    """SHA-256 of every algorithm's canonical ``_outcome`` per corpus triple."""
+    digests = {}
+    for seed, uni, balanced in RANDOM_CORPUS:
+        rng = random.Random(seed)
+        graph = random_graph(rng, rng.randint(5, 11), rng.randint(6, 18), num_labels=2)
+        seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
+        config = SearchConfig(uni=uni, balanced_queues=balanced, max_trees=20000, **representation)
+        digests[f"{seed}|{uni}|{balanced}"] = {
+            cls.name: hashlib.sha256(
+                json.dumps(_outcome(cls().run(graph, seed_sets, config))).encode()
+            ).hexdigest()
+            for cls in GAM_FAMILY + BFT_FAMILY
+        }
+    return digests
+
+
+def test_interned_engines_match_fallback_on_random_graphs():
+    """Rows and order-sensitive counters equal the frozenset fallback's.
+
+    The fallback side is *recorded*: ``random_graphs_golden.json`` holds
+    the digests ``SearchConfig(interning=False, dense_ids=False)`` — the
+    seed frozenset bookkeeping over global-id masks — produced on this
+    corpus (``python tests/test_interning.py --regen``).
+    """
+    legacy = _corpus_digests(interning=False, dense_ids=False)
+    assert _corpus_digests() == legacy
+    assert legacy == json.loads(RANDOM_CORPUS_GOLDEN.read_text())
 
 
 # ----------------------------------------------------------------------
@@ -477,3 +506,15 @@ class TestPackedKeyGuard:
                 algorithm.run(graph, seeds, SearchConfig(), context=SearchContext())
             # The frozenset representation packs nothing.
             assert len(algorithm.run(graph, seeds, SearchConfig(interning=False))) == 16
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        # Record from the legacy representation, refusing to write unless
+        # the default path already agrees with it.
+        legacy = _corpus_digests(interning=False, dense_ids=False)
+        assert _corpus_digests() == legacy, "default path diverges from the legacy representation"
+        RANDOM_CORPUS_GOLDEN.write_text(json.dumps(legacy, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {RANDOM_CORPUS_GOLDEN}")
+    else:
+        print(__doc__)
