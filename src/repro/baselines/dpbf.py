@@ -38,7 +38,6 @@ def dpbf_optimal_tree(
     seed_sets: Sequence[Sequence[int]],
     uni: bool = False,
     timeout: Optional[float] = None,
-    dense_ids: bool = True,
 ) -> Optional[ResultTree]:
     """The minimum-total-edge-weight connecting tree, or ``None``.
 
@@ -46,14 +45,12 @@ def dpbf_optimal_tree(
     tree is an arborescence rooted at the DP root (matching the ``UNI``
     filter semantics: the root reaches every seed along edge directions).
 
-    ``dense_ids`` (default) keys the DP's ``best``/``parent``/``settled``
-    maps by packed small ints ``(compact(v) << m) | X`` through a
-    search-local :class:`~repro.ctp.idremap.IdRemap` instead of ``(v, X)``
-    tuples — the same dense-identity discipline as the search engines
-    (tuple keys cost ~72 bytes each and a tuple hash per probe, which
-    dominates DPBF's footprint on large graphs).  Heap ordering and
-    relaxation order are unchanged, so both representations settle states
-    identically; ``False`` keeps the legacy tuple keys as the A/B baseline.
+    The DP's ``best``/``parent``/``settled`` maps are keyed by packed
+    small ints ``(compact(v) << m) | X`` through a search-local
+    :class:`~repro.ctp.idremap.IdRemap` instead of ``(v, X)`` tuples — the
+    same dense-identity discipline as the search engines (tuple keys cost
+    ~72 bytes each and a tuple hash per probe, which dominates DPBF's
+    footprint on large graphs).
     """
     normalized, wildcard = normalize_seed_sets(graph, seed_sets)
     if wildcard:
@@ -70,24 +67,17 @@ def dpbf_optimal_tree(
         for node in nodes:
             seed_mask[node] = seed_mask.get(node, 0) | (1 << bit)
 
-    if dense_ids:
-        # Packed state key: compact node index in the high bits, the m-bit
-        # seed-coverage mask in the low bits.  Compact indexes are assigned
-        # in first-touch order, which is deterministic for the fixed heap
-        # order, so dense and legacy runs relax states identically.
-        remap_index = IdRemap().index
+    # Packed state key: compact node index in the high bits, the m-bit
+    # seed-coverage mask in the low bits.  Compact indexes are assigned in
+    # first-touch order, which is deterministic for the fixed heap order.
+    remap_index = IdRemap().index
 
-        def state_key(node: int, mask: int) -> int:
-            return (remap_index(node) << m) | mask
-
-    else:
-
-        def state_key(node: int, mask: int) -> Tuple[int, int]:
-            return (node, mask)
+    def state_key(node: int, mask: int) -> int:
+        return (remap_index(node) << m) | mask
 
     # best[state_key(v, X)] = cost; provenance for tree reconstruction.
-    best: Dict[object, float] = {}
-    parent: Dict[object, Tuple[str, tuple]] = {}
+    best: Dict[int, float] = {}
+    parent: Dict[int, Tuple[str, tuple]] = {}
     heap: List[Tuple[float, int, int, int]] = []
     counter = 0
     for node, mask in seed_mask.items():
@@ -99,7 +89,7 @@ def dpbf_optimal_tree(
 
     # states by node, for merges
     settled_by_node: Dict[int, List[int]] = {}
-    final_state: Optional[object] = None
+    final_state: Optional[int] = None
     final_node: Optional[int] = None
     settled: set = set()
     while heap:

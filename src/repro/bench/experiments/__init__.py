@@ -15,7 +15,6 @@ from repro.bench.experiments import (
     micro_backend,
     micro_chaos,
     micro_delta,
-    micro_interning,
     micro_parallel,
     micro_process_parallel,
     micro_query_context,
@@ -40,7 +39,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "backend": micro_backend.run,
     "chaos": micro_chaos.run,
     "delta": micro_delta.run,
-    "interning": micro_interning.run,
     "parallel": micro_parallel.run,
     "process-parallel": micro_process_parallel.run,
     "query-context": micro_query_context.run,

@@ -1,7 +1,7 @@
 """E-query-context — query-scoped SearchContext vs a pool per CTP.
 
 Not tied to a paper figure.  Measures what the query-scoped search context
-(:class:`repro.ctp.interning.SearchContext` — one edge-set pool for all
+(:class:`repro.ctp.context.SearchContext` — one edge-set pool for all
 CTPs of a query, a per-root rooted-result cache, and the evaluator's
 cross-CTP memo of complete result sets) buys on multi-CTP queries,
 end-to-end through :func:`repro.query.evaluator.evaluate_query`.  Every
@@ -46,9 +46,9 @@ def grouped_star(num_sets: int, tips_per_set: int, arm_length: int) -> Graph:
     """A star whose arm tips carry one type per seed group.
 
     ``CONNECT`` over two groups is the merge-heavy keyword regime (many
-    alternative tips per seed set, all trees meeting at the hub) — the same
-    worst case the interning micro-bench uses, here driven through EQL type
-    predicates so the evaluator derives the seed sets itself.
+    alternative tips per seed set, all trees meeting at the hub), here
+    driven through EQL type predicates so the evaluator derives the seed
+    sets itself.
     """
     graph = Graph(f"grouped-star({num_sets}x{tips_per_set},arm={arm_length})")
     center = graph.add_node("center")

@@ -1,38 +1,35 @@
-"""E-scale — dense search-local node ids at a million nodes.
+"""E-scale — search-local node ids at a million nodes.
 
-Not tied to a paper figure.  This is the proof artifact for the dense-id
-refactor: the legacy pools key every mask and memo by *global* node and
-edge ids, so a single tree's ``node_mask`` costs ``max(node_id)`` bits
-(~125 KB of bigint at 10^6 nodes) and the per-search dicts scale with the
-id space.  Dense mode (:class:`~repro.ctp.idremap.IdRemap` plus the flat
-:class:`~repro.ctp.interning.FlatEdgeSetPool`) re-keys each search by its
-*touched* set, so cost follows the CTP's radius-2 neighbourhood — a few
-hundred nodes — no matter how large the graph is.
+Not tied to a paper figure.  A search keys its node masks and memos by the
+nodes and edges it *touches* (:class:`~repro.ctp.idremap.IdRemap`, the flat
+:class:`~repro.ctp.interning.EdgeSetPool`), so its cost follows the CTP's
+radius-2 neighbourhood — a few hundred nodes — no matter how large the
+graph is.  The implementation this replaced keyed both by *global* ids
+(one mask bit per node id: ~125 KB of bigint per tree at 10^6 nodes) and
+added 42 MB / 256 MB of search-phase peak RSS at 10^5 / 10^6 nodes where
+this one adds 0-6 MB, for identical rows.
 
 The bench builds one seeded scale-free graph per size (10^5 warm-up and
 the headline 10^6), samples a tight-radius m=2 CTP batch
 (:func:`~repro.workloads.realworld.scale_workload`), and runs a complete
-(BFT) and a heuristic (MoLESP) engine over it twice — ``dense_ids`` on
-and off — measuring wall-clock and peak RSS.  Three properties are
-asserted as verdict rows the CI gate reads from the checked-in JSON:
+(BFT) and a heuristic (MoLESP) engine over it, measuring wall-clock and
+peak RSS.  Two properties are asserted as verdict rows the CI gate reads
+from the checked-in JSON, next to "no size may DNF":
 
-* ``identity`` — per size, the canonical result rows of both paths hash
-  to the same digest (``identical`` must be true): the remap is an
-  implementation detail, not a semantics change.
-* ``rss-ceiling`` — dense search-phase peak-RSS growth
-  (``search_peak_delta_mb``) stays under a generous ceiling that the
-  legacy path already exceeds at moderate sizes.
-* legacy may DNF — each configuration runs in its own child process
-  under a timeout; a legacy child that exceeds it is recorded as a
-  ``dnf`` row (the documented size past which only dense is practical),
-  never as a bench failure.
+* ``identity`` — per size, the canonical result rows hash to the digest
+  recorded in :data:`RECORDED_DIGESTS` on every repeat (``identical``
+  must be true).  The constants were recorded from the global-id
+  implementation before it was deleted, when both produced them: the
+  remap is an implementation detail, not a semantics change.
+* ``rss-ceiling`` — the search-phase peak-RSS growth
+  (``search_peak_delta_mb``, worst repeat) stays under
+  :data:`DENSE_SEARCH_RSS_CEILING_MB`.
 
-Each (size, mode) cell runs in a **subprocess** because ``ru_maxrss`` is
-a lifetime high-water mark: two configurations sharing a process would
-share one peak and the A-B comparison would be meaningless.  The child
-reports peak RSS after build and after search separately, so
-``search_peak_delta_mb`` isolates what the *search* adds over the graph
-itself (the graph build transients are identical in both modes).
+Each (size, repeat) cell runs in a **subprocess** because ``ru_maxrss`` is
+a lifetime high-water mark: two cells sharing a process would share one
+peak.  The child reports peak RSS after build and after search separately,
+so ``search_peak_delta_mb`` isolates what the *search* adds over the graph
+itself.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ import json
 import os
 import subprocess
 import sys
+from statistics import median
 from typing import Any, Dict, List, Optional
 
 from repro.bench.harness import ExperimentReport, Measurement
@@ -50,19 +48,26 @@ from repro.bench.harness import ExperimentReport, Measurement
 ALGORITHMS = ("bft", "molesp")
 #: Deterministic bounds: preferential-attachment hubs make unbounded
 #: complete enumeration explode, and count-based cuts (result limit +
-#: expansion cap) are order-stable, so dense/legacy rows stay comparable.
+#: expansion cap) are order-stable, so rows are reproducible.
 MAX_EDGES = 4
 LIMIT = 8
 MAX_TREES = 4_000
 NUM_CTPS = 6
 SEED = 42
-#: Ceiling on what the dense *search* phase may add over the built graph
-#: (MB).  Measured: dense adds ~26 MB at 10^5 and ~170 MB at 10^6 (most
-#: of it lazy adjacency-cache fill, paid identically by both modes),
-#: while legacy adds ~65 MB and ~450 MB.  The ceiling sits between the
-#: two: slack for allocator noise, but a global-id-sized mask regression
-#: (the legacy curve) cannot fit under it.
-DENSE_SEARCH_RSS_CEILING_MB = 256.0
+#: SHA-256 of the canonical rows per graph size, as produced by the
+#: global-id-mask implementation (at the commit that deleted it) — and by
+#: this one.
+RECORDED_DIGESTS = {
+    10_000: "273e3e36c7232c9022ded1679dd22575f9dd6cfcc6f321a27d73dd4d77afa157",
+    100_000: "2b20c912b71e5cd5eef9e10525cacbddab1dcbeaa3b331e5d737bd6093035037",
+    1_000_000: "f0b1f8334637dab3c4a86e61d8f37505a968e874f5d409da031e985f31775913",
+}
+#: Ceiling on what the *search* phase may add over the built graph (MB).
+#: Measured: 6.2 / 3.2 / 0.0 MB at 10^4 / 10^5 / 10^6 nodes (the page
+#: granularity of a few hundred small objects).  32 MB leaves ~25 MB of
+#: slack for allocator noise, and a global-id-sized mask regression (42 MB
+#: at 10^5, 256 MB at 10^6) cannot fit under it.
+DENSE_SEARCH_RSS_CEILING_MB = 32.0
 
 
 def _canonical_rows(result_set) -> List[tuple]:
@@ -78,17 +83,14 @@ def _canonical_rows(result_set) -> List[tuple]:
     )
 
 
-def _child_main(argv: List[str]) -> None:
-    """One (nodes, dense) cell: build, search, print a JSON line."""
+def _child_main(nodes: int) -> None:
+    """One cell: build, search, print a JSON line."""
     import resource
     import time
 
     from repro.ctp.config import SearchConfig
     from repro.ctp.registry import get_algorithm
     from repro.workloads.realworld import scale_workload
-
-    nodes = int(argv[argv.index("--nodes") + 1])
-    dense = "--dense" in argv
 
     def peak_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -106,9 +108,7 @@ def _child_main(argv: List[str]) -> None:
     rss_build = rss_mb()
     peak_build = peak_mb()
 
-    config = SearchConfig(
-        max_edges=MAX_EDGES, limit=LIMIT, max_trees=MAX_TREES, dense_ids=dense
-    )
+    config = SearchConfig(max_edges=MAX_EDGES, limit=LIMIT, max_trees=MAX_TREES)
     digest = hashlib.sha256()
     rows = 0
     started = time.perf_counter()
@@ -137,31 +137,20 @@ def _child_main(argv: List[str]) -> None:
     )
 
 
-def _run_child(nodes: int, dense: bool, timeout: float) -> Optional[Dict[str, Any]]:
+def _run_child(nodes: int, timeout: float) -> Optional[Dict[str, Any]]:
     """Run one cell in a fresh process; ``None`` means DNF (timeout)."""
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    command = [
-        sys.executable,
-        "-m",
-        "repro.bench.experiments.micro_scale",
-        "--child",
-        "--nodes",
-        str(nodes),
-    ]
-    if dense:
-        command.append("--dense")
+    # ``-c``, not ``-m``: the package ``__init__`` imports this module, and
+    # re-running an already-imported module as ``__main__`` makes runpy warn.
+    command = [sys.executable, "-c", f"from {__name__} import _child_main; _child_main({nodes})"]
     try:
-        proc = subprocess.run(
-            command, env=env, capture_output=True, text=True, timeout=timeout
-        )
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"scale child (nodes={nodes}, dense={dense}) failed:\n{proc.stderr}"
-        )
+        raise RuntimeError(f"scale child (nodes={nodes}) failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -169,16 +158,17 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
     # The headline size: 10^6 nodes at scale 1.0 (smoke clamps to 10^5).
     nodes = max(20_000, int(1_000_000 * scale))
     sizes = sorted({max(10_000, nodes // 10), nodes})
-    # Build alone is ~40 s at 10^6; give every child room, scaled up so a
-    # slow legacy run is measured (and documented) rather than DNF'd early.
+    # Build alone is ~25 s at 10^6; give every child room.
     child_timeout = timeout if timeout is not None else max(300.0, 1200.0 * scale)
+    repeats = max(1, repeats)
     report = ExperimentReport(
         experiment="scale",
-        title="Dense search-local ids: peak RSS and wall-clock vs legacy at 10^6 nodes",
+        title="Search-local ids: search-phase peak RSS and wall-clock at 10^6 nodes",
         config={
             "scale": scale,
             "timeout": child_timeout,
             "repeats": repeats,
+            "cpu_count": os.cpu_count(),
             "sizes": sizes,
             "algorithms": list(ALGORITHMS),
             "num_ctps": NUM_CTPS,
@@ -189,85 +179,60 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
             "rss_ceiling_mb": DENSE_SEARCH_RSS_CEILING_MB,
         },
     )
-    digests: Dict[int, Dict[bool, Optional[str]]] = {}
-    dense_deltas: Dict[int, float] = {}
+    compared = 0
+    identical = True
+    worst_delta = 0.0
     for size in sizes:
-        digests[size] = {}
-        for dense in (True, False):
-            best: Optional[Dict[str, Any]] = None
-            for _ in range(max(1, repeats)):
-                child = _run_child(size, dense, child_timeout)
-                if child is None:
-                    best = None
-                    break
-                if best is None or child["search_seconds"] < best["search_seconds"]:
-                    best = child
-            if best is None:
-                digests[size][dense] = None
-                report.add_row(
-                    nodes=size, dense_ids=dense, dnf=True, timeout_s=child_timeout
-                )
-                report.note(
-                    f"DNF: legacy={'off' if dense else 'on'} at {size} nodes "
-                    f"exceeded {child_timeout:.0f}s; dense remains the only "
-                    f"practical path past this size"
-                )
-                continue
-            digests[size][dense] = best["digest"]
-            if dense:
-                dense_deltas[size] = best["search_peak_delta_mb"]
-            report.add(
-                Measurement(
-                    params={"nodes": size, "dense_ids": dense},
-                    seconds=best["search_seconds"],
-                    values={
-                        "rows": best["rows"],
-                        "build_s": best["build_seconds"],
-                        "search_s": best["search_seconds"],
-                        "rss_build_mb": best["rss_build_mb"],
-                        "peak_mb": best["peak_mb"],
-                        "search_peak_delta_mb": best["search_peak_delta_mb"],
-                        "digest": best["digest"][:16],
-                    },
-                )
+        cells = [_run_child(size, child_timeout) for _ in range(repeats)]
+        if None in cells:
+            report.add_row(nodes=size, dnf=True, timeout_s=child_timeout)
+            report.note(f"DNF: a {size}-node cell exceeded {child_timeout:.0f}s")
+            worst_delta = float("inf")
+            continue
+        digests = {cell["digest"] for cell in cells}
+        recorded = RECORDED_DIGESTS.get(size)
+        if recorded is not None:
+            compared += 1
+            identical = identical and digests == {recorded}
+        delta = max(cell["search_peak_delta_mb"] for cell in cells)
+        worst_delta = max(worst_delta, delta)
+        seconds = [cell["search_seconds"] for cell in cells]
+        report.add(
+            Measurement(
+                params={"nodes": size},
+                seconds=median(seconds),
+                values={
+                    "rows": cells[0]["rows"],
+                    "build_s": median(cell["build_seconds"] for cell in cells),
+                    "search_s": median(seconds),
+                    "search_s_min": min(seconds),
+                    "search_s_max": max(seconds),
+                    "rss_build_mb": max(cell["rss_build_mb"] for cell in cells),
+                    "peak_mb": max(cell["peak_mb"] for cell in cells),
+                    "search_peak_delta_mb": delta,
+                    "digest": "/".join(sorted(d[:16] for d in digests)),
+                },
             )
+        )
 
-    # --- identity gate: dense and legacy rows bit-identical per size ----
-    comparable = {
-        size: pair
-        for size, pair in digests.items()
-        if pair.get(True) is not None and pair.get(False) is not None
-    }
-    identical = all(pair[True] == pair[False] for pair in comparable.values())
-    report.add_row(
-        regime="identity",
-        sizes_compared=len(comparable),
-        identical=identical and bool(comparable),
-    )
+    # --- identity gate: rows hash to the recorded digest at every size ---
+    report.add_row(regime="identity", sizes_compared=compared, identical=identical and compared > 0)
     if not identical:
-        report.note("DETERMINISM FAILURE: dense_ids changed result rows")
-    elif not comparable:
-        report.note("IDENTITY GATE VACUOUS: no size completed on both paths")
+        report.note("DETERMINISM FAILURE: result rows differ from the recorded digests")
+    elif not compared:
+        report.note("IDENTITY GATE VACUOUS: no size with a recorded digest completed")
 
-    # --- RSS ceiling: dense search overhead stays flat ------------------
-    worst = max(dense_deltas.values()) if dense_deltas else float("inf")
-    under = worst <= DENSE_SEARCH_RSS_CEILING_MB
+    # --- RSS ceiling: search overhead stays flat -------------------------
+    under = worst_delta <= DENSE_SEARCH_RSS_CEILING_MB
     report.add_row(
         regime="rss-ceiling",
-        dense_worst_delta_mb=worst,
+        worst_delta_mb=worst_delta,
         ceiling_mb=DENSE_SEARCH_RSS_CEILING_MB,
         under_ceiling=under,
     )
     if not under:
         report.note(
-            f"RSS FAILURE: dense search added {worst:.0f}MB, over the "
+            f"RSS FAILURE: the search phase added {worst_delta:.0f}MB, over the "
             f"{DENSE_SEARCH_RSS_CEILING_MB:.0f}MB ceiling"
         )
     return report
-
-
-if __name__ == "__main__":
-    if "--child" in sys.argv:
-        _child_main(sys.argv)
-    else:
-        print(run().to_markdown())

@@ -49,8 +49,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         base_config = SearchConfig(
             backend=args.backend,
-            interning=not args.no_interning,
-            dense_ids=not args.no_dense_ids,
             shared_context=args.shared_context,
             parallelism=args.parallelism,
             parallelism_mode=args.parallelism_mode,
@@ -143,8 +141,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     try:
         base_config = SearchConfig(
-            interning=not args.no_interning,
-            dense_ids=not args.no_dense_ids,
             parallelism=max(args.workers, 1),
             parallelism_mode="process",
             scheduling=args.scheduling,
@@ -278,17 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph storage backend for the search (csr = frozen compressed-sparse-row)",
     )
     query.add_argument(
-        "--no-interning",
-        action="store_true",
-        help="disable the hash-consed edge-set pool (frozenset fallback; for A/B timing)",
-    )
-    query.add_argument(
-        "--no-dense-ids",
-        action="store_true",
-        help="disable dense search-local node ids and flat pool storage "
-        "(legacy global-id masks + dict pools; for A/B timing)",
-    )
-    query.add_argument(
         "--shared-context",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -377,17 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--deadline", type=float, help="per-request wall-clock budget in seconds")
     serve.add_argument("--timeout", type=float, default=30.0, help="default per-CTP timeout in seconds")
-    serve.add_argument(
-        "--no-interning",
-        action="store_true",
-        help="disable the hash-consed edge-set pool in server and workers",
-    )
-    serve.add_argument(
-        "--no-dense-ids",
-        action="store_true",
-        help="disable dense search-local node ids and flat pool storage "
-        "in server and workers (legacy A/B baseline)",
-    )
     serve.add_argument(
         "--scheduling",
         action=argparse.BooleanOptionalAction,

@@ -26,7 +26,8 @@ from repro.ctp.analysis import (
     simple_tree_decomposition,
 )
 from repro.ctp.config import WILDCARD, SearchConfig
-from repro.ctp.interning import EdgeSetPool, FrozenEdgeSets, ResultCache, SearchContext
+from repro.ctp.context import ResultCache, SearchContext
+from repro.ctp.interning import EdgeSetPool
 from repro.ctp.results import CTPResultSet, ResultTree, validate_result
 from repro.ctp.stats import SearchStats
 from repro.ctp.registry import ALGORITHMS, evaluate_ctp, get_algorithm
@@ -43,7 +44,6 @@ __all__ = [
     "CTPResultSet",
     "EdgeSetPool",
     "ESPSearch",
-    "FrozenEdgeSets",
     "GAMSearch",
     "LESPSearch",
     "MoESPSearch",

@@ -21,8 +21,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro._util import Deadline, full_mask
 from repro.ctp.config import DEFAULT_CONFIG, SearchConfig
 from repro.ctp.engine import _StopSearch, normalize_seed_sets
-from repro.ctp.idremap import make_remap
-from repro.ctp.interning import SearchContext, adopt_pool, pool_stats_delta
+from repro.ctp.context import SearchContext, adopt_pool, pool_stats_delta
+from repro.ctp.idremap import IdRemap
 from repro.ctp.results import CTPResultSet, ResultTree, materialize_seeds
 from repro.ctp.stats import SearchStats
 from repro.errors import SearchError
@@ -127,13 +127,11 @@ class _BFTRun:
                 self.seed_mask[node] = self.seed_mask.get(node, 0) | (1 << bit)
         # Query-scoped pool sharing (see _GAMRun): BFT trees are unrooted,
         # so only the pool is adopted, not the rooted-result cache.
-        self.pool, _, self._pool_baseline = adopt_pool(
-            context, graph, config.interning, config.dense_ids
-        )
-        # Dense per-search node identity (repro.ctp.idremap): BFT uses the
-        # masks in both interning modes, and its merge needs the inverse
-        # (mask bit -> global node) to recover the shared node.
-        self.remap = make_remap(config.dense_ids)
+        self.pool, _, self._pool_baseline = adopt_pool(context, graph)
+        # Dense per-search node identity (repro.ctp.idremap): BFT's merge
+        # also needs the inverse (mask bit -> global node) to recover the
+        # shared node.
+        self.remap = IdRemap()
         self.memory: Set = set()  # every tree ever built (edge-set handles)
         self.trees_containing: Dict[int, List[_BFTTree]] = {}
         self.queue: deque = deque()

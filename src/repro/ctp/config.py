@@ -96,22 +96,6 @@ class SearchConfig:
         passed, ``"csr"`` freezes it into the compressed-sparse-row
         representation first (memoized per graph), ``"auto"`` (default)
         keeps whichever representation the caller provided.
-    interning:
-        Use the hash-consed edge-set pool for tree bookkeeping
-        (:mod:`repro.ctp.interning`; default).  ``False`` falls back to the
-        seed frozenset representation — same results, slower history checks;
-        kept as the baseline of ``python -m repro.bench interning`` and the
-        equivalence suite.
-    dense_ids:
-        Use the dense per-search node-id space (:mod:`repro.ctp.idremap`;
-        default): node bitmasks are sized by |nodes touched by this
-        search| instead of the graph's largest node id, and the interning
-        pool spills its hot maps to flat-array storage.  The million-node
-        enabler — on large (or sparse-hugely-numbered) graphs the legacy
-        masks are the dominant memory and Merge1 cost.  ``False`` restores
-        the legacy global-id masks and dict-based pool as the A/B baseline
-        of ``python -m repro.bench scale``.  Representation-only: rows are
-        bit-identical either way (``tests/test_dense_ids.py``).
     strict_merge2 (ablation):
         Use the *literal* Merge2 of Section 4.2 — ``sat(t1) ∩ sat(t2) = ∅``
         — instead of the relaxed reading this library argues for (overlap
@@ -125,7 +109,7 @@ class SearchConfig:
         Same results, strictly more work; exposed to quantify the cost.
     shared_context:
         Evaluator-level knob (ignored by standalone engine runs): share one
-        query-scoped :class:`~repro.ctp.interning.SearchContext` — edge-set
+        query-scoped :class:`~repro.ctp.context.SearchContext` — edge-set
         pool, per-root result cache, cross-CTP memo — across all CTP
         evaluations of a query (default).  ``False`` restores the
         pool-per-CTP behaviour as the A/B baseline of ``python -m
@@ -178,8 +162,6 @@ class SearchConfig:
     balance_ratio: float = 32.0
     max_trees: Optional[int] = None
     backend: str = "auto"
-    interning: bool = True
-    dense_ids: bool = True
     strict_merge2: bool = False
     mo_inject_always: bool = False
     shared_context: bool = True
@@ -198,11 +180,20 @@ class SearchConfig:
             raise ConfigError("deadline must be positive (seconds of query wall-clock budget)")
         if self.max_edges is not None and self.max_edges < 0:
             raise ConfigError("max_edges must be >= 0")
+        if self.max_trees is not None and self.max_trees < 1:
+            raise ConfigError(f"max_trees must be >= 1 (or None for no valve), got {self.max_trees!r}")
+        mode = self.balanced_queues
+        if mode is not True and mode is not False and mode != "auto":
+            raise ConfigError(
+                f"balanced_queues must be True, False or 'auto', got {self.balanced_queues!r}"
+            )
+        if not self.balance_ratio > 0:
+            raise ConfigError(f"balance_ratio must be > 0, got {self.balance_ratio!r}")
         if isinstance(self.order, str) and self.order not in ("size", "score"):
             raise ConfigError(f"unknown order {self.order!r} (use 'size', 'score', or a callable)")
         if self.order == "score" and self.score is None:
             raise ConfigError("order='score' requires a score function")
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
+        if isinstance(self.parallelism, bool) or not isinstance(self.parallelism, int) or self.parallelism < 1:
             raise ConfigError(
                 f"parallelism must be an integer >= 1 (1 = serial CTP dispatch), "
                 f"got {self.parallelism!r}"
@@ -211,11 +202,6 @@ class SearchConfig:
             raise ConfigError(
                 f"unknown parallelism_mode {self.parallelism_mode!r} "
                 f"(use one of {', '.join(PARALLELISM_MODES)})"
-            )
-        if not isinstance(self.dense_ids, bool):
-            raise ConfigError(
-                f"dense_ids must be a bool (dense per-search node ids on/off), "
-                f"got {self.dense_ids!r}"
             )
         if not isinstance(self.scheduling, bool):
             raise ConfigError(

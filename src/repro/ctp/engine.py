@@ -46,17 +46,14 @@ tickets, so Grows pop exactly as from a queue with one entry per legal
 edge — but a search cut short by ``limit``/``max_trees`` never pays for
 the hub adjacencies it did not reach.
 Node bitmasks live in a dense per-search id space
-(:mod:`repro.ctp.idremap`, ``SearchConfig(dense_ids=True)``): masks are
-sized by |nodes this search touched| instead of the graph's largest node
-id, which is what makes million-node (and sparse-huge-id) graphs viable;
-``dense_ids=False`` restores the legacy global-id masks as the A/B
-baseline of ``python -m repro.bench scale``.
+(:mod:`repro.ctp.idremap`): masks are sized by |nodes this search
+touched| instead of the graph's largest node id, which is what makes
+million-node (and sparse-huge-id) graphs viable.
 Both the UNI filter and the Algorithm 4 history check run *before* a
 grown/merged tree is constructed, so pruned candidates cost a few int
-lookups and no allocation.  ``SearchConfig(interning=False)`` restores the
-seed frozenset bookkeeping (the A/B baseline of ``python -m repro.bench
-interning``); both representations produce byte-identical result sets and
-counters (see ``tests/test_interning_equivalence.py``).
+lookups and no allocation.  Result sets and order-sensitive counters are
+pinned to the seed implementation's frozenset bookkeeping by recorded
+goldens (see ``tests/test_interning_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -69,8 +66,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._util import Deadline, full_mask, popcount
 from repro.ctp.config import DEFAULT_CONFIG, WILDCARD, SearchConfig
-from repro.ctp.idremap import make_remap
-from repro.ctp.interning import SearchContext, adopt_pool, pool_stats_delta
+from repro.ctp.context import SearchContext, adopt_pool, pool_stats_delta
+from repro.ctp.idremap import IdRemap
 from repro.ctp.results import CTPResultSet, ResultTree, materialize_seeds
 from repro.ctp.stats import SearchStats
 from repro.ctp.tree import (
@@ -150,8 +147,8 @@ class GAMFamilySearch:
         ``seed_sets`` is a sequence of node-id collections (or ``WILDCARD``).
         Returns all minimal connecting trees found (Definition 2.8), subject
         to the filters in ``config``.  ``context`` is an optional
-        query-scoped :class:`~repro.ctp.interning.SearchContext`: when given
-        (and compatible with this run's graph/interning mode) the run adopts
+        query-scoped :class:`~repro.ctp.context.SearchContext`: when given
+        (and bound to this run's graph lineage) the run adopts
         the context's shared edge-set pool and rooted-result cache instead
         of constructing pool state internally.
 
@@ -200,15 +197,13 @@ class _GAMRun:
                 self.seed_mask[node] = self.seed_mask.get(node, 0) | (1 << bit)
         # --- interned tree state (edge-set pool, see repro.ctp.interning) ---
         # A query-scoped context supplies a pool shared by all the query's
-        # CTP runs (handles stay comparable across runs); refusals — graph
-        # or interning mismatch — silently fall back to a private pool.
-        self.pool, self.context, self._pool_baseline = adopt_pool(
-            context, graph, config.interning, config.dense_ids
-        )
+        # CTP runs (handles stay comparable across runs); a refusal — the
+        # context is bound to another graph — falls back to a private pool.
+        self.pool, self.context, self._pool_baseline = adopt_pool(context, graph)
         # Dense per-search node identity (repro.ctp.idremap): node-mask
         # bits are compact first-touch indexes, so masks scale with the
         # frontier, not with max(node_id).  Strictly run-local state.
-        self.remap = make_remap(config.dense_ids)
+        self.remap = IdRemap()
         # Rooted-cache fingerprint: config identity plus the graph's size
         # (append-only graphs invalidate cached payloads by growing).
         self._cfg_fp = None
@@ -218,18 +213,15 @@ class _GAMRun:
                 SearchContext.graph_fingerprint(graph),
             )
         # --- search state (Algorithms 1-5 globals) ---
-        # History structures are keyed by pool handles: ints under the
-        # interning pool (O(1) hashing), frozensets under the fallback.
-        self.hist: Set = set()  # edge-set history (ESP)
-        self.rooted_keys: Set[Tuple[int, object]] = set()  # rooted-tree history (GAM / LESP)
-        #: Merge-partner index.  Interned mode: root -> sat mask -> trees,
-        #: so a cascade step skips Merge2-incompatible partners one bucket
-        #: at a time instead of testing them one tree at a time (global
-        #: insertion order is restored from the per-tree ``seq`` tickets
-        #: when several buckets are compatible).  Fallback mode
-        #: (``interning=False``): root -> flat list, the seed's linear scan.
-        self.interned = config.interning
-        self.trees_rooted_in: Dict[int, object] = {}
+        # History structures are keyed by pool handles (ints: O(1) hashing).
+        self.hist: Set[int] = set()  # edge-set history (ESP)
+        self.rooted_keys: Set[Tuple[int, int]] = set()  # rooted-tree history (GAM / LESP)
+        #: Merge-partner index: root -> sat mask -> trees, so a cascade
+        #: step skips Merge2-incompatible partners one bucket at a time
+        #: instead of testing them one tree at a time (global insertion
+        #: order is restored from the per-tree ``seq`` tickets when
+        #: several buckets are compatible).
+        self.trees_rooted_in: Dict[int, Dict[int, List[SearchTree]]] = {}
         self._seq = 0
         self.ss: Dict[int, int] = {}  # seed signatures (Section 4.6)
         self.result_keys: Set = set()
@@ -324,7 +316,7 @@ class _GAMRun:
             stats.grows += 1
             # The UNI filter and the history check both precede tree
             # construction: a rejected Grow costs a couple of int lookups,
-            # no frozenset and no SearchTree (the interning layer's point).
+            # no frozenset and no SearchTree.
             uni_state = None
             if uni:
                 uni_state = uni_grow_state(tree, other, outgoing)
@@ -508,9 +500,6 @@ class _GAMRun:
 
     def _index_partner(self, tree: SearchTree) -> None:
         """File ``tree`` in the root -> sat bucket index with a seq ticket."""
-        if not self.interned:  # seed layout: flat list per root
-            self.trees_rooted_in.setdefault(tree.root, []).append(tree)
-            return
         tree.seq = self._seq
         self._seq += 1
         buckets = self.trees_rooted_in.get(tree.root)
@@ -556,7 +545,6 @@ class _GAMRun:
         max_edges = config.max_edges
         seed_mask = self.seed_mask
         stats = self.stats
-        interned = self.interned
         pool = self.pool
         while work:
             if self.deadline.expired():
@@ -569,44 +557,39 @@ class _GAMRun:
                 continue
             root_mask = 0 if config.strict_merge2 else seed_mask.get(t1.root, 0)
             sat = t1.sat
-            if interned:
-                # Merge2 (relaxed, see module docstring): overlapping seed
-                # sets are only allowed through the shared root (under
-                # strict_merge2, any overlap blocks).  The condition depends
-                # only on the partner's sat mask, so whole buckets are
-                # skipped at once.
-                if len(index) == 1:
-                    # Single-sat root (the common case on sparse graphs):
-                    # one compatibility test, no bucket assembly at all.
-                    bucket_sat, bucket = next(iter(index.items()))
-                    if (sat & bucket_sat) & ~root_mask:
-                        stats.merge_buckets_skipped += 1
-                        continue
-                    partners = bucket
-                else:
-                    compat = [
-                        bucket
-                        for bucket_sat, bucket in index.items()
-                        if not (sat & bucket_sat) & ~root_mask
-                    ]
-                    stats.merge_buckets_skipped += len(index) - len(compat)
-                    if not compat:
-                        continue
-                    if len(compat) == 1:
-                        # One compatible bucket: iterate it in place, bounded
-                        # by its current length — absorbed merges may append
-                        # behind us, exactly as they fell outside the seed's
-                        # snapshot copy.
-                        partners = compat[0]
-                    else:
-                        # Several compatible buckets: concatenate and restore
-                        # the global insertion order the seed iterated in
-                        # (near-sorted runs, timsort merges them in ~linear
-                        # time).
-                        partners = [tree for bucket in compat for tree in bucket]
-                        partners.sort(key=_tree_seq)
+            # Merge2 (relaxed, see module docstring): overlapping seed sets
+            # are only allowed through the shared root (under strict_merge2,
+            # any overlap blocks).  The condition depends only on the
+            # partner's sat mask, so whole buckets are skipped at once.
+            if len(index) == 1:
+                # Single-sat root (the common case on sparse graphs): one
+                # compatibility test, no bucket assembly at all.
+                bucket_sat, bucket = next(iter(index.items()))
+                if (sat & bucket_sat) & ~root_mask:
+                    stats.merge_buckets_skipped += 1
+                    continue
+                partners = bucket
             else:
-                partners = list(index)  # the seed's snapshot copy
+                compat = [
+                    bucket
+                    for bucket_sat, bucket in index.items()
+                    if not (sat & bucket_sat) & ~root_mask
+                ]
+                stats.merge_buckets_skipped += len(index) - len(compat)
+                if not compat:
+                    continue
+                if len(compat) == 1:
+                    # One compatible bucket: iterate it in place, bounded by
+                    # its current length — absorbed merges may append behind
+                    # us, exactly as they fell outside the seed's snapshot
+                    # copy.
+                    partners = compat[0]
+                else:
+                    # Several compatible buckets: concatenate and restore the
+                    # global insertion order the seed iterated in (near-sorted
+                    # runs, timsort merges them in ~linear time).
+                    partners = [tree for bucket in compat for tree in bucket]
+                    partners.sort(key=_tree_seq)
             length = len(partners)
             node_mask = t1.node_mask
             root = t1.root
@@ -620,18 +603,10 @@ class _GAMRun:
                 if tp is t1:
                     continue
                 stats.merges_attempted += 1
-                if interned:
-                    # Merge1: the trees share exactly the root.  Exact
-                    # bitmask test — nothing materialized for rejections.
-                    if node_mask & tp.node_mask != root_bit:
-                        continue
-                else:
-                    # Seed bookkeeping: per-partner Merge2, then Merge1 by
-                    # node-set intersection.
-                    if (sat & tp.sat) & ~root_mask:
-                        continue
-                    if len(t1.nodes & tp.nodes) != 1:
-                        continue
+                # Merge1: the trees share exactly the root.  Exact bitmask
+                # test — nothing materialized for rejections.
+                if node_mask & tp.node_mask != root_bit:
+                    continue
                 if max_edges is not None and t1_size + tp.size > max_edges:
                     continue
                 # UNI filter and history check both precede construction —

@@ -1,13 +1,13 @@
 """Dense per-search node identity (the million-node ROADMAP item).
 
 Every GAM-family / BFT tree carries ``node_mask``, an exact node bitmask
-used by the Merge1 compatibility test.  The seed implementation sets bit
-``n`` for *global* node id ``n`` — so the mask is a Python big-int sized by
-the **largest node id the search touches**, not by how many nodes it
-touches.  On a 10^6-node graph that is ~125 KB per tree and every Merge1
-test is O(max_id/64); on a graph with sparse huge ids (external datasets
-routinely carry 10^9-range ids) the masks explode long before memory is
-"used" for anything.
+used by the Merge1 compatibility test.  Setting bit ``n`` for *global*
+node id ``n`` would make the mask a Python big-int sized by the **largest
+node id the search touches**, not by how many nodes it touches.  On a
+10^6-node graph that is ~125 KB per tree and every Merge1 test is
+O(max_id/64); on a graph with sparse huge ids (external datasets routinely
+carry 10^9-range ids) the masks explode long before memory is "used" for
+anything.
 
 :class:`IdRemap` fixes the unit of account: a search-local bijection
 global id → compact index, assigned lazily in first-touch order as the
@@ -21,13 +21,10 @@ Correctness is structural: the remap is injective, so for any two trees of
 one search ``mask(t1) & mask(t2)`` has exactly the image bits of the node
 intersection, and Merge1's single-bit-equality test is preserved verbatim.
 Node *sets* (``tree.nodes``, result rows, seed materialization) keep global
-ids throughout — only the mask representation is compact — so dense and
-legacy runs produce bit-identical rows (``tests/test_dense_ids.py``).
-
-:class:`IdentityRemap` is the legacy representation behind the same two
-calls (``bit``/``node``), selected by ``SearchConfig(dense_ids=False)``; it
-keeps the engines on a single code path and preserves the A/B baseline the
-scale bench (``python -m repro.bench scale``) measures against.
+ids throughout — only the mask representation is compact — so rows are
+those of a search over global-id masks (pinned by recorded digests of
+that implementation) and depend only on the graph's shape, never on the
+magnitude of its node ids (a metamorphic property of the dense-id suite).
 """
 
 from __future__ import annotations
@@ -76,37 +73,3 @@ class IdRemap:
 
     def __len__(self) -> int:
         return len(self._inv)
-
-
-class IdentityRemap:
-    """The legacy unit of account: mask bit ``n`` *is* global node id ``n``.
-
-    Selected by ``SearchConfig(dense_ids=False)``.  Stateless — one module
-    instance (:data:`IDENTITY_REMAP`) serves every legacy run.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def index(node: int) -> int:
-        return node
-
-    @staticmethod
-    def bit(node: int) -> int:
-        return 1 << node
-
-    @staticmethod
-    def node(compact: int) -> int:
-        return compact
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Shared stateless instance for ``dense_ids=False`` runs.
-IDENTITY_REMAP = IdentityRemap()
-
-
-def make_remap(dense_ids: bool):
-    """The remap for a run: a fresh :class:`IdRemap`, or the identity."""
-    return IdRemap() if dense_ids else IDENTITY_REMAP

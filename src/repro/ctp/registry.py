@@ -6,7 +6,7 @@ from typing import Dict, Optional, Sequence, Type
 
 from repro.ctp.bft import BFTAMSearch, BFTMSearch, BFTSearch
 from repro.ctp.config import SearchConfig
-from repro.ctp.interning import SearchContext
+from repro.ctp.context import SearchContext
 from repro.ctp.esp import ESPSearch
 from repro.ctp.gam import GAMSearch
 from repro.ctp.lesp import LESPSearch
@@ -57,7 +57,7 @@ def evaluate_ctp(
         evaluate_ctp(g, [s1, s2, s3], "molesp", timeout=5.0, max_edges=8)
 
     ``context`` optionally shares a query-scoped
-    :class:`~repro.ctp.interning.SearchContext` (edge-set pool + result
+    :class:`~repro.ctp.context.SearchContext` (edge-set pool + result
     caches) across several evaluations over the same graph.
     """
     if config is not None and config_kwargs:

@@ -92,9 +92,8 @@ def materialize_seeds(
     node set and assigns, for every sat bit the tree realizes, the matching
     node to that seed set's original query position.  Wildcard positions are
     bound to ``root`` — the tree's only possibly-non-seed leaf (Section
-    4.9).  Deliberately iterates ``nodes`` in its native order so dense-id
-    and legacy runs (which share the identical frozenset) produce
-    bit-identical seed tuples.
+    4.9).  Iterates ``nodes`` in its native order: the recorded goldens
+    pin the seed tuples that order produces.
     """
     seeds: List[Optional[int]] = [None] * num_positions
     for position in wildcard_positions:

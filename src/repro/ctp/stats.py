@@ -32,14 +32,13 @@ class SearchStats:
     results_found: int = 0
     duplicate_results: int = 0
     #: Whole sat buckets of merge partners skipped per Merge2 (the indexed
-    #: TreesRootedIn of the interning layer); each skip avoids scanning
-    #: every tree in the bucket.
+    #: TreesRootedIn); each skip avoids scanning every tree in the bucket.
     merge_buckets_skipped: int = 0
     #: Queue-size probes made by balanced-queue pops (Section 4.9 (ii)):
     #: lazy size-heap entries examined, stale ones included.
     balanced_pop_scans: int = 0
     #: Edge-set pool telemetry (repro.ctp.interning): distinct sets interned
-    #: and memoized-union hit/miss counts.  All zero under interning=False.
+    #: and memoized-union hit/miss counts.
     #: When the run adopted a query-scoped SearchContext these are *deltas*
     #: against the shared pool's state at run start.
     pool_sets: int = 0

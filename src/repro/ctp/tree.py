@@ -6,11 +6,10 @@ family needs in its hot path:
 
 ``eset``
     the tree's edge set as a pool handle (:mod:`repro.ctp.interning`): a
-    small int under the hash-consing pool, a plain ``frozenset`` under the
-    ``interning=False`` fallback.  Handles are falsy exactly when the set
-    is empty, and equal iff the edge sets are equal, so history membership
-    (Algorithm 4) is an O(1) lookup.  ``edges`` materializes the actual
-    frozenset (free: the pool stores it interned);
+    small int.  Handles are falsy exactly when the set is empty, and equal
+    iff the edge sets are equal, so history membership (Algorithm 4) is an
+    O(1) lookup.  ``edges`` materializes the actual frozenset (free: the
+    pool stores it interned);
 
 ``size``
     the number of edges (read per tree by the queue priority and the
@@ -22,11 +21,9 @@ family needs in its hot path:
     their root" — becomes ``t1.node_mask & t2.node_mask == root_bit``, a
     big-int test that rejects incompatible partners before any set is
     built.  Which bit a node occupies is the *engine's* unit of account
-    (:mod:`repro.ctp.idremap`): under ``dense_ids`` (default) the engine
-    passes ``node_bit`` from its search-local remap, so masks are sized
-    by |nodes touched|; under the legacy representation bit ``n`` is
-    global node id ``n`` and the mask is sized by the largest id in the
-    tree — O(max_id/64) per test, the pre-million-node behaviour;
+    (:mod:`repro.ctp.idremap`): the engine passes ``node_bit`` from its
+    search-local remap, so masks are sized by |nodes touched|, not by the
+    largest node id in the tree;
 
 ``sat``
     bitmask of the seed sets satisfied by the tree (Observation 1);
@@ -133,11 +130,11 @@ class SearchTree:
         )
 
 
-def make_init(pool, node: int, sat: int, uni: bool, node_bit: Optional[int] = None) -> SearchTree:
+def make_init(pool, node: int, sat: int, uni: bool, node_bit: int) -> SearchTree:
     """``Init(n)`` — a one-node tree for a seed (Definition 4.1 case 1).
 
     ``node_bit`` is the node's mask bit under the engine's id remap
-    (:mod:`repro.ctp.idremap`); omitted, the legacy global-id bit is used.
+    (:mod:`repro.ctp.idremap`).
     """
     return SearchTree(
         pool=pool,
@@ -145,7 +142,7 @@ def make_init(pool, node: int, sat: int, uni: bool, node_bit: Optional[int] = No
         eset=pool.EMPTY,
         size=0,
         nodes=frozenset((node,)),
-        node_mask=node_bit if node_bit is not None else 1 << node,
+        node_mask=node_bit,
         sat=sat,
         weight=0.0,
         kind=INIT,
@@ -202,20 +199,20 @@ def make_grow(
     edge_weight: float,
     outgoing: bool,
     uni: bool,
+    node_bit: int,
     eset=None,
     uni_state: Optional[Tuple[Optional[int], int]] = None,
-    node_bit: Optional[int] = None,
 ) -> Optional[SearchTree]:
     """``Grow(t, e)`` — extend ``tree`` from its root along ``edge_id``.
 
     ``outgoing`` tells whether the edge leaves the current root (i.e. is
     directed root -> new_root).  Returns ``None`` when ``uni`` is set and the
-    extended tree would not be an arborescence.  ``eset`` / ``uni_state``
-    may carry the already-computed edge-set handle and
-    :func:`uni_grow_state` result (the engine derives both for its
-    pre-construction pruning); otherwise they are derived here.
-    ``node_bit`` is ``new_root``'s mask bit under the engine's id remap
-    (:mod:`repro.ctp.idremap`); omitted, the legacy global-id bit is used.
+    extended tree would not be an arborescence.  ``node_bit`` is
+    ``new_root``'s mask bit under the engine's id remap
+    (:mod:`repro.ctp.idremap`).  ``eset`` / ``uni_state`` may carry the
+    already-computed edge-set handle and :func:`uni_grow_state` result (the
+    engine derives both for its pre-construction pruning); otherwise they
+    are derived here.
     """
     if uni:
         state = uni_state if uni_state is not None else uni_grow_state(tree, new_root, outgoing)
@@ -238,7 +235,7 @@ def make_grow(
         eset=eset if eset is not None else pool.union1(tree.eset, edge_id),
         size=tree.size + 1,
         nodes=tree.nodes | {new_root},
-        node_mask=tree.node_mask | (node_bit if node_bit is not None else 1 << new_root),
+        node_mask=tree.node_mask | node_bit,
         sat=tree.sat | new_root_sat,
         weight=tree.weight + edge_weight,
         kind=GROW,

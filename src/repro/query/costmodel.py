@@ -47,7 +47,7 @@ from repro.errors import ConfigError
 #: sit above 1.0; the heuristic ESP family prunes aggressively and sits
 #: below; the Mo variants pay provenance copies on top of their base
 #: algorithm.  Calibrated from the checked-in micro-bench ratios
-#: (BENCH_interning/parallel): only the *relative* order matters.
+#: (BENCH_parallel.json): only the *relative* order matters.
 ALGORITHM_WEIGHTS: Dict[str, float] = {
     "bft": 1.0,
     "bft-m": 1.3,

@@ -11,7 +11,7 @@ Section 5.5.2: "MoLESP took around 30% of the total time, the rest being
 spent ... in the BGP evaluation and final joins").
 
 Step (B) runs inside one **query-scoped search context**
-(:class:`~repro.ctp.interning.SearchContext`, enabled by
+(:class:`~repro.ctp.context.SearchContext`, enabled by
 ``SearchConfig(shared_context=True)``, the default): every CTP evaluation
 adopts the same edge-set pool (edge sets a sibling CTP interned are memo
 hits, not fresh allocations), rooted-tree results are cached per
@@ -46,7 +46,7 @@ from itertools import permutations, product
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ctp.config import WILDCARD, SearchConfig
-from repro.ctp.interning import SearchContext
+from repro.ctp.context import SearchContext
 from repro.ctp.results import CTPResultSet, ResultTree, tree_leaves
 from repro.errors import EvaluationError
 from repro.graph.graph import Graph
@@ -445,7 +445,7 @@ def evaluate_query(
         Per-CTP timeout (seconds) applied when neither the CTP's filters nor
         ``base_config`` specify one (the paper's ``T``).
     context:
-        An explicit :class:`~repro.ctp.interning.SearchContext` to run the
+        An explicit :class:`~repro.ctp.context.SearchContext` to run the
         query's CTPs in.  Passing one shared across *queries* amortizes the
         pool further (same graph required); by default a fresh context is
         created per query when ``base_config.shared_context`` is true
@@ -489,11 +489,7 @@ def evaluate_query(
         # dispatch only touches it from the parent, but keeping it
         # thread-safe there too lets an unpicklable workload degrade to
         # thread dispatch instead of all the way to serial.
-        context = SearchContext(
-            interning=base_config.interning,
-            thread_safe=base_config.parallelism > 1,
-            dense_ids=base_config.dense_ids,
-        )
+        context = SearchContext(thread_safe=base_config.parallelism > 1)
 
     # Cost-model scheduling (repro.query.costmodel): an estimator is built
     # when the query opts into scheduling decisions (``scheduling=True``)

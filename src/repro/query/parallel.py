@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ctp.config import WILDCARD, SearchConfig
-from repro.ctp.interning import SearchContext
+from repro.ctp.context import SearchContext
 from repro.ctp.registry import get_algorithm
 from repro.ctp.results import CTPResultSet
 from repro.ctp.stats import SearchStats
@@ -500,13 +500,7 @@ _worker_overlay_key: Optional[Tuple[int, int]] = None
 _worker_overlay_context: Optional[SearchContext] = None
 
 
-def _process_worker_init(
-    snapshot_path: str,
-    interning: bool,
-    fault_plan: Any = None,
-    epoch: int = 0,
-    dense_ids: bool = True,
-) -> None:
+def _process_worker_init(snapshot_path: str, fault_plan: Any = None, epoch: int = 0) -> None:
     """Executor initializer: load the mmap-shared snapshot ONCE per worker.
 
     Every job this worker ever runs reuses the same graph object (so the
@@ -528,7 +522,7 @@ def _process_worker_init(
     if fault_plan is not None:
         faults.install_plan(fault_plan, epoch=epoch)
     _worker_graph = load_snapshot(snapshot_path)
-    _worker_context = SearchContext(interning=interning, dense_ids=dense_ids)
+    _worker_context = SearchContext()
     _worker_overlay = None
     _worker_overlay_key = None
     _worker_overlay_context = None
@@ -553,10 +547,7 @@ def _worker_state_for(delta: Any) -> Tuple[Any, Optional[SearchContext]]:
         from repro.graph.delta import OverlayGraph
 
         _worker_overlay = OverlayGraph(_worker_graph, delta)
-        _worker_overlay_context = SearchContext(
-            interning=_worker_context.interning if _worker_context is not None else True,
-            dense_ids=_worker_context.dense_ids if _worker_context is not None else True,
-        )
+        _worker_overlay_context = SearchContext()
         _worker_overlay_key = key
     return _worker_overlay, _worker_overlay_context
 
@@ -679,13 +670,7 @@ def _run_process(
             max_workers=workers,
             mp_context=_process_pool_context(),
             initializer=_process_worker_init,
-            initargs=(
-                snapshot_path,
-                jobs[0].config.interning,
-                faults.active_plan(),
-                0,
-                jobs[0].config.dense_ids,
-            ),
+            initargs=(snapshot_path, faults.active_plan(), 0),
         ) as pool:
             outcomes, followers = _fan_out(jobs, context, pool, submit_one, schedule=schedule)
     except BrokenProcessPool:
@@ -1093,11 +1078,7 @@ def evaluate_queries(
 
     base_config = base_config or SearchConfig()
     if context is None and base_config.shared_context:
-        context = SearchContext(
-            interning=base_config.interning,
-            thread_safe=base_config.parallelism > 1,
-            dense_ids=base_config.dense_ids,
-        )
+        context = SearchContext(thread_safe=base_config.parallelism > 1)
     results = [
         evaluate_query(
             graph,

@@ -3,7 +3,7 @@
 The PR-5 process dispatcher (:func:`repro.query.parallel._run_process`)
 proved the mechanism — workers initialized once with an mmap-shared CSR
 snapshot, each holding a private long-lived
-:class:`~repro.ctp.interning.SearchContext` — but tore the whole
+:class:`~repro.ctp.context.SearchContext` — but tore the whole
 ``ProcessPoolExecutor`` down after every ``evaluate_query`` call.  Each
 request therefore paid fork/forkserver spin-up plus a per-worker snapshot
 load, then threw the warm per-worker context away: the multi-core win
@@ -114,15 +114,6 @@ class WorkerPool:
         generation changes.
     workers:
         Worker process count (default: ``os.cpu_count()``).
-    interning:
-        Interning mode the worker-private contexts are created with; a
-        dispatch whose config disagrees still runs correctly (the worker
-        context refuses adoption and the engine uses a private pool), it
-        just loses worker-side cache reuse.
-    dense_ids:
-        Pool-storage mode of the worker-private contexts (flat arrays vs
-        legacy dicts).  Mismatched dispatches degrade the same way as a
-        mismatched ``interning``: correct results, private pool.
 
     The pool is thread-safe: any number of request-handler threads may
     :meth:`submit` concurrently (``ProcessPoolExecutor`` serializes the
@@ -134,8 +125,6 @@ class WorkerPool:
         self,
         graph: Any,
         workers: Optional[int] = None,
-        interning: bool = True,
-        dense_ids: bool = True,
         resilience: Optional[PoolResilienceConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -150,8 +139,6 @@ class WorkerPool:
             )
         self.graph = graph
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.interning = interning
-        self.dense_ids = dense_ids
         #: Delta size at which a dispatch boundary compacts base ∪ delta into
         #: a new snapshot generation (full re-snapshot + respawn).  ``None``
         #: never compacts; ``0`` compacts on any mutation — the legacy
@@ -409,13 +396,7 @@ class WorkerPool:
             max_workers=self.workers,
             mp_context=_process_pool_context(),
             initializer=_process_worker_init,
-            initargs=(
-                self._snapshot_path,
-                self.interning,
-                faults.active_plan(),
-                self.respawns + self.recycles,
-                self.dense_ids,
-            ),
+            initargs=(self._snapshot_path, faults.active_plan(), self.respawns + self.recycles),
         )
         return self._executor
 

@@ -3,7 +3,7 @@
 ``repro.serve`` is the multi-user front-end of the evaluator: a
 :class:`~repro.serve.server.QueryServer` binds one graph to one
 :class:`~repro.query.pool.WorkerPool` and one shared
-:class:`~repro.ctp.interning.SearchContext`, then answers
+:class:`~repro.ctp.context.SearchContext`, then answers
 :class:`~repro.serve.models.QueryRequest` envelopes from any number of
 client threads — with admission control, per-request deadlines, and
 per-response provenance (warm pool? memo hits? what dispatch ran?).

@@ -10,7 +10,7 @@ shares:
 * a :class:`~repro.query.pool.WorkerPool` — workers spawn once, load the
   mmap-shared snapshot once, and keep their per-worker contexts warm
   across requests (the amortization fix this PR exists for);
-* a thread-safe :class:`~repro.ctp.interning.SearchContext` — the
+* a thread-safe :class:`~repro.ctp.context.SearchContext` — the
   cross-CTP memo and interning pool span *requests*, so a CONNECT one
   client evaluated is a memo hit for every later client that repeats it;
 * admission control — a bounded in-flight budget (``max_pending``):
@@ -33,7 +33,7 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.ctp.config import SearchConfig
-from repro.ctp.interning import SearchContext
+from repro.ctp.context import SearchContext
 from repro.ctp.registry import get_algorithm
 from repro.errors import ReproError
 from repro.query.evaluator import evaluate_query
@@ -166,17 +166,11 @@ class QueryServer:
             self.pool = WorkerPool(
                 graph,
                 workers=workers,
-                interning=self.base_config.interning,
-                dense_ids=self.base_config.dense_ids,
                 compaction_threshold=compaction_threshold,
                 **(pool_config or {}),
             )
         #: Shared across requests (thread-safe): cross-request memo + pool.
-        self.context = SearchContext(
-            interning=self.base_config.interning,
-            thread_safe=True,
-            dense_ids=self.base_config.dense_ids,
-        )
+        self.context = SearchContext(thread_safe=True)
         self._slots = threading.BoundedSemaphore(max_pending)
         self._gauge_lock = threading.Lock()
         #: Serializes write batches against read-view pinning: a query

@@ -1,25 +1,34 @@
-"""Dense search-local node identity: dense and legacy runs are bit-identical.
+"""Dense search-local node identity: rows are those of global-id masks.
 
-The dense-ids refactor (``repro.ctp.idremap`` + the flat pools in
-``repro.ctp.interning``) re-keys every node bitmask by a search-local
-compact index and moves the interning pool's hot maps into flat arrays.
-All of it is *representation*: because the remap is injective, every mask
-predicate (Merge1's shared-node test, BFT's common-mask recovery) decides
-exactly what it decided over global-id masks, so the search trajectory —
-and with it every row, seed tuple, weight, and order-sensitive counter —
-must be identical with ``dense_ids=True`` and ``dense_ids=False``.
+The engines key every node bitmask by a search-local compact index
+(``repro.ctp.idremap``) and keep the interning pool's hot maps in flat
+arrays (``repro.ctp.interning``).  All of it is *representation*: because
+the remap is injective, every mask predicate (Merge1's shared-node test,
+BFT's common-mask recovery) decides exactly what it decided over
+global-id masks, so the search trajectory — and with it every row, seed
+tuple, weight, and order-sensitive counter — is the one the global-id
+implementation produced.
 
-Three layers:
+Four layers:
 
-* the **matrix**: all 8 search algorithms x the golden workload graphs,
-  dense vs legacy snapshots compared field by field (pool counters
-  included — the flat pools must also assign the *same handle numbering*);
-* **DPBF**: packed small-int DP state keys vs legacy ``(v, X)`` tuples;
-* a **Hypothesis property** over graphs with sparse huge node ids (up to
-  10^9, a handful of nodes): the dense path's outcome depends only on the
+* the **matrix**: all 8 search algorithms x the golden workload graphs
+  (and figure-1 config variants), snapshots compared by digest with what
+  the legacy implementation — global-id masks, dict-backed pool — recorded
+  in ``tests/data/dense_ids_golden.json`` before it was deleted (pool
+  counters included: the flat pool assigns the *same handle numbering*);
+* **DPBF**: packed small-int DP state keys vs the recorded result of the
+  legacy ``(v, X)`` tuple keys;
+* a **Hypothesis property** over graphs relabelled into sparse node ids
+  (up to 10^9, a handful of nodes): the outcome depends only on the
   graph's shape, never on the magnitude of its node ids.  This is the
-  scenario the refactor exists for — a legacy ``1 << node_id`` mask at
-  id 10^9 is a 125MB integer per tree.
+  scenario the remap exists for — a ``1 << node_id`` mask at id 10^9 is a
+  125MB integer per tree;
+* the **pool against a set model**: 20 000 random operations, handles
+  equal iff sets equal, numbering reproducible.
+
+``python tests/test_dense_ids.py --regen`` rewrites the golden file from
+the current engines (only meaningful on a commit whose engines are
+trusted).
 """
 
 from __future__ import annotations
@@ -37,8 +46,8 @@ from repro.ctp.bft import BFTAMSearch, BFTMSearch, BFTSearch
 from repro.ctp.config import SearchConfig
 from repro.ctp.esp import ESPSearch
 from repro.ctp.gam import GAMSearch
-from repro.ctp.idremap import IDENTITY_REMAP, IdRemap, make_remap
-from repro.ctp.interning import EdgeSetPool, FlatEdgeSetPool, ShardedFlatEdgeSetPool
+from repro.ctp.idremap import IdRemap
+from repro.ctp.interning import EdgeSetPool, fingerprint_of
 from repro.ctp.lesp import LESPSearch
 from repro.ctp.moesp import MoESPSearch
 from repro.ctp.molesp import MoLESPSearch
@@ -58,9 +67,9 @@ ALGORITHMS = {
     "bft-am": BFTAMSearch,
 }
 
-#: Only timing may differ between the two runs.  Unlike the interning
-#: equivalence suite we keep ``merges_attempted``: dense vs legacy use the
-#: *same* engine code path, so even that counter must replay exactly.
+#: Only timing may differ from the recorded run.  Unlike the interning
+#: equivalence suite we keep ``merges_attempted``: the recorded legacy run
+#: used the *same* engine code path, so even that counter must replay exactly.
 UNSTABLE_STATS = {"elapsed_seconds"}
 
 
@@ -120,14 +129,13 @@ def _without_pool_stats(snapshot):
 MAX_TREES = {"bft": 3000, "bft-m": 3000, "bft-am": 3000}
 
 
-def _run(algo_name, graph, seeds, dense_ids, **overrides):
+def _run(algo_name, graph, seeds, **overrides):
     overrides.setdefault("max_trees", MAX_TREES.get(algo_name, 20000))
-    config = SearchConfig(dense_ids=dense_ids, **overrides)
-    return ALGORITHMS[algo_name]().run(graph, seeds, config)
+    return ALGORITHMS[algo_name]().run(graph, seeds, SearchConfig(**overrides))
 
 
 #: Digests of the legacy run (global-id masks, dict pools, tuple DP keys)
-#: of every case below — ``python tests/test_dense_ids.py --regen``.
+#: of every case below.
 GOLDEN_PATH = Path(__file__).parent / "data" / "dense_ids_golden.json"
 
 
@@ -154,36 +162,31 @@ def _matrix_cases():
     [pytest.param(*case, id=f"{case[0]}|{case[3]}") for case in _matrix_cases()],
 )
 def test_dense_matches_legacy(golden, graph_name, graph, seeds, algo_name):
-    dense = _snapshot(_run(algo_name, graph, seeds, dense_ids=True))
-    legacy = _snapshot(_run(algo_name, graph, seeds, dense_ids=False))
-    assert dense == legacy, f"{graph_name}|{algo_name}: dense ids changed the outcome"
-    assert _digest(dense) == golden[f"{graph_name}|{algo_name}"]
+    got = _snapshot(_run(algo_name, graph, seeds))
+    assert _digest(got) == golden[f"{graph_name}|{algo_name}"]
 
 
-VARIANTS = [
-    {"uni": True},
-    {"limit": 5},
-    {"max_edges": 4},
-    {"balanced_queues": True},
-    {"interning": False},
-    {"backend": "csr"},
-]
+#: ``interning`` is the default config against the run recorded from the
+#: frozenset fallback (no edge-set pool, linear partner scans) over
+#: global-id masks: everything but the pool's own counters must match.
+VARIANTS = {
+    "uni": {"uni": True},
+    "limit": {"limit": 5},
+    "max_edges": {"max_edges": 4},
+    "balanced_queues": {"balanced_queues": True},
+    "interning": {},
+    "backend": {"backend": "csr"},
+}
 
 
 @pytest.mark.parametrize("algo_name", sorted(ALGORITHMS))
-@pytest.mark.parametrize("overrides", VARIANTS, ids=lambda o: next(iter(o)))
-def test_dense_matches_legacy_under_config_variants(golden, algo_name, overrides):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dense_matches_legacy_under_config_variants(golden, algo_name, variant):
     graph = figure1()
-    seeds = figure1_seed_sets(graph)
-    dense = _snapshot(_run(algo_name, graph, seeds, dense_ids=True, **overrides))
-    legacy = _snapshot(_run(algo_name, graph, seeds, dense_ids=False, **overrides))
-    assert dense == legacy
-    if "interning" in overrides:
-        # Recorded from the frozenset fallback, whose pool counters are zero
-        # and whose linear partner scan attempts more merges: the default
-        # path must reproduce everything else.
-        dense = _without_pool_stats(_snapshot(_run(algo_name, graph, seeds, dense_ids=True)))
-    assert _digest(dense) == golden[f"fig1|{next(iter(overrides))}|{algo_name}"]
+    got = _snapshot(_run(algo_name, graph, figure1_seed_sets(graph), **VARIANTS[variant]))
+    if variant == "interning":
+        got = _without_pool_stats(got)
+    assert _digest(got) == golden[f"fig1|{variant}|{algo_name}"]
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +195,8 @@ def test_dense_matches_legacy_under_config_variants(golden, algo_name, overrides
 DPBF_GRAPHS = ["fig1", "fig3", "chain5", "star", "comb", "random"]
 
 
-def _dpbf_row(graph, seeds, uni, **representation):
-    tree = dpbf_optimal_tree(graph, seeds, uni=uni, **representation)
+def _dpbf_row(graph, seeds, uni):
+    tree = dpbf_optimal_tree(graph, seeds, uni=uni)
     return None if tree is None else (sorted(tree.edges), sorted(tree.nodes), tree.seeds, tree.weight)
 
 
@@ -201,9 +204,7 @@ def _dpbf_row(graph, seeds, uni, **representation):
 def test_dpbf_dense_matches_legacy(golden, graph_name):
     graph, seeds = _graphs()[graph_name]
     for uni in (False, True):
-        dense = _dpbf_row(graph, seeds, uni)
-        assert dense == _dpbf_row(graph, seeds, uni, dense_ids=False)
-        assert _digest(dense) == golden[f"dpbf|{graph_name}|{uni}"]
+        assert _digest(_dpbf_row(graph, seeds, uni)) == golden[f"dpbf|{graph_name}|{uni}"]
 
 
 # ----------------------------------------------------------------------
@@ -270,18 +271,24 @@ def _relabeled(seed: int, huge: bool):
     return base, seeds, RelabeledGraph(base, mapping), relabeled_seeds, mapping
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6), algo_name=st.sampled_from(["gam", "molesp", "bft"]))
-def test_huge_sparse_ids_match_dense_twin(seed, algo_name):
-    """Relabeling nodes to ids up to 10^9 changes nothing but the labels.
+@settings(max_examples=45, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    algo_name=st.sampled_from(["gam", "molesp", "bft"]),
+    huge=st.booleans(),
+)
+def test_huge_sparse_ids_match_dense_twin(seed, algo_name, huge):
+    """Relabeling nodes changes nothing but the labels.
 
-    The huge-id graph runs the dense path only (a legacy mask at id 10^9
-    is a ~125MB bigint per tree — the pathology the remap removes); its
-    rows must be the dense twin's rows under the relabeling.
+    Whether the new ids are sampled from ``range(10**9)`` (where a
+    global-id mask would be a ~125MB bigint per tree — the pathology the
+    remap removes) or merely made non-contiguous (``range(10 * n)``), the
+    relabelled graph's rows must be the base graph's rows under the
+    relabeling.
     """
-    base, seeds, relabeled, relabeled_seeds, mapping = _relabeled(seed, huge=True)
-    expected = _run(algo_name, base, seeds, dense_ids=True)
-    got = _run(algo_name, relabeled, relabeled_seeds, dense_ids=True)
+    base, seeds, relabeled, relabeled_seeds, mapping = _relabeled(seed, huge)
+    expected = _run(algo_name, base, seeds)
+    got = _run(algo_name, relabeled, relabeled_seeds)
     remap_rows = sorted(
         (tuple(sorted(r.edges)), tuple(sorted(mapping[n] for n in r.nodes)),
          tuple(None if s is None else mapping[s] for s in r.seeds), round(r.weight, 9))
@@ -293,17 +300,6 @@ def test_huge_sparse_ids_match_dense_twin(seed, algo_name):
     )
     assert got_rows == remap_rows
     assert got.complete == expected.complete
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_moderately_relabeled_dense_matches_legacy(seed):
-    """Where legacy masks are still tractable, dense == legacy on the
-    relabeled graph too (both paths, same rows)."""
-    _, _, relabeled, relabeled_seeds, _ = _relabeled(seed, huge=False)
-    dense = _snapshot(_run("molesp", relabeled, relabeled_seeds, dense_ids=True))
-    legacy = _snapshot(_run("molesp", relabeled, relabeled_seeds, dense_ids=False))
-    assert dense == legacy
 
 
 @settings(max_examples=15, deadline=None)
@@ -335,63 +331,61 @@ def test_idremap_assigns_first_touch_order_and_inverts():
     assert len(remap) == 3
 
 
-def test_identity_remap_is_the_legacy_semantics():
-    assert IDENTITY_REMAP.index(42) == 42
-    assert IDENTITY_REMAP.bit(42) == 1 << 42
-    assert IDENTITY_REMAP.node(42) == 42
-    assert make_remap(False) is IDENTITY_REMAP
-    assert isinstance(make_remap(True), IdRemap)
-
-
 def test_dense_mask_width_is_bounded_by_nodes_touched():
-    """The point of the refactor, stated directly: masks scale with the
+    """The point of the remap, stated directly: masks scale with the
     number of distinct nodes touched, not with the largest node id."""
     remap = IdRemap()
     for node in (10**9, 5 * 10**8, 999_999_937):
         remap.bit(node)
     combined = remap.bit(10**9) | remap.bit(5 * 10**8) | remap.bit(999_999_937)
     assert combined.bit_length() <= 3
-    assert IDENTITY_REMAP.bit(10**9).bit_length() == 10**9 + 1
 
 
 # ----------------------------------------------------------------------
-# flat pools: exact parity with the dict pools, op for op
+# the flat pool against a plain-set model
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("flat_cls", [FlatEdgeSetPool, ShardedFlatEdgeSetPool])
-def test_flat_pool_exact_parity_with_dict_pool(flat_cls):
-    """Randomized op-sequence parity: identical handles, sets, and
-    counters — the property that makes dense and legacy searches (and
-    their pool stats) bit-identical."""
-    rng = random.Random(7)
-    legacy, flat = EdgeSetPool(), flat_cls()
-    handles = [(legacy.EMPTY, flat.EMPTY)]
-    for step in range(8000):
+def _pool_program(pool, steps=20_000, seed=7):
+    """Drive ``pool`` with random ops; return each step's ``(handle, edge set)``."""
+    rng = random.Random(seed)
+    trace = [(pool.EMPTY, frozenset())]
+    for _ in range(steps):
         op = rng.random()
         if op < 0.5:
-            l, f = handles[rng.randrange(len(handles))]
+            handle, edges = trace[rng.randrange(len(trace))]
             edge = rng.randrange(300)
-            a, b = legacy.union1(l, edge), flat.union1(f, edge)
+            trace.append((pool.union1(handle, edge), edges | {edge}))
         elif op < 0.8:
-            (l1, f1), (l2, f2) = (handles[rng.randrange(len(handles))] for _ in range(2))
-            a, b = legacy.union2(l1, l2), flat.union2(f1, f2)
+            (h1, e1), (h2, e2) = (trace[rng.randrange(len(trace))] for _ in range(2))
+            trace.append((pool.union2(h1, h2), e1 | e2))
         else:
-            edges = [rng.randrange(300) for _ in range(rng.randrange(6))]
-            a, b = legacy.intern(edges), flat.intern(edges)
-        assert a == b, f"step {step}: handle divergence"
-        assert legacy.edges(a) == flat.edges(b)
-        handles.append((a, b))
-    assert len(legacy) == len(flat)
-    assert (legacy.union_hits, legacy.union_misses, legacy.collisions) == (
-        flat.union_hits,
-        flat.union_misses,
-        flat.collisions,
-    )
+            edges = frozenset(rng.randrange(300) for _ in range(rng.randrange(6)))
+            trace.append((pool.intern(edges), edges))
+    return trace
+
+
+@pytest.mark.parametrize("thread_safe", [False, True], ids=["plain", "thread_safe"])
+def test_flat_pool_matches_set_model(thread_safe):
+    """Handles are equal iff the sets are equal, every accessor is exact,
+    and one operation sequence always yields one handle numbering."""
+    pool = EdgeSetPool(thread_safe)
+    trace = _pool_program(pool)
+    first_handle = {}
+    for handle, edges in trace:
+        assert first_handle.setdefault(edges, handle) == handle
+        assert pool.edges(handle) == edges
+        assert pool.size(handle) == len(edges)
+        assert pool.fingerprint(handle) == fingerprint_of(edges)
+    assert len(set(first_handle.values())) == len(first_handle) == len(pool)
+    assert pool.collisions == 0
+    again = EdgeSetPool(thread_safe)
+    assert [handle for handle, _ in _pool_program(again)] == [handle for handle, _ in trace]
+    assert (again.union_hits, again.union_misses) == (pool.union_hits, pool.union_misses)
 
 
 def test_flat_pool_grows_past_initial_capacity():
     """Push well past the tables' initial 1024 slots so growth (and the
     rehash it implies) is exercised, then verify exactness survived."""
-    pool = FlatEdgeSetPool()
+    pool = EdgeSetPool()
     handle = pool.EMPTY
     chain = [handle]
     for edge in range(3000):
@@ -407,47 +401,34 @@ def test_flat_pool_grows_past_initial_capacity():
 
 
 def test_flat_pool_accepts_overlapping_unions():
-    pool, dictpool = FlatEdgeSetPool(), EdgeSetPool()
-    for p in (pool, dictpool):
-        a = p.intern([1, 2, 3])
-        b = p.intern([3, 4])
-        u = p.union2(a, b)
-        assert p.edges(u) == frozenset({1, 2, 3, 4})
-        assert p.union1(u, 2) == u  # already-present edge is a no-op
-    assert len(pool) == len(dictpool)
+    pool = EdgeSetPool()
+    a = pool.intern([1, 2, 3])
+    b = pool.intern([3, 4])
+    u = pool.union2(a, b)
+    assert pool.edges(u) == frozenset({1, 2, 3, 4})
+    assert pool.union1(u, 2) == u  # already-present edge is a no-op
+    assert len(pool) == 4
 
 
-def _legacy_digests():
-    """Every golden case, run on the legacy representation (after checking
-    the dense path agrees with it)."""
+def _golden_digests():
     out = {}
-
-    def record(key, algo_name, graph, seeds, **overrides):
-        legacy = _snapshot(_run(algo_name, graph, seeds, dense_ids=False, **overrides))
-        assert legacy == _snapshot(_run(algo_name, graph, seeds, dense_ids=True, **overrides)), key
-        if "interning" in overrides:
-            legacy = _without_pool_stats(legacy)
-            assert legacy == _without_pool_stats(_snapshot(_run(algo_name, graph, seeds, dense_ids=True))), key
-        out[key] = _digest(legacy)
-
     for graph_name, graph, seeds, algo_name in _matrix_cases():
-        record(f"{graph_name}|{algo_name}", algo_name, graph, seeds)
+        out[f"{graph_name}|{algo_name}"] = _digest(_snapshot(_run(algo_name, graph, seeds)))
     fig1 = figure1()
-    for overrides in VARIANTS:
+    for variant, overrides in VARIANTS.items():
         for algo_name in ALGORITHMS:
-            record(f"fig1|{next(iter(overrides))}|{algo_name}", algo_name, fig1, figure1_seed_sets(fig1), **overrides)
+            got = _snapshot(_run(algo_name, fig1, figure1_seed_sets(fig1), **overrides))
+            out[f"fig1|{variant}|{algo_name}"] = _digest(_without_pool_stats(got) if variant == "interning" else got)
     for graph_name in DPBF_GRAPHS:
         graph, seeds = _graphs()[graph_name]
         for uni in (False, True):
-            legacy = _dpbf_row(graph, seeds, uni, dense_ids=False)
-            assert legacy == _dpbf_row(graph, seeds, uni), (graph_name, uni)
-            out[f"dpbf|{graph_name}|{uni}"] = _digest(legacy)
+            out[f"dpbf|{graph_name}|{uni}"] = _digest(_dpbf_row(graph, seeds, uni))
     return out
 
 
 if __name__ == "__main__":
     if "--regen" in sys.argv:
-        GOLDEN_PATH.write_text(json.dumps(_legacy_digests(), indent=1, sort_keys=True) + "\n")
+        GOLDEN_PATH.write_text(json.dumps(_golden_digests(), indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN_PATH}")
     else:
         print(__doc__)

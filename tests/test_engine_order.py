@@ -197,14 +197,13 @@ def _run_traced(run_cls, algorithm, graph, seed_sets, config):
     st.sampled_from(sorted(ORDERS)),
     st.booleans(),
     st.sampled_from(sorted(BOUNDS)),
-    st.booleans(),
 )
-def test_lazy_frontier_pops_in_eager_order(seed, order, balanced, bound, interning):
+def test_lazy_frontier_pops_in_eager_order(seed, order, balanced, bound):
     rng = random.Random(seed)
     graph = random_graph(rng, rng.randint(5, 12), rng.randint(6, 22), num_labels=3)
     seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
     # max_trees keeps GAM's exponential cases bounded; the cut is count-based.
-    options = dict(max_trees=3000, balanced_queues=balanced, interning=interning)
+    options = dict(max_trees=3000, balanced_queues=balanced)
     options.update(ORDERS[order], **BOUNDS[bound])
     config = SearchConfig(**options)
     for algorithm_cls in (GAMSearch, ESPSearch, MoESPSearch, LESPSearch, MoLESPSearch):

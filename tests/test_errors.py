@@ -65,3 +65,31 @@ def test_get_algorithm_unknown():
 def test_evaluate_ctp_smoke(fig1, fig1_seeds):
     results = evaluate_ctp(fig1, fig1_seeds, "esp")
     assert results.algorithm == "esp"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"balanced_queues": "sometimes"},
+        {"balanced_queues": 1},
+        {"max_trees": 0},
+        {"max_trees": -5},
+        {"balance_ratio": 0},
+        {"balance_ratio": -1},
+        {"parallelism": True},
+    ],
+    ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))),
+)
+def test_search_config_rejects_out_of_range_values(bad):
+    from repro.ctp.config import SearchConfig
+
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        SearchConfig(**bad)
+
+
+def test_search_config_accepts_boundary_values():
+    from repro.ctp.config import SearchConfig
+
+    for mode in (True, False, "auto"):
+        SearchConfig(balanced_queues=mode)
+    SearchConfig(max_trees=1, balance_ratio=0.5, parallelism=1)

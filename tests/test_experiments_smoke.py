@@ -20,7 +20,6 @@ def test_registry_contains_every_figure_and_table():
         "backend",
         "chaos",
         "delta",
-        "interning",
         "parallel",
         "process-parallel",
         "query-context",
@@ -245,26 +244,6 @@ class TestBackend:
             assert row["freeze_ms"] >= 0
             # speedup is rounded independently of the ms columns; allow slack
             assert row["speedup"] == pytest.approx(row["dict_ms"] / row["csr_ms"], rel=0.1)
-
-
-class TestInterning:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return get_experiment("interning")(scale=0.25, timeout=10.0, repeats=1)
-
-    def test_covers_engine_and_primitive_groups(self, report):
-        groups = {row["group"] for row in report.rows}
-        assert groups == {"engine", "primitive"}
-        regimes = {row["regime"] for row in report.rows}
-        assert {"merge-heavy", "neutral", "rederive"} <= regimes
-
-    def test_both_representations_timed(self, report):
-        for row in report.rows:
-            assert row["frozen_ms"] > 0
-            assert row["interned_ms"] > 0
-            assert row["speedup"] == pytest.approx(
-                row["frozen_ms"] / row["interned_ms"], rel=0.1
-            )
 
 
 class TestTable1:

@@ -13,7 +13,9 @@ bookkeeping now stands on, so it gets the strongest tests in the suite:
 * isolation — pools are engine-local: runs never share handles, and a
   second run cannot perturb the first run's pool or results;
 * the engine-level structures riding on the pool: the sat-bucketed merge
-  index, the balanced-queue size heap, and the pool telemetry counters.
+  index, the balanced-queue size heap, and the pool telemetry counters;
+* the engines against digests recorded from the seed frozenset
+  representation on a fixed corpus of random multigraphs.
 """
 
 from __future__ import annotations
@@ -34,17 +36,8 @@ from repro.ctp.bft import BFTAMSearch, BFTMSearch, BFTSearch
 from repro.ctp.config import SearchConfig
 from repro.ctp.esp import ESPSearch
 from repro.ctp.gam import GAMSearch
-from repro.ctp.interning import (
-    EdgeSetPool,
-    FlatEdgeSetPool,
-    FrozenEdgeSets,
-    SearchContext,
-    ShardedEdgeSetPool,
-    ShardedFlatEdgeSetPool,
-    approx_bytes,
-    make_pool,
-    splitmix64,
-)
+from repro.ctp.context import SearchContext, approx_bytes
+from repro.ctp.interning import EdgeSetPool, splitmix64
 from repro.ctp.lesp import LESPSearch
 from repro.ctp.moesp import MoESPSearch
 from repro.ctp.molesp import MoLESPSearch
@@ -122,19 +115,6 @@ class TestPoolBasics:
         assert splitmix64(1) != splitmix64(2)
         values = {splitmix64(i) for i in range(10_000)}
         assert len(values) == 10_000  # no collisions in the code stream
-
-    def test_make_pool_dispatch(self):
-        assert isinstance(make_pool(True), EdgeSetPool)
-        assert isinstance(make_pool(False), FrozenEdgeSets)
-
-    def test_frozen_shim_mirrors_frozenset_arithmetic(self):
-        shim = FrozenEdgeSets()
-        a = shim.intern([1, 2])
-        assert shim.union1(a, 3) == frozenset({1, 2, 3})
-        assert shim.union2(a, frozenset({4})) == frozenset({1, 2, 4})
-        assert shim.size(a) == 2
-        assert shim.edges(a) is a
-        assert not shim.EMPTY
 
 
 # ----------------------------------------------------------------------
@@ -238,19 +218,19 @@ def test_union2_associative_and_commutative(sets):
 class TestTreeHandles:
     def test_grow_produces_interned_handles(self):
         pool = EdgeSetPool()
-        base = make_init(pool, 0, 0b1, uni=False)
+        base = make_init(pool, 0, 0b1, uni=False, node_bit=1)
         assert base.eset == pool.EMPTY
         assert base.node_mask == 1
-        grown = make_grow(base, 10, 1, 0, False, 1.0, outgoing=True, uni=False)
+        grown = make_grow(base, 10, 1, 0, False, 1.0, outgoing=True, uni=False, node_bit=2)
         assert grown.edges == frozenset({10})
         assert grown.node_mask == 0b11
-        again = make_grow(base, 10, 1, 0, False, 1.0, outgoing=True, uni=False)
+        again = make_grow(base, 10, 1, 0, False, 1.0, outgoing=True, uni=False, node_bit=2)
         assert again.eset == grown.eset  # hash-consed, not merely equal
 
     def test_rooted_key_is_int_pair(self):
         pool = EdgeSetPool()
-        base = make_init(pool, 3, 1, uni=False)
-        grown = make_grow(base, 5, 4, 0, False, 1.0, outgoing=True, uni=False)
+        base = make_init(pool, 3, 1, uni=False, node_bit=1)
+        grown = make_grow(base, 5, 4, 0, False, 1.0, outgoing=True, uni=False, node_bit=2)
         root, eset = grown.rooted_key()
         assert isinstance(root, int) and isinstance(eset, int)
 
@@ -267,13 +247,6 @@ class TestEngineIntegration:
         # The chain re-derives the same edge sets through many different
         # union pairs: hash-consing coalesces them into far fewer handles.
         assert stats.pool_sets < stats.pool_union_misses
-
-    def test_fallback_reports_zero_pool_stats(self):
-        graph, seeds = chain_graph(4)
-        stats = MoLESPSearch().run(graph, seeds, SearchConfig(interning=False)).stats
-        assert stats.pool_sets == 0
-        assert stats.pool_union_hits == 0
-        assert stats.pool_union_misses == 0
 
     def test_merge_buckets_skipped_on_star(self):
         graph, seeds = star_graph(5, 2)
@@ -326,14 +299,14 @@ RANDOM_CORPUS = [
 RANDOM_CORPUS_GOLDEN = Path(__file__).parent / "data" / "random_graphs_golden.json"
 
 
-def _corpus_digests(**representation):
+def _corpus_digests():
     """SHA-256 of every algorithm's canonical ``_outcome`` per corpus triple."""
     digests = {}
     for seed, uni, balanced in RANDOM_CORPUS:
         rng = random.Random(seed)
         graph = random_graph(rng, rng.randint(5, 11), rng.randint(6, 18), num_labels=2)
         seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
-        config = SearchConfig(uni=uni, balanced_queues=balanced, max_trees=20000, **representation)
+        config = SearchConfig(uni=uni, balanced_queues=balanced, max_trees=20000)
         digests[f"{seed}|{uni}|{balanced}"] = {
             cls.name: hashlib.sha256(
                 json.dumps(_outcome(cls().run(graph, seed_sets, config))).encode()
@@ -347,13 +320,13 @@ def test_interned_engines_match_fallback_on_random_graphs():
     """Rows and order-sensitive counters equal the frozenset fallback's.
 
     The fallback side is *recorded*: ``random_graphs_golden.json`` holds
-    the digests ``SearchConfig(interning=False, dense_ids=False)`` — the
-    seed frozenset bookkeeping over global-id masks — produced on this
-    corpus (``python tests/test_interning.py --regen``).
+    the digests the seed representation — frozenset edge sets, linear
+    partner scans, global-id node masks — produced on this corpus at the
+    commit that deleted it.  ``python tests/test_interning.py --regen``
+    rewrites the file from the current engines (only meaningful on a
+    commit whose engines are trusted).
     """
-    legacy = _corpus_digests(interning=False, dense_ids=False)
-    assert _corpus_digests() == legacy
-    assert legacy == json.loads(RANDOM_CORPUS_GOLDEN.read_text())
+    assert _corpus_digests() == json.loads(RANDOM_CORPUS_GOLDEN.read_text())
 
 
 # ----------------------------------------------------------------------
@@ -409,17 +382,14 @@ def count_splitmix(monkeypatch):
 
 class TestIdSpaceIndependence:
     @pytest.mark.parametrize("shape", ["line", "star"])
-    @pytest.mark.parametrize("dense_ids", [True, False], ids=["flat", "dict"])
-    def test_search_cost_ignores_untouched_edge_ids(self, shape, dense_ids, count_splitmix):
+    def test_search_cost_ignores_untouched_edge_ids(self, shape, count_splitmix):
         outcomes = []
         for pad_edges in (0, PAD_EDGES):
             graph, seeds_of = _padded(pad_edges)
             seed_sets = seeds_of[shape]
-            context = SearchContext(dense_ids=dense_ids)
+            context = SearchContext()
             del count_splitmix[:]
-            result_set = MoLESPSearch().run(
-                graph, seed_sets, SearchConfig(dense_ids=dense_ids), context=context
-            )
+            result_set = MoLESPSearch().run(graph, seed_sets, SearchConfig(), context=context)
             assert context.rejects == 0  # the pool measured is the pool searched
             assert min(count_splitmix) >= pad_edges  # the touched ids are the large ones
             rows = sorted(sorted(e - pad_edges for e in r.edges) for r in result_set)
@@ -435,11 +405,9 @@ class TestIdSpaceIndependence:
         # objects of their own: a constant per touched edge, nothing per pad.
         assert abs(p_nbytes - nbytes) <= 64 * (graph.num_edges - PAD_EDGES) + 1024
 
-    @pytest.mark.parametrize(
-        "pool_cls", [EdgeSetPool, FlatEdgeSetPool, ShardedEdgeSetPool, ShardedFlatEdgeSetPool]
-    )
-    def test_huge_edge_id_is_constant_cost(self, pool_cls, count_splitmix):
-        pool = pool_cls()
+    @pytest.mark.parametrize("thread_safe", [False, True], ids=["plain", "thread_safe"])
+    def test_huge_edge_id_is_constant_cost(self, thread_safe, count_splitmix):
+        pool = EdgeSetPool(thread_safe)
         before = approx_bytes(pool)
         handle = pool.union1(pool.EMPTY, 10**9)
         assert pool.edges(handle) == frozenset({10**9})
@@ -447,9 +415,8 @@ class TestIdSpaceIndependence:
         assert count_splitmix == [10**9]
         assert approx_bytes(pool) - before < 1024
 
-    @pytest.mark.parametrize("pool_cls", [ShardedEdgeSetPool, ShardedFlatEdgeSetPool])
-    def test_sharded_pools_one_handle_per_set_under_eight_threads(self, pool_cls):
-        pool = pool_cls()
+    def test_sharded_pools_one_handle_per_set_under_eight_threads(self):
+        pool = EdgeSetPool(thread_safe=True)
         chains = [[10**6 * (c + 1) + i for i in range(12)] for c in range(6)]
         num_threads = 8
         barrier = threading.Barrier(num_threads)
@@ -504,17 +471,11 @@ class TestPackedKeyGuard:
                 algorithm.run(graph, seeds, SearchConfig())
             with pytest.raises(SearchError):
                 algorithm.run(graph, seeds, SearchConfig(), context=SearchContext())
-            # The frozenset representation packs nothing.
-            assert len(algorithm.run(graph, seeds, SearchConfig(interning=False))) == 16
 
 
 if __name__ == "__main__":
     if "--regen" in sys.argv:
-        # Record from the legacy representation, refusing to write unless
-        # the default path already agrees with it.
-        legacy = _corpus_digests(interning=False, dense_ids=False)
-        assert _corpus_digests() == legacy, "default path diverges from the legacy representation"
-        RANDOM_CORPUS_GOLDEN.write_text(json.dumps(legacy, indent=1, sort_keys=True) + "\n")
+        RANDOM_CORPUS_GOLDEN.write_text(json.dumps(_corpus_digests(), indent=1, sort_keys=True) + "\n")
         print(f"wrote {RANDOM_CORPUS_GOLDEN}")
     else:
         print(__doc__)

@@ -7,16 +7,14 @@ set of results, the recorded seeds/weights, and every order-sensitive
 counter (grows, merges, queue pushes, history prunes) must stay exactly
 what the seed frozenset implementation produced.
 
-Two layers of protection:
-
-* a **golden file** (``tests/data/interning_golden.json``) captured from the
-  pre-interning implementation; every GAM-family variant and every BFT
-  variant is replayed over the same workload matrix and compared field by
-  field (``merges_attempted`` is excluded by design: sat-bucket skipping
-  avoids attempts the linear scan paid for);
-* a **live cross-check**: the interned engines against the same engines
-  with ``SearchConfig(interning=False)`` (the frozenset fallback), including
-  on Hypothesis-generated random multigraphs.
+The protection is a **golden file** (``tests/data/interning_golden.json``)
+captured from the pre-interning implementation; every GAM-family variant
+and every BFT variant is replayed over the same workload matrix and
+compared field by field (``merges_attempted`` is excluded by design:
+sat-bucket skipping avoids attempts the linear scan paid for).  Random
+multigraphs are covered the same way by the recorded corpus of
+``tests/test_interning.py``
+(``test_interned_engines_match_fallback_on_random_graphs``).
 
 Regenerate the golden file (only meaningful on a commit whose engines are
 trusted) with::

@@ -2,8 +2,7 @@
 
 Five layers:
 
-* **determinism matrix** — every algorithm × interning on/off × 1/2/4/8
-  workers produces *exactly* the serial rows (same order, same trees) on a
+* **determinism matrix** — every algorithm × 1/2/4/8 workers produces *exactly* the serial rows (same order, same trees) on a
   multi-CTP query with a repeated CTP (exercising in-flight dedup);
 * **sharded-pool safety** — a Hypothesis property that concurrent
   interning from several threads never hands out two handles for one edge
@@ -26,14 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctp.config import SearchConfig
-from repro.ctp.interning import (
-    EdgeSetPool,
-    ResultCache,
-    SearchContext,
-    ShardedEdgeSetPool,
-    approx_bytes,
-    splitmix64,
-)
+from repro.ctp.context import ResultCache, SearchContext, approx_bytes
+from repro.ctp.interning import EdgeSetPool, splitmix64
 from repro.ctp.registry import ALGORITHMS, evaluate_ctp
 from repro.ctp.stats import SearchStats
 from repro.graph.graph import Graph
@@ -78,28 +71,26 @@ def assert_pool_consistent(pool: EdgeSetPool) -> None:
 _serial_rows = {}
 
 
-def _serial(fig1, algo: str, interning: bool):
-    key = (algo, interning)
-    if key not in _serial_rows:
-        _serial_rows[key] = evaluate_query(
+def _serial(fig1, algo: str):
+    if algo not in _serial_rows:
+        _serial_rows[algo] = evaluate_query(
             fig1,
             MATRIX_QUERY,
             algorithm=algo,
-            base_config=SearchConfig(interning=interning, parallelism=1),
+            base_config=SearchConfig(parallelism=1),
         )
-    return _serial_rows[key]
+    return _serial_rows[algo]
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("interning", [True, False], ids=["interned", "frozen"])
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
-def test_parallel_rows_identical_to_serial(fig1, algo, interning, workers):
-    serial = _serial(fig1, algo, interning)
+def test_parallel_rows_identical_to_serial(fig1, algo, workers):
+    serial = _serial(fig1, algo)
     parallel = evaluate_query(
         fig1,
         MATRIX_QUERY,
         algorithm=algo,
-        base_config=SearchConfig(interning=interning, parallelism=workers),
+        base_config=SearchConfig(parallelism=workers),
     )
     assert parallel.columns == serial.columns
     assert parallel.rows == serial.rows  # bit-identical, order included
@@ -209,10 +200,10 @@ class TestEffectiveParallelism:
 # sharded pool: concurrent interning safety
 # ----------------------------------------------------------------------
 class TestShardedPoolSerial:
-    """The sharded pool is a drop-in EdgeSetPool in a single thread."""
+    """The thread-safe pool is a drop-in EdgeSetPool in a single thread."""
 
     def test_same_handles_for_same_construction_paths(self):
-        pool = ShardedEdgeSetPool()
+        pool = EdgeSetPool(thread_safe=True)
         assert pool.EMPTY == 0 and not pool.EMPTY
         h_abc = pool.intern([1, 2, 3])
         assert pool.union1(pool.intern([1, 2]), 3) == h_abc
@@ -223,7 +214,7 @@ class TestShardedPoolSerial:
         assert_pool_consistent(pool)
 
     def test_matches_plain_pool_semantics(self):
-        plain, sharded = EdgeSetPool(), ShardedEdgeSetPool()
+        plain, sharded = EdgeSetPool(), EdgeSetPool(thread_safe=True)
         sets = [frozenset(range(i, i + 4)) for i in range(12)] + [frozenset()]
         for pool in (plain, sharded):
             handles = {s: pool.intern(s) for s in sets}
@@ -279,7 +270,7 @@ def _hammer_pool(pool, edge_sets, num_threads=4):
 def test_concurrent_interning_never_splits_a_set(edge_sets):
     """Shard-consistency invariant: one edge set, one handle — across all
     threads and all construction paths (intern, Grow, Merge)."""
-    pool = ShardedEdgeSetPool()
+    pool = EdgeSetPool(thread_safe=True)
     observations = _hammer_pool(pool, edge_sets)
     mapping = {}
     for thread_observations in observations:

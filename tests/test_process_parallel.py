@@ -24,7 +24,7 @@ import pickle
 import pytest
 
 from repro.ctp.config import WILDCARD, SearchConfig
-from repro.ctp.interning import SearchContext
+from repro.ctp.context import SearchContext
 from repro.ctp.registry import ALGORITHMS
 from repro.graph.datasets import figure1
 from repro.graph.snapshot import load_snapshot, save_snapshot
@@ -61,16 +61,15 @@ WORKER_COUNTS = (1, 2, 4)
 _serial_rows = {}
 
 
-def _serial(fig1, algo: str, interning: bool = True):
-    key = (algo, interning)
-    if key not in _serial_rows:
-        _serial_rows[key] = evaluate_query(
+def _serial(fig1, algo: str):
+    if algo not in _serial_rows:
+        _serial_rows[algo] = evaluate_query(
             fig1,
             MATRIX_QUERY,
             algorithm=algo,
-            base_config=SearchConfig(interning=interning, parallelism=1),
+            base_config=SearchConfig(parallelism=1),
         )
-    return _serial_rows[key]
+    return _serial_rows[algo]
 
 
 # ----------------------------------------------------------------------
@@ -87,19 +86,6 @@ def test_process_rows_identical_to_serial(fig1, algo, workers):
         base_config=SearchConfig(parallelism=workers, parallelism_mode="process"),
     )
     assert process.columns == serial.columns
-    assert process.rows == serial.rows
-
-
-@pytest.mark.parametrize("workers", (2, 4))
-def test_process_rows_identical_without_interning(fig1, workers):
-    serial = _serial(fig1, "molesp", interning=False)
-    process = evaluate_query(
-        fig1,
-        MATRIX_QUERY,
-        base_config=SearchConfig(
-            interning=False, parallelism=workers, parallelism_mode="process"
-        ),
-    )
     assert process.rows == serial.rows
 
 
@@ -245,7 +231,7 @@ class TestWorkerLifecycle:
         path = save_snapshot(fig1, tmp_path / "fig1.snapshot")
         monkeypatch.setattr(parallel_mod, "_worker_graph", None)
         monkeypatch.setattr(parallel_mod, "_worker_context", None)
-        _process_worker_init(str(path), interning=True)
+        _process_worker_init(str(path))
         graph = parallel_mod._worker_graph
         context = parallel_mod._worker_context
         assert graph is not None and graph.snapshot_path == str(path)

@@ -85,3 +85,76 @@ def test_errors_all_exported():
     for name in ("ReproError", "GraphError", "QueryError", "SearchError"):
         assert name in public
         assert hasattr(repro, name)
+
+
+# ----------------------------------------------------------------------
+# one tree representation, one id space, one pool: the retired options
+# stay retired
+# ----------------------------------------------------------------------
+def test_search_config_fields_are_exactly_these():
+    import dataclasses
+
+    from repro.ctp import SearchConfig
+
+    assert [spec.name for spec in dataclasses.fields(SearchConfig)] == [
+        "uni",
+        "labels",
+        "max_edges",
+        "timeout",
+        "deadline",
+        "limit",
+        "score",
+        "top_k",
+        "order",
+        "balanced_queues",
+        "balance_ratio",
+        "max_trees",
+        "backend",
+        "strict_merge2",
+        "mo_inject_always",
+        "shared_context",
+        "parallelism",
+        "parallelism_mode",
+        "scheduling",
+    ]
+
+
+@pytest.mark.parametrize("retired", ["interning", "dense_ids"])
+def test_retired_representation_flags_are_type_errors(retired):
+    from repro.ctp import SearchConfig, SearchContext
+
+    with pytest.raises(TypeError):
+        SearchConfig(**{retired: False})
+    with pytest.raises(TypeError):
+        SearchContext(**{retired: False})
+
+
+def test_config_fingerprint_has_fourteen_elements():
+    from repro.ctp import SearchConfig, SearchContext
+
+    assert len(SearchContext.config_fingerprint(SearchConfig())) == 14
+
+
+def test_ctp_exports_one_pool():
+    import repro.ctp
+    from repro.ctp import interning
+
+    assert "FrozenEdgeSets" not in repro.ctp.__all__
+    assert "EdgeSetPool" in repro.ctp.__all__
+    pool_classes = [
+        name
+        for name, item in vars(interning).items()
+        if inspect.isclass(item) and item.__module__ == interning.__name__ and not name.startswith("_")
+    ]
+    assert pool_classes == ["EdgeSetPool"]
+
+
+@pytest.mark.parametrize("command", ["query", "serve"])
+@pytest.mark.parametrize("flag", ["--no-interning", "--no-dense-ids"])
+def test_retired_cli_flags_are_argparse_errors(command, flag, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main([command, flag, 'SELECT ?w WHERE { CONNECT("USA", "France") AS ?w MAX 3 }'])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -2,8 +2,8 @@
 
 Three layers:
 
-* unit tests of :class:`~repro.ctp.interning.ResultCache` (the eviction
-  bound) and :class:`~repro.ctp.interning.SearchContext` (adoption rules,
+* unit tests of :class:`~repro.ctp.context.ResultCache` (the eviction
+  bound) and :class:`~repro.ctp.context.SearchContext` (adoption rules,
   handle interning);
 * engine-level tests that re-running a search inside one context serves
   pool unions and rooted results from the shared state while producing
@@ -19,7 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro.ctp.config import SearchConfig
-from repro.ctp.interning import EdgeSetPool, ResultCache, SearchContext
+from repro.ctp.context import ResultCache, SearchContext
+from repro.ctp.interning import EdgeSetPool
 from repro.ctp.molesp import MoLESPSearch
 from repro.ctp.registry import evaluate_ctp
 from repro.ctp.results import ResultTree
@@ -123,28 +124,17 @@ class TestResultCache:
 class TestSearchContext:
     def test_adopt_binds_first_graph(self, fig1):
         context = SearchContext()
-        pool = context.adopt(fig1, True)
+        pool = context.adopt(fig1)
         assert isinstance(pool, EdgeSetPool)
-        assert context.adopt(fig1, True) is pool
+        assert context.adopt(fig1) is pool
         assert context.runs == 2
 
     def test_adopt_rejects_other_graph(self, fig1):
         context = SearchContext()
-        assert context.adopt(fig1, True) is not None
+        assert context.adopt(fig1) is not None
         other = Graph("other")
-        assert context.adopt(other, True) is None
+        assert context.adopt(other) is None
         assert context.rejects == 1
-
-    def test_adopt_rejects_interning_mismatch(self, fig1):
-        context = SearchContext(interning=True)
-        assert context.adopt(fig1, False) is None
-        assert context.rejects == 1
-
-    def test_frozen_pool_context(self, fig1):
-        context = SearchContext(interning=False)
-        pool = context.adopt(fig1, False)
-        assert pool is context.pool
-        assert not isinstance(pool, EdgeSetPool)
 
     def test_fingerprint_distinguishes_configs(self):
         fingerprint = SearchContext.config_fingerprint
@@ -187,7 +177,8 @@ class TestEngineContextSharing:
             assert getattr(shared.stats, key) == getattr(private.stats, key)
 
     def test_incompatible_context_falls_back(self, fig1, fig1_seeds):
-        context = SearchContext(interning=False)
+        context = SearchContext()
+        context.adopt(Graph("other"))  # bound to another graph's lineage
         result = MoLESPSearch().run(fig1, fig1_seeds, SearchConfig(backend="dict"), context=context)
         baseline = MoLESPSearch().run(fig1, fig1_seeds, SearchConfig(backend="dict"))
         assert context.rejects == 1
@@ -219,7 +210,6 @@ QUERIES = {
 CONFIGS = {
     "default": {},
     "csr": {"backend": "csr"},
-    "no-interning": {"interning": False},
     "balanced": {"balanced_queues": True},
 }
 

@@ -38,7 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ctp.config import SearchConfig
-from repro.ctp.interning import ResultCache
+from repro.ctp.context import ResultCache
 from repro.ctp.registry import ALGORITHMS
 from repro.ctp.stats import SearchStats
 from repro.errors import ConfigError

@@ -26,7 +26,7 @@ import pytest
 
 from repro.ctp import ALGORITHMS
 from repro.ctp.config import SearchConfig
-from repro.ctp.interning import SearchContext
+from repro.ctp.context import SearchContext
 from repro.errors import ConfigError, PoolError, ValidationError
 from repro.graph.graph import Graph
 from repro.graph.snapshot import (

@@ -1,16 +1,25 @@
 """Unit tests for SearchTree construction (Definition 4.1 + UNI rules)."""
 
 from repro.ctp.interning import EdgeSetPool
-from repro.ctp.tree import GROW, INIT, MERGE, MO, SearchTree, make_grow, make_merge, make_mo
+from repro.ctp.tree import GROW, INIT, MERGE, MO, SearchTree, make_merge, make_mo
+from repro.ctp.tree import make_grow as _make_grow
 from repro.ctp.tree import make_init as _make_init
 
 # Trees are built against an edge-set pool (repro.ctp.interning); the tests
-# here are about tree *shape* rules, so they share one module-level pool.
+# here are about tree *shape* rules, so they share one module-level pool
+# and use the node id itself as the mask bit index.
 _POOL = EdgeSetPool()
 
 
 def make_init(node, sat, uni):
-    return _make_init(_POOL, node, sat, uni)
+    return _make_init(_POOL, node, sat, uni, node_bit=1 << node)
+
+
+def make_grow(tree, edge_id, new_root, new_root_sat, new_root_is_seed, edge_weight, outgoing, uni):
+    return _make_grow(
+        tree, edge_id, new_root, new_root_sat, new_root_is_seed, edge_weight, outgoing, uni,
+        node_bit=1 << new_root,
+    )
 
 
 def test_init_tree_fields():
