@@ -17,7 +17,7 @@ Row regimes:
   approach the number of duplicate CTPs as search dominates the query.
 * ``overlap`` — several CTPs sharing one seed set but connecting it to
   *different* targets: no memo hit is possible, the win is the shared pool
-  (sibling CTPs re-intern overlapping edge sets as memo hits) plus rooted
+  (edge sets a sibling CTP interned are found, not rebuilt) plus rooted
   result-cache hits on connections both CTPs discover.  Expect a modest
   >= 1x.
 * ``control`` — a single-CTP query, where sharing has nothing to share:

@@ -4,8 +4,8 @@ Section 3's pipeline runs one connection search per CTP.
 :class:`SearchContext` scopes the edge-set pool
 (:class:`~repro.ctp.interning.EdgeSetPool`) to a *query* instead of a
 single CTP evaluation: all CTPs of a query intern into the same pool — so
-edge sets a sibling CTP already built are memo hits instead of fresh
-allocations, and handles are comparable across runs — and two bounded
+edge sets a sibling CTP already built are found by fingerprint instead of
+built again, and handles are comparable across runs — and two bounded
 caches ride on top of the shared handles: a per-root cache of materialized
 rooted-tree results keyed by ``(root, eset handle, config fingerprint)``,
 and the evaluator's cross-CTP memo of whole result sets keyed by graph,
@@ -31,7 +31,6 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.ctp.interning import EdgeSetPool
-from repro.errors import SearchError
 
 #: Containers :func:`approx_bytes` descends into element-wise.
 _SIZED_CONTAINERS = (list, tuple, set, frozenset)
@@ -222,8 +221,8 @@ class SearchContext:
     (:meth:`adopt`) instead of constructing pool state internally, so
 
     * edge-set handles are stable across the query's CTPs — a set one CTP
-      interned is a memo hit for the next, and handle-keyed caches survive
-      from run to run;
+      interned is found, not rebuilt, by the next, and handle-keyed caches
+      survive from run to run;
     * ``rooted_cache`` maps ``(root, eset handle, config fingerprint)`` to
       the materialized payload of a reported rooted tree (edges, nodes,
       score), so a CTP that re-discovers a tree a sibling already reported
@@ -423,13 +422,8 @@ def adopt_pool(context: Optional[SearchContext], graph):
     context iff adopted (``None`` tells the engine to skip context
     caches), and the pool-counter baseline for :func:`pool_stats_delta` —
     the shared pool's current state, or zeros for a private pool so the
-    per-run stats keep the seed semantics (absolute values).  Raises
-    :class:`~repro.errors.SearchError` when the graph's edge ids do not fit
-    the pool's packed memo keys (they would alias silently otherwise).
+    per-run stats keep the seed semantics (absolute values).
     """
-    shift = EdgeSetPool._SHIFT
-    if graph.num_edges > 1 << shift:
-        raise SearchError(f"graph has {graph.num_edges} edges; pool memo keys pack ids into {shift} bits")
     pool = context.adopt(graph) if context is not None else None
     if pool is None:
         return EdgeSetPool(), None, (0, 0, 0)

@@ -37,8 +37,9 @@ class SearchStats:
     #: Queue-size probes made by balanced-queue pops (Section 4.9 (ii)):
     #: lazy size-heap entries examined, stale ones included.
     balanced_pop_scans: int = 0
-    #: Edge-set pool telemetry (repro.ctp.interning): distinct sets interned
-    #: and memoized-union hit/miss counts.
+    #: Edge-set pool telemetry (repro.ctp.interning): distinct sets
+    #: interned, unions answered by an already-interned set (hits) and
+    #: unions that materialized a new one (misses).
     #: When the run adopted a query-scoped SearchContext these are *deltas*
     #: against the shared pool's state at run start.
     pool_sets: int = 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -42,7 +43,6 @@ from repro.ctp.lesp import LESPSearch
 from repro.ctp.moesp import MoESPSearch
 from repro.ctp.molesp import MoLESPSearch
 from repro.ctp.tree import make_grow, make_init
-from repro.errors import SearchError
 from repro.graph.datasets import figure1, figure1_seed_sets
 from repro.graph.graph import Graph
 from repro.testing import random_graph, random_seed_sets
@@ -71,10 +71,9 @@ class TestPoolBasics:
         a = pool.union1(pool.EMPTY, 7)
         assert pool.edges(a) == frozenset({7})
         assert pool.size(a) == 1
-        misses = pool.union_misses
-        assert pool.union1(pool.EMPTY, 7) == a  # memo hit
-        assert pool.union_misses == misses
-        assert pool.union_hits >= 1
+        assert (pool.union_hits, pool.union_misses) == (0, 1)  # one set materialized
+        assert pool.union1(pool.EMPTY, 7) == a  # answered by the interned set
+        assert (pool.union_hits, pool.union_misses) == (1, 1)
 
     def test_union1_with_present_edge_is_identity(self):
         pool = EdgeSetPool()
@@ -109,6 +108,33 @@ class TestPoolBasics:
         # The union must be indistinguishable from a directly interned set.
         assert pool.intern([1, 2, 3, 4]) == u
         assert pool.fingerprint(u) == pool.fingerprint(pool.intern([4, 3, 2, 1]))
+
+    @pytest.mark.parametrize("thread_safe", [False, True], ids=["plain", "thread_safe"])
+    def test_footprint_follows_sets_held_not_unions_answered(self, thread_safe):
+        """Deriving sets the pool already holds — through every Grow and
+        every disjoint Merge that produces them — stores nothing: a
+        long-lived pool on a static graph is bounded by its distinct sets."""
+        pool = EdgeSetPool(thread_safe)
+        ids = range(100, 108)
+        subsets = [frozenset(c) for r in range(9) for c in itertools.combinations(ids, r)]
+        handle = {s: pool.intern(s) for s in subsets}
+        held, nbytes, hits = len(pool), approx_bytes(pool), pool.union_hits
+        assert held == 256
+        calls = 0
+        for s in subsets:
+            for edge_id in s ^ frozenset(ids):
+                assert pool.union1(handle[s], edge_id) == handle[s | {edge_id}]
+                calls += 1
+        assert calls == 1024
+        for s1 in subsets:
+            for s2 in subsets:
+                if s1 and s2 and s1.isdisjoint(s2):
+                    assert pool.union2(handle[s1], handle[s2]) == handle[s1 | s2]
+                    calls += 1
+        assert len(pool) == held
+        # The only thing that changed is the value of the hit counter.
+        assert approx_bytes(pool) - nbytes <= sys.getsizeof(pool.union_hits)
+        assert pool.union_hits - hits == calls
 
     def test_splitmix64_deterministic(self):
         assert splitmix64(0) == splitmix64(0)
@@ -238,15 +264,32 @@ class TestTreeHandles:
 # ----------------------------------------------------------------------
 # engine-level: telemetry, bucket index, balanced pops, isolation
 # ----------------------------------------------------------------------
+def _counting(function, calls):
+    """``function``, appending its positional arguments to ``calls`` first."""
+
+    @functools.wraps(function)
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    return counted
+
+
 class TestEngineIntegration:
-    def test_pool_telemetry_reported(self):
+    def test_pool_telemetry_reported(self, monkeypatch):
+        unions = []
+        for name in ("union1", "union2"):
+            monkeypatch.setattr(EdgeSetPool, name, _counting(getattr(EdgeSetPool, name), unions))
         graph, seeds = chain_graph(6)
         stats = MoLESPSearch().run(graph, seeds, SearchConfig()).stats
-        assert stats.pool_sets > 0
-        assert stats.pool_union_misses > 0
+        # Every union the search made was either answered by a set the pool
+        # already held or materialized one; the private pool started with
+        # EMPTY only.
+        assert stats.pool_union_hits + stats.pool_union_misses == len(unions) > 0
+        assert stats.pool_union_misses == stats.pool_sets - 1 > 0
         # The chain re-derives the same edge sets through many different
-        # union pairs: hash-consing coalesces them into far fewer handles.
-        assert stats.pool_sets < stats.pool_union_misses
+        # union pairs: hash-consing answers most unions without building.
+        assert stats.pool_union_hits > stats.pool_union_misses
 
     def test_merge_buckets_skipped_on_star(self):
         graph, seeds = star_graph(5, 2)
@@ -382,13 +425,15 @@ def count_splitmix(monkeypatch):
 
 class TestIdSpaceIndependence:
     @pytest.mark.parametrize("shape", ["line", "star"])
-    def test_search_cost_ignores_untouched_edge_ids(self, shape, count_splitmix):
+    def test_search_cost_ignores_untouched_edge_ids(self, shape, count_splitmix, monkeypatch):
+        grows = []
+        monkeypatch.setattr(EdgeSetPool, "union1", _counting(EdgeSetPool.union1, grows))
         outcomes = []
         for pad_edges in (0, PAD_EDGES):
             graph, seeds_of = _padded(pad_edges)
             seed_sets = seeds_of[shape]
             context = SearchContext()
-            del count_splitmix[:]
+            del count_splitmix[:], grows[:]
             result_set = MoLESPSearch().run(graph, seed_sets, SearchConfig(), context=context)
             assert context.rejects == 0  # the pool measured is the pool searched
             assert min(count_splitmix) >= pad_edges  # the touched ids are the large ones
@@ -398,22 +443,33 @@ class TestIdSpaceIndependence:
             )
         (rows, provenances, codes, nbytes), (p_rows, p_provenances, p_codes, p_nbytes) = outcomes
         assert (rows, provenances) == (p_rows, p_provenances) and rows
-        # One code per memo miss that needed one — not one per edge id below
-        # the largest touched (the per-pool table this replaced).
-        assert codes == p_codes <= result_set.stats.pool_union_misses
+        # One code per Grow (the search never re-adds a tree edge, so no
+        # union1 is an identity), whether or not the grown set was already
+        # interned — not one per edge id below the largest touched.
+        assert codes == p_codes == len(grows)
         # Ids < 257 are CPython's shared small ints, larger ones are 28-byte
         # objects of their own: a constant per touched edge, nothing per pad.
         assert abs(p_nbytes - nbytes) <= 64 * (graph.num_edges - PAD_EDGES) + 1024
 
     @pytest.mark.parametrize("thread_safe", [False, True], ids=["plain", "thread_safe"])
     def test_huge_edge_id_is_constant_cost(self, thread_safe, count_splitmix):
-        pool = EdgeSetPool(thread_safe)
-        before = approx_bytes(pool)
-        handle = pool.union1(pool.EMPTY, 10**9)
-        assert pool.edges(handle) == frozenset({10**9})
-        assert pool.fingerprint(handle) == splitmix64(10**9)
-        assert count_splitmix == [10**9]
-        assert approx_bytes(pool) - before < 1024
+        """Nothing packs an edge id into a fixed width: any non-negative
+        id costs one code and one record, through every constructor."""
+        for edge_id in (10**9, 2**40, 2**63 - 1):
+            pool = EdgeSetPool(thread_safe)
+            other = pool.intern([3])
+            before = approx_bytes(pool)
+            del count_splitmix[:]
+            grown = pool.union1(pool.EMPTY, edge_id)
+            assert count_splitmix == [edge_id]
+            assert pool.edges(grown) == frozenset({edge_id})
+            assert pool.fingerprint(grown) == splitmix64(edge_id)
+            merged = pool.union2(other, grown)
+            assert pool.union2(grown, other) == merged == pool.intern([edge_id, 3])
+            assert pool.edges(merged) == frozenset({3, edge_id})
+            assert pool.fingerprint(merged) == splitmix64(3) ^ splitmix64(edge_id)
+            assert pool.intern([edge_id]) == grown and len(pool) == 4
+            assert approx_bytes(pool) - before < 1024
 
     def test_sharded_pools_one_handle_per_set_under_eight_threads(self):
         pool = EdgeSetPool(thread_safe=True)
@@ -457,20 +513,6 @@ class TestIdSpaceIndependence:
             assert pool.fingerprint(handle) == expected
         stored = [pool.edges(h) for h in range(len(pool))]
         assert len(set(stored)) == len(stored)  # no set was interned twice
-
-
-class TestPackedKeyGuard:
-    """Memo keys pack ``set_id << _SHIFT | edge_id``: ids that do not fit
-    must be refused, not aliased."""
-
-    def test_graph_with_too_many_edges_is_refused(self, monkeypatch):
-        graph, seeds = chain_graph(4)  # 8 edges
-        monkeypatch.setattr(EdgeSetPool, "_SHIFT", 2)
-        for algorithm in (MoLESPSearch(), BFTSearch()):
-            with pytest.raises(SearchError, match="8 edges"):
-                algorithm.run(graph, seeds, SearchConfig())
-            with pytest.raises(SearchError):
-                algorithm.run(graph, seeds, SearchConfig(), context=SearchContext())
 
 
 if __name__ == "__main__":

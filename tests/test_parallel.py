@@ -250,13 +250,24 @@ def _hammer_pool(pool, edge_sets, num_threads=4):
         except Exception as error:  # pragma: no cover - only on real races
             errors.append(error)
 
-    threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(num_threads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    _run_interleaved([threading.Thread(target=worker, args=(tid,)) for tid in range(num_threads)])
     assert not errors, errors
     return observations
+
+
+def _run_interleaved(threads):
+    """Start and join ``threads`` under a 10 us switch interval, so they
+    interleave inside the pool's probe and insert paths."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 @settings(max_examples=20, deadline=None)
@@ -278,6 +289,47 @@ def test_concurrent_interning_never_splits_a_set(edge_sets):
             assert mapping.setdefault(edge_set, handle) == handle, (
                 f"set {set(edge_set)} received handles {mapping[edge_set]} and {handle}"
             )
+    assert_pool_consistent(pool)
+
+
+def test_lock_free_hits_race_index_growth():
+    """Every union of already-interned sets is a lock-free index probe, so
+    it runs *while* a writer inserts into and regrows the index: readers
+    must only ever see the canonical handle."""
+    pool = EdgeSetPool(thread_safe=True)
+    singles = [pool.intern([edge_id]) for edge_id in range(8)]
+    pairs = {(i, j): pool.intern([i, j]) for i in range(8) for j in range(i + 1, 8)}
+    held = len(pool)
+    capacity = pool._index.mask + 1
+    fresh = 4 * capacity  # fills the initial index four times over
+    done = threading.Event()
+    wrong, written, errors = [], [], []
+
+    def reader():
+        try:
+            while not done.is_set():
+                for (i, j), handle in pairs.items():
+                    grown = pool.union1(singles[i], j)
+                    merged = pool.union2(singles[j], singles[i])
+                    if not grown == merged == pool.intern([j, i]) == handle:
+                        wrong.append((i, j, grown, merged, handle))
+        except Exception as error:  # pragma: no cover - only on real races
+            errors.append(error)
+
+    def writer():
+        try:
+            for n in range(fresh):
+                written.append(pool.union1(singles[n % 8], 1000 + n))
+        except Exception as error:  # pragma: no cover - only on real races
+            errors.append(error)
+        finally:
+            done.set()
+
+    _run_interleaved([threading.Thread(target=reader) for _ in range(4)] + [threading.Thread(target=writer)])
+    assert not errors, errors
+    assert not wrong, wrong[:5]
+    assert (pool._index.mask + 1) >= 8 * capacity  # >= 3 growths under the readers
+    assert sorted(written) == list(range(held, held + fresh))  # no handle allocated twice
     assert_pool_consistent(pool)
 
 
