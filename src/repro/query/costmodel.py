@@ -18,13 +18,15 @@ scheduler decisions:
 2. **longest-first ordering** — the fan-out submits the most expensive
    CTPs first (:meth:`QuerySchedule.ordered`), shrinking the makespan when
    workers outnumber the stragglers (memo filing stays in CTP order, so
-   rows and cache LRU state are unchanged — see ``_fan_out``);
+   rows and cache LRU state are unchanged — see
+   :class:`repro.query.parallel.Dispatch`);
 3. **deadline rebalancing** — :class:`DeadlineLedger` re-grants unspent
    wall budget from fast CTPs to still-running slow ones at *execution*
    time instead of freezing every budget at job-build time; a grant never
    drops below the original build budget;
 4. **pipelined (A)→(B) overlap** — the estimates label which CTPs are
-   worth starting early (``repro.query.parallel.PipelinedDispatch``).
+   worth starting early (the evaluator feeds them to the dispatch while
+   later BGPs are still materializing).
 
 Everything here is deliberately picklable (plain dataclasses, no
 callables) so an estimator can ride a job to a pool worker.

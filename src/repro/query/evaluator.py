@@ -22,25 +22,30 @@ context is representation and reuse only: rows are identical to the
 pool-per-CTP path (``shared_context=False``), which ``python -m
 repro.bench query-context`` keeps measurable as the A/B baseline.
 
-Step (B)'s per-CTP searches are *dispatched* through
-:mod:`repro.query.parallel`: ``SearchConfig(parallelism=N)`` fans the
-query's independent CTP evaluations out to N worker threads over a
-thread-safe context (sharded pool, locked caches), with in-flight
-deduplication of repeated CTPs standing in for the serial memo order;
-``parallelism_mode="process"`` fans out to worker *processes* instead,
-each loading the graph once from an mmap-shared CSR snapshot
-(:mod:`repro.graph.snapshot`) — real multi-core overlap for CPU-bound
-complete searches under the GIL.
-Dispatch is representation-only too — rows are bit-identical to serial
-evaluation regardless of worker count (``python -m repro.bench parallel``
-A/Bs the worker counts and re-checks equality).  The batch counterpart
-:func:`~repro.query.parallel.evaluate_queries` runs many queries against
-one shared context for cross-query memo hits.
+Steps (A) and (B) are **one body**: BGPs are evaluated in order and a
+CTP's job is built when its seed variables resolve, then handed to the
+single dispatch loop of :mod:`repro.query.parallel` (memo serve, in-flight
+dedup of repeated CTPs, run, CTP-order memo replay) over whatever executes
+it — inline on the calling thread (``parallelism=1``), N worker threads
+over a thread-safe context, or the worker processes of a
+:class:`~repro.query.pool.WorkerPool`, each loading the graph once from an
+mmap-shared CSR snapshot (real multi-core overlap for CPU-bound complete
+searches under the GIL).  *When* jobs are fed is the only variable: with
+``scheduling`` on under explicit thread dispatch a CTP starts searching
+the moment its own bindings exist, overlapping the BGPs still to come;
+otherwise nothing is fed before the last BGP — the mode decision of
+``"auto"`` needs every CTP's estimate, and jobs bound for worker processes
+would serialize on pickling anyway.  Dispatch is representation-only —
+rows are bit-identical to serial evaluation regardless of executor, worker
+count or feed time (``python -m repro.bench parallel`` re-checks equality).
+The batch counterpart :func:`~repro.query.parallel.evaluate_queries` runs
+many queries against one shared context for cross-query memo hits.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -59,12 +64,7 @@ from repro.query.costmodel import (
     ScheduleReport,
     choose_mode,
 )
-from repro.query.parallel import (
-    CTPJob,
-    PipelinedDispatch,
-    effective_parallelism,
-    run_ctp_jobs,
-)
+from repro.query.parallel import CTPJob, effective_parallelism, open_dispatch
 from repro.query.resilience import ResilienceReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (pool imports from parallel)
@@ -94,9 +94,9 @@ class CTPReport:
     #: What actually produced this CTP's result: "serial", "thread", or
     #: "process" when a search executed, "memo" when it was served from
     #: the cross-CTP memo without running.  May differ from the requested
-    #: ``parallelism_mode``: process dispatch degrades to thread/serial
-    #: when jobs cannot cross a process boundary — silently for the
-    #: query, but recorded here.
+    #: ``parallelism_mode``: process dispatch degrades when jobs cannot
+    #: cross a process boundary or the pool fails — silently for the
+    #: query, but recorded here as "process->thread"/"process->serial".
     dispatch_mode: str = "serial"
 
 
@@ -132,9 +132,9 @@ class QueryResult:
     timings: QueryTimings = field(default_factory=QueryTimings)
     ctp_reports: List[CTPReport] = field(default_factory=list)
     context_stats: Optional[Dict[str, int]] = None
-    #: What resilience machinery fired during pooled dispatch (retries,
-    #: hang kills, breaker state, degradation) — ``None`` when the query
-    #: ran without a :class:`~repro.query.pool.WorkerPool`.
+    #: What resilience machinery fired during process dispatch (retries,
+    #: hang kills, breaker state, degradation) — ``None`` when neither a
+    #: :class:`~repro.query.pool.WorkerPool` nor process mode was involved.
     resilience: Optional[ResilienceReport] = None
     #: MVCC generation of the graph (view) the query evaluated against.
     #: Rows are reproducible against a full freeze of that generation.
@@ -458,11 +458,11 @@ def evaluate_query(
         ``parallelism_mode="process"`` dispatches through.  The pool's
         long-lived workers keep their mmap-loaded snapshot and warm
         per-worker contexts across *queries*, so only the first query ever
-        pays spin-up (the per-call executor the default path builds is
-        exactly the amortization bug this parameter fixes).  The pool must
-        be bound to ``graph``; a mismatched, closed, or broken pool falls
-        back to the historical per-call dispatch chain.  Ignored under
-        thread mode or ``parallelism == 1``.
+        pays spin-up.  Without one — or with one that is closed or bound
+        to another graph — a process-mode query takes the same path on a
+        pool that lives for the call (retry, watchdog and hop stamps
+        included; only the amortization is lost).  Ignored under thread
+        mode.
 
     When ``base_config.deadline`` is set, each CTP's effective timeout is
     capped to the whole-query budget remaining when its job is built
@@ -497,197 +497,147 @@ def evaluate_query(
     scheduling = base_config.scheduling
     auto_mode = base_config.parallelism_mode == "auto"
     estimator = CTPCostEstimator() if (scheduling or auto_mode) else None
-    schedule: Optional[QuerySchedule] = None
 
     bgps = query.bgps()
-    seed_vars = {seed.var for ctp in query.ctps for seed in ctp.seeds}
+    ctps = query.ctps
+    seed_vars = {seed.var for ctp in ctps for seed in ctp.seeds}
     seed_cache: Dict[Any, List[int]] = {}
     seed_cache_hits = 0
-    resilience: Optional[ResilienceReport] = None
 
-    # Pipelined (A)→(B) overlap: under explicit thread dispatch with
-    # scheduling on, each CTP only needs the bindings of its *own* seed
-    # variables (BGPs are variable-disjoint components), so connection
-    # search starts the moment they resolve instead of after the last BGP.
-    # ``auto`` keeps the barrier path — the mode decision needs every
-    # CTP's estimate, which needs every seed set, which needs all of step
-    # (A) anyway.
+    # When CTP jobs are fed to the dispatch.  Each CTP only needs the
+    # bindings of its *own* seed variables (BGPs are variable-disjoint
+    # components, so a seed variable is bound by at most one of them):
+    # under explicit thread dispatch with scheduling on, a CTP is built and
+    # submitted the moment those resolve — free-seed CTPs before any BGP
+    # runs — and searches while later BGPs are still materializing.
+    # Everything else is the degenerate case in which nothing is fed before
+    # the last BGP: ``auto`` needs every CTP's estimate (hence every seed
+    # set, hence all of step (A)) to pick the mode, and shipping jobs to
+    # worker processes mid-(A) would serialize on pickling anyway.
     pipelined = (
         scheduling
         and base_config.parallelism_mode == "thread"
         and base_config.parallelism > 1
-        and len(query.ctps) > 1
+        and len(ctps) > 1
         and (context is None or context.thread_safe)
     )
-
+    ready_at = [len(bgps)] * len(ctps)
     if pipelined:
-        ledger = None
-        if base_config.deadline is not None:
-            # Registered incrementally as CTPs become ready (no prime):
-            # early CTPs see a smaller pending pool and get generous
-            # shares — exactly the overlap case where budget is plentiful.
-            workers = min(base_config.parallelism, len(query.ctps))
-            ledger = DeadlineLedger(base_config.deadline, query_started, workers)
-        schedule = QuerySchedule(ledger=ledger, enabled=True)
-        schedule.report.mode_requested = "thread"
-        schedule.report.mode_selected = "thread"
-        schedule.report.algorithms = [algorithm] * len(query.ctps)
-
-        bgp_var_sets = [frozenset(bgp.variables()) for bgp in bgps]
-        deps = [
-            {b for b, names in enumerate(bgp_var_sets) if set(ctp.seed_vars()) & names}
-            for ctp in query.ctps
+        bgp_vars = [frozenset(bgp.variables()) for bgp in bgps]
+        ready_at = [
+            max((b + 1 for b, names in enumerate(bgp_vars) if names & seeds), default=0)
+            for seeds in (set(ctp.seed_vars()) for ctp in ctps)
         ]
-        dispatch = PipelinedDispatch(
-            graph,
-            algorithm,
-            context,
-            workers=min(base_config.parallelism, len(query.ctps)),
-            backend=base_config.backend,
-            schedule=schedule,
-        )
-        ctp_started = time.perf_counter()
-        bgp_tables = []
-        binding_values: Dict[str, List[Any]] = {}
-        derived: List[Any] = [None] * len(query.ctps)
-        pending = list(range(len(query.ctps)))
-        bgp_seconds = 0.0
 
-        def submit_ready(done_bgps: int) -> None:
-            nonlocal seed_cache_hits
-            ready: List[CTPJob] = []
-            still: List[int] = []
-            for index in pending:
-                if any(dep >= done_bgps for dep in deps[index]):
-                    still.append(index)
-                    continue
-                ctp = query.ctps[index]
+    schedule: Optional[QuerySchedule] = None
+    ledger: Optional[DeadlineLedger] = None
+    resilience: Optional[ResilienceReport] = None
+    dispatch: Any = None
+    bgp_tables: List[Table] = []
+    binding_values: Dict[str, List[Any]] = {}
+    costs: Dict[int, float] = {}
+    derived: List[Any] = [None] * len(ctps)
+    bgp_seconds = 0.0
+    started = time.perf_counter()
+    with ExitStack() as scope:
+        for done in range(len(bgps) + 1):
+            if done:
+                # Step (A): evaluate the next BGP into a materialized table.
+                bgp_started = time.perf_counter()
+                bgp_tables.append(evaluate_bgp(graph, bgps[done - 1]))
+                bgp_seconds += time.perf_counter() - bgp_started
+                # Variable-disjoint components: per-table derivation is
+                # exactly derive_binding_values over the full set.
+                binding_values.update(derive_binding_values(bgp_tables[-1:], only=seed_vars))
+            if done < len(bgps) and not pipelined:
+                continue
+
+            # Step (B): derive the seed sets of every CTP whose variables
+            # just resolved (serially — the derivations share one dedup
+            # cache) and hand the searches to the dispatch, all running
+            # inside the query-scoped context when one is active.
+            drafts: List[Tuple[int, List[Any], SearchConfig]] = []
+            for index in (i for i, at in enumerate(ready_at) if at == done):
                 seed_sets, sizes, wildcard_positions, hits = _seed_sets_for_ctp(
-                    graph, ctp, binding_values, seed_cache
+                    graph, ctps[index], binding_values, seed_cache
                 )
                 seed_cache_hits += hits
-                config = config_for_ctp(ctp.filters, base_config, default_timeout)
-                cost = estimator.estimate_ctp(graph, algorithm, sizes, config)
-                schedule.estimates[index] = cost
-                if ledger is not None:
-                    build = ledger.register(index, cost, config.timeout)
-                    config = config.with_(timeout=build)
-                memo_key = (
-                    _ctp_memo_key(graph, algorithm, seed_sets, config)
-                    if context is not None
-                    else None
-                )
+                config = config_for_ctp(ctps[index].filters, base_config, default_timeout)
+                if estimator is not None:
+                    costs[index] = estimator.estimate_ctp(graph, algorithm, sizes, config)
                 derived[index] = (sizes, wildcard_positions)
-                ready.append(
-                    CTPJob(index=index, seed_sets=seed_sets, config=config, memo_key=memo_key)
+                drafts.append((index, seed_sets, config))
+
+            if dispatch is None:
+                mode = base_config.parallelism_mode
+                parallelism = base_config.parallelism
+                mode_selected: Optional[str] = None
+                if auto_mode:
+                    mode_selected = choose_mode(sum(costs.values()), len(ctps), parallelism, pool)
+                    if mode_selected == "serial":
+                        mode, parallelism = "thread", 1
+                    else:
+                        mode = mode_selected
+                workers = effective_parallelism(parallelism, len(ctps), context, mode)
+                if estimator is not None:
+                    if scheduling and base_config.deadline is not None:
+                        ledger = DeadlineLedger(base_config.deadline, query_started, workers)
+                        if not pipelined:
+                            # Full pending pool before any build share.  Fed
+                            # early, CTPs register incrementally instead:
+                            # the first ones see a smaller pool and get
+                            # generous shares — exactly the overlap case
+                            # where budget is plentiful.
+                            ledger.prime(costs)
+                    schedule = QuerySchedule(ledger=ledger, enabled=scheduling)
+                    schedule.report.mode_requested = base_config.parallelism_mode
+                    # One query runs one algorithm across its CTPs; record
+                    # it per CTP so CTPCostEstimator.fit can pool reports
+                    # across queries that used different algorithms.
+                    schedule.report.algorithms = [algorithm] * len(ctps)
+                    if mode_selected is None:
+                        pooled = pool is not None and mode == "process" and not pool.closed
+                        mode_selected = mode if workers > 1 or pooled else "serial"
+                    schedule.report.mode_selected = mode_selected
+                if pool is not None or mode == "process":
+                    resilience = ResilienceReport()
+                dispatch = scope.enter_context(
+                    open_dispatch(
+                        graph,
+                        algorithm,
+                        context,
+                        len(ctps),
+                        parallelism,
+                        mode,
+                        base_config.backend,
+                        pool=pool,
+                        report=resilience,
+                        schedule=schedule,
+                    )
                 )
-            pending[:] = still
-            dispatch.submit_ready(ready, overlapped=done_bgps < len(bgps))
+            if schedule is not None:
+                schedule.estimates.update(costs)
 
-        try:
-            submit_ready(0)  # free-seed CTPs start before any BGP runs
-            for done, bgp in enumerate(bgps):
-                bgp_start = time.perf_counter()
-                table = evaluate_bgp(graph, bgp)
-                bgp_seconds += time.perf_counter() - bgp_start
-                bgp_tables.append(table)
-                # Variable-disjoint components: each seed variable is
-                # bound by at most one table, so per-table derivation is
-                # exactly derive_binding_values over the full set.
-                for column in table.columns:
-                    if column in seed_vars:
-                        binding_values[column] = table.distinct_values(column)
-                submit_ready(done + 1)
-        except BaseException:
-            dispatch.abort()
-            raise
+            jobs: List[CTPJob] = []
+            for index, seed_sets, config in drafts:
+                if ledger is not None:
+                    # The ledger replaces the freeze-at-build cap: each
+                    # CTP's budget is its cost-proportional share of the
+                    # remaining deadline (rebalanced upward at execution).
+                    config = config.with_(
+                        timeout=ledger.register(index, costs[index], config.timeout)
+                    )
+                else:
+                    config = _cap_to_deadline(config, query_started)
+                memo_key = (
+                    _ctp_memo_key(graph, algorithm, seed_sets, config) if context is not None else None
+                )
+                jobs.append(CTPJob(index, seed_sets, config, memo_key))
+            dispatch.submit(jobs, overlapped=done < len(bgps))
         outcomes = dispatch.finish()
-    else:
-        # Step (A): evaluate each BGP into a materialized table.
-        started = time.perf_counter()
-        bgp_tables = [evaluate_bgp(graph, bgp) for bgp in bgps]
-        bgp_seconds = time.perf_counter() - started
-
-        binding_values = derive_binding_values(bgp_tables, only=seed_vars)
-
-        # Step (B): evaluate each CTP on its derived seed sets, all runs
-        # inside the query-scoped context (shared pool + caches) when one
-        # is active.  Seed derivation stays serial (it shares one dedup
-        # cache); the searches themselves go through the dispatch layer —
-        # the serial loop for parallelism=1, a worker pool with in-flight
-        # memo dedup otherwise.
-        ctp_started = time.perf_counter()
-        prepared: List[Tuple[List[Any], SearchConfig]] = []
-        costs: Dict[int, float] = {}
-        derived = []
-        for index, ctp in enumerate(query.ctps):
-            seed_sets, sizes, wildcard_positions, hits = _seed_sets_for_ctp(
-                graph, ctp, binding_values, seed_cache
-            )
-            seed_cache_hits += hits
-            config = config_for_ctp(ctp.filters, base_config, default_timeout)
-            if estimator is not None:
-                costs[index] = estimator.estimate_ctp(graph, algorithm, sizes, config)
-            prepared.append((seed_sets, config))
-            derived.append((sizes, wildcard_positions))
-
-        mode = base_config.parallelism_mode
-        parallelism = base_config.parallelism
-        mode_selected: Optional[str] = None
-        if auto_mode:
-            mode_selected = choose_mode(sum(costs.values()), len(prepared), parallelism, pool)
-            if mode_selected == "serial":
-                mode, parallelism = "thread", 1
-            else:
-                mode = mode_selected
-
-        if estimator is not None:
-            ledger = None
-            if scheduling and base_config.deadline is not None:
-                workers = effective_parallelism(parallelism, len(prepared), context, mode)
-                ledger = DeadlineLedger(base_config.deadline, query_started, workers)
-                ledger.prime(costs)  # full pending pool before any build share
-            schedule = QuerySchedule(estimates=costs, ledger=ledger, enabled=scheduling)
-            schedule.report.mode_requested = base_config.parallelism_mode
-            # One query runs one algorithm across its CTPs; record it per
-            # CTP so CTPCostEstimator.fit can pool reports across queries
-            # that used different algorithms.
-            schedule.report.algorithms = [algorithm] * len(prepared)
-            if mode_selected is None:
-                workers = effective_parallelism(parallelism, len(prepared), context, mode)
-                pooled = pool is not None and mode == "process" and not pool.closed
-                mode_selected = mode if workers > 1 or pooled else "serial"
-            schedule.report.mode_selected = mode_selected
-
-        jobs: List[CTPJob] = []
-        for index, (seed_sets, config) in enumerate(prepared):
-            if schedule is not None and schedule.ledger is not None:
-                # The ledger replaces the historical freeze-at-build cap:
-                # each CTP's budget is its cost-proportional share of the
-                # remaining deadline (rebalanced upward at execution time).
-                build = schedule.ledger.register(index, costs[index], config.timeout)
-                config = config.with_(timeout=build)
-            else:
-                config = _cap_to_deadline(config, query_started)
-            memo_key = (
-                _ctp_memo_key(graph, algorithm, seed_sets, config) if context is not None else None
-            )
-            jobs.append(CTPJob(index=index, seed_sets=seed_sets, config=config, memo_key=memo_key))
-        resilience = ResilienceReport() if pool is not None else None
-        outcomes = run_ctp_jobs(
-            graph,
-            algorithm,
-            jobs,
-            context,
-            parallelism,
-            mode,
-            pool=pool,
-            report=resilience,
-            schedule=schedule,
-        )
     ctp_tables: List[Table] = []
     reports: List[CTPReport] = []
-    for ctp, (sizes, wildcard_positions), outcome in zip(query.ctps, derived, outcomes):
+    for ctp, (sizes, wildcard_positions), outcome in zip(ctps, derived, outcomes):
         reports.append(
             CTPReport(
                 tree_var=ctp.tree_var,
@@ -701,11 +651,10 @@ def evaluate_query(
             )
         )
         ctp_tables.append(_ctp_table(graph, ctp, outcome.result_set, wildcard_positions))
-    # Under the pipelined path steps (A) and (B) overlap on the wall clock:
-    # the BGP evaluation time is attributed to bgp_seconds and the rest of
-    # the combined section to ctp_seconds, so the phase totals still sum to
-    # the query's wall time.
-    ctp_seconds = time.perf_counter() - ctp_started - (bgp_seconds if pipelined else 0.0)
+    # Steps (A) and (B) may overlap on the wall clock: the BGP evaluation
+    # time is attributed to bgp_seconds and the rest of the combined section
+    # to ctp_seconds, so the phase totals still sum to the query's wall time.
+    ctp_seconds = time.perf_counter() - started - bgp_seconds
 
     # Step (C): join everything and project on the head.
     join_started = time.perf_counter()

@@ -1,61 +1,61 @@
-"""Parallel CTP dispatch and the batch query front-end.
+"""CTP dispatch — one loop, whatever runs the searches — and the batch front-end.
 
-Section 5 of the paper evaluates each CONNECT clause as an independent
-connection-search invocation; step (B) of the evaluator (Section 3) is
-therefore embarrassingly parallel *across CTPs* once the query-scoped
-state is safe to share — which ``SearchContext(thread_safe=True)``
-provides (sharded edge-set pool, locked result caches).  This module is
-the dispatch layer on top:
+Section 3 of the paper has one step (B): "for every CTP, derive its seed
+sets, run a CTP search".  Section 5 evaluates each CONNECT clause as an
+independent invocation, so the searches may overlap once the query-scoped
+state is safe to share.  This module implements that step **once**:
 
-:func:`run_ctp_jobs`
-    Evaluate a query's CTP jobs serially (``parallelism=1`` — byte-for-
-    byte the historical evaluator loop), on a ``ThreadPoolExecutor``
-    (``parallelism_mode="thread"``), or on a ``ProcessPoolExecutor``
-    (``parallelism_mode="process"``).  Every pooled path preserves the
-    serial path's observable semantics:
+:class:`Dispatch`
+    ``submit(jobs)`` any number of times, then ``finish()`` → one
+    :class:`CTPOutcome` per job in CTP order.  It owns everything the
+    serial evaluator loop (memo get → search → memo put, per CTP) means,
+    so every executor preserves that loop's observable semantics:
 
     * **rows** — each engine run is deterministic given (graph, seeds,
       config) and never reads another run's private state, so results are
-      bit-identical to serial dispatch regardless of worker count or
-      completion order;
-    * **cross-CTP memo** — duplicate CTPs (same memo key) are grouped and
-      in-flight-deduplicated: one *leader* searches, followers share its
-      result exactly when the serial path would have served a memo hit
-      (complete, untruncated) and re-run otherwise; memo filing happens in
-      CTP order after the batch so the cache's LRU state is deterministic;
-    * **stats** — per-CTP ``SearchStats`` stay attached to their reports
-      and merge in CTP order (:meth:`SearchStats.merged`), never
-      completion order.  Only the shared-pool ``pool_*`` deltas become
-      approximate under concurrency (overlapping attribution).
+      bit-identical to serial whatever the worker count or completion
+      order;
+    * **cross-CTP memo** — a job is served from the memo when it is
+      submitted, or rides an *in-flight* job with the same memo key (one
+      leader searches; followers share its result exactly when the serial
+      loop would have served a memo hit — complete, untruncated — and
+      re-run otherwise).  Filing is replayed in CTP order at ``finish()``,
+      so the cache's hits, misses and LRU order are the serial loop's and
+      never depend on worker scheduling (short of an eviction landing
+      between a probe and its replay);
+    * **deadline ledger** — a job's budget grant is read when it starts
+      executing and settled from its future's done-callback, so a fast
+      CTP's unspent budget reaches the ones still pending;
+    * **stats** — per-CTP ``SearchStats`` stay on their reports and merge
+      in CTP order, never completion order.  Only the shared-pool
+      ``pool_*`` deltas become approximate under concurrency.
+
+    What runs a job is a seam of three things: ``start(job)`` returning a
+    future of ``(result_set, seconds)``, a ``shutdown`` and the ``mode``
+    stamp.  :class:`InlineExecutor` runs at submit on the calling thread —
+    that *is* the serial path; a ``ThreadPoolExecutor`` overlaps
+    deadline-bounded CTPs' wall-clock budgets under the GIL (m concurrent
+    timeouts cost ~T, not m*T); a :class:`~repro.query.pool.WorkerPool`
+    gives CPU-bound searches real multi-core overlap — workers are separate
+    interpreters that load an mmap-shared CSR snapshot once and keep a
+    private :class:`SearchContext`, while the parent alone serves and files
+    the memo.
+
+:class:`_PooledDispatch`
+    The failure policy around the pool executor, applied once: breaker
+    gate, picklability pre-flight, hang watchdog, retry-after-respawn, and
+    the process → thread → serial degradation with the hop stamped in
+    ``mode``.  ``parallelism_mode="process"`` without a usable injected
+    pool runs the very same path on a pool that lives for the call.
 
 :func:`evaluate_queries`
-    The batch front-end: run many queries against **one** shared context,
-    so repeated CONNECTs across queries become cross-query memo hits and
-    the interning pool amortizes across the whole batch — the multi-user
-    serving shape (many queries, one graph) rather than the single-query
-    shape.
+    The batch front-end: many queries against **one** shared context, so
+    repeated CONNECTs across queries become cross-query memo hits and the
+    interning pool amortizes across the batch — the multi-user serving
+    shape (many queries, one graph).
 
-What a thread pool buys under CPython's GIL: deadline-bounded CTPs
-(per-CTP ``TIMEOUT``) overlap their *wall-clock* budgets — m concurrent
-timeouts cost ~T instead of m*T — and cache-miss stalls interleave.
-CPU-bound complete searches only gain real overlap on multi-core
-free-threaded builds; ``python -m repro.bench parallel`` measures both
-regimes honestly.
-
-The **process pool** (``SearchConfig(parallelism_mode="process")``) is the
-CPU-bound answer under the GIL: workers are separate interpreters, each
-initialized *once* with the path of an mmap-shared CSR snapshot
-(:func:`repro.graph.snapshot.ensure_snapshot` — written on demand, reused
-when the graph already has one), so N workers share one physical copy of
-the adjacency columns and pay the graph load once per worker, not per
-job.  Each worker evaluates its CTPs against a private
-:class:`SearchContext`; the parent keeps serving and filing its own
-cross-CTP memo in CTP order, so rows *and* memo LRU state stay identical
-to serial dispatch.  When the jobs cannot cross a process boundary (an
-unpicklable score callable, graph properties pickle refuses, a broken
-pool), dispatch degrades to the thread pool — or serial — rather than
-failing the query; ``python -m repro.bench process-parallel`` measures
-what each mode buys.
+``python -m repro.bench parallel`` / ``process-parallel`` measure what
+each executor buys and re-check row identity.
 """
 
 from __future__ import annotations
@@ -64,26 +64,24 @@ import multiprocessing
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.ctp.config import WILDCARD, SearchConfig
+from repro.ctp.config import SearchConfig
 from repro.ctp.context import SearchContext
 from repro.ctp.registry import get_algorithm
 from repro.ctp.results import CTPResultSet
 from repro.ctp.stats import SearchStats
-from repro.errors import PoolClosedError, ReproError, StaleViewError, WorkerHangError
+from repro.errors import GraphError, PoolClosedError, ReproError, StaleViewError, WorkerHangError
 from repro.graph.backend import resolve_backend
 from repro.graph.graph import Graph
-from repro.graph.snapshot import ensure_snapshot
-from repro.query.costmodel import CTPCostEstimator, QuerySchedule, choose_mode
+from repro.query.costmodel import QuerySchedule
+from repro.query.pool import WorkerPool
 from repro.query.resilience import ResilienceReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evaluator imports us)
     from repro.query.evaluator import QueryResult
-    from repro.query.pool import WorkerPool
 
 
 @dataclass
@@ -109,14 +107,12 @@ class CTPOutcome:
     ``"thread"``, or ``"process"`` for an executed search, ``"memo"`` when
     the result was served from the cross-CTP memo (or shared from an
     in-flight duplicate) and no search ran for this job at all.  It can
-    therefore differ from the requested ``parallelism_mode`` — process
-    dispatch degrades to thread/serial for unpicklable jobs or a broken
-    pool: the fallback is silent by design, but it must stay *observable*
-    so a ~0.9x thread run never masquerades as multi-core.  A *pooled*
-    dispatch that exhausted its retries (or was refused by an open
-    circuit breaker) stamps the hop explicitly — ``"process->thread"`` /
-    ``"process->serial"`` — distinguishing forced degradation from a
-    dispatch that never wanted process mode at all.
+    therefore differ from the requested ``parallelism_mode``: a process
+    dispatch that could not cross the process boundary, exhausted its
+    retries or was refused by an open circuit breaker stamps the hop —
+    ``"process->thread"`` / ``"process->serial"``.  The fallback is silent
+    for the query by design, but it must stay *observable* so a ~0.9x
+    thread run never masquerades as multi-core.
     """
 
     result_set: CTPResultSet
@@ -149,306 +145,242 @@ def effective_parallelism(
 
 
 def _replayable(result_set: CTPResultSet) -> bool:
-    """Serial memo rule: only complete, untruncated runs are safe to share."""
+    """Serial memo rule: only complete, untruncated runs are safe to share
+    (a timeout cut is wall-clock-dependent)."""
     return result_set.complete and not result_set.timed_out
 
 
-def _resolve_auto_mode(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    parallelism: int,
-    pool: Optional["WorkerPool"],
-    schedule: Optional[QuerySchedule],
-) -> Tuple[str, int]:
-    """Resolve ``mode="auto"`` for a direct :func:`run_ctp_jobs` caller.
+class InlineExecutor:
+    """The serial executor: ``submit`` runs the call on the calling thread.
 
-    The evaluator resolves auto itself (it has the seed-derivation sizes
-    and the pool in hand); a direct caller gets the same decision from
-    the jobs' own seed sets.  Returns ``(mode, parallelism)`` — a
-    ``serial`` verdict is expressed as ``("thread", 1)`` so the historical
-    collapse-to-serial rules apply unchanged.
+    Returns an already-resolved ``Future``, so one dispatch loop serves
+    inline and pooled execution alike.  Only ``Exception`` is parked in
+    the future — an interrupt must stop a serial query where it is.
     """
-    if schedule is not None and schedule.estimates:
-        total = sum(schedule.estimates.values())
-    else:
-        estimator = CTPCostEstimator()
-        total = sum(
-            estimator.estimate_ctp(
-                graph,
-                algorithm,
-                [None if seeds is WILDCARD else len(seeds) for seeds in job.seed_sets],
-                job.config,
-            )
-            for job in jobs
-        )
-    resolved = choose_mode(total, len(jobs), parallelism, pool)
-    if schedule is not None:
-        schedule.report.mode_requested = "auto"
-        schedule.report.mode_selected = resolved
-    if resolved == "serial":
-        return "thread", 1
-    return resolved, parallelism
+
+    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> "Future[Any]":
+        future: "Future[Any]" = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:  # noqa: BLE001 - mirror executor semantics
+            future.set_exception(error)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """No-op (nothing is ever pending); present for executor parity."""
 
 
-def run_ctp_jobs(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    parallelism: int = 1,
-    mode: str = "thread",
-    pool: Optional["WorkerPool"] = None,
-    report: Optional[ResilienceReport] = None,
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    """Evaluate ``jobs`` and return one :class:`CTPOutcome` per job, in order.
+class Dispatch:
+    """Step (B), once: memo serve → dedup → run → settle → CTP-order replay.
 
-    ``pool`` (a :class:`~repro.query.pool.WorkerPool`) makes ``"process"``
-    dispatch *persistent*: jobs are submitted to the pool's long-lived
-    workers instead of an executor built and torn down per call.  An
-    injected pool is used for every process-mode dispatch — even a single
-    job, even ``parallelism == 1`` (a warm worker beats any spin-up, and
-    on a single-core host the serving layer's whole win *is* the
-    eliminated spin-up); without a pool the historical collapse-to-serial
-    rules apply unchanged.  A closed pool, or one bound to a different
-    graph, is ignored rather than trusted.
+    ``start(job)`` must return a future of ``(result_set, seconds)``;
+    ``mode`` is stamped on every outcome whose search actually executed
+    (memo-served and shared outcomes say ``"memo"`` — claiming a worker ran
+    them would defeat the observability the field exists for).
 
-    Pooled dispatch is guarded by the pool's circuit breaker: while it is
-    open (repeated pool failures), dispatch degrades *directly* to the
-    thread/serial chain — stamping the hop in each outcome's ``mode`` —
-    instead of paying a doomed spawn/fail cycle per query; half-open
-    probe dispatches are admitted per the breaker's policy and their
-    outcome closes or re-opens it.  ``report`` (a
-    :class:`~repro.query.resilience.ResilienceReport`) collects what
-    resilience machinery fired, for the serving layer's telemetry.
+    ``submit`` may be called any number of times before ``finish``: the
+    evaluator feeds jobs as their seed variables resolve, and "barrier"
+    dispatch is simply the case of one call.  Within a call, distinct memo
+    keys are started **longest-first** by the schedule's estimates (ties by
+    CTP index, so the order is deterministic): with fewer workers than
+    leaders, starting the stragglers first shrinks the makespan.
+    ``reorder=False`` keeps CTP order — an inline executor overlaps
+    nothing, and CTP order is the reference the serial deadline ledger is
+    defined against.  Order is representation-only either way: outcomes
+    are keyed by CTP index and the memo is replayed in CTP order.
 
-    ``schedule`` (a :class:`~repro.query.costmodel.QuerySchedule`) turns
-    on the cost-model decisions: longest-first leader submission in the
-    fan-out and execution-time deadline-budget grants (the job configs
-    carry build budgets; the ledger may re-grant upward, never downward).
-    ``mode="auto"`` is resolved here for direct callers
-    (:func:`_resolve_auto_mode`) — the evaluator resolves it before
-    calling.
+    ``watchdog`` (pool executor only) is a wall-clock budget for the whole
+    dispatch.  Blowing it raises :class:`~repro.errors.WorkerHangError` —
+    a worker that cannot even return a ``timed_out`` partial result inside
+    its own budget plus grace is wedged, and waiting longer would hold the
+    dispatch forever.
     """
-    if mode == "auto":
-        mode, parallelism = _resolve_auto_mode(
-            graph, algorithm, jobs, parallelism, pool, schedule
-        )
-    if (
-        pool is not None
-        and mode == "process"
-        and jobs
-        and not pool.closed
-        and pool.matches(graph)
-    ):
-        if not pool.breaker.allow():
-            if report is not None:
-                report.breaker_skips += 1
-                report.breaker_state = pool.breaker.state
-                report.recycled_workers = pool.recycles
-            return _degraded_from_process(
-                graph, algorithm, jobs, context, parallelism, report, schedule
-            )
-        return _run_process_pooled(
-            graph, algorithm, jobs, context, pool, parallelism, report, schedule
-        )
-    workers = effective_parallelism(parallelism, len(jobs), context, mode)
-    if workers <= 1:
-        return _run_serial(graph, algorithm, jobs, context, schedule)
-    if mode == "process":
-        return _run_process(graph, algorithm, jobs, context, workers, schedule)
-    return _run_parallel(graph, algorithm, jobs, context, workers, schedule)
 
+    def __init__(
+        self,
+        context: Optional[SearchContext],
+        schedule: Optional[QuerySchedule],
+        start: Callable[[CTPJob], "Future[Tuple[CTPResultSet, float]]"],
+        mode: str,
+        shutdown: Optional[Callable[..., None]] = None,
+        watchdog: Optional[float] = None,
+        reorder: bool = True,
+    ) -> None:
+        self.context = context
+        self.schedule = schedule
+        self.mode = mode
+        self._start_one = start
+        self._shutdown = shutdown
+        self._watchdog = watchdog
+        self._expires = None if watchdog is None else time.monotonic() + watchdog
+        self._reorder = reorder
+        self._jobs: List[CTPJob] = []
+        self._outcomes: Dict[int, CTPOutcome] = {}
+        #: memo key -> the future of the job searching it (in-flight dedup).
+        self._leaders: Dict[Hashable, "Future[Any]"] = {}
+        #: leader future -> [leader, followers still waiting on it...].
+        self._running: Dict["Future[Any]", List[CTPJob]] = {}
+        self._reruns: List[Tuple[CTPJob, "Future[Any]"]] = []
+        #: CTP indices that rode an in-flight leader (they register their
+        #: memo hit during the replay, not at submit).
+        self.followers: List[int] = []
+        #: Leaders started while step (A) still had BGPs to evaluate.
+        self.overlapped = 0
 
-def _run_serial(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    """The historical evaluator loop: memo get -> search -> memo put, per CTP.
+    def __enter__(self) -> "Dispatch":
+        return self
 
-    Serial dispatch keeps CTP order even under a schedule (it *is* the
-    reference ordering), but deadline-budget grants still apply: a fast
-    early CTP's unspent budget flows to the later ones instead of being
-    frozen at job-build time — the big serial tail-latency win ``python
-    -m repro.bench schedule`` measures.
-    """
-    algo = get_algorithm(algorithm)
-    outcomes: List[CTPOutcome] = []
-    for job in jobs:
-        started = time.perf_counter()
-        result_set = None
-        cache_hit = False
-        if context is not None and job.memo_key is not None:
-            result_set = context.ctp_cache.get(job.memo_key)
-            cache_hit = result_set is not None
-        if result_set is None:
-            config = job.config if schedule is None else schedule.config_for_run(job)
-            result_set = algo.run(graph, job.seed_sets, config, context=context)
-            # Only complete, untruncated evaluations are safe to replay for
-            # a later CTP: a timeout cut is wall-clock-dependent.
-            if context is not None and job.memo_key is not None and _replayable(result_set):
-                context.ctp_cache.put(job.memo_key, result_set)
-        if schedule is not None:
-            schedule.settle(job.index)
-        outcomes.append(
-            CTPOutcome(
-                result_set,
-                cache_hit,
-                time.perf_counter() - started,
-                mode="memo" if cache_hit else "serial",
-            )
-        )
-    return outcomes
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        """Release the executor.  On an error queued jobs are dropped without
+        waiting (step (A) or a sibling job failed — nobody will read them)."""
+        if self._shutdown is not None:
+            failed = exc_type is not None
+            self._shutdown(wait=not failed, cancel_futures=failed)
 
+    def _settle(self, index: int) -> None:
+        if self.schedule is not None:
+            self.schedule.settle(index)
 
-def _fan_out(
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    pool: Any,
-    submit_one: Any,
-    result_timeout: Optional[float] = None,
-    schedule: Optional[QuerySchedule] = None,
-) -> Tuple[List[Optional[CTPOutcome]], List[int]]:
-    """Phases 1-2 of a pooled dispatch, executor-agnostic.
+    def _start(self, job: CTPJob) -> "Future[Any]":
+        future = self._start_one(job)
+        if self.schedule is not None:
+            # Settled where the run ends, not at finish(): under the inline
+            # executor the next job's grant must already see this one gone.
+            future.add_done_callback(lambda _done: self._settle(job.index))
+        if future.done():
+            future.result()  # an inline run that raised stops the query here
+        return future
 
-    ``submit_one(pool, job)`` must return a future resolving to
-    ``(result_set, seconds)``; the thread path closes over the shared
-    context, the process path ships the job to a worker interpreter.
+    def _follow(self, job: CTPJob, leader: "Future[Any]") -> None:
+        """``job`` repeats an in-flight memo key: no probe, ride the leader."""
+        self.followers.append(job.index)
+        if leader.done():
+            self._share(job, leader.result()[0])
+        else:
+            self._running[leader].append(job)
 
-    Phase 1 serves memo hits from earlier queries/batches in CTP order;
-    phase 2 groups duplicates by memo key (in-flight dedup: one *leader*
-    searches per distinct key), fans the leaders out, and settles
-    followers.  Leaders settle as they finish (not in submission order): a
-    non-replayable leader's duplicates re-submit immediately, so the rerun
-    overlaps still-running leaders instead of queueing behind the slowest
-    one.  Outcomes are written by CTP index, so the completion order never
-    shows in the results.
+    def _share(self, job: CTPJob, result_set: CTPResultSet) -> None:
+        """Settle a follower against its finished leader's result set."""
+        if _replayable(result_set):
+            # Exactly the runs the serial loop would serve as memo hits.
+            self._outcomes[job.index] = CTPOutcome(result_set, True, 0.0, "memo")
+            self._settle(job.index)
+        else:
+            # Re-run at once, so the rerun overlaps still-running leaders
+            # instead of queueing behind the slowest one.
+            self._reruns.append((job, self._start(job)))
 
-    ``result_timeout`` is the hang watchdog (process-pool dispatch only):
-    a wall-clock budget for the *whole* fan-out, derived by the caller
-    from the jobs' own CTP timeouts.  Blowing it raises
-    :class:`~repro.errors.WorkerHangError` — a worker that cannot even
-    return a ``timed_out`` partial result inside its own budget plus
-    grace is wedged, and waiting longer would hold the dispatch forever.
+    def submit(self, jobs: Sequence[CTPJob], overlapped: bool = False) -> None:
+        """Serve, dedup and start ``jobs``.
 
-    ``schedule`` orders the leader submissions **longest-first** by the
-    cost model's estimates (ties broken by CTP index, so the order is
-    deterministic): with fewer workers than leaders, starting the
-    stragglers first shrinks the makespan.  Representation-only — memo
-    filing stays in CTP order (phase 3) and outcomes are written by CTP
-    index, so rows and cache LRU state are bit-identical to serial
-    whatever order the leaders ran in.
-    """
-    outcomes: List[Optional[CTPOutcome]] = [None] * len(jobs)
-    pending: List[CTPJob] = []
-    for job in jobs:
-        if context is not None and job.memo_key is not None:
-            cached = context.ctp_cache.get(job.memo_key)
-            if cached is not None:
-                outcomes[job.index] = CTPOutcome(cached, True, 0.0)
-                if schedule is not None:
-                    schedule.settle(job.index)
-                continue
-        pending.append(job)
-
-    groups: Dict[Hashable, List[CTPJob]] = {}
-    for job in pending:
-        key = job.memo_key if job.memo_key is not None else ("__unkeyed__", job.index)
-        groups.setdefault(key, []).append(job)
-
-    ordered_groups: List[List[CTPJob]] = list(groups.values())
-    if schedule is not None:
-        ordered_groups = schedule.ordered(ordered_groups, lambda group: group[0].index)
-        schedule.record_submits([group[0].index for group in ordered_groups])
-
-    watchdog_deadline = (
-        time.monotonic() + result_timeout if result_timeout is not None else None
-    )
-
-    def remaining() -> Optional[float]:
-        if watchdog_deadline is None:
-            return None
-        return max(1e-3, watchdog_deadline - time.monotonic())
-
-    def settle(index: int) -> None:
-        if schedule is not None:
-            schedule.settle(index)
-
-    followers: List[int] = []
-    future_to_group = {submit_one(pool, group[0]): group for group in ordered_groups}
-    rerun_futures: List[Tuple[CTPJob, Any]] = []
-    try:
-        for future in as_completed(future_to_group, timeout=remaining()):
-            group = future_to_group[future]
-            result_set, seconds = future.result()
-            leader = group[0]
-            outcomes[leader.index] = CTPOutcome(result_set, False, seconds)
-            settle(leader.index)
-            if _replayable(result_set):
-                # Exactly the runs the serial path would serve as memo hits.
-                for follower in group[1:]:
-                    outcomes[follower.index] = CTPOutcome(result_set, True, 0.0)
-                    followers.append(follower.index)
-                    settle(follower.index)
+        ``overlapped`` marks jobs entering while step (A) still has BGPs to
+        evaluate — the pipeline-overlap count the schedule telemetry reports.
+        """
+        ctp_cache = self.context.ctp_cache if self.context is not None else None
+        groups: Dict[Hashable, List[CTPJob]] = {}
+        for job in jobs:
+            self._jobs.append(job)
+            key = job.memo_key
+            if key is None:
+                groups[("__unkeyed__", job.index)] = [job]
+            elif key in self._leaders:
+                self._follow(job, self._leaders[key])
+            elif key in groups:
+                groups[key].append(job)
             else:
-                rerun_futures.extend((job, submit_one(pool, job)) for job in group[1:])
-        for job, future in rerun_futures:
-            result_set, seconds = future.result(timeout=remaining())
-            outcomes[job.index] = CTPOutcome(result_set, False, seconds)
-            settle(job.index)
-    except TimeoutError as error:
-        raise WorkerHangError(
-            f"pooled fan-out of {len(pending)} CTP job(s) exceeded its "
-            f"{result_timeout:.3f}s hang watchdog"
-        ) from error
-    return outcomes, followers
+                cached = ctp_cache.get(key) if ctp_cache is not None else None
+                if cached is None:
+                    groups[key] = [job]
+                else:
+                    self._outcomes[job.index] = CTPOutcome(cached, True, 0.0, "memo")
+                    self._settle(job.index)
+        ordered = list(groups.values())
+        if self.schedule is not None and self._reorder:
+            ordered = self.schedule.ordered(ordered, lambda group: group[0].index)
+            self.schedule.record_submits([group[0].index for group in ordered])
+        started = []
+        for group in ordered:  # every leader first, then the riders
+            self.overlapped += overlapped
+            future = self._start(group[0])
+            self._running[future] = [group[0]]
+            if group[0].memo_key is not None:
+                self._leaders[group[0].memo_key] = future
+            started.append((future, group[1:]))
+        for future, riders in started:
+            for job in riders:
+                self._follow(job, future)
+
+    def _remaining(self) -> Optional[float]:
+        if self._expires is None:
+            return None
+        return max(1e-3, self._expires - time.monotonic())
+
+    def finish(self) -> List[CTPOutcome]:
+        """Barrier: settle every submitted job, replay the memo in CTP order.
+
+        Leaders settle as they finish, not in submission order, and the
+        completion order never shows: outcomes are keyed by CTP index.
+        """
+        outcomes = self._outcomes
+        try:
+            for future in as_completed(list(self._running), timeout=self._remaining()):
+                leader, *waiting = self._running[future]
+                result_set, seconds = future.result()
+                outcomes[leader.index] = CTPOutcome(result_set, False, seconds, self.mode)
+                for job in waiting:
+                    self._share(job, result_set)
+            for job, future in self._reruns:
+                result_set, seconds = future.result(timeout=self._remaining())
+                outcomes[job.index] = CTPOutcome(result_set, False, seconds, self.mode)
+        except TimeoutError as error:
+            raise WorkerHangError(
+                f"dispatch of {len(self._running) + len(self._reruns)} CTP job(s) exceeded "
+                f"its {self._watchdog}s hang watchdog"
+            ) from error
+        jobs = sorted(self._jobs, key=lambda job: job.index)
+        if self.context is not None:
+            self._replay(jobs, self.context.ctp_cache)
+        if self.schedule is not None:
+            self.schedule.report.pipeline_overlaps = self.overlapped
+        return [outcomes[job.index] for job in jobs]
+
+    def _replay(self, jobs: Sequence[CTPJob], ctp_cache: Any) -> None:
+        """Replay the serial loop's cache traffic in CTP order.
+
+        Followers register the hit they would have had; everything else
+        that is replayable is filed — a leader's fresh result, a re-run
+        follower's, and (a recency refresh only: the same object under its
+        key) the set a job was served at submit.  Running this after the
+        barrier keeps the memo's LRU order, and therefore its eviction
+        choices, independent of worker scheduling.
+        """
+        followers = set(self.followers)
+        for job in jobs:
+            if job.memo_key is None:
+                continue
+            if job.index in followers and ctp_cache.get(job.memo_key) is not None:
+                continue
+            result_set = self._outcomes[job.index].result_set
+            if _replayable(result_set):
+                ctp_cache.put(job.memo_key, result_set)
 
 
-def _replay_memo(
-    jobs: Sequence[CTPJob],
-    outcomes: List[Optional[CTPOutcome]],
-    followers: List[int],
-    context: Optional[SearchContext],
-) -> None:
-    """Phase 3 — replay the serial path's cache traffic in CTP order.
-
-    Leaders file their (replayable) result sets, followers register the
-    hit.  Running this after the fan-out keeps the memo's LRU order — and
-    therefore its eviction choices — independent of worker scheduling.
-    """
-    if context is None:
-        return
-    follower_set = set(followers)
-    for job in jobs:
-        outcome = outcomes[job.index]
-        if job.memo_key is None or outcome is None:
-            continue
-        if job.index in follower_set:
-            refreshed = context.ctp_cache.get(job.memo_key)
-            if refreshed is not None:
-                outcome.result_set = refreshed
-        elif not outcome.cache_hit and _replayable(outcome.result_set):
-            context.ctp_cache.put(job.memo_key, outcome.result_set)
-
-
-def _run_parallel(
+def _local_dispatch(
     graph: Graph,
     algorithm: str,
-    jobs: Sequence[CTPJob],
     context: Optional[SearchContext],
     workers: int,
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    # Resolve the backend ONCE before fanning out: Graph.freeze() is
+    backend: str,
+    schedule: Optional[QuerySchedule],
+    hop: str = "",
+) -> Dispatch:
+    """A :class:`Dispatch` over this process: inline, or ``workers`` threads."""
+    # Resolve the backend ONCE, on the calling thread: Graph.freeze() is
     # memoized but not atomic, so two workers racing the first freeze
     # would hand the context two distinct (equivalent) snapshots and the
     # second adoption would be spuriously refused.  Engines re-resolving
     # the pre-resolved graph is a no-op.
-    graph = resolve_backend(graph, jobs[0].config.backend)
+    graph = resolve_backend(graph, backend)
     algo = get_algorithm(algorithm)
 
     def run_one(job: CTPJob) -> Tuple[CTPResultSet, float]:
@@ -460,26 +392,84 @@ def _run_parallel(
         result_set = algo.run(graph, job.seed_sets, config, context=context)
         return result_set, time.perf_counter() - started
 
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-ctp") as pool:
-        outcomes, followers = _fan_out(
-            jobs, context, pool, lambda p, job: p.submit(run_one, job), schedule=schedule
-        )
-    _replay_memo(jobs, outcomes, followers, context)
-    return _stamp_mode(outcomes, "thread")
+    if workers > 1:
+        executor: Any = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-ctp")
+    else:
+        executor = InlineExecutor()
+    return Dispatch(
+        context,
+        schedule,
+        lambda job: executor.submit(run_one, job),
+        hop + ("thread" if workers > 1 else "serial"),
+        shutdown=executor.shutdown,
+        reorder=workers > 1,
+    )
 
 
-def _stamp_mode(outcomes: List[Optional[CTPOutcome]], mode: str) -> List[CTPOutcome]:
-    """Record what produced each outcome and drop the ``None`` gaps.
+def open_dispatch(
+    graph: Graph,
+    algorithm: str,
+    context: Optional[SearchContext],
+    num_jobs: int,
+    parallelism: int = 1,
+    mode: str = "thread",
+    backend: str = "auto",
+    pool: Optional[WorkerPool] = None,
+    report: Optional[ResilienceReport] = None,
+    schedule: Optional[QuerySchedule] = None,
+) -> Any:
+    """Pick the executor for a query of ``num_jobs`` CTPs; returns a context
+    manager with ``submit(jobs)`` / ``finish()``.
 
-    Only jobs whose search actually executed get the pool's mode; outcomes
-    served from the memo (phase 1) or shared from an in-flight leader
-    never reached a worker, and claiming they ran "process" would defeat
-    the observability the field exists for.
+    ``mode`` is ``"thread"`` or ``"process"`` (the evaluator resolves
+    ``"auto"`` before it dispatches).  An injected ``pool`` is used for
+    every process-mode dispatch — even a single job, even ``parallelism ==
+    1``: a warm worker beats any spin-up, and on a single-core host the
+    serving layer's whole win *is* the eliminated spin-up.  A closed pool,
+    or one bound to a different graph, is ignored rather than trusted;
+    process mode then builds a pool for the call when more than one worker
+    would run, and otherwise collapses to the inline executor like thread
+    mode does.
     """
-    settled = [outcome for outcome in outcomes if outcome is not None]
-    for outcome in settled:
-        outcome.mode = "memo" if outcome.cache_hit else mode
-    return settled
+    workers = effective_parallelism(parallelism, num_jobs, context, mode)
+    if mode == "process" and num_jobs:
+        report = report if report is not None else ResilienceReport()
+        args = (graph, algorithm, context, parallelism, backend, report, schedule)
+        if pool is not None and not pool.closed and pool.matches(graph):
+            return _PooledDispatch(pool, False, *args)
+        if workers > 1:
+            return _PooledDispatch(WorkerPool(graph, workers=workers), True, *args)
+    return _local_dispatch(graph, algorithm, context, workers, backend, schedule)
+
+
+def run_ctp_jobs(
+    graph: Graph,
+    algorithm: str,
+    jobs: Sequence[CTPJob],
+    context: Optional[SearchContext],
+    parallelism: int = 1,
+    mode: str = "thread",
+    pool: Optional[WorkerPool] = None,
+    report: Optional[ResilienceReport] = None,
+    schedule: Optional[QuerySchedule] = None,
+) -> List[CTPOutcome]:
+    """Evaluate ``jobs`` and return one :class:`CTPOutcome` per job, in order.
+
+    The barrier form of :func:`open_dispatch` (see there for ``mode`` —
+    ``"thread"`` or ``"process"`` — and ``pool``): everything is submitted
+    at once.  ``report`` (a :class:`~repro.query.resilience.ResilienceReport`)
+    collects what resilience machinery fired under process dispatch;
+    ``schedule`` (a :class:`~repro.query.costmodel.QuerySchedule`) turns on
+    longest-first submission and execution-time deadline-budget grants (the
+    job configs carry build budgets; the ledger may re-grant upward, never
+    downward).
+    """
+    backend = jobs[0].config.backend if jobs else "auto"
+    with open_dispatch(
+        graph, algorithm, context, len(jobs), parallelism, mode, backend, pool, report, schedule
+    ) as dispatch:
+        dispatch.submit(jobs)
+        return dispatch.finish()
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +527,12 @@ def _worker_state_for(delta: Any) -> Tuple[Any, Optional[SearchContext]]:
     base stays loaded, the delta is applied on top, and the overlay gets
     its own context so generation-scoped cache state never mixes with the
     base's.  Consistency is structural: the overlay validates the delta's
-    base generation against the snapshot's recorded one.
+    base against the snapshot this worker loaded.  A mismatch means a
+    compaction respawned the workers onto a newer base between the
+    request's ``prepare_for`` and this run — the typed
+    :class:`~repro.errors.StaleViewError` lets the dispatch serve the
+    pinned generation in-process, exactly as when ``prepare_for`` itself
+    finds the view stale.
     """
     global _worker_overlay, _worker_overlay_key, _worker_overlay_context
     if delta is None:
@@ -546,7 +541,10 @@ def _worker_state_for(delta: Any) -> Tuple[Any, Optional[SearchContext]]:
     if _worker_overlay_key != key:
         from repro.graph.delta import OverlayGraph
 
-        _worker_overlay = OverlayGraph(_worker_graph, delta)
+        try:
+            _worker_overlay = OverlayGraph(_worker_graph, delta)
+        except GraphError as error:
+            raise StaleViewError(f"worker base moved past the pinned view: {error}") from error
         _worker_overlay_context = SearchContext()
         _worker_overlay_key = key
     return _worker_overlay, _worker_overlay_context
@@ -609,111 +607,8 @@ def _jobs_picklable(algorithm: str, jobs: Sequence[CTPJob], delta: Any = None) -
         return False
 
 
-def _fallback_dispatch(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    workers: int,
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    """Process dispatch unavailable: degrade to threads, else serial.
 
-    Used when the jobs or graph cannot be pickled/snapshotted, or when the
-    worker pool breaks mid-flight.  Thread dispatch requires a thread-safe
-    (or absent) context; otherwise the always-correct serial loop runs.
-    """
-    if context is None or context.thread_safe:
-        return _run_parallel(graph, algorithm, jobs, context, workers, schedule)
-    return _run_serial(graph, algorithm, jobs, context, schedule)
-
-
-def _run_process(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    workers: int,
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    """Fan the jobs out to worker *processes* over an mmap-shared snapshot.
-
-    The parent resolves the backend and obtains a snapshot file for the
-    graph (reusing one when the graph was loaded from — or already saved
-    to — a snapshot); workers load it once in their initializer.  Memo
-    serve/file happens entirely in the parent (phases 1/3 of
-    :func:`_fan_out`/:func:`_replay_memo`), in CTP order, so cache state
-    matches serial dispatch exactly.  Rows are bit-identical to serial:
-    each engine run is deterministic given (graph, seeds, config), and the
-    CSR snapshot preserves ids, adjacency order, labels, and weights
-    exactly (see ``tests/test_snapshot.py``).
-    """
-    resolved = resolve_backend(graph, jobs[0].config.backend)
-    try:
-        _, snapshot_path = ensure_snapshot(resolved)
-    except (ReproError, OSError, pickle.PicklingError, TypeError, AttributeError):
-        # Unserializable metadata (e.g. exotic node properties): the graph
-        # cannot cross a process boundary.
-        return _fallback_dispatch(resolved, algorithm, jobs, context, workers, schedule)
-    if not _jobs_picklable(algorithm, jobs):
-        return _fallback_dispatch(resolved, algorithm, jobs, context, workers, schedule)
-    from repro import faults
-
-    def submit_one(p: Any, job: CTPJob) -> Any:
-        # A process job's grant is read at submit time (the worker cannot
-        # reach the parent's ledger); the shipped config carries it.
-        config = job.config if schedule is None else schedule.config_for_run(job)
-        return p.submit(_process_worker_run, algorithm, job.seed_sets, config)
-
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_process_pool_context(),
-            initializer=_process_worker_init,
-            initargs=(snapshot_path, faults.active_plan(), 0),
-        ) as pool:
-            outcomes, followers = _fan_out(jobs, context, pool, submit_one, schedule=schedule)
-    except BrokenProcessPool:
-        return _fallback_dispatch(resolved, algorithm, jobs, context, workers, schedule)
-    _replay_memo(jobs, outcomes, followers, context)
-    return _stamp_mode(outcomes, "process")
-
-
-def _degraded_from_process(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    parallelism: int,
-    report: Optional[ResilienceReport] = None,
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    """Give up on pooled process dispatch: run threads, else serial.
-
-    Same eligibility rules as :func:`_fallback_dispatch` (threads need a
-    thread-safe or absent context and more than one job/worker), but the
-    hop is stamped into each executed outcome's ``mode`` —
-    ``"process->thread"`` / ``"process->serial"`` — so a degraded pooled
-    dispatch is distinguishable both from a healthy pooled run and from
-    the per-call fallback path (whose plain ``"thread"``/``"serial"``
-    stamps are unchanged).  Memo-served outcomes keep ``"memo"``.
-    """
-    workers = effective_parallelism(parallelism, len(jobs), context, "thread")
-    if workers > 1 and (context is None or context.thread_safe):
-        outcomes = _run_parallel(graph, algorithm, jobs, context, workers, schedule)
-        hop = "thread"
-    else:
-        outcomes = _run_serial(graph, algorithm, jobs, context, schedule)
-        hop = "serial"
-    for outcome in outcomes:
-        if outcome.mode != "memo":
-            outcome.mode = f"process->{outcome.mode}"
-    if report is not None:
-        report.degraded_to = hop
-    return outcomes
-
-
-def _watchdog_budget(jobs: Sequence[CTPJob], pool: "WorkerPool") -> float:
+def _watchdog_budget(jobs: Sequence[CTPJob], pool: WorkerPool) -> float:
     """The hang watchdog for one pooled fan-out, in seconds.
 
     Sum of the jobs' own CTP timeouts — a query deadline has already
@@ -732,269 +627,170 @@ def _watchdog_budget(jobs: Sequence[CTPJob], pool: "WorkerPool") -> float:
     return per_job + rules.hang_grace
 
 
-def _run_process_pooled(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    pool: "WorkerPool",
-    parallelism: int,
-    report: Optional[ResilienceReport] = None,
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    """Fan the jobs out to a *persistent* :class:`~repro.query.pool.WorkerPool`.
+@dataclass
+class _PooledDispatch:
+    """The failure policy around the pool executor, applied once.
 
-    Same three-phase protocol as :func:`_run_process` (parent-side memo
-    serve, in-flight dedup, CTP-order memo replay) — the difference is
-    purely *who owns the executor*: the pool keeps its workers (and their
-    mmap-loaded graphs and warm per-worker contexts) alive across calls,
-    so this dispatch pays zero spin-up once the pool is warm.
+    Process dispatch is barrier-only (shipping jobs mid-step-(A) would
+    serialize on snapshot pickling anyway), so ``submit`` holds the jobs
+    and ``finish`` runs them: a :class:`Dispatch` whose ``start`` ships a
+    job to the pool's long-lived workers, wrapped in the pool's
+    :class:`~repro.query.resilience.CircuitBreaker` and
+    :class:`~repro.query.resilience.RetryPolicy`:
 
-    Failure policy (the pool's :class:`~repro.query.resilience.RetryPolicy`
-    + :class:`~repro.query.resilience.CircuitBreaker`):
-
-    * Every fan-out runs under a **hang watchdog** derived from the jobs'
+    * While the breaker is open (repeated pool failures) dispatch degrades
+      *directly* instead of paying a doomed spawn/fail cycle per query;
+      half-open probes are admitted per the breaker's policy.  Every
+      admitted dispatch settles the breaker: success closes it, each
+      failed attempt is charged, and a dispatch that ends without learning
+      anything about the pool (stale view, unpicklable workload, an
+      evaluation error) hands its probe back — otherwise a spent probe
+      would leave the breaker half-open with nothing left to admit.
+    * Every attempt runs under a **hang watchdog** derived from the jobs'
       CTP timeouts (:func:`_watchdog_budget`); blowing it kill-respawns
-      the workers (:meth:`~repro.query.pool.WorkerPool.recover_from_hang`)
-      instead of waiting forever.
+      the workers instead of waiting forever.
     * A retryable infrastructure failure (``BrokenProcessPool``, hang,
       ``OSError``) respawns the workers and re-runs the fan-out — the
       evaluation is idempotent — up to the policy's attempt budget, with
       jittered backoff, and never when the backoff would overrun the
-      deadline budget the jobs have left.  Each failure feeds the
-      breaker; a final success resets it.
-    * Exhausted retries (or an unpicklable/unsnapshotable workload, which
-      no respawn can fix) degrade to :func:`_degraded_from_process` —
-      thread or serial with the hop stamped in ``mode`` — rather than
-      failing the query.  Deterministic evaluation errors (e.g. a raising
-      scorer) are *not* retried or degraded: they propagate to the caller
-      as typed errors, because re-running them elsewhere would just fail
-      again — or worse, mask a real bug.
+      smallest budget the jobs have left.
+    * Exhausted retries, a workload that cannot cross the process boundary
+      (no respawn can fix that) and a view the workers' base has moved
+      past (:class:`~repro.errors.StaleViewError`, from ``prepare_for`` or
+      from a worker a compaction overtook mid-dispatch) degrade to threads,
+      else the inline executor, with the hop stamped — ``"process->thread"``
+      / ``"process->serial"`` — rather than failing the query.
+      Deterministic evaluation errors (a raising scorer) are *not* retried
+      or degraded: they propagate as typed errors, because re-running them
+      elsewhere would just fail again — or worse, mask a real bug.
+
+    ``owned`` marks a pool built for this call: leaving the dispatch shuts
+    its workers down but keeps the snapshot file ``ensure_snapshot``
+    memoized on the graph, so the next call does not serialize it again.
     """
 
-    def degrade() -> List[CTPOutcome]:
-        return _degraded_from_process(
-            graph, algorithm, jobs, context, parallelism, report, schedule
-        )
+    pool: WorkerPool
+    owned: bool
+    graph: Graph
+    algorithm: str
+    context: Optional[SearchContext]
+    parallelism: int
+    backend: str
+    report: ResilienceReport
+    schedule: Optional[QuerySchedule]
+    jobs: List[CTPJob] = field(default_factory=list)
 
-    policy = pool.retry_policy
-    breaker = pool.breaker
-    try:
-        delta = pool.prepare_for(graph)
-    except StaleViewError:
-        # Not a pool failure — the pinned view outlived the workers' base
-        # (a compaction moved past it), so serve it in-process instead of
-        # charging the breaker for an outdated reader.
-        _note_pool_state(report, pool)
-        return degrade()
-    except (ReproError, OSError, pickle.PicklingError, TypeError, AttributeError):
-        breaker.record_failure()
-        _note_pool_state(report, pool)
-        return degrade()
-    if not _jobs_picklable(algorithm, jobs, delta):
-        # Not a pool failure — the workload itself cannot cross a process
-        # boundary, so the breaker is not charged for it.
-        _note_pool_state(report, pool)
-        return degrade()
+    def __enter__(self) -> "_PooledDispatch":
+        return self
 
-    def submit_one(p: "WorkerPool", job: CTPJob) -> Any:
-        config = job.config if schedule is None else schedule.config_for_run(job)
-        return p.submit(algorithm, job.seed_sets, config, delta=delta)
+    def __exit__(self, *exc_info: Any) -> None:
+        if self.owned:
+            self.pool.close(release_snapshot=False)
 
-    watchdog = _watchdog_budget(jobs, pool)
-    budget = min(
-        (job.config.timeout for job in jobs if job.config.timeout is not None),
-        default=None,
-    )
-    started = time.monotonic()
-    rng = policy.rng()
-    attempt = 1
-    while True:
-        try:
-            outcomes, followers = _fan_out(
-                jobs, context, pool, submit_one, result_timeout=watchdog, schedule=schedule
+    def submit(self, jobs: Sequence[CTPJob], overlapped: bool = False) -> None:
+        self.jobs.extend(jobs)
+
+    def _run(self, dispatch: Dispatch) -> List[CTPOutcome]:
+        with dispatch:
+            dispatch.submit(self.jobs)
+            return dispatch.finish()
+
+    def _degraded(self) -> List[CTPOutcome]:
+        """Give up on the pool: run threads, else inline, stamping the hop."""
+        workers = effective_parallelism(self.parallelism, len(self.jobs), self.context, "thread")
+        self.report.degraded_to = "thread" if workers > 1 else "serial"
+        return self._run(
+            _local_dispatch(
+                self.graph, self.algorithm, self.context, workers, self.backend,
+                self.schedule, hop="process->",
             )
-            breaker.record_success()
-            break
-        except policy.retryable as error:
-            breaker.record_failure()
-            try:
-                if isinstance(error, WorkerHangError):
-                    if report is not None:
-                        report.hangs += 1
-                    pool.recover_from_hang()
-                else:
-                    pool.respawn()
-                if report is not None:
-                    report.respawns += 1
-            except (PoolClosedError, ReproError, OSError):
-                # The pool cannot be rebuilt (closed under us, snapshot
-                # gone): no retry can succeed on it.
-                _note_pool_state(report, pool)
-                return degrade()
-            if not policy.should_retry(
-                attempt, error, elapsed=time.monotonic() - started, budget=budget
-            ):
-                _note_pool_state(report, pool)
-                return degrade()
-            backoff = policy.backoff_seconds(attempt, rng)
-            if backoff > 0:
-                time.sleep(backoff)
-            if report is not None:
-                report.retries += 1
-            attempt += 1
-    _note_pool_state(report, pool)
-    _replay_memo(jobs, outcomes, followers, context)
-    return _stamp_mode(outcomes, "process")
-
-
-def _note_pool_state(report: Optional[ResilienceReport], pool: "WorkerPool") -> None:
-    """Record the pool's breaker state and recycle count on the report."""
-    if report is not None:
-        report.breaker_state = pool.breaker.state
-        report.recycled_workers = pool.recycles
-
-
-# ----------------------------------------------------------------------
-# pipelined step-(A)→(B) dispatch
-# ----------------------------------------------------------------------
-class PipelinedDispatch:
-    """Overlap step (A) BGP evaluation with step (B) connection search.
-
-    The barrier dispatch waits for *every* BGP table before building any
-    CTP job, even though each CTP only needs the bindings of its **own**
-    seed variables — EQL BGPs are connected components under shared
-    variables (:meth:`EQLQuery.bgps`), so a seed variable is bound by at
-    most one of them.  The evaluator drives this class instead when
-    cost-model scheduling is on under thread dispatch: it evaluates BGPs
-    one at a time on the calling thread and submits each CTP the moment
-    its dependencies resolve (free-seed CTPs before any BGP runs), so
-    connection search for early-resolved CTPs executes *while later BGPs
-    are still materializing*.
-
-    The serial path's observable semantics are preserved by the same
-    three-phase discipline as :func:`_fan_out`: memo hits are served on
-    submission, duplicate in-flight CTPs share one leader (non-replayable
-    leaders re-run their followers), and :meth:`finish` barriers, then
-    files the memo in CTP order (:func:`_replay_memo`) — rows and cache
-    LRU state are bit-identical to serial.  Thread-mode only: process
-    dispatch keeps the historical barrier (shipping jobs mid-(A) would
-    serialize on snapshot pickling anyway).
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        algorithm: str,
-        context: Optional[SearchContext],
-        workers: int,
-        backend: str = "auto",
-        schedule: Optional[QuerySchedule] = None,
-    ) -> None:
-        # Backend resolved once, for the same freeze-race reason as
-        # _run_parallel.
-        self.graph = resolve_backend(graph, backend)
-        self.algo = get_algorithm(algorithm)
-        self.context = context
-        self.schedule = schedule
-        self.overlapped = 0
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="repro-ctp-pipe"
         )
-        self._jobs: List[CTPJob] = []
-        self._futures: Dict[int, Any] = {}
-        self._memo_hits: Dict[int, CTPResultSet] = {}
-        self._leaders: Dict[Hashable, int] = {}
-        self._followers_of: Dict[int, List[CTPJob]] = {}
-
-    def _run_one(self, job: CTPJob) -> Tuple[CTPResultSet, float]:
-        config = job.config if self.schedule is None else self.schedule.config_for_run(job)
-        started = time.perf_counter()
-        result_set = self.algo.run(self.graph, job.seed_sets, config, context=self.context)
-        return result_set, time.perf_counter() - started
-
-    def submit_ready(self, jobs: Sequence[CTPJob], overlapped: bool = False) -> None:
-        """Submit jobs whose seed bindings just resolved, longest-first.
-
-        ``overlapped`` marks jobs entering while step (A) still has BGPs
-        to evaluate — the pipeline-overlap count the schedule telemetry
-        reports.
-        """
-        ordered = list(jobs)
-        if self.schedule is not None:
-            ordered = self.schedule.ordered(ordered, lambda job: job.index)
-        for job in ordered:
-            self._submit(job, overlapped)
-
-    def _submit(self, job: CTPJob, overlapped: bool) -> None:
-        self._jobs.append(job)
-        if self.context is not None and job.memo_key is not None:
-            cached = self.context.ctp_cache.get(job.memo_key)
-            if cached is not None:
-                self._memo_hits[job.index] = cached
-                if self.schedule is not None:
-                    self.schedule.settle(job.index)
-                return
-        key = job.memo_key
-        if key is not None:
-            leader = self._leaders.get(key)
-            if leader is not None:
-                # In-flight dedup: ride the leader, settle when it does.
-                self._followers_of[leader].append(job)
-                return
-            self._leaders[key] = job.index
-        self._followers_of[job.index] = []
-        if overlapped:
-            self.overlapped += 1
-        if self.schedule is not None:
-            self.schedule.record_submits([job.index])
-        self._futures[job.index] = self._executor.submit(self._run_one, job)
-
-    def abort(self) -> None:
-        """Best-effort teardown when step (A) fails mid-pipeline."""
-        self._executor.shutdown(wait=False, cancel_futures=True)
 
     def finish(self) -> List[CTPOutcome]:
-        """Barrier: settle every submitted job, replay the memo, stamp modes."""
-        jobs = sorted(self._jobs, key=lambda job: job.index)
-        size = max((job.index for job in jobs), default=-1) + 1
-        outcomes: List[Optional[CTPOutcome]] = [None] * size
-        followers: List[int] = []
-
-        def settle(index: int) -> None:
-            if self.schedule is not None:
-                self.schedule.settle(index)
-
+        pool, report, jobs = self.pool, self.report, self.jobs
+        breaker, policy = pool.breaker, pool.retry_policy
+        if not breaker.allow():
+            report.breaker_skips += 1
+            self._note_pool_state()
+            return self._degraded()
+        verdict = False  # has the breaker heard anything about the pool yet?
         try:
-            for index, cached in self._memo_hits.items():
-                outcomes[index] = CTPOutcome(cached, True, 0.0)
-            rerun_futures: List[Tuple[CTPJob, Any]] = []
-            future_to_index = {future: index for index, future in self._futures.items()}
-            for future in as_completed(future_to_index):
-                index = future_to_index[future]
-                result_set, seconds = future.result()
-                outcomes[index] = CTPOutcome(result_set, False, seconds)
-                settle(index)
-                group = self._followers_of.get(index, [])
-                if _replayable(result_set):
-                    for follower in group:
-                        outcomes[follower.index] = CTPOutcome(result_set, True, 0.0)
-                        followers.append(follower.index)
-                        settle(follower.index)
-                else:
-                    rerun_futures.extend(
-                        (job, self._executor.submit(self._run_one, job)) for job in group
+            try:
+                delta = pool.prepare_for(self.graph)
+            except StaleViewError:
+                # Not a pool failure — the pinned view outlived the workers'
+                # base (a compaction moved past it), so serve it in-process
+                # instead of charging the breaker for an outdated reader.
+                return self._degraded()
+            except (ReproError, OSError, pickle.PicklingError, TypeError, AttributeError):
+                breaker.record_failure()
+                verdict = True
+                return self._degraded()
+            if not _jobs_picklable(self.algorithm, jobs, delta):
+                # Not a pool failure either: the workload itself cannot
+                # cross a process boundary.
+                return self._degraded()
+
+            def ship(job: CTPJob) -> "Future[Any]":
+                # A process job's grant is read at submit time (the worker
+                # cannot reach the parent's ledger); the shipped config
+                # carries it.
+                schedule = self.schedule
+                config = job.config if schedule is None else schedule.config_for_run(job)
+                return pool.submit(self.algorithm, job.seed_sets, config, delta=delta)
+
+            budget = min(
+                (job.config.timeout for job in jobs if job.config.timeout is not None),
+                default=None,
+            )
+            started = time.monotonic()
+            rng = policy.rng()
+            attempt = 1
+            while True:
+                try:
+                    outcomes = self._run(
+                        Dispatch(
+                            self.context, self.schedule, ship, "process",
+                            watchdog=_watchdog_budget(jobs, pool),
+                        )
                     )
-            for job, future in rerun_futures:
-                result_set, seconds = future.result()
-                outcomes[job.index] = CTPOutcome(result_set, False, seconds)
-                settle(job.index)
+                    breaker.record_success()
+                    verdict = True
+                    return outcomes
+                except StaleViewError:
+                    return self._degraded()
+                except policy.retryable as error:
+                    breaker.record_failure()
+                    verdict = True
+                    try:
+                        if isinstance(error, WorkerHangError):
+                            report.hangs += 1
+                            pool.recover_from_hang()
+                        else:
+                            pool.respawn()
+                        report.respawns += 1
+                    except (PoolClosedError, ReproError, OSError):
+                        # The pool cannot be rebuilt (closed under us,
+                        # snapshot gone): no retry can succeed on it.
+                        return self._degraded()
+                    if not policy.should_retry(
+                        attempt, error, elapsed=time.monotonic() - started, budget=budget
+                    ):
+                        return self._degraded()
+                    backoff = policy.backoff_seconds(attempt, rng)
+                    if backoff > 0:
+                        time.sleep(backoff)
+                    report.retries += 1
+                    attempt += 1
         finally:
-            self._executor.shutdown(wait=True)
-        _replay_memo(jobs, outcomes, followers, self.context)
-        if self.schedule is not None:
-            self.schedule.report.pipeline_overlaps = self.overlapped
-        return _stamp_mode(outcomes, "thread")
+            if not verdict:
+                breaker.release()
+            self._note_pool_state()
+
+    def _note_pool_state(self) -> None:
+        """Record the pool's breaker state and recycle count on the report."""
+        self.report.breaker_state = self.pool.breaker.state
+        self.report.recycled_workers = self.pool.recycles
 
 
 # ----------------------------------------------------------------------
@@ -1072,7 +868,8 @@ def evaluate_queries(
     :class:`~repro.query.pool.WorkerPool` routes every query's
     ``"process"``-mode dispatch through the same long-lived workers, so
     the batch pays executor spin-up and per-worker snapshot loads once —
-    not once per query (the PR-5 behaviour this parameter fixes).
+    not once per query, as the call-scoped pool of a pool-less process
+    dispatch does.
     """
     from repro.query.evaluator import evaluate_query  # local: evaluator imports us
 

@@ -1,17 +1,16 @@
 """A persistent process pool for CTP evaluation: warm workers, many queries.
 
-The PR-5 process dispatcher (:func:`repro.query.parallel._run_process`)
-proved the mechanism — workers initialized once with an mmap-shared CSR
-snapshot, each holding a private long-lived
-:class:`~repro.ctp.context.SearchContext` — but tore the whole
-``ProcessPoolExecutor`` down after every ``evaluate_query`` call.  Each
-request therefore paid fork/forkserver spin-up plus a per-worker snapshot
-load, then threw the warm per-worker context away: the multi-core win
-never amortized, which is fatal for the serving regime the paper's
-integrated evaluator implies (many queries, one graph).
+Process dispatch runs each CTP in a worker interpreter initialized once
+with an mmap-shared CSR snapshot and holding a private long-lived
+:class:`~repro.ctp.context.SearchContext`.  What that costs is spin-up —
+fork/forkserver plus a per-worker snapshot load — and a warm per-worker
+context that is worth keeping, so the serving regime the paper's
+integrated evaluator implies (many queries, one graph) needs the workers
+to outlive the query.
 
-:class:`WorkerPool` fixes the amortization: it owns **one** executor for
-the lifetime of the pool.
+:class:`WorkerPool` owns **one** executor for the lifetime of the pool;
+every process-mode dispatch in :mod:`repro.query.parallel` runs through
+one (a query without an injected pool gets one that lives for the call).
 
 * **Load once, serve forever** — workers run
   :func:`~repro.query.parallel._process_worker_init` exactly once, when
@@ -235,19 +234,23 @@ class WorkerPool:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def close(self) -> None:
+    def close(self, release_snapshot: bool = True) -> None:
         """Shut the executor down and release pool-owned temp state.
 
         Idempotent.  The auto-snapshot file (if the pool created one) is
         unlinked *now* rather than at interpreter exit — a long-lived
         server cycles pools (respawns, graph generations) and would
         otherwise stack up one stranded temp file per cycle.  Explicitly
-        saved snapshot files are never touched.
+        saved snapshot files are never touched.  ``release_snapshot=False``
+        is for the pool a per-call process dispatch builds: the file stays
+        memoized on the graph, so the next call maps it instead of
+        serializing the graph again.
         """
         with self._lock:
             self._closed = True
             self._shutdown_locked()
-            release_auto_snapshot(self._snapshot_path)
+            if release_snapshot:
+                release_auto_snapshot(self._snapshot_path)
             self._snapshot_path = None
             self._csr = None
 

@@ -192,7 +192,9 @@ class CircuitBreaker:
         Closed: always.  Open: no, until the cooldown elapses.  Half-open:
         admits up to ``half_open_probes`` probe dispatches, whose outcomes
         (:meth:`record_success`/:meth:`record_failure`) decide the next
-        state; further requests stay degraded until a probe settles.
+        state; further requests stay degraded until a probe settles.  An
+        admitted dispatch owes the breaker one of those two or
+        :meth:`release`.
         """
         with self._lock:
             self._tick_locked()
@@ -202,6 +204,18 @@ class CircuitBreaker:
                 self._probes_left -= 1
                 return True
             return False
+
+    def release(self) -> None:
+        """Hand an admitted probe back unspent.
+
+        For a dispatch :meth:`allow` admitted that ended without a verdict
+        on the pool (stale view, unpicklable workload, an evaluation
+        error): only open → half-open re-arms probes, so a probe spent on
+        such a dispatch would leave the breaker refusing forever.
+        """
+        with self._lock:
+            if self._state == BREAKER_HALF_OPEN and self._probes_left < self.half_open_probes:
+                self._probes_left += 1
 
     def record_success(self) -> None:
         with self._lock:

@@ -17,6 +17,7 @@ from typing import Any, List, Sequence, Tuple
 
 from repro.ctp.results import CTPResultSet, validate_result
 from repro.graph.graph import Graph
+from repro.query.parallel import InlineExecutor as _InlineExecutor
 
 
 class FakeClock:
@@ -42,13 +43,12 @@ class FakeClock:
         return self
 
 
-class InlineExecutor:
-    """A deterministic executor shim: every submit runs inline, in order.
+class InlineExecutor(_InlineExecutor):
+    """The dispatch layer's inline executor, recording what it was handed.
 
-    Quacks enough like ``concurrent.futures`` pools for the dispatch
-    layer's fan-out (``submit`` returning real, already-resolved
-    ``Future`` objects that ``as_completed`` consumes) while recording
-    the exact submission order in :attr:`submitted` — so tests can pin
+    Every submit runs inline, in order (the serial path of
+    :mod:`repro.query.parallel`, not a stand-in for it), and the exact
+    submission order lands in :attr:`submitted` — so tests can pin
     *scheduling decisions* (longest-first ordering, rebalance timing)
     without threads, wall clocks, or flaky completion races.
     """
@@ -59,15 +59,7 @@ class InlineExecutor:
 
     def submit(self, fn: Any, *args: Any, **kwargs: Any) -> "Future[Any]":
         self.submitted.append((fn, args))
-        future: "Future[Any]" = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as error:  # noqa: BLE001 - mirror executor semantics
-            future.set_exception(error)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        """No-op (nothing is ever pending); present for pool parity."""
+        return super().submit(fn, *args, **kwargs)
 
 
 def random_graph(

@@ -366,6 +366,41 @@ class TestPoolDelta:
             assert result.generation == stale.generation
             assert pool.breaker.state == "closed"  # stale view is not a pool fault
 
+    def test_compaction_between_prepare_and_worker_run_degrades_typed(self):
+        """A compaction + respawn landing after this request's ``prepare_for``
+        but before its worker run leaves the worker holding a newer base
+        than the shipped delta was captured against: the worker reports a
+        typed ``StaleViewError`` and the dispatch serves the pinned
+        generation in-process — same as a view ``prepare_for`` finds stale —
+        instead of failing the request with an untyped ``GraphError``."""
+        graph, (a, _b, _c) = _chain_graph()
+        with WorkerPool(graph, workers=1, compaction_threshold=2) as pool:
+            evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)  # warm
+            graph.add_edge(a, graph.add_node("D"), "r")
+            view = graph.read_view()  # pinned: base + a delta of 2
+            serial = evaluate_query(view, self.QUERY)
+            real_submit, raced = pool.submit, []
+
+            def racing_submit(*args, **kwargs):
+                if not raced:
+                    raced.append(True)
+                    for label in "EFGH":  # a concurrent ingest crosses the threshold...
+                        graph.add_edge(a, graph.add_node(label), "r")
+                    pool.prepare_for(graph)  # ...and its dispatch compacts + respawns
+                return real_submit(*args, **kwargs)
+
+            pool.submit = racing_submit
+            result = evaluate_query(view, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
+            assert raced and pool.compactions == 1
+            assert result.rows == serial.rows
+            assert result.generation == view.generation
+            assert [r.dispatch_mode for r in result.ctp_reports] == ["process->serial"]
+            assert result.resilience.degraded_to == "serial"
+            assert pool.breaker.state == "closed"  # an overtaken reader is not a pool fault
+            del pool.submit
+            after = evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
+            assert [r.dispatch_mode for r in after.ctp_reports] == ["process"]
+
     def test_pinned_head_view_dispatches_after_compaction(self):
         graph, _ = _chain_graph()
         with WorkerPool(graph, workers=1, compaction_threshold=0) as pool:

@@ -55,6 +55,7 @@ from repro.query.resilience import (
     ResilienceReport,
     RetryPolicy,
 )
+from repro.testing import FakeClock
 from repro.serve import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -422,6 +423,36 @@ def test_breaker_trips_then_half_open_probe_recovers(fig1):
         third = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert third.rows == serial.rows
         assert [r.dispatch_mode for r in third.ctp_reports] == ["process", "process", "memo"]
+        assert breaker.state == BREAKER_CLOSED
+
+
+@pytest.mark.parametrize("probe", ["unpicklable", "evaluation-error"])
+def test_half_open_probe_without_a_pool_verdict_is_handed_back(fig1, probe):
+    """A probe dispatch that ends without learning anything about the pool
+    must not leave the breaker half-open with no probe left to admit."""
+    serial = _serial(fig1)
+    clock = FakeClock()
+    breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=clock)
+    breaker.record_failure()
+    clock.advance(2.0)  # cooldown over: the next dispatch is the half-open probe
+    config = SearchConfig(parallelism=2, parallelism_mode="process")
+    with WorkerPool(fig1, workers=1, breaker=breaker) as pool:
+        if probe == "unpicklable":
+            score = lambda graph, edges, nodes: -len(edges)  # noqa: E731
+            first = evaluate_query(
+                fig1, MATRIX_QUERY, base_config=config.with_(score=score), pool=pool
+            )
+            assert {r.dispatch_mode for r in first.ctp_reports} == {"process->thread", "memo"}
+        else:
+            faults.install_plan(FaultPlan(specs=(FaultSpec.scorer(at=(0,), epochs=(0,)),)))
+            with pytest.raises(FaultInjected):
+                evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
+        assert breaker.state == BREAKER_HALF_OPEN
+        clock.advance(1000.0)
+        healthy = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
+        assert healthy.rows == serial.rows
+        assert healthy.resilience.breaker_skips == 0  # admitted, not refused
+        assert [r.dispatch_mode for r in healthy.ctp_reports] == ["process", "process", "memo"]
         assert breaker.state == BREAKER_CLOSED
 
 

@@ -14,11 +14,16 @@ Layers:
 * **fallbacks** — unpicklable configs degrade to thread (or serial)
   dispatch instead of failing the query, and a non-thread-safe context
   does *not* downgrade process dispatch (only the parent touches it);
+* **per-call dispatch is the pooled path** — without an injected pool a
+  process query runs on a ``WorkerPool`` that lives for the call: same
+  stamps, a ``ResilienceReport``, no worker or second snapshot file left
+  behind;
 * **batch API** — ``evaluate_queries`` under process mode.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -264,8 +269,14 @@ class TestFallbacks:
         )
         assert process.rows == serial.rows
         # The degradation is silent for the query but observable in the
-        # reports: the jobs actually ran on the thread pool.
-        assert [r.dispatch_mode for r in process.ctp_reports] == ["thread", "thread", "memo"]
+        # reports: the jobs actually ran on the thread pool, and the hop is
+        # stamped — a per-call dispatch takes the pooled path's policy.
+        assert [r.dispatch_mode for r in process.ctp_reports] == [
+            "process->thread",
+            "process->thread",
+            "memo",
+        ]
+        assert process.resilience.degraded_to == "thread"
 
     def test_unpicklable_with_non_thread_safe_context_runs_serial(self, fig1):
         """Worst case — jobs cannot cross a process boundary AND the
@@ -284,7 +295,12 @@ class TestFallbacks:
         )
         assert process.rows == serial.rows
         assert context.runs > 0  # the serial loop really used the context
-        assert [r.dispatch_mode for r in process.ctp_reports] == ["serial", "serial", "memo"]
+        assert [r.dispatch_mode for r in process.ctp_reports] == [
+            "process->serial",
+            "process->serial",
+            "memo",
+        ]
+        assert process.resilience.degraded_to == "serial"
 
     def test_run_ctp_jobs_direct_process_mode(self, fig1):
         """The dispatch API itself, without the evaluator on top."""
@@ -296,6 +312,33 @@ class TestFallbacks:
         assert len(process) == 3
         for a, b in zip(serial, process):
             assert [r.edges for r in a.result_set] == [r.edges for r in b.result_set]
+
+
+# ----------------------------------------------------------------------
+# per-call process dispatch is the pooled path on a call-scoped pool
+# ----------------------------------------------------------------------
+def test_per_call_process_dispatch_is_the_pooled_path(fig1):
+    import multiprocessing
+
+    from repro.graph import snapshot as snapshot_mod
+
+    config = SearchConfig(parallelism=2, parallelism_mode="process")
+    files_before = set(snapshot_mod._AUTO_SNAPSHOTS)
+    first = evaluate_query(fig1, MATRIX_QUERY, base_config=config)
+    files_after_first = set(snapshot_mod._AUTO_SNAPSHOTS) - files_before
+    second = evaluate_query(fig1, MATRIX_QUERY, base_config=config)
+    for result in (first, second):
+        assert result.rows == _serial(fig1, "molesp").rows
+        assert [r.dispatch_mode for r in result.ctp_reports] == ["process", "process", "memo"]
+        # The pooled path's telemetry, not the old bare fork.
+        assert result.resilience is not None
+        assert result.resilience.degraded_to is None and result.resilience.retries == 0
+    # The call-scoped pool is gone (no live workers) but the snapshot it
+    # mapped stays memoized on the graph: the second call wrote no file.
+    assert not [p for p in multiprocessing.active_children() if p.is_alive()]
+    assert len(files_after_first) <= 1
+    assert set(snapshot_mod._AUTO_SNAPSHOTS) - files_before == files_after_first
+    assert all(os.path.exists(path) for path in files_after_first)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ layers pin that:
   build budget (even past the deadline) and never exceed the intrinsic
   timeout, settled budget flows to pending CTPs — exact arithmetic via
   ``repro.testing.FakeClock``, no wall-clock races;
-* **inline-executor ordering** — ``_fan_out`` submits leaders
+* **inline-executor ordering** — ``Dispatch.submit`` starts leaders
   longest-first with ties broken by CTP index, recorded deterministically
   by ``repro.testing.InlineExecutor``, and in-flight dedup survives
   reordering;
@@ -50,7 +50,7 @@ from repro.query.costmodel import (
     choose_mode,
 )
 from repro.query.evaluator import evaluate_query
-from repro.query.parallel import CTPJob, _fan_out, run_ctp_jobs
+from repro.query.parallel import CTPJob, Dispatch, run_ctp_jobs
 from repro.serve import STATUS_OK, QueryRequest, QueryServer
 from repro.testing import FakeClock, InlineExecutor
 
@@ -341,22 +341,26 @@ def test_finalize_folds_estimates_actuals_and_ledger_counters():
 
 
 # ----------------------------------------------------------------------
-# _fan_out ordering: longest-first, deterministic, dedup-preserving
+# Dispatch ordering: longest-first, deterministic, dedup-preserving
 # ----------------------------------------------------------------------
 class _FakeResultSet:
     complete = True
     timed_out = False
 
 
-def _submit_one(pool, job):
-    return pool.submit(lambda j: (_FakeResultSet(), 0.0), job)
+def _dispatch(jobs, executor, schedule):
+    """One barrier dispatch over ``executor``: ``(outcomes, follower indices)``."""
+    start = lambda job: executor.submit(lambda j: (_FakeResultSet(), 0.0), job)  # noqa: E731
+    dispatch = Dispatch(None, schedule, start, "thread")
+    dispatch.submit(jobs)
+    return dispatch.finish(), dispatch.followers
 
 
 def test_fan_out_submits_longest_first_ties_by_index():
     executor = InlineExecutor()
     jobs = [CTPJob(index=i, seed_sets=[], config=SearchConfig()) for i in range(4)]
     schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0, 2: 9.0, 3: 4.0})
-    outcomes, followers = _fan_out(jobs, None, executor, _submit_one, schedule=schedule)
+    outcomes, followers = _dispatch(jobs, executor, schedule)
     assert [args[0].index for _, args in executor.submitted] == [1, 2, 3, 0]
     assert schedule.report.submit_order == [1, 2, 3, 0]
     assert followers == []
@@ -367,7 +371,7 @@ def test_fan_out_disabled_schedule_keeps_ctp_order():
     executor = InlineExecutor()
     jobs = [CTPJob(index=i, seed_sets=[], config=SearchConfig()) for i in range(3)]
     schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0, 2: 4.0}, enabled=False)
-    _fan_out(jobs, None, executor, _submit_one, schedule=schedule)
+    _dispatch(jobs, executor, schedule)
     assert [args[0].index for _, args in executor.submitted] == [0, 1, 2]
 
 
@@ -379,7 +383,7 @@ def test_fan_out_dedup_survives_reordering():
         CTPJob(index=2, seed_sets=[], config=SearchConfig(), memo_key="dup"),
     ]
     schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0, 2: 1.0})
-    outcomes, followers = _fan_out(jobs, None, executor, _submit_one, schedule=schedule)
+    outcomes, followers = _dispatch(jobs, executor, schedule)
     # Two leaders only (the duplicate shares), ordered longest-first.
     assert [args[0].index for _, args in executor.submitted] == [1, 0]
     assert followers == [2]
