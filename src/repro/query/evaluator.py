@@ -56,7 +56,7 @@ from repro.ctp.results import CTPResultSet, ResultTree, tree_leaves
 from repro.errors import EvaluationError
 from repro.graph.graph import Graph
 from repro.query.ast import CTP, CTPFilters, EQLQuery, Predicate
-from repro.query.bgp import evaluate_bgp
+from repro.query.bgp import evaluate_bgp, matching_nodes
 from repro.query.costmodel import (
     CTPCostEstimator,
     DeadlineLedger,
@@ -196,13 +196,7 @@ def config_for_ctp(filters: CTPFilters, base: SearchConfig, default_timeout: Opt
 
 def match_seed_nodes(graph: Graph, predicate: Predicate) -> List[int]:
     """Nodes of N satisfying a seed predicate (step B.1, free-variable case)."""
-    label = predicate.label_constant()
-    if label is not None:
-        return [n for n in graph.nodes_with_label(label) if predicate.test(graph.node(n))]
-    type_name = predicate.type_constant()
-    if type_name is not None:
-        return [n for n in graph.nodes_with_type(type_name) if predicate.test(graph.node(n))]
-    return graph.find_nodes(predicate.test)
+    return matching_nodes(graph, predicate)
 
 
 def derive_binding_values(
@@ -282,7 +276,7 @@ def _seed_sets_for_ctp(
                 cache_hits += 1
         if nodes is None:
             if bound is not None:
-                nodes = bound if seed.is_empty else [n for n in bound if seed.test(graph.node(n))]
+                nodes = bound if seed.is_empty else matching_nodes(graph, seed, bound)
             else:
                 nodes = match_seed_nodes(graph, seed)
             if seed_cache is not None:

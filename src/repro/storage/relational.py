@@ -9,50 +9,48 @@ the remaining tables are truly disconnected).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.storage.table import Table
+from repro.storage.table import Table, row_picker
 
 
 def natural_join(left: Table, right: Table) -> Table:
     """Hash-based natural join on all shared column names.
 
     With no shared columns this degrades to the Cartesian product, matching
-    standard relational semantics.
+    standard relational semantics.  Keys come from one compiled
+    ``itemgetter`` per side — a bare scalar when a single column is shared
+    (the BGP chain case), a tuple otherwise — and right rows are cut down
+    to their non-shared columns once per row, not once per output row.
+
+    Output order is part of the contract (BGP row order decides seed
+    order): probe rows in table order, and for each the matching build
+    rows in table order, the build side being the smaller operand (the
+    left one on a tie).
     """
     shared = [c for c in left.columns if c in right.columns]
     if not shared:
         return left.cross(right)
-    left_positions = [left.column_position(c) for c in shared]
-    right_positions = [right.column_position(c) for c in shared]
+    left_key = itemgetter(*(left.column_position(c) for c in shared))
+    right_key = itemgetter(*(right.column_position(c) for c in shared))
     right_extra = [i for i, c in enumerate(right.columns) if c not in shared]
-    # Build the hash table on the smaller operand.
-    swap = len(right) < len(left)
-    if swap:
-        build, probe = right, left
-        build_positions, probe_positions = right_positions, left_positions
-    else:
-        build, probe = left, right
-        build_positions, probe_positions = left_positions, right_positions
-    buckets: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in build.rows:
-        key = tuple(row[p] for p in build_positions)
-        buckets.setdefault(key, []).append(row)
+    extra = row_picker(right_extra)
     columns = left.columns + tuple(right.columns[i] for i in right_extra)
-    out_rows: List[Tuple[Any, ...]] = []
-    if swap:
-        # probe = left; matched build rows are right rows
-        for left_row in probe.rows:
-            key = tuple(left_row[p] for p in probe_positions)
-            for right_row in buckets.get(key, ()):
-                out_rows.append(left_row + tuple(right_row[i] for i in right_extra))
+    left_keys, right_keys = map(left_key, left.rows), map(right_key, right.rows)
+    tails = map(extra, right.rows)
+    buckets: Dict[Any, List[Tuple[Any, ...]]] = {}
+    matches = buckets.get
+    if len(right) < len(left):
+        for key, tail in zip(right_keys, tails):
+            buckets.setdefault(key, []).append(tail)
+        rows = [row + tail for row, key in zip(left.rows, left_keys) for tail in matches(key, ())]
     else:
-        for right_row in probe.rows:
-            key = tuple(right_row[p] for p in probe_positions)
-            for left_row in buckets.get(key, ()):
-                out_rows.append(left_row + tuple(right_row[i] for i in right_extra))
-    return Table(columns, out_rows)
+        for row, key in zip(left.rows, left_keys):
+            buckets.setdefault(key, []).append(row)
+        rows = [row + tail for key, tail in zip(right_keys, tails) for row in matches(key, ())]
+    return Table._derived(columns, rows)
 
 
 def natural_join_many(tables: Sequence[Table]) -> Table:
@@ -82,7 +80,6 @@ def semi_join(left: Table, right: Table) -> Table:
     shared = [c for c in left.columns if c in right.columns]
     if not shared:
         return left if len(right) else Table.empty(left.columns)
-    right_positions = [right.column_position(c) for c in shared]
-    keys = {tuple(row[p] for p in right_positions) for row in right.rows}
-    left_positions = [left.column_position(c) for c in shared]
-    return Table(left.columns, (row for row in left.rows if tuple(row[p] for p in left_positions) in keys))
+    keys = set(map(itemgetter(*(right.column_position(c) for c in shared)), right.rows))
+    left_key = itemgetter(*(left.column_position(c) for c in shared))
+    return Table._derived(left.columns, [row for row in left.rows if left_key(row) in keys])

@@ -1,6 +1,8 @@
 """Tests for natural joins (step C of the paper's evaluation strategy)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage.relational import natural_join, natural_join_many, semi_join
@@ -40,6 +42,71 @@ class TestNaturalJoin:
         left = Table(("x", "y"), [])
         right = Table(("y", "z"), [("a", 1)])
         assert len(natural_join(left, right)) == 0
+
+
+def _reference_natural_join(left, right):
+    """The join as it was: tuple keys per row on either side, rows re-checked
+    by the public ``Table`` constructor.  Defines the output order."""
+    shared = [c for c in left.columns if c in right.columns]
+    if not shared:
+        return left.cross(right)
+    left_positions = [left.column_position(c) for c in shared]
+    right_positions = [right.column_position(c) for c in shared]
+    right_extra = [i for i, c in enumerate(right.columns) if c not in shared]
+    swap = len(right) < len(left)
+    if swap:
+        build, probe = right, left
+        build_positions, probe_positions = right_positions, left_positions
+    else:
+        build, probe = left, right
+        build_positions, probe_positions = left_positions, right_positions
+    buckets = {}
+    for row in build.rows:
+        key = tuple(row[p] for p in build_positions)
+        buckets.setdefault(key, []).append(row)
+    columns = left.columns + tuple(right.columns[i] for i in right_extra)
+    out_rows = []
+    if swap:
+        for left_row in probe.rows:
+            key = tuple(left_row[p] for p in probe_positions)
+            for right_row in buckets.get(key, ()):
+                out_rows.append(left_row + tuple(right_row[i] for i in right_extra))
+    else:
+        for right_row in probe.rows:
+            key = tuple(right_row[p] for p in probe_positions)
+            for left_row in buckets.get(key, ()):
+                out_rows.append(left_row + tuple(right_row[i] for i in right_extra))
+    return Table(columns, out_rows)
+
+
+def _tables(columns):
+    # Values from a set of three: duplicate keys on both sides are the rule.
+    row = st.tuples(*[st.integers(0, 2)] * len(columns))
+    return st.lists(row, max_size=8).map(lambda rows: Table(columns, rows))
+
+
+#: (left columns, right columns): one shared column — scalar keys, the BGP
+#: chain case — in either position, two shared, all shared, right all shared.
+_SCHEMAS = st.sampled_from(
+    [
+        (("a", "k"), ("k", "b")),
+        (("k", "a"), ("b", "c", "k")),
+        (("a", "k", "j"), ("j", "b", "k")),
+        (("k", "j"), ("j", "k")),
+        (("a", "k"), ("k",)),
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), schema=_SCHEMAS)
+def test_natural_join_equals_reference_row_for_row(data, schema):
+    """Empty sides, equal sizes and both build/probe directions included."""
+    left, right = data.draw(_tables(schema[0])), data.draw(_tables(schema[1]))
+    expected = _reference_natural_join(left, right)
+    got = natural_join(left, right)
+    assert got.columns == expected.columns
+    assert got.rows == expected.rows
 
 
 class TestNaturalJoinMany:

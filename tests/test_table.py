@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
+from repro.storage.relational import natural_join, semi_join
 from repro.storage.table import Table
 
 
@@ -103,3 +104,48 @@ class TestOperators:
     def test_sort(self, people):
         ordered = people.sort(["city", "name"])
         assert [r[0] for r in ordered.rows] == ["bob", "alice", "carol"]
+
+
+class TestDerivedTables:
+    """Operators build their result without re-validating rows; what they
+    are handed from outside is still checked, and nothing is shared."""
+
+    def test_public_constructor_checks_every_row(self):
+        with pytest.raises(StorageError):
+            Table(("a", "b"), [(1, 2), (3,)])
+        with pytest.raises(StorageError):
+            Table(("a", "b"), iter([(1, 2, 3)]))
+        assert Table(("a", "b"), [[1, 2]]).rows == [(1, 2)]  # rows become tuples
+
+    def test_operators_still_reject_duplicate_columns(self, people):
+        with pytest.raises(StorageError):
+            people.project(["name", "name"])
+        with pytest.raises(StorageError):
+            people.rename({"name": "city"})
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            lambda t: t.project(["name", "city"]),
+            lambda t: t.project(["city"], distinct=True),
+            lambda t: t.select(lambda record: True),
+            lambda t: t.select_eq("city", "paris"),
+            lambda t: t.select_in("city", ["paris", "lyon"]),
+            lambda t: t.rename({}),
+            lambda t: t.distinct(),
+            lambda t: t.union(Table.empty(t.columns)),
+            lambda t: Table.empty(t.columns).union(t),
+            lambda t: t.cross(Table(("one",), [(1,)])),
+            lambda t: t.sort(["name"]),
+            lambda t: natural_join(t, Table(("city",), [("paris",), ("lyon",)])),
+            lambda t: natural_join(Table(("city",), [("paris",), ("lyon",)]), t),
+            lambda t: semi_join(t, Table(("city",), [("paris",), ("lyon",)])),
+        ],
+    )
+    def test_no_operator_output_aliases_its_input_rows(self, people, operator):
+        before = list(people.rows)
+        out = operator(people)
+        assert out.rows is not people.rows
+        assert all(type(row) is tuple and len(row) == len(out.columns) for row in out.rows)
+        out.rows.clear()
+        assert people.rows == before
