@@ -11,11 +11,12 @@ importable unambiguously by tests, benchmarks, and library users alike.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from concurrent.futures import Future
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.ctp.results import CTPResultSet, validate_result
+from repro.ctp.results import CTPResultSet, ResultTree, validate_result
 from repro.graph.graph import Graph
 from repro.query.parallel import InlineExecutor as _InlineExecutor
 
@@ -165,3 +166,37 @@ def assert_all_valid(graph: Graph, results: CTPResultSet, seed_sets: Sequence, w
 def assert_same_results(left: CTPResultSet, right: CTPResultSet):
     """Two complete algorithms must return the same set of edge sets."""
     assert left.edge_sets() == right.edge_sets()
+
+
+def _tree_key(tree: ResultTree) -> Tuple[Any, ...]:
+    return (sorted(tree.edges), tree.seeds, round(tree.weight, 9))
+
+
+def _digest(value: Any) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def result_set_record(result_set: CTPResultSet) -> Dict[str, Any]:
+    """Golden-file form of one CTP evaluation: its results in emission
+    order (as a digest) and the two counters a different search would move."""
+    return {
+        "results": len(result_set),
+        "sha256": _digest([_tree_key(tree) for tree in result_set]),
+        "provenances": result_set.stats.provenances,
+        "results_found": result_set.stats.results_found,
+    }
+
+
+def query_record(result: Any) -> Dict[str, Any]:
+    """Golden-file form of a :class:`~repro.query.evaluator.QueryResult`:
+    columns, row count, digest of the rows in order, per-CTP records."""
+    rows = [
+        tuple(_tree_key(value) if isinstance(value, ResultTree) else value for value in row)
+        for row in result.rows
+    ]
+    return {
+        "columns": list(result.columns),
+        "rows": len(rows),
+        "sha256": _digest(rows),
+        "ctps": [result_set_record(report.result_set) for report in result.ctp_reports],
+    }

@@ -16,8 +16,11 @@ Two groups of tests:
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,13 @@ from repro.errors import GraphError
 from repro.graph.backend import BACKENDS, CSRGraph, GraphBackend, backend_name, resolve_backend
 from repro.graph.graph import Graph
 from repro.graph.traversal import ball, bfs_distances, dijkstra_distances
-from repro.testing import assert_all_valid, random_graph, random_seed_sets, rich_graphs
+from repro.testing import (
+    assert_all_valid,
+    random_graph,
+    random_seed_sets,
+    result_set_record,
+    rich_graphs,
+)
 
 SEEDS = (1, 2, 3, 5, 8, 13)
 
@@ -76,6 +85,51 @@ class TestBackendSelection:
 # ----------------------------------------------------------------------
 # equivalence properties (dict vs CSR)
 # ----------------------------------------------------------------------
+SEARCH_ALGORITHMS = {
+    "molesp": MoLESPSearch(),
+    "molesp-labels": MoLESPSearch(),
+    "esp": ESPSearch(),
+    "bft": BFTSearch(),
+}
+#: (nodes, edges, edge labels, seed sets) of each search case's random graph.
+SEARCH_SHAPES = {
+    "molesp": (8, 12, 3, 3),
+    "molesp-labels": (9, 18, 2, 2),
+    "esp": (7, 10, 3, 2),
+    "bft": (7, 10, 3, 2),
+}
+
+
+def _search_case(name, seed):
+    """``(graph, seed_sets, labels)`` of search case ``name`` at ``seed``."""
+    nodes, edges, num_labels, m = SEARCH_SHAPES[name]
+    rng = random.Random(seed)
+    graph = random_graph(rng, num_nodes=nodes, num_edges=edges, num_labels=num_labels)
+    seed_sets = random_seed_sets(rng, graph, m=m)
+    return graph, seed_sets, frozenset(("l0", "l1")) if name == "molesp-labels" else None
+
+
+#: ``tests/data/knobs_golden.json``, section ``"backend"``: the record
+#: (:func:`repro.testing.result_set_record`) of every search case, taken
+#: with ``SearchConfig(backend="dict")`` and with ``backend="csr"``.
+GOLDEN_PATH = Path(__file__).parent / "data" / "knobs_golden.json"
+
+
+def _golden_records():
+    for name, algorithm in SEARCH_ALGORITHMS.items():
+        for seed in SEEDS if name == "molesp" else SEEDS[:3]:
+            graph, seed_sets, labels = _search_case(name, seed)
+            for backend in ("dict", "csr"):
+                config = SearchConfig(labels=labels, backend=backend)
+                record = result_set_record(algorithm.run(graph, seed_sets, config))
+                yield f"{name}|{seed}|{backend}", record
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())["backend"]
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_topology_reads_identical(self, seed):
@@ -125,37 +179,38 @@ class TestBackendEquivalence:
         assert ball(frozen, 0, radius=3) == ball(graph, 0, radius=3)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_molesp_results_identical(self, seed):
-        rng = random.Random(seed)
-        graph = random_graph(rng, num_nodes=8, num_edges=12)
-        seed_sets = random_seed_sets(rng, graph, m=3)
+    def test_molesp_results_identical(self, golden, seed):
+        graph, seed_sets, _ = _search_case("molesp", seed)
         algorithm = MoLESPSearch()
         via_dict = algorithm.run(graph, seed_sets, SearchConfig(backend="dict"))
         via_csr = algorithm.run(graph, seed_sets, SearchConfig(backend="csr"))
         via_frozen = algorithm.run(graph.freeze(), seed_sets)
         assert via_dict.edge_sets() == via_csr.edge_sets() == via_frozen.edge_sets()
+        assert result_set_record(via_dict) == golden[f"molesp|{seed}|dict"]
+        assert result_set_record(via_csr) == golden[f"molesp|{seed}|csr"]
+        assert result_set_record(via_frozen) == golden[f"molesp|{seed}|csr"]
         assert_all_valid(graph, via_csr, seed_sets)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_esp_and_bft_results_identical(self, seed):
-        rng = random.Random(seed)
-        graph = random_graph(rng, num_nodes=7, num_edges=10)
-        seed_sets = random_seed_sets(rng, graph, m=2)
-        for algorithm in (ESPSearch(), BFTSearch()):
+    def test_esp_and_bft_results_identical(self, golden, seed):
+        for name in ("esp", "bft"):
+            graph, seed_sets, _ = _search_case(name, seed)
+            algorithm = SEARCH_ALGORITHMS[name]
             via_dict = algorithm.run(graph, seed_sets, SearchConfig(backend="dict"))
             via_csr = algorithm.run(graph, seed_sets, SearchConfig(backend="csr"))
             assert via_dict.edge_sets() == via_csr.edge_sets()
+            assert result_set_record(via_dict) == golden[f"{name}|{seed}|dict"]
+            assert result_set_record(via_csr) == golden[f"{name}|{seed}|csr"]
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_label_filtered_search_identical(self, seed):
-        rng = random.Random(seed)
-        graph = random_graph(rng, num_nodes=9, num_edges=18, num_labels=2)
-        seed_sets = random_seed_sets(rng, graph, m=2)
+    def test_label_filtered_search_identical(self, golden, seed):
+        graph, seed_sets, labels = _search_case("molesp-labels", seed)
         algorithm = MoLESPSearch()
-        labels = frozenset(("l0", "l1"))
         via_dict = algorithm.run(graph, seed_sets, SearchConfig(labels=labels, backend="dict"))
         via_csr = algorithm.run(graph, seed_sets, SearchConfig(labels=labels, backend="csr"))
         assert via_dict.edge_sets() == via_csr.edge_sets()
+        assert result_set_record(via_dict) == golden[f"molesp-labels|{seed}|dict"]
+        assert result_set_record(via_csr) == golden[f"molesp-labels|{seed}|csr"]
 
 
 # ----------------------------------------------------------------------
@@ -333,3 +388,13 @@ def test_label_index_derived_after_source_mutation_is_as_of_freeze():
     assert frozen.node_labels() == ["A"]
     with pytest.raises(GraphError, match="found 2"):
         frozen.find_node_by_label("A")
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        records = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+        records["backend"] = dict(_golden_records())
+        GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN_PATH}")
+    else:
+        print(__doc__)

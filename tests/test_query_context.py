@@ -16,8 +16,13 @@ Three layers:
 
 from __future__ import annotations
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.bench.experiments.micro_query_context import grouped_star
 from repro.ctp.config import SearchConfig
 from repro.ctp.context import ResultCache, SearchContext
 from repro.ctp.interning import EdgeSetPool
@@ -27,6 +32,7 @@ from repro.ctp.results import ResultTree
 from repro.graph.datasets import figure1
 from repro.graph.graph import Graph
 from repro.query.evaluator import evaluate_query
+from repro.testing import query_record
 
 Q1 = """
 SELECT ?x ?y ?z ?w
@@ -225,11 +231,61 @@ def _cases():
                 yield query_name, query, config_name, overrides, algo
 
 
+def _star_query(targets, connects) -> str:
+    """``connects`` CONNECTs from seed group g0 of a :func:`grouped_star`:
+    all to g1 over shared variables (``targets == 1``: whole-CTP repeats),
+    or each to its own group (seed-set overlap only)."""
+    ends = [f"b{j % targets}" for j in range(connects)]
+    filters = ['FILTER(type(?a) = "g0")']
+    filters += [f'FILTER(type(?b{t}) = "g{t + 1}")' for t in range(targets)]
+    ctps = [f"CONNECT(?a, ?{end}) AS ?w{j}" for j, end in enumerate(ends)]
+    head = " ".join(f"?w{j}" for j in range(connects))
+    return f"SELECT ?a {head} WHERE {{ {' '.join(filters + ctps)} }}"
+
+
+#: The workloads of the retired ``repro.bench query-context`` at its smoke
+#: scale (``fig1-dup-ctp`` there is ``dup-ctp`` above): memo, overlap and
+#: single-CTP control regimes on grouped stars.
+STAR_WORKLOADS = {
+    "dup-3-ctps": ((2, 2, 2), _star_query(1, 3)),
+    "dup-5-ctps": ((2, 2, 2), _star_query(1, 5)),
+    "overlap-2-ctps": ((3, 2, 3), _star_query(2, 2)),
+    "single-ctp": ((2, 2, 2), _star_query(1, 1)),
+}
+
+#: ``tests/data/knobs_golden.json``, section ``"query_context"``: the
+#: record (:func:`repro.testing.query_record`) of every case below, taken
+#: with ``shared_context=False`` (a private pool per CTP, no memo).
+GOLDEN_PATH = Path(__file__).parent / "data" / "knobs_golden.json"
+
+
+def _golden_records():
+    fig1 = figure1()
+    for query_name, query, config_name, overrides, algo in _cases():
+        config = SearchConfig(shared_context=False, **overrides)
+        result = evaluate_query(fig1, query, algorithm=algo, base_config=config)
+        yield f"{query_name}|{config_name}|{algo}", query_record(result)
+    private = SearchConfig(shared_context=False)
+    yield "two-ctp|default|bft-am", query_record(
+        evaluate_query(fig1, TWO_CTP, algorithm="bft-am", base_config=private)
+    )
+    for name, (shape, query) in STAR_WORKLOADS.items():
+        result = evaluate_query(grouped_star(*shape), query, base_config=private)
+        yield f"{name}|default|molesp", query_record(result)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())["query_context"]
+
+
 @pytest.mark.parametrize(
     "query_name,query,config_name,overrides,algo",
     [pytest.param(*case, id=f"{case[0]}|{case[2]}|{case[4]}") for case in _cases()],
 )
-def test_shared_context_row_equivalence(fig1, query_name, query, config_name, overrides, algo):
+def test_shared_context_row_equivalence(
+    fig1, golden, query_name, query, config_name, overrides, algo
+):
     """Shared-context evaluation is row-for-row the pool-per-CTP evaluation."""
     shared = evaluate_query(
         fig1, query, algorithm=algo, base_config=SearchConfig(shared_context=True, **overrides)
@@ -239,6 +295,9 @@ def test_shared_context_row_equivalence(fig1, query_name, query, config_name, ov
     )
     assert shared.columns == baseline.columns
     assert canonical_rows(shared) == canonical_rows(baseline)
+    record = golden[f"{query_name}|{config_name}|{algo}"]
+    assert query_record(shared) == record
+    assert query_record(baseline) == record
     assert baseline.context_stats is None
     assert shared.context_stats is not None
     for shared_report, base_report in zip(shared.ctp_reports, baseline.ctp_reports):
@@ -248,11 +307,19 @@ def test_shared_context_row_equivalence(fig1, query_name, query, config_name, ov
         ]
 
 
-def test_bft_shared_context_equivalence(fig1):
+def test_bft_shared_context_equivalence(fig1, golden):
     shared = evaluate_query(fig1, TWO_CTP, algorithm="bft-am", base_config=SearchConfig(shared_context=True))
     baseline = evaluate_query(fig1, TWO_CTP, algorithm="bft-am", base_config=SearchConfig(shared_context=False))
     assert canonical_rows(shared) == canonical_rows(baseline)
+    assert query_record(shared) == query_record(baseline) == golden["two-ctp|default|bft-am"]
     assert shared.context_stats["runs"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(STAR_WORKLOADS))
+def test_star_workloads_match_pool_per_ctp_golden(golden, name):
+    shape, query = STAR_WORKLOADS[name]
+    result = evaluate_query(grouped_star(*shape), query)
+    assert query_record(result) == golden[f"{name}|default|molesp"]
 
 
 # ----------------------------------------------------------------------
@@ -354,3 +421,13 @@ class TestCacheCounters:
         # The tighter MAX excludes every 3-edge connection: the differing
         # result set proves the memo did not conflate the two configs.
         assert len(second.result_set) == 0
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        records = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+        records["query_context"] = dict(_golden_records())
+        GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN_PATH}")
+    else:
+        print(__doc__)

@@ -31,6 +31,9 @@ layers pin that:
 
 from __future__ import annotations
 
+import json
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -42,6 +45,7 @@ from repro.ctp.context import ResultCache
 from repro.ctp.registry import ALGORITHMS
 from repro.ctp.stats import SearchStats
 from repro.errors import ConfigError
+from repro.graph.datasets import figure1
 from repro.graph.graph import Graph
 from repro.query.costmodel import (
     LEDGER_FLOOR,
@@ -52,7 +56,8 @@ from repro.query.costmodel import (
 from repro.query.evaluator import evaluate_query
 from repro.query.parallel import CTPJob, Dispatch, run_ctp_jobs
 from repro.serve import STATUS_OK, QueryRequest, QueryServer
-from repro.testing import FakeClock, InlineExecutor
+from repro.bench.experiments.micro_query_context import grouped_star
+from repro.testing import FakeClock, InlineExecutor, query_record
 
 SETTINGS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -74,6 +79,48 @@ SELECT ?x ?w1 ?w4 WHERE {
   CONNECT("France", "National Liberal Party") AS ?w4 MAX 3
 }
 """
+
+
+
+def _star_query(pairs) -> str:
+    """One ``CONNECT ... MAX 6`` per ``(a, b)`` pair of seed groups of
+    :func:`grouped_star` (6 edges is the tip-to-tip distance at arm 3)."""
+    lines = []
+    for v, (a, b) in enumerate(pairs):
+        lines.append(f'FILTER(type(?s{v}) = "g{a}")')
+        lines.append(f'FILTER(type(?t{v}) = "g{b}")')
+    lines += [f"CONNECT(?s{v}, ?t{v}) AS ?w{v} MAX 6" for v in range(len(pairs))]
+    head = " ".join(f"?w{v}" for v in range(len(pairs)))
+    return f"SELECT {head} WHERE {{ {' '.join(lines)} }}"
+
+
+#: The identity batch of the retired ``repro.bench schedule``: a one-CTP
+#: and a two-CTP query on the merge-heavy star, evaluated by ``bft``.
+STAR_QUERIES = {"star-1ctp": _star_query([(1, 2)]), "star-2ctp": _star_query([(0, 1), (1, 2)])}
+
+#: ``tests/data/knobs_golden.json``, section ``"schedule"``: the record
+#: (:func:`repro.testing.query_record`) of the matrix and pipeline queries
+#: under every algorithm and of the star batch under ``bft``, taken with
+#: ``scheduling=False`` on serial dispatch.
+GOLDEN_PATH = Path(__file__).parent / "data" / "knobs_golden.json"
+
+
+def _golden_records():
+    off = SearchConfig(scheduling=False)
+    fig1 = figure1()
+    for name, query in (("matrix", MATRIX_QUERY), ("pipeline", PIPELINE_QUERY)):
+        for algo in sorted(ALGORITHMS):
+            result = evaluate_query(fig1, query, algorithm=algo, base_config=off)
+            yield f"{name}|{algo}", query_record(result)
+    star = grouped_star(5, 3, 3)
+    for name, query in STAR_QUERIES.items():
+        yield f"{name}|bft", query_record(evaluate_query(star, query, "bft", base_config=off))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())["schedule"]
+
 
 # ----------------------------------------------------------------------
 # determinism matrix: scheduled rows identical to serial, every algorithm
@@ -101,7 +148,7 @@ def _serial(fig1, algo: str):
 
 @pytest.mark.parametrize("variant", sorted(SCHED_VARIANTS))
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
-def test_scheduled_rows_identical_to_serial(fig1, algo, variant):
+def test_scheduled_rows_identical_to_serial(fig1, golden, algo, variant):
     serial = _serial(fig1, algo)
     scheduled = evaluate_query(
         fig1,
@@ -111,6 +158,7 @@ def test_scheduled_rows_identical_to_serial(fig1, algo, variant):
     )
     assert scheduled.columns == serial.columns
     assert scheduled.rows == serial.rows  # bit-identical, order included
+    assert query_record(scheduled) == golden[f"matrix|{algo}"]
     for sched_report, ser_report in zip(scheduled.ctp_reports, serial.ctp_reports):
         assert sched_report.seed_set_sizes == ser_report.seed_set_sizes
         assert [r.edges for r in sched_report.result_set] == [
@@ -122,6 +170,20 @@ def test_scheduled_rows_identical_to_serial(fig1, algo, variant):
         assert all(estimate > 0 for estimate in scheduled.schedule.estimates)
     else:
         assert scheduled.schedule is None  # cost model never ran
+
+
+@pytest.mark.parametrize("name", sorted(STAR_QUERIES))
+def test_star_batch_rows_identical_under_every_dispatch(golden, name):
+    star = grouped_star(5, 3, 3)
+    for config in (
+        SearchConfig(scheduling=True),
+        SearchConfig(parallelism=2, scheduling=True),
+        SearchConfig(parallelism=2, parallelism_mode="process", scheduling=True),
+        SearchConfig(parallelism=2, parallelism_mode="auto"),
+        SearchConfig(parallelism=2, parallelism_mode="auto", scheduling=True),
+    ):
+        result = evaluate_query(star, STAR_QUERIES[name], "bft", base_config=config)
+        assert query_record(result) == golden[f"{name}|bft"]
 
 
 def test_scheduled_dedup_still_shares_the_repeated_ctp(fig1):
@@ -157,6 +219,17 @@ def test_pipelined_bound_ctps_wait_for_their_bgp(fig1):
     assert result.rows == serial.rows
     # Every CONNECT seeds from ?x, bound by the one BGP: nothing overlaps.
     assert result.schedule.pipeline_overlaps == 0
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_pipelined_rows_match_golden(fig1, golden, algo):
+    result = evaluate_query(
+        fig1,
+        PIPELINE_QUERY,
+        algorithm=algo,
+        base_config=SearchConfig(parallelism=4, scheduling=True),
+    )
+    assert query_record(result) == golden[f"pipeline|{algo}"]
 
 
 def test_pipelined_with_deadline_keeps_rows(fig1):
@@ -523,3 +596,13 @@ def test_server_response_omits_schedule_when_off(fig1):
         response = server.handle(QueryRequest(query=MATRIX_QUERY))
         assert response.status == STATUS_OK
         assert response.stats.schedule is None
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        records = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+        records["schedule"] = dict(_golden_records())
+        GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN_PATH}")
+    else:
+        print(__doc__)
