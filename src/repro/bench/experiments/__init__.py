@@ -12,7 +12,6 @@ from repro.bench.experiments import (
     fig12_qgstp,
     fig13_cdf_m2,
     fig14_cdf_m3,
-    micro_backend,
     micro_chaos,
     micro_delta,
     micro_parallel,
@@ -36,7 +35,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "fig14": fig14_cdf_m3.run,
     "table1": table1_yago.run,
     "abl01": abl01_design.run,
-    "backend": micro_backend.run,
     "chaos": micro_chaos.run,
     "delta": micro_delta.run,
     "parallel": micro_parallel.run,

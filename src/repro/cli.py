@@ -48,7 +48,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     try:
         base_config = SearchConfig(
-            backend=args.backend,
             shared_context=args.shared_context,
             parallelism=args.parallelism,
             parallelism_mode=args.parallelism_mode,
@@ -267,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("query", help="EQL text (SELECT ... WHERE { ... })")
     query.add_argument("--graph", help="TSV triples or JSON graph file (default: the Figure 1 demo graph)")
     query.add_argument("--algorithm", default="molesp", help="CTP algorithm (default molesp)")
-    query.add_argument(
-        "--backend",
-        choices=("auto", "dict", "csr"),
-        default="auto",
-        help="graph storage backend for the search (csr = frozen compressed-sparse-row)",
-    )
     query.add_argument(
         "--shared-context",
         action=argparse.BooleanOptionalAction,

@@ -26,7 +26,6 @@ from repro.ctp.idremap import IdRemap
 from repro.ctp.results import CTPResultSet, ResultTree, materialize_seeds
 from repro.ctp.stats import SearchStats
 from repro.errors import SearchError
-from repro.graph.backend import resolve_backend
 from repro.graph.graph import Graph
 
 
@@ -107,7 +106,7 @@ class _BFTRun:
         algo: BFTSearch,
         context: Optional[SearchContext] = None,
     ):
-        self.graph = graph = resolve_backend(graph, config.backend)
+        self.graph = graph
         self.config = config
         self.algo = algo
         self.stats = SearchStats()

@@ -90,12 +90,6 @@ class SearchConfig:
     max_trees:
         Memory safety valve: abort (returning partial results) after this
         many retained trees.
-    backend:
-        Graph storage backend the search should run against
-        (:mod:`repro.graph.backend`): ``"dict"`` uses the graph exactly as
-        passed, ``"csr"`` freezes it into the compressed-sparse-row
-        representation first (memoized per graph), ``"auto"`` (default)
-        keeps whichever representation the caller provided.
     strict_merge2 (ablation):
         Use the *literal* Merge2 of Section 4.2 — ``sat(t1) ∩ sat(t2) = ∅``
         — instead of the relaxed reading this library argues for (overlap
@@ -161,7 +155,6 @@ class SearchConfig:
     balanced_queues: Union[bool, str] = "auto"
     balance_ratio: float = 32.0
     max_trees: Optional[int] = None
-    backend: str = "auto"
     strict_merge2: bool = False
     mo_inject_always: bool = False
     shared_context: bool = True
@@ -208,8 +201,6 @@ class SearchConfig:
                 f"scheduling must be a bool (cost-model scheduling on/off), "
                 f"got {self.scheduling!r}"
             )
-        if self.backend not in ("auto", "dict", "csr"):
-            raise ConfigError(f"unknown backend {self.backend!r} (use 'auto', 'dict', or 'csr')")
         if self.labels is not None:
             object.__setattr__(self, "labels", frozenset(self.labels))
 

@@ -294,7 +294,7 @@ class SearchContext:
     def adopt(self, graph):
         """The shared pool for an engine run, or ``None`` to refuse.
 
-        ``graph`` must be the run's *resolved* backend graph: handles and
+        ``graph`` is the graph the run searches: handles and
         cached payloads reference edge ids of exactly one graph, so the
         context binds itself to the first graph it sees and refuses any
         other.  Under ``thread_safe`` the first-graph binding is
@@ -370,7 +370,6 @@ class SearchContext:
             config.balanced_queues,
             config.balance_ratio,
             config.max_trees,
-            config.backend,
             config.strict_merge2,
             config.mo_inject_always,
         )

@@ -80,7 +80,6 @@ from repro.ctp.tree import (
     uni_merge_state,
 )
 from repro.errors import SearchError
-from repro.graph.backend import resolve_backend
 from repro.graph.graph import Graph
 
 
@@ -181,7 +180,7 @@ class _GAMRun:
         algo: GAMFamilySearch,
         context: Optional[SearchContext] = None,
     ):
-        self.graph = graph = resolve_backend(graph, config.backend)
+        self.graph = graph
         self.config = config
         self.algo = algo
         self.stats = SearchStats()

@@ -7,7 +7,7 @@ adjacency is indexed bidirectionally.
 """
 
 from repro.graph.graph import Edge, Graph, Node
-from repro.graph.backend import CSRGraph, GraphBackend, backend_name, freeze, resolve_backend
+from repro.graph.backend import CSRGraph, GraphBackend, freeze
 from repro.graph.builder import GraphBuilder, graph_from_triples
 from repro.graph.delta import GraphDelta, OverlayGraph
 from repro.graph.io import load_graph_json, load_graph_tsv, save_graph_json, save_graph_tsv
@@ -31,10 +31,8 @@ __all__ = [
     "GraphStats",
     "Node",
     "OverlayGraph",
-    "backend_name",
     "ball",
     "freeze",
-    "resolve_backend",
     "bfs_distances",
     "connected_components",
     "dijkstra_distances",

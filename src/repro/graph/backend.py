@@ -20,11 +20,10 @@ Two backends ship today:
     indexes plus per-node caches make repeated neighborhood expansion —
     the hot loop of every algorithm in Section 4 of the paper — cheap.
 
-Select a backend per search via ``SearchConfig(backend="csr")``, on the
-command line via ``--backend``, or explicitly with
-``algorithm.run(graph.freeze(), ...)``; the two backends are drop-in
-interchangeable (see ``tests/test_backend_csr.py`` for the equivalence
-property tests).
+A search runs on whichever representation it is handed —
+``algorithm.run(graph.freeze(), ...)`` is the CSR one; the two backends are
+drop-in interchangeable (see ``tests/test_backend_csr.py`` for the
+equivalence property tests).
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ from typing import (
 
 from repro.errors import GraphError, SnapshotError
 from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node
-
-#: Names accepted by :func:`resolve_backend` / ``SearchConfig.backend``.
-BACKENDS = ("auto", "dict", "csr")
 
 
 @runtime_checkable
@@ -572,24 +568,3 @@ def _unpickle_csr(
 def freeze(graph: Graph) -> CSRGraph:
     """CSR snapshot of ``graph`` (memoized — see :meth:`Graph.freeze`)."""
     return graph.freeze()
-
-
-def backend_name(graph: Any) -> str:
-    """The backend identifier of a graph object (``"dict"`` when untagged)."""
-    return getattr(graph, "backend", "dict")
-
-
-def resolve_backend(graph: Any, backend: str = "auto") -> Any:
-    """Return ``graph`` in the representation requested by ``backend``.
-
-    * ``"auto"`` / ``"dict"`` — use the graph exactly as given (an already
-      frozen :class:`CSRGraph` is kept, never copied back);
-    * ``"csr"`` — freeze a mutable :class:`Graph` (memoized on the graph,
-      so repeated searches share one snapshot); no-op when already frozen.
-    """
-    if backend in ("auto", "dict") or backend is None:
-        return graph
-    if backend == "csr":
-        freezer = getattr(graph, "freeze", None)
-        return freezer() if freezer is not None else graph
-    raise GraphError(f"unknown graph backend {backend!r}; use one of {BACKENDS}")

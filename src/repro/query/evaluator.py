@@ -603,7 +603,6 @@ def evaluate_query(
                         len(ctps),
                         parallelism,
                         mode,
-                        base_config.backend,
                         pool=pool,
                         report=resilience,
                         schedule=schedule,

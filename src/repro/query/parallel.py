@@ -74,7 +74,6 @@ from repro.ctp.registry import get_algorithm
 from repro.ctp.results import CTPResultSet
 from repro.ctp.stats import SearchStats
 from repro.errors import GraphError, PoolClosedError, ReproError, StaleViewError, WorkerHangError
-from repro.graph.backend import resolve_backend
 from repro.graph.graph import Graph
 from repro.query.costmodel import QuerySchedule
 from repro.query.pool import WorkerPool
@@ -370,17 +369,10 @@ def _local_dispatch(
     algorithm: str,
     context: Optional[SearchContext],
     workers: int,
-    backend: str,
     schedule: Optional[QuerySchedule],
     hop: str = "",
 ) -> Dispatch:
     """A :class:`Dispatch` over this process: inline, or ``workers`` threads."""
-    # Resolve the backend ONCE, on the calling thread: Graph.freeze() is
-    # memoized but not atomic, so two workers racing the first freeze
-    # would hand the context two distinct (equivalent) snapshots and the
-    # second adoption would be spuriously refused.  Engines re-resolving
-    # the pre-resolved graph is a no-op.
-    graph = resolve_backend(graph, backend)
     algo = get_algorithm(algorithm)
 
     def run_one(job: CTPJob) -> Tuple[CTPResultSet, float]:
@@ -413,7 +405,6 @@ def open_dispatch(
     num_jobs: int,
     parallelism: int = 1,
     mode: str = "thread",
-    backend: str = "auto",
     pool: Optional[WorkerPool] = None,
     report: Optional[ResilienceReport] = None,
     schedule: Optional[QuerySchedule] = None,
@@ -434,12 +425,12 @@ def open_dispatch(
     workers = effective_parallelism(parallelism, num_jobs, context, mode)
     if mode == "process" and num_jobs:
         report = report if report is not None else ResilienceReport()
-        args = (graph, algorithm, context, parallelism, backend, report, schedule)
+        args = (graph, algorithm, context, parallelism, report, schedule)
         if pool is not None and not pool.closed and pool.matches(graph):
             return _PooledDispatch(pool, False, *args)
         if workers > 1:
             return _PooledDispatch(WorkerPool(graph, workers=workers), True, *args)
-    return _local_dispatch(graph, algorithm, context, workers, backend, schedule)
+    return _local_dispatch(graph, algorithm, context, workers, schedule)
 
 
 def run_ctp_jobs(
@@ -464,9 +455,8 @@ def run_ctp_jobs(
     job configs carry build budgets; the ledger may re-grant upward, never
     downward).
     """
-    backend = jobs[0].config.backend if jobs else "auto"
     with open_dispatch(
-        graph, algorithm, context, len(jobs), parallelism, mode, backend, pool, report, schedule
+        graph, algorithm, context, len(jobs), parallelism, mode, pool, report, schedule
     ) as dispatch:
         dispatch.submit(jobs)
         return dispatch.finish()
@@ -675,7 +665,6 @@ class _PooledDispatch:
     algorithm: str
     context: Optional[SearchContext]
     parallelism: int
-    backend: str
     report: ResilienceReport
     schedule: Optional[QuerySchedule]
     jobs: List[CTPJob] = field(default_factory=list)
@@ -701,8 +690,7 @@ class _PooledDispatch:
         self.report.degraded_to = "thread" if workers > 1 else "serial"
         return self._run(
             _local_dispatch(
-                self.graph, self.algorithm, self.context, workers, self.backend,
-                self.schedule, hop="process->",
+                self.graph, self.algorithm, self.context, workers, self.schedule, hop="process->"
             )
         )
 

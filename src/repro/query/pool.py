@@ -314,7 +314,7 @@ class WorkerPool:
     def _resolve_delta_locked(self, graph: Any) -> Optional[GraphDelta]:
         """Snapshot/compact as needed and return the delta ``graph`` requires.
 
-        ``graph`` is whatever the dispatch holds after backend resolution:
+        ``graph`` is whatever the dispatch holds:
         the pool's mutable source graph (serve its *current* delta), a
         pinned :class:`~repro.graph.delta.OverlayGraph` view (serve its
         own delta so the evaluation stays at the pinned generation), a
@@ -577,8 +577,8 @@ class WorkerPool:
 
         True for the bound graph itself, its memoized frozen view, any
         pinned MVCC view of it (``view_source`` stamp), or the CSR the
-        pool snapshotted — the aliases a dispatch may hold after backend
-        resolution.  Anything else must not run here (workers would
+        pool snapshotted — the aliases a dispatch may hold.  Anything
+        else must not run here (workers would
         silently search the wrong topology).
         """
         if graph is self.graph or (self._csr is not None and graph is self._csr):

@@ -30,7 +30,7 @@ from repro.ctp.config import SearchConfig
 from repro.ctp.esp import ESPSearch
 from repro.ctp.molesp import MoLESPSearch
 from repro.errors import GraphError
-from repro.graph.backend import BACKENDS, CSRGraph, GraphBackend, backend_name, resolve_backend
+from repro.graph.backend import CSRGraph, GraphBackend
 from repro.graph.graph import Graph
 from repro.graph.traversal import ball, bfs_distances, dijkstra_distances
 from repro.testing import (
@@ -59,27 +59,13 @@ class TestBackendSelection:
 
     def test_backend_names(self):
         graph = Graph()
-        assert backend_name(graph) == "dict"
-        assert backend_name(graph.freeze()) == "csr"
-        assert backend_name(object()) == "dict"
-
-    def test_resolve_backend(self):
-        graph = random_graph(random.Random(0), num_nodes=5, num_edges=7)
-        assert resolve_backend(graph, "auto") is graph
-        assert resolve_backend(graph, "dict") is graph
-        frozen = resolve_backend(graph, "csr")
-        assert isinstance(frozen, CSRGraph)
-        # already-frozen graphs pass through every mode untouched
-        assert resolve_backend(frozen, "csr") is frozen
-        assert resolve_backend(frozen, "auto") is frozen
-        with pytest.raises(GraphError, match="unknown graph backend"):
-            resolve_backend(graph, "gpu")
-        assert set(BACKENDS) == {"auto", "dict", "csr"}
+        assert graph.backend == "dict"
+        assert graph.freeze().backend == "csr"
 
     def test_config_validates_backend(self):
-        assert SearchConfig(backend="csr").backend == "csr"
-        with pytest.raises(ValueError, match="unknown backend"):
-            SearchConfig(backend="gpu")
+        # The search runs on the graph it is handed; there is no knob.
+        with pytest.raises(TypeError):
+            SearchConfig(backend="csr")
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +96,9 @@ def _search_case(name, seed):
 
 
 #: ``tests/data/knobs_golden.json``, section ``"backend"``: the record
-#: (:func:`repro.testing.result_set_record`) of every search case, taken
-#: with ``SearchConfig(backend="dict")`` and with ``backend="csr"``.
+#: (:func:`repro.testing.result_set_record`) of every search case on the
+#: mutable graph (``dict``) and on its frozen view (``csr``) — recorded
+#: through the retired ``SearchConfig(backend=...)``, which selected them.
 GOLDEN_PATH = Path(__file__).parent / "data" / "knobs_golden.json"
 
 
@@ -119,9 +106,9 @@ def _golden_records():
     for name, algorithm in SEARCH_ALGORITHMS.items():
         for seed in SEEDS if name == "molesp" else SEEDS[:3]:
             graph, seed_sets, labels = _search_case(name, seed)
-            for backend in ("dict", "csr"):
-                config = SearchConfig(labels=labels, backend=backend)
-                record = result_set_record(algorithm.run(graph, seed_sets, config))
+            config = SearchConfig(labels=labels)
+            for backend, view in (("dict", graph), ("csr", graph.freeze())):
+                record = result_set_record(algorithm.run(view, seed_sets, config))
                 yield f"{name}|{seed}|{backend}", record
 
 
@@ -182,13 +169,11 @@ class TestBackendEquivalence:
     def test_molesp_results_identical(self, golden, seed):
         graph, seed_sets, _ = _search_case("molesp", seed)
         algorithm = MoLESPSearch()
-        via_dict = algorithm.run(graph, seed_sets, SearchConfig(backend="dict"))
-        via_csr = algorithm.run(graph, seed_sets, SearchConfig(backend="csr"))
-        via_frozen = algorithm.run(graph.freeze(), seed_sets)
-        assert via_dict.edge_sets() == via_csr.edge_sets() == via_frozen.edge_sets()
+        via_dict = algorithm.run(graph, seed_sets)
+        via_csr = algorithm.run(graph.freeze(), seed_sets)
+        assert via_dict.edge_sets() == via_csr.edge_sets()
         assert result_set_record(via_dict) == golden[f"molesp|{seed}|dict"]
         assert result_set_record(via_csr) == golden[f"molesp|{seed}|csr"]
-        assert result_set_record(via_frozen) == golden[f"molesp|{seed}|csr"]
         assert_all_valid(graph, via_csr, seed_sets)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -196,8 +181,8 @@ class TestBackendEquivalence:
         for name in ("esp", "bft"):
             graph, seed_sets, _ = _search_case(name, seed)
             algorithm = SEARCH_ALGORITHMS[name]
-            via_dict = algorithm.run(graph, seed_sets, SearchConfig(backend="dict"))
-            via_csr = algorithm.run(graph, seed_sets, SearchConfig(backend="csr"))
+            via_dict = algorithm.run(graph, seed_sets)
+            via_csr = algorithm.run(graph.freeze(), seed_sets)
             assert via_dict.edge_sets() == via_csr.edge_sets()
             assert result_set_record(via_dict) == golden[f"{name}|{seed}|dict"]
             assert result_set_record(via_csr) == golden[f"{name}|{seed}|csr"]
@@ -206,8 +191,8 @@ class TestBackendEquivalence:
     def test_label_filtered_search_identical(self, golden, seed):
         graph, seed_sets, labels = _search_case("molesp-labels", seed)
         algorithm = MoLESPSearch()
-        via_dict = algorithm.run(graph, seed_sets, SearchConfig(labels=labels, backend="dict"))
-        via_csr = algorithm.run(graph, seed_sets, SearchConfig(labels=labels, backend="csr"))
+        via_dict = algorithm.run(graph, seed_sets, SearchConfig(labels=labels))
+        via_csr = algorithm.run(graph.freeze(), seed_sets, SearchConfig(labels=labels))
         assert via_dict.edge_sets() == via_csr.edge_sets()
         assert result_set_record(via_dict) == golden[f"molesp-labels|{seed}|dict"]
         assert result_set_record(via_csr) == golden[f"molesp-labels|{seed}|csr"]

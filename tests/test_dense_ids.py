@@ -135,6 +135,8 @@ MAX_TREES = {"bft": 3000, "bft-m": 3000, "bft-am": 3000}
 
 def _run(algo_name, graph, seeds, **overrides):
     overrides.setdefault("max_trees", MAX_TREES.get(algo_name, 20000))
+    if overrides.pop("frozen", False):
+        graph = graph.freeze()
     return ALGORITHMS[algo_name]().run(graph, seeds, SearchConfig(**overrides))
 
 
@@ -179,7 +181,7 @@ VARIANTS = {
     "max_edges": {"max_edges": 4},
     "balanced_queues": {"balanced_queues": True},
     "interning": {},
-    "backend": {"backend": "csr"},
+    "backend": {"frozen": True},  # the search runs on graph.freeze()
 }
 
 

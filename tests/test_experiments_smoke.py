@@ -17,7 +17,6 @@ def test_registry_contains_every_figure_and_table():
         "fig14",
         "table1",
         "abl01",
-        "backend",
         "chaos",
         "delta",
         "parallel",
@@ -221,29 +220,6 @@ class TestFig14:
         stitch_rows = [row for row in report.rows if row["engine"].endswith("+stitch")]
         assert stitch_rows
         assert all("wasted" in row for row in stitch_rows)
-
-
-class TestBackend:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return get_experiment("backend")(scale=0.25, timeout=5.0, repeats=2)
-
-    def test_covers_all_workloads_and_ops(self, report):
-        points = {(row["workload"], row["op"]) for row in report.rows}
-        assert points == {
-            ("community", "bfs-sweep"),
-            ("community", "labeled-reach"),
-            ("chain", "molesp"),
-            ("star", "molesp"),
-        }
-
-    def test_both_backends_timed(self, report):
-        for row in report.rows:
-            assert row["dict_ms"] > 0
-            assert row["csr_ms"] > 0
-            assert row["freeze_ms"] >= 0
-            # speedup is rounded independently of the ms columns; allow slack
-            assert row["speedup"] == pytest.approx(row["dict_ms"] / row["csr_ms"], rel=0.1)
 
 
 class TestTable1:

@@ -100,7 +100,7 @@ def _configs(graph):
         "labels": {"labels": frozenset(labels)},
         "strict": {"strict_merge2": True},
         "moalways": {"mo_inject_always": True},
-        "csr": {"backend": "csr"},
+        "csr": {"frozen": True},  # the search runs on graph.freeze()
     }
 
 
@@ -151,6 +151,9 @@ DEFAULT_MAX_TREES = 20000
 
 def _run(algo_name, graph, seeds, overrides, **extra):
     extra.setdefault("max_trees", MAX_TREES.get(algo_name, DEFAULT_MAX_TREES))
+    overrides = dict(overrides)
+    if overrides.pop("frozen", False):
+        graph = graph.freeze()
     config = SearchConfig(**overrides, **extra)
     return ALGORITHMS[algo_name]().run(graph, seeds, config)
 

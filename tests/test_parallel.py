@@ -145,12 +145,11 @@ def test_parallel_without_shared_context(fig1):
 
 
 def test_parallel_csr_backend(fig1):
-    serial = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(backend="csr"))
-    parallel = evaluate_query(
-        fig1, MATRIX_QUERY, base_config=SearchConfig(backend="csr", parallelism=4)
-    )
+    frozen = fig1.freeze()
+    serial = evaluate_query(frozen, MATRIX_QUERY)
+    parallel = evaluate_query(frozen, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
     assert parallel.rows == serial.rows
-    # The pre-resolved snapshot is adopted by every worker: no rejects.
+    # One snapshot is adopted by every worker: no rejects.
     assert parallel.context_stats["rejects"] == 0
 
 
@@ -336,7 +335,7 @@ def test_lock_free_hits_race_index_growth():
 def test_stress_shared_context_from_eight_threads(fig1, fig1_seeds):
     """Hammer one thread-safe context with concurrent engine runs."""
     context = SearchContext(thread_safe=True)
-    config = SearchConfig(backend="dict")
+    config = SearchConfig()
     baseline = evaluate_ctp(fig1, fig1_seeds, "molesp", config=config)
     pair_baseline = evaluate_ctp(fig1, fig1_seeds[:2], "molesp", config=config)
     num_threads, iterations = 8, 4

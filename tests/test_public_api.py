@@ -109,7 +109,6 @@ def test_search_config_fields_are_exactly_these():
         "balanced_queues",
         "balance_ratio",
         "max_trees",
-        "backend",
         "strict_merge2",
         "mo_inject_always",
         "shared_context",
@@ -119,7 +118,7 @@ def test_search_config_fields_are_exactly_these():
     ]
 
 
-@pytest.mark.parametrize("retired", ["interning", "dense_ids"])
+@pytest.mark.parametrize("retired", ["interning", "dense_ids", "backend"])
 def test_retired_representation_flags_are_type_errors(retired):
     from repro.ctp import SearchConfig, SearchContext
 
@@ -129,10 +128,10 @@ def test_retired_representation_flags_are_type_errors(retired):
         SearchContext(**{retired: False})
 
 
-def test_config_fingerprint_has_fourteen_elements():
+def test_config_fingerprint_has_thirteen_elements():
     from repro.ctp import SearchConfig, SearchContext
 
-    assert len(SearchContext.config_fingerprint(SearchConfig())) == 14
+    assert len(SearchContext.config_fingerprint(SearchConfig())) == 13
 
 
 def test_ctp_exports_one_pool():

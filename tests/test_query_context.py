@@ -157,7 +157,7 @@ class TestSearchContext:
 class TestEngineContextSharing:
     def test_second_run_reuses_pool_and_rooted_cache(self, fig1, fig1_seeds):
         context = SearchContext()
-        config = SearchConfig(backend="dict")
+        config = SearchConfig()
         first = MoLESPSearch().run(fig1, fig1_seeds, config, context=context)
         second = MoLESPSearch().run(fig1, fig1_seeds, config, context=context)
         assert [r.edges for r in second] == [r.edges for r in first]
@@ -172,7 +172,7 @@ class TestEngineContextSharing:
 
     def test_shared_run_matches_private_run(self, fig1, fig1_seeds):
         context = SearchContext()
-        config = SearchConfig(backend="dict")
+        config = SearchConfig()
         shared = MoLESPSearch().run(fig1, fig1_seeds, config, context=context)
         private = MoLESPSearch().run(fig1, fig1_seeds, config)
         assert [r.edges for r in shared] == [r.edges for r in private]
@@ -185,15 +185,15 @@ class TestEngineContextSharing:
     def test_incompatible_context_falls_back(self, fig1, fig1_seeds):
         context = SearchContext()
         context.adopt(Graph("other"))  # bound to another graph's lineage
-        result = MoLESPSearch().run(fig1, fig1_seeds, SearchConfig(backend="dict"), context=context)
-        baseline = MoLESPSearch().run(fig1, fig1_seeds, SearchConfig(backend="dict"))
+        result = MoLESPSearch().run(fig1, fig1_seeds, context=context)
+        baseline = MoLESPSearch().run(fig1, fig1_seeds)
         assert context.rejects == 1
         assert [r.edges for r in result] == [r.edges for r in baseline]
 
     def test_evaluate_ctp_accepts_context(self, fig1, fig1_seeds):
         context = SearchContext()
-        first = evaluate_ctp(fig1, fig1_seeds, "molesp", context=context, backend="dict")
-        second = evaluate_ctp(fig1, fig1_seeds, "molesp", context=context, backend="dict")
+        first = evaluate_ctp(fig1, fig1_seeds, "molesp", context=context)
+        second = evaluate_ctp(fig1, fig1_seeds, "molesp", context=context)
         assert context.runs == 2
         assert second.stats.pool_sets == 0
         assert [r.edges for r in first] == [r.edges for r in second]
@@ -213,9 +213,10 @@ QUERIES = {
     "wildcard": WILDCARD_Q,
 }
 
+#: Config overrides per matrix column; ``csr`` evaluates on ``fig1.freeze()``.
 CONFIGS = {
     "default": {},
-    "csr": {"backend": "csr"},
+    "csr": {},
     "balanced": {"balanced_queues": True},
 }
 
@@ -263,7 +264,8 @@ def _golden_records():
     fig1 = figure1()
     for query_name, query, config_name, overrides, algo in _cases():
         config = SearchConfig(shared_context=False, **overrides)
-        result = evaluate_query(fig1, query, algorithm=algo, base_config=config)
+        graph = fig1.freeze() if config_name == "csr" else fig1
+        result = evaluate_query(graph, query, algorithm=algo, base_config=config)
         yield f"{query_name}|{config_name}|{algo}", query_record(result)
     private = SearchConfig(shared_context=False)
     yield "two-ctp|default|bft-am", query_record(
@@ -287,11 +289,12 @@ def test_shared_context_row_equivalence(
     fig1, golden, query_name, query, config_name, overrides, algo
 ):
     """Shared-context evaluation is row-for-row the pool-per-CTP evaluation."""
+    graph = fig1.freeze() if config_name == "csr" else fig1
     shared = evaluate_query(
-        fig1, query, algorithm=algo, base_config=SearchConfig(shared_context=True, **overrides)
+        graph, query, algorithm=algo, base_config=SearchConfig(shared_context=True, **overrides)
     )
     baseline = evaluate_query(
-        fig1, query, algorithm=algo, base_config=SearchConfig(shared_context=False, **overrides)
+        graph, query, algorithm=algo, base_config=SearchConfig(shared_context=False, **overrides)
     )
     assert shared.columns == baseline.columns
     assert canonical_rows(shared) == canonical_rows(baseline)
