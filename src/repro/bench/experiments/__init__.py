@@ -16,7 +16,6 @@ from repro.bench.experiments import (
     micro_delta,
     micro_parallel,
     micro_process_parallel,
-    micro_query_context,
     micro_scale,
     micro_schedule,
     micro_serve,
@@ -39,7 +38,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "delta": micro_delta.run,
     "parallel": micro_parallel.run,
     "process-parallel": micro_process_parallel.run,
-    "query-context": micro_query_context.run,
     "scale": micro_scale.run,
     "schedule": micro_schedule.run,
     "serve": micro_serve.run,

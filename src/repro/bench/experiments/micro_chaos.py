@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.bench.experiments.micro_serve import NUM_GROUPS, _percentile, _serve_query
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
@@ -43,6 +42,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.query.evaluator import evaluate_query
 from repro.query.resilience import CircuitBreaker, PoolResilienceConfig, RetryPolicy
 from repro.serve import PRIORITY_LOW, QueryRequest, QueryServer
+from repro.workloads.synthetic import grouped_star
 
 #: Chaos scenarios run single-worker, single-client: the subject is the
 #: recovery machinery, and one worker makes every fault's firing schedule

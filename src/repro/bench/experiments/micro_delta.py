@@ -38,11 +38,11 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.query.evaluator import evaluate_query
 from repro.serve import IngestRequest, QueryRequest, QueryServer
+from repro.workloads.synthetic import grouped_star
 
 NUM_GROUPS = 5
 #: Delta mutations tolerated before the pool compacts (delta regime).

@@ -32,7 +32,6 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Tuple
 
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.graph.graph import Graph
@@ -40,6 +39,7 @@ from repro.query.ast import CTP, Condition, EQLQuery, Predicate
 from repro.query.evaluator import QueryResult, evaluate_query
 from repro.query.parallel import evaluate_queries
 from repro.query.scoring import get_score_function
+from repro.workloads.synthetic import grouped_star
 
 WORKER_COUNTS = (2, 4, 8)
 
@@ -227,7 +227,7 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
     identical = all(
         _rows_identical(a, b) for a, b in zip(per_query_results, batch_result.results)
     )
-    stats = batch_result.context_stats() or {}
+    stats = batch_result.context_stats()
     report.add(
         Measurement(
             params={"regime": "batch", "workload": "4-queries-2-repeated", "workers": 1},

@@ -43,12 +43,12 @@ from repro.bench.experiments.micro_parallel import (
     _rows_identical,
     _typed_expander,
 )
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.query.evaluator import QueryResult, evaluate_query
 from repro.query.scoring import get_score_function
+from repro.workloads.synthetic import grouped_star
 
 PROCESS_WORKER_COUNTS = (1, 2, 4)
 

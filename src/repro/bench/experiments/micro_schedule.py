@@ -36,10 +36,10 @@ import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.query.evaluator import evaluate_query
+from repro.workloads.synthetic import grouped_star
 
 #: Complete (enumerate-every-tree) algorithm: hardness is controlled by
 #: ``MAX`` — one extra edge of budget on the merge-heavy star explodes

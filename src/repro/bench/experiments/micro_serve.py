@@ -45,11 +45,11 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.query.evaluator import evaluate_query
 from repro.serve import QueryRequest, QueryServer
+from repro.workloads.synthetic import grouped_star
 
 #: Concurrent client threads per measured point (smoke keeps the first two).
 CLIENT_COUNTS = (1, 2, 4)

@@ -48,7 +48,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     try:
         base_config = SearchConfig(
-            shared_context=args.shared_context,
             parallelism=args.parallelism,
             parallelism_mode=args.parallelism_mode,
             scheduling=args.scheduling,
@@ -77,14 +76,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.parallelism > 1 and len(result.ctp_reports) > 1:
         merged = SearchStats.merged(r.result_set.stats for r in result.ctp_reports)
         print(f"all CTPs x{args.parallelism} workers (merged in CTP order): {merged.format()}")
-    if result.context_stats:
-        ctx = result.context_stats
-        print(
-            f"context: runs={ctx['runs']} pool_sets={ctx['pool_sets']} "
-            f"union_hits={ctx['pool_union_hits']} "
-            f"ctp_cache={ctx['ctp_cache_hits']}/{ctx['ctp_cache_hits'] + ctx['ctp_cache_misses']} "
-            f"rooted_hits={ctx['rooted_cache_hits']} seed_cache_hits={ctx['seed_cache_hits']}"
-        )
+    ctx = result.context_stats
+    print(
+        f"context: runs={ctx['runs']} pool_sets={ctx['pool_sets']} "
+        f"union_hits={ctx['pool_union_hits']} "
+        f"ctp_cache={ctx['ctp_cache_hits']}/{ctx['ctp_cache_hits'] + ctx['ctp_cache_misses']} "
+        f"rooted_hits={ctx['rooted_cache_hits']} seed_cache_hits={ctx['seed_cache_hits']}"
+    )
     if result.schedule is not None:
         sched = result.schedule
         print(
@@ -266,13 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("query", help="EQL text (SELECT ... WHERE { ... })")
     query.add_argument("--graph", help="TSV triples or JSON graph file (default: the Figure 1 demo graph)")
     query.add_argument("--algorithm", default="molesp", help="CTP algorithm (default molesp)")
-    query.add_argument(
-        "--shared-context",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share one query-scoped search context (pool + result caches) across the "
-        "query's CTP evaluations; --no-shared-context restores a pool per CTP (A/B baseline)",
-    )
     query.add_argument(
         "--parallelism",
         type=int,

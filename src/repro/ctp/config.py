@@ -101,14 +101,6 @@ class SearchConfig:
         Inject Mo copies for *every* new tree (Algorithm 3 read literally)
         instead of only when seed coverage grew (the Section 4.5 text).
         Same results, strictly more work; exposed to quantify the cost.
-    shared_context:
-        Evaluator-level knob (ignored by standalone engine runs): share one
-        query-scoped :class:`~repro.ctp.context.SearchContext` — edge-set
-        pool, per-root result cache, cross-CTP memo — across all CTP
-        evaluations of a query (default).  ``False`` restores the
-        pool-per-CTP behaviour as the A/B baseline of ``python -m
-        repro.bench query-context``.  Representation-only: the produced
-        rows are identical either way.
     parallelism:
         Evaluator-level knob (ignored by standalone engine runs): dispatch
         the independent CTP evaluations of a query to a worker pool of
@@ -157,7 +149,6 @@ class SearchConfig:
     max_trees: Optional[int] = None
     strict_merge2: bool = False
     mo_inject_always: bool = False
-    shared_context: bool = True
     parallelism: int = 1
     parallelism_mode: str = "thread"
     scheduling: bool = False

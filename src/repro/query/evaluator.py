@@ -11,16 +11,15 @@ Section 5.5.2: "MoLESP took around 30% of the total time, the rest being
 spent ... in the BGP evaluation and final joins").
 
 Step (B) runs inside one **query-scoped search context**
-(:class:`~repro.ctp.context.SearchContext`, enabled by
-``SearchConfig(shared_context=True)``, the default): every CTP evaluation
-adopts the same edge-set pool (edge sets a sibling CTP interned are memo
-hits, not fresh allocations), rooted-tree results are cached per
-``(root, eset handle, config fingerprint)``, and whole *complete* CTP
-result sets are memoized across CTPs — a CONNECT repeated under several
-tree variables (or re-evaluated across BGP embeddings) runs once.  The
-context is representation and reuse only: rows are identical to the
-pool-per-CTP path (``shared_context=False``), which ``python -m
-repro.bench query-context`` keeps measurable as the A/B baseline.
+(:class:`~repro.ctp.context.SearchContext`): every CTP evaluation adopts
+the same edge-set pool (edge sets a sibling CTP interned are memo hits,
+not fresh allocations), rooted-tree results are cached per ``(root, eset
+handle, config fingerprint)``, and whole *complete* CTP result sets are
+memoized across CTPs — a CONNECT repeated under several tree variables
+(or re-evaluated across BGP embeddings) runs once.  The context is
+representation and reuse only: rows are those of a context-less engine
+run per CTP (``tests/test_query_context.py`` keeps that run as the
+reference).
 
 Steps (A) and (B) are **one body**: BGPs are evaluated in order and a
 CTP's job is built when its seed variables resolve, then handed to the
@@ -88,9 +87,6 @@ class CTPReport:
     #: cross-CTP memo (same algorithm, seed sets, and config as an earlier
     #: CTP of this query) — ``result_set`` is then the cached set.
     cache_hit: bool = False
-    #: True when the evaluation ran inside a shared query context (pool
-    #: counters in ``result_set.stats`` are per-run deltas in that case).
-    shared_context: bool = False
     #: What actually produced this CTP's result: "serial", "thread", or
     #: "process" when a search executed, "memo" when it was served from
     #: the cross-CTP memo without running.  May differ from the requested
@@ -123,7 +119,8 @@ class QueryResult:
     Row values are node ids for node variables, edge ids for edge
     variables, and :class:`~repro.ctp.results.ResultTree` objects for CTP
     tree variables.  ``context_stats`` summarizes the query-scoped search
-    context (pool size, memo/cache hit counters) when one was used.
+    context (pool size, memo/cache hit counters); the pool counters in
+    each report's ``result_set.stats`` are per-run deltas against it.
     """
 
     columns: Tuple[str, ...]
@@ -131,7 +128,7 @@ class QueryResult:
     graph: Graph
     timings: QueryTimings = field(default_factory=QueryTimings)
     ctp_reports: List[CTPReport] = field(default_factory=list)
-    context_stats: Optional[Dict[str, int]] = None
+    context_stats: Dict[str, int] = field(default_factory=dict)
     #: What resilience machinery fired during process dispatch (retries,
     #: hang kills, breaker state, degradation) — ``None`` when neither a
     #: :class:`~repro.query.pool.WorkerPool` nor process mode was involved.
@@ -442,11 +439,10 @@ def evaluate_query(
         An explicit :class:`~repro.ctp.context.SearchContext` to run the
         query's CTPs in.  Passing one shared across *queries* amortizes the
         pool further (same graph required); by default a fresh context is
-        created per query when ``base_config.shared_context`` is true
-        (thread-safe when ``base_config.parallelism > 1``), and none at all
-        when it is false (the pool-per-CTP A/B baseline).  An explicit
-        non-thread-safe context downgrades a ``parallelism > 1`` request to
-        serial dispatch rather than share unlocked state.
+        created per query (thread-safe when ``base_config.parallelism >
+        1``).  An explicit non-thread-safe context downgrades a
+        ``parallelism > 1`` request to serial dispatch rather than share
+        unlocked state.
     pool:
         A persistent :class:`~repro.query.pool.WorkerPool` to route
         ``parallelism_mode="process"`` dispatches through.  The pool's
@@ -477,7 +473,7 @@ def evaluate_query(
     if isinstance(query, str):
         query = parse_query(query)
     base_config = base_config or SearchConfig()
-    if context is None and base_config.shared_context:
+    if context is None:
         # Thread dispatch shares the context across worker threads, so it
         # must be born thread-safe (sharded pool, locked caches).  Process
         # dispatch only touches it from the parent, but keeping it
@@ -513,7 +509,7 @@ def evaluate_query(
         and base_config.parallelism_mode == "thread"
         and base_config.parallelism > 1
         and len(ctps) > 1
-        and (context is None or context.thread_safe)
+        and context.thread_safe
     )
     ready_at = [len(bgps)] * len(ctps)
     if pipelined:
@@ -549,7 +545,7 @@ def evaluate_query(
             # Step (B): derive the seed sets of every CTP whose variables
             # just resolved (serially — the derivations share one dedup
             # cache) and hand the searches to the dispatch, all running
-            # inside the query-scoped context when one is active.
+            # inside the query-scoped context.
             drafts: List[Tuple[int, List[Any], SearchConfig]] = []
             for index in (i for i, at in enumerate(ready_at) if at == done):
                 seed_sets, sizes, wildcard_positions, hits = _seed_sets_for_ctp(
@@ -622,9 +618,7 @@ def evaluate_query(
                     )
                 else:
                     config = _cap_to_deadline(config, query_started)
-                memo_key = (
-                    _ctp_memo_key(graph, algorithm, seed_sets, config) if context is not None else None
-                )
+                memo_key = _ctp_memo_key(graph, algorithm, seed_sets, config)
                 jobs.append(CTPJob(index, seed_sets, config, memo_key))
             dispatch.submit(jobs, overlapped=done < len(bgps))
         outcomes = dispatch.finish()
@@ -639,7 +633,6 @@ def evaluate_query(
                 result_set=outcome.result_set,
                 seconds=outcome.seconds,
                 cache_hit=outcome.cache_hit,
-                shared_context=context is not None,
                 dispatch_mode=outcome.mode,
             )
         )
@@ -661,10 +654,8 @@ def evaluate_query(
         rows = rows[: query.limit]
     join_seconds = time.perf_counter() - join_started
 
-    context_stats = None
-    if context is not None:
-        context_stats = context.stats_dict()
-        context_stats["seed_cache_hits"] = seed_cache_hits
+    context_stats = context.stats_dict()
+    context_stats["seed_cache_hits"] = seed_cache_hits
     return QueryResult(
         columns=final.columns,
         rows=rows,

@@ -87,8 +87,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evaluator imports us
 class CTPJob:
     """One CTP evaluation of a query, ready to dispatch.
 
-    ``memo_key`` is the evaluator's cross-CTP memo key, or ``None`` when no
-    context is active (then the job is always searched).  ``index`` is the
+    ``memo_key`` is the evaluator's cross-CTP memo key; ``None`` (a job
+    built by hand) is always searched and never filed.  ``index`` is the
     CTP's position in the query — outcomes are returned in this order.
     """
 
@@ -789,14 +789,13 @@ class BatchResult:
     """The outcome of :func:`evaluate_queries`: per-query results + context.
 
     Iterates/indexes like a list of :class:`~repro.query.evaluator.QueryResult`.
-    ``context`` is the shared search context the batch ran in (``None``
-    under ``shared_context=False``); its counters are *cumulative over the
-    batch*, so ``context_stats()`` read after query *k* includes queries
-    ``0..k``.
+    ``context`` is the shared search context the batch ran in; its
+    counters are *cumulative over the batch*, so ``context_stats()`` read
+    after query *k* includes queries ``0..k``.
     """
 
-    results: List["QueryResult"] = field(default_factory=list)
-    context: Optional[SearchContext] = None
+    results: List["QueryResult"]
+    context: SearchContext
 
     def __len__(self) -> int:
         return len(self.results)
@@ -807,9 +806,9 @@ class BatchResult:
     def __getitem__(self, index):
         return self.results[index]
 
-    def context_stats(self) -> Optional[Dict[str, int]]:
-        """The shared context's cumulative counters (``None`` without one)."""
-        return self.context.stats_dict() if self.context is not None else None
+    def context_stats(self) -> Dict[str, int]:
+        """The shared context's cumulative counters."""
+        return self.context.stats_dict()
 
     def merged_ctp_stats(self) -> SearchStats:
         """All CTP search counters of the batch, merged in (query, CTP) order.
@@ -848,9 +847,7 @@ def evaluate_queries(
     mutation instead of replaying stale result sets.
 
     Pass an explicit ``context`` to amortize across *batches*; otherwise
-    one is created per call (thread-safe when ``parallelism > 1``) —
-    unless ``base_config.shared_context`` is false, which keeps the
-    pool-per-CTP A/B baseline and returns ``BatchResult.context = None``.
+    one is created per call (thread-safe when ``parallelism > 1``).
 
     ``pool`` is the process-side analogue: a persistent
     :class:`~repro.query.pool.WorkerPool` routes every query's
@@ -862,7 +859,7 @@ def evaluate_queries(
     from repro.query.evaluator import evaluate_query  # local: evaluator imports us
 
     base_config = base_config or SearchConfig()
-    if context is None and base_config.shared_context:
+    if context is None:
         context = SearchContext(thread_safe=base_config.parallelism > 1)
     results = [
         evaluate_query(

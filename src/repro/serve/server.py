@@ -73,9 +73,8 @@ class QueryServer:
         Default CTP algorithm (requests may override per call).
     base_config:
         Base :class:`SearchConfig` requests inherit from; the server
-        normalizes it to ``parallelism_mode="process"`` and
-        ``shared_context=True`` (those two are what make it a *server*).
-        Defaults to one worker per core.
+        normalizes its ``parallelism_mode`` / ``parallelism`` to
+        ``dispatch_mode``.  Defaults to one worker per core.
     workers:
         Worker process count for the pool (default: ``os.cpu_count()``).
     max_pending:
@@ -150,11 +149,11 @@ class QueryServer:
         self.compaction_threshold = compaction_threshold
         base = base_config or SearchConfig()
         if dispatch_mode == "process":
-            self.base_config = base.with_(parallelism_mode="process", shared_context=True)
+            self.base_config = base.with_(parallelism_mode="process")
         elif dispatch_mode == "thread":
-            self.base_config = base.with_(parallelism_mode="thread", shared_context=True)
+            self.base_config = base.with_(parallelism_mode="thread")
         else:  # serial: one CTP at a time on the handling thread
-            self.base_config = base.with_(parallelism=1, shared_context=True)
+            self.base_config = base.with_(parallelism=1)
         self.default_deadline = default_deadline
         self.default_timeout = default_timeout
         self.max_pending = max_pending

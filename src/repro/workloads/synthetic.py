@@ -16,6 +16,9 @@ singleton, matching the paper's setup ("each seed set is of size 1").
   edges between consecutive nodes, so the 2-seed CTP between the endpoints
   has exactly ``2^N`` results (the exponential worst case motivating CTP
   filters and timeouts).
+
+:func:`grouped_star` is the micro-benches' variant of ``Star``: the arm
+tips are typed by seed group instead of being returned as seed sets.
 """
 
 from __future__ import annotations
@@ -125,3 +128,25 @@ def chain_graph(n: int, labels: Tuple[str, str] = ("a", "b")) -> Tuple[Graph, Se
         graph.add_edge(previous, node, labels[1])
         previous = node
     return graph, ((first,), (previous,))
+
+
+def grouped_star(num_sets: int, tips_per_set: int, arm_length: int) -> Graph:
+    """A star whose arm tips carry one type per seed group.
+
+    ``CONNECT`` over two groups is the merge-heavy keyword regime (many
+    alternative tips per seed set, all trees meeting at the hub), here
+    driven through EQL type predicates so the evaluator derives the seed
+    sets itself.
+    """
+    graph = Graph(f"grouped-star({num_sets}x{tips_per_set},arm={arm_length})")
+    center = graph.add_node("center")
+    for group in range(num_sets):
+        for tip_index in range(tips_per_set):
+            current = center
+            for j in range(arm_length - 1):
+                node = graph.add_node(f"R{group}_{tip_index}_{j}")
+                graph.add_edge(current, node, "e")
+                current = node
+            tip = graph.add_node(f"S{group}_{tip_index}", types=(f"g{group}",))
+            graph.add_edge(current, tip, "e")
+    return graph

@@ -21,7 +21,6 @@ def test_registry_contains_every_figure_and_table():
         "delta",
         "parallel",
         "process-parallel",
-        "query-context",
         "scale",
         "schedule",
         "serve",

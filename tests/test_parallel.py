@@ -31,7 +31,7 @@ from repro.ctp.registry import ALGORITHMS, evaluate_ctp
 from repro.ctp.stats import SearchStats
 from repro.graph.graph import Graph
 from repro.query.evaluator import evaluate_query
-from repro.query.parallel import effective_parallelism, evaluate_queries
+from repro.query.parallel import CTPJob, effective_parallelism, evaluate_queries, run_ctp_jobs
 
 MATRIX_QUERY = """
 SELECT ?x ?w1 ?w2 ?w3 WHERE {
@@ -134,14 +134,20 @@ def test_parallel_wildcard_query(fig1):
     assert parallel.rows == serial.rows
 
 
-def test_parallel_without_shared_context(fig1):
-    """parallelism composes with shared_context=False (private pools)."""
-    config = SearchConfig(shared_context=False, parallelism=4)
-    serial = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(shared_context=False))
-    parallel = evaluate_query(fig1, MATRIX_QUERY, base_config=config)
-    assert parallel.rows == serial.rows
-    assert parallel.context_stats is None
-    assert [r.cache_hit for r in parallel.ctp_reports] == [False, False, False]
+def test_parallel_without_shared_context(fig1, fig1_seeds):
+    """Thread dispatch composes with context-less jobs (a private pool per
+    run, nothing memoized): same result sets as the inline executor."""
+    jobs = [
+        CTPJob(index, list(seeds), SearchConfig(max_edges=4))
+        for index, seeds in enumerate((fig1_seeds, fig1_seeds[:2], fig1_seeds))
+    ]
+    serial = run_ctp_jobs(fig1, "molesp", jobs, None, parallelism=1)
+    parallel = run_ctp_jobs(fig1, "molesp", jobs, None, parallelism=4)
+    assert [[r.edges for r in o.result_set] for o in parallel] == [
+        [r.edges for r in o.result_set] for o in serial
+    ]
+    assert [o.cache_hit for o in parallel] == [False, False, False]
+    assert [o.mode for o in parallel] == ["thread"] * 3
 
 
 def test_parallel_csr_backend(fig1):
@@ -588,13 +594,13 @@ class TestEvaluateQueries:
             assert a.rows == b.rows
 
     def test_no_shared_context_baseline(self, fig1):
-        batch = evaluate_queries(
-            fig1, [TWO_CTP, TWO_CTP], base_config=SearchConfig(shared_context=False)
-        )
-        assert batch.context is None
-        assert batch.context_stats() is None
-        assert all(not r.cache_hit for result in batch for r in result.ctp_reports)
-        assert batch[0].rows == batch[1].rows
+        """The batch's one context is reuse only: rows equal those of the
+        same queries evaluated one by one, each in a context of its own."""
+        batch = evaluate_queries(fig1, [TWO_CTP, TWO_CTP])
+        alone = [evaluate_query(fig1, TWO_CTP) for _ in range(2)]
+        assert [result.rows for result in batch] == [result.rows for result in alone]
+        assert all(not r.cache_hit for result in alone for r in result.ctp_reports)
+        assert all(r.cache_hit for r in batch[1].ctp_reports)
 
     def test_graph_growth_rejected_by_fingerprint_guard(self):
         """Reusing a batch context after the graph grew must re-search:

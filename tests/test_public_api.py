@@ -111,14 +111,13 @@ def test_search_config_fields_are_exactly_these():
         "max_trees",
         "strict_merge2",
         "mo_inject_always",
-        "shared_context",
         "parallelism",
         "parallelism_mode",
         "scheduling",
     ]
 
 
-@pytest.mark.parametrize("retired", ["interning", "dense_ids", "backend"])
+@pytest.mark.parametrize("retired", ["interning", "dense_ids", "backend", "shared_context"])
 def test_retired_representation_flags_are_type_errors(retired):
     from repro.ctp import SearchConfig, SearchContext
 

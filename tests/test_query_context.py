@@ -8,10 +8,12 @@ Three layers:
 * engine-level tests that re-running a search inside one context serves
   pool unions and rooted results from the shared state while producing
   byte-identical result sets;
-* evaluator-level equivalence: ``shared_context=True`` vs the
-  pool-per-CTP baseline across the golden-matrix configurations (same
-  rows, same per-result seeds and weights), plus cache-hit counter
-  assertions on multi-CTP overlapping-seed queries.
+* evaluator-level equivalence: the query-scoped context against the
+  pool-per-CTP evaluation it replaced, across the golden-matrix
+  configurations — the rows recorded from ``shared_context=False`` before
+  that switch was retired (``tests/data/knobs_golden.json``), and a
+  context-less engine run per CTP kept here as the live reference — plus
+  cache-hit counter assertions on multi-CTP overlapping-seed queries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.ctp.config import SearchConfig
 from repro.ctp.context import ResultCache, SearchContext
 from repro.ctp.interning import EdgeSetPool
@@ -31,8 +32,16 @@ from repro.ctp.registry import evaluate_ctp
 from repro.ctp.results import ResultTree
 from repro.graph.datasets import figure1
 from repro.graph.graph import Graph
-from repro.query.evaluator import evaluate_query
-from repro.testing import query_record
+from repro.query.bgp import evaluate_bgp
+from repro.query.evaluator import (
+    _seed_sets_for_ctp,
+    config_for_ctp,
+    derive_binding_values,
+    evaluate_query,
+)
+from repro.query.parser import parse_query
+from repro.testing import query_record, result_set_record
+from repro.workloads.synthetic import grouped_star
 
 Q1 = """
 SELECT ?x ?y ?z ?w
@@ -147,8 +156,8 @@ class TestSearchContext:
         assert fingerprint(SearchConfig()) == fingerprint(SearchConfig())
         assert fingerprint(SearchConfig()) != fingerprint(SearchConfig(max_edges=3))
         assert fingerprint(SearchConfig()) != fingerprint(SearchConfig(uni=True))
-        # shared_context itself is representation-only: same fingerprint.
-        assert fingerprint(SearchConfig()) == fingerprint(SearchConfig(shared_context=False))
+        # Dispatch is representation-only: same fingerprint.
+        assert fingerprint(SearchConfig()) == fingerprint(SearchConfig(parallelism=4))
 
 
 # ----------------------------------------------------------------------
@@ -255,25 +264,31 @@ STAR_WORKLOADS = {
 }
 
 #: ``tests/data/knobs_golden.json``, section ``"query_context"``: the
-#: record (:func:`repro.testing.query_record`) of every case below, taken
-#: with ``shared_context=False`` (a private pool per CTP, no memo).
+#: record (:func:`repro.testing.query_record`) of every case below —
+#: recorded through the retired ``SearchConfig(shared_context=False)``
+#: (a private pool per CTP, no memo).
 GOLDEN_PATH = Path(__file__).parent / "data" / "knobs_golden.json"
 
 
 def _golden_records():
     fig1 = figure1()
     for query_name, query, config_name, overrides, algo in _cases():
-        config = SearchConfig(shared_context=False, **overrides)
         graph = fig1.freeze() if config_name == "csr" else fig1
-        result = evaluate_query(graph, query, algorithm=algo, base_config=config)
+        result = evaluate_query(graph, query, algorithm=algo, base_config=SearchConfig(**overrides))
         yield f"{query_name}|{config_name}|{algo}", query_record(result)
-    private = SearchConfig(shared_context=False)
-    yield "two-ctp|default|bft-am", query_record(
-        evaluate_query(fig1, TWO_CTP, algorithm="bft-am", base_config=private)
-    )
+    yield "two-ctp|default|bft-am", query_record(evaluate_query(fig1, TWO_CTP, algorithm="bft-am"))
     for name, (shape, query) in STAR_WORKLOADS.items():
-        result = evaluate_query(grouped_star(*shape), query, base_config=private)
-        yield f"{name}|default|molesp", query_record(result)
+        yield f"{name}|default|molesp", query_record(evaluate_query(grouped_star(*shape), query))
+
+
+def _context_less_ctps(graph, query, algo, base_config=SearchConfig()):
+    """Step (B) without a context: one private-pool engine run per CTP."""
+    parsed = parse_query(query)
+    bindings = derive_binding_values([evaluate_bgp(graph, bgp) for bgp in parsed.bgps()])
+    for ctp in parsed.ctps:
+        seed_sets = _seed_sets_for_ctp(graph, ctp, bindings)[0]
+        config = config_for_ctp(ctp.filters, base_config, None)
+        yield evaluate_ctp(graph, seed_sets, algo, config=config)
 
 
 @pytest.fixture(scope="module")
@@ -290,39 +305,32 @@ def test_shared_context_row_equivalence(
 ):
     """Shared-context evaluation is row-for-row the pool-per-CTP evaluation."""
     graph = fig1.freeze() if config_name == "csr" else fig1
-    shared = evaluate_query(
-        graph, query, algorithm=algo, base_config=SearchConfig(shared_context=True, **overrides)
-    )
-    baseline = evaluate_query(
-        graph, query, algorithm=algo, base_config=SearchConfig(shared_context=False, **overrides)
-    )
-    assert shared.columns == baseline.columns
-    assert canonical_rows(shared) == canonical_rows(baseline)
-    record = golden[f"{query_name}|{config_name}|{algo}"]
-    assert query_record(shared) == record
-    assert query_record(baseline) == record
-    assert baseline.context_stats is None
-    assert shared.context_stats is not None
-    for shared_report, base_report in zip(shared.ctp_reports, baseline.ctp_reports):
-        assert shared_report.seed_set_sizes == base_report.seed_set_sizes
-        assert [r.weight for r in shared_report.result_set] == [
-            r.weight for r in base_report.result_set
-        ]
+    config = SearchConfig(**overrides)
+    shared = evaluate_query(graph, query, algorithm=algo, base_config=config)
+    assert query_record(shared) == golden[f"{query_name}|{config_name}|{algo}"]
+    private = list(_context_less_ctps(graph, query, algo, config))
+    assert len(private) == len(shared.ctp_reports)
+    for report, reference in zip(shared.ctp_reports, private):
+        assert result_set_record(report.result_set) == result_set_record(reference)
+        assert [r.weight for r in report.result_set] == [r.weight for r in reference]
 
 
 def test_bft_shared_context_equivalence(fig1, golden):
-    shared = evaluate_query(fig1, TWO_CTP, algorithm="bft-am", base_config=SearchConfig(shared_context=True))
-    baseline = evaluate_query(fig1, TWO_CTP, algorithm="bft-am", base_config=SearchConfig(shared_context=False))
-    assert canonical_rows(shared) == canonical_rows(baseline)
-    assert query_record(shared) == query_record(baseline) == golden["two-ctp|default|bft-am"]
+    shared = evaluate_query(fig1, TWO_CTP, algorithm="bft-am")
+    assert query_record(shared) == golden["two-ctp|default|bft-am"]
+    for report, reference in zip(shared.ctp_reports, _context_less_ctps(fig1, TWO_CTP, "bft-am")):
+        assert result_set_record(report.result_set) == result_set_record(reference)
     assert shared.context_stats["runs"] == 2
 
 
 @pytest.mark.parametrize("name", sorted(STAR_WORKLOADS))
 def test_star_workloads_match_pool_per_ctp_golden(golden, name):
     shape, query = STAR_WORKLOADS[name]
-    result = evaluate_query(grouped_star(*shape), query)
+    graph = grouped_star(*shape)
+    result = evaluate_query(graph, query)
     assert query_record(result) == golden[f"{name}|default|molesp"]
+    for report, reference in zip(result.ctp_reports, _context_less_ctps(graph, query, "molesp")):
+        assert result_set_record(report.result_set) == result_set_record(reference)
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +357,6 @@ class TestCacheCounters:
         assert stats["seed_cache_hits"] == 1  # the shared ?x seed set
         # The second CTP re-derives edge sets around the shared ?x seeds.
         assert stats["pool_union_hits"] > 0
-        assert all(r.shared_context for r in result.ctp_reports)
 
     def test_limit_truncated_ctp_not_memoized(self, fig1):
         query = DUP_CTP.replace("MAX 3", "MAX 3 LIMIT 1")
@@ -358,10 +365,10 @@ class TestCacheCounters:
         assert result.context_stats["ctp_cache_hits"] == 0
 
     def test_no_shared_context_reports(self, fig1):
-        result = evaluate_query(fig1, DUP_CTP, base_config=SearchConfig(shared_context=False))
-        assert result.context_stats is None
-        assert [r.cache_hit for r in result.ctp_reports] == [False, False]
-        assert [r.shared_context for r in result.ctp_reports] == [False, False]
+        """No report says whether a context was shared: one always is."""
+        result = evaluate_query(fig1, DUP_CTP)
+        assert result.context_stats["runs"] == 1
+        assert not any(hasattr(report, "shared_context") for report in result.ctp_reports)
 
     def test_explicit_context_amortizes_across_queries(self, fig1):
         context = SearchContext()

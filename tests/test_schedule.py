@@ -56,8 +56,8 @@ from repro.query.costmodel import (
 from repro.query.evaluator import evaluate_query
 from repro.query.parallel import CTPJob, Dispatch, run_ctp_jobs
 from repro.serve import STATUS_OK, QueryRequest, QueryServer
-from repro.bench.experiments.micro_query_context import grouped_star
 from repro.testing import FakeClock, InlineExecutor, query_record
+from repro.workloads.synthetic import grouped_star
 
 SETTINGS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
