@@ -17,7 +17,6 @@ from repro.bench.experiments import (
     micro_parallel,
     micro_process_parallel,
     micro_scale,
-    micro_schedule,
     micro_serve,
     table1_yago,
 )
@@ -39,7 +38,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "parallel": micro_parallel.run,
     "process-parallel": micro_process_parallel.run,
     "scale": micro_scale.run,
-    "schedule": micro_schedule.run,
     "serve": micro_serve.run,
 }
 

@@ -50,7 +50,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         base_config = SearchConfig(
             parallelism=args.parallelism,
             parallelism_mode=args.parallelism_mode,
-            scheduling=args.scheduling,
         )
     except ValueError as error:  # bad flag combinations are user errors
         raise ReproError(str(error)) from None
@@ -83,14 +82,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"ctp_cache={ctx['ctp_cache_hits']}/{ctx['ctp_cache_hits'] + ctx['ctp_cache_misses']} "
         f"rooted_hits={ctx['rooted_cache_hits']} seed_cache_hits={ctx['seed_cache_hits']}"
     )
-    if result.schedule is not None:
-        sched = result.schedule
-        print(
-            f"schedule: mode {sched.mode_requested}->{sched.mode_selected} "
-            f"estimates={[round(e, 1) for e in sched.estimates]} "
-            f"order={sched.submit_order} rebalances={sched.rebalances} "
-            f"(+{sched.rebalanced_seconds:.3f}s) overlaps={sched.pipeline_overlaps}"
-        )
+    sched = result.schedule
+    print(
+        f"schedule: mode {sched.mode_requested}->{sched.mode_selected} "
+        f"estimates={[round(e, 1) for e in sched.estimates]} "
+        f"order={sched.submit_order} rebalances={sched.rebalances} "
+        f"(+{sched.rebalanced_seconds:.3f}s) overlaps={sched.pipeline_overlaps}"
+    )
     return 0
 
 
@@ -140,7 +138,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         base_config = SearchConfig(
             parallelism=max(args.workers, 1),
             parallelism_mode="process",
-            scheduling=args.scheduling,
         )
     except ValueError as error:
         raise ReproError(str(error)) from None
@@ -281,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "searches), or 'auto' (cost model picks serial/thread/process per query)",
     )
     query.add_argument(
-        "--scheduling",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="cost-model-driven CTP scheduling: longest-first submission, "
-        "deadline-budget rebalancing, pipelined BGP/CTP overlap under thread "
-        "dispatch (rows identical either way)",
-    )
-    query.add_argument(
         "--snapshot",
         help="binary CSR snapshot file to load the graph from (see the snapshot "
         "subcommand); mutually exclusive with --graph, reused by process workers",
@@ -346,13 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--deadline", type=float, help="per-request wall-clock budget in seconds")
     serve.add_argument("--timeout", type=float, default=30.0, help="default per-CTP timeout in seconds")
-    serve.add_argument(
-        "--scheduling",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="cost-model-driven CTP scheduling for every served request "
-        "(per-response telemetry appears in stats.schedule)",
-    )
     serve.add_argument("--rows", type=int, help="per-response row limit (pagination)")
     serve.add_argument(
         "--compaction-threshold",

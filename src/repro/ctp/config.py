@@ -64,8 +64,10 @@ class SearchConfig:
     deadline:
         Whole-*query* wall-clock budget in seconds, enforced by the
         evaluator (standalone engine runs ignore it): each CTP's effective
-        ``timeout`` is capped to the budget remaining when its job is
-        built, so no single CTP can spend the whole query's allowance —
+        ``timeout`` is its cost-proportional share of the budget
+        (:class:`~repro.query.costmodel.DeadlineLedger`), re-granted
+        upward at execution as cheaper CTPs finish under theirs, so the
+        CTPs of a query together spend about one deadline of wall time —
         the per-query deadline discipline a serving front-end needs
         ("Complexity of Evaluating GQL Queries" motivates how wildly
         per-fragment cost varies).  Deadline-truncated result sets are
@@ -123,16 +125,6 @@ class SearchConfig:
         ``"auto"`` lets the evaluator pick serial/thread/process per query
         from the cost model's estimated total cost vs. dispatch-overhead
         constants (:mod:`repro.query.costmodel`).
-    scheduling:
-        Evaluator-level knob (ignored by standalone engine runs): turn on
-        cost-model-driven scheduling (:mod:`repro.query.costmodel`) —
-        longest-first CTP submission, execution-time deadline-budget
-        rebalancing (unspent wall budget from fast CTPs flows to
-        still-running slow ones), and pipelined step-(A)→(B) overlap
-        under thread dispatch.  Dispatch-only, absent from the memo
-        fingerprint: result rows are bit-identical to serial evaluation
-        with the flag off.  Default off; ``parallelism_mode="auto"``
-        implies the cost model for *mode selection* regardless.
     """
 
     uni: bool = False
@@ -151,7 +143,6 @@ class SearchConfig:
     mo_inject_always: bool = False
     parallelism: int = 1
     parallelism_mode: str = "thread"
-    scheduling: bool = False
 
     def __post_init__(self) -> None:
         if self.top_k is not None and self.score is None:
@@ -186,11 +177,6 @@ class SearchConfig:
             raise ConfigError(
                 f"unknown parallelism_mode {self.parallelism_mode!r} "
                 f"(use one of {', '.join(PARALLELISM_MODES)})"
-            )
-        if not isinstance(self.scheduling, bool):
-            raise ConfigError(
-                f"scheduling must be a bool (cost-model scheduling on/off), "
-                f"got {self.scheduling!r}"
             )
         if self.labels is not None:
             object.__setattr__(self, "labels", frozenset(self.labels))

@@ -353,10 +353,9 @@ class SearchContext:
         """The search-relevant identity of a :class:`SearchConfig`.
 
         Every field that can change a result set (or its truncation) is
-        included; ``parallelism``, ``parallelism_mode`` and ``scheduling``
-        are dispatch-only and deliberately absent — a parallel (or
-        cost-model-scheduled) evaluation may serve (and file) the same
-        memo entries as a serial one.
+        included; ``parallelism`` and ``parallelism_mode`` are
+        dispatch-only and deliberately absent — a parallel evaluation may
+        serve (and file) the same memo entries as a serial one.
         """
         return (
             config.uni,

@@ -1,14 +1,13 @@
 """Per-CTP cost estimation and the scheduling decisions it feeds.
 
-The dispatch layer (:mod:`repro.query.parallel`) historically treated
-every CTP identically, but per-fragment evaluation cost varies wildly
-("Complexity of Evaluating GQL Queries"): a CONNECT over two 3-node seed
-sets on a sparse label is milliseconds, one over hundreds of seeds with a
-wildcard is the whole query budget.  The raw signals were already in the
-system — seed-set sizes from step (A) bindings, per-label edge counts off
-the CSR label indexes, the algorithm class, the MVCC delta-overlay size —
-this module turns them into a scalar cost estimate per CTP and feeds four
-scheduler decisions:
+Per-fragment evaluation cost varies wildly ("Complexity of Evaluating GQL
+Queries"): a CONNECT over two 3-node seed sets on a sparse label is
+milliseconds, one over hundreds of seeds with a wildcard is the whole
+query budget.  The raw signals are already in the system — seed-set sizes
+from step (A) bindings, per-label edge counts off the CSR label indexes,
+the algorithm class, the MVCC delta-overlay size — this module turns them
+into a scalar cost estimate per CTP and feeds four decisions, made for
+every query (there is no switch):
 
 1. **auto mode selection** — ``parallelism_mode="auto"`` picks
    serial/thread/process per query by comparing the estimated total cost
@@ -20,13 +19,15 @@ scheduler decisions:
    workers outnumber the stragglers (memo filing stays in CTP order, so
    rows and cache LRU state are unchanged — see
    :class:`repro.query.parallel.Dispatch`);
-3. **deadline rebalancing** — :class:`DeadlineLedger` re-grants unspent
-   wall budget from fast CTPs to still-running slow ones at *execution*
-   time instead of freezing every budget at job-build time; a grant never
-   drops below the original build budget;
-4. **pipelined (A)→(B) overlap** — the estimates label which CTPs are
-   worth starting early (the evaluator feeds them to the dispatch while
-   later BGPs are still materializing).
+3. **deadline shares** — under ``SearchConfig.deadline`` a
+   :class:`DeadlineLedger` gives each CTP its cost-proportional share of
+   the query's wall budget and re-grants unspent budget from fast CTPs to
+   still-pending slow ones at *execution* time; a grant never drops below
+   the original build budget;
+4. **pipelined (A)→(B) overlap** — under thread dispatch the evaluator
+   feeds a CTP to the dispatch the moment its seed variables resolve,
+   while later BGPs are still materializing (the ledger then registers
+   CTPs incrementally).
 
 Everything here is deliberately picklable (plain dataclasses, no
 callables) so an estimator can ride a job to a pool worker.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -262,7 +264,6 @@ class ScheduleReport:
     (A) finished (pipeline overlap).
     """
 
-    enabled: bool = False
     mode_requested: str = "thread"
     mode_selected: str = "serial"
     estimates: List[float] = field(default_factory=list)
@@ -278,7 +279,6 @@ class ScheduleReport:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "enabled": self.enabled,
             "mode_requested": self.mode_requested,
             "mode_selected": self.mode_selected,
             "estimates": list(self.estimates),
@@ -291,9 +291,10 @@ class ScheduleReport:
         }
 
 
-#: Smallest grant a ledger ever hands out (seconds) — mirrors the
-#: evaluator's deadline floor so an exhausted budget still produces an
-#: honestly-flagged ``timed_out`` partial set through the engine path.
+#: Smallest grant a ledger ever hands out (seconds).  A CTP built after
+#: the query's deadline already passed still *runs* with this sliver, so
+#: it returns an honestly-flagged ``timed_out`` partial set through the
+#: normal engine path instead of needing a synthetic empty result.
 LEDGER_FLOOR = 1e-6
 
 
@@ -304,10 +305,10 @@ class DeadlineLedger:
     concurrent slots and cost estimates ``c_i``, CTP *i* may spend
     ``remaining * min(1, workers * c_i / sum(pending c))`` — cost-
     proportional shares that sum to the remaining deadline under serial
-    dispatch (``workers=1``) and degenerate to the historical
-    full-remaining cap when every CTP has its own worker.  (The
-    historical behaviour — every budget frozen at ~query start — let a
-    serial query with k deadline-hungry CTPs overshoot to ~k × deadline.)
+    dispatch (``workers=1``) and degenerate to the full remaining budget
+    when every CTP has its own worker.  (Capping each CTP to what is left
+    when its job is *built* — all at ~query start — lets a serial query
+    with k deadline-hungry CTPs overshoot to ~k × deadline.)
 
     At **execution** time :meth:`grant` recomputes the fair share against
     the budget *actually* left and the CTPs *still pending*: a fast CTP
@@ -330,8 +331,6 @@ class DeadlineLedger:
     ) -> None:
         if deadline <= 0:
             raise ConfigError("DeadlineLedger needs a positive deadline")
-        import time
-
         self.deadline = deadline
         self.started = started
         self.workers = max(1, workers)
@@ -428,32 +427,26 @@ class DeadlineLedger:
 class QuerySchedule:
     """One query's scheduling state, threaded through the dispatch layer.
 
-    Bundles the per-CTP cost estimates (keyed by CTP index), the optional
-    :class:`DeadlineLedger`, and the :class:`ScheduleReport` the serving
-    layer surfaces.  ``enabled=False`` (the ``parallelism_mode="auto"``
-    case without ``scheduling=True``) keeps mode selection but turns the
-    ordering/rebalancing/pipelining decisions off.
+    Bundles the per-CTP cost estimates (keyed by CTP index; a CTP without
+    one counts as 0), the :class:`DeadlineLedger` of a deadline-bounded
+    query (``None`` without a deadline) and the :class:`ScheduleReport`
+    the serving layer surfaces.
     """
 
     def __init__(
         self,
         estimates: Optional[Dict[int, float]] = None,
         ledger: Optional[DeadlineLedger] = None,
-        report: Optional[ScheduleReport] = None,
-        enabled: bool = True,
     ) -> None:
         self.estimates: Dict[int, float] = dict(estimates or {})
         self.ledger = ledger
-        self.report = report if report is not None else ScheduleReport(enabled=enabled)
-        self.enabled = enabled
+        self.report = ScheduleReport()
 
     def estimate(self, index: int) -> float:
         return self.estimates.get(index, 0.0)
 
     def ordered(self, groups: Sequence[Any], index_of: Any) -> List[Any]:
         """Longest-first (estimated), ties broken by CTP index (stable)."""
-        if not self.enabled:
-            return list(groups)
         return sorted(groups, key=lambda g: (-self.estimate(index_of(g)), index_of(g)))
 
     def record_submits(self, indices: Sequence[int]) -> None:
@@ -463,14 +456,14 @@ class QuerySchedule:
         """The config a dispatched job should actually run with.
 
         Applies the ledger's execution-time grant to the job's timeout;
-        identical to the build config when scheduling is off, there is no
-        deadline, or the grant equals the build budget.  The job's memo
+        identical to the build config when there is no deadline or the
+        grant equals the build budget.  The job's memo
         key keeps the *build* config's fingerprint — only complete,
         untruncated result sets are ever memoized, and those are
         timeout-independent, so a regranted run files the same entry the
         serial path would.
         """
-        if not self.enabled or self.ledger is None:
+        if self.ledger is None:
             return job.config
         granted = self.ledger.grant(job.index)
         if job.config.timeout is not None and abs(granted - job.config.timeout) <= LEDGER_FLOOR:

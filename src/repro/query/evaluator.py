@@ -29,16 +29,24 @@ it — inline on the calling thread (``parallelism=1``), N worker threads
 over a thread-safe context, or the worker processes of a
 :class:`~repro.query.pool.WorkerPool`, each loading the graph once from an
 mmap-shared CSR snapshot (real multi-core overlap for CPU-bound complete
-searches under the GIL).  *When* jobs are fed is the only variable: with
-``scheduling`` on under explicit thread dispatch a CTP starts searching
-the moment its own bindings exist, overlapping the BGPs still to come;
-otherwise nothing is fed before the last BGP — the mode decision of
-``"auto"`` needs every CTP's estimate, and jobs bound for worker processes
-would serialize on pickling anyway.  Dispatch is representation-only —
-rows are bit-identical to serial evaluation regardless of executor, worker
-count or feed time (``python -m repro.bench parallel`` re-checks equality).
-The batch counterpart :func:`~repro.query.parallel.evaluate_queries` runs
-many queries against one shared context for cross-query memo hits.
+searches under the GIL).  *When* jobs are fed is the only variable: under
+explicit thread dispatch a CTP starts searching the moment its own
+bindings exist, overlapping the BGPs still to come; otherwise nothing is
+fed before the last BGP — the mode decision of ``"auto"`` needs every
+CTP's estimate, and jobs bound for worker processes would serialize on
+pickling anyway.  Dispatch is representation-only — rows are bit-identical
+to serial evaluation regardless of executor, worker count or feed time
+(``python -m repro.bench parallel`` re-checks equality).  The batch
+counterpart :func:`~repro.query.parallel.evaluate_queries` runs many
+queries against one shared context for cross-query memo hits.
+
+Every query runs under the cost model (:mod:`repro.query.costmodel`): each
+CTP is estimated when its seed sets resolve; the estimates order the
+fan-out longest-first, resolve ``parallelism_mode="auto"``, and — when
+``SearchConfig.deadline`` is set — size each CTP's share of the query's
+wall budget through a :class:`~repro.query.costmodel.DeadlineLedger`, so
+the deadline bounds the *query*, not each CTP separately.  What it decided
+is on ``QueryResult.schedule``.
 """
 
 from __future__ import annotations
@@ -136,12 +144,10 @@ class QueryResult:
     #: MVCC generation of the graph (view) the query evaluated against.
     #: Rows are reproducible against a full freeze of that generation.
     generation: Optional[int] = None
-    #: The cost model's decisions and measurements for this query
-    #: (:class:`~repro.query.costmodel.ScheduleReport`): per-CTP estimates
-    #: vs. actual seconds, submission order, rebalance counters, pipeline
-    #: overlap.  Set when ``scheduling=True`` or
-    #: ``parallelism_mode="auto"``; ``None`` when the cost model never ran.
-    schedule: Optional[ScheduleReport] = None
+    #: The cost model's decisions and measurements for this query:
+    #: per-CTP estimates vs. actual seconds, submission order, rebalance
+    #: counters, pipeline overlap.
+    schedule: ScheduleReport = field(default_factory=ScheduleReport)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -386,30 +392,9 @@ def _ctp_memo_key(graph: Graph, algorithm: str, seed_sets: Sequence, config: Sea
     )
 
 
-#: Smallest per-CTP budget a deadline can leave (seconds).  A CTP built
-#: after the query's deadline already passed still *runs* with this sliver
-#: so it returns an honestly-flagged ``timed_out`` partial set through the
-#: normal engine path instead of needing a synthetic empty result.
-_DEADLINE_FLOOR = 1e-6
-
-
-def _cap_to_deadline(config: SearchConfig, query_started: float) -> SearchConfig:
-    """Cap a CTP's ``timeout`` to the query deadline budget remaining *now*.
-
-    The deadline (``SearchConfig.deadline``) is a whole-query wall-clock
-    budget: each CTP may spend at most what is left when its job is built,
-    so one expensive CONNECT cannot consume a later CONNECT's allowance.
-    No-op without a deadline, or when the CTP's own timeout is already
-    tighter.  The capped timeout participates in the memo fingerprint like
-    any other timeout — deadline-truncated sets are wall-clock-dependent
-    and must never be replayed (same rule as plain ``TIMEOUT``).
-    """
-    if config.deadline is None:
-        return config
-    remaining = max(config.deadline - (time.perf_counter() - query_started), _DEADLINE_FLOOR)
-    if config.timeout is None or remaining < config.timeout:
-        return config.with_(timeout=remaining)
-    return config
+#: The one cost model.  Stateless (a frozen dataclass of weights), so every
+#: query of the process shares it.
+_ESTIMATOR = CTPCostEstimator()
 
 
 def evaluate_query(
@@ -455,19 +440,11 @@ def evaluate_query(
         mode.
 
     When ``base_config.deadline`` is set, each CTP's effective timeout is
-    capped to the whole-query budget remaining when its job is built
-    (:func:`_cap_to_deadline`) — or, with ``scheduling=True``, to its
-    cost-proportional share of the budget, rebalanced upward at execution
-    time as faster CTPs finish under their shares
+    its cost-proportional share of the whole-query budget, re-granted
+    upward at execution time as faster CTPs finish under their shares
     (:class:`~repro.query.costmodel.DeadlineLedger`).
-
-    ``base_config.scheduling`` turns on the cost-model scheduling
-    decisions (longest-first submission, deadline rebalancing, pipelined
-    (A)→(B) overlap under thread dispatch);
     ``base_config.parallelism_mode="auto"`` has the cost model pick
-    serial/thread/process dispatch per query.  Either one attaches a
-    :class:`~repro.query.costmodel.ScheduleReport` to
-    ``QueryResult.schedule``.
+    serial/thread/process dispatch per query.
     """
     query_started = time.perf_counter()
     if isinstance(query, str):
@@ -481,13 +458,6 @@ def evaluate_query(
         # thread dispatch instead of all the way to serial.
         context = SearchContext(thread_safe=base_config.parallelism > 1)
 
-    # Cost-model scheduling (repro.query.costmodel): an estimator is built
-    # when the query opts into scheduling decisions (``scheduling=True``)
-    # or asks the cost model to pick the dispatch mode (``"auto"``).
-    scheduling = base_config.scheduling
-    auto_mode = base_config.parallelism_mode == "auto"
-    estimator = CTPCostEstimator() if (scheduling or auto_mode) else None
-
     bgps = query.bgps()
     ctps = query.ctps
     seed_vars = {seed.var for ctp in ctps for seed in ctp.seeds}
@@ -497,16 +467,15 @@ def evaluate_query(
     # When CTP jobs are fed to the dispatch.  Each CTP only needs the
     # bindings of its *own* seed variables (BGPs are variable-disjoint
     # components, so a seed variable is bound by at most one of them):
-    # under explicit thread dispatch with scheduling on, a CTP is built and
-    # submitted the moment those resolve — free-seed CTPs before any BGP
-    # runs — and searches while later BGPs are still materializing.
+    # under explicit thread dispatch a CTP is built and submitted the
+    # moment those resolve — free-seed CTPs before any BGP runs — and
+    # searches while later BGPs are still materializing.
     # Everything else is the degenerate case in which nothing is fed before
     # the last BGP: ``auto`` needs every CTP's estimate (hence every seed
     # set, hence all of step (A)) to pick the mode, and shipping jobs to
     # worker processes mid-(A) would serialize on pickling anyway.
     pipelined = (
-        scheduling
-        and base_config.parallelism_mode == "thread"
+        base_config.parallelism_mode == "thread"
         and base_config.parallelism > 1
         and len(ctps) > 1
         and context.thread_safe
@@ -519,13 +488,13 @@ def evaluate_query(
             for seeds in (set(ctp.seed_vars()) for ctp in ctps)
         ]
 
-    schedule: Optional[QuerySchedule] = None
-    ledger: Optional[DeadlineLedger] = None
+    schedule = QuerySchedule()
+    ledger: Optional[DeadlineLedger] = None  # stays None without a deadline
     resilience: Optional[ResilienceReport] = None
     dispatch: Any = None
     bgp_tables: List[Table] = []
     binding_values: Dict[str, List[Any]] = {}
-    costs: Dict[int, float] = {}
+    costs = schedule.estimates  # per CTP index, filled as seed sets resolve
     derived: List[Any] = [None] * len(ctps)
     bgp_seconds = 0.0
     started = time.perf_counter()
@@ -553,8 +522,7 @@ def evaluate_query(
                 )
                 seed_cache_hits += hits
                 config = config_for_ctp(ctps[index].filters, base_config, default_timeout)
-                if estimator is not None:
-                    costs[index] = estimator.estimate_ctp(graph, algorithm, sizes, config)
+                costs[index] = _ESTIMATOR.estimate_ctp(graph, algorithm, sizes, config)
                 derived[index] = (sizes, wildcard_positions)
                 drafts.append((index, seed_sets, config))
 
@@ -562,33 +530,32 @@ def evaluate_query(
                 mode = base_config.parallelism_mode
                 parallelism = base_config.parallelism
                 mode_selected: Optional[str] = None
-                if auto_mode:
+                if mode == "auto":
                     mode_selected = choose_mode(sum(costs.values()), len(ctps), parallelism, pool)
                     if mode_selected == "serial":
                         mode, parallelism = "thread", 1
                     else:
                         mode = mode_selected
                 workers = effective_parallelism(parallelism, len(ctps), context, mode)
-                if estimator is not None:
-                    if scheduling and base_config.deadline is not None:
-                        ledger = DeadlineLedger(base_config.deadline, query_started, workers)
-                        if not pipelined:
-                            # Full pending pool before any build share.  Fed
-                            # early, CTPs register incrementally instead:
-                            # the first ones see a smaller pool and get
-                            # generous shares — exactly the overlap case
-                            # where budget is plentiful.
-                            ledger.prime(costs)
-                    schedule = QuerySchedule(ledger=ledger, enabled=scheduling)
-                    schedule.report.mode_requested = base_config.parallelism_mode
-                    # One query runs one algorithm across its CTPs; record
-                    # it per CTP so CTPCostEstimator.fit can pool reports
-                    # across queries that used different algorithms.
-                    schedule.report.algorithms = [algorithm] * len(ctps)
-                    if mode_selected is None:
-                        pooled = pool is not None and mode == "process" and not pool.closed
-                        mode_selected = mode if workers > 1 or pooled else "serial"
-                    schedule.report.mode_selected = mode_selected
+                if base_config.deadline is not None:
+                    ledger = DeadlineLedger(base_config.deadline, query_started, workers)
+                    schedule.ledger = ledger
+                    if not pipelined:
+                        # Full pending pool before any build share.  Fed
+                        # early, CTPs register incrementally instead: the
+                        # first ones see a smaller pool and get generous
+                        # shares — exactly the overlap case where budget
+                        # is plentiful.
+                        ledger.prime(costs)
+                schedule.report.mode_requested = base_config.parallelism_mode
+                # One query runs one algorithm across its CTPs; record it
+                # per CTP so CTPCostEstimator.fit can pool reports across
+                # queries that used different algorithms.
+                schedule.report.algorithms = [algorithm] * len(ctps)
+                if mode_selected is None:
+                    pooled = pool is not None and mode == "process" and not pool.closed
+                    mode_selected = mode if workers > 1 or pooled else "serial"
+                schedule.report.mode_selected = mode_selected
                 if pool is not None or mode == "process":
                     resilience = ResilienceReport()
                 dispatch = scope.enter_context(
@@ -604,20 +571,15 @@ def evaluate_query(
                         schedule=schedule,
                     )
                 )
-            if schedule is not None:
-                schedule.estimates.update(costs)
-
             jobs: List[CTPJob] = []
             for index, seed_sets, config in drafts:
                 if ledger is not None:
-                    # The ledger replaces the freeze-at-build cap: each
-                    # CTP's budget is its cost-proportional share of the
-                    # remaining deadline (rebalanced upward at execution).
+                    # Each CTP's budget is its cost-proportional share of
+                    # the remaining deadline (re-granted upward at
+                    # execution); its own timeout stays the ceiling.
                     config = config.with_(
                         timeout=ledger.register(index, costs[index], config.timeout)
                     )
-                else:
-                    config = _cap_to_deadline(config, query_started)
                 memo_key = _ctp_memo_key(graph, algorithm, seed_sets, config)
                 jobs.append(CTPJob(index, seed_sets, config, memo_key))
             dispatch.submit(jobs, overlapped=done < len(bgps))
@@ -665,5 +627,5 @@ def evaluate_query(
         context_stats=context_stats,
         resilience=resilience,
         generation=getattr(graph, "generation", 0),
-        schedule=schedule.finalize(outcomes) if schedule is not None else None,
+        schedule=schedule.finalize(outcomes),
     )

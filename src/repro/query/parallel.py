@@ -198,7 +198,7 @@ class Dispatch:
     def __init__(
         self,
         context: Optional[SearchContext],
-        schedule: Optional[QuerySchedule],
+        schedule: QuerySchedule,
         start: Callable[[CTPJob], "Future[Tuple[CTPResultSet, float]]"],
         mode: str,
         shutdown: Optional[Callable[..., None]] = None,
@@ -236,16 +236,11 @@ class Dispatch:
             failed = exc_type is not None
             self._shutdown(wait=not failed, cancel_futures=failed)
 
-    def _settle(self, index: int) -> None:
-        if self.schedule is not None:
-            self.schedule.settle(index)
-
     def _start(self, job: CTPJob) -> "Future[Any]":
         future = self._start_one(job)
-        if self.schedule is not None:
-            # Settled where the run ends, not at finish(): under the inline
-            # executor the next job's grant must already see this one gone.
-            future.add_done_callback(lambda _done: self._settle(job.index))
+        # Settled where the run ends, not at finish(): under the inline
+        # executor the next job's grant must already see this one gone.
+        future.add_done_callback(lambda _done: self.schedule.settle(job.index))
         if future.done():
             future.result()  # an inline run that raised stops the query here
         return future
@@ -263,7 +258,7 @@ class Dispatch:
         if _replayable(result_set):
             # Exactly the runs the serial loop would serve as memo hits.
             self._outcomes[job.index] = CTPOutcome(result_set, True, 0.0, "memo")
-            self._settle(job.index)
+            self.schedule.settle(job.index)
         else:
             # Re-run at once, so the rerun overlaps still-running leaders
             # instead of queueing behind the slowest one.
@@ -292,9 +287,9 @@ class Dispatch:
                     groups[key] = [job]
                 else:
                     self._outcomes[job.index] = CTPOutcome(cached, True, 0.0, "memo")
-                    self._settle(job.index)
+                    self.schedule.settle(job.index)
         ordered = list(groups.values())
-        if self.schedule is not None and self._reorder:
+        if self._reorder:
             ordered = self.schedule.ordered(ordered, lambda group: group[0].index)
             self.schedule.record_submits([group[0].index for group in ordered])
         started = []
@@ -339,8 +334,7 @@ class Dispatch:
         jobs = sorted(self._jobs, key=lambda job: job.index)
         if self.context is not None:
             self._replay(jobs, self.context.ctp_cache)
-        if self.schedule is not None:
-            self.schedule.report.pipeline_overlaps = self.overlapped
+        self.schedule.report.pipeline_overlaps = self.overlapped
         return [outcomes[job.index] for job in jobs]
 
     def _replay(self, jobs: Sequence[CTPJob], ctp_cache: Any) -> None:
@@ -369,7 +363,7 @@ def _local_dispatch(
     algorithm: str,
     context: Optional[SearchContext],
     workers: int,
-    schedule: Optional[QuerySchedule],
+    schedule: QuerySchedule,
     hop: str = "",
 ) -> Dispatch:
     """A :class:`Dispatch` over this process: inline, or ``workers`` threads."""
@@ -379,7 +373,7 @@ def _local_dispatch(
         # The deadline-budget grant is read at *execution* start (inside
         # the worker thread), not submit time: a job that queued behind
         # siblings picks up whatever budget they left unspent.
-        config = job.config if schedule is None else schedule.config_for_run(job)
+        config = schedule.config_for_run(job)
         started = time.perf_counter()
         result_set = algo.run(graph, job.seed_sets, config, context=context)
         return result_set, time.perf_counter() - started
@@ -420,8 +414,12 @@ def open_dispatch(
     or one bound to a different graph, is ignored rather than trusted;
     process mode then builds a pool for the call when more than one worker
     would run, and otherwise collapses to the inline executor like thread
-    mode does.
+    mode does.  ``schedule`` carries the cost estimates that order the
+    fan-out and the deadline ledger, if any; a caller with neither gets a
+    blank one (CTP order, job timeouts as built).
     """
+    if schedule is None:
+        schedule = QuerySchedule()
     workers = effective_parallelism(parallelism, num_jobs, context, mode)
     if mode == "process" and num_jobs:
         report = report if report is not None else ResilienceReport()
@@ -450,10 +448,10 @@ def run_ctp_jobs(
     ``"thread"`` or ``"process"`` — and ``pool``): everything is submitted
     at once.  ``report`` (a :class:`~repro.query.resilience.ResilienceReport`)
     collects what resilience machinery fired under process dispatch;
-    ``schedule`` (a :class:`~repro.query.costmodel.QuerySchedule`) turns on
-    longest-first submission and execution-time deadline-budget grants (the
-    job configs carry build budgets; the ledger may re-grant upward, never
-    downward).
+    ``schedule`` (a :class:`~repro.query.costmodel.QuerySchedule`) supplies
+    the estimates for longest-first submission and the ledger for
+    execution-time deadline-budget grants (the job configs carry build
+    budgets; the ledger may re-grant upward, never downward).
     """
     with open_dispatch(
         graph, algorithm, context, len(jobs), parallelism, mode, pool, report, schedule
@@ -601,9 +599,10 @@ def _jobs_picklable(algorithm: str, jobs: Sequence[CTPJob], delta: Any = None) -
 def _watchdog_budget(jobs: Sequence[CTPJob], pool: WorkerPool) -> float:
     """The hang watchdog for one pooled fan-out, in seconds.
 
-    Sum of the jobs' own CTP timeouts — a query deadline has already
-    capped each one to the remaining wall budget at job-build time, so
-    this is deadline-derived where a deadline exists — with the pool's
+    Sum of the jobs' own CTP timeouts — under a query deadline these are
+    the ledger's build budgets; an execution-time re-grant only moves
+    budget a finished job left unspent, so the fan-out still ends inside
+    the deadline the budgets were cut from — with the pool's
     ``hang_timeout`` standing in for unbounded jobs, plus a fixed grace
     for spawn/queue/serialization overhead.  The sum (not the max) is the
     honest bound: with fewer workers than jobs the slowest schedule runs
@@ -666,7 +665,7 @@ class _PooledDispatch:
     context: Optional[SearchContext]
     parallelism: int
     report: ResilienceReport
-    schedule: Optional[QuerySchedule]
+    schedule: QuerySchedule
     jobs: List[CTPJob] = field(default_factory=list)
 
     def __enter__(self) -> "_PooledDispatch":
@@ -723,8 +722,7 @@ class _PooledDispatch:
                 # A process job's grant is read at submit time (the worker
                 # cannot reach the parent's ledger); the shipped config
                 # carries it.
-                schedule = self.schedule
-                config = job.config if schedule is None else schedule.config_for_run(job)
+                config = self.schedule.config_for_run(job)
                 return pool.submit(self.algorithm, job.seed_sets, config, delta=delta)
 
             budget = min(

@@ -163,8 +163,7 @@ class ResponseStats:
     #: (:meth:`repro.query.costmodel.ScheduleReport.as_dict`): per-CTP
     #: estimates vs. actual seconds, submission order, rebalance counters,
     #: pipeline overlap, and the dispatch mode the cost model selected.
-    #: ``None`` when the request ran without scheduling or auto mode.
-    schedule: Optional[Dict[str, Any]] = None
+    schedule: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ shares:
 :meth:`QueryServer.handle` is synchronous and thread-safe: a transport
 layer runs it from N client threads.  Per-request deadlines are enforced
 in two places — an already-expired deadline is refused up front
-(``STATUS_EXPIRED``, nothing runs), and a live one caps every CTP's
-effective timeout to the remaining budget
-(:func:`repro.query.evaluator._cap_to_deadline`), so one expensive
-CONNECT cannot eat the whole query's allowance.
+(``STATUS_EXPIRED``, nothing runs), and a live one is split across the
+request's CTPs in cost-proportional shares
+(:class:`repro.query.costmodel.DeadlineLedger`), so one expensive CONNECT
+cannot eat the whole query's allowance and k of them cannot spend k
+deadlines.
 """
 
 from __future__ import annotations
@@ -456,7 +457,7 @@ class QueryServer:
             ),
             resnapshots_avoided=self.pool.resnapshots_avoided if self.pool is not None else 0,
             resnapshot_thrash=self.pool.resnapshot_thrash if self.pool is not None else 0,
-            schedule=result.schedule.as_dict() if result.schedule is not None else None,
+            schedule=result.schedule.as_dict(),
         )
         with self._gauge_lock:
             self.served += 1

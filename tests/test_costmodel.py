@@ -203,7 +203,6 @@ def test_choose_mode_explicit_overhead_wins_over_pool():
 # ----------------------------------------------------------------------
 def _report(algorithms, estimates, actuals) -> ScheduleReport:
     return ScheduleReport(
-        enabled=True,
         algorithms=list(algorithms),
         estimates=list(estimates),
         actual_seconds=list(actuals),

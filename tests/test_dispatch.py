@@ -8,8 +8,8 @@ CTP-order memo replay, whatever executes the searches.  Its contract is
 property drives the real object against it over random job lists
 (duplicate memo keys, unkeyed jobs, replayable and truncated fake result
 sets, a pre-seeded memo, caches small enough to evict) × submit batching
-(all at once = barrier, one by one = pipelined, random splits) × schedule
-on/off × inline and thread executors.
+(all at once = barrier, one by one = pipelined, random splits) × with and
+without cost estimates × inline and thread executors.
 
 What is asserted where:
 
@@ -115,7 +115,7 @@ def test_dispatch_equals_the_serial_loop(case):
     context = _seeded_context(maxsize, seeded, thread_safe=threads)
     cache = context.ctp_cache
     probes_before = cache.hits + cache.misses
-    schedule = None if estimates is None else QuerySchedule(estimates=dict(enumerate(estimates)))
+    schedule = QuerySchedule(estimates=dict(enumerate(estimates or ())))
     executor = ThreadPoolExecutor(max_workers=3) if threads else InlineExecutor()
     dispatch = Dispatch(
         context,
@@ -147,10 +147,9 @@ def test_dispatch_equals_the_serial_loop(case):
     keyed = sum(1 for job in jobs if job.memo_key is not None)
     assert cache.hits + cache.misses - probes_before == keyed
     assert len(cache) <= maxsize
-    if schedule is not None:
-        order = schedule.report.submit_order
-        executed = {job.index for job, outcome in zip(jobs, outcomes) if not outcome.cache_hit}
-        assert len(set(order)) == len(order) and set(order) <= executed
+    order = schedule.report.submit_order
+    executed = {job.index for job, outcome in zip(jobs, outcomes) if not outcome.cache_hit}
+    assert len(set(order)) == len(order) and set(order) <= executed
 
     # Whenever the serial loop evicted nothing: identical to it, in full.
     if want.evictions == 0:

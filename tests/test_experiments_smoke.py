@@ -22,7 +22,6 @@ def test_registry_contains_every_figure_and_table():
         "parallel",
         "process-parallel",
         "scale",
-        "schedule",
         "serve",
     }
 

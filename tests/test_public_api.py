@@ -113,11 +113,10 @@ def test_search_config_fields_are_exactly_these():
         "mo_inject_always",
         "parallelism",
         "parallelism_mode",
-        "scheduling",
     ]
 
 
-@pytest.mark.parametrize("retired", ["interning", "dense_ids", "backend", "shared_context"])
+@pytest.mark.parametrize("retired", ["interning", "dense_ids", "backend", "shared_context", "scheduling"])
 def test_retired_representation_flags_are_type_errors(retired):
     from repro.ctp import SearchConfig, SearchContext
 

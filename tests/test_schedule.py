@@ -1,16 +1,18 @@
 """Cost-model-driven CTP scheduling: the property-test harness.
 
 The scheduling layer (``repro.query.costmodel`` + the dispatch hooks in
-``repro.query.parallel``) makes four decisions — auto mode selection,
-longest-first submission, deadline-budget rebalancing, pipelined (A)→(B)
-overlap — and every one of them must be **representation-only**: rows are
-bit-identical to serial dispatch whatever the scheduler decided.  Five
-layers pin that:
+``repro.query.parallel``) makes four decisions for every query — auto mode
+selection, longest-first submission, deadline shares and their
+rebalancing, pipelined (A)→(B) overlap — and every one of them must be
+**representation-only**: rows are bit-identical to serial dispatch
+whatever the scheduler decided.  Five layers pin that:
 
 * **determinism matrix** — every algorithm × serial/thread/process/auto
-  dispatch × scheduling on/off (with and without a deadline ledger)
-  produces exactly the serial rows on the multi-CTP query with a
-  repeated CTP;
+  dispatch, with and without a deadline ledger, produces exactly the
+  serial rows on the multi-CTP query with a repeated CTP — and the rows
+  ``tests/data/knobs_golden.json`` recorded from ``scheduling=False``
+  before that switch was retired (so do the pipeline query and the star
+  identity batch of the retired ``repro.bench schedule``);
 * **fake-clock ledger** — :class:`DeadlineLedger` build budgets are
   cost-proportional and sum to the deadline, grants never drop below the
   build budget (even past the deadline) and never exceed the intrinsic
@@ -43,6 +45,7 @@ from hypothesis import strategies as st
 from repro.ctp.config import SearchConfig
 from repro.ctp.context import ResultCache
 from repro.ctp.registry import ALGORITHMS
+from repro.ctp.results import CTPResultSet
 from repro.ctp.stats import SearchStats
 from repro.errors import ConfigError
 from repro.graph.datasets import figure1
@@ -100,21 +103,19 @@ STAR_QUERIES = {"star-1ctp": _star_query([(1, 2)]), "star-2ctp": _star_query([(0
 
 #: ``tests/data/knobs_golden.json``, section ``"schedule"``: the record
 #: (:func:`repro.testing.query_record`) of the matrix and pipeline queries
-#: under every algorithm and of the star batch under ``bft``, taken with
-#: ``scheduling=False`` on serial dispatch.
+#: under every algorithm and of the star batch under ``bft``, on serial
+#: dispatch — recorded through the retired ``SearchConfig(scheduling=False)``.
 GOLDEN_PATH = Path(__file__).parent / "data" / "knobs_golden.json"
 
 
 def _golden_records():
-    off = SearchConfig(scheduling=False)
     fig1 = figure1()
     for name, query in (("matrix", MATRIX_QUERY), ("pipeline", PIPELINE_QUERY)):
         for algo in sorted(ALGORITHMS):
-            result = evaluate_query(fig1, query, algorithm=algo, base_config=off)
-            yield f"{name}|{algo}", query_record(result)
+            yield f"{name}|{algo}", query_record(evaluate_query(fig1, query, algorithm=algo))
     star = grouped_star(5, 3, 3)
     for name, query in STAR_QUERIES.items():
-        yield f"{name}|bft", query_record(evaluate_query(star, query, "bft", base_config=off))
+        yield f"{name}|bft", query_record(evaluate_query(star, query, "bft"))
 
 
 @pytest.fixture(scope="module")
@@ -125,16 +126,22 @@ def golden():
 # ----------------------------------------------------------------------
 # determinism matrix: scheduled rows identical to serial, every algorithm
 # ----------------------------------------------------------------------
+#: The ids predate the retirement of ``SearchConfig.scheduling`` and are
+#: kept so a cell's history stays one line of a test log: ``-sched`` cells
+#: are what they always were, and the three ``-nosched`` cells, whose
+#: configs used to differ by the flag, now cross the dispatch modes with
+#: what the matrix lacked — two workers instead of four, and a deadline
+#: under process dispatch.
 SCHED_VARIANTS = {
-    "serial-nosched": dict(parallelism=1),
-    "serial-sched": dict(parallelism=1, scheduling=True),
-    "serial-deadline-sched": dict(parallelism=1, scheduling=True, deadline=60.0),
-    "thread-nosched": dict(parallelism=4),
-    "thread-sched": dict(parallelism=4, scheduling=True),
-    "thread-deadline-sched": dict(parallelism=4, scheduling=True, deadline=60.0),
-    "process-nosched": dict(parallelism=2, parallelism_mode="process"),
-    "process-sched": dict(parallelism=2, parallelism_mode="process", scheduling=True),
-    "auto-sched": dict(parallelism=4, parallelism_mode="auto", scheduling=True),
+    "serial-nosched": dict(parallelism=1, parallelism_mode="process"),
+    "serial-sched": dict(parallelism=1),
+    "serial-deadline-sched": dict(parallelism=1, deadline=60.0),
+    "thread-nosched": dict(parallelism=2),
+    "thread-sched": dict(parallelism=4),
+    "thread-deadline-sched": dict(parallelism=4, deadline=60.0),
+    "process-nosched": dict(parallelism=2, parallelism_mode="process", deadline=60.0),
+    "process-sched": dict(parallelism=2, parallelism_mode="process"),
+    "auto-sched": dict(parallelism=4, parallelism_mode="auto"),
 }
 
 _serial_rows = {}
@@ -164,32 +171,25 @@ def test_scheduled_rows_identical_to_serial(fig1, golden, algo, variant):
         assert [r.edges for r in sched_report.result_set] == [
             r.edges for r in ser_report.result_set
         ]
-    if SCHED_VARIANTS[variant].get("scheduling") or "auto" in variant:
-        assert scheduled.schedule is not None
-        assert len(scheduled.schedule.estimates) == 3
-        assert all(estimate > 0 for estimate in scheduled.schedule.estimates)
-    else:
-        assert scheduled.schedule is None  # cost model never ran
+    assert len(scheduled.schedule.estimates) == 3
+    assert all(estimate > 0 for estimate in scheduled.schedule.estimates)
 
 
 @pytest.mark.parametrize("name", sorted(STAR_QUERIES))
 def test_star_batch_rows_identical_under_every_dispatch(golden, name):
     star = grouped_star(5, 3, 3)
     for config in (
-        SearchConfig(scheduling=True),
-        SearchConfig(parallelism=2, scheduling=True),
-        SearchConfig(parallelism=2, parallelism_mode="process", scheduling=True),
+        SearchConfig(),
+        SearchConfig(parallelism=2),
+        SearchConfig(parallelism=2, parallelism_mode="process"),
         SearchConfig(parallelism=2, parallelism_mode="auto"),
-        SearchConfig(parallelism=2, parallelism_mode="auto", scheduling=True),
     ):
         result = evaluate_query(star, STAR_QUERIES[name], "bft", base_config=config)
         assert query_record(result) == golden[f"{name}|bft"]
 
 
 def test_scheduled_dedup_still_shares_the_repeated_ctp(fig1):
-    result = evaluate_query(
-        fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4, scheduling=True)
-    )
+    result = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
     first, _, third = result.ctp_reports
     assert not first.cache_hit
     assert third.cache_hit  # the ?w3 duplicate of ?w1
@@ -201,11 +201,8 @@ def test_scheduled_dedup_still_shares_the_repeated_ctp(fig1):
 # ----------------------------------------------------------------------
 def test_pipelined_free_ctp_overlaps_bgp(fig1):
     serial = evaluate_query(fig1, PIPELINE_QUERY)
-    result = evaluate_query(
-        fig1, PIPELINE_QUERY, base_config=SearchConfig(parallelism=4, scheduling=True)
-    )
+    result = evaluate_query(fig1, PIPELINE_QUERY, base_config=SearchConfig(parallelism=4))
     assert result.columns == serial.columns and result.rows == serial.rows
-    assert result.schedule is not None
     assert result.schedule.mode_selected == "thread"
     # The constant-seeded CONNECT was submitted while the BGP still ran.
     assert result.schedule.pipeline_overlaps == 1
@@ -213,9 +210,7 @@ def test_pipelined_free_ctp_overlaps_bgp(fig1):
 
 def test_pipelined_bound_ctps_wait_for_their_bgp(fig1):
     serial = evaluate_query(fig1, MATRIX_QUERY)
-    result = evaluate_query(
-        fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4, scheduling=True)
-    )
+    result = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
     assert result.rows == serial.rows
     # Every CONNECT seeds from ?x, bound by the one BGP: nothing overlaps.
     assert result.schedule.pipeline_overlaps == 0
@@ -227,9 +222,10 @@ def test_pipelined_rows_match_golden(fig1, golden, algo):
         fig1,
         PIPELINE_QUERY,
         algorithm=algo,
-        base_config=SearchConfig(parallelism=4, scheduling=True),
+        base_config=SearchConfig(parallelism=4),
     )
     assert query_record(result) == golden[f"pipeline|{algo}"]
+    assert result.schedule.pipeline_overlaps == 1
 
 
 def test_pipelined_with_deadline_keeps_rows(fig1):
@@ -237,7 +233,7 @@ def test_pipelined_with_deadline_keeps_rows(fig1):
     result = evaluate_query(
         fig1,
         PIPELINE_QUERY,
-        base_config=SearchConfig(parallelism=4, scheduling=True, deadline=60.0),
+        base_config=SearchConfig(parallelism=4, deadline=60.0),
     )
     assert result.rows == serial.rows
     assert result.schedule.pipeline_overlaps == 1
@@ -253,10 +249,8 @@ def test_auto_mode_single_ctp_stays_serial(fig1):
         fig1, query, base_config=SearchConfig(parallelism=4, parallelism_mode="auto")
     )
     assert result.rows == serial.rows
-    assert result.schedule is not None
     assert result.schedule.mode_requested == "auto"
     assert result.schedule.mode_selected == "serial"  # one job: nothing to overlap
-    assert result.schedule.enabled is False  # auto alone keeps decisions off
 
 
 def test_auto_mode_selection_consistent_with_choose_mode(fig1):
@@ -264,7 +258,7 @@ def test_auto_mode_selection_consistent_with_choose_mode(fig1):
         fig1,
         MATRIX_QUERY,
         algorithm="bft",
-        base_config=SearchConfig(parallelism=4, parallelism_mode="auto", scheduling=True),
+        base_config=SearchConfig(parallelism=4, parallelism_mode="auto"),
     )
     report = result.schedule
     assert report.mode_requested == "auto"
@@ -370,6 +364,38 @@ def test_ledger_grant_invariants_property(costs, advance, intrinsic, workers):
 
 
 # ----------------------------------------------------------------------
+# the deadline bounds the query, not each CTP
+# ----------------------------------------------------------------------
+def test_deadline_bounds_a_serial_query(fig1, monkeypatch):
+    """Three CTPs that each spend whatever they are handed: on serial
+    dispatch the budgets handed out sum to at most the deadline.  (Capping
+    each to the budget left at job-build time hands out three deadlines.)"""
+    clock = FakeClock()
+    fake_time = SimpleNamespace(perf_counter=clock)
+    monkeypatch.setattr("repro.query.evaluator.time", fake_time)
+    monkeypatch.setattr("repro.query.costmodel.time", fake_time)
+    budgets = []
+
+    class Greedy:
+        def run(self, graph, seed_sets, config, context=None):
+            budgets.append(config.timeout)
+            clock.advance(config.timeout)
+            return CTPResultSet([], SearchStats(), complete=False, timed_out=True)
+
+    monkeypatch.setattr("repro.query.parallel.get_algorithm", lambda name: Greedy())
+    query = MATRIX_QUERY.replace("AS ?w3 MAX 3", "AS ?w3 MAX 4")  # three distinct CTPs
+    result = evaluate_query(fig1, query, base_config=SearchConfig(deadline=0.5))
+    assert len(budgets) == 3
+    assert sum(budgets) <= 0.5 + 3 * LEDGER_FLOOR
+    assert all(report.result_set.timed_out for report in result.ctp_reports)
+    # A CTP's own TIMEOUT still caps its share.
+    del budgets[:]
+    clock.now = 0.0
+    evaluate_query(fig1, query, base_config=SearchConfig(deadline=0.5, timeout=0.01))
+    assert budgets == [0.01, 0.01, 0.01]
+
+
+# ----------------------------------------------------------------------
 # QuerySchedule: grants applied to run configs
 # ----------------------------------------------------------------------
 def test_config_for_run_applies_upward_grant_only():
@@ -380,23 +406,16 @@ def test_config_for_run_applies_upward_grant_only():
     build1 = ledger.register(1, 9.0, None)
     schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0}, ledger=ledger)
     job0 = CTPJob(index=0, seed_sets=[], config=SearchConfig(timeout=build0))
-    # Grant equals the build budget: the very same config object comes back.
+    # Grant equals the build budget: the very same config object comes back
+    # — as it does from a schedule with no ledger (no deadline) at all.
     assert schedule.config_for_run(job0) is job0.config
+    assert QuerySchedule(estimates={0: 1.0}).config_for_run(job0) is job0.config
     clock.advance(0.5)
     schedule.settle(0)
     job1 = CTPJob(index=1, seed_sets=[], config=SearchConfig(timeout=build1))
     regranted = schedule.config_for_run(job1)
     assert regranted is not job1.config
     assert regranted.timeout == pytest.approx(9.5)
-
-
-def test_config_for_run_disabled_schedule_is_identity():
-    ledger = DeadlineLedger(10.0, started=0.0, clock=FakeClock())
-    ledger.prime({0: 1.0})
-    ledger.register(0, 1.0, None)
-    schedule = QuerySchedule(estimates={0: 1.0}, ledger=ledger, enabled=False)
-    job = CTPJob(index=0, seed_sets=[], config=SearchConfig(timeout=1.0))
-    assert schedule.config_for_run(job) is job.config
 
 
 def test_finalize_folds_estimates_actuals_and_ledger_counters():
@@ -421,10 +440,10 @@ class _FakeResultSet:
     timed_out = False
 
 
-def _dispatch(jobs, executor, schedule):
+def _dispatch(jobs, executor, schedule, reorder=True):
     """One barrier dispatch over ``executor``: ``(outcomes, follower indices)``."""
     start = lambda job: executor.submit(lambda j: (_FakeResultSet(), 0.0), job)  # noqa: E731
-    dispatch = Dispatch(None, schedule, start, "thread")
+    dispatch = Dispatch(None, schedule, start, "thread", reorder=reorder)
     dispatch.submit(jobs)
     return dispatch.finish(), dispatch.followers
 
@@ -440,11 +459,15 @@ def test_fan_out_submits_longest_first_ties_by_index():
     assert all(outcome is not None for outcome in outcomes)
 
 
-def test_fan_out_disabled_schedule_keeps_ctp_order():
-    executor = InlineExecutor()
+def test_fan_out_without_reorder_keeps_ctp_order():
+    """``reorder=False`` (what the inline executor is opened with) and a
+    schedule without estimates (all ties) both leave CTP order alone."""
     jobs = [CTPJob(index=i, seed_sets=[], config=SearchConfig()) for i in range(3)]
-    schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0, 2: 4.0}, enabled=False)
-    _dispatch(jobs, executor, schedule)
+    executor = InlineExecutor()
+    _dispatch(jobs, executor, QuerySchedule(estimates={0: 1.0, 1: 9.0, 2: 4.0}), reorder=False)
+    assert [args[0].index for _, args in executor.submitted] == [0, 1, 2]
+    executor = InlineExecutor()
+    _dispatch(jobs, executor, QuerySchedule())
     assert [args[0].index for _, args in executor.submitted] == [0, 1, 2]
 
 
@@ -580,22 +603,13 @@ def test_search_stats_dict_round_trip():
 # satellite: per-response schedule telemetry through the server
 # ----------------------------------------------------------------------
 def test_server_response_carries_schedule_telemetry(fig1):
-    config = SearchConfig(scheduling=True)
-    with QueryServer(fig1, dispatch_mode="serial", base_config=config) as server:
-        response = server.handle(QueryRequest(query=MATRIX_QUERY))
-        assert response.status == STATUS_OK
-        telemetry = response.stats.schedule
-        assert telemetry is not None
-        assert telemetry["enabled"] is True
-        assert len(telemetry["estimates"]) == 3
-        assert len(telemetry["actual_seconds"]) == 3
-
-
-def test_server_response_omits_schedule_when_off(fig1):
     with QueryServer(fig1, dispatch_mode="serial") as server:
         response = server.handle(QueryRequest(query=MATRIX_QUERY))
         assert response.status == STATUS_OK
-        assert response.stats.schedule is None
+        telemetry = response.stats.schedule
+        assert telemetry["mode_selected"] == "serial"
+        assert len(telemetry["estimates"]) == 3
+        assert len(telemetry["actual_seconds"]) == 3
 
 
 if __name__ == "__main__":
