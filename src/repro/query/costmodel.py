@@ -457,11 +457,11 @@ class QuerySchedule:
 
         Applies the ledger's execution-time grant to the job's timeout;
         identical to the build config when there is no deadline or the
-        grant equals the build budget.  The job's memo
-        key keeps the *build* config's fingerprint — only complete,
-        untruncated result sets are ever memoized, and those are
-        timeout-independent, so a regranted run files the same entry the
-        serial path would.
+        grant equals the build budget.  The job's memo key was taken
+        from its config before any budget was written into it — only
+        complete, untruncated result sets are ever memoized, and those
+        are budget-independent — so a regranted run files the same entry
+        a deadline-free one would.
         """
         if self.ledger is None:
             return job.config

@@ -573,6 +573,10 @@ def evaluate_query(
                 )
             jobs: List[CTPJob] = []
             for index, seed_sets, config in drafts:
+                # Keyed on the CTP's own config, before a deadline share is
+                # written into ``timeout``: only complete, untruncated sets
+                # are ever filed, and those do not depend on the budget.
+                memo_key = _ctp_memo_key(graph, algorithm, seed_sets, config)
                 if ledger is not None:
                     # Each CTP's budget is its cost-proportional share of
                     # the remaining deadline (re-granted upward at
@@ -580,7 +584,6 @@ def evaluate_query(
                     config = config.with_(
                         timeout=ledger.register(index, costs[index], config.timeout)
                     )
-                memo_key = _ctp_memo_key(graph, algorithm, seed_sets, config)
                 jobs.append(CTPJob(index, seed_sets, config, memo_key))
             dispatch.submit(jobs, overlapped=done < len(bgps))
         outcomes = dispatch.finish()

@@ -379,6 +379,18 @@ class TestCacheCounters:
         assert all(r.cache_hit for r in second.ctp_reports)
         assert second.context_stats["ctp_cache_hits"] == 2
 
+    def test_deadline_bearing_query_is_a_memo_hit(self, fig1):
+        """Regression: the key is taken before the deadline share is written
+        into ``timeout``, so a deadline does not make every request unique
+        (a plain ``timeout`` never did)."""
+        for config in (SearchConfig(deadline=60.0), SearchConfig(timeout=60.0)):
+            context = SearchContext()
+            first = evaluate_query(fig1, TWO_CTP, base_config=config, context=context)
+            second = evaluate_query(fig1, TWO_CTP, base_config=config, context=context)
+            assert [r.cache_hit for r in first.ctp_reports] == [False, False]
+            assert [r.cache_hit for r in second.ctp_reports] == [True, True]
+            assert canonical_rows(first) == canonical_rows(second)
+
     def test_cross_graph_context_never_serves_stale_rows(self):
         """Regression: the memo key carries the graph by identity, so an
         explicit context reused on a *different* graph must re-run the

@@ -364,6 +364,18 @@ def test_server_basic_roundtrip(fig1):
         assert counters["served"] == 2 and counters["rejected"] == 0
 
 
+def test_server_memo_serves_repeated_deadline_bearing_request(fig1):
+    """Regression: the memo key used to carry each CTP's deadline share —
+    a wall-clock float — so under a deadline no request ever hit."""
+    with QueryServer(fig1, dispatch_mode="serial", default_deadline=60.0) as server:
+        first = server.handle(QueryRequest(query=MATRIX_QUERY))
+        second = server.handle(QueryRequest(query=MATRIX_QUERY, deadline=30.0))
+        assert first.status == second.status == STATUS_OK
+        assert first.stats.memo_hits == 1  # the CONNECT repeated inside the query
+        assert second.stats.memo_hits == second.stats.ctp_count == 3
+        assert second.rows == first.rows
+
+
 def test_server_rejects_at_capacity(fig1):
     with QueryServer(fig1, workers=1, max_pending=1) as server:
         # Deterministic: occupy the only slot directly, no timing races.
