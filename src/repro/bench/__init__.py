@@ -7,8 +7,9 @@ either programmatically or from the command line::
 
 The ``scale`` knob shrinks graph sizes / workload counts proportionally so
 the pure-Python engines finish on laptop budgets; the *shapes* the paper
-reports (who wins, by what factor, where timeouts hit) are preserved — see
-EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+reports (who wins, by what factor, where timeouts hit) are what each
+experiment's docstring states and ``tests/test_experiments_smoke.py``
+checks at tiny scale.
 """
 
 from repro.bench.harness import ExperimentReport, Measurement, time_call

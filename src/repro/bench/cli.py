@@ -13,7 +13,7 @@ from repro.bench.reporting import report_to_text
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the paper's tables and figures (see DESIGN.md for the index).",
+        description="Regenerate the paper's tables and figures (ids: see repro.bench.experiments).",
     )
     parser.add_argument(
         "experiment",

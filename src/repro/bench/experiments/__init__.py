@@ -1,4 +1,4 @@
-"""One module per paper table/figure (see DESIGN.md §2 for the index)."""
+"""One module per paper table/figure; :data:`EXPERIMENTS` is the index."""
 
 from __future__ import annotations
 

@@ -8,8 +8,7 @@ counts (``m`` in {3, 5, 10} for Line; ``n_A`` in {2, 4, 6} with
 Scale note: the paper uses m in {3, 5, 10} for Star as well; a Star's
 search space is exponential in m (O(2^m * s_L^2) subtrees) and the paper's
 testbed allows 10-minute timeouts, so at laptop budgets we default the Star
-series to m in {3, 5, 8} — the crossovers and orderings are unchanged (see
-EXPERIMENTS.md).
+series to m in {3, 5, 8} — the crossovers and orderings are unchanged.
 """
 
 from __future__ import annotations

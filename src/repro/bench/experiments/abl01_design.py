@@ -1,8 +1,8 @@
 """ABL-01 — ablations of this reproduction's two interpretation choices.
 
-DESIGN.md §1.3 argues for two readings of the paper's pseudocode; this
-experiment measures both choices so the argument is empirical, not just
-textual:
+The :mod:`repro.ctp.engine` docstring argues for two readings of the
+paper's pseudocode; this experiment measures both choices so the
+argument is empirical, not just textual:
 
 1. **Merge2 relaxation.**  ``strict_merge2=True`` applies the literal
    ``sat(t1) ∩ sat(t2) = ∅``.  Expectation: on graphs whose results branch
@@ -32,7 +32,7 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
     timeout = timeout if timeout is not None else 5.0
     report = ExperimentReport(
         experiment="abl01",
-        title="Ablations: strict Merge2 and unconditional Mo injection (DESIGN.md §1.3)",
+        title="Ablations: strict Merge2 and unconditional Mo injection (repro.ctp.engine)",
         config={"scale": scale, "timeout": timeout},
     )
     workloads = [

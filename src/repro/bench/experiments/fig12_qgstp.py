@@ -7,7 +7,7 @@ with m; GAM is competitive for small m but times out at m=6; QGSTP
 (polynomial, single-answer) sits in between and stays flat.
 
 We run the same m-distribution on the seeded scale-free DBPedia substitute
-(see DESIGN.md §3) and report average per-CTP time grouped by m.
+(:mod:`repro.workloads.realworld`) and report average per-CTP time grouped by m.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the total time (the paper: "MoLESP took around 30% of the total time, the
 rest being spent ... in the BGP evaluation and final joins").  In the
 paper Virtuoso OOMs after J1 and Neo4j/Postgres time out; our simulators
 measure the same regimes at our scale (the check-only Virtuoso-like
-engine does not run out of memory in-process — see EXPERIMENTS.md).
+engine does not run out of memory in-process).
 """
 
 from __future__ import annotations

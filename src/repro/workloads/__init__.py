@@ -6,7 +6,7 @@
   queries (Figure 9, Sections 5.5.1);
 * :mod:`repro.workloads.realworld` — seeded scale-free substitutes for the
   YAGO3/DBPedia subsets, with CTP workload samplers and the J1-J3 queries
-  of Table 1 (see DESIGN.md §3 for the substitution rationale).
+  of Table 1 (its module docstring gives the substitution rationale).
 """
 
 from repro.workloads.synthetic import chain_graph, comb_graph, line_graph, star_graph

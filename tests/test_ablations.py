@@ -1,4 +1,4 @@
-"""Tests for the two DESIGN.md §1.3 ablation switches.
+"""Tests for the two ablation switches argued in the ``repro.ctp.engine`` docstring.
 
 These pin down *why* the library departs from two literal readings of the
 paper's pseudocode — the departures are requirements, not preferences.
