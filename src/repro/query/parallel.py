@@ -240,7 +240,11 @@ class Dispatch:
         future = self._start_one(job)
         # Settled where the run ends, not at finish(): under the inline
         # executor the next job's grant must already see this one gone.
-        future.add_done_callback(lambda _done: self.schedule.settle(job.index))
+        # The callback holds the schedule, not this dispatch: through
+        # ``self`` it would close a cycle with ``_running`` and leave every
+        # query's result sets to the cyclic collector.
+        settle, index = self.schedule.settle, job.index
+        future.add_done_callback(lambda _done: settle(index))
         if future.done():
             future.result()  # an inline run that raised stops the query here
         return future

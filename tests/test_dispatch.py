@@ -29,6 +29,8 @@ replayability — as a real one is of (graph, seeds, config).
 
 from __future__ import annotations
 
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Hashable, List, Optional, Tuple
@@ -211,3 +213,29 @@ def test_inline_settle_lands_before_the_next_grant_is_read():
     assert granted == [3.0, 4.0, 7.0]
     assert [o.mode for o in outcomes] == ["serial"] * 3
     assert schedule.report.submit_order == []  # CTP order is not a decision
+
+
+def test_finished_dispatch_is_freed_by_reference_counting():
+    """A future's done-callback must not hold the dispatch that holds the
+    future: every query would leave its result sets to the cyclic collector."""
+    executor = ThreadPoolExecutor(max_workers=2)
+    jobs = [CTPJob(index=i, seed_sets=[], config=SearchConfig(), memo_key=i) for i in range(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        dispatch = Dispatch(
+            _seeded_context(64, []),
+            QuerySchedule(),
+            lambda job: executor.submit(_search, job, frozenset()),
+            MODE,
+            shutdown=executor.shutdown,
+        )
+        with dispatch:
+            dispatch.submit(jobs)
+            outcomes = dispatch.finish()
+        gone = weakref.ref(dispatch)
+        del dispatch
+        assert gone() is None
+        assert len(outcomes) == 3
+    finally:
+        gc.enable()

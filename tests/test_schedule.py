@@ -84,7 +84,6 @@ SELECT ?x ?w1 ?w4 WHERE {
 """
 
 
-
 def _star_query(pairs) -> str:
     """One ``CONNECT ... MAX 6`` per ``(a, b)`` pair of seed groups of
     :func:`grouped_star` (6 edges is the tip-to-tip distance at arm 3)."""
@@ -127,11 +126,11 @@ def golden():
 # determinism matrix: scheduled rows identical to serial, every algorithm
 # ----------------------------------------------------------------------
 #: The ids predate the retirement of ``SearchConfig.scheduling`` and are
-#: kept so a cell's history stays one line of a test log: ``-sched`` cells
-#: are what they always were, and the three ``-nosched`` cells, whose
-#: configs used to differ by the flag, now cross the dispatch modes with
-#: what the matrix lacked — two workers instead of four, and a deadline
-#: under process dispatch.
+#: kept, so that a cell keeps its name from one test log to the next.  The
+#: ``-sched`` cells run what they always ran.  The three ``-nosched`` cells
+#: differed from them only by the flag; they now hold cells the matrix
+#: lacked: process mode collapsing to the inline executor at one worker,
+#: two threads instead of four, and a deadline under process dispatch.
 SCHED_VARIANTS = {
     "serial-nosched": dict(parallelism=1, parallelism_mode="process"),
     "serial-sched": dict(parallelism=1),
