@@ -488,8 +488,7 @@ def evaluate_query(
             for seeds in (set(ctp.seed_vars()) for ctp in ctps)
         ]
 
-    schedule = QuerySchedule()
-    ledger: Optional[DeadlineLedger] = None  # stays None without a deadline
+    schedule = QuerySchedule()  # its ledger stays None without a deadline
     resilience: Optional[ResilienceReport] = None
     dispatch: Any = None
     bgp_tables: List[Table] = []
@@ -538,15 +537,14 @@ def evaluate_query(
                         mode = mode_selected
                 workers = effective_parallelism(parallelism, len(ctps), context, mode)
                 if base_config.deadline is not None:
-                    ledger = DeadlineLedger(base_config.deadline, query_started, workers)
-                    schedule.ledger = ledger
+                    schedule.ledger = DeadlineLedger(base_config.deadline, query_started, workers)
                     if not pipelined:
                         # Full pending pool before any build share.  Fed
                         # early, CTPs register incrementally instead: the
                         # first ones see a smaller pool and get generous
                         # shares — exactly the overlap case where budget
                         # is plentiful.
-                        ledger.prime(costs)
+                        schedule.ledger.prime(costs)
                 schedule.report.mode_requested = base_config.parallelism_mode
                 # One query runs one algorithm across its CTPs; record it
                 # per CTP so CTPCostEstimator.fit can pool reports across
@@ -577,13 +575,12 @@ def evaluate_query(
                 # written into ``timeout``: only complete, untruncated sets
                 # are ever filed, and those do not depend on the budget.
                 memo_key = _ctp_memo_key(graph, algorithm, seed_sets, config)
-                if ledger is not None:
+                if schedule.ledger is not None:
                     # Each CTP's budget is its cost-proportional share of
                     # the remaining deadline (re-granted upward at
                     # execution); its own timeout stays the ceiling.
-                    config = config.with_(
-                        timeout=ledger.register(index, costs[index], config.timeout)
-                    )
+                    budget = schedule.ledger.register(index, costs[index], config.timeout)
+                    config = config.with_(timeout=budget)
                 jobs.append(CTPJob(index, seed_sets, config, memo_key))
             dispatch.submit(jobs, overlapped=done < len(bgps))
         outcomes = dispatch.finish()

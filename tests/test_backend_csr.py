@@ -71,24 +71,19 @@ class TestBackendSelection:
 # ----------------------------------------------------------------------
 # equivalence properties (dict vs CSR)
 # ----------------------------------------------------------------------
-SEARCH_ALGORITHMS = {
-    "molesp": MoLESPSearch(),
-    "molesp-labels": MoLESPSearch(),
-    "esp": ESPSearch(),
-    "bft": BFTSearch(),
-}
-#: (nodes, edges, edge labels, seed sets) of each search case's random graph.
-SEARCH_SHAPES = {
-    "molesp": (8, 12, 3, 3),
-    "molesp-labels": (9, 18, 2, 2),
-    "esp": (7, 10, 3, 2),
-    "bft": (7, 10, 3, 2),
+#: Per search case: the algorithm and the (nodes, edges, edge labels, seed
+#: sets) of its random graph.
+SEARCH_CASES = {
+    "molesp": (MoLESPSearch(), 8, 12, 3, 3),
+    "molesp-labels": (MoLESPSearch(), 9, 18, 2, 2),
+    "esp": (ESPSearch(), 7, 10, 3, 2),
+    "bft": (BFTSearch(), 7, 10, 3, 2),
 }
 
 
 def _search_case(name, seed):
     """``(graph, seed_sets, labels)`` of search case ``name`` at ``seed``."""
-    nodes, edges, num_labels, m = SEARCH_SHAPES[name]
+    _, nodes, edges, num_labels, m = SEARCH_CASES[name]
     rng = random.Random(seed)
     graph = random_graph(rng, num_nodes=nodes, num_edges=edges, num_labels=num_labels)
     seed_sets = random_seed_sets(rng, graph, m=m)
@@ -103,7 +98,7 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "knobs_golden.json"
 
 
 def _golden_records():
-    for name, algorithm in SEARCH_ALGORITHMS.items():
+    for name, (algorithm, *_) in SEARCH_CASES.items():
         for seed in SEEDS if name == "molesp" else SEEDS[:3]:
             graph, seed_sets, labels = _search_case(name, seed)
             config = SearchConfig(labels=labels)
@@ -180,7 +175,7 @@ class TestBackendEquivalence:
     def test_esp_and_bft_results_identical(self, golden, seed):
         for name in ("esp", "bft"):
             graph, seed_sets, _ = _search_case(name, seed)
-            algorithm = SEARCH_ALGORITHMS[name]
+            algorithm = SEARCH_CASES[name][0]
             via_dict = algorithm.run(graph, seed_sets)
             via_csr = algorithm.run(graph.freeze(), seed_sets)
             assert via_dict.edge_sets() == via_csr.edge_sets()
