@@ -112,8 +112,8 @@ class StaleViewError(PoolError):
     :class:`~repro.graph.delta.OverlayGraph` ships only the view's delta
     to the pooled workers, which apply it on top of their mmap-loaded
     base.  If the source graph compacted past the view's base generation
-    the workers no longer hold that base, so the pooled path cannot serve
-    the view consistently — the dispatch layer degrades to thread/serial
+    and its file is gone, a worker not mapping it cannot serve the view
+    consistently — the dispatch layer degrades to thread/serial
     (which read the pinned view directly) instead of charging the breaker
     for what is merely an outdated reader.
     """
@@ -122,7 +122,7 @@ class StaleViewError(PoolError):
 class PoolThrashWarning(RuntimeWarning):
     """Warned when a :class:`~repro.query.pool.WorkerPool` resnapshot-thrashes.
 
-    A full re-snapshot + worker respawn on (nearly) every dispatch means
+    A full re-snapshot (freeze + save) on (nearly) every dispatch means
     the workload mutates faster than the pool amortizes — the exact
     failure mode delta overlays exist to avoid.  The pool counts these
     episodes (``resnapshot_thrash``) and warns once per episode so a

@@ -2,7 +2,7 @@
 
 The CSR backend (:mod:`repro.graph.backend`) is freeze-once: a single
 ``add_edge`` or ``set_edge_weight`` invalidates the whole snapshot, and a
-process pool serving it pays a full re-serialize + worker respawn per
+process pool serving it would pay a full re-serialize + worker re-map per
 mutation.  This module splits a mutating graph into
 
 ``base``
@@ -31,7 +31,8 @@ pool)::
          ▲               │ read_view() => OverlayGraph(base, delta)
          │               ▼
          └── compact() when delta_size crosses the pool's threshold
-             (refreeze base ∪ delta; generation unchanged — same content)
+             (refreeze base ∪ delta; generation unchanged — same content;
+             warm pool workers re-map the new base, none respawns)
 
 Everything here is immutable after construction: views can be shared
 across request threads and shipped (delta only) to worker processes.

@@ -467,10 +467,12 @@ def run_ctp_jobs(
 # ----------------------------------------------------------------------
 # process-pool dispatch (mmap-shared snapshot, load-once-per-worker)
 # ----------------------------------------------------------------------
-#: Per-worker state: the snapshot graph loaded by the initializer and the
-#: worker-private search context every job of this worker runs in.  Plain
-#: module globals — each worker interpreter has its own copy.
+#: Per-worker state: the snapshot graph the worker maps, the base jobs name
+#: it by — (snapshot path, base generation) — and the worker-private search
+#: context every job over it runs in.  Plain module globals — each worker
+#: interpreter has its own copy.
 _worker_graph: Any = None
+_worker_base: Optional[Tuple[str, Optional[int]]] = None
 _worker_context: Optional[SearchContext] = None
 #: Delta-overlay state: the overlay assembled for the most recent delta
 #: generation dispatched to this worker, keyed by (base_generation,
@@ -482,13 +484,30 @@ _worker_overlay_key: Optional[Tuple[int, int]] = None
 _worker_overlay_context: Optional[SearchContext] = None
 
 
-def _process_worker_init(snapshot_path: str, fault_plan: Any = None, epoch: int = 0) -> None:
-    """Executor initializer: load the mmap-shared snapshot ONCE per worker.
+def _map_worker_base(base: Tuple[str, Optional[int]]) -> None:
+    """Map ``base``'s snapshot, then drop the old graph, context and overlay
+    (and with them the old mapping): a worker maps one base at a time."""
+    global _worker_graph, _worker_base, _worker_context
+    global _worker_overlay, _worker_overlay_key, _worker_overlay_context
+    from repro.graph.snapshot import load_snapshot
+
+    _worker_graph = load_snapshot(base[0])
+    _worker_base, _worker_context = base, SearchContext()
+    _worker_overlay = _worker_overlay_key = _worker_overlay_context = None
+
+
+def _process_worker_init(
+    snapshot_path: str, generation: Optional[int] = None, fault_plan: Any = None, epoch: int = 0
+) -> None:
+    """Executor initializer: map the executor's spawn-time base.
 
     Every job this worker ever runs reuses the same graph object (so the
     kernel shares the snapshot's pages across all workers mapping it) and
     the same private context (so sibling CTPs dispatched to this worker
-    still get pool/cache reuse, just scoped to the worker).
+    still get pool/cache reuse, just scoped to the worker) until a job
+    names another base.  Forkserver/spawn workers start lazily, possibly
+    after a base move released the spawn-time file: a *missing* file is
+    superseded, and the first job names the live base.
 
     ``fault_plan``/``epoch`` re-install the parent's active
     :class:`~repro.faults.FaultPlan` in this worker (module globals do not
@@ -496,37 +515,42 @@ def _process_worker_init(snapshot_path: str, fault_plan: Any = None, epoch: int 
     ``corrupt_snapshot`` faults can fire from the load itself.  Both
     default to inert values; production dispatch always ships ``None``.
     """
-    global _worker_graph, _worker_context
-    global _worker_overlay, _worker_overlay_key, _worker_overlay_context
+    global _worker_base
     from repro import faults
-    from repro.graph.snapshot import load_snapshot
 
     if fault_plan is not None:
         faults.install_plan(fault_plan, epoch=epoch)
-    _worker_graph = load_snapshot(snapshot_path)
-    _worker_context = SearchContext()
-    _worker_overlay = None
-    _worker_overlay_key = None
-    _worker_overlay_context = None
+    try:
+        _map_worker_base((snapshot_path, generation))
+    except FileNotFoundError:
+        _worker_base = None
 
 
-def _worker_state_for(delta: Any) -> Tuple[Any, Optional[SearchContext]]:
+def _worker_state_for(delta: Any, base: Any) -> Tuple[Any, Optional[SearchContext]]:
     """The (graph, context) a worker job evaluates against.
+
+    ``base`` is the (snapshot path, base generation) the job was resolved
+    against (``None``: whatever the worker maps).  A worker mapping another
+    base maps the named one.  The pool unlinks a superseded file at once,
+    so a base the worker no longer maps and cannot map raises the typed
+    :class:`~repro.errors.StaleViewError`: the dispatch serves the pinned
+    generation in-process, exactly as when ``prepare_for`` itself finds
+    the view stale.
 
     ``delta=None`` is the base-only fast path: the mmap-loaded snapshot
     and the long-lived worker context.  A :class:`~repro.graph.delta.GraphDelta`
     selects (building on first sight) the overlay for its generation — the
     base stays loaded, the delta is applied on top, and the overlay gets
     its own context so generation-scoped cache state never mixes with the
-    base's.  Consistency is structural: the overlay validates the delta's
-    base against the snapshot this worker loaded.  A mismatch means a
-    compaction respawned the workers onto a newer base between the
-    request's ``prepare_for`` and this run — the typed
-    :class:`~repro.errors.StaleViewError` lets the dispatch serve the
-    pinned generation in-process, exactly as when ``prepare_for`` itself
-    finds the view stale.
+    base's.  The overlay validates the delta's base against the mapped
+    snapshot; a mismatch raises :class:`~repro.errors.StaleViewError` too.
     """
     global _worker_overlay, _worker_overlay_key, _worker_overlay_context
+    if base is not None and base != _worker_base:
+        try:
+            _map_worker_base(base)
+        except (OSError, GraphError) as error:
+            raise StaleViewError(f"worker cannot map base {base[1]}: {error}") from error
     if delta is None:
         return _worker_graph, _worker_context
     key = (delta.base_generation, delta.generation)
@@ -543,18 +567,19 @@ def _worker_state_for(delta: Any) -> Tuple[Any, Optional[SearchContext]]:
 
 
 def _process_worker_run(
-    algorithm: str, seed_sets: List[Any], config: SearchConfig, delta: Any = None
+    algorithm: str, seed_sets: List[Any], config: SearchConfig, delta: Any = None, base: Any = None
 ) -> Tuple[CTPResultSet, float]:
     """Evaluate one CTP inside a worker against the worker's graph/context.
 
-    ``delta`` (shipped per job by the pooled dispatcher) overlays the
-    worker's mmap-loaded base snapshot so the evaluation sees the exact
-    generation the parent pinned — without re-serializing the graph.
+    ``base`` and ``delta`` (shipped per job by the pooled dispatcher) name
+    the snapshot the parent resolved and the overlay over it, so the
+    evaluation sees the exact generation the parent pinned — without
+    re-serializing the graph.
     """
     from repro import faults
 
     faults.inject(faults.SITE_WORKER_RUN)
-    graph, context = _worker_state_for(delta)
+    graph, context = _worker_state_for(delta, base)
     started = time.perf_counter()
     result_set = get_algorithm(algorithm).run(graph, seed_sets, config, context=context)
     return result_set, time.perf_counter() - started
@@ -650,7 +675,7 @@ class _PooledDispatch:
     * Exhausted retries, a workload that cannot cross the process boundary
       (no respawn can fix that) and a view the workers' base has moved
       past (:class:`~repro.errors.StaleViewError`, from ``prepare_for`` or
-      from a worker a compaction overtook mid-dispatch) degrade to threads,
+      from a worker that cannot map the base the job names) degrade to threads,
       else the inline executor, with the hop stamped — ``"process->thread"``
       / ``"process->serial"`` — rather than failing the query.
       Deterministic evaluation errors (a raising scorer) are *not* retried
@@ -707,7 +732,7 @@ class _PooledDispatch:
         verdict = False  # has the breaker heard anything about the pool yet?
         try:
             try:
-                delta = pool.prepare_for(self.graph)
+                resolved = pool._resolve(self.graph)
             except StaleViewError:
                 # Not a pool failure — the pinned view outlived the workers'
                 # base (a compaction moved past it), so serve it in-process
@@ -717,7 +742,7 @@ class _PooledDispatch:
                 breaker.record_failure()
                 verdict = True
                 return self._degraded()
-            if not _jobs_picklable(self.algorithm, jobs, delta):
+            if not _jobs_picklable(self.algorithm, jobs, resolved.delta):
                 # Not a pool failure either: the workload itself cannot
                 # cross a process boundary.
                 return self._degraded()
@@ -725,9 +750,9 @@ class _PooledDispatch:
             def ship(job: CTPJob) -> "Future[Any]":
                 # A process job's grant is read at submit time (the worker
                 # cannot reach the parent's ledger); the shipped config
-                # carries it.
+                # carries it, and `resolved` the base the job reads.
                 config = self.schedule.config_for_run(job)
-                return pool.submit(self.algorithm, job.seed_sets, config, delta=delta)
+                return pool.submit(self.algorithm, job.seed_sets, config, delta=resolved)
 
             budget = min(
                 (job.config.timeout for job in jobs if job.config.timeout is not None),

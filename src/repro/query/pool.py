@@ -16,7 +16,8 @@ one (a query without an injected pool gets one that lives for the call).
   :func:`~repro.query.parallel._process_worker_init` exactly once, when
   they spawn; every job any worker ever runs reuses its mmap-backed graph
   and its private context (rooted-result and cross-CTP caches stay warm
-  *across requests*, not just across the CTPs of one query).
+  *across requests*, not just across the CTPs of one query) until a job
+  names a newer base.
 * **Health & respawn** — :meth:`ping` round-trips a probe through a
   worker; a :class:`~concurrent.futures.process.BrokenProcessPool`
   triggers :meth:`respawn` (tear down, rebuild, counted in
@@ -26,12 +27,17 @@ one (a query without an injected pool gets one that lives for the call).
   *base* (:meth:`~repro.graph.graph.Graph.ensure_base`); mutations ship as
   cheap picklable :class:`~repro.graph.delta.GraphDelta` objects applied
   by the workers over their mmap-loaded base, so a mutated graph costs a
-  per-dispatch delta instead of a re-serialize + respawn.  Only when the
+  per-dispatch delta instead of a re-serialize.  Only when the
   delta crosses :attr:`~WorkerPool.compaction_threshold` does a dispatch
   boundary compact base ∪ delta into a new snapshot generation (counted
   in :attr:`~WorkerPool.resnapshots`, avoided dispatches in
   :attr:`~WorkerPool.resnapshots_avoided`); resnapshot thrash warns
   (:class:`~repro.errors.PoolThrashWarning`).
+* **Base moves re-map, never respawn** — every job names the base it
+  was resolved against (snapshot path, base generation); a warm worker
+  mapping another one maps the named file (an O(header) load) instead.
+  A base its worker cannot map (superseded files are unlinked at once)
+  raises :class:`~repro.errors.StaleViewError`, served in-process.
 * **Explicit lifecycle** — :meth:`close` (or the context-manager form)
   shuts the executor down and eagerly releases the pool's auto-snapshot
   temp file (:func:`repro.graph.snapshot.release_auto_snapshot`) instead
@@ -49,7 +55,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ctp.config import SearchConfig
 from repro.errors import PoolClosedError, PoolError, PoolThrashWarning, StaleViewError
@@ -59,10 +65,18 @@ from repro.query.resilience import CircuitBreaker, PoolResilienceConfig, RetryPo
 
 #: Sentinel for :meth:`WorkerPool.submit`'s ``delta`` parameter: "resolve
 #: the current delta for me".  The dispatch layer resolves once per fan-out
-#: via :meth:`WorkerPool.prepare_for` and passes the result explicitly;
+#: via :meth:`WorkerPool._resolve` and passes the result explicitly;
 #: direct callers get per-submit resolution so they can never read stale
 #: topology from the workers' base snapshot.
 _UNRESOLVED: Any = object()
+
+
+class _Resolved(NamedTuple):
+    """The delta a fan-out's jobs ship and the base they name for it:
+    (snapshot path, base generation) — :func:`_process_worker_run`'s tail."""
+
+    delta: Optional[GraphDelta]
+    base: Tuple[Optional[str], Optional[int]]
 
 
 def _worker_rss_mb(pid: int) -> Optional[float]:
@@ -82,15 +96,17 @@ def _worker_rss_mb(pid: int) -> Optional[float]:
     return None
 
 
-def _worker_probe() -> Dict[str, Any]:
+def _worker_probe(base: Any) -> Dict[str, Any]:
     """Health probe, executed *inside* a worker: report what it holds.
 
     A worker that answers proves the round trip (parent -> queue -> worker
-    -> queue -> parent) and reports whether its initializer really left it
-    warm: a loaded graph and a live context with its cumulative run count.
+    -> queue -> parent) and reports whether it is really warm (mapping
+    ``base``, named like a job's): a loaded graph and a live context with
+    its cumulative run count.
     """
     from repro.query import parallel
 
+    parallel._worker_state_for(None, base)
     graph = parallel._worker_graph
     context = parallel._worker_context
     return {
@@ -139,9 +155,9 @@ class WorkerPool:
         self.graph = graph
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         #: Delta size at which a dispatch boundary compacts base ∪ delta into
-        #: a new snapshot generation (full re-snapshot + respawn).  ``None``
-        #: never compacts; ``0`` compacts on any mutation — the legacy
-        #: resnapshot-per-mutation behaviour, kept for A/B benching.
+        #: a new snapshot generation (full re-snapshot, re-mapped by the warm
+        #: workers).  ``None`` never compacts; ``0`` compacts on any mutation
+        #: — the legacy resnapshot-per-mutation behaviour, kept for A/B benching.
         self.compaction_threshold = compaction_threshold
         #: Thrash detector: a resnapshot landing within this many dispatches
         #: of the previous one counts as thrash and warns.
@@ -173,7 +189,7 @@ class WorkerPool:
         #: Compactions this pool triggered at dispatch boundaries.
         self.compactions = 0
         #: Mutated-graph dispatches served by shipping a delta instead of
-        #: paying a full re-snapshot + respawn (one per delta generation).
+        #: paying a full re-snapshot (one per delta generation).
         self.resnapshots_avoided = 0
         #: Thrash episodes: resnapshots within ``thrash_window`` dispatches
         #: of the previous one (each also warns :class:`PoolThrashWarning`).
@@ -268,7 +284,7 @@ class WorkerPool:
         if last is not None and self.dispatches - last <= self.thrash_window:
             self.resnapshot_thrash += 1
             warnings.warn(
-                f"WorkerPool resnapshot thrash: full re-snapshot + worker respawn "
+                f"WorkerPool resnapshot thrash: full re-snapshot "
                 f"after only {self.dispatches - last} dispatch(es) — the workload "
                 f"mutates faster than the pool amortizes (compaction_threshold="
                 f"{self.compaction_threshold}); raise the threshold so mutations "
@@ -284,10 +300,10 @@ class WorkerPool:
         MVCC graphs (anything with :meth:`~repro.graph.graph.Graph.ensure_base`)
         are snapshotted at their base generation — later mutations ship as
         deltas (:meth:`prepare_for`), so only a *base* move (compaction)
-        releases the old file, charges ``resnapshots``, and respawns the
-        workers.  Legacy sources (a bare CSR bound directly) snapshot at
-        their own generation, preserving the old resnapshot-per-mutation
-        contract.
+        writes a new file, releases the old one and charges ``resnapshots``
+        — the workers stay up and re-map it when a job names it.  Legacy
+        sources (a bare CSR bound directly) snapshot at their own
+        generation, preserving the old resnapshot-per-mutation contract.
         """
         graph = self.graph
         if hasattr(graph, "ensure_base"):
@@ -303,11 +319,8 @@ class WorkerPool:
             self._snapshot_path = None
             self.resnapshots += 1
             self._note_resnapshot_locked()
-        # Workers hold the old base mmap-loaded: they must respawn over the
-        # fresh file.  ensure_snapshot may raise (unpicklable metadata,
-        # I/O): the caller decides how to degrade; the pool stays
-        # constructible/closable.
-        self._shutdown_locked()
+        # ensure_snapshot may raise (unpicklable metadata, I/O): the caller
+        # decides how to degrade; the pool stays constructible/closable.
         self._csr, self._snapshot_path = ensure_snapshot(base)
         self._snapshot_generation = generation
 
@@ -379,7 +392,7 @@ class WorkerPool:
         Snapshot freshness is owned by :meth:`_snapshot_locked` (run from
         every :meth:`prepare_for`/:meth:`submit` resolution); this method
         only (re)builds the executor over the current snapshot file —
-        first use, or after a respawn/recycle/base-move tore it down.
+        first use, or after a respawn/recycle tore it down.
         """
         from repro import faults
         from repro.query.parallel import _process_pool_context, _process_worker_init
@@ -399,9 +412,14 @@ class WorkerPool:
             max_workers=self.workers,
             mp_context=_process_pool_context(),
             initializer=_process_worker_init,
-            initargs=(self._snapshot_path, faults.active_plan(), self.respawns + self.recycles),
+            initargs=(*self._base, faults.active_plan(), self.respawns + self.recycles),
         )
         return self._executor
+
+    @property
+    def _base(self) -> Tuple[Optional[str], Optional[int]]:
+        """The base a job resolved now names: (snapshot path, base generation)."""
+        return self._snapshot_path, self._snapshot_generation
 
     def _maybe_recycle_locked(self) -> None:
         """Proactive worker recycling, checked at dispatch boundaries only.
@@ -455,13 +473,17 @@ class WorkerPool:
         :class:`~repro.errors.StaleViewError` for views the workers can no
         longer serve consistently.
         """
+        return self._resolve(graph).delta
+
+    def _resolve(self, graph: Any) -> _Resolved:
+        """:meth:`prepare_for`, plus the base it resolved (see :meth:`submit`)."""
         with self._lock:
             if self._closed:
                 raise PoolClosedError("WorkerPool is closed")
             self._maybe_recycle_locked()
             delta = self._resolve_delta_locked(graph)
             self._ensure_locked()
-            return delta
+            return _Resolved(delta, self._base)
 
     def respawn(self, kill: bool = False) -> None:
         """Tear the executor down and rebuild it (crashed-worker recovery).
@@ -517,10 +539,11 @@ class WorkerPool:
         """Submit one CTP evaluation; returns a future of ``(result_set, seconds)``.
 
         ``delta`` is the :class:`~repro.graph.delta.GraphDelta` the worker
-        applies over its mmap-loaded base (``None`` = base only).  The
-        dispatch layer resolves it once per fan-out via :meth:`prepare_for`;
-        when omitted, the pool resolves the source graph's *current* delta
-        itself, so direct callers always see current topology.
+        applies over the pool's current base (``None`` = base only).  The
+        dispatch layer passes :meth:`_resolve`'s result instead, naming the
+        base resolved once per fan-out; when omitted, the pool resolves the
+        source graph's *current* delta itself, so direct callers always see
+        current topology.
 
         May raise ``BrokenProcessPool`` (executor already broken) or
         :class:`~repro.errors.PoolClosedError` (submitting after
@@ -534,9 +557,10 @@ class WorkerPool:
             if delta is _UNRESOLVED:
                 delta = self._resolve_delta_locked(self.graph)
             executor = self._ensure_locked()
+            job = delta if isinstance(delta, _Resolved) else _Resolved(delta, self._base)
             self.dispatches += 1
             self._epoch_work += 1
-        return executor.submit(_process_worker_run, algorithm, seed_sets, config, delta)
+        return executor.submit(_process_worker_run, algorithm, seed_sets, config, *job)
 
     def ping(self, timeout: float = 5.0) -> Dict[str, Any]:
         """Round-trip a health probe through a worker.
@@ -556,7 +580,8 @@ class WorkerPool:
         """
         with self._lock:
             executor = self._ensure_locked()
-        probe = executor.submit(_worker_probe).result(timeout=timeout)
+            base = self._base
+        probe = executor.submit(_worker_probe, base).result(timeout=timeout)
         with self._lock:
             self.pings += 1
             self._epoch_work += 1

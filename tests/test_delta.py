@@ -367,11 +367,12 @@ class TestPoolDelta:
             assert pool.breaker.state == "closed"  # stale view is not a pool fault
 
     def test_compaction_between_prepare_and_worker_run_degrades_typed(self):
-        """A compaction + respawn landing after this request's ``prepare_for``
-        but before its worker run leaves the worker holding a newer base
-        than the shipped delta was captured against: the worker reports a
-        typed ``StaleViewError`` and the dispatch serves the pinned
-        generation in-process — same as a view ``prepare_for`` finds stale —
+        """A compaction landing after this request's ``prepare_for`` but
+        before its worker run moves the pool's base past the one the
+        shipped delta was captured against.  The job still names its own
+        base: a worker that maps it serves the pinned generation, and one
+        that cannot reports a typed ``StaleViewError`` and the dispatch
+        serves it in-process — same as a view ``prepare_for`` finds stale —
         instead of failing the request with an untyped ``GraphError``."""
         graph, (a, _b, _c) = _chain_graph()
         with WorkerPool(graph, workers=1, compaction_threshold=2) as pool:
@@ -386,7 +387,7 @@ class TestPoolDelta:
                     raced.append(True)
                     for label in "EFGH":  # a concurrent ingest crosses the threshold...
                         graph.add_edge(a, graph.add_node(label), "r")
-                    pool.prepare_for(graph)  # ...and its dispatch compacts + respawns
+                    pool.prepare_for(graph)  # ...and its dispatch compacts
                 return real_submit(*args, **kwargs)
 
             pool.submit = racing_submit
@@ -394,12 +395,54 @@ class TestPoolDelta:
             assert raced and pool.compactions == 1
             assert result.rows == serial.rows
             assert result.generation == view.generation
-            assert [r.dispatch_mode for r in result.ctp_reports] == ["process->serial"]
-            assert result.resilience.degraded_to == "serial"
+            # The warm worker still maps the pinned base and may serve it.
+            modes = [r.dispatch_mode for r in result.ctp_reports]
+            assert modes in (["process"], ["process->serial"])
+            assert result.resilience.degraded_to == (None if modes == ["process"] else "serial")
             assert pool.breaker.state == "closed"  # an overtaken reader is not a pool fault
             del pool.submit
             after = evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             assert [r.dispatch_mode for r in after.ctp_reports] == ["process"]
+
+    @pytest.mark.parametrize(
+        "warm, mode", [(True, "process"), (False, "process->serial")], ids=["warm", "cold"]
+    )
+    def test_job_keeps_the_base_it_was_resolved_against(self, warm, mode):
+        """A request pins the base view (no delta); another request's
+        ``prepare_for`` compacts between this request's resolution and its
+        submit.  The job names the base it was resolved against, never the
+        pool's newer one: a warm worker still mapping it serves it, and a
+        worker spawned after the superseded file was released cannot map
+        it and degrades typed — both with the pinned view's rows."""
+        graph, (a, _b, c) = _chain_graph()
+        with WorkerPool(graph, workers=1, compaction_threshold=2) as pool:
+            if warm:
+                evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
+            view = graph.read_view()  # pinned: the base itself, no delta
+            serial = evaluate_query(view, self.QUERY)
+            real_submit, raced = pool.submit, []
+
+            def racing_submit(*args, **kwargs):
+                if not raced:
+                    raced.append(True)
+                    graph.add_edge(a, c, "r")  # a direct A-C edge and two
+                    graph.add_node("D")  # nodes: a delta of 3 > 2...
+                    graph.add_node("E")
+                    pool.prepare_for(graph)  # ...another request's dispatch compacts
+                return real_submit(*args, **kwargs)
+
+            pool.submit = racing_submit
+            result = evaluate_query(view, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
+            assert raced and pool.compactions == 1
+            assert len(serial.rows) == 1
+            assert result.rows == serial.rows
+            assert result.generation == view.generation
+            assert [r.dispatch_mode for r in result.ctp_reports] == [mode]
+            assert pool.breaker.state == "closed"
+            del pool.submit
+            head = evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
+            assert len(head.rows) == 2
+            assert [r.dispatch_mode for r in head.ctp_reports] == ["process"]
 
     def test_pinned_head_view_dispatches_after_compaction(self):
         graph, _ = _chain_graph()

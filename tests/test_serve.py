@@ -202,6 +202,61 @@ def test_pool_resnapshots_after_mutation_legacy_threshold(fig1):
         assert result.rows == serial.rows
 
 
+def _mapped_snapshots(pid):
+    """Distinct auto-snapshot files ``pid`` maps (Linux ``/proc``)."""
+    with open(f"/proc/{pid}/maps", encoding="ascii", errors="replace") as handle:
+        return {line.split(None, 5)[-1].strip() for line in handle if "repro-csr-" in line}
+
+
+def test_base_moves_rebase_warm_workers_without_respawn(fig1):
+    """Each compaction moves the workers' base, not the workers: the same
+    processes re-map the new snapshot, answer every algorithm exactly like
+    serial at every generation, and never map more than one base."""
+    with WorkerPool(fig1, workers=2, compaction_threshold=0) as pool:
+        _pool_eval(fig1, pool)  # two jobs at once: both workers spawn
+        pids = set(pool._executor._processes)
+        assert len(pids) == 2
+        for generation in range(4):
+            if generation:
+                fig1.add_edge(fig1.add_node(f"Zed{generation}"), 0, "rel")
+            for algo in sorted(ALGORITHMS):
+                serial = evaluate_query(fig1, MATRIX_QUERY, algorithm=algo)
+                assert _pool_eval(fig1, pool, algorithm=algo).rows == serial.rows, algo
+            assert pool.ping()["pid"] in pids
+            assert set(pool._executor._processes) == pids
+            if os.path.exists("/proc/self/maps"):
+                for pid in pids:
+                    assert len(_mapped_snapshots(pid)) <= 1, _mapped_snapshots(pid)
+        assert pool.compactions == pool.resnapshots == 3
+        assert pool.respawns == pool.recycles == 0
+
+
+def test_lazily_spawned_worker_maps_the_live_base(fig1, monkeypatch):
+    """Forkserver workers spawn on demand, possibly after a base move
+    released the spawn-time file their executor was built with: such a
+    worker starts empty and maps the base its first job names."""
+    import multiprocessing
+
+    from repro.query import parallel
+
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("forkserver start method unavailable")
+    context = multiprocessing.get_context("forkserver")
+    monkeypatch.setattr(parallel, "_process_pool_context", lambda: context)
+    with WorkerPool(fig1, workers=2, compaction_threshold=0) as pool:
+        pool.prepare()  # executor built over the first base; nothing spawned
+        spawn_time_path = pool.snapshot_path
+        fig1.add_edge(fig1.add_node("Zed"), 0, "rel")
+        pool.prepare_for(fig1)  # compacts and releases the spawn-time file
+        assert not os.path.exists(spawn_time_path)
+        serial = evaluate_query(fig1, MATRIX_QUERY)
+        result = _pool_eval(fig1, pool)
+        assert result.rows == serial.rows
+        assert [r.dispatch_mode for r in result.ctp_reports] == ["process", "process", "memo"]
+        assert pool.ping()["graph_loaded"]
+        assert pool.respawns == 0
+
+
 def test_pool_close_releases_auto_snapshot(fig1):
     with WorkerPool(fig1, workers=1) as pool:
         pool.prepare()
