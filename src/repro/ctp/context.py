@@ -8,8 +8,9 @@ edge sets a sibling CTP already built are found by fingerprint instead of
 built again, and handles are comparable across runs — and two bounded
 caches ride on top of the shared handles: a per-root cache of materialized
 rooted-tree results keyed by ``(root, eset handle, config fingerprint)``,
-and the evaluator's cross-CTP memo of whole result sets keyed by graph,
-seed sets, and config fingerprint.  Both caches are bounded LRU
+and the evaluator's cross-CTP memo of whole result sets keyed by graph
+lineage, seed sets, and config fingerprint and stamped with the
+generation they are exact at.  Both caches are bounded LRU
 (:class:`ResultCache`) — by entry count and, optionally, by approximate
 payload bytes — and own every reference they hold, so a long-lived context
 cannot grow without limit.
@@ -28,7 +29,8 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.ctp.interning import EdgeSetPool
 
@@ -135,36 +137,52 @@ class ResultCache:
         self.evictions = 0
         self.size_walks = 0
 
-    def get(self, key):
+    def get(self, key, check=None):
+        """The value under ``key``, or ``None`` (counted as a miss).
+
+        ``check`` vets a stored value before it counts as a hit: it is
+        called outside the lock and returns the value to serve, or
+        ``None`` to count the probe as a miss.
+        """
+        value = None
+        if check is not None:
+            value = self._data.get(key)
+            if value is not None:
+                value = check(value)
         lock = self._lock
         if lock is None:
-            return self._get(key)
+            return self._get(key, value, check)
         with lock:
-            return self._get(key)
+            return self._get(key, value, check)
 
-    def _get(self, key):
-        value = self._data.get(key)
+    def _get(self, key, value, check):
+        if check is None:
+            value = self._data.get(key)
         if value is None:
             self.misses += 1
             return None
-        self._data.move_to_end(key)
+        if key in self._data:  # a vetted value may have been evicted since
+            self._data.move_to_end(key)
         self.hits += 1
         return value
 
-    def put(self, key, value) -> None:
+    def put(self, key, value, keep=None) -> None:
+        """File ``value`` under ``key``; ``keep(held)`` true leaves a value
+        already held under ``key`` in place (a recency refresh only)."""
         if value is None:
             raise ValueError("ResultCache cannot store None")
         lock = self._lock
         if lock is None:
-            return self._put(key, value)
+            return self._put(key, value, keep)
         with lock:
-            return self._put(key, value)
+            return self._put(key, value, keep)
 
-    def _put(self, key, value) -> None:
+    def _put(self, key, value, keep) -> None:
         data = self._data
         if key in data:
             data.move_to_end(key)
-            if data[key] is value:
+            held = data[key]
+            if held is value or (keep is not None and keep(held)):
                 # Re-filing the identical object (memo replay runs once
                 # per fan-out, batch evaluation once per query): the
                 # cached deep size is still exact, so this is a recency
@@ -228,13 +246,18 @@ class SearchContext:
       score), so a CTP that re-discovers a tree a sibling already reported
       skips re-materialization and re-scoring;
     * ``ctp_cache`` memoizes whole *complete* CTP result sets under
-      ``(graph, algorithm, seed sets, config fingerprint)`` — the
+      ``(lineage, algorithm, seed sets, config fingerprint)`` — the
       evaluator's cross-CTP memo for repeated CTPs (same seeds, same
       filters), e.g. the same CONNECT under several tree variables or
-      repeated evaluations across BGP embeddings.  The graph rides in the
-      key by *identity*, so an explicit context reused across queries can
-      never serve one graph's results for another, and the LRU owns every
-      reference (evicting an entry frees its seed tuples and result set).
+      repeated evaluations across BGP embeddings.  The lineage (the
+      mutable graph a view was pinned from, or the graph itself) rides
+      in the key by *identity*, so an explicit context reused across
+      queries can never serve one graph's results for another, and the
+      LRU owns every reference (evicting an entry frees its seed tuples
+      and result set).  :meth:`memo_put` stamps an entry with the
+      generation it is exact at — one entry per CTP, not per generation —
+      and :meth:`memo_get` carries it past mutations that provably cannot
+      reach a ``MAX``-bounded CTP's results (``memo_carried``).
 
     Sharing is strictly representational: per-run search state (``hist``,
     ``rooted_keys``, queues, seed masks) stays inside each engine run, so a
@@ -246,7 +269,8 @@ class SearchContext:
     ``thread_safe=True`` builds the concurrency-safe variant for the
     parallel dispatcher (:mod:`repro.query.parallel`): the pool is an
     ``EdgeSetPool(thread_safe=True)``, both caches lock their LRU
-    mutations, and :meth:`adopt` serializes its graph-binding check.  ``*_cache_bytes``
+    mutations, and one context lock serializes :meth:`adopt`'s
+    graph-binding check and the ``memo_carried`` count.  ``*_cache_bytes``
     optionally bound each cache by approximate payload bytes
     (:func:`approx_bytes`) on top of the entry-count bound — the memory
     bound that matters for explicit long-lived contexts.
@@ -261,9 +285,10 @@ class SearchContext:
         "rejects",
         "generation_flushes",
         "rebinds",
+        "memo_carried",
         "_graph",
         "_graph_generation",
-        "_adopt_lock",
+        "_lock",
     )
 
     def __init__(
@@ -286,9 +311,12 @@ class SearchContext:
         self.rejects = 0
         self.generation_flushes = 0
         self.rebinds = 0
+        #: Memo entries re-stamped across a mutation and served (each is
+        #: also an ordinary memo hit).
+        self.memo_carried = 0
         self._graph: Optional[object] = None  # strong ref: pins id() validity
         self._graph_generation: Optional[int] = None
-        self._adopt_lock = threading.Lock() if thread_safe else None
+        self._lock = threading.Lock() if thread_safe else None
 
     # ------------------------------------------------------------------
     def adopt(self, graph):
@@ -300,7 +328,7 @@ class SearchContext:
         other.  Under ``thread_safe`` the first-graph binding is
         serialized so two concurrent first adoptions cannot both bind.
         """
-        lock = self._adopt_lock
+        lock = self._lock
         if lock is None:
             return self._adopt(graph)
         with lock:
@@ -318,9 +346,8 @@ class SearchContext:
             # Views of the bound graph's lineage (shared ``view_source``,
             # or the source itself) REBIND instead of refusing: edge ids
             # are never reused across generations, so the interned sets
-            # stay valid, and both result caches carry graph identity
-            # and/or generation fingerprints in their keys, so no flush is
-            # needed — entries for other generations simply stop hitting.
+            # stay valid, and no flush is needed — rooted-cache keys carry
+            # the generation, and memo_get vets each memo entry's stamp.
             mine = getattr(self._graph, "view_source", None) or self._graph
             theirs = getattr(graph, "view_source", None) or graph
             if mine is not theirs:
@@ -337,15 +364,53 @@ class SearchContext:
                 # edge *sets* stay valid — edge ids are never reused, a set
                 # of ids means the same set after an append or a weight
                 # update — but the result caches must flush wholesale.
-                # (Cross-CTP memo keys also carry graph_fingerprint, so
-                # they would miss anyway; the rooted-result cache has no
-                # graph component in its key and relies on this flush.)
+                # (A mutable graph records nothing memo_get could vet an
+                # older memo entry against, so every one would miss.)
                 self.rooted_cache.clear()
                 self.ctp_cache.clear()
                 self.generation_flushes += 1
                 self._graph_generation = generation
         self.runs += 1
         return self.pool
+
+    # ------------------------------------------------------------------
+    def memo_get(self, key):
+        """The memoized result set for ``key``, or ``None`` (a counted miss).
+
+        A :class:`MemoKey` entry stamped at the view's generation is a hit;
+        one stamped earlier is re-stamped and served (``memo_carried``)
+        when :func:`_untouched` proves it still exact on the view, checked
+        on the caller's thread; a newer one misses.  Other keys are plain
+        LRU probes.
+        """
+        if not isinstance(key, MemoKey):
+            return self.ctp_cache.get(key)
+        now = _stamp(key.view)
+
+        def current(entry: "_Stamped") -> Any:
+            stamp = entry.stamp
+            if stamp == now:
+                return entry.result_set
+            if stamp[0] < now[0] and _untouched(key, stamp):
+                # A racing carry may write an older stamp back: harmless,
+                # the entry is exact at every stamp it is given.
+                entry.stamp = now
+                with self._lock or nullcontext():
+                    self.memo_carried += 1
+                return entry.result_set
+            return None
+
+        return self.ctp_cache.get(key[:4], current)
+
+    def memo_put(self, key, result_set) -> None:
+        """File a complete result set, stamped with a :class:`MemoKey`'s view
+        generation and never over an entry stamped at it or later."""
+        if not isinstance(key, MemoKey):
+            return self.ctp_cache.put(key, result_set)
+        stamp = _stamp(key.view)
+        self.ctp_cache.put(
+            key[:4], _Stamped(stamp, result_set), keep=lambda held: held.stamp[0] >= stamp[0]
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -398,6 +463,7 @@ class SearchContext:
             "rejects": self.rejects,
             "generation_flushes": self.generation_flushes,
             "rebinds": self.rebinds,
+            "memo_carried": self.memo_carried,
             "pool_sets": len(pool),
             "pool_union_hits": pool.union_hits,
             "pool_union_misses": pool.union_misses,
@@ -410,6 +476,115 @@ class SearchContext:
             "ctp_cache_bytes": self.ctp_cache.total_bytes,
             "rooted_cache_bytes": self.rooted_cache.total_bytes,
         }
+
+
+# ----------------------------------------------------------------------
+# cross-generation memo survival
+# ----------------------------------------------------------------------
+class MemoKey(NamedTuple):
+    """A memo key — lineage (the graph a view was pinned from, or the graph
+    itself), algorithm, seed sets (node-id tuples, ``"*"`` for a wildcard)
+    and config fingerprint — plus the view it is probed from, which vets
+    the entry and is never cached."""
+
+    lineage: Any
+    algorithm: str
+    seeds: Tuple[Any, ...]
+    config: Tuple[Any, ...]
+    view: Any
+
+
+class _Stamped:
+    """A memoized result set and the (generation, edge count) it is exact at."""
+
+    __slots__ = ("stamp", "result_set")
+
+    def __init__(self, stamp: Tuple[int, int], result_set: Any):
+        self.stamp, self.result_set = stamp, result_set
+
+
+def _stamp(view) -> Tuple[int, int]:
+    return getattr(view, "generation", 0), view.num_edges
+
+
+def _untouched(key: MemoKey, stamp: Tuple[int, int]) -> bool:
+    """The carry rule: is the complete result set filed at ``stamp`` exact on ``key.view``?
+
+    A ``MAX k`` tree holding edge e and a seed of S_i reaches an endpoint
+    of e from S_i within k-1 edges, so an edge appended or re-weighted
+    since ``stamp`` that misses the (k-1)-hop undirected ball of *some*
+    seed set (over the edges ``LABEL`` admits) enters and changes no
+    result; trees through it only take later queue tickets, so the old
+    ones keep their emission order.  Excluded where the engine reads what
+    new edges move — balanced queues (the least-filled pick counts their
+    Grows), the LESP guard with three or more seed sets (seed signatures,
+    degrees) — and without ``MAX``, with a wildcard, a score,
+    ``max_trees`` or a non-size order.  One BFS per seed set, never wider
+    than the complete search it replaces.
+    """
+    (_uni, labels, max_edges, _timeout, _limit, score, top_k, order, balanced, ratio,
+     max_trees, _strict, _mo) = key.config
+    sizes = [len(set(seeds)) for seeds in key.seeds if seeds != "*"]
+    if (max_edges is None or score is not None or top_k is not None or max_trees is not None
+            or order != "size" or len(sizes) < len(key.seeds)):
+        return False
+    if balanced is True or (balanced == "auto" and min(sizes) and max(sizes) / min(sizes) >= ratio):
+        return False  # as _GAMRun._balanced_enabled resolves it
+    if len(sizes) >= 3:
+        from repro.ctp.registry import get_algorithm  # registry imports the engines, which import us
+
+        if getattr(get_algorithm(key.algorithm), "lesp_guard", False):
+            return False
+    view = key.view
+    touched = _touched_edges(view, stamp)
+    if touched is None:
+        return False
+    ends = [view.edge_endpoints(e) for e in touched if labels is None or view.edge_label(e) in labels]
+    for seeds in key.seeds:
+        if not ends:
+            break
+        ball = _ball(view, seeds, max_edges - 1, labels)
+        ends = [(source, target) for source, target in ends if source in ball or target in ball]
+    return not ends
+
+
+def _touched_edges(view, stamp: Tuple[int, int]) -> Optional[List[int]]:
+    """Edges appended or re-weighted after ``stamp`` up to ``view``, or
+    ``None`` when ``view`` cannot tell.
+
+    Only a frozen MVCC view can: its delta lists every edge re-weighted
+    since its base froze, and a base a compaction built records the
+    generation of the base before it and the edges re-weighted in
+    between (``folded_weights``).  An entry older than that previous base
+    is past the two-delta horizon and is recomputed.
+    """
+    generation, num_edges = stamp
+    delta = getattr(view, "delta", None)
+    base = view if delta is None else view.base
+    if not getattr(view, "frozen", False) or getattr(base, "base_generation", None) is None:
+        return None
+    reweighted = set(delta.weight_overrides) if delta is not None else set()
+    if generation < base.base_generation:
+        folded = getattr(base, "folded_weights", None)
+        if folded is None or generation < folded[0]:
+            return None
+        reweighted |= folded[1]
+    return [*range(num_edges, view.num_edges), *(edge for edge in reweighted if edge < num_edges)]
+
+
+def _ball(view, seeds: Sequence[int], radius: int, labels: Any) -> Set[int]:
+    """Nodes within ``radius`` undirected hops of ``seeds`` over edges ``labels`` admits."""
+    ball = set(seeds)
+    frontier = list(ball)
+    for _ in range(radius):
+        reached = []
+        for node in frontier:
+            for _edge, other, _outgoing in view.adjacent_filtered(node, labels):
+                if other not in ball:
+                    ball.add(other)
+                    reached.append(other)
+        frontier = reached
+    return ball
 
 
 def adopt_pool(context: Optional[SearchContext], graph):

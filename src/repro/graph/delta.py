@@ -11,8 +11,8 @@ mutation.  This module splits a mutating graph into
 
 ``delta``
     a :class:`GraphDelta` — the cheap, picklable record of everything that
-    happened since: appended nodes/edges, weight overrides on base-range
-    edges, and the per-label/type index suffixes those appends imply.
+    happened since: appended nodes/edges, every edge re-weighted since,
+    and the per-label/type index suffixes those appends imply.
 
 :class:`OverlayGraph` merges the two behind the existing ``GraphBackend``
 protocol, so the CTP engines, traversal, and baselines read a graph at
@@ -32,7 +32,15 @@ pool)::
          │               ▼
          └── compact() when delta_size crosses the pool's threshold
              (refreeze base ∪ delta; generation unchanged — same content;
-             warm pool workers re-map the new base, none respawns)
+             warm pool workers re-map the new base, none respawns; the
+             new base keeps the folded delta's re-weighted edge ids as
+             ``folded_weights``, and nothing older)
+
+A memo entry of the query layer filed at generation G0 is vetted against
+a view at G1 with exactly these records — edges appended since G0, the
+view's ``weight_overrides`` and its base's ``folded_weights`` — so an
+entry older than the previous base is recomputed, never carried
+(:meth:`~repro.ctp.context.SearchContext.memo_get`).
 
 Everything here is immutable after construction: views can be shared
 across request threads and shipped (delta only) to worker processes.

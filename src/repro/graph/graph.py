@@ -171,7 +171,7 @@ class Graph:
         self._base_generation: Optional[int] = None
         self._base_num_nodes = 0
         self._base_num_edges = 0
-        # Base-range edges rewritten since the base froze: edge_id -> weight.
+        # Edges re-weighted since the base froze: edge_id -> weight.
         self._weight_overrides: Dict[int, float] = {}
         self._delta_cache: Optional[Tuple[int, Any]] = None  # (generation, GraphDelta)
         self._view_cache: Optional[Tuple[int, Any]] = None  # (generation, view)
@@ -229,7 +229,7 @@ class Graph:
                 raise GraphError(f"unknown edge id {edge_id}")
             self._generation += 1
             self._edges[edge_id] = self._edges[edge_id].replace_weight(weight)
-            if self._base is not None and edge_id < self._base_num_edges:
+            if self._base is not None:
                 self._weight_overrides[edge_id] = weight
 
     # ------------------------------------------------------------------
@@ -463,11 +463,18 @@ class Graph:
         the mutation generation is untouched: a view pinned at generation
         G before the compaction and a fresh one pinned after it are
         interchangeable, and generation-keyed cache entries stay valid.
+
+        The new base records what it folded in as ``folded_weights``: the
+        previous base's generation and the edges re-weighted since it, so
+        a memo entry filed before the compaction can still be vetted
+        (:meth:`~repro.ctp.context.SearchContext.memo_get`).
         """
         with self._lock:
             self.ensure_base()
             if self._generation != self._base_generation:
+                folded = (self._base_generation, frozenset(self._weight_overrides))
                 self._set_base_locked(self.freeze())
+                self._base.folded_weights = folded
                 self._compactions += 1
             return self._base
 

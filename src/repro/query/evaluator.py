@@ -58,7 +58,7 @@ from itertools import permutations, product
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ctp.config import WILDCARD, SearchConfig
-from repro.ctp.context import SearchContext
+from repro.ctp.context import MemoKey, SearchContext
 from repro.ctp.results import CTPResultSet, ResultTree, tree_leaves
 from repro.errors import EvaluationError
 from repro.graph.graph import Graph
@@ -372,23 +372,24 @@ def _ctp_table(
     return Table(columns, rows)
 
 
-def _ctp_memo_key(graph: Graph, algorithm: str, seed_sets: Sequence, config: SearchConfig):
-    """Cross-CTP memo key: (graph, algorithm, seed sets, config fingerprint).
+def _ctp_memo_key(graph: Graph, algorithm: str, seed_sets: Sequence, config: SearchConfig) -> MemoKey:
+    """Cross-CTP memo key: (lineage, algorithm, seed sets, config fingerprint).
 
-    The graph participates by *identity* — an explicit context reused
-    across queries must never serve one graph's result sets for another —
-    plus its size fingerprint, so growing an (append-only) graph between
-    queries invalidates entries cached before the mutation.  The whole key
-    lives only inside the bounded LRU, so evicting an entry releases every
-    reference it pinned.
+    The lineage — the mutable graph a pinned view was taken from, or the
+    graph itself — participates by *identity*: an explicit context reused
+    across queries must never serve one graph's result sets for another.
+    No generation: the entry is stamped with the one that filed it, and
+    ``graph`` rides on the key (never cached) for
+    :meth:`~repro.ctp.context.SearchContext.memo_get` to vet that stamp
+    against, so one CTP holds one entry across its graph's generations.
     """
-    seeds_key = tuple("*" if s is WILDCARD else tuple(s) for s in seed_sets)
-    return (
-        graph,
-        SearchContext.graph_fingerprint(graph),  # append-only growth invalidates
+    lineage = getattr(graph, "view_source", None)
+    return MemoKey(
+        graph if lineage is None else lineage,
         algorithm,
-        seeds_key,
+        tuple("*" if s is WILDCARD else tuple(s) for s in seed_sets),
         SearchContext.config_fingerprint(config),
+        graph,
     )
 
 

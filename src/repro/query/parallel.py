@@ -274,7 +274,7 @@ class Dispatch:
         ``overlapped`` marks jobs entering while step (A) still has BGPs to
         evaluate — the pipeline-overlap count the schedule telemetry reports.
         """
-        ctp_cache = self.context.ctp_cache if self.context is not None else None
+        context = self.context
         groups: Dict[Hashable, List[CTPJob]] = {}
         for job in jobs:
             self._jobs.append(job)
@@ -286,7 +286,7 @@ class Dispatch:
             elif key in groups:
                 groups[key].append(job)
             else:
-                cached = ctp_cache.get(key) if ctp_cache is not None else None
+                cached = context.memo_get(key) if context is not None else None
                 if cached is None:
                     groups[key] = [job]
                 else:
@@ -337,11 +337,11 @@ class Dispatch:
             ) from error
         jobs = sorted(self._jobs, key=lambda job: job.index)
         if self.context is not None:
-            self._replay(jobs, self.context.ctp_cache)
+            self._replay(jobs, self.context)
         self.schedule.report.pipeline_overlaps = self.overlapped
         return [outcomes[job.index] for job in jobs]
 
-    def _replay(self, jobs: Sequence[CTPJob], ctp_cache: Any) -> None:
+    def _replay(self, jobs: Sequence[CTPJob], context: SearchContext) -> None:
         """Replay the serial loop's cache traffic in CTP order.
 
         Followers register the hit they would have had; everything else
@@ -355,11 +355,11 @@ class Dispatch:
         for job in jobs:
             if job.memo_key is None:
                 continue
-            if job.index in followers and ctp_cache.get(job.memo_key) is not None:
+            if job.index in followers and context.memo_get(job.memo_key) is not None:
                 continue
             result_set = self._outcomes[job.index].result_set
             if _replayable(result_set):
-                ctp_cache.put(job.memo_key, result_set)
+                context.memo_put(job.memo_key, result_set)
 
 
 def _local_dispatch(
@@ -868,10 +868,12 @@ def evaluate_queries(
     interning pool warms once for the whole batch.  An empty ``queries``
     sequence is legal and returns an empty batch.
 
-    The cross-CTP memo stays safe across the batch by construction: its
-    keys carry the graph's size fingerprint, so growing the (append-only)
-    graph between queries invalidates every entry cached before the
-    mutation instead of replaying stale result sets.
+    The cross-CTP memo stays safe across the batch by construction: each
+    entry is stamped with the generation that filed it, so mutating the
+    graph between queries makes every older entry miss instead of
+    replaying a stale result set — unless the query runs on a pinned
+    read view that proves the mutation cannot reach it
+    (:meth:`~repro.ctp.context.SearchContext.memo_get`).
 
     Pass an explicit ``context`` to amortize across *batches*; otherwise
     one is created per call (thread-safe when ``parallelism > 1``).

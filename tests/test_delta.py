@@ -182,6 +182,23 @@ class TestGraphGenerations:
         graph.compact()  # idempotent at the same generation
         assert graph.compactions == 1
 
+    def test_reweight_record_spans_at_most_two_deltas(self):
+        """Memo survival reads re-weights from the view's delta and from
+        what the compaction that built its base folded in: re-weights of
+        base-range *and* delta-range edges, never more than the current
+        and the previous delta, however many compactions run."""
+        graph, (a, _b, c) = _chain_graph()
+        for round_ in range(4):
+            previous_base = graph.base_generation
+            appended = graph.add_edge(c, a, "back")
+            graph.set_edge_weight(round_ % 2, 2.0 + round_)
+            graph.set_edge_weight(appended, 0.5)
+            assert set(graph.read_view().delta.weight_overrides) == {round_ % 2, appended}
+            graph.compact()
+            assert graph.read_view().folded_weights == (previous_base, frozenset({round_ % 2, appended}))
+            assert graph.delta_since_base().weight_overrides == {}
+        assert graph.compactions == 4
+
     def test_delta_pickles_and_rebuilds_overlay(self):
         graph, (a, _b, _c) = _chain_graph()
         base = graph.ensure_base()

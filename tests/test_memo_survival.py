@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.ctp import ALGORITHMS
@@ -154,6 +154,7 @@ def test_a_carried_entry_equals_a_fresh_run_in_order(scenario):
         view = graph.read_view() if kind == "view" else graph.freeze()
         outcome = _memo_run(view, algorithm, seed_sets, config, context)
         fresh = get_algorithm(algorithm).run(view, seed_sets, config)
+        event("carried" if outcome.cache_hit else "recomputed")
         if outcome.cache_hit:
             assert eligible, "an ineligible CTP was carried across a mutation"
         assert _record(outcome.result_set) == _record(fresh)

@@ -43,6 +43,7 @@ from repro.serve import (
     STATUS_EXPIRED,
     STATUS_OK,
     STATUS_REJECTED,
+    IngestRequest,
     QueryRequest,
     QueryServer,
 )
@@ -371,6 +372,123 @@ def test_batch_memo_invalidated_by_same_size_mutation():
     batch2 = evaluate_queries(graph, [WEIGHT_QUERY], context=context)
     assert batch1[0].rows[0][0].edges == frozenset({0, 1})
     assert batch2[0].rows[0][0].edges == frozenset({2, 3})
+
+
+def _survival_graph():
+    """``A-m-B`` is the only 2-edge connection of A and B; ``c`` hangs off
+    A and leads to the chain ``f0..f4``, at least two hops from both seeds."""
+    graph = Graph("survival")
+    a, b, m, c = (graph.add_node(label) for label in ("A", "B", "m", "c"))
+    graph.add_edge(a, m, "r")  # edge 0
+    graph.add_edge(m, b, "r")  # edge 1
+    graph.add_edge(a, c, "r")  # edge 2
+    far = [graph.add_node(f"f{i}") for i in range(5)]
+    graph.add_edge(c, far[0], "r")  # edge 3
+    for left, right in zip(far, far[1:]):  # edges 4..7
+        graph.add_edge(left, right, "r")
+    return graph
+
+
+SURVIVAL_QUERY = 'SELECT ?w WHERE { CONNECT("A", "B") AS ?w MAX 2 }'
+#: New nodes and edges on the far chain, plus a re-weight of f1-f2 (edge 5):
+#: nothing within one hop of A *and* of B.
+FAR_BATCH = IngestRequest(
+    nodes=(("x0", ""), ("x1", "")),
+    edges=((9, 6, "r", 1.0), (7, 10, "r", 1.0), (8, 5, "r", 2.0)),
+    weights=((5, 3.0),),
+)
+
+
+def _carried(server):
+    return server.stats()["context"]["memo_carried"]
+
+
+def _assert_serial_rows(server, response):
+    """Rows equal a serial evaluation of the request at its generation."""
+    assert response.status == STATUS_OK
+    assert response.stats.generation == server.graph.generation
+    assert response.rows == evaluate_query(server.graph.read_view(), SURVIVAL_QUERY).rows
+
+
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_far_ingest_keeps_the_memo_entry_near_ingest_recomputes(mode):
+    graph = _survival_graph()
+    with QueryServer(graph, workers=1, dispatch_mode=mode) as server:
+        request = QueryRequest(query=SURVIVAL_QUERY)
+        first = server.handle(request)
+        _assert_serial_rows(server, first)
+        assert first.stats.memo_hits == 0 and len(first.rows) == 1
+
+        assert server.ingest(FAR_BATCH).ok
+        carried = server.handle(request)
+        assert carried.stats.memo_hits == carried.stats.ctp_count == 1
+        assert carried.stats.dispatch_modes == ["memo"]
+        assert _carried(server) == 1
+        _assert_serial_rows(server, carried)
+
+        # c -> B closes a second 2-edge connection, A-c-B: recomputed.
+        assert server.ingest(IngestRequest(edges=((3, 1, "r", 1.0),))).ok
+        closed = server.handle(request)
+        assert closed.stats.memo_hits == 0 and _carried(server) == 1
+        assert len(closed.rows) == 2
+        _assert_serial_rows(server, closed)
+
+        # Re-weighting A-m, inside the first row's tree: recomputed.
+        assert server.ingest(IngestRequest(weights=((0, 4.0),))).ok
+        heavier = server.handle(request)
+        assert heavier.stats.memo_hits == 0 and _carried(server) == 1
+        assert {row[0].edges: row[0].weight for row in heavier.rows}[frozenset({0, 1})] == 5.0
+        _assert_serial_rows(server, heavier)
+
+
+@pytest.mark.parametrize("mode", ["serial", "process"])
+@pytest.mark.filterwarnings("ignore:WorkerPool resnapshot thrash")  # back-to-back compactions
+def test_memo_entry_survives_one_compaction_not_two(mode):
+    graph = _survival_graph()
+    with QueryServer(graph, workers=1, dispatch_mode=mode) as server:
+        request = QueryRequest(query=SURVIVAL_QUERY)
+        _assert_serial_rows(server, server.handle(request))
+        previous_base = graph.base_generation
+        assert server.ingest(FAR_BATCH).ok
+        graph.compact()  # the served view is now a base that folded the batch in
+        assert graph.read_view().folded_weights == (previous_base, frozenset({5}))
+        carried = server.handle(request)
+        assert carried.stats.memo_hits == 1 and _carried(server) == 1
+        _assert_serial_rows(server, carried)
+
+        # A re-weight inside the result, folded in by the next compaction.
+        assert server.ingest(IngestRequest(weights=((1, 4.0),))).ok
+        graph.compact()
+        heavier = server.handle(request)
+        assert heavier.stats.memo_hits == 0 and _carried(server) == 1
+        assert heavier.rows[0][0].weight == 5.0
+        _assert_serial_rows(server, heavier)
+
+        # Two compactions later the entry is past the two-delta horizon.
+        for batch in range(2):
+            assert server.ingest(IngestRequest(edges=((9, 10, "r", 1.0),), weights=((6, 2.0 + batch),))).ok
+            graph.compact()
+        recomputed = server.handle(request)
+        assert recomputed.stats.memo_hits == 0 and _carried(server) == 1
+        _assert_serial_rows(server, recomputed)
+
+
+def test_memo_holds_one_entry_per_ctp_across_ingests():
+    """One request repeated across six ingests leaves one memo entry, not
+    one per generation (the far ones carried, the near ones recomputed)."""
+    graph = _survival_graph()
+    with QueryServer(graph, dispatch_mode="serial") as server:
+        request = QueryRequest(query=SURVIVAL_QUERY)
+        server.handle(request)
+        for step in range(6):
+            near = step % 2
+            edge = (0, 2, "r", 1.0) if near else (6, 8, "r", 1.0)
+            assert server.ingest(IngestRequest(edges=(edge,))).ok
+            response = server.handle(request)
+            assert response.stats.memo_hits == 1 - near
+            _assert_serial_rows(server, response)
+        assert len(server.context.ctp_cache) == 1
+        assert _carried(server) == 3
 
 
 def test_graph_fingerprint_tracks_generation():
