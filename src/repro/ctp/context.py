@@ -30,7 +30,7 @@ import sys
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ctp.interning import EdgeSetPool
 
@@ -249,15 +249,12 @@ class SearchContext:
       ``(lineage, algorithm, seed sets, config fingerprint)`` — the
       evaluator's cross-CTP memo for repeated CTPs (same seeds, same
       filters), e.g. the same CONNECT under several tree variables or
-      repeated evaluations across BGP embeddings.  The lineage (the
-      mutable graph a view was pinned from, or the graph itself) rides
-      in the key by *identity*, so an explicit context reused across
-      queries can never serve one graph's results for another, and the
-      LRU owns every reference (evicting an entry frees its seed tuples
-      and result set).  :meth:`memo_put` stamps an entry with the
-      generation it is exact at — one entry per CTP, not per generation —
-      and :meth:`memo_get` carries it past mutations that provably cannot
-      reach a ``MAX``-bounded CTP's results (``memo_carried``).
+      repeated evaluations across BGP embeddings.  The lineage rides in
+      the key by *identity*, so an explicit context reused across queries
+      can never serve one graph's results for another, and the LRU owns
+      every reference (evicting an entry frees its seed tuples and result
+      set).  Entries are stamped with the generation they are exact at
+      (:meth:`memo_put` / :meth:`memo_get`), one per CTP.
 
     Sharing is strictly representational: per-run search state (``hist``,
     ``rooted_keys``, queues, seed masks) stays inside each engine run, so a
@@ -510,18 +507,26 @@ def _stamp(view) -> Tuple[int, int]:
 def _untouched(key: MemoKey, stamp: Tuple[int, int]) -> bool:
     """The carry rule: is the complete result set filed at ``stamp`` exact on ``key.view``?
 
-    A ``MAX k`` tree holding edge e and a seed of S_i reaches an endpoint
-    of e from S_i within k-1 edges, so an edge appended or re-weighted
-    since ``stamp`` that misses the (k-1)-hop undirected ball of *some*
-    seed set (over the edges ``LABEL`` admits) enters and changes no
-    result; trees through it only take later queue tickets, so the old
-    ones keep their emission order.  Excluded where the engine reads what
-    new edges move — balanced queues (the least-filled pick counts their
-    Grows), the LESP guard with three or more seed sets (seed signatures,
-    degrees) — and without ``MAX``, with a wildcard, a score,
-    ``max_trees`` or a non-size order.  One BFS per seed set, never wider
-    than the complete search it replaces.
+    Cut a tree of at most k edges at one of its edges e = (u, v): the side
+    holding u has a edges, the side holding v has b, a + b <= k-1, and a
+    seed of S_i on u's side is within a hops of u (else within b of v).
+    A minimal tree has a seed on both sides; only the BFT family also
+    builds covering trees with a seedless side, which it strips before
+    reporting.  So an edge appended or re-weighted since ``stamp`` for
+    which no split ``a`` places a seed of every set that way (hops over
+    the edges ``LABEL`` admits) lies in no tree the search reports, and
+    changes no result — an edge missing the (k-1)-hop ball of some seed
+    set never does.  Trees through it only take later queue tickets, so
+    the old ones keep their emission order.  Excluded where the engine
+    reads what new edges move — balanced queues (the least-filled pick
+    counts their Grows), the LESP guard with three or more seed sets
+    (seed signatures, degrees) — and without ``MAX``, with a wildcard, a
+    score, ``max_trees`` or a non-size order.  One BFS per seed set,
+    never wider than the complete search it replaces.
     """
+    from repro.ctp.bft import BFTSearch  # the engines import this module
+    from repro.ctp.registry import get_algorithm
+
     (_uni, labels, max_edges, _timeout, _limit, score, top_k, order, balanced, ratio,
      max_trees, _strict, _mo) = key.config
     sizes = [len(set(seeds)) for seeds in key.seeds if seeds != "*"]
@@ -530,22 +535,30 @@ def _untouched(key: MemoKey, stamp: Tuple[int, int]) -> bool:
         return False
     if balanced is True or (balanced == "auto" and min(sizes) and max(sizes) / min(sizes) >= ratio):
         return False  # as _GAMRun._balanced_enabled resolves it
-    if len(sizes) >= 3:
-        from repro.ctp.registry import get_algorithm  # registry imports the engines, which import us
-
-        if getattr(get_algorithm(key.algorithm), "lesp_guard", False):
-            return False
+    algo = get_algorithm(key.algorithm)
+    if len(sizes) >= 3 and getattr(algo, "lesp_guard", False):
+        return False
     view = key.view
     touched = _touched_edges(view, stamp)
     if touched is None:
         return False
     ends = [view.edge_endpoints(e) for e in touched if labels is None or view.edge_label(e) in labels]
+    radius, dists = max_edges - 1, []
     for seeds in key.seeds:
         if not ends:
-            break
-        ball = _ball(view, seeds, max_edges - 1, labels)
-        ends = [(source, target) for source, target in ends if source in ball or target in ball]
-    return not ends
+            return True
+        dists.append(_hops(view, seeds, radius, labels))
+        ends = [(source, target) for source, target in ends if source in dists[-1] or target in dists[-1]]
+    one_sided, m, far = isinstance(algo, BFTSearch), len(dists), radius + 1
+    for source, target in ends:
+        for a in range(radius + 1):
+            near_source = {i for i, dist in enumerate(dists) if dist.get(source, far) <= a}
+            near_target = {i for i, dist in enumerate(dists) if dist.get(target, far) <= radius - a}
+            if len(near_source | near_target) == m and (
+                one_sided or (near_source and near_target and m > 1)
+            ):
+                return False
+    return True
 
 
 def _touched_edges(view, stamp: Tuple[int, int]) -> Optional[List[int]]:
@@ -572,19 +585,20 @@ def _touched_edges(view, stamp: Tuple[int, int]) -> Optional[List[int]]:
     return [*range(num_edges, view.num_edges), *(edge for edge in reweighted if edge < num_edges)]
 
 
-def _ball(view, seeds: Sequence[int], radius: int, labels: Any) -> Set[int]:
-    """Nodes within ``radius`` undirected hops of ``seeds`` over edges ``labels`` admits."""
-    ball = set(seeds)
-    frontier = list(ball)
-    for _ in range(radius):
+def _hops(view, seeds: Sequence[int], radius: int, labels: Any) -> Dict[int, int]:
+    """Hop distance from ``seeds`` of every node within ``radius`` undirected
+    hops, over the edges ``labels`` admits."""
+    hops = dict.fromkeys(seeds, 0)
+    frontier = list(hops)
+    for hop in range(1, radius + 1):
         reached = []
         for node in frontier:
             for _edge, other, _outgoing in view.adjacent_filtered(node, labels):
-                if other not in ball:
-                    ball.add(other)
+                if other not in hops:
+                    hops[other] = hop
                     reached.append(other)
         frontier = reached
-    return ball
+    return hops
 
 
 def adopt_pool(context: Optional[SearchContext], graph):

@@ -2,8 +2,9 @@
 
 A complete ``MAX k`` result set memoized at one generation may be served
 at a later one when no edge the mutations touched (appended or
-re-weighted) can reach the (k-1)-hop undirected ball of *every* seed set:
-such an edge can neither enter a result tree nor move one (see
+re-weighted) can lie in a tree of at most k edges the search reports —
+an edge outside the (k-1)-hop undirected ball of some seed set never
+can — so it can neither enter a result nor move one (see
 :meth:`repro.ctp.context.SearchContext.memo_get`).  This module holds that
 rule to the only thing it may equal — a fresh, context-less search of the
 same CTP on the view pinned at the new generation — **in emission order**

@@ -426,17 +426,24 @@ def test_far_ingest_keeps_the_memo_entry_near_ingest_recomputes(mode):
         assert _carried(server) == 1
         _assert_serial_rows(server, carried)
 
+        # A new leaf hanging off m touches the one-hop balls of both seeds,
+        # but no minimal tree of two edges can use it: carried.
+        assert server.ingest(IngestRequest(nodes=(("x2", ""),), edges=((2, 11, "r", 1.0),))).ok
+        dangling = server.handle(request)
+        assert dangling.stats.memo_hits == 1 and _carried(server) == 2
+        _assert_serial_rows(server, dangling)
+
         # c -> B closes a second 2-edge connection, A-c-B: recomputed.
         assert server.ingest(IngestRequest(edges=((3, 1, "r", 1.0),))).ok
         closed = server.handle(request)
-        assert closed.stats.memo_hits == 0 and _carried(server) == 1
+        assert closed.stats.memo_hits == 0 and _carried(server) == 2
         assert len(closed.rows) == 2
         _assert_serial_rows(server, closed)
 
         # Re-weighting A-m, inside the first row's tree: recomputed.
         assert server.ingest(IngestRequest(weights=((0, 4.0),))).ok
         heavier = server.handle(request)
-        assert heavier.stats.memo_hits == 0 and _carried(server) == 1
+        assert heavier.stats.memo_hits == 0 and _carried(server) == 2
         assert {row[0].edges: row[0].weight for row in heavier.rows}[frozenset({0, 1})] == 5.0
         _assert_serial_rows(server, heavier)
 
