@@ -29,7 +29,8 @@ Four layers:
 
 ``python tests/test_dense_ids.py --regen`` rewrites the golden file from
 the current engines (only meaningful on a commit whose engines are
-trusted).
+trusted); ``--drop COUNTER`` rewrites it with one retired stats counter
+left out, and writes nothing unless every recorded digest replays first.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ def _snapshot(result_set):
         )
         for r in result_set
     )
-    stats = {k: v for k, v in result_set.stats.as_dict().items() if k not in UNSTABLE_STATS}
+    stats = {
+        k: v for k, v in result_set.stats.as_dict().items() if k not in UNSTABLE_STATS and k != "ctx_rooted_hits"
+    }
     return {
         "results": results,
         "stats": stats,
@@ -416,25 +419,45 @@ def test_flat_pool_accepts_overlapping_unions():
     assert len(pool) == 4
 
 
-def _golden_digests():
-    out = {}
+def _golden_snapshots():
     for graph_name, graph, seeds, algo_name in _matrix_cases():
-        out[f"{graph_name}|{algo_name}"] = _digest(_snapshot(_run(algo_name, graph, seeds)))
+        yield f"{graph_name}|{algo_name}", _snapshot(_run(algo_name, graph, seeds))
     fig1 = figure1()
     for variant, overrides in VARIANTS.items():
         for algo_name in ALGORITHMS:
             got = _snapshot(_run(algo_name, fig1, figure1_seed_sets(fig1), **overrides))
-            out[f"fig1|{variant}|{algo_name}"] = _digest(_without_pool_stats(got) if variant == "interning" else got)
+            yield f"fig1|{variant}|{algo_name}", _without_pool_stats(got) if variant == "interning" else got
     for graph_name in DPBF_GRAPHS:
         graph, seeds = _graphs()[graph_name]
         for uni in (False, True):
-            out[f"dpbf|{graph_name}|{uni}"] = _digest(_dpbf_row(graph, seeds, uni))
+            yield f"dpbf|{graph_name}|{uni}", _dpbf_row(graph, seeds, uni)
+
+
+def _digests_without(counter):
+    """The golden digests with stats ``counter`` dropped, or ``SystemExit``
+    unless every snapshot, ``counter`` included, replays its recorded digest
+    — so a re-record can drop a retired counter and change nothing else."""
+    recorded = json.loads(GOLDEN_PATH.read_text())
+    out, differs = {}, []
+    for name, snapshot in _golden_snapshots():
+        if _digest(snapshot) != recorded[name]:
+            differs.append(name)
+        elif isinstance(snapshot, dict):
+            stats = {k: v for k, v in snapshot["stats"].items() if k != counter}
+            snapshot = {**snapshot, "stats": stats}
+        out[name] = _digest(snapshot)
+    if differs:
+        raise SystemExit(f"refusing to write: {len(differs)} snapshots differ from the golden: {differs}")
     return out
 
 
 if __name__ == "__main__":
     if "--regen" in sys.argv:
-        GOLDEN_PATH.write_text(json.dumps(_golden_digests(), indent=1, sort_keys=True) + "\n")
-        print(f"wrote {GOLDEN_PATH}")
+        digests = {name: _digest(snapshot) for name, snapshot in _golden_snapshots()}
+    elif "--drop" in sys.argv:
+        digests = _digests_without(sys.argv[sys.argv.index("--drop") + 1])
     else:
         print(__doc__)
+        sys.exit()
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
