@@ -392,7 +392,8 @@ class OverlayGraph:
         return [self.edge(e) for e, _, outgoing in self.adjacent(node_id) if outgoing]
 
     def in_edges(self, node_id: int) -> List[Edge]:
-        return [self.edge(e) for e, _, outgoing in self.adjacent(node_id) if not outgoing]
+        # A self-loop is listed once, as outgoing: it is an in-edge too.
+        return [self.edge(e) for e, other, outgoing in self.adjacent(node_id) if not outgoing or other == node_id]
 
     # ------------------------------------------------------------------
     # per-edge scalar accessors

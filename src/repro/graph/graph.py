@@ -340,7 +340,10 @@ class Graph:
         return [self._edges[e] for e, _, outgoing in self._adjacency[node_id] if outgoing]
 
     def in_edges(self, node_id: int) -> List[Edge]:
-        return [self._edges[e] for e, _, outgoing in self._adjacency[node_id] if not outgoing]
+        # A self-loop is filed once, as outgoing: it is an in-edge too.
+        return [
+            self._edges[e] for e, other, outgoing in self._adjacency[node_id] if not outgoing or other == node_id
+        ]
 
     # ------------------------------------------------------------------
     # label / type indexes

@@ -218,7 +218,8 @@ def _reference_node_candidates(graph, predicate):
 
 def _reference_candidate_edges(graph, pattern, self_loops=True):
     """The replaced ``candidate_edges``.  ``self_loops=False`` is the code as
-    it was: ``in_edges`` leaves self-loops out of the target path."""
+    it was: its target path kept only the ``not outgoing`` adjacency
+    entries, which leaves self-loops out."""
     options = []
     edge_label = pattern.edge.label_constant()
     if edge_label is not None:
@@ -237,13 +238,11 @@ def _reference_candidate_edges(graph, pattern, self_loops=True):
         return graph.edges_with_label(edge_label)
     if best == "source":
         return [edge.id for node in source_nodes for edge in graph.out_edges(node)]
-    if not self_loops:
-        return [edge.id for node in target_nodes for edge in graph.in_edges(node)]
     return [
         edge_id
         for node in target_nodes
         for edge_id, other, outgoing in graph.adjacent(node)
-        if not outgoing or other == node
+        if not outgoing or (self_loops and other == node)
     ]
 
 
@@ -383,6 +382,21 @@ def test_target_path_keeps_self_loops(backend):
     assert rows('FILTER(label(?t) = "A")') == [(a, a), (b, a)]
     assert rows('FILTER(label(?s) = "A")') == [(a, a), (a, b)]
     assert rows("") == [(a, a), (a, b), (b, a)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_self_loop_is_an_in_edge_and_an_out_edge(backend):
+    """``add_edge`` files a self-loop once, as outgoing; ``in_edges`` lists it
+    all the same, in the base and in the delta of an overlay alike."""
+    graph = Graph()
+    a, b = graph.add_node("A"), graph.add_node("B")
+    for source, target in ((a, a), (b, a), (a, b), (b, b)):
+        graph.add_edge(source, target, "r")
+    view = BACKENDS[backend](graph)
+    assert sorted(e.id for e in view.out_edges(a)) == [0, 2]
+    assert sorted(e.id for e in view.in_edges(a)) == [0, 1]
+    assert sorted(e.id for e in view.out_edges(b)) == [1, 3]
+    assert sorted(e.id for e in view.in_edges(b)) == [2, 3]
 
 
 class _NoObjects:
