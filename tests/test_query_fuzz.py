@@ -2,7 +2,9 @@
 
 Every generated query must parse, validate, and evaluate without crashing;
 whatever rows come back must respect the query's own constraints (head
-arity, CTP filter bounds, tree validity).
+arity, CTP filter bounds, tree validity).  A generated query with a few
+characters deleted, inserted or swapped must parse or fail with a
+``ParseError`` / ``ValidationError``, never anything else.
 """
 
 import random
@@ -10,7 +12,7 @@ import random
 import pytest
 
 from repro.ctp.results import ResultTree, is_tree
-from repro.errors import ReproError
+from repro.errors import ParseError, ValidationError
 from repro.graph.datasets import figure1
 from repro.query.evaluator import evaluate_query
 from repro.query.parser import parse_query
@@ -43,6 +45,40 @@ class TestGenerator:
 
         with pytest.raises(WorkloadError):
             random_query(Graph())
+
+
+#: What a mutation may insert: the query language's punctuation, both
+#: quote kinds, keyword letters, digits, whitespace and a non-ASCII letter.
+MUTATION_ALPHABET = "{}()<>=!.,;*?\"'#_-+/ \n\tAaSELCTWHRNXIMé0123456789"
+
+
+def _mutate(text, rng):
+    """``text`` with 1-3 random character deletions, insertions or swaps."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        operation = rng.choice(("delete", "insert", "swap"))
+        if operation == "insert" or not chars:
+            chars.insert(rng.randint(0, len(chars)), rng.choice(MUTATION_ALPHABET))
+        elif operation == "delete":
+            del chars[rng.randrange(len(chars))]
+        else:
+            i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
+            chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mutated_queries_parse_or_raise_query_errors(seed):
+    graph = figure1()
+    rng = random.Random(seed)
+    for _ in range(100):
+        text = _mutate(random_query(graph, rng), rng)
+        try:
+            parse_query(text)
+        except (ParseError, ValidationError):
+            pass
+        except Exception as error:
+            pytest.fail(f"{type(error).__name__} parsing {text!r}: {error}")
 
 
 class TestPipelineFuzz:
