@@ -80,7 +80,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"context: runs={ctx['runs']} pool_sets={ctx['pool_sets']} "
         f"union_hits={ctx['pool_union_hits']} "
         f"ctp_cache={ctx['ctp_cache_hits']}/{ctx['ctp_cache_hits'] + ctx['ctp_cache_misses']} "
-        f"carried={ctx['memo_carried']} rooted_hits={ctx['rooted_cache_hits']} seed_cache_hits={ctx['seed_cache_hits']}"
+        f"carried={ctx['memo_carried']} seed_cache_hits={ctx['seed_cache_hits']}"
     )
     sched = result.schedule
     print(

@@ -124,9 +124,8 @@ class _BFTRun:
         for bit, nodes in enumerate(self.explicit_sets):
             for node in nodes:
                 self.seed_mask[node] = self.seed_mask.get(node, 0) | (1 << bit)
-        # Query-scoped pool sharing (see _GAMRun): BFT trees are unrooted,
-        # so only the pool is adopted, not the rooted-result cache.
-        self.pool, _, self._pool_baseline = adopt_pool(context, graph)
+        # Query-scoped pool sharing (see _GAMRun).
+        self.pool, self._pool_baseline = adopt_pool(context, graph)
         # Dense per-search node identity (repro.ctp.idremap): BFT's merge
         # also needs the inverse (mask bit -> global node) to recover the
         # shared node.

@@ -108,7 +108,7 @@ class SearchConfig:
         the independent CTP evaluations of a query to a worker pool of
         this many workers (:mod:`repro.query.parallel`; default 1 = serial
         dispatch).  Values above 1 make ``evaluate_query`` create its
-        query-scoped context *thread-safe* (sharded pool, locked caches).
+        query-scoped context *thread-safe* (sharded pool, locked memo).
         Dispatch-only: result rows are bit-identical to serial evaluation
         regardless of worker count — an explicitly passed non-thread-safe
         context silently falls back to serial dispatch under thread mode.

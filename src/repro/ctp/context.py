@@ -1,32 +1,28 @@
-"""Query-scoped search state: one pool and two bounded caches per query.
+"""Query-scoped search state: one pool and one bounded memo per query.
 
 Section 3's pipeline runs one connection search per CTP.
 :class:`SearchContext` scopes the edge-set pool
 (:class:`~repro.ctp.interning.EdgeSetPool`) to a *query* instead of a
 single CTP evaluation: all CTPs of a query intern into the same pool — so
 edge sets a sibling CTP already built are found by fingerprint instead of
-built again, and handles are comparable across runs — and two bounded
-caches ride on top of the shared handles: a per-root cache of materialized
-rooted-tree results keyed by ``(root, eset handle, config fingerprint)``,
-and the evaluator's cross-CTP memo of whole result sets keyed by graph
-lineage, seed sets, and config fingerprint and stamped with the
-generation they are exact at.  Both caches are bounded LRU
-(:class:`ResultCache`) — by entry count and, optionally, by approximate
-payload bytes — and own every reference they hold, so a long-lived context
-cannot grow without limit.
+built again, and handles are comparable across runs.  Next to the pool
+sits the evaluator's cross-CTP memo of whole result sets, keyed by graph
+lineage, algorithm, seed sets and config fingerprint and stamped with the
+generation each entry is exact at.  The memo is an LRU bounded by entry
+count (:class:`ResultCache`) that owns every reference it holds, so a
+long-lived context cannot grow without limit.
 
 ``SearchContext(thread_safe=True)`` makes all of that state safe to share
 across the worker threads of a parallel dispatch
 (:mod:`repro.query.parallel`): the pool is built thread-safe (its
-exact-interning step serialized per fingerprint shard) and both caches
-take a lock around their LRU mutations.  Sharing stays
-representation-only either way: a search never reads another run's
-private state, so results are identical no matter how runs interleave.
+exact-interning step serialized per fingerprint shard) and the memo takes
+a lock around its LRU mutations.  Sharing stays representation-only
+either way: a search never reads another run's private state, so results
+are identical no matter how runs interleave.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext
@@ -34,108 +30,29 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ctp.interning import EdgeSetPool
 
-#: Containers :func:`approx_bytes` descends into element-wise.
-_SIZED_CONTAINERS = (list, tuple, set, frozenset)
-#: Leaves whose ``getsizeof`` is already their full footprint.
-_ATOMIC_TYPES = (str, bytes, bytearray, int, float, complex, bool, type(None))
-
-
-def approx_bytes(value: Any, _seen: Optional[set] = None) -> int:
-    """Approximate deep memory footprint of ``value`` in bytes.
-
-    The size-aware eviction measure of :class:`ResultCache`: a
-    ``sys.getsizeof`` walk over containers, dicts, and object attributes
-    (``__dict__`` and ``__slots__``), deduplicating shared sub-objects
-    *within one value* by identity.  Approximate by design — objects shared
-    *between* cache entries are charged to each entry (a conservative
-    overestimate), and exotic C-level layouts fall back to their shallow
-    size — the point is a stable, cheap eviction signal, not an accountant.
-
-    The walk keeps an explicit stack instead of recursing: cached payloads
-    are caller-supplied, and a deeply nested one (a few thousand levels of
-    tuples is enough) must not blow the interpreter's recursion limit from
-    inside a cache ``put`` mid-query.  Depth is bounded by memory, not by
-    ``sys.getrecursionlimit()``.
-    """
-    seen = set() if _seen is None else _seen
-    total = 0
-    stack = [value]
-    while stack:
-        obj = stack.pop()
-        oid = id(obj)
-        if oid in seen:
-            continue
-        seen.add(oid)
-        total += sys.getsizeof(obj)
-        if isinstance(obj, _ATOMIC_TYPES):
-            continue
-        if isinstance(obj, dict):
-            for key, item in obj.items():
-                stack.append(key)
-                stack.append(item)
-            continue
-        if isinstance(obj, _SIZED_CONTAINERS):
-            stack.extend(obj)
-            continue
-        attrs = getattr(obj, "__dict__", None)
-        if attrs is not None:
-            stack.append(attrs)
-        for name in getattr(type(obj), "__slots__", ()):
-            try:
-                stack.append(getattr(obj, name))
-            except AttributeError:
-                continue
-    return total
-
 
 class ResultCache:
-    """A bounded LRU map — the eviction bound of the context caches.
+    """An LRU map bounded by entry count — the memo of a context.
 
-    Bounded two ways: by entry count (``maxsize``, always) and — when
-    ``max_bytes`` is set — by the *approximate payload bytes* of the stored
-    values (:func:`approx_bytes`), so a long-lived context is limited by
-    memory rather than by how many entries its results happen to span.
-    Eviction pops least-recently-used entries until both bounds hold; a
-    single value larger than ``max_bytes`` is therefore never retained.
-
+    A put past ``maxsize`` entries evicts the least recently used one.
     ``None`` is never a legal value (``get`` uses it as the miss marker).
     Hits refresh recency.  ``thread_safe=True`` takes a lock around every
     LRU mutation (the ``OrderedDict`` reorder on hit makes even ``get`` a
     write).  Counters are plain attributes so callers can fold them into
-    reports without extra accessors; ``size_walks`` counts
-    :func:`approx_bytes` deep walks — exactly one per *distinct inserted
-    value*, because re-putting the identical object under its key (the
-    memo-replay path) reuses the size cached at first insertion.
+    reports without extra accessors.
     """
 
-    __slots__ = (
-        "maxsize",
-        "max_bytes",
-        "total_bytes",
-        "_data",
-        "_nbytes",
-        "_lock",
-        "hits",
-        "misses",
-        "evictions",
-        "size_walks",
-    )
+    __slots__ = ("maxsize", "_data", "_lock", "hits", "misses", "evictions")
 
-    def __init__(self, maxsize: int, max_bytes: Optional[int] = None, thread_safe: bool = False):
+    def __init__(self, maxsize: int, thread_safe: bool = False):
         if maxsize < 1:
             raise ValueError("ResultCache needs maxsize >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("ResultCache needs max_bytes >= 1 (or None)")
         self.maxsize = maxsize
-        self.max_bytes = max_bytes
-        self.total_bytes = 0
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
-        self._nbytes: Dict[Any, int] = {}
         self._lock = threading.Lock() if thread_safe else None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.size_walks = 0
 
     def get(self, key, check=None):
         """The value under ``key``, or ``None`` (counted as a miss).
@@ -181,30 +98,11 @@ class ResultCache:
         data = self._data
         if key in data:
             data.move_to_end(key)
-            held = data[key]
-            if held is value or (keep is not None and keep(held)):
-                # Re-filing the identical object (memo replay runs once
-                # per fan-out, batch evaluation once per query): the
-                # cached deep size is still exact, so this is a recency
-                # refresh only — no second size walk.
+            if keep is not None and keep(data[key]):
                 return
-            self.total_bytes -= self._nbytes.get(key, 0)
         data[key] = value
-        # Sizing is skipped entirely for unbounded-bytes caches: the walk
-        # is the expensive part, the counters are just ints.
-        if self.max_bytes is not None:
-            nbytes = approx_bytes(value)
-            self.size_walks += 1
-        else:
-            nbytes = 0
-        self._nbytes[key] = nbytes
-        self.total_bytes += nbytes
-        max_bytes = self.max_bytes
-        while data and (
-            len(data) > self.maxsize or (max_bytes is not None and self.total_bytes > max_bytes)
-        ):
-            evicted_key, _ = data.popitem(last=False)
-            self.total_bytes -= self._nbytes.pop(evicted_key, 0)
+        if len(data) > self.maxsize:
+            data.popitem(last=False)
             self.evictions += 1
 
     def __len__(self) -> int:
@@ -220,16 +118,8 @@ class ResultCache:
         payload references pre-mutation state, so the whole cache is stale
         at once and entry-by-entry invalidation would be wasted work.
         """
-        lock = self._lock
-        if lock is None:
-            return self._clear()
-        with lock:
-            return self._clear()
-
-    def _clear(self) -> None:
-        self._data.clear()
-        self._nbytes.clear()
-        self.total_bytes = 0
+        with self._lock or nullcontext():
+            self._data.clear()
 
 
 class SearchContext:
@@ -239,12 +129,7 @@ class SearchContext:
     (:meth:`adopt`) instead of constructing pool state internally, so
 
     * edge-set handles are stable across the query's CTPs — a set one CTP
-      interned is found, not rebuilt, by the next, and handle-keyed caches
-      survive from run to run;
-    * ``rooted_cache`` maps ``(root, eset handle, config fingerprint)`` to
-      the materialized payload of a reported rooted tree (edges, nodes,
-      score), so a CTP that re-discovers a tree a sibling already reported
-      skips re-materialization and re-scoring;
+      interned is found, not rebuilt, by the next;
     * ``ctp_cache`` memoizes whole *complete* CTP result sets under
       ``(lineage, algorithm, seed sets, config fingerprint)`` — the
       evaluator's cross-CTP memo for repeated CTPs (same seeds, same
@@ -265,18 +150,14 @@ class SearchContext:
 
     ``thread_safe=True`` builds the concurrency-safe variant for the
     parallel dispatcher (:mod:`repro.query.parallel`): the pool is an
-    ``EdgeSetPool(thread_safe=True)``, both caches lock their LRU
-    mutations, and one context lock serializes :meth:`adopt`'s
-    graph-binding check and the ``memo_carried`` count.  ``*_cache_bytes``
-    optionally bound each cache by approximate payload bytes
-    (:func:`approx_bytes`) on top of the entry-count bound — the memory
-    bound that matters for explicit long-lived contexts.
+    ``EdgeSetPool(thread_safe=True)``, the memo locks its LRU mutations,
+    and one context lock serializes :meth:`adopt`'s graph-binding check
+    and the ``memo_carried`` count.
     """
 
     __slots__ = (
         "thread_safe",
         "pool",
-        "rooted_cache",
         "ctp_cache",
         "runs",
         "rejects",
@@ -288,22 +169,10 @@ class SearchContext:
         "_lock",
     )
 
-    def __init__(
-        self,
-        ctp_cache_size: int = 64,
-        rooted_cache_size: int = 8192,
-        thread_safe: bool = False,
-        ctp_cache_bytes: Optional[int] = None,
-        rooted_cache_bytes: Optional[int] = None,
-    ):
+    def __init__(self, ctp_cache_size: int = 64, thread_safe: bool = False):
         self.thread_safe = thread_safe
         self.pool = EdgeSetPool(thread_safe)
-        self.rooted_cache = ResultCache(
-            rooted_cache_size, max_bytes=rooted_cache_bytes, thread_safe=thread_safe
-        )
-        self.ctp_cache = ResultCache(
-            ctp_cache_size, max_bytes=ctp_cache_bytes, thread_safe=thread_safe
-        )
+        self.ctp_cache = ResultCache(ctp_cache_size, thread_safe=thread_safe)
         self.runs = 0
         self.rejects = 0
         self.generation_flushes = 0
@@ -320,7 +189,7 @@ class SearchContext:
         """The shared pool for an engine run, or ``None`` to refuse.
 
         ``graph`` is the graph the run searches: handles and
-        cached payloads reference edge ids of exactly one graph, so the
+        memoized result sets reference edge ids of exactly one graph, so the
         context binds itself to the first graph it sees and refuses any
         other.  Under ``thread_safe`` the first-graph binding is
         serialized so two concurrent first adoptions cannot both bind.
@@ -343,8 +212,8 @@ class SearchContext:
             # Views of the bound graph's lineage (shared ``view_source``,
             # or the source itself) REBIND instead of refusing: edge ids
             # are never reused across generations, so the interned sets
-            # stay valid, and no flush is needed — rooted-cache keys carry
-            # the generation, and memo_get vets each memo entry's stamp.
+            # stay valid, and no flush is needed — memo_get vets each memo
+            # entry's stamp.
             mine = getattr(self._graph, "view_source", None) or self._graph
             theirs = getattr(graph, "view_source", None) or graph
             if mine is not theirs:
@@ -360,10 +229,9 @@ class SearchContext:
                 # result set references pre-mutation state.  The interned
                 # edge *sets* stay valid — edge ids are never reused, a set
                 # of ids means the same set after an append or a weight
-                # update — but the result caches must flush wholesale.
-                # (A mutable graph records nothing memo_get could vet an
-                # older memo entry against, so every one would miss.)
-                self.rooted_cache.clear()
+                # update — but the memo must flush wholesale.  (A mutable
+                # graph records nothing memo_get could vet an older memo
+                # entry against, so every one would miss.)
                 self.ctp_cache.clear()
                 self.generation_flushes += 1
                 self._graph_generation = generation
@@ -436,22 +304,6 @@ class SearchContext:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def graph_fingerprint(graph) -> Tuple[int, int, int]:
-        """Mutation fingerprint of a graph: counts + mutation generation.
-
-        The count pair catches growth, but it misses *same-size* mutations
-        (update an edge weight; in a future delta overlay, delete one edge
-        and add another) — two different graphs with identical counts
-        would collide and serve stale cached results.  The monotonic
-        :attr:`~repro.graph.graph.Graph.generation` counter is bumped by
-        every mutator, so folding it in invalidates entries cached before
-        *any* mutation; the counts are kept for objects that predate the
-        counter (``getattr`` default 0).
-        """
-        return (graph.num_nodes, graph.num_edges, getattr(graph, "generation", 0))
-
-    # ------------------------------------------------------------------
     def stats_dict(self) -> Dict[str, int]:
         """Counters for the evaluator's query report / the CLI."""
         pool = self.pool
@@ -467,11 +319,6 @@ class SearchContext:
             "ctp_cache_hits": self.ctp_cache.hits,
             "ctp_cache_misses": self.ctp_cache.misses,
             "ctp_cache_evictions": self.ctp_cache.evictions,
-            "rooted_cache_hits": self.rooted_cache.hits,
-            "rooted_cache_misses": self.rooted_cache.misses,
-            "rooted_cache_evictions": self.rooted_cache.evictions,
-            "ctp_cache_bytes": self.ctp_cache.total_bytes,
-            "rooted_cache_bytes": self.rooted_cache.total_bytes,
         }
 
 
@@ -604,17 +451,16 @@ def _hops(view, seeds: Sequence[int], radius: int, labels: Any) -> Dict[int, int
 def adopt_pool(context: Optional[SearchContext], graph):
     """Shared pool adoption for an engine run.
 
-    Returns ``(pool, adopted_context, baseline)``: the pool to use (the
-    context's when adoption succeeds, a fresh private one otherwise), the
-    context iff adopted (``None`` tells the engine to skip context
-    caches), and the pool-counter baseline for :func:`pool_stats_delta` —
-    the shared pool's current state, or zeros for a private pool so the
-    per-run stats keep the seed semantics (absolute values).
+    Returns ``(pool, baseline)``: the pool to use (the context's when
+    adoption succeeds, a fresh private one otherwise) and the pool-counter
+    baseline for :func:`pool_stats_delta` — the shared pool's current
+    state, or zeros for a private pool so the per-run stats keep the seed
+    semantics (absolute values).
     """
     pool = context.adopt(graph) if context is not None else None
     if pool is None:
-        return EdgeSetPool(), None, (0, 0, 0)
-    return pool, context, (len(pool), pool.union_hits, pool.union_misses)
+        return EdgeSetPool(), (0, 0, 0)
+    return pool, (len(pool), pool.union_hits, pool.union_misses)
 
 
 def pool_stats_delta(stats, pool, baseline) -> None:

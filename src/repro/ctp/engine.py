@@ -148,12 +148,12 @@ class GAMFamilySearch:
         to the filters in ``config``.  ``context`` is an optional
         query-scoped :class:`~repro.ctp.context.SearchContext`: when given
         (and bound to this run's graph lineage) the run adopts
-        the context's shared edge-set pool and rooted-result cache instead
-        of constructing pool state internally.
+        the context's shared edge-set pool instead of constructing pool
+        state internally.
 
         Concurrency contract: all mutable *search* state lives in the
-        per-call :class:`_GAMRun`, and the only shared structures a run
-        touches are the context's pool and caches — so concurrent runs
+        per-call :class:`_GAMRun`, and the only shared structure a run
+        touches is the context's pool — so concurrent runs
         over one ``SearchContext(thread_safe=True)`` (the parallel
         dispatcher's setup, :mod:`repro.query.parallel`) are safe and
         produce exactly the rows a serial run would: handles are opaque
@@ -198,19 +198,11 @@ class _GAMRun:
         # A query-scoped context supplies a pool shared by all the query's
         # CTP runs (handles stay comparable across runs); a refusal — the
         # context is bound to another graph — falls back to a private pool.
-        self.pool, self.context, self._pool_baseline = adopt_pool(context, graph)
+        self.pool, self._pool_baseline = adopt_pool(context, graph)
         # Dense per-search node identity (repro.ctp.idremap): node-mask
         # bits are compact first-touch indexes, so masks scale with the
         # frontier, not with max(node_id).  Strictly run-local state.
         self.remap = IdRemap()
-        # Rooted-cache fingerprint: config identity plus the graph's size
-        # (append-only graphs invalidate cached payloads by growing).
-        self._cfg_fp = None
-        if self.context is not None:
-            self._cfg_fp = (
-                SearchContext.config_fingerprint(config),
-                SearchContext.graph_fingerprint(graph),
-            )
         # --- search state (Algorithms 1-5 globals) ---
         # History structures are keyed by pool handles (ints: O(1) hashing).
         self.hist: Set[int] = set()  # edge-set history (ESP)
@@ -650,27 +642,8 @@ class _GAMRun:
             wildcard_positions=self.wildcard_positions,
             root=tree.root,  # the N match: the only possibly-non-seed leaf
         )
-        # The per-root result cache of the query context: a sibling CTP (or
-        # an earlier run of this one) that reported the same rooted tree
-        # under the same config fingerprint already materialized edge/node
-        # sets and paid the score call — reuse its payload.  Seeds are
-        # per-CTP (positions differ) and always rebuilt above.
-        context = self.context
-        cached = None
-        cache_key = None
-        if context is not None:
-            cache_key = (tree.root, tree.eset, self._cfg_fp)
-            cached = context.rooted_cache.get(cache_key)
-        if cached is not None:
-            edges, nodes, score = cached
-            self.stats.ctx_rooted_hits += 1
-        else:
-            edges, nodes = tree.edges, tree.nodes
-            score = None
-            if self.config.score is not None:
-                score = self.config.score(self.graph, edges, nodes)
-            if cache_key is not None:
-                context.rooted_cache.put(cache_key, (edges, nodes, score))
+        edges, nodes = tree.edges, tree.nodes
+        score = None if self.config.score is None else self.config.score(self.graph, edges, nodes)
         self.results.append(ResultTree(edges=edges, nodes=nodes, seeds=seeds, weight=tree.weight, score=score))
         self.stats.results_found += 1
         if self.config.limit is not None and self.stats.results_found >= self.config.limit:

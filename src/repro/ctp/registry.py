@@ -58,7 +58,7 @@ def evaluate_ctp(
 
     ``context`` optionally shares a query-scoped
     :class:`~repro.ctp.context.SearchContext` (edge-set pool + result
-    caches) across several evaluations over the same graph.
+    memo) across several evaluations over the same graph.
     """
     if config is not None and config_kwargs:
         raise SearchError("pass either a SearchConfig or keyword options, not both")

@@ -45,10 +45,6 @@ class SearchStats:
     pool_sets: int = 0
     pool_union_hits: int = 0
     pool_union_misses: int = 0
-    #: Results whose materialized payload (edge/node sets, score) was served
-    #: by the query context's per-root cache instead of rebuilt — nonzero
-    #: only when a shared SearchContext was adopted.
-    ctx_rooted_hits: int = 0
     elapsed_seconds: float = 0.0
 
     @property

@@ -128,17 +128,12 @@ class CTPCostEstimator:
     The product of nonnegative monotone terms is **monotone** in the seed
     size and in the label cardinality and **never negative** — the two
     properties the scheduler relies on (pinned by Hypothesis in
-    ``tests/test_costmodel.py``).  Frozen and callable-free, so it
+    ``tests/test_costmodel.py``).  Stateless and callable-free, so it
     pickles to pool workers.
     """
 
-    weights: Tuple[Tuple[str, float], ...] = tuple(sorted(ALGORITHM_WEIGHTS.items()))
-
     def weight(self, algorithm: str) -> float:
-        for name, value in self.weights:
-            if name == algorithm:
-                return value
-        return DEFAULT_ALGORITHM_WEIGHT
+        return ALGORITHM_WEIGHTS.get(algorithm, DEFAULT_ALGORITHM_WEIGHT)
 
     def features(
         self,
@@ -183,45 +178,6 @@ class CTPCostEstimator:
         config: Any = None,
     ) -> float:
         return self.estimate(self.features(graph, algorithm, seed_set_sizes, config))
-
-    def fit(self, reports: Sequence["ScheduleReport"]) -> "CTPCostEstimator":
-        """A recalibrated estimator, fitted offline against measured runs.
-
-        Each :class:`ScheduleReport` pairs per-CTP estimates with the
-        seconds those CTPs actually took (and, via ``algorithms``, which
-        algorithm class ran).  The estimate is linear in its algorithm
-        weight, so the least-squares weight per class has a closed form:
-        with ``base_i = estimate_i / weight(algo_i)`` (the weight-free
-        part of the estimate), the ``w`` minimizing
-        ``sum((w * base_i - actual_i)^2)`` is
-        ``sum(base_i * actual_i) / sum(base_i^2)``.
-
-        Classes with no usable samples (no runs, or degenerate
-        zero/negative measurements) keep their checked-in weight, as does
-        any class whose fit collapses to a non-positive weight — the
-        estimator's monotone/nonnegative invariants survive any input.
-        Fitted weights carry seconds-per-cost-unit scale, so a fitted
-        estimator's output approximates *seconds* on the measured host;
-        the scheduler still only consumes ordering and ratios.
-        """
-        num: Dict[str, float] = {}
-        den: Dict[str, float] = {}
-        for report in reports:
-            for algo, estimate, actual in zip(
-                report.algorithms, report.estimates, report.actual_seconds
-            ):
-                if estimate <= 0.0 or actual <= 0.0:
-                    continue
-                base = estimate / self.weight(algo)
-                num[algo] = num.get(algo, 0.0) + base * actual
-                den[algo] = den.get(algo, 0.0) + base * base
-        fitted = dict(self.weights)
-        for algo, denominator in den.items():
-            if denominator > 0.0:
-                weight = num[algo] / denominator
-                if weight > 0.0:
-                    fitted[algo] = weight
-        return CTPCostEstimator(weights=tuple(sorted(fitted.items())))
 
 
 def choose_mode(
@@ -268,10 +224,6 @@ class ScheduleReport:
     mode_selected: str = "serial"
     estimates: List[float] = field(default_factory=list)
     actual_seconds: List[float] = field(default_factory=list)
-    #: Per-CTP algorithm class, aligned with ``estimates`` /
-    #: ``actual_seconds`` — the pairing :meth:`CTPCostEstimator.fit`
-    #: recalibrates against.
-    algorithms: List[str] = field(default_factory=list)
     submit_order: List[int] = field(default_factory=list)
     rebalances: int = 0
     rebalanced_seconds: float = 0.0
@@ -283,7 +235,6 @@ class ScheduleReport:
             "mode_selected": self.mode_selected,
             "estimates": list(self.estimates),
             "actual_seconds": list(self.actual_seconds),
-            "algorithms": list(self.algorithms),
             "submit_order": list(self.submit_order),
             "rebalances": self.rebalances,
             "rebalanced_seconds": self.rebalanced_seconds,

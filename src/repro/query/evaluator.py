@@ -393,8 +393,7 @@ def _ctp_memo_key(graph: Graph, algorithm: str, seed_sets: Sequence, config: Sea
     )
 
 
-#: The one cost model.  Stateless (a frozen dataclass of weights), so every
-#: query of the process shares it.
+#: The one cost model.  Stateless, so every query of the process shares it.
 _ESTIMATOR = CTPCostEstimator()
 
 
@@ -453,7 +452,7 @@ def evaluate_query(
     base_config = base_config or SearchConfig()
     if context is None:
         # Thread dispatch shares the context across worker threads, so it
-        # must be born thread-safe (sharded pool, locked caches).  Process
+        # must be born thread-safe (sharded pool, locked memo).  Process
         # dispatch only touches it from the parent, but keeping it
         # thread-safe there too lets an unpicklable workload degrade to
         # thread dispatch instead of all the way to serial.
@@ -547,10 +546,6 @@ def evaluate_query(
                         # is plentiful.
                         schedule.ledger.prime(costs)
                 schedule.report.mode_requested = base_config.parallelism_mode
-                # One query runs one algorithm across its CTPs; record it
-                # per CTP so CTPCostEstimator.fit can pool reports across
-                # queries that used different algorithms.
-                schedule.report.algorithms = [algorithm] * len(ctps)
                 if mode_selected is None:
                     pooled = pool is not None and mode == "process" and not pool.closed
                     mode_selected = mode if workers > 1 or pooled else "serial"

@@ -15,7 +15,7 @@ one (a query without an injected pool gets one that lives for the call).
 * **Load once, serve forever** — workers run
   :func:`~repro.query.parallel._process_worker_init` exactly once, when
   they spawn; every job any worker ever runs reuses its mmap-backed graph
-  and its private context (rooted-result and cross-CTP caches stay warm
+  and its private context (edge-set pool and cross-CTP memo stay warm
   *across requests*, not just across the CTPs of one query) until a job
   names a newer base.
 * **Health & respawn** — :meth:`ping` round-trips a probe through a

@@ -24,7 +24,6 @@ from repro.query.costmodel import (
     THREAD_DISPATCH_THRESHOLD,
     CostFeatures,
     CTPCostEstimator,
-    ScheduleReport,
     choose_mode,
 )
 
@@ -196,85 +195,3 @@ def test_choose_mode_warm_pool_lowers_the_process_bar():
 
 def test_choose_mode_explicit_overhead_wins_over_pool():
     assert choose_mode(100.0, 4, 4, pool=_FakePool(warm=True), pool_overhead=50.0) == "process"
-
-
-# ----------------------------------------------------------------------
-# offline fitting (CTPCostEstimator.fit)
-# ----------------------------------------------------------------------
-def _report(algorithms, estimates, actuals) -> ScheduleReport:
-    return ScheduleReport(
-        algorithms=list(algorithms),
-        estimates=list(estimates),
-        actual_seconds=list(actuals),
-    )
-
-
-def test_fit_golden_closed_form():
-    """Actuals exactly 2x the estimates => the fitted weight doubles.
-
-    base_i = estimate_i / w_old, actual_i = 2 * estimate_i, so the
-    closed form sum(base*actual)/sum(base^2) collapses to 2 * w_old —
-    an exact golden value, no tolerance needed.
-    """
-    estimator = CTPCostEstimator()
-    reports = [
-        _report(["bft", "bft"], [10.0, 30.0], [20.0, 60.0]),
-        _report(["bft"], [5.0], [10.0]),
-    ]
-    fitted = estimator.fit(reports)
-    assert fitted.weight("bft") == pytest.approx(2.0 * ALGORITHM_WEIGHTS["bft"])
-    # Unsampled classes keep their checked-in weights.
-    for algorithm, weight in ALGORITHM_WEIGHTS.items():
-        if algorithm != "bft":
-            assert fitted.weight(algorithm) == weight
-
-
-def test_fit_least_squares_over_noisy_samples():
-    """Noisy samples land on the analytic least-squares optimum."""
-    estimator = CTPCostEstimator()
-    estimates = [10.0, 20.0, 40.0]
-    actuals = [11.0, 19.0, 42.0]
-    fitted = estimator.fit([_report(["gam"] * 3, estimates, actuals)])
-    w_old = ALGORITHM_WEIGHTS["gam"]
-    bases = [e / w_old for e in estimates]
-    expected = sum(b * a for b, a in zip(bases, actuals)) / sum(b * b for b in bases)
-    assert fitted.weight("gam") == pytest.approx(expected)
-
-
-def test_fit_ignores_degenerate_samples_and_empty_input():
-    estimator = CTPCostEstimator()
-    assert estimator.fit([]) == estimator
-    # Zero/negative estimates or actuals carry no signal and are skipped.
-    fitted = estimator.fit([_report(["esp", "esp"], [0.0, 10.0], [5.0, -1.0])])
-    assert fitted == estimator
-
-
-def test_fit_learns_a_weight_for_an_unlisted_algorithm():
-    """A user-registered engine starts at the default weight and gets its
-    own fitted entry once reports mention it."""
-    estimator = CTPCostEstimator()
-    fitted = estimator.fit([_report(["custom"], [8.0], [4.0])])
-    base = 8.0 / DEFAULT_ALGORITHM_WEIGHT
-    assert fitted.weight("custom") == pytest.approx(4.0 / base)
-    # Fitting is stable: refitting with consistent data is a fixed point.
-    refit = fitted.fit([_report(["custom"], [fitted.weight("custom") * base], [4.0])])
-    assert refit.weight("custom") == pytest.approx(fitted.weight("custom"))
-
-
-def test_fitted_estimator_predicts_seconds_on_linear_data():
-    """After fitting, the estimator's output approximates measured seconds
-    for the fitted class (weights absorb the cost-unit -> seconds scale)."""
-    graph = labeled_graph()
-    estimator = CTPCostEstimator()
-    config = SearchConfig(max_edges=4)
-    estimate = estimator.estimate_ctp(graph, "molesp", [2, 2], config)
-    measured = 0.125  # seconds the CTP "actually" took
-    fitted = estimator.fit([_report(["molesp"], [estimate], [measured])])
-    assert fitted.estimate_ctp(graph, "molesp", [2, 2], config) == pytest.approx(measured)
-
-
-def test_fit_result_is_frozen_and_picklable():
-    fitted = CTPCostEstimator().fit([_report(["bft"], [4.0], [8.0])])
-    assert pickle.loads(pickle.dumps(fitted)) == fitted
-    with pytest.raises(Exception):
-        fitted.weights = ()

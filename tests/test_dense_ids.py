@@ -112,9 +112,7 @@ def _snapshot(result_set):
         )
         for r in result_set
     )
-    stats = {
-        k: v for k, v in result_set.stats.as_dict().items() if k not in UNSTABLE_STATS and k != "ctx_rooted_hits"
-    }
+    stats = {k: v for k, v in result_set.stats.as_dict().items() if k not in UNSTABLE_STATS}
     return {
         "results": results,
         "stats": stats,

@@ -15,7 +15,9 @@ bookkeeping now stands on, so it gets the strongest tests in the suite:
 * the engine-level structures riding on the pool: the sat-bucketed merge
   index, the balanced-queue size heap, and the pool telemetry counters;
 * the engines against digests recorded from the seed frozenset
-  representation on a fixed corpus of random multigraphs.
+  representation on a fixed corpus of random multigraphs;
+* ``repro.testing.approx_bytes``, the deep size walk the pool-footprint
+  checks measure with.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.ctp.bft import BFTAMSearch, BFTMSearch, BFTSearch
 from repro.ctp.config import SearchConfig
 from repro.ctp.esp import ESPSearch
 from repro.ctp.gam import GAMSearch
-from repro.ctp.context import SearchContext, approx_bytes
+from repro.ctp.context import SearchContext
 from repro.ctp.interning import EdgeSetPool, splitmix64
 from repro.ctp.lesp import LESPSearch
 from repro.ctp.moesp import MoESPSearch
@@ -45,7 +47,7 @@ from repro.ctp.molesp import MoLESPSearch
 from repro.ctp.tree import make_grow, make_init
 from repro.graph.datasets import figure1, figure1_seed_sets
 from repro.graph.graph import Graph
-from repro.testing import random_graph, random_seed_sets
+from repro.testing import approx_bytes, random_graph, random_seed_sets
 from repro.workloads.synthetic import chain_graph, star_graph
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -513,6 +515,42 @@ class TestIdSpaceIndependence:
             assert pool.fingerprint(handle) == expected
         stored = [pool.edges(h) for h in range(len(pool))]
         assert len(set(stored)) == len(stored)  # no set was interned twice
+
+
+# ----------------------------------------------------------------------
+# the size walk the footprint checks above measure with
+# ----------------------------------------------------------------------
+def test_approx_bytes_walks_objects():
+    class Slotted:
+        __slots__ = ("a", "b")
+
+        def __init__(self):
+            self.a = list(range(10))
+            self.b = "payload"
+
+    assert approx_bytes(Slotted()) > approx_bytes("payload")
+    shared = tuple(range(100))
+    assert approx_bytes((shared, shared)) < 2 * approx_bytes(shared) + 128
+
+
+def test_approx_bytes_deeply_nested_payloads():
+    """Regression: the size walk used to recurse once per nesting level
+    and raise RecursionError on values a few thousand levels deep."""
+    depth = sys.getrecursionlimit() * 3
+    nested = ()
+    for _ in range(depth):
+        nested = (nested,)
+    assert approx_bytes(nested) >= depth * sys.getsizeof(())
+
+    chain = {}
+    for _ in range(depth):
+        chain = {"next": chain}
+    assert approx_bytes(chain) > 0
+
+    deep_list = []
+    for _ in range(depth):
+        deep_list = [deep_list]
+    assert approx_bytes(deep_list) > 0
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ Five layers:
 * **sharded-pool safety** — a Hypothesis property that concurrent
   interning from several threads never hands out two handles for one edge
   set, plus internal-consistency checks (fingerprints, sizes, bijection);
-* **size-aware ResultCache** — byte-bounded LRU eviction order pinned,
-  serially and after a contention phase on the locked variant;
+* **ResultCache** — count-bounded LRU eviction order pinned, serially
+  and after a contention phase on the locked variant;
 * **stats merging** — :meth:`SearchStats.merge`/``merged`` fold counters
   deterministically in the order given;
 * **batch API** — ``evaluate_queries``: cross-query memo hits, empty
@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctp.config import SearchConfig
-from repro.ctp.context import ResultCache, SearchContext, approx_bytes
+from repro.ctp.context import ResultCache, SearchContext
 from repro.ctp.interning import EdgeSetPool, splitmix64
 from repro.ctp.registry import ALGORITHMS, evaluate_ctp
 from repro.ctp.stats import SearchStats
@@ -374,46 +374,17 @@ def test_stress_shared_context_from_eight_threads(fig1, fig1_seeds):
 
 
 # ----------------------------------------------------------------------
-# size-aware ResultCache
+# ResultCache: an LRU bounded by entry count
 # ----------------------------------------------------------------------
 class TestSizeAwareResultCache:
-    def test_evicts_by_bytes_not_entries(self):
-        payload = tuple(range(32))
-        budget = approx_bytes(payload) * 2 + 16  # room for two payloads
-        cache = ResultCache(maxsize=100, max_bytes=budget)
-        cache.put("a", payload)
-        cache.put("b", tuple(range(32, 64)))
-        assert len(cache) == 2 and cache.evictions == 0
-        cache.put("c", tuple(range(64, 96)))
-        assert len(cache) == 2  # entry bound (100) untouched: bytes evicted
-        assert cache.evictions == 1
-        assert cache.get("a") is None  # LRU order: oldest went first
-        assert cache.get("b") is not None and cache.get("c") is not None
-        assert cache.total_bytes <= budget
-
     def test_hit_refresh_changes_eviction_victim(self):
-        payload = tuple(range(32))
-        cache = ResultCache(maxsize=100, max_bytes=approx_bytes(payload) * 2 + 16)
-        cache.put("a", payload)
+        cache = ResultCache(maxsize=2)
+        cache.put("a", tuple(range(32)))
         cache.put("b", tuple(range(32, 64)))
         cache.get("a")  # refresh: "b" is now least recently used
         cache.put("c", tuple(range(64, 96)))
         assert cache.get("b") is None
         assert cache.get("a") is not None
-
-    def test_replacement_updates_byte_accounting(self):
-        cache = ResultCache(maxsize=10, max_bytes=10_000)
-        cache.put("a", tuple(range(64)))
-        first = cache.total_bytes
-        cache.put("a", (1,))
-        assert cache.total_bytes < first
-        assert len(cache) == 1
-
-    def test_single_oversized_value_never_retained(self):
-        cache = ResultCache(maxsize=10, max_bytes=64)
-        cache.put("huge", tuple(range(1024)))
-        assert len(cache) == 0
-        assert cache.total_bytes == 0
         assert cache.evictions == 1
 
     def test_entry_bound_still_enforced_without_bytes(self):
@@ -421,18 +392,13 @@ class TestSizeAwareResultCache:
         for key in ("a", "b", "c"):
             cache.put(key, key)
         assert len(cache) == 2
-        assert cache.total_bytes == 0  # sizing skipped when unbounded
-
-    def test_bad_max_bytes(self):
-        with pytest.raises(ValueError):
-            ResultCache(4, max_bytes=0)
+        cache.put("b", "replaced")  # replacing an entry evicts nothing
+        assert len(cache) == 2 and cache.get("b") == "replaced"
 
     def test_eviction_order_pinned_after_contention(self):
         """A contention phase must not corrupt the LRU bookkeeping: the
         eviction order afterwards is exactly the serial LRU order."""
-        payload = tuple(range(16))
-        budget = approx_bytes(payload) * 3 + 16
-        cache = ResultCache(maxsize=1000, max_bytes=budget, thread_safe=True)
+        cache = ResultCache(maxsize=3, thread_safe=True)
         barrier = threading.Barrier(8)
 
         def worker(tid):
@@ -446,64 +412,16 @@ class TestSizeAwareResultCache:
             thread.start()
         for thread in threads:
             thread.join()
-        # Internal accounting survived the contention intact.
-        assert cache.total_bytes == sum(cache._nbytes.values())
-        assert set(cache._data) == set(cache._nbytes)
-        assert cache.total_bytes <= budget
-        # Now pin the order serially: x, y, z fit; refresh x; w evicts y.
+        # The bound and the counters survived the contention intact.
+        assert len(cache) == 3
+        assert cache.hits + cache.misses == 8 * 50
+        assert 8 * 5 - 3 <= cache.evictions <= 8 * 50 - 3  # 40 distinct keys, 400 puts
+        # Now pin the order serially: x, y, z fill it; refresh x; w evicts y.
         for key in ("x", "y", "z"):
             cache.put(key, tuple(range(16)))
         cache.get("x")
         cache.put("w", tuple(range(16)))
-        assert "x" in cache and "z" in cache and "w" in cache
-
-    def test_approx_bytes_walks_objects(self):
-        class Slotted:
-            __slots__ = ("a", "b")
-
-            def __init__(self):
-                self.a = list(range(10))
-                self.b = "payload"
-
-        assert approx_bytes(Slotted()) > approx_bytes("payload")
-        shared = tuple(range(100))
-        assert approx_bytes((shared, shared)) < 2 * approx_bytes(shared) + 128
-
-    def test_approx_bytes_deeply_nested_payloads(self):
-        """Regression: the size walk used to recurse once per nesting level
-        and raise RecursionError on payloads a few thousand levels deep,
-        killing the evaluation from inside a cache put."""
-        depth = sys.getrecursionlimit() * 3
-        nested = ()
-        for _ in range(depth):
-            nested = (nested,)
-        assert approx_bytes(nested) >= depth * sys.getsizeof(())
-
-        chain = {}
-        for _ in range(depth):
-            chain = {"next": chain}
-        assert approx_bytes(chain) > 0
-
-        deep_list = []
-        for _ in range(depth):
-            deep_list = [deep_list]
-        assert approx_bytes(deep_list) > 0
-
-    def test_deep_payload_in_bytes_bounded_cache(self):
-        """The ISSUE scenario: storing a ~2000-deep nested tuple in a
-        max_bytes-bounded ResultCache must size (and evict) it, not die."""
-        nested = ()
-        for _ in range(2000):
-            nested = (nested,)
-        size = approx_bytes(nested)
-        cache = ResultCache(maxsize=10, max_bytes=size + 1024)
-        cache.put("deep", nested)
-        assert cache.get("deep") is nested
-        assert cache.total_bytes >= size
-        # An oversized deep payload is sized without recursion and dropped.
-        tiny = ResultCache(maxsize=10, max_bytes=64)
-        tiny.put("deep", nested)
-        assert len(tiny) == 0 and tiny.evictions == 1
+        assert "x" in cache and "z" in cache and "w" in cache and "y" not in cache
 
 
 # ----------------------------------------------------------------------

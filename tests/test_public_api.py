@@ -116,7 +116,19 @@ def test_search_config_fields_are_exactly_these():
     ]
 
 
-@pytest.mark.parametrize("retired", ["interning", "dense_ids", "backend", "shared_context", "scheduling"])
+@pytest.mark.parametrize(
+    "retired",
+    [
+        "interning",
+        "dense_ids",
+        "backend",
+        "shared_context",
+        "scheduling",
+        "rooted_cache_size",
+        "rooted_cache_bytes",
+        "ctp_cache_bytes",
+    ],
+)
 def test_retired_representation_flags_are_type_errors(retired):
     from repro.ctp import SearchConfig, SearchContext
 
@@ -124,6 +136,64 @@ def test_retired_representation_flags_are_type_errors(retired):
         SearchConfig(**{retired: False})
     with pytest.raises(TypeError):
         SearchContext(**{retired: False})
+
+
+def test_search_state_keeps_only_what_is_read():
+    """One count-bounded memo per context, no per-root cache, no byte
+    bound, and a cost model with fixed weights and no refit."""
+    from dataclasses import fields
+
+    from repro.ctp import ResultCache, SearchContext, SearchStats
+    from repro.query import CTPCostEstimator, ScheduleReport
+
+    assert list(inspect.signature(SearchContext).parameters) == ["ctp_cache_size", "thread_safe"]
+    assert list(inspect.signature(ResultCache).parameters) == ["maxsize", "thread_safe"]
+    with pytest.raises(TypeError):
+        ResultCache(4, max_bytes=1)
+    assert [spec.name for spec in fields(SearchStats)] == [
+        "init_trees",
+        "grows",
+        "merges_attempted",
+        "merges",
+        "mo_copies",
+        "pruned_history",
+        "pruned_filters",
+        "trees_kept",
+        "queue_pushes",
+        "results_found",
+        "duplicate_results",
+        "merge_buckets_skipped",
+        "balanced_pop_scans",
+        "pool_sets",
+        "pool_union_hits",
+        "pool_union_misses",
+        "elapsed_seconds",
+    ]
+    assert [spec.name for spec in fields(ScheduleReport)] == list(ScheduleReport().as_dict()) == [
+        "mode_requested",
+        "mode_selected",
+        "estimates",
+        "actual_seconds",
+        "submit_order",
+        "rebalances",
+        "rebalanced_seconds",
+        "pipeline_overlaps",
+    ]
+    assert list(SearchContext().stats_dict()) == [
+        "runs",
+        "rejects",
+        "generation_flushes",
+        "rebinds",
+        "memo_carried",
+        "pool_sets",
+        "pool_union_hits",
+        "pool_union_misses",
+        "ctp_cache_hits",
+        "ctp_cache_misses",
+        "ctp_cache_evictions",
+    ]
+    assert fields(CTPCostEstimator) == ()
+    assert not hasattr(CTPCostEstimator, "fit")
 
 
 def test_config_fingerprint_has_thirteen_elements():

@@ -26,8 +26,7 @@ whatever the scheduler decided.  Five layers pin that:
   permutation the cost model could ever produce) leave thread-dispatch
   rows identical to serial, and ledger invariants hold for random
   costs/clock advances;
-* **satellite regressions** — ``ResultCache.size_walks`` (one deep walk
-  per distinct inserted value), tolerant ``SearchStats`` merge/round-trip,
+* **satellite regressions** — tolerant ``SearchStats`` merge/round-trip
   and per-response schedule telemetry through the query server.
 """
 
@@ -43,7 +42,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ctp.config import SearchConfig
-from repro.ctp.context import ResultCache
 from repro.ctp.registry import ALGORITHMS
 from repro.ctp.results import CTPResultSet
 from repro.ctp.stats import SearchStats
@@ -539,39 +537,6 @@ def test_any_estimate_assignment_keeps_rows_identical(estimates):
     assert all(outcome.mode == "thread" for outcome in outcomes)
     expected = sorted(range(4), key=lambda i: (-estimates[i], i))
     assert schedule.report.submit_order == expected
-
-
-# ----------------------------------------------------------------------
-# satellite: ResultCache size-walk accounting
-# ----------------------------------------------------------------------
-def test_result_cache_one_size_walk_per_distinct_value():
-    cache = ResultCache(maxsize=8, max_bytes=1 << 20)
-    value = [list(range(10))]
-    cache.put("k", value)
-    assert cache.size_walks == 1
-    # Memo-replay refile of the identical object: recency refresh only.
-    cache.put("k", value)
-    assert cache.size_walks == 1
-    assert cache.get("k") is value
-    # Replacing with a different (even equal) object must re-walk.
-    cache.put("k", [list(range(10))])
-    assert cache.size_walks == 2
-
-
-def test_result_cache_unbounded_bytes_never_walks():
-    cache = ResultCache(maxsize=4)
-    cache.put("a", [1])
-    cache.put("a", [2])
-    assert cache.size_walks == 0
-    assert cache.total_bytes == 0
-
-
-def test_result_cache_replacement_keeps_total_bytes_exact():
-    cache = ResultCache(maxsize=4, max_bytes=1 << 20)
-    cache.put("k", list(range(100)))
-    grown = cache.total_bytes
-    cache.put("k", [1])
-    assert 0 < cache.total_bytes < grown
 
 
 # ----------------------------------------------------------------------

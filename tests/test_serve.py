@@ -498,15 +498,6 @@ def test_memo_holds_one_entry_per_ctp_across_ingests():
         assert _carried(server) == 3
 
 
-def test_graph_fingerprint_tracks_generation():
-    graph = _weighted_path_graph()
-    before = SearchContext.graph_fingerprint(graph)
-    graph.set_edge_weight(0, 9.0)
-    after = SearchContext.graph_fingerprint(graph)
-    assert before != after
-    assert before[:2] == after[:2]  # same size — only the generation moved
-
-
 # ----------------------------------------------------------------------
 # 3. serving discipline: deadlines, admission, typed statuses
 # ----------------------------------------------------------------------
