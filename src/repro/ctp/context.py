@@ -61,49 +61,38 @@ class ResultCache:
         called outside the lock and returns the value to serve, or
         ``None`` to count the probe as a miss.
         """
+        data = self._data
         value = None
         if check is not None:
-            value = self._data.get(key)
+            value = data.get(key)
             if value is not None:
                 value = check(value)
-        lock = self._lock
-        if lock is None:
-            return self._get(key, value, check)
-        with lock:
-            return self._get(key, value, check)
-
-    def _get(self, key, value, check):
-        if check is None:
-            value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        if key in self._data:  # a vetted value may have been evicted since
-            self._data.move_to_end(key)
-        self.hits += 1
-        return value
+        with self._lock or nullcontext():
+            if check is None:
+                value = data.get(key)
+            if value is None:
+                self.misses += 1
+                return None
+            if key in data:  # a vetted value may have been evicted since
+                data.move_to_end(key)
+            self.hits += 1
+            return value
 
     def put(self, key, value, keep=None) -> None:
         """File ``value`` under ``key``; ``keep(held)`` true leaves a value
         already held under ``key`` in place (a recency refresh only)."""
         if value is None:
             raise ValueError("ResultCache cannot store None")
-        lock = self._lock
-        if lock is None:
-            return self._put(key, value, keep)
-        with lock:
-            return self._put(key, value, keep)
-
-    def _put(self, key, value, keep) -> None:
         data = self._data
-        if key in data:
-            data.move_to_end(key)
-            if keep is not None and keep(data[key]):
-                return
-        data[key] = value
-        if len(data) > self.maxsize:
-            data.popitem(last=False)
-            self.evictions += 1
+        with self._lock or nullcontext():
+            if key in data:
+                data.move_to_end(key)
+                if keep is not None and keep(data[key]):
+                    return
+            data[key] = value
+            if len(data) > self.maxsize:
+                data.popitem(last=False)
+                self.evictions += 1
 
     def __len__(self) -> int:
         return len(self._data)
