@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro._util import Deadline, full_mask
 from repro.ctp.config import DEFAULT_CONFIG, SearchConfig
-from repro.ctp.engine import _StopSearch, normalize_seed_sets
+from repro.ctp.engine import _StopSearch, distance_bound, normalize_seed_sets
 from repro.ctp.context import SearchContext, adopt_pool, pool_stats_delta
 from repro.ctp.idremap import IdRemap
 from repro.ctp.results import CTPResultSet, ResultTree, materialize_seeds
@@ -35,18 +35,21 @@ class _BFTTree:
     ``eset`` is the edge set's pool handle (:mod:`repro.ctp.interning`) —
     BFT's ``memory`` is by far the biggest history structure in the paper's
     experiments (Figure 10), so O(1) membership matters most here.
-    ``node_mask`` is the exact node bitmask used for the Merge1 analogue.
+    ``node_mask`` is the exact node bitmask used for the Merge1 analogue;
+    ``reach`` the OR of the nodes' reach masks under the ``MAX`` distance
+    bound (:func:`repro.ctp.engine.distance_bound`).
     """
 
-    __slots__ = ("pool", "eset", "nodes", "node_mask", "sat", "weight")
+    __slots__ = ("pool", "eset", "nodes", "node_mask", "sat", "weight", "reach")
 
-    def __init__(self, pool, eset, nodes: FrozenSet[int], node_mask: int, sat: int, weight: float):
+    def __init__(self, pool, eset, nodes: FrozenSet[int], node_mask: int, sat: int, weight: float, reach: int):
         self.pool = pool
         self.eset = eset
         self.nodes = nodes
         self.node_mask = node_mask
         self.sat = sat
         self.weight = weight
+        self.reach = reach
 
     @property
     def edges(self) -> FrozenSet[int]:
@@ -137,6 +140,9 @@ class _BFTRun:
         self.results: List[ResultTree] = []
         self.deadline = Deadline(config.timeout)
         self.timed_out = False
+        # The MAX distance bound: BFT grows from any node of a tree, which
+        # the bound's node-set test already covers.
+        self.reach, self.need = distance_bound(graph, self.explicit_sets, config) or ({}, None)
 
     # ------------------------------------------------------------------
     def execute(self) -> CTPResultSet:
@@ -160,7 +166,7 @@ class _BFTRun:
         pool = self.pool
         remap_bit = self.remap.bit
         for node, mask in self.seed_mask.items():
-            tree = _BFTTree(pool, pool.EMPTY, frozenset((node,)), remap_bit(node), mask, 0.0)
+            tree = _BFTTree(pool, pool.EMPTY, frozenset((node,)), remap_bit(node), mask, 0.0, self.reach.get(node, 0))
             self.stats.init_trees += 1
             self._process(tree, allow_merge=False)
 
@@ -173,21 +179,27 @@ class _BFTRun:
         memory = self.memory
         stats = self.stats
         remap_bit = self.remap.bit
+        need, reach_of = self.need, self.reach.get
         allow_merge = self.algo.merge_mode != "none"
         while self.queue:
             if self.deadline.expired():
                 raise _StopSearch(timed_out=True)
             tree = self.queue.popleft()
-            if max_edges is not None and tree.size + 1 > max_edges:
+            size = tree.size
+            if max_edges is not None and size + 1 > max_edges:
                 continue
             nodes = tree.nodes
             sat = tree.sat
+            # The reach bits a Grow must add (0: every Grow passes).
+            short = need[size + 1] & ~tree.reach if need is not None else 0
             for node in nodes:
                 for edge_id, other, _ in graph.adjacent_filtered(node, labels):
                     if other in nodes:  # Grow1
                         continue
                     other_mask = seed_mask.get(other, 0)
                     if other_mask & sat:  # Grow2
+                        continue
+                    if short and reach_of(other, 0) & short != short:  # the MAX distance bound
                         continue
                     stats.grows += 1
                     # History check before construction: a duplicate grow
@@ -202,6 +214,7 @@ class _BFTRun:
                         tree.node_mask | remap_bit(other),
                         sat | other_mask,
                         tree.weight + graph.edge_weight(edge_id),
+                        tree.reach | reach_of(other, 0),
                     )
                     self._process(grown, allow_merge=allow_merge)
 
@@ -227,6 +240,7 @@ class _BFTRun:
         """Merge ``tree`` with all compatible partners (one level or cascade)."""
         work = deque([tree])
         max_edges = self.config.max_edges
+        need = self.need
         while work:
             if self.deadline.expired():
                 raise _StopSearch(timed_out=True)
@@ -254,8 +268,11 @@ class _BFTRun:
                 shared = self.remap.node(common_mask.bit_length() - 1)
                 if (t1.sat & tp.sat) & ~self.seed_mask.get(shared, 0):  # Merge2
                     continue
-                if max_edges is not None and t1_size + tp.size > max_edges:
+                size = t1_size + tp.size
+                if max_edges is not None and size > max_edges:
                     continue
+                if need is not None and (t1.reach | tp.reach) & need[size] != need[size]:
+                    continue  # the MAX distance bound
                 eset = self.pool.union2(t1.eset, tp.eset)
                 if eset in self.memory:
                     self.stats.pruned_history += 1
@@ -267,6 +284,7 @@ class _BFTRun:
                     t1_mask | tp.node_mask,
                     t1.sat | tp.sat,
                     t1.weight + tp.weight,
+                    t1.reach | tp.reach,
                 )
                 self.stats.merges += 1
                 self.memory.add(eset)

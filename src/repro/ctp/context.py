@@ -26,9 +26,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import nullcontext
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ctp.interning import EdgeSetPool
+from repro.graph.traversal import bfs_distances
 
 
 class ResultCache:
@@ -383,7 +384,7 @@ def _untouched(key: MemoKey, stamp: Tuple[int, int]) -> bool:
     for seeds in key.seeds:
         if not ends:
             return True
-        dists.append(_hops(view, seeds, radius, labels))
+        dists.append(bfs_distances(view, seeds, max_hops=radius, labels=labels))
         ends = [(source, target) for source, target in ends if source in dists[-1] or target in dists[-1]]
     one_sided, m, far = isinstance(algo, BFTSearch), len(dists), radius + 1
     for source, target in ends:
@@ -419,22 +420,6 @@ def _touched_edges(view, stamp: Tuple[int, int]) -> Optional[List[int]]:
             return None
         reweighted |= folded[1]
     return [*range(num_edges, view.num_edges), *(edge for edge in reweighted if edge < num_edges)]
-
-
-def _hops(view, seeds: Sequence[int], radius: int, labels: Any) -> Dict[int, int]:
-    """Hop distance from ``seeds`` of every node within ``radius`` undirected
-    hops, over the edges ``labels`` admits."""
-    hops = dict.fromkeys(seeds, 0)
-    frontier = list(hops)
-    for hop in range(1, radius + 1):
-        reached = []
-        for node in frontier:
-            for _edge, other, _outgoing in view.adjacent_filtered(node, labels):
-                if other not in hops:
-                    hops[other] = hop
-                    reached.append(other)
-        frontier = reached
-    return hops
 
 
 def adopt_pool(context: Optional[SearchContext], graph):

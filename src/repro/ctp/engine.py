@@ -45,6 +45,9 @@ and per-edge entries would share the tree's priority and hold consecutive
 tickets, so Grows pop exactly as from a queue with one entry per legal
 edge — but a search cut short by ``limit``/``max_trees`` never pays for
 the hub adjacencies it did not reach.
+``MAX k`` is also a distance bound (:func:`distance_bound`): a Grow or
+Merge whose tree cannot reach its missing seed sets within the edges k
+leaves it is never built, which drops no tree any result is built from.
 Node bitmasks live in a dense per-search id space
 (:mod:`repro.ctp.idremap`): masks are sized by |nodes this search
 touched| instead of the graph's largest node id, which is what makes
@@ -81,6 +84,7 @@ from repro.ctp.tree import (
 )
 from repro.errors import SearchError
 from repro.graph.graph import Graph
+from repro.graph.traversal import bfs_distances
 
 
 class _StopSearch(Exception):
@@ -120,6 +124,43 @@ def normalize_seed_sets(graph: Graph, seed_sets: Sequence) -> Tuple[List[Optiona
     if len(wildcard_positions) == len(seed_sets):
         raise SearchError("at least one seed set must be explicit (not WILDCARD)")
     return normalized, wildcard_positions
+
+
+def distance_bound(
+    graph: Graph, seed_sets: Sequence[Tuple[int, ...]], config: SearchConfig
+) -> Optional[Tuple[Dict[int, int], List[int]]]:
+    """The ``MAX k`` distance bound: per-node reach masks and per-size need masks.
+
+    A tree of s edges that holds no seed of S_j lies in a tree of at most k
+    edges covering S_j only if one of its nodes is within k - s hops of
+    S_j: the path from the tree to that seed adds at least that many
+    edges.  A supertree only adds edges, so a tree that fails the test is
+    in no result and neither is anything built from it; the engines never
+    build it.  Trees with the same edge set share the verdict, so the
+    history checks see every surviving tree as before, and survivors keep
+    their relative queue tickets: results and their order do not change.
+
+    Bit ``j*k + t`` (``t < k``) of a node's reach mask says "within t hops
+    of S_j" over the edges ``labels`` admits; a tree's reach is the OR
+    over its nodes.  A tree of s >= 1 edges passes iff ``reach & need[s]
+    == need[s]``; a seed of S_j sets all of S_j's bits, so covered sets
+    pass by themselves.  One BFS of radius k - 1 per seed set.
+
+    ``None`` (no bound) without ``MAX``, and where the search counts what
+    the dropped trees would add to: ``max_trees`` cuts the search at a
+    tree count, and the provenance counts of ``LIMIT``-cut searches are
+    pinned by ``benchmarks/e2e/expected.json`` until it is re-recorded.
+    The GAM engine adds its own exclusions (:class:`_GAMRun`).
+    """
+    k = config.max_edges
+    if not k or config.limit is not None or config.max_trees is not None:
+        return None
+    reach: Dict[int, int] = {}
+    for j, seeds in enumerate(seed_sets):
+        for node, hops in bfs_distances(graph, seeds, max_hops=k - 1, labels=config.labels).items():
+            reach[node] = reach.get(node, 0) | (((1 << (k - hops)) - 1) << (j * k + hops))
+    need = [0] + [sum(1 << (j * k + k - size) for j in range(len(seed_sets))) for size in range(1, k + 1)]
+    return reach, need
 
 
 class GAMFamilySearch:
@@ -232,6 +273,14 @@ class _GAMRun:
         # entries are discarded on sight — stats.balanced_pop_scans).
         self._queue_sizes: Dict[int, int] = {}
         self._size_heap: List[Tuple[int, int]] = []
+        # The MAX distance bound (see distance_bound), except where the
+        # search reads what the dropped trees would change: the least-filled
+        # pick of balanced queues counts Grows, and the LESP guard (three
+        # or more seed sets) reads seed signatures their Grows would set.
+        self.reach: Dict[int, int] = {}
+        self.need: Optional[List[int]] = None
+        if not self.balanced and not (algo.lesp_guard and len(self.explicit_sets) >= 3):
+            self.reach, self.need = distance_bound(graph, self.explicit_sets, config) or ({}, None)
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -284,8 +333,9 @@ class _GAMRun:
             return  # an empty seed set has no embeddings, hence no results
         uni = self.config.uni
         remap_bit = self.remap.bit
+        reach_of = self.reach.get
         for node, mask in self.seed_mask.items():
-            tree = make_init(self.pool, node, mask, uni, node_bit=remap_bit(node))
+            tree = make_init(self.pool, node, mask, uni, node_bit=remap_bit(node), reach=reach_of(node, 0))
             self.stats.init_trees += 1
             self.ss[node] = self.ss.get(node, 0) | mask
             work = self._absorb(tree, gained=True)
@@ -301,6 +351,7 @@ class _GAMRun:
         stats = self.stats
         ss = self.ss
         remap_bit = self.remap.bit
+        reach_of = self.reach.get
         for tree, edge_id, other, outgoing in self._grows():
             if deadline.expired():
                 raise _StopSearch(timed_out=True)
@@ -337,6 +388,7 @@ class _GAMRun:
                 eset=eset,
                 uni_state=uni_state,
                 node_bit=remap_bit(other),
+                new_root_reach=reach_of(other, 0),
             )
             work = self._absorb(grown, gained=grown.sat != tree.sat)
             if work:
@@ -353,16 +405,24 @@ class _GAMRun:
         files nothing — the check stops at the first legal edge, skipping
         only edges into the tree or to a covered seed set: a prefix bounded
         by the tree, not by the root's degree.  Balanced queues are ordered
-        by the legal Grows they hold, so that mode counts them all.
+        by the legal Grows they hold, so that mode counts them all.  Under
+        the MAX distance bound a Grow into a node that does not bring the
+        tree within reach of its missing seed sets is not legal either.
         """
         config = self.config
         if config.max_edges is not None and tree.size + 1 > config.max_edges:
             return
         adjacent = self.graph.adjacent_filtered(tree.root, config.labels)
         nodes, sat, seed_sat, balanced = tree.nodes, tree.sat, self.seed_mask.get, self.balanced
+        # The reach bits a Grow must add to pass the MAX distance bound
+        # (0: every Grow passes).
+        need, reach_of = self.need, self.reach.get
+        short = need[tree.size + 1] & ~tree.reach if need is not None else 0
         legal = 0
         for _, other, _ in adjacent:
             if other not in nodes and not seed_sat(other, 0) & sat:  # Grow1, Grow2
+                if short and reach_of(other, 0) & short != short:
+                    continue
                 legal += 1
                 if not balanced:
                     break
@@ -385,6 +445,7 @@ class _GAMRun:
         every Grow — the caller may have filed a tree that now precedes it.
         """
         seed_sat = self.seed_mask.get
+        need, reach_of = self.need, self.reach.get
         pick = self._least_filled if self.balanced else None
         queue = self.queues.get(0)
         while True:
@@ -394,8 +455,11 @@ class _GAMRun:
                 entry = queue[0]
                 _, _, tree, cursor = entry
                 nodes, sat = tree.nodes, tree.sat
+                short = need[tree.size + 1] & ~tree.reach if need is not None else 0
                 for edge_id, other, outgoing in cursor:
                     if other in nodes or seed_sat(other, 0) & sat:  # Grow1, Grow2
+                        continue
+                    if short and reach_of(other, 0) & short != short:  # the MAX distance bound
                         continue
                     yield tree, edge_id, other, outgoing
                     if pick is not None or queue[0] is not entry:
@@ -534,6 +598,7 @@ class _GAMRun:
         config = self.config
         uni = config.uni
         max_edges = config.max_edges
+        need = self.need
         seed_mask = self.seed_mask
         stats = self.stats
         pool = self.pool
@@ -600,6 +665,10 @@ class _GAMRun:
                     continue
                 if max_edges is not None and t1_size + tp.size > max_edges:
                     continue
+                if need is not None:  # the MAX distance bound
+                    want = need[t1_size + tp.size]
+                    if (t1.reach | tp.reach) & want != want:
+                        continue
                 # UNI filter and history check both precede construction —
                 # a pruned merge never materializes a set or a SearchTree.
                 uni_state = None

@@ -42,6 +42,12 @@ family needs in its hot path:
     path reaches every other node; both fields are maintained in O(1) per
     Grow/Merge.
 
+``reach``
+    the ``MAX k`` distance bound's view of the node set: the OR of its
+    nodes' reach masks (:func:`repro.ctp.engine.distance_bound`), so a
+    Grow ORs in one node's mask and a Merge ORs the operands'.  Zero when
+    the search runs without the bound;
+
 ``seq``
     registration ticket assigned by the engine when the tree enters
     ``TreesRootedIn``; it restores global insertion order when merge
@@ -80,6 +86,7 @@ class SearchTree:
         "path_seed",
         "arb_root",
         "root_in_deg",
+        "reach",
         "seq",
     )
 
@@ -98,6 +105,7 @@ class SearchTree:
         path_seed: Optional[int],
         arb_root: Optional[int],
         root_in_deg: int,
+        reach: int = 0,
     ):
         self.pool = pool
         self.root = root
@@ -112,6 +120,7 @@ class SearchTree:
         self.path_seed = path_seed
         self.arb_root = arb_root
         self.root_in_deg = root_in_deg
+        self.reach = reach
         self.seq = -1
 
     @property
@@ -130,11 +139,11 @@ class SearchTree:
         )
 
 
-def make_init(pool, node: int, sat: int, uni: bool, node_bit: int) -> SearchTree:
+def make_init(pool, node: int, sat: int, uni: bool, node_bit: int, reach: int = 0) -> SearchTree:
     """``Init(n)`` — a one-node tree for a seed (Definition 4.1 case 1).
 
     ``node_bit`` is the node's mask bit under the engine's id remap
-    (:mod:`repro.ctp.idremap`).
+    (:mod:`repro.ctp.idremap`); ``reach`` is the node's reach mask.
     """
     return SearchTree(
         pool=pool,
@@ -150,6 +159,7 @@ def make_init(pool, node: int, sat: int, uni: bool, node_bit: int) -> SearchTree
         path_seed=node,
         arb_root=node if uni else None,
         root_in_deg=0,
+        reach=reach,
     )
 
 
@@ -202,6 +212,7 @@ def make_grow(
     node_bit: int,
     eset=None,
     uni_state: Optional[Tuple[Optional[int], int]] = None,
+    new_root_reach: int = 0,
 ) -> Optional[SearchTree]:
     """``Grow(t, e)`` — extend ``tree`` from its root along ``edge_id``.
 
@@ -212,7 +223,7 @@ def make_grow(
     (:mod:`repro.ctp.idremap`).  ``eset`` / ``uni_state`` may carry the
     already-computed edge-set handle and :func:`uni_grow_state` result (the
     engine derives both for its pre-construction pruning); otherwise they
-    are derived here.
+    are derived here.  ``new_root_reach`` is ``new_root``'s reach mask.
     """
     if uni:
         state = uni_state if uni_state is not None else uni_grow_state(tree, new_root, outgoing)
@@ -243,6 +254,7 @@ def make_grow(
         path_seed=path_seed,
         arb_root=arb_root,
         root_in_deg=root_in_deg,
+        reach=tree.reach | new_root_reach,
     )
 
 
@@ -286,6 +298,7 @@ def make_merge(
         path_seed=None,
         arb_root=arb_root,
         root_in_deg=root_in_deg,
+        reach=t1.reach | t2.reach,
     )
 
 
@@ -310,4 +323,5 @@ def make_mo(tree: SearchTree, new_root: int, new_root_in_deg: int) -> SearchTree
         path_seed=None,
         arb_root=tree.arb_root,
         root_in_deg=new_root_in_deg,
+        reach=tree.reach,
     )

@@ -41,8 +41,15 @@ def bfs_distances(
     sources: Iterable[int],
     direction: str = "both",
     max_hops: Optional[int] = None,
+    labels: Optional[Iterable[str]] = None,
 ) -> Dict[int, int]:
-    """Hop distance from the nearest source to every reachable node."""
+    """Hop distance from the nearest source to every reachable node.
+
+    Only edges whose label is in ``labels`` are followed (all when
+    ``None``).  With ``max_hops`` this is the bounded BFS behind ``MAX k``:
+    the CTP engines prune with it and the cross-CTP memo vets carried
+    entries with it.
+    """
     _check_direction(direction)
     distances: Dict[int, int] = {}
     queue = deque()
@@ -51,7 +58,7 @@ def bfs_distances(
         if source not in distances:
             distances[source] = 0
             queue.append(source)
-    if direction == "both" and getattr(graph, "frozen", False):
+    if labels is None and direction == "both" and getattr(graph, "frozen", False):
         # CSR fast path: the frozen backend caches the distinct-neighbor
         # tuple per node, so an undirected BFS never touches edge records.
         while queue:
@@ -69,7 +76,7 @@ def bfs_distances(
         depth = distances[node]
         if max_hops is not None and depth >= max_hops:
             continue
-        for _, other, outgoing in graph.adjacent(node):
+        for _, other, outgoing in graph.adjacent_filtered(node, labels):
             if other not in distances and _follow(outgoing, direction):
                 distances[other] = depth + 1
                 queue.append(other)

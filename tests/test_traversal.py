@@ -43,6 +43,19 @@ class TestBFS:
         distances = bfs_distances(directed_path, [0], max_hops=1)
         assert set(distances) == {0, 1}
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_labels_admit_edges(self, frozen):
+        # 0 -a- 1 -b- 2, and a longer all-a detour 0 -a- 3 -a- 4 -a- 2.
+        g = Graph()
+        nodes = [g.add_node(str(i)) for i in range(5)]
+        for source, target, label in ((0, 1, "a"), (1, 2, "b"), (0, 3, "a"), (3, 4, "a"), (4, 2, "a")):
+            g.add_edge(nodes[source], nodes[target], label)
+        view = g.freeze() if frozen else g
+        assert bfs_distances(view, [0])[2] == 2
+        assert bfs_distances(view, [0], labels=frozenset({"a"})) == {0: 0, 1: 1, 3: 1, 4: 2, 2: 3}
+        assert bfs_distances(view, [0], max_hops=2, labels=frozenset({"b"})) == {0: 0}
+        assert bfs_distances(view, [2], "in", labels=frozenset({"b"})) == {2: 0, 1: 1}
+
     def test_unknown_direction(self, directed_path):
         with pytest.raises(GraphError):
             bfs_distances(directed_path, [0], "sideways")
