@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder, graph_from_triples
 
 
@@ -64,6 +65,69 @@ class TestGraphBuilder:
         edge = b.graph.edge(edge_id)
         assert edge.weight == 4.5
         assert edge.props["year"] == 2020
+
+
+class TestMergeIsCopyOnWrite:
+    """A merge into an existing node never reaches a view frozen before it."""
+
+    def test_set_types_after_freeze_leaves_the_frozen_view_alone(self):
+        b = GraphBuilder()
+        b.triple("Alice", "knows", "Bob")
+        g = b.graph
+        csr = g.freeze()
+        generation = g.generation
+        b.set_types("Alice", "person")
+        assert g.generation > generation
+        assert g.freeze() is not csr
+        assert csr.node(0).types == frozenset()
+        assert csr.nodes_with_type("person") == []
+        assert g.freeze().node(0).types == frozenset({"person"})
+        assert g.freeze().nodes_with_type("person") == [0]
+
+    def test_props_merge_after_freeze_leaves_the_frozen_view_alone(self):
+        b = GraphBuilder()
+        b.node("Alice", age=30)
+        csr = b.graph.freeze()
+        b.node("Alice", city="Paris")
+        assert csr.node(0).props == {"age": 30}
+        assert b.graph.freeze().node(0).props == {"age": 30, "city": "Paris"}
+
+    def test_a_merge_that_adds_nothing_is_not_a_mutation(self):
+        b = GraphBuilder()
+        b.node("Alice", types=("person",))
+        csr = b.graph.freeze()
+        b.node("Alice")
+        b.set_types("Alice", "person")
+        assert b.graph.freeze() is csr
+
+    def test_a_node_of_the_frozen_base_cannot_change(self):
+        b = GraphBuilder()
+        b.triple("Alice", "knows", "Bob")
+        g = b.graph
+        view = g.read_view()
+        generation = g.generation
+        with pytest.raises(GraphError):
+            b.set_types("Alice", "person")
+        with pytest.raises(GraphError):
+            b.node("Bob", age=30)
+        assert g.generation == generation and g.read_view() is view
+        assert g.node(0).types == frozenset() and g.node(1).props == {}
+
+    def test_a_delta_node_merge_reaches_the_next_view_only(self):
+        b = GraphBuilder()
+        b.triple("Alice", "knows", "Bob")
+        g = b.graph
+        g.read_view()
+        b.triple("Carol", "knows", "Alice")
+        carol = b.id_of("Carol")
+        before = g.read_view()
+        b.set_types("Carol", "person")
+        after = g.read_view()
+        assert after is not before
+        assert before.node(carol).types == frozenset()
+        assert before.nodes_with_type("person") == []
+        assert after.node(carol).types == frozenset({"person"})
+        assert after.nodes_with_type("person") == [carol]
 
 
 class TestGraphFromTriples:
