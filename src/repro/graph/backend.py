@@ -50,7 +50,7 @@ from typing import (
 )
 
 from repro.errors import GraphError, SnapshotError
-from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node
+from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node, WeakBackReference, label_index
 
 
 @runtime_checkable
@@ -154,6 +154,10 @@ class CSRGraph:
 
     backend = "csr"
     frozen = True
+    #: The :class:`Graph` whose :meth:`~Graph.freeze` built this view, held
+    #: weakly (``None`` for a loaded or unpickled snapshot, or once that
+    #: graph is gone).
+    view_source = WeakBackReference()
 
     #: Flat numeric columns, in serialization order: (attribute, typecode).
     #: These are exactly the columns the binary snapshot stores and the
@@ -485,10 +489,7 @@ class CSRGraph:
             # A loaded snapshot's lazy sequence reads labels off its column.
             labels = getattr(self._nodes, "labels", None)
             labels = labels() if labels is not None else map(attrgetter("label"), self._nodes)
-            index = {}
-            for node_id, label in enumerate(labels):
-                index.setdefault(label, []).append(node_id)
-            self._nodes_by_label = index
+            index = self._nodes_by_label = label_index(labels)
         return index
 
     def nodes_with_label(self, label: str) -> List[int]:

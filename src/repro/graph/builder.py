@@ -34,22 +34,15 @@ class GraphBuilder:
         """Return the id for ``label``, creating the node if needed.
 
         Types and properties given on later calls are merged into the
-        existing node.
+        existing node by :meth:`Graph.update_node` (copy-on-write; raises
+        :class:`~repro.errors.GraphError` for a node of the frozen base).
         """
         node_id = self._ids_by_label.get(label)
         if node_id is None:
             node_id = self.graph.add_node(label, types, **props)
             self._ids_by_label[label] = node_id
-            return node_id
-        node = self.graph.node(node_id)
-        if types:
-            node.types = node.types | frozenset(types)
-            for type_name in types:
-                index = self.graph._nodes_by_type.setdefault(type_name, [])
-                if node_id not in index:
-                    index.append(node_id)
-        if props:
-            node.props.update(props)
+        elif types or props:
+            self.graph.update_node(node_id, types, **props)
         return node_id
 
     def set_types(self, label: str, *types: str) -> int:

@@ -61,7 +61,7 @@ from typing import (
 )
 
 from repro.errors import GraphError
-from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node
+from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node, WeakBackReference
 
 
 class GraphDelta:
@@ -123,8 +123,10 @@ class GraphDelta:
         """Snapshot the delta of ``graph`` relative to its current base.
 
         Called by :meth:`Graph.delta_since_base` under the graph's lock.
-        Node/edge objects are shared by reference — they are immutable
-        (edges) or append-only metadata (nodes), so sharing is safe.
+        Node/edge objects are shared by reference — both are replaced
+        copy-on-write (:meth:`Graph.update_node`,
+        :meth:`Graph.set_edge_weight`), never changed in place, so sharing
+        is safe.
         """
         if graph.base_generation is None:
             raise GraphError("cannot capture a delta before a base snapshot exists")
@@ -206,6 +208,10 @@ class OverlayGraph:
 
     backend = "overlay"
     frozen = True
+    #: The mutable Graph this view was pinned from, held weakly (``None``
+    #: when the view was assembled elsewhere, e.g. inside a pool worker, or
+    #: once that graph is gone).
+    view_source = WeakBackReference()
 
     def __init__(self, base: Any, delta: GraphDelta, view_source: Optional[Graph] = None):
         if delta.num_base_nodes != base.num_nodes or delta.num_base_edges != base.num_edges:
@@ -222,8 +228,6 @@ class OverlayGraph:
         self.name = base.name
         self._base = base
         self._delta = delta
-        #: The mutable Graph this view was pinned from (None when the view
-        #: was assembled elsewhere, e.g. inside a pool worker).
         self.view_source = view_source
         self._num_nodes = base.num_nodes + len(delta.nodes)
         self._num_edges = base.num_edges + len(delta.edges)
@@ -478,14 +482,16 @@ class OverlayGraph:
     def to_graph(self) -> Graph:
         """Rebuild a mutable :class:`Graph` holding base ∪ delta."""
         graph = Graph(self.name)
+        # Props go in after the add: a property named like an add_node /
+        # add_edge parameter ("label", "weight", ...) cannot be a keyword.
         for node in self.nodes():
             node_id = graph.add_node(node.label, node.types)
-            if node.props:
-                graph._nodes[node_id].props.update(node.props)
+            if node._props:
+                graph._nodes[node_id]._props = dict(node._props)
         for edge in self.edges():
             edge_id = graph.add_edge(edge.source, edge.target, edge.label, edge.weight)
-            if edge.props:
-                graph._edges[edge_id].props.update(edge.props)
+            if edge._props:
+                object.__setattr__(graph._edges[edge_id], "_props", dict(edge._props))
         return graph
 
     def materialize(self) -> Any:

@@ -9,12 +9,17 @@ and several baselines need it.
 Nodes and edges both expose ``label`` plus a free-form property mapping
 (``P`` in Definition 2.2); node *types* (RDF types / PG labels) are kept in a
 dedicated set because they are so frequently filtered on.
+
+An element stores only what it carries: nodes with the same types share one
+interned frozenset, and a node or edge without properties stores ``None``
+where its props dict would be (``props`` still reads as a dict).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+import weakref
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 
@@ -22,16 +27,28 @@ from repro.errors import GraphError
 AdjacencyEntry = Tuple[int, int, bool]
 
 
-class Node:
-    """A graph node: integer id, label, types, and arbitrary properties."""
+_NO_PROPS: Mapping[str, Any] = {}  # read-only stand-in for a bare element's props
 
-    __slots__ = ("id", "label", "types", "props")
+
+class Node:
+    """A graph node: integer id, label, types, and arbitrary properties.
+
+    ``_props`` is ``None`` for a node without properties; ``props`` reads
+    it as a dict either way.  Change a node through
+    :meth:`Graph.update_node`, which installs a fresh ``Node``.
+    """
+
+    __slots__ = ("id", "label", "types", "_props")
 
     def __init__(self, node_id: int, label: str = "", types: Iterable[str] = (), props: Optional[Dict[str, Any]] = None):
         self.id = node_id
         self.label = label
-        self.types = frozenset(types)
-        self.props: Dict[str, Any] = props or {}
+        self.types = frozenset(types)  # a frozenset argument is kept, not copied
+        self._props = props or None
+
+    @property
+    def props(self) -> Dict[str, Any]:
+        return {} if self._props is None else self._props
 
     def property(self, name: str) -> Any:
         """Value of property ``name`` (``label``/``type`` are virtual props)."""
@@ -39,7 +56,7 @@ class Node:
             return self.label
         if name == "type":
             return self.types
-        return self.props.get(name)
+        return (self._props or _NO_PROPS).get(name)
 
     def __repr__(self) -> str:
         type_part = f" ({','.join(sorted(self.types))})" if self.types else ""
@@ -58,7 +75,7 @@ class Edge:
     ``Edge`` (copy-on-write) and bumps the generation.
     """
 
-    __slots__ = ("id", "source", "target", "label", "weight", "props")
+    __slots__ = ("id", "source", "target", "label", "weight", "_props")
 
     def __init__(
         self,
@@ -75,7 +92,7 @@ class Edge:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "props", props or {})
+        object.__setattr__(self, "_props", props or None)  # None: no properties
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise GraphError(
@@ -98,16 +115,20 @@ class Edge:
     def __reduce__(self) -> Tuple[Any, ...]:
         return (_rebuild_edge, self.__getstate__())
 
+    @property
+    def props(self) -> Dict[str, Any]:
+        return {} if self._props is None else self._props
+
     def replace_weight(self, weight: float) -> "Edge":
         """A copy of this edge with ``weight`` swapped (props shared)."""
-        return Edge(self.id, self.source, self.target, self.label, weight, self.props)
+        return Edge(self.id, self.source, self.target, self.label, weight, self._props)
 
     def property(self, name: str) -> Any:
         if name == "label":
             return self.label
         if name == "weight":
             return self.weight
-        return self.props.get(name)
+        return (self._props or _NO_PROPS).get(name)
 
     def other(self, node_id: int) -> int:
         """The endpoint opposite ``node_id`` on this edge."""
@@ -122,10 +143,45 @@ class Edge:
 
 
 def _rebuild_edge(
-    edge_id: int, source: int, target: int, label: str, weight: float, props: Dict[str, Any]
+    edge_id: int, source: int, target: int, label: str, weight: float, props: Optional[Dict[str, Any]]
 ) -> Edge:
     """Unpickling constructor for (immutable) :class:`Edge` objects."""
     return Edge(edge_id, source, target, label, weight, props)
+
+
+class WeakBackReference:
+    """An attribute that holds its value by weak reference.
+
+    Reads give the referent, or ``None`` once it is gone (or was never
+    set).  A frozen view names the mutable :class:`Graph` it was taken
+    from this way: the graph keeps its views alive, a view does not keep
+    its graph alive, so dropping a graph frees graph and views by
+    reference counting instead of leaving a cycle for the collector.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._key = f"_{name}_ref"
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        ref = instance.__dict__.get(self._key)
+        return None if ref is None else ref()
+
+    def __set__(self, instance: Any, value: Any) -> None:
+        instance.__dict__[self._key] = None if value is None else weakref.ref(value)
+
+
+def label_index(labels: Iterable[str]) -> Dict[str, List[int]]:
+    """``label -> node ids`` from the node labels in id order.
+
+    Keys come in first-occurrence order and ids ascend, exactly as an index
+    appended to by every :meth:`Graph.add_node` would hold them.
+    """
+    index: Dict[str, List[int]] = {}
+    for node_id, label in enumerate(labels):
+        index.setdefault(label, []).append(node_id)
+    return index
 
 
 class Graph:
@@ -135,6 +191,10 @@ class Graph:
     which lets the CTP engines treat ids, degrees, and indexes as stable for
     the duration of a search.  (The paper precomputes node degrees ``d_n``
     before evaluating queries, see Section 4.6.)
+
+    The node-label index is built on the first label lookup and maintained
+    from then on; a graph that is only built, frozen and searched never
+    holds it.
 
     Example
     -------
@@ -155,7 +215,8 @@ class Graph:
         self._nodes: List[Node] = []
         self._edges: List[Edge] = []
         self._adjacency: List[List[AdjacencyEntry]] = []
-        self._nodes_by_label: Dict[str, List[int]] = {}
+        self._typesets: Dict[FrozenSet[str], FrozenSet[str]] = {}  # interned type sets
+        self._nodes_by_label: Optional[Dict[str, List[int]]] = None  # see _label_index
         self._nodes_by_type: Dict[str, List[int]] = {}
         self._edges_by_label: Dict[str, List[int]] = {}
         self._frozen_snapshot = None  # memoized CSR view (see freeze())
@@ -185,13 +246,19 @@ class Graph:
         with self._lock:
             self._generation += 1
             node_id = len(self._nodes)
-            node = Node(node_id, label, types, props or None)
+            node = Node(node_id, label, self._intern(types), props)
             self._nodes.append(node)
             self._adjacency.append([])
-            self._nodes_by_label.setdefault(label, []).append(node_id)
+            if self._nodes_by_label is not None:
+                self._nodes_by_label.setdefault(label, []).append(node_id)
             for type_name in node.types:
                 self._nodes_by_type.setdefault(type_name, []).append(node_id)
             return node_id
+
+    def _intern(self, types: Iterable[str]) -> FrozenSet[str]:
+        """The one frozenset this graph holds for the type set ``types``."""
+        types = frozenset(types)
+        return self._typesets.setdefault(types, types)
 
     def add_edge(self, source: int, target: int, label: str = "", weight: float = 1.0, **props: Any) -> int:
         """Add a directed edge ``source -> target`` and return its id."""
@@ -200,7 +267,7 @@ class Graph:
             self._check_node(target)
             self._generation += 1
             edge_id = len(self._edges)
-            edge = Edge(edge_id, source, target, label, weight, props or None)
+            edge = Edge(edge_id, source, target, label, weight, props)
             self._edges.append(edge)
             self._adjacency[source].append((edge_id, target, True))
             if target != source:
@@ -211,6 +278,33 @@ class Graph:
     def _check_node(self, node_id: int) -> None:
         if not 0 <= node_id < len(self._nodes):
             raise GraphError(f"unknown node id {node_id}")
+
+    def update_node(self, node_id: int, types: Iterable[str] = (), **props: Any) -> None:
+        """Merge ``types`` and ``props`` into node ``node_id``.
+
+        Copy-on-write like :meth:`set_edge_weight`: a fresh :class:`Node`
+        replaces the old one, which views frozen earlier keep, the type
+        index gains the node under each new type, and the generation is
+        bumped.  A merge that adds nothing changes nothing.  A node of the
+        frozen base (:meth:`ensure_base`) cannot change — the delta records
+        appends and re-weights only — so that raises :class:`GraphError`.
+        """
+        with self._lock:
+            self._check_node(node_id)
+            node = self._nodes[node_id]
+            added = [name for name in dict.fromkeys(types) if name not in node.types]
+            if not added and not props:
+                return
+            if node_id < self._base_num_nodes:
+                raise GraphError(
+                    f"node {node_id} lies in the frozen base (generation "
+                    f"{self._base_generation}); its types and properties cannot change"
+                )
+            self._generation += 1
+            merged = {**node.props, **props}
+            self._nodes[node_id] = Node(node_id, node.label, self._intern(node.types.union(added)), merged)
+            for type_name in added:
+                self._nodes_by_type.setdefault(type_name, []).append(node_id)
 
     def set_edge_weight(self, edge_id: int, weight: float) -> None:
         """Change the weight of an existing edge.
@@ -348,8 +442,17 @@ class Graph:
     # ------------------------------------------------------------------
     # label / type indexes
     # ------------------------------------------------------------------
+    def _label_index(self) -> Dict[str, List[int]]:
+        """``label -> node ids``, built on first use (:func:`label_index`)
+        and maintained by :meth:`add_node` from then on."""
+        index = self._nodes_by_label
+        if index is None:
+            with self._lock:  # add_node waits rather than miss the index
+                index = self._nodes_by_label = label_index(node.label for node in self._nodes)
+        return index
+
     def nodes_with_label(self, label: str) -> List[int]:
-        return list(self._nodes_by_label.get(label, ()))
+        return list(self._label_index().get(label, ()))
 
     def nodes_with_type(self, type_name: str) -> List[int]:
         return list(self._nodes_by_type.get(type_name, ()))
@@ -358,7 +461,7 @@ class Graph:
         return list(self._edges_by_label.get(label, ()))
 
     def node_labels(self) -> List[str]:
-        return list(self._nodes_by_label)
+        return list(self._label_index())
 
     def edge_labels(self) -> List[str]:
         return list(self._edges_by_label)
@@ -369,7 +472,7 @@ class Graph:
 
     def find_node_by_label(self, label: str) -> int:
         """The unique node carrying ``label`` (convenience for tests/examples)."""
-        ids = self._nodes_by_label.get(label, ())
+        ids = self._label_index().get(label, ())
         if len(ids) != 1:
             raise GraphError(f"expected exactly one node labelled {label!r}, found {len(ids)}")
         return ids[0]
@@ -402,11 +505,12 @@ class Graph:
             ):
                 return snapshot
             snapshot = CSRGraph(self)
-            # MVCC stamps: which graph lineage this view belongs to and the
-            # source generation it can serve as a delta base for.  Plain
-            # instance attributes — CSRGraph's explicit __reduce__ keeps
-            # them out of pickles/snapshots (a worker-side copy has no live
-            # source; the snapshot file carries the generation in its meta).
+            # MVCC stamps: which graph lineage this view belongs to (a weak
+            # back-reference, so graph and view form no cycle) and the
+            # source generation it can serve as a delta base for.
+            # CSRGraph's explicit __reduce__ keeps them out of
+            # pickles/snapshots (a worker-side copy has no live source; the
+            # snapshot file carries the generation in its meta).
             snapshot.view_source = self
             snapshot.base_generation = self._generation
             self._frozen_snapshot = snapshot
@@ -530,7 +634,7 @@ class Graph:
             "_nodes": self._nodes,
             "_edges": self._edges,
             "_adjacency": self._adjacency,
-            "_nodes_by_label": self._nodes_by_label,
+            "_typesets": self._typesets,
             "_nodes_by_type": self._nodes_by_type,
             "_edges_by_label": self._edges_by_label,
             "_generation": self._generation,
@@ -538,6 +642,7 @@ class Graph:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
+        self._nodes_by_label = None
         self._frozen_snapshot = None
         self._lock = threading.RLock()
         self._init_mvcc_state()

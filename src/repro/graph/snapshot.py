@@ -155,7 +155,7 @@ def _grouped(index: Mapping[str, Any]) -> Tuple["array", List[Tuple[str, int]]]:
 
 
 def _sparse_props(items: Sequence[Any]) -> Dict[int, Dict[str, Any]]:
-    return {i: props for i, props in enumerate(map(attrgetter("props"), items)) if props}
+    return {i: props for i, props in enumerate(map(attrgetter("_props"), items)) if props}
 
 
 def save_snapshot(graph: Any, path: PathLike) -> Path:

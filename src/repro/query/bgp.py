@@ -140,11 +140,6 @@ def _scan(graph: Graph, pattern: EdgePattern) -> Tuple[List[Triple], List[List[C
     return triples, unproven
 
 
-def candidate_edges(graph: Graph, pattern: EdgePattern) -> List[int]:
-    """Edge ids worth testing for ``pattern``, via the cheapest access path."""
-    return [edge_id for _, edge_id, _ in _scan(graph, pattern)[0]]
-
-
 def match_pattern(graph: Graph, pattern: EdgePattern) -> Table:
     """All embeddings of one edge pattern as a table.
 

@@ -27,7 +27,7 @@ from repro.graph.datasets import figure1
 from repro.graph.graph import Graph
 from repro.query import evaluate_query, parse_query
 from repro.query.ast import BGP, Condition, EdgePattern, Predicate
-from repro.query.bgp import candidate_edges, evaluate_bgp, match_pattern, matching_nodes
+from repro.query.bgp import _scan, evaluate_bgp, match_pattern, matching_nodes
 from repro.storage.table import Table
 from repro.workloads import cdf_graph, yago_like
 
@@ -83,6 +83,11 @@ class TestMatchPattern:
     def test_no_match(self, fig1):
         pattern = EdgePattern(P("x"), P("e", label="ghost"), P("y"))
         assert len(match_pattern(fig1, pattern)) == 0
+
+
+def candidate_edges(graph, pattern):
+    """Edge ids the matcher's access path hands on for ``pattern``."""
+    return [edge_id for _, edge_id, _ in _scan(graph, pattern)[0]]
 
 
 class TestCandidateEdges:
