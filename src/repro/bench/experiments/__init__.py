@@ -14,8 +14,6 @@ from repro.bench.experiments import (
     fig14_cdf_m3,
     micro_chaos,
     micro_delta,
-    micro_parallel,
-    micro_process_parallel,
     micro_scale,
     micro_serve,
     table1_yago,
@@ -35,8 +33,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "abl01": abl01_design.run,
     "chaos": micro_chaos.run,
     "delta": micro_delta.run,
-    "parallel": micro_parallel.run,
-    "process-parallel": micro_process_parallel.run,
     "scale": micro_scale.run,
     "serve": micro_serve.run,
 }

@@ -75,7 +75,7 @@ def _run_scenario(
     the breaker scenario uses it to let the cooldown elapse so the
     half-open probe is reached deterministically.
     """
-    process_config = SearchConfig(parallelism=2, parallelism_mode="process")
+    process_config = SearchConfig(parallelism=2)
     latencies_ok: List[float] = []
     statuses: List[str] = []
     modes: List[str] = []
@@ -261,7 +261,7 @@ def _overload_scenario(graph: Any, serial_reference) -> Dict[str, Any]:
     try:
         with QueryServer(
             graph,
-            base_config=SearchConfig(parallelism=2, parallelism_mode="process"),
+            base_config=SearchConfig(parallelism=2),
             workers=CHAOS_WORKERS,
             max_pending=3,
             shed_threshold=1,

@@ -140,7 +140,7 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
     )
 
     tips = max(2, round(4 * scale))
-    process_config = SearchConfig(parallelism=2, parallelism_mode="process")
+    process_config = SearchConfig(parallelism=2)
     regimes = (
         ("static", None, False),
         ("mutate-legacy", 0, True),

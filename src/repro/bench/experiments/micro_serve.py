@@ -13,9 +13,9 @@ concurrent client threads and reports per-request latency percentiles
 plus throughput:
 
 * ``cold`` — the pre-fix behaviour: each request is an independent
-  ``evaluate_query`` with ``parallelism_mode="process"``, building and
-  discarding its own executor (workers re-spawn and re-load the snapshot
-  every time).
+  ``evaluate_query`` on a :class:`~repro.query.pool.WorkerPool` built and
+  closed for it (workers re-spawn, and the snapshot is re-written and
+  re-loaded, every time).
 * ``warm`` — the same requests through one prewarmed ``QueryServer``
   (persistent pool + shared cross-request context).
 
@@ -48,6 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.query.evaluator import evaluate_query
+from repro.query.pool import WorkerPool
 from repro.serve import QueryRequest, QueryServer
 from repro.workloads.synthetic import grouped_star
 
@@ -138,13 +139,16 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
 
     tips = max(2, round(4 * scale))
     graph = grouped_star(NUM_GROUPS, tips, 3)
-    process_config = SearchConfig(parallelism=2, parallelism_mode="process")
+    process_config = SearchConfig(parallelism=2)
 
     def cold_one(text: str) -> None:
-        # The pre-fix path: per-call executor, workers spawn + load the
+        # The pre-fix path: a pool per request — workers spawn + load the
         # snapshot, evaluate, tear down.  Fresh per-query context — cold
         # shares nothing across requests, by definition.
-        evaluate_query(graph, text, base_config=process_config, default_timeout=timeout)
+        with WorkerPool(graph, workers=2) as pool:
+            evaluate_query(
+                graph, text, base_config=process_config, default_timeout=timeout, pool=pool
+            )
 
     serial_rows = {}
 
@@ -262,9 +266,9 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
     )
 
     report.note(
-        "cold = per-request evaluate_query(parallelism_mode='process'): every request "
-        "builds a ProcessPoolExecutor, spawns workers, loads the snapshot per worker, "
-        "and tears it all down (the pre-WorkerPool behaviour); warm = the same requests "
+        "cold = per-request evaluate_query on a WorkerPool built for it: every request "
+        "spawns workers, writes the snapshot and loads it per worker, and tears it all "
+        "down (the pre-WorkerPool behaviour); warm = the same requests "
         "through one prewarmed QueryServer over a persistent WorkerPool"
     )
     report.note(

@@ -6,7 +6,7 @@ Examples::
     python -m repro info  --graph data.tsv
     python -m repro query --graph data.tsv "SELECT ?w WHERE { CONNECT(\"A\", \"B\") AS ?w }"
     python -m repro snapshot --graph data.tsv --out data.snapshot
-    python -m repro query --snapshot data.snapshot --parallelism 4 --parallelism-mode process "..."
+    python -m repro query --snapshot data.snapshot --parallelism 4 "..."
     python -m repro bench fig11 --scale 0.5
 """
 
@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench.cli import main as bench_main
-from repro.ctp.config import PARALLELISM_MODES, SearchConfig
+from repro.ctp.config import SearchConfig
 from repro.ctp.stats import SearchStats
 from repro.errors import ReproError
 from repro.graph.datasets import figure1
@@ -26,6 +26,7 @@ from repro.graph.io import load_graph_json, load_graph_tsv
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.graph.stats import graph_stats
 from repro.query.evaluator import evaluate_query
+from repro.query.pool import WorkerPool
 
 
 def _load_graph(path: str):
@@ -47,19 +48,24 @@ def _resolve_graph(args: argparse.Namespace):
 def _cmd_query(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
     try:
-        base_config = SearchConfig(
-            parallelism=args.parallelism,
-            parallelism_mode=args.parallelism_mode,
-        )
-    except ValueError as error:  # bad flag combinations are user errors
+        base_config = SearchConfig(parallelism=args.parallelism)
+    except ValueError as error:  # bad flag values are user errors
         raise ReproError(str(error)) from None
-    result = evaluate_query(
-        graph,
-        args.query,
-        algorithm=args.algorithm,
-        base_config=base_config,
-        default_timeout=args.timeout,
-    )
+    # The command's CTPs run in a worker pool of --parallelism processes
+    # that lives for the command; at 1 they run inline.
+    pool = WorkerPool(graph, workers=args.parallelism) if args.parallelism > 1 else None
+    try:
+        result = evaluate_query(
+            graph,
+            args.query,
+            algorithm=args.algorithm,
+            base_config=base_config,
+            default_timeout=args.timeout,
+            pool=pool,
+        )
+    finally:
+        if pool is not None:
+            pool.close()
     print(result.format(limit=args.rows))
     timings = result.timings
     print(
@@ -68,8 +74,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     for report in result.ctp_reports:
         memo = " [ctp-cache hit]" if report.cache_hit else ""
-        # Surface the dispatch that actually ran (process dispatch can
-        # degrade to thread/serial for unpicklable jobs).
+        # Surface the dispatch that actually ran (the pool can degrade to
+        # thread/serial for unpicklable jobs).
         mode = f" [{report.dispatch_mode}]" if args.parallelism > 1 else ""
         print(f"?{report.tree_var}:{mode} {report.result_set.stats.format()}{memo}")
     if args.parallelism > 1 and len(result.ctp_reports) > 1:
@@ -84,10 +90,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     sched = result.schedule
     print(
-        f"schedule: mode {sched.mode_requested}->{sched.mode_selected} "
+        f"schedule: mode {sched.mode_selected} "
         f"estimates={[round(e, 1) for e in sched.estimates]} "
         f"order={sched.submit_order} rebalances={sched.rebalances} "
-        f"(+{sched.rebalanced_seconds:.3f}s) overlaps={sched.pipeline_overlaps}"
+        f"(+{sched.rebalanced_seconds:.3f}s)"
     )
     return 0
 
@@ -135,10 +141,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     graph = _resolve_graph(args)
     try:
-        base_config = SearchConfig(
-            parallelism=max(args.workers, 1),
-            parallelism_mode="process",
-        )
+        base_config = SearchConfig(parallelism=max(args.workers, 1))
     except ValueError as error:
         raise ReproError(str(error)) from None
     requests = [
@@ -265,17 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallelism",
         type=int,
         default=1,
-        help="workers for the query's independent CTP evaluations (default 1 = "
-        "serial dispatch; rows are identical at any worker count; must be >= 1)",
-    )
-    query.add_argument(
-        "--parallelism-mode",
-        choices=PARALLELISM_MODES,
-        default="thread",
-        help="how --parallelism fans out: 'thread' (wall-clock overlap for "
-        "deadline-bounded CTPs), 'process' (worker processes over an "
-        "mmap-shared CSR snapshot; real multi-core overlap for CPU-bound "
-        "searches), or 'auto' (cost model picks serial/thread/process per query)",
+        help="worker processes for the query's independent CTP evaluations, over "
+        "an mmap-shared CSR snapshot (default 1 = inline; rows are identical at "
+        "any worker count; must be >= 1)",
     )
     query.add_argument(
         "--snapshot",

@@ -13,12 +13,6 @@ from typing import Callable, FrozenSet, Optional, Union
 
 from repro.errors import ConfigError
 
-#: Dispatch modes accepted by ``SearchConfig.parallelism_mode``.
-#: ``"auto"`` defers the choice to the cost model per query
-#: (:func:`repro.query.costmodel.choose_mode`).
-PARALLELISM_MODES = ("thread", "process", "auto")
-
-
 class _Wildcard:
     """Sentinel for a seed set equal to all graph nodes (Section 4.9)."""
 
@@ -104,27 +98,18 @@ class SearchConfig:
         instead of only when seed coverage grew (the Section 4.5 text).
         Same results, strictly more work; exposed to quantify the cost.
     parallelism:
-        Evaluator-level knob (ignored by standalone engine runs): dispatch
-        the independent CTP evaluations of a query to a worker pool of
-        this many workers (:mod:`repro.query.parallel`; default 1 = serial
-        dispatch).  Values above 1 make ``evaluate_query`` create its
-        query-scoped context *thread-safe* (sharded pool, locked memo).
-        Dispatch-only: result rows are bit-identical to serial evaluation
-        regardless of worker count — an explicitly passed non-thread-safe
-        context silently falls back to serial dispatch under thread mode.
-        Must be >= 1; anything else raises :class:`~repro.errors.ConfigError`.
-    parallelism_mode:
-        How ``parallelism > 1`` fans out: ``"thread"`` (default) uses a
-        ``ThreadPoolExecutor`` over the shared thread-safe context — wall-
-        clock overlap for deadline-bounded CTPs, no extra processes;
-        ``"process"`` uses a ``ProcessPoolExecutor`` whose workers each
-        load the graph once from an mmap-shared CSR snapshot
-        (:mod:`repro.graph.snapshot`) and evaluate CTPs on a private
-        context — real multi-core overlap for CPU-bound complete searches
-        under the GIL.  Rows are bit-identical to serial either way.
-        ``"auto"`` lets the evaluator pick serial/thread/process per query
-        from the cost model's estimated total cost vs. dispatch-overhead
-        constants (:mod:`repro.query.costmodel`).
+        Evaluator-level knob (ignored by standalone engine runs): how many
+        of a query's CTPs may run at once.  A query's CTPs run in the
+        :class:`~repro.query.pool.WorkerPool` passed to the evaluator, or
+        inline without one (:mod:`repro.query.parallel`); this knob sizes
+        the deadline ledger's worker slots under a pool and the thread
+        pool of its process -> thread fallback.  Values above 1 make
+        ``evaluate_query`` create its query-scoped context *thread-safe*
+        (sharded pool, locked memo), so that fallback can share it; an
+        explicitly passed non-thread-safe context makes the fallback run
+        serially instead.  Dispatch-only: result rows are bit-identical to
+        serial evaluation regardless of worker count.  Must be >= 1;
+        anything else raises :class:`~repro.errors.ConfigError`.
     """
 
     uni: bool = False
@@ -142,7 +127,6 @@ class SearchConfig:
     strict_merge2: bool = False
     mo_inject_always: bool = False
     parallelism: int = 1
-    parallelism_mode: str = "thread"
 
     def __post_init__(self) -> None:
         if self.top_k is not None and self.score is None:
@@ -172,11 +156,6 @@ class SearchConfig:
             raise ConfigError(
                 f"parallelism must be an integer >= 1 (1 = serial CTP dispatch), "
                 f"got {self.parallelism!r}"
-            )
-        if self.parallelism_mode not in PARALLELISM_MODES:
-            raise ConfigError(
-                f"unknown parallelism_mode {self.parallelism_mode!r} "
-                f"(use one of {', '.join(PARALLELISM_MODES)})"
             )
         if self.labels is not None:
             object.__setattr__(self, "labels", frozenset(self.labels))

@@ -273,9 +273,10 @@ class SearchContext:
         """The search-relevant identity of a :class:`SearchConfig`.
 
         Every field that can change a result set (or its truncation) is
-        included; ``parallelism`` and ``parallelism_mode`` are
-        dispatch-only and deliberately absent — a parallel evaluation may
-        serve (and file) the same memo entries as a serial one.
+        included.  ``parallelism`` is dispatch-only and ``deadline``
+        reaches a search only as the ``timeout`` share the evaluator
+        writes, so both are deliberately absent — a pooled evaluation may
+        serve (and file) the same memo entries as an inline one.
         """
         return (
             config.uni,

@@ -36,7 +36,6 @@ from repro.query.costmodel import (
     DeadlineLedger,
     QuerySchedule,
     ScheduleReport,
-    choose_mode,
 )
 from repro.query.evaluator import QueryResult, evaluate_query
 from repro.query.parallel import BatchResult, evaluate_queries
@@ -60,7 +59,6 @@ __all__ = [
     "QuerySchedule",
     "SCORE_FUNCTIONS",
     "ScheduleReport",
-    "choose_mode",
     "evaluate_bgp",
     "evaluate_queries",
     "evaluate_query",

@@ -6,28 +6,23 @@ milliseconds, one over hundreds of seeds with a wildcard is the whole
 query budget.  The raw signals are already in the system — seed-set sizes
 from step (A) bindings, per-label edge counts off the CSR label indexes,
 the algorithm class, the MVCC delta-overlay size — this module turns them
-into a scalar cost estimate per CTP and feeds four decisions, made for
+into a scalar cost estimate per CTP and feeds two decisions, made for
 every query (there is no switch):
 
-1. **auto mode selection** — ``parallelism_mode="auto"`` picks
-   serial/thread/process per query by comparing the estimated total cost
-   against dispatch-overhead constants (:func:`choose_mode`), so a cheap
-   query never pays executor spin-up and an expensive one never serializes
-   behind the GIL;
-2. **longest-first ordering** — the fan-out submits the most expensive
-   CTPs first (:meth:`QuerySchedule.ordered`), shrinking the makespan when
-   workers outnumber the stragglers (memo filing stays in CTP order, so
-   rows and cache LRU state are unchanged — see
+1. **longest-first ordering** — a fan-out to a worker pool submits the
+   most expensive CTPs first (:meth:`QuerySchedule.ordered`), shrinking
+   the makespan when workers outnumber the stragglers (memo filing stays
+   in CTP order, so rows and cache LRU state are unchanged — see
    :class:`repro.query.parallel.Dispatch`);
-3. **deadline shares** — under ``SearchConfig.deadline`` a
+2. **deadline shares** — under ``SearchConfig.deadline`` a
    :class:`DeadlineLedger` gives each CTP its cost-proportional share of
    the query's wall budget and re-grants unspent budget from fast CTPs to
    still-pending slow ones at *execution* time; a grant never drops below
-   the original build budget;
-4. **pipelined (A)→(B) overlap** — under thread dispatch the evaluator
-   feeds a CTP to the dispatch the moment its seed variables resolve,
-   while later BGPs are still materializing (the ledger then registers
-   CTPs incrementally).
+   the original build budget.
+
+The estimates do not pick *where* CTPs run: that is one rule (the worker
+pool the query is given, otherwise inline), because fixed cost-unit
+thresholds cannot predict what dispatch costs on a given host.
 
 Everything here is deliberately picklable (plain dataclasses, no
 callables) so an estimator can ride a job to a pool worker.
@@ -42,7 +37,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -50,8 +45,8 @@ from repro.errors import ConfigError
 #: complete algorithms (bft family, gam) enumerate every minimal tree and
 #: sit above 1.0; the heuristic ESP family prunes aggressively and sits
 #: below; the Mo variants pay provenance copies on top of their base
-#: algorithm.  Calibrated from the checked-in micro-bench ratios
-#: (BENCH_parallel.json): only the *relative* order matters.
+#: algorithm.  Hand-set: only the *relative* order matters, and
+#: ``tests/test_costmodel.py`` pins the estimate of every class.
 ALGORITHM_WEIGHTS: Dict[str, float] = {
     "bft": 1.0,
     "bft-m": 1.3,
@@ -66,25 +61,6 @@ ALGORITHM_WEIGHTS: Dict[str, float] = {
 #: Weight for an algorithm missing from :data:`ALGORITHM_WEIGHTS` (a
 #: user-registered engine): assume the worst checked-in class.
 DEFAULT_ALGORITHM_WEIGHT = 1.6
-
-# ----------------------------------------------------------------------
-# auto-mode dispatch-overhead constants (cost units, same scale as
-# CTPCostEstimator.estimate).  Derived from the checked-in bench suites:
-# thread dispatch costs ~a pool submit + context locking; warm process
-# dispatch adds pickling seeds/results over a live worker (BENCH_serve
-# warm p50 ~10ms); cold process dispatch spawns interpreters and loads
-# the snapshot per worker (BENCH_serve cold p50 ~400-650ms, i.e. ~50x).
-# ----------------------------------------------------------------------
-#: Below this estimated *total* query cost, even thread dispatch is not
-#: worth the executor + locking overhead: run the serial loop.
-THREAD_DISPATCH_THRESHOLD = 64.0
-#: Total cost above which process dispatch pays for itself when a warm
-#: persistent pool exists (per-job IPC only).
-PROCESS_WARM_THRESHOLD = 2048.0
-#: Total cost above which process dispatch pays for itself when workers
-#: must be spawned and must each load the snapshot (no pool, or cold).
-PROCESS_COLD_THRESHOLD = 65536.0
-
 
 @dataclass(frozen=True)
 class CostFeatures:
@@ -180,65 +156,38 @@ class CTPCostEstimator:
         return self.estimate(self.features(graph, algorithm, seed_set_sizes, config))
 
 
-def choose_mode(
-    total_cost: float,
-    num_jobs: int,
-    parallelism: int,
-    pool: Any = None,
-    pool_overhead: Optional[float] = None,
-) -> str:
-    """Resolve ``parallelism_mode="auto"`` to ``serial``/``thread``/``process``.
-
-    ``serial`` when there is nothing to overlap (one job, one worker) or
-    the whole query is estimated cheaper than thread-dispatch overhead;
-    ``process`` when the estimated total clears the process-dispatch
-    overhead — the warm threshold if a live warm :class:`WorkerPool` is
-    passed (its :meth:`~repro.query.pool.WorkerPool.dispatch_overhead`
-    supplies the bar), the cold one otherwise; ``thread`` in between.
-    """
-    if num_jobs <= 1 or parallelism <= 1 or total_cost < THREAD_DISPATCH_THRESHOLD:
-        return "serial"
-    if pool_overhead is None:
-        if pool is not None and not pool.closed:
-            pool_overhead = pool.dispatch_overhead()
-        else:
-            pool_overhead = PROCESS_COLD_THRESHOLD
-    if total_cost >= pool_overhead:
-        return "process"
-    return "thread"
-
-
 @dataclass
 class ScheduleReport:
     """What the scheduler decided for one query — estimates vs. actuals.
 
     Threaded ``QueryResult.schedule`` → ``ResponseStats.schedule`` so a
-    serving client can see *why* its query ran the way it did:
-    per-CTP estimated cost next to the measured seconds, the longest-first
-    submission order, how many deadline-budget rebalances fired (and how
-    much wall budget they moved), and how many CTPs started before step
-    (A) finished (pipeline overlap).
+    serving client can see *why* its query ran the way it did: what
+    executed its searches, per-CTP estimated cost next to the measured
+    seconds, the longest-first submission order, and how many
+    deadline-budget rebalances fired (and how much wall budget they
+    moved).
+
+    ``mode_selected`` is read off the outcomes once dispatch has run: the
+    stamp its executed CTPs carry (``"process"``, ``"serial"``, or a
+    fallback hop such as ``"process->thread"``), ``"memo"`` when every CTP
+    was served from the memo.
     """
 
-    mode_requested: str = "thread"
     mode_selected: str = "serial"
     estimates: List[float] = field(default_factory=list)
     actual_seconds: List[float] = field(default_factory=list)
     submit_order: List[int] = field(default_factory=list)
     rebalances: int = 0
     rebalanced_seconds: float = 0.0
-    pipeline_overlaps: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "mode_requested": self.mode_requested,
             "mode_selected": self.mode_selected,
             "estimates": list(self.estimates),
             "actual_seconds": list(self.actual_seconds),
             "submit_order": list(self.submit_order),
             "rebalances": self.rebalances,
             "rebalanced_seconds": self.rebalanced_seconds,
-            "pipeline_overlaps": self.pipeline_overlaps,
         }
 
 
@@ -252,8 +201,9 @@ LEDGER_FLOOR = 1e-6
 class DeadlineLedger:
     """Wall-budget accounting for one deadline-bounded query.
 
+    The ledger is built with every CTP's cost estimate ``c_i`` up front.
     At job-build time each CTP gets a **build budget**: with ``workers``
-    concurrent slots and cost estimates ``c_i``, CTP *i* may spend
+    concurrent slots, CTP *i* may spend
     ``remaining * min(1, workers * c_i / sum(pending c))`` — cost-
     proportional shares that sum to the remaining deadline under serial
     dispatch (``workers=1``) and degenerate to the full remaining budget
@@ -270,13 +220,14 @@ class DeadlineLedger:
 
     ``clock`` is injectable (``repro.testing.FakeClock``) so rebalancing
     decisions are testable without wall-time flakiness.  Thread-safe:
-    grants happen inside worker threads under thread dispatch.
+    grants happen inside worker threads under the thread fallback.
     """
 
     def __init__(
         self,
         deadline: float,
         started: float,
+        costs: Mapping[int, float],
         workers: int = 1,
         clock: Any = None,
     ) -> None:
@@ -289,10 +240,10 @@ class DeadlineLedger:
         self.rebalances = 0
         self.rebalanced_seconds = 0.0
         self._lock = threading.Lock()
-        self._costs: Dict[int, float] = {}
+        self._costs: Dict[int, float] = {index: max(0.0, cost) for index, cost in costs.items()}
         self._intrinsic: Dict[int, Optional[float]] = {}
         self._builds: Dict[int, float] = {}
-        self._pending: Dict[int, float] = {}
+        self._pending: Dict[int, float] = dict(self._costs)
 
     def remaining(self) -> float:
         """Query wall budget left right now (floored, never negative)."""
@@ -303,42 +254,17 @@ class DeadlineLedger:
             return 1.0
         return min(1.0, self.workers * cost / pending_total)
 
-    def prime(self, costs: Dict[int, float]) -> None:
-        """Preload the full pending cost pool before any build budget.
-
-        The barrier evaluator knows every CTP's estimate up front; priming
-        makes the *first* :meth:`register` compute its share against the
-        whole query's pending cost instead of only the CTPs registered so
-        far (without it the first registration sees share = 1 and eats the
-        entire remaining budget).  The pipelined path skips priming and
-        registers incrementally — a documented heuristic: early CTPs see a
-        smaller pending pool and so get generous shares, which is exactly
-        the overlap case where budget is most plentiful.
-        """
-        with self._lock:
-            for index, cost in costs.items():
-                cost = max(0.0, cost)
-                self._costs[index] = cost
-                self._pending[index] = cost
-
-    def register(self, index: int, cost: float, intrinsic_timeout: Optional[float]) -> float:
-        """File CTP ``index`` and return its build budget (seconds).
+    def register(self, index: int, intrinsic_timeout: Optional[float]) -> float:
+        """Return CTP ``index``'s build budget (seconds).
 
         ``intrinsic_timeout`` is the CTP's own ``TIMEOUT`` filter (or the
         config/default timeout) *before* any deadline capping — the hard
-        per-CTP ceiling no rebalance may exceed.  A cost already filed by
-        :meth:`prime` is kept, not re-added.
+        per-CTP ceiling no rebalance may exceed.
         """
         with self._lock:
-            if index in self._costs:
-                cost = self._costs[index]
-            else:
-                cost = max(0.0, cost)
-                self._costs[index] = cost
-                self._pending[index] = cost
             self._intrinsic[index] = intrinsic_timeout
             pending_total = sum(self._pending.values())
-            budget = self.remaining() * self._share(cost, pending_total)
+            budget = self.remaining() * self._share(self._costs[index], pending_total)
             if intrinsic_timeout is not None:
                 budget = min(budget, intrinsic_timeout)
             budget = max(budget, LEDGER_FLOOR)
@@ -426,7 +352,11 @@ class QuerySchedule:
             self.ledger.settle(index)
 
     def finalize(self, outcomes: Sequence[Any]) -> ScheduleReport:
-        """Fold estimates, actuals, and ledger counters into the report."""
+        """Fold the executed mode, estimates, actuals, and ledger counters
+        into the report."""
+        executed = [o.mode for o in outcomes if o is not None and o.mode != "memo"]
+        if executed or outcomes:
+            self.report.mode_selected = executed[0] if executed else "memo"
         self.report.estimates = [self.estimates.get(i, 0.0) for i in range(len(outcomes))]
         self.report.actual_seconds = [
             outcome.seconds if outcome is not None else 0.0 for outcome in outcomes

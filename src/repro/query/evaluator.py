@@ -21,38 +21,31 @@ representation and reuse only: rows are those of a context-less engine
 run per CTP (``tests/test_query_context.py`` keeps that run as the
 reference).
 
-Steps (A) and (B) are **one body**: BGPs are evaluated in order and a
-CTP's job is built when its seed variables resolve, then handed to the
-single dispatch loop of :mod:`repro.query.parallel` (memo serve, in-flight
-dedup of repeated CTPs, run, CTP-order memo replay) over whatever executes
-it — inline on the calling thread (``parallelism=1``), N worker threads
-over a thread-safe context, or the worker processes of a
-:class:`~repro.query.pool.WorkerPool`, each loading the graph once from an
-mmap-shared CSR snapshot (real multi-core overlap for CPU-bound complete
-searches under the GIL).  *When* jobs are fed is the only variable: under
-explicit thread dispatch a CTP starts searching the moment its own
-bindings exist, overlapping the BGPs still to come; otherwise nothing is
-fed before the last BGP — the mode decision of ``"auto"`` needs every
-CTP's estimate, and jobs bound for worker processes would serialize on
-pickling anyway.  Dispatch is representation-only — rows are bit-identical
-to serial evaluation regardless of executor, worker count or feed time
-(``python -m repro.bench parallel`` re-checks equality).  The batch
-counterpart :func:`~repro.query.parallel.evaluate_queries` runs many
-queries against one shared context for cross-query memo hits.
+Step (B) hands every CTP's job to the single dispatch loop of
+:mod:`repro.query.parallel` (memo serve, in-flight dedup of repeated
+CTPs, run, CTP-order memo replay) under one rule for what executes it:
+the worker processes of the :class:`~repro.query.pool.WorkerPool` the
+caller passes in — each loading the graph once from an mmap-shared CSR
+snapshot, real multi-core overlap for CPU-bound complete searches under
+the GIL — or, without one, the calling thread, inline.  Dispatch is
+representation-only — rows are bit-identical to serial evaluation
+regardless of executor or worker count (``tests/test_process_parallel.py``
+re-checks equality).  The batch counterpart
+:func:`~repro.query.parallel.evaluate_queries` runs many queries against
+one shared context for cross-query memo hits.
 
 Every query runs under the cost model (:mod:`repro.query.costmodel`): each
-CTP is estimated when its seed sets resolve; the estimates order the
-fan-out longest-first, resolve ``parallelism_mode="auto"``, and — when
-``SearchConfig.deadline`` is set — size each CTP's share of the query's
-wall budget through a :class:`~repro.query.costmodel.DeadlineLedger`, so
-the deadline bounds the *query*, not each CTP separately.  What it decided
-is on ``QueryResult.schedule``.
+CTP is estimated once its seed sets resolve; the estimates order a pooled
+fan-out longest-first and — when ``SearchConfig.deadline`` is set — size
+each CTP's share of the query's wall budget through a
+:class:`~repro.query.costmodel.DeadlineLedger`, so the deadline bounds the
+*query*, not each CTP separately.  What it decided, and what executed the
+searches, is on ``QueryResult.schedule``.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -64,14 +57,8 @@ from repro.errors import EvaluationError
 from repro.graph.graph import Graph
 from repro.query.ast import CTP, CTPFilters, EQLQuery, Predicate
 from repro.query.bgp import evaluate_bgp, matching_nodes
-from repro.query.costmodel import (
-    CTPCostEstimator,
-    DeadlineLedger,
-    QuerySchedule,
-    ScheduleReport,
-    choose_mode,
-)
-from repro.query.parallel import CTPJob, effective_parallelism, open_dispatch
+from repro.query.costmodel import CTPCostEstimator, DeadlineLedger, QuerySchedule, ScheduleReport
+from repro.query.parallel import CTPJob, effective_parallelism, open_dispatch, serving_pool
 from repro.query.resilience import ResilienceReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (pool imports from parallel)
@@ -95,12 +82,12 @@ class CTPReport:
     #: cross-CTP memo (same algorithm, seed sets, and config as an earlier
     #: CTP of this query) — ``result_set`` is then the cached set.
     cache_hit: bool = False
-    #: What actually produced this CTP's result: "serial", "thread", or
-    #: "process" when a search executed, "memo" when it was served from
-    #: the cross-CTP memo without running.  May differ from the requested
-    #: ``parallelism_mode``: process dispatch degrades when jobs cannot
-    #: cross a process boundary or the pool fails — silently for the
-    #: query, but recorded here as "process->thread"/"process->serial".
+    #: What actually produced this CTP's result: "serial" (inline) or
+    #: "process" (a pool worker) when a search executed, "memo" when it
+    #: was served from the cross-CTP memo without running.  Pooled
+    #: dispatch degrades when jobs cannot cross a process boundary or the
+    #: pool fails — silently for the query, but recorded here as
+    #: "process->thread"/"process->serial".
     dispatch_mode: str = "serial"
 
 
@@ -108,7 +95,7 @@ class CTPReport:
 class QueryTimings:
     """Wall-clock per evaluator phase.  ``ctp_seconds`` covers all of step
     (B) — seed derivation, dispatch, and table materialization — so under
-    parallel dispatch it reflects the overlapped wall time, not the sum of
+    pooled dispatch it reflects the overlapped wall time, not the sum of
     per-CTP search times (those live on each report)."""
 
     bgp_seconds: float = 0.0
@@ -137,16 +124,16 @@ class QueryResult:
     timings: QueryTimings = field(default_factory=QueryTimings)
     ctp_reports: List[CTPReport] = field(default_factory=list)
     context_stats: Dict[str, int] = field(default_factory=dict)
-    #: What resilience machinery fired during process dispatch (retries,
-    #: hang kills, breaker state, degradation) — ``None`` when neither a
-    #: :class:`~repro.query.pool.WorkerPool` nor process mode was involved.
+    #: What resilience machinery fired around the worker pool (retries,
+    #: hang kills, breaker state, degradation) — ``None`` when the query
+    #: was given no :class:`~repro.query.pool.WorkerPool`.
     resilience: Optional[ResilienceReport] = None
     #: MVCC generation of the graph (view) the query evaluated against.
     #: Rows are reproducible against a full freeze of that generation.
     generation: Optional[int] = None
-    #: The cost model's decisions and measurements for this query:
-    #: per-CTP estimates vs. actual seconds, submission order, rebalance
-    #: counters, pipeline overlap.
+    #: The cost model's decisions and measurements for this query: what
+    #: executed its searches, per-CTP estimates vs. actual seconds,
+    #: submission order, rebalance counters.
     schedule: ScheduleReport = field(default_factory=ScheduleReport)
 
     def __len__(self) -> int:
@@ -425,161 +412,91 @@ def evaluate_query(
         query's CTPs in.  Passing one shared across *queries* amortizes the
         pool further (same graph required); by default a fresh context is
         created per query (thread-safe when ``base_config.parallelism >
-        1``).  An explicit non-thread-safe context downgrades a
-        ``parallelism > 1`` request to serial dispatch rather than share
-        unlocked state.
+        1``).  An explicit non-thread-safe context makes the pool's thread
+        fallback run serially rather than share unlocked state.
     pool:
-        A persistent :class:`~repro.query.pool.WorkerPool` to route
-        ``parallelism_mode="process"`` dispatches through.  The pool's
-        long-lived workers keep their mmap-loaded snapshot and warm
-        per-worker contexts across *queries*, so only the first query ever
-        pays spin-up.  Without one — or with one that is closed or bound
-        to another graph — a process-mode query takes the same path on a
-        pool that lives for the call (retry, watchdog and hop stamps
-        included; only the amortization is lost).  Ignored under thread
-        mode.
+        A persistent :class:`~repro.query.pool.WorkerPool` to run the
+        query's CTPs in.  The pool's long-lived workers keep their
+        mmap-loaded snapshot and warm per-worker contexts across
+        *queries*, so only the first query ever pays spin-up.  Without
+        one — or with one that is closed or bound to another graph — the
+        CTPs run inline on the calling thread.
 
     When ``base_config.deadline`` is set, each CTP's effective timeout is
     its cost-proportional share of the whole-query budget, re-granted
     upward at execution time as faster CTPs finish under their shares
     (:class:`~repro.query.costmodel.DeadlineLedger`).
-    ``base_config.parallelism_mode="auto"`` has the cost model pick
-    serial/thread/process dispatch per query.
     """
     query_started = time.perf_counter()
     if isinstance(query, str):
         query = parse_query(query)
     base_config = base_config or SearchConfig()
     if context is None:
-        # Thread dispatch shares the context across worker threads, so it
-        # must be born thread-safe (sharded pool, locked memo).  Process
-        # dispatch only touches it from the parent, but keeping it
-        # thread-safe there too lets an unpicklable workload degrade to
-        # thread dispatch instead of all the way to serial.
+        # Only the parent thread touches the context under pooled
+        # dispatch, but keeping it thread-safe lets a workload the pool
+        # cannot run degrade to threads instead of all the way to serial.
         context = SearchContext(thread_safe=base_config.parallelism > 1)
 
-    bgps = query.bgps()
     ctps = query.ctps
     seed_vars = {seed.var for ctp in ctps for seed in ctp.seeds}
-    seed_cache: Dict[Any, List[int]] = {}
-    seed_cache_hits = 0
-
-    # When CTP jobs are fed to the dispatch.  Each CTP only needs the
-    # bindings of its *own* seed variables (BGPs are variable-disjoint
-    # components, so a seed variable is bound by at most one of them):
-    # under explicit thread dispatch a CTP is built and submitted the
-    # moment those resolve — free-seed CTPs before any BGP runs — and
-    # searches while later BGPs are still materializing.
-    # Everything else is the degenerate case in which nothing is fed before
-    # the last BGP: ``auto`` needs every CTP's estimate (hence every seed
-    # set, hence all of step (A)) to pick the mode, and shipping jobs to
-    # worker processes mid-(A) would serialize on pickling anyway.
-    pipelined = (
-        base_config.parallelism_mode == "thread"
-        and base_config.parallelism > 1
-        and len(ctps) > 1
-        and context.thread_safe
-    )
-    ready_at = [len(bgps)] * len(ctps)
-    if pipelined:
-        bgp_vars = [frozenset(bgp.variables()) for bgp in bgps]
-        ready_at = [
-            max((b + 1 for b, names in enumerate(bgp_vars) if names & seeds), default=0)
-            for seeds in (set(ctp.seed_vars()) for ctp in ctps)
-        ]
-
-    schedule = QuerySchedule()  # its ledger stays None without a deadline
-    resilience: Optional[ResilienceReport] = None
-    dispatch: Any = None
+    started = time.perf_counter()
+    # Step (A): evaluate every BGP into a materialized table.  BGPs are
+    # variable-disjoint components, so per-table derivation is exactly
+    # derive_binding_values over the full set; it is timed with step (B).
     bgp_tables: List[Table] = []
     binding_values: Dict[str, List[Any]] = {}
-    costs = schedule.estimates  # per CTP index, filled as seed sets resolve
-    derived: List[Any] = [None] * len(ctps)
     bgp_seconds = 0.0
-    started = time.perf_counter()
-    with ExitStack() as scope:
-        for done in range(len(bgps) + 1):
-            if done:
-                # Step (A): evaluate the next BGP into a materialized table.
-                bgp_started = time.perf_counter()
-                bgp_tables.append(evaluate_bgp(graph, bgps[done - 1]))
-                bgp_seconds += time.perf_counter() - bgp_started
-                # Variable-disjoint components: per-table derivation is
-                # exactly derive_binding_values over the full set.
-                binding_values.update(derive_binding_values(bgp_tables[-1:], only=seed_vars))
-            if done < len(bgps) and not pipelined:
-                continue
+    for bgp in query.bgps():
+        bgp_started = time.perf_counter()
+        bgp_tables.append(evaluate_bgp(graph, bgp))
+        bgp_seconds += time.perf_counter() - bgp_started
+        binding_values.update(derive_binding_values(bgp_tables[-1:], only=seed_vars))
 
-            # Step (B): derive the seed sets of every CTP whose variables
-            # just resolved (serially — the derivations share one dedup
-            # cache) and hand the searches to the dispatch, all running
-            # inside the query-scoped context.
-            drafts: List[Tuple[int, List[Any], SearchConfig]] = []
-            for index in (i for i, at in enumerate(ready_at) if at == done):
-                seed_sets, sizes, wildcard_positions, hits = _seed_sets_for_ctp(
-                    graph, ctps[index], binding_values, seed_cache
-                )
-                seed_cache_hits += hits
-                config = config_for_ctp(ctps[index].filters, base_config, default_timeout)
-                costs[index] = _ESTIMATOR.estimate_ctp(graph, algorithm, sizes, config)
-                derived[index] = (sizes, wildcard_positions)
-                drafts.append((index, seed_sets, config))
+    # Step (B): derive every CTP's seed sets (serially — the derivations
+    # share one dedup cache), estimate it, and hand the searches to the
+    # dispatch, all running inside the query-scoped context.
+    seed_cache: Dict[Any, List[int]] = {}
+    seed_cache_hits = 0
+    schedule = QuerySchedule()  # its ledger stays None without a deadline
+    costs = schedule.estimates
+    derived: List[Tuple[Tuple[Optional[int], ...], List[int]]] = []
+    jobs: List[CTPJob] = []
+    for index, ctp in enumerate(ctps):
+        seed_sets, sizes, wildcard_positions, hits = _seed_sets_for_ctp(
+            graph, ctp, binding_values, seed_cache
+        )
+        seed_cache_hits += hits
+        config = config_for_ctp(ctp.filters, base_config, default_timeout)
+        costs[index] = _ESTIMATOR.estimate_ctp(graph, algorithm, sizes, config)
+        derived.append((sizes, wildcard_positions))
+        # Keyed on the CTP's own config, before a deadline share is
+        # written into ``timeout``: only complete, untruncated sets are
+        # ever filed, and those do not depend on the budget.
+        memo_key = _ctp_memo_key(graph, algorithm, seed_sets, config)
+        jobs.append(CTPJob(index, seed_sets, config, memo_key))
 
-            if dispatch is None:
-                mode = base_config.parallelism_mode
-                parallelism = base_config.parallelism
-                mode_selected: Optional[str] = None
-                if mode == "auto":
-                    mode_selected = choose_mode(sum(costs.values()), len(ctps), parallelism, pool)
-                    if mode_selected == "serial":
-                        mode, parallelism = "thread", 1
-                    else:
-                        mode = mode_selected
-                workers = effective_parallelism(parallelism, len(ctps), context, mode)
-                if base_config.deadline is not None:
-                    schedule.ledger = DeadlineLedger(base_config.deadline, query_started, workers)
-                    if not pipelined:
-                        # Full pending pool before any build share.  Fed
-                        # early, CTPs register incrementally instead: the
-                        # first ones see a smaller pool and get generous
-                        # shares — exactly the overlap case where budget
-                        # is plentiful.
-                        schedule.ledger.prime(costs)
-                schedule.report.mode_requested = base_config.parallelism_mode
-                if mode_selected is None:
-                    pooled = pool is not None and mode == "process" and not pool.closed
-                    mode_selected = mode if workers > 1 or pooled else "serial"
-                schedule.report.mode_selected = mode_selected
-                if pool is not None or mode == "process":
-                    resilience = ResilienceReport()
-                dispatch = scope.enter_context(
-                    open_dispatch(
-                        graph,
-                        algorithm,
-                        context,
-                        len(ctps),
-                        parallelism,
-                        mode,
-                        pool=pool,
-                        report=resilience,
-                        schedule=schedule,
-                    )
-                )
-            jobs: List[CTPJob] = []
-            for index, seed_sets, config in drafts:
-                # Keyed on the CTP's own config, before a deadline share is
-                # written into ``timeout``: only complete, untruncated sets
-                # are ever filed, and those do not depend on the budget.
-                memo_key = _ctp_memo_key(graph, algorithm, seed_sets, config)
-                if schedule.ledger is not None:
-                    # Each CTP's budget is its cost-proportional share of
-                    # the remaining deadline (re-granted upward at
-                    # execution); its own timeout stays the ceiling.
-                    budget = schedule.ledger.register(index, costs[index], config.timeout)
-                    config = config.with_(timeout=budget)
-                jobs.append(CTPJob(index, seed_sets, config, memo_key))
-            dispatch.submit(jobs, overlapped=done < len(bgps))
-        outcomes = dispatch.finish()
+    pool = serving_pool(pool, graph)
+    if base_config.deadline is not None:
+        # Each CTP's budget is its cost-proportional share of the remaining
+        # deadline (re-granted upward at execution); its own timeout stays
+        # the ceiling.  A pool runs up to ``parallelism`` CTPs at once.
+        workers = 1
+        if pool is not None:
+            workers = effective_parallelism(base_config.parallelism, len(jobs), None, "process")
+        schedule.ledger = DeadlineLedger(base_config.deadline, query_started, costs, workers)
+        for job in jobs:
+            job.config = job.config.with_(timeout=schedule.ledger.register(job.index, job.config.timeout))
+    resilience = ResilienceReport() if pool is not None else None
+    outcomes = open_dispatch(
+        graph,
+        algorithm,
+        context,
+        len(jobs),
+        base_config.parallelism,
+        pool=pool,
+        report=resilience,
+        schedule=schedule,
+    ).run(jobs)
     ctp_tables: List[Table] = []
     reports: List[CTPReport] = []
     for ctp, (sizes, wildcard_positions), outcome in zip(ctps, derived, outcomes):
@@ -595,9 +512,6 @@ def evaluate_query(
             )
         )
         ctp_tables.append(_ctp_table(graph, ctp, outcome.result_set, wildcard_positions))
-    # Steps (A) and (B) may overlap on the wall clock: the BGP evaluation
-    # time is attributed to bgp_seconds and the rest of the combined section
-    # to ctp_seconds, so the phase totals still sum to the query's wall time.
     ctp_seconds = time.perf_counter() - started - bgp_seconds
 
     # Step (C): join everything and project on the head.

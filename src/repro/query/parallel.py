@@ -1,4 +1,4 @@
-"""CTP dispatch — one loop, whatever runs the searches — and the batch front-end.
+"""CTP dispatch — one loop, one rule for what runs it — and the batch front-end.
 
 Section 3 of the paper has one step (B): "for every CTP, derive its seed
 sets, run a CTP search".  Section 5 evaluates each CONNECT clause as an
@@ -6,47 +6,50 @@ independent invocation, so the searches may overlap once the query-scoped
 state is safe to share.  This module implements that step **once**:
 
 :class:`Dispatch`
-    ``submit(jobs)`` any number of times, then ``finish()`` → one
-    :class:`CTPOutcome` per job in CTP order.  It owns everything the
-    serial evaluator loop (memo get → search → memo put, per CTP) means,
-    so every executor preserves that loop's observable semantics:
+    ``run(jobs)`` → one :class:`CTPOutcome` per job in CTP order.  It owns
+    everything the serial evaluator loop (memo get → search → memo put,
+    per CTP) means, so every executor preserves that loop's observable
+    semantics:
 
     * **rows** — each engine run is deterministic given (graph, seeds,
       config) and never reads another run's private state, so results are
       bit-identical to serial whatever the worker count or completion
       order;
-    * **cross-CTP memo** — a job is served from the memo when it is
-      submitted, or rides an *in-flight* job with the same memo key (one
+    * **cross-CTP memo** — a job is served from the memo before anything
+      starts, or rides an *in-flight* job with the same memo key (one
       leader searches; followers share its result exactly when the serial
       loop would have served a memo hit — complete, untruncated — and
-      re-run otherwise).  Filing is replayed in CTP order at ``finish()``,
-      so the cache's hits, misses and LRU order are the serial loop's and
-      never depend on worker scheduling (short of an eviction landing
-      between a probe and its replay);
+      re-run otherwise).  Filing is replayed in CTP order once every job
+      has settled, so the cache's hits, misses and LRU order are the
+      serial loop's and never depend on worker scheduling (short of an
+      eviction landing between a probe and its replay);
     * **deadline ledger** — a job's budget grant is read when it starts
       executing and settled from its future's done-callback, so a fast
       CTP's unspent budget reaches the ones still pending;
     * **stats** — per-CTP ``SearchStats`` stay on their reports and merge
       in CTP order, never completion order.  Only the shared-pool
-      ``pool_*`` deltas become approximate under concurrency.
+      ``pool_*`` deltas become approximate under the thread fallback.
 
     What runs a job is a seam of three things: ``start(job)`` returning a
     future of ``(result_set, seconds)``, a ``shutdown`` and the ``mode``
-    stamp.  :class:`InlineExecutor` runs at submit on the calling thread —
-    that *is* the serial path; a ``ThreadPoolExecutor`` overlaps
-    deadline-bounded CTPs' wall-clock budgets under the GIL (m concurrent
-    timeouts cost ~T, not m*T); a :class:`~repro.query.pool.WorkerPool`
-    gives CPU-bound searches real multi-core overlap — workers are separate
-    interpreters that load an mmap-shared CSR snapshot once and keep a
-    private :class:`SearchContext`, while the parent alone serves and files
-    the memo.
+    stamp.  :class:`InlineExecutor` runs at start on the calling thread —
+    that *is* the serial path; a :class:`~repro.query.pool.WorkerPool`
+    gives CPU-bound searches real multi-core overlap — workers are
+    separate interpreters that load an mmap-shared CSR snapshot once and
+    keep a private :class:`SearchContext`, while the parent alone serves
+    and files the memo.
+
+:func:`open_dispatch`
+    The one rule for what runs a query's CTPs: the worker pool its caller
+    passed in, when that pool can serve the graph; otherwise the calling
+    thread, inline.
 
 :class:`_PooledDispatch`
     The failure policy around the pool executor, applied once: breaker
     gate, picklability pre-flight, hang watchdog, retry-after-respawn, and
-    the process → thread → serial degradation with the hop stamped in
-    ``mode``.  ``parallelism_mode="process"`` without a usable injected
-    pool runs the very same path on a pool that lives for the call.
+    the process → thread → serial fallback with the hop stamped in
+    ``mode``.  Those fallback threads are the only thread pool step (B)
+    ever uses.
 
 :func:`evaluate_queries`
     The batch front-end: many queries against **one** shared context, so
@@ -54,8 +57,8 @@ state is safe to share.  This module implements that step **once**:
     interning pool amortizes across the batch — the multi-user serving
     shape (many queries, one graph).
 
-``python -m repro.bench parallel`` / ``process-parallel`` measure what
-each executor buys and re-check row identity.
+``tests/test_parallel.py`` and ``tests/test_process_parallel.py`` hold
+every executor's rows to the serial loop's.
 """
 
 from __future__ import annotations
@@ -65,14 +68,13 @@ import pickle
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ctp.config import SearchConfig
 from repro.ctp.context import SearchContext
 from repro.ctp.registry import get_algorithm
 from repro.ctp.results import CTPResultSet
-from repro.ctp.stats import SearchStats
 from repro.errors import GraphError, PoolClosedError, ReproError, StaleViewError, WorkerHangError
 from repro.graph.graph import Graph
 from repro.query.costmodel import QuerySchedule
@@ -102,16 +104,15 @@ class CTPJob:
 class CTPOutcome:
     """What one job produced: the result set, memo provenance, timing.
 
-    ``mode`` records what actually produced the result: ``"serial"``,
-    ``"thread"``, or ``"process"`` for an executed search, ``"memo"`` when
-    the result was served from the cross-CTP memo (or shared from an
-    in-flight duplicate) and no search ran for this job at all.  It can
-    therefore differ from the requested ``parallelism_mode``: a process
-    dispatch that could not cross the process boundary, exhausted its
-    retries or was refused by an open circuit breaker stamps the hop —
-    ``"process->thread"`` / ``"process->serial"``.  The fallback is silent
-    for the query by design, but it must stay *observable* so a ~0.9x
-    thread run never masquerades as multi-core.
+    ``mode`` records what actually produced the result: ``"serial"`` or
+    ``"process"`` for an executed search, ``"memo"`` when the result was
+    served from the cross-CTP memo (or shared from an in-flight duplicate)
+    and no search ran for this job at all.  A pooled dispatch that could
+    not cross the process boundary, exhausted its retries or was refused
+    by an open circuit breaker stamps the hop — ``"process->thread"`` /
+    ``"process->serial"``.  The fallback is silent for the query by
+    design, but it must stay *observable* so a ~0.9x thread run never
+    masquerades as multi-core.
     """
 
     result_set: CTPResultSet
@@ -129,18 +130,30 @@ def effective_parallelism(
     """Worker count a dispatch will actually use.
 
     Collapses to serial when there is at most one job, when the caller
-    asked for one worker, or when — under *thread* mode — an explicit
-    context is not thread-safe: sharing unlocked state across workers is
-    never worth a corrupted pool, and the serial path is always correct.
-    Process mode never shares the context with workers (only the parent
-    thread touches it, for memo serve/file), so a non-thread-safe context
-    does not downgrade it.
+    asked for one worker, or when — for the *thread* fallback — an
+    explicit context is not thread-safe: sharing unlocked state across
+    workers is never worth a corrupted pool, and the serial path is always
+    correct.  Pool (``"process"``) workers never share the context (only
+    the parent thread touches it, for memo serve/file), so a
+    non-thread-safe context does not reduce them.
     """
     if num_jobs <= 1 or parallelism <= 1:
         return 1
     if mode == "thread" and context is not None and not context.thread_safe:
         return 1
     return min(parallelism, num_jobs)
+
+
+def serving_pool(pool: Optional[WorkerPool], graph: Graph) -> Optional[WorkerPool]:
+    """``pool`` when it can run jobs over ``graph``, else ``None``.
+
+    A closed pool, or one bound to a different graph, is ignored rather
+    than trusted: its workers would fail, or silently search the wrong
+    topology.
+    """
+    if pool is None or pool.closed or not pool.matches(graph):
+        return None
+    return pool
 
 
 def _replayable(result_set: CTPResultSet) -> bool:
@@ -177,11 +190,9 @@ class Dispatch:
     (memo-served and shared outcomes say ``"memo"`` — claiming a worker ran
     them would defeat the observability the field exists for).
 
-    ``submit`` may be called any number of times before ``finish``: the
-    evaluator feeds jobs as their seed variables resolve, and "barrier"
-    dispatch is simply the case of one call.  Within a call, distinct memo
-    keys are started **longest-first** by the schedule's estimates (ties by
-    CTP index, so the order is deterministic): with fewer workers than
+    :meth:`run` takes every job of the query at once.  Distinct memo keys
+    are started **longest-first** by the schedule's estimates (ties by CTP
+    index, so the order is deterministic): with fewer workers than
     leaders, starting the stragglers first shrinks the makespan.
     ``reorder=False`` keeps CTP order — an inline executor overlaps
     nothing, and CTP order is the reference the serial deadline ledger is
@@ -192,7 +203,9 @@ class Dispatch:
     dispatch.  Blowing it raises :class:`~repro.errors.WorkerHangError` —
     a worker that cannot even return a ``timed_out`` partial result inside
     its own budget plus grace is wedged, and waiting longer would hold the
-    dispatch forever.
+    dispatch forever.  ``shutdown`` releases the executor when :meth:`run`
+    ends; on an error queued jobs are dropped without waiting (a sibling
+    job failed — nobody will read them).
     """
 
     def __init__(
@@ -211,36 +224,20 @@ class Dispatch:
         self._start_one = start
         self._shutdown = shutdown
         self._watchdog = watchdog
-        self._expires = None if watchdog is None else time.monotonic() + watchdog
         self._reorder = reorder
-        self._jobs: List[CTPJob] = []
         self._outcomes: Dict[int, CTPOutcome] = {}
-        #: memo key -> the future of the job searching it (in-flight dedup).
-        self._leaders: Dict[Hashable, "Future[Any]"] = {}
         #: leader future -> [leader, followers still waiting on it...].
         self._running: Dict["Future[Any]", List[CTPJob]] = {}
         self._reruns: List[Tuple[CTPJob, "Future[Any]"]] = []
         #: CTP indices that rode an in-flight leader (they register their
-        #: memo hit during the replay, not at submit).
+        #: memo hit during the replay, not when they are served).
         self.followers: List[int] = []
-        #: Leaders started while step (A) still had BGPs to evaluate.
-        self.overlapped = 0
-
-    def __enter__(self) -> "Dispatch":
-        return self
-
-    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
-        """Release the executor.  On an error queued jobs are dropped without
-        waiting (step (A) or a sibling job failed — nobody will read them)."""
-        if self._shutdown is not None:
-            failed = exc_type is not None
-            self._shutdown(wait=not failed, cancel_futures=failed)
 
     def _start(self, job: CTPJob) -> "Future[Any]":
         future = self._start_one(job)
-        # Settled where the run ends, not at finish(): under the inline
-        # executor the next job's grant must already see this one gone.
-        # The callback holds the schedule, not this dispatch: through
+        # Settled where the run ends, not when run() collects it: under the
+        # inline executor the next job's grant must already see this one
+        # gone.  The callback holds the schedule, not this dispatch: through
         # ``self`` it would close a cycle with ``_running`` and leave every
         # query's result sets to the cyclic collector.
         settle, index = self.schedule.settle, job.index
@@ -268,21 +265,25 @@ class Dispatch:
             # instead of queueing behind the slowest one.
             self._reruns.append((job, self._start(job)))
 
-    def submit(self, jobs: Sequence[CTPJob], overlapped: bool = False) -> None:
-        """Serve, dedup and start ``jobs``.
+    def run(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
+        """Serve, dedup, run and settle ``jobs``; replay the memo in CTP order."""
+        failed = True
+        try:
+            outcomes = self._run(jobs)
+            failed = False
+            return outcomes
+        finally:
+            if self._shutdown is not None:
+                self._shutdown(wait=not failed, cancel_futures=failed)
 
-        ``overlapped`` marks jobs entering while step (A) still has BGPs to
-        evaluate — the pipeline-overlap count the schedule telemetry reports.
-        """
-        context = self.context
+    def _run(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
+        expires = None if self._watchdog is None else time.monotonic() + self._watchdog
+        context, outcomes = self.context, self._outcomes
         groups: Dict[Hashable, List[CTPJob]] = {}
         for job in jobs:
-            self._jobs.append(job)
             key = job.memo_key
             if key is None:
                 groups[("__unkeyed__", job.index)] = [job]
-            elif key in self._leaders:
-                self._follow(job, self._leaders[key])
             elif key in groups:
                 groups[key].append(job)
             else:
@@ -290,7 +291,7 @@ class Dispatch:
                 if cached is None:
                     groups[key] = [job]
                 else:
-                    self._outcomes[job.index] = CTPOutcome(cached, True, 0.0, "memo")
+                    outcomes[job.index] = CTPOutcome(cached, True, 0.0, "memo")
                     self.schedule.settle(job.index)
         ordered = list(groups.values())
         if self._reorder:
@@ -298,48 +299,37 @@ class Dispatch:
             self.schedule.record_submits([group[0].index for group in ordered])
         started = []
         for group in ordered:  # every leader first, then the riders
-            self.overlapped += overlapped
             future = self._start(group[0])
             self._running[future] = [group[0]]
-            if group[0].memo_key is not None:
-                self._leaders[group[0].memo_key] = future
             started.append((future, group[1:]))
         for future, riders in started:
             for job in riders:
                 self._follow(job, future)
 
-    def _remaining(self) -> Optional[float]:
-        if self._expires is None:
-            return None
-        return max(1e-3, self._expires - time.monotonic())
+        # Leaders settle as they finish, not in start order, and the
+        # completion order never shows: outcomes are keyed by CTP index.
+        def remaining() -> Optional[float]:
+            return None if expires is None else max(1e-3, expires - time.monotonic())
 
-    def finish(self) -> List[CTPOutcome]:
-        """Barrier: settle every submitted job, replay the memo in CTP order.
-
-        Leaders settle as they finish, not in submission order, and the
-        completion order never shows: outcomes are keyed by CTP index.
-        """
-        outcomes = self._outcomes
         try:
-            for future in as_completed(list(self._running), timeout=self._remaining()):
+            for future in as_completed(list(self._running), timeout=remaining()):
                 leader, *waiting = self._running[future]
                 result_set, seconds = future.result()
                 outcomes[leader.index] = CTPOutcome(result_set, False, seconds, self.mode)
                 for job in waiting:
                     self._share(job, result_set)
             for job, future in self._reruns:
-                result_set, seconds = future.result(timeout=self._remaining())
+                result_set, seconds = future.result(timeout=remaining())
                 outcomes[job.index] = CTPOutcome(result_set, False, seconds, self.mode)
         except TimeoutError as error:
             raise WorkerHangError(
                 f"dispatch of {len(self._running) + len(self._reruns)} CTP job(s) exceeded "
                 f"its {self._watchdog}s hang watchdog"
             ) from error
-        jobs = sorted(self._jobs, key=lambda job: job.index)
-        if self.context is not None:
-            self._replay(jobs, self.context)
-        self.schedule.report.pipeline_overlaps = self.overlapped
-        return [outcomes[job.index] for job in jobs]
+        in_order = sorted(jobs, key=lambda job: job.index)
+        if context is not None:
+            self._replay(in_order, context)
+        return [outcomes[job.index] for job in in_order]
 
     def _replay(self, jobs: Sequence[CTPJob], context: SearchContext) -> None:
         """Replay the serial loop's cache traffic in CTP order.
@@ -347,9 +337,9 @@ class Dispatch:
         Followers register the hit they would have had; everything else
         that is replayable is filed — a leader's fresh result, a re-run
         follower's, and (a recency refresh only: the same object under its
-        key) the set a job was served at submit.  Running this after the
-        barrier keeps the memo's LRU order, and therefore its eviction
-        choices, independent of worker scheduling.
+        key) the set a job was served from the memo.  Running this after
+        every job settled keeps the memo's LRU order, and therefore its
+        eviction choices, independent of worker scheduling.
         """
         followers = set(self.followers)
         for job in jobs:
@@ -366,16 +356,17 @@ def _local_dispatch(
     graph: Graph,
     algorithm: str,
     context: Optional[SearchContext],
-    workers: int,
     schedule: QuerySchedule,
+    workers: int = 1,
     hop: str = "",
 ) -> Dispatch:
-    """A :class:`Dispatch` over this process: inline, or ``workers`` threads."""
+    """A :class:`Dispatch` in this process: inline, or — the pool's
+    fallback only — ``workers`` threads."""
     algo = get_algorithm(algorithm)
 
     def run_one(job: CTPJob) -> Tuple[CTPResultSet, float]:
         # The deadline-budget grant is read at *execution* start (inside
-        # the worker thread), not submit time: a job that queued behind
+        # the worker thread), not at start-up: a job that queued behind
         # siblings picks up whatever budget they left unspent.
         config = schedule.config_for_run(job)
         started = time.perf_counter()
@@ -402,66 +393,30 @@ def open_dispatch(
     context: Optional[SearchContext],
     num_jobs: int,
     parallelism: int = 1,
-    mode: str = "thread",
     pool: Optional[WorkerPool] = None,
     report: Optional[ResilienceReport] = None,
     schedule: Optional[QuerySchedule] = None,
 ) -> Any:
-    """Pick the executor for a query of ``num_jobs`` CTPs; returns a context
-    manager with ``submit(jobs)`` / ``finish()``.
+    """What runs a query of ``num_jobs`` CTPs; returns an object whose
+    ``run(jobs)`` gives one :class:`CTPOutcome` per job, in CTP order.
 
-    ``mode`` is ``"thread"`` or ``"process"`` (the evaluator resolves
-    ``"auto"`` before it dispatches).  An injected ``pool`` is used for
-    every process-mode dispatch — even a single job, even ``parallelism ==
-    1``: a warm worker beats any spin-up, and on a single-core host the
-    serving layer's whole win *is* the eliminated spin-up.  A closed pool,
-    or one bound to a different graph, is ignored rather than trusted;
-    process mode then builds a pool for the call when more than one worker
-    would run, and otherwise collapses to the inline executor like thread
-    mode does.  ``schedule`` carries the cost estimates that order the
+    One rule.  A ``pool`` that can serve ``graph`` (:func:`serving_pool`)
+    runs every job — even a single one, even at ``parallelism == 1``: a
+    warm worker beats any spin-up — under the failure policy of
+    :class:`_PooledDispatch`, whose fallback runs ``parallelism`` threads,
+    else the serial loop.  Without one the jobs run inline, on the calling
+    thread.  ``report`` collects what resilience machinery fired around
+    the pool.  ``schedule`` carries the cost estimates that order the
     fan-out and the deadline ledger, if any; a caller with neither gets a
     blank one (CTP order, job timeouts as built).
     """
     if schedule is None:
         schedule = QuerySchedule()
-    workers = effective_parallelism(parallelism, num_jobs, context, mode)
-    if mode == "process" and num_jobs:
+    pool = serving_pool(pool, graph)
+    if pool is not None and num_jobs:
         report = report if report is not None else ResilienceReport()
-        args = (graph, algorithm, context, parallelism, report, schedule)
-        if pool is not None and not pool.closed and pool.matches(graph):
-            return _PooledDispatch(pool, False, *args)
-        if workers > 1:
-            return _PooledDispatch(WorkerPool(graph, workers=workers), True, *args)
-    return _local_dispatch(graph, algorithm, context, workers, schedule)
-
-
-def run_ctp_jobs(
-    graph: Graph,
-    algorithm: str,
-    jobs: Sequence[CTPJob],
-    context: Optional[SearchContext],
-    parallelism: int = 1,
-    mode: str = "thread",
-    pool: Optional[WorkerPool] = None,
-    report: Optional[ResilienceReport] = None,
-    schedule: Optional[QuerySchedule] = None,
-) -> List[CTPOutcome]:
-    """Evaluate ``jobs`` and return one :class:`CTPOutcome` per job, in order.
-
-    The barrier form of :func:`open_dispatch` (see there for ``mode`` —
-    ``"thread"`` or ``"process"`` — and ``pool``): everything is submitted
-    at once.  ``report`` (a :class:`~repro.query.resilience.ResilienceReport`)
-    collects what resilience machinery fired under process dispatch;
-    ``schedule`` (a :class:`~repro.query.costmodel.QuerySchedule`) supplies
-    the estimates for longest-first submission and the ledger for
-    execution-time deadline-budget grants (the job configs carry build
-    budgets; the ledger may re-grant upward, never downward).
-    """
-    with open_dispatch(
-        graph, algorithm, context, len(jobs), parallelism, mode, pool, report, schedule
-    ) as dispatch:
-        dispatch.submit(jobs)
-        return dispatch.finish()
+        return _PooledDispatch(pool, graph, algorithm, context, parallelism, report, schedule)
+    return _local_dispatch(graph, algorithm, context, schedule)
 
 
 # ----------------------------------------------------------------------
@@ -649,10 +604,8 @@ def _watchdog_budget(jobs: Sequence[CTPJob], pool: WorkerPool) -> float:
 class _PooledDispatch:
     """The failure policy around the pool executor, applied once.
 
-    Process dispatch is barrier-only (shipping jobs mid-step-(A) would
-    serialize on snapshot pickling anyway), so ``submit`` holds the jobs
-    and ``finish`` runs them: a :class:`Dispatch` whose ``start`` ships a
-    job to the pool's long-lived workers, wrapped in the pool's
+    :meth:`run` is a :class:`Dispatch` whose ``start`` ships a job to the
+    pool's long-lived workers, wrapped in the pool's
     :class:`~repro.query.resilience.CircuitBreaker` and
     :class:`~repro.query.resilience.RetryPolicy`:
 
@@ -675,60 +628,38 @@ class _PooledDispatch:
     * Exhausted retries, a workload that cannot cross the process boundary
       (no respawn can fix that) and a view the workers' base has moved
       past (:class:`~repro.errors.StaleViewError`, from ``prepare_for`` or
-      from a worker that cannot map the base the job names) degrade to threads,
-      else the inline executor, with the hop stamped — ``"process->thread"``
-      / ``"process->serial"`` — rather than failing the query.
-      Deterministic evaluation errors (a raising scorer) are *not* retried
-      or degraded: they propagate as typed errors, because re-running them
-      elsewhere would just fail again — or worse, mask a real bug.
-
-    ``owned`` marks a pool built for this call: leaving the dispatch shuts
-    its workers down but keeps the snapshot file ``ensure_snapshot``
-    memoized on the graph, so the next call does not serialize it again.
+      from a worker that cannot map the base the job names) degrade to
+      ``parallelism`` threads, else the inline executor, with the hop
+      stamped — ``"process->thread"`` / ``"process->serial"`` — rather
+      than failing the query.  Deterministic evaluation errors (a raising
+      scorer) are *not* retried or degraded: they propagate as typed
+      errors, because re-running them elsewhere would just fail again —
+      or worse, mask a real bug.
     """
 
     pool: WorkerPool
-    owned: bool
     graph: Graph
     algorithm: str
     context: Optional[SearchContext]
     parallelism: int
     report: ResilienceReport
     schedule: QuerySchedule
-    jobs: List[CTPJob] = field(default_factory=list)
 
-    def __enter__(self) -> "_PooledDispatch":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        if self.owned:
-            self.pool.close(release_snapshot=False)
-
-    def submit(self, jobs: Sequence[CTPJob], overlapped: bool = False) -> None:
-        self.jobs.extend(jobs)
-
-    def _run(self, dispatch: Dispatch) -> List[CTPOutcome]:
-        with dispatch:
-            dispatch.submit(self.jobs)
-            return dispatch.finish()
-
-    def _degraded(self) -> List[CTPOutcome]:
+    def _degraded(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
         """Give up on the pool: run threads, else inline, stamping the hop."""
-        workers = effective_parallelism(self.parallelism, len(self.jobs), self.context, "thread")
+        workers = effective_parallelism(self.parallelism, len(jobs), self.context)
         self.report.degraded_to = "thread" if workers > 1 else "serial"
-        return self._run(
-            _local_dispatch(
-                self.graph, self.algorithm, self.context, workers, self.schedule, hop="process->"
-            )
-        )
+        return _local_dispatch(
+            self.graph, self.algorithm, self.context, self.schedule, workers, hop="process->"
+        ).run(jobs)
 
-    def finish(self) -> List[CTPOutcome]:
-        pool, report, jobs = self.pool, self.report, self.jobs
+    def run(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
+        pool, report = self.pool, self.report
         breaker, policy = pool.breaker, pool.retry_policy
         if not breaker.allow():
             report.breaker_skips += 1
             self._note_pool_state()
-            return self._degraded()
+            return self._degraded(jobs)
         verdict = False  # has the breaker heard anything about the pool yet?
         try:
             try:
@@ -737,15 +668,15 @@ class _PooledDispatch:
                 # Not a pool failure — the pinned view outlived the workers'
                 # base (a compaction moved past it), so serve it in-process
                 # instead of charging the breaker for an outdated reader.
-                return self._degraded()
+                return self._degraded(jobs)
             except (ReproError, OSError, pickle.PicklingError, TypeError, AttributeError):
                 breaker.record_failure()
                 verdict = True
-                return self._degraded()
+                return self._degraded(jobs)
             if not _jobs_picklable(self.algorithm, jobs, resolved.delta):
                 # Not a pool failure either: the workload itself cannot
                 # cross a process boundary.
-                return self._degraded()
+                return self._degraded(jobs)
 
             def ship(job: CTPJob) -> "Future[Any]":
                 # A process job's grant is read at submit time (the worker
@@ -763,17 +694,15 @@ class _PooledDispatch:
             attempt = 1
             while True:
                 try:
-                    outcomes = self._run(
-                        Dispatch(
-                            self.context, self.schedule, ship, "process",
-                            watchdog=_watchdog_budget(jobs, pool),
-                        )
-                    )
+                    outcomes = Dispatch(
+                        self.context, self.schedule, ship, "process",
+                        watchdog=_watchdog_budget(jobs, pool),
+                    ).run(jobs)
                     breaker.record_success()
                     verdict = True
                     return outcomes
                 except StaleViewError:
-                    return self._degraded()
+                    return self._degraded(jobs)
                 except policy.retryable as error:
                     breaker.record_failure()
                     verdict = True
@@ -787,11 +716,11 @@ class _PooledDispatch:
                     except (PoolClosedError, ReproError, OSError):
                         # The pool cannot be rebuilt (closed under us,
                         # snapshot gone): no retry can succeed on it.
-                        return self._degraded()
+                        return self._degraded(jobs)
                     if not policy.should_retry(
                         attempt, error, elapsed=time.monotonic() - started, budget=budget
                     ):
-                        return self._degraded()
+                        return self._degraded(jobs)
                     backoff = policy.backoff_seconds(attempt, rng)
                     if backoff > 0:
                         time.sleep(backoff)
@@ -837,17 +766,6 @@ class BatchResult:
         """The shared context's cumulative counters."""
         return self.context.stats_dict()
 
-    def merged_ctp_stats(self) -> SearchStats:
-        """All CTP search counters of the batch, merged in (query, CTP) order.
-
-        Deterministic regardless of worker count: the merge order is the
-        batch's declaration order, never completion order.  Memo-hit CTPs
-        contribute the cached run's stats (they replay its result set).
-        """
-        return SearchStats.merged(
-            report.result_set.stats for result in self.results for report in result.ctp_reports
-        )
-
 
 def evaluate_queries(
     graph: Graph,
@@ -862,8 +780,8 @@ def evaluate_queries(
     """Evaluate many EQL queries against **one** shared search context.
 
     The batch shape of the evaluator: queries run sequentially (each
-    query's CTPs dispatch in parallel per ``base_config.parallelism``),
-    but they all adopt the same context — a CONNECT one query evaluated is
+    query's CTPs run in ``pool`` when one is given, otherwise inline), but
+    they all adopt the same context — a CONNECT one query evaluated is
     a cross-query memo hit for every later query that repeats it, and the
     interning pool warms once for the whole batch.  An empty ``queries``
     sequence is legal and returns an empty batch.
@@ -879,11 +797,9 @@ def evaluate_queries(
     one is created per call (thread-safe when ``parallelism > 1``).
 
     ``pool`` is the process-side analogue: a persistent
-    :class:`~repro.query.pool.WorkerPool` routes every query's
-    ``"process"``-mode dispatch through the same long-lived workers, so
-    the batch pays executor spin-up and per-worker snapshot loads once —
-    not once per query, as the call-scoped pool of a pool-less process
-    dispatch does.
+    :class:`~repro.query.pool.WorkerPool` runs every query's CTPs in the
+    same long-lived workers, so the batch pays executor spin-up and
+    per-worker snapshot loads once.
     """
     from repro.query.evaluator import evaluate_query  # local: evaluator imports us
 

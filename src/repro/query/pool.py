@@ -9,8 +9,8 @@ integrated evaluator implies (many queries, one graph) needs the workers
 to outlive the query.
 
 :class:`WorkerPool` owns **one** executor for the lifetime of the pool;
-every process-mode dispatch in :mod:`repro.query.parallel` runs through
-one (a query without an injected pool gets one that lives for the call).
+every pooled dispatch in :mod:`repro.query.parallel` runs through the
+pool its caller passed in (a query without one runs its CTPs inline).
 
 * **Load once, serve forever** — workers run
   :func:`~repro.query.parallel._process_worker_init` exactly once, when
@@ -44,9 +44,9 @@ one (a query without an injected pool gets one that lives for the call).
   of leaking it until interpreter exit.
 
 Inject a pool into :func:`~repro.query.evaluator.evaluate_query` /
-:func:`~repro.query.parallel.evaluate_queries` (``pool=...``) to route
-their process-mode dispatches through it, or let :class:`repro.serve`'s
-``QueryServer`` own one for you.
+:func:`~repro.query.parallel.evaluate_queries` (``pool=...``) to run
+their CTPs in it, or let :class:`repro.serve`'s ``QueryServer`` own one
+for you.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class WorkerPool:
         self.resilience = resilience if resilience is not None else PoolResilienceConfig()
         #: Retry discipline the dispatch layer applies to pooled fan-outs.
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        #: Failure gate for process-mode dispatch through this pool.
+        #: Failure gate for dispatch through this pool.
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._csr: Any = None
@@ -222,20 +222,6 @@ class WorkerPool:
         """
         return self._executor is not None and self._epoch_work > 0
 
-    def dispatch_overhead(self) -> float:
-        """Cost-units bar a query must clear for process dispatch to pay.
-
-        Consumed by :func:`repro.query.costmodel.choose_mode` when
-        resolving ``parallelism_mode="auto"``: a warm pool's overhead is
-        per-job IPC only (:data:`~repro.query.costmodel.PROCESS_WARM_THRESHOLD`);
-        a cold or respawning pool must still spawn interpreters and load
-        the snapshot per worker
-        (:data:`~repro.query.costmodel.PROCESS_COLD_THRESHOLD`).
-        """
-        from repro.query.costmodel import PROCESS_COLD_THRESHOLD, PROCESS_WARM_THRESHOLD
-
-        return PROCESS_WARM_THRESHOLD if self.warm else PROCESS_COLD_THRESHOLD
-
     @property
     def snapshot_path(self) -> Optional[str]:
         return self._snapshot_path
@@ -250,23 +236,19 @@ class WorkerPool:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def close(self, release_snapshot: bool = True) -> None:
+    def close(self) -> None:
         """Shut the executor down and release pool-owned temp state.
 
         Idempotent.  The auto-snapshot file (if the pool created one) is
         unlinked *now* rather than at interpreter exit — a long-lived
         server cycles pools (respawns, graph generations) and would
         otherwise stack up one stranded temp file per cycle.  Explicitly
-        saved snapshot files are never touched.  ``release_snapshot=False``
-        is for the pool a per-call process dispatch builds: the file stays
-        memoized on the graph, so the next call maps it instead of
-        serializing the graph again.
+        saved snapshot files are never touched.
         """
         with self._lock:
             self._closed = True
             self._shutdown_locked()
-            if release_snapshot:
-                release_auto_snapshot(self._snapshot_path)
+            release_auto_snapshot(self._snapshot_path)
             self._snapshot_path = None
             self._csr = None
 

@@ -16,7 +16,7 @@ dispatch layer composes:
     query no longer has.
 
 :class:`CircuitBreaker`
-    The classic closed → open → half-open machine guarding process-mode
+    The classic closed → open → half-open machine guarding pooled
     dispatch.  Repeated pool failures trip it open: while open, dispatch
     degrades straight to thread/serial (cheap, always correct) instead of
     paying a doomed spawn-fail-respawn cycle per query.  After a cooldown
@@ -136,7 +136,7 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Closed → open → half-open failure gate for process-mode dispatch.
+    """Closed → open → half-open failure gate for pooled dispatch.
 
     Thread-safe; shared by every dispatch that runs through one
     :class:`~repro.query.pool.WorkerPool`.  ``clock`` is injectable so
@@ -187,7 +187,7 @@ class CircuitBreaker:
             return self._state
 
     def allow(self) -> bool:
-        """Whether a process-mode dispatch may run right now.
+        """Whether a pooled dispatch may run right now.
 
         Closed: always.  Open: no, until the cooldown elapses.  Half-open:
         admits up to ``half_open_probes`` probe dispatches, whose outcomes

@@ -54,13 +54,12 @@ from repro.serve.models import (
     ResponseStats,
 )
 
-#: How the server executes each request's CTPs: ``"process"`` routes
-#: through the persistent :class:`~repro.query.pool.WorkerPool` (the
-#: default, and the only mode that pays a snapshot), ``"thread"`` uses
-#: in-process thread dispatch, ``"serial"`` runs CTPs one at a time on
-#: the handling thread.  All three pin the same MVCC read view, so the
-#: consistency contract is identical.
-DISPATCH_MODES = ("process", "thread", "serial")
+#: How the server executes each request's CTPs: ``"process"`` runs them
+#: in the server's persistent :class:`~repro.query.pool.WorkerPool` (the
+#: default, and the only mode that pays a snapshot), ``"serial"`` runs
+#: them one at a time on the handling thread.  Both pin the same MVCC
+#: read view, so the consistency contract is identical.
+DISPATCH_MODES = ("process", "serial")
 
 
 class QueryServer:
@@ -73,9 +72,7 @@ class QueryServer:
     algorithm:
         Default CTP algorithm (requests may override per call).
     base_config:
-        Base :class:`SearchConfig` requests inherit from; the server
-        normalizes its ``parallelism_mode`` / ``parallelism`` to
-        ``dispatch_mode``.  Defaults to one worker per core.
+        Base :class:`SearchConfig` requests inherit from.
     workers:
         Worker process count for the pool (default: ``os.cpu_count()``).
     max_pending:
@@ -100,17 +97,17 @@ class QueryServer:
         thresholds, hang watchdog budgets), ``retry_policy``, ``breaker``.
     dispatch_mode:
         How CTPs execute (:data:`DISPATCH_MODES`): ``"process"`` (the
-        default — persistent worker pool, mmap snapshot), ``"thread"``
-        (in-process threads, no pool), or ``"serial"`` (one CTP at a
-        time on the handling thread).  All three pin the same MVCC read
-        view per request, so :meth:`ingest` is safe under any of them.
+        default — persistent worker pool, mmap snapshot) or ``"serial"``
+        (one CTP at a time on the handling thread).  Both pin the same
+        MVCC read view per request, so :meth:`ingest` is safe under
+        either.
     compaction_threshold:
         Delta-overlay mutations tolerated before base ∪ delta is
         refrozen into a fresh base snapshot (``None`` = never compact,
         ``0`` = compact on any mutation, i.e. the legacy
         resnapshot-per-mutation behavior).  Under process dispatch the
-        worker pool compacts at its dispatch boundary; under
-        thread/serial dispatch :meth:`ingest` compacts inline.
+        worker pool compacts at its dispatch boundary; under serial
+        dispatch :meth:`ingest` compacts inline.
 
     Use as a context manager (or call :meth:`close`): the pool holds OS
     processes and a temp snapshot file, which should die with the server,
@@ -148,13 +145,7 @@ class QueryServer:
         self.algorithm = algorithm
         self.dispatch_mode = dispatch_mode
         self.compaction_threshold = compaction_threshold
-        base = base_config or SearchConfig()
-        if dispatch_mode == "process":
-            self.base_config = base.with_(parallelism_mode="process")
-        elif dispatch_mode == "thread":
-            self.base_config = base.with_(parallelism_mode="thread")
-        else:  # serial: one CTP at a time on the handling thread
-            self.base_config = base.with_(parallelism=1)
+        self.base_config = base_config or SearchConfig()
         self.default_deadline = default_deadline
         self.default_timeout = default_timeout
         self.max_pending = max_pending
@@ -261,7 +252,7 @@ class QueryServer:
         or none of it.  Queries already running are untouched — they keep
         reading their pinned generation (MVCC), and the next dispatch
         ships the enlarged delta to the pool's workers without respawning
-        them.  Under thread/serial dispatch the server itself compacts
+        them.  Under serial dispatch the server itself compacts
         the overlay once it outgrows ``compaction_threshold`` (the worker
         pool owns that decision under process dispatch, at its own
         dispatch boundary).

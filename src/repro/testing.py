@@ -20,6 +20,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.ctp.results import CTPResultSet, ResultTree, validate_result
 from repro.graph.graph import Graph
 from repro.query.parallel import InlineExecutor as _InlineExecutor
+from repro.query.pool import WorkerPool
+from repro.query.resilience import CircuitBreaker
 
 
 class FakeClock:
@@ -62,6 +64,19 @@ class InlineExecutor(_InlineExecutor):
     def submit(self, fn: Any, *args: Any, **kwargs: Any) -> "Future[Any]":
         self.submitted.append((fn, args))
         return super().submit(fn, *args, **kwargs)
+
+
+def fallback_pool(graph: Any, workers: int = 2) -> WorkerPool:
+    """A :class:`~repro.query.pool.WorkerPool` whose circuit breaker is open.
+
+    Every dispatch through it takes the process → thread → serial fallback
+    (stamped ``"process->thread"`` / ``"process->serial"``) without
+    spawning a worker or writing a snapshot — the way tests reach the
+    thread executor, which runs nowhere else.  Close it like any pool.
+    """
+    breaker = CircuitBreaker(failure_threshold=1, cooldown=float("inf"))
+    breaker.record_failure()
+    return WorkerPool(graph, workers=workers, breaker=breaker)
 
 
 #: Containers :func:`approx_bytes` descends into element-wise.

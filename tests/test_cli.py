@@ -81,24 +81,21 @@ class TestQueryCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "parallelism" in err and ">= 1" in err
 
-    def test_parallelism_mode_process(self, capsys):
+    def test_parallelism_runs_in_a_worker_pool(self, capsys):
+        """``--parallelism N>1`` opens a worker pool for the command."""
         query = (
             'SELECT ?w1 ?w2 WHERE { CONNECT("Bob", "Alice") AS ?w1 MAX 3 '
             'CONNECT("Bob", "USA") AS ?w2 MAX 3 }'
         )
         serial = main(["query", query])
         serial_out = capsys.readouterr().out
-        process = main(
-            ["query", query, "--parallelism", "2", "--parallelism-mode", "process"]
-        )
+        process = main(["query", query, "--parallelism", "2"])
         process_out = capsys.readouterr().out
         assert serial == 0 and process == 0
         assert serial_out.split("\n\n")[0] == process_out.split("\n\n")[0]
-
-    def test_parallelism_mode_rejects_unknown_value(self):
-        with pytest.raises(SystemExit):  # argparse choices
-            main(["query", "SELECT ?w WHERE { CONNECT(\"A\", \"B\") AS ?w }",
-                  "--parallelism-mode", "fibers"])
+        assert "?w1: [process]" in process_out
+        assert "schedule: mode process " in process_out
+        assert "schedule: mode serial " in serial_out
 
     def test_bad_query_reports_error(self, capsys):
         code = main(["query", "SELECT ?w WHERE {"])

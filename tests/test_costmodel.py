@@ -1,4 +1,4 @@
-"""The CTP cost model: golden feature vectors, estimator properties, mode choice.
+"""The CTP cost model: golden feature vectors and estimator properties.
 
 The scheduler (repro.query.parallel / repro.query.costmodel) relies on
 exactly three properties of the estimate — monotone in seed-set size,
@@ -19,12 +19,8 @@ from repro.graph.graph import Graph
 from repro.query.costmodel import (
     ALGORITHM_WEIGHTS,
     DEFAULT_ALGORITHM_WEIGHT,
-    PROCESS_COLD_THRESHOLD,
-    PROCESS_WARM_THRESHOLD,
-    THREAD_DISPATCH_THRESHOLD,
     CostFeatures,
     CTPCostEstimator,
-    choose_mode,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -154,44 +150,3 @@ def test_wildcard_seed_sets_dominate_bound_ones():
     wild = estimator.estimate_ctp(graph, "bft", [1, None], None)
     assert wild > bound
     assert WILDCARD is not None  # the sentinel the sizes stand in for
-
-
-# ----------------------------------------------------------------------
-# auto mode choice
-# ----------------------------------------------------------------------
-def test_choose_mode_serial_below_thread_threshold():
-    assert choose_mode(THREAD_DISPATCH_THRESHOLD - 1, 4, 4) == "serial"
-
-
-def test_choose_mode_serial_when_nothing_to_overlap():
-    assert choose_mode(1e9, 1, 8) == "serial"
-    assert choose_mode(1e9, 8, 1) == "serial"
-
-
-def test_choose_mode_thread_between_thresholds():
-    assert choose_mode(THREAD_DISPATCH_THRESHOLD, 4, 4) == "thread"
-    assert choose_mode(PROCESS_COLD_THRESHOLD - 1, 4, 4) == "thread"
-
-
-def test_choose_mode_process_above_cold_threshold_without_pool():
-    assert choose_mode(PROCESS_COLD_THRESHOLD, 4, 4) == "process"
-
-
-class _FakePool:
-    def __init__(self, warm: bool):
-        self.closed = False
-        self._warm = warm
-
-    def dispatch_overhead(self) -> float:
-        return PROCESS_WARM_THRESHOLD if self._warm else PROCESS_COLD_THRESHOLD
-
-
-def test_choose_mode_warm_pool_lowers_the_process_bar():
-    cost = PROCESS_WARM_THRESHOLD
-    assert choose_mode(cost, 4, 4) == "thread"  # no pool: cold bar
-    assert choose_mode(cost, 4, 4, pool=_FakePool(warm=True)) == "process"
-    assert choose_mode(cost, 4, 4, pool=_FakePool(warm=False)) == "thread"
-
-
-def test_choose_mode_explicit_overhead_wins_over_pool():
-    assert choose_mode(100.0, 4, 4, pool=_FakePool(warm=True), pool_overhead=50.0) == "process"

@@ -14,7 +14,7 @@ invariant at three layers:
    without charging the breaker;
 3. **serving** — concurrent ``ingest()`` + queries on a ``QueryServer``
    return rows matching a full freeze at each response's recorded
-   generation, under serial, thread, and process dispatch alike.
+   generation, under serial and process dispatch alike.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.serve import (
     QueryServer,
 )
 
-PROCESS_CONFIG = SearchConfig(parallelism=2, parallelism_mode="process")
+PROCESS_CONFIG = SearchConfig(parallelism=2)
 
 
 def _chain_graph():

@@ -7,8 +7,7 @@ CTP-order memo replay, whatever executes the searches.  Its contract is
 ~20 lines of get → run → put (:func:`_reference`), and a Hypothesis
 property drives the real object against it over random job lists
 (duplicate memo keys, unkeyed jobs, replayable and truncated fake result
-sets, a pre-seeded memo, caches small enough to evict) × submit batching
-(all at once = barrier, one by one = pipelined, random splits) × with and
+sets, a pre-seeded memo, caches small enough to evict) × with and
 without cost estimates × inline and thread executors.
 
 What is asserted where:
@@ -95,20 +94,18 @@ def _cases(draw: Any) -> Tuple[Any, ...]:
     truncated = frozenset(draw(st.sets(st.sampled_from(KEYS + tuple(range(len(jobs)))))))
     maxsize = draw(st.sampled_from((1, 2, 3, 64)))
     seeded = draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=maxsize))
-    cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=len(jobs)))))
-    batches = [jobs[a:b] for a, b in zip([0] + cuts, cuts + [len(jobs)])]
     estimates = draw(
         st.none()
         | st.lists(st.integers(min_value=0, max_value=3), min_size=len(jobs), max_size=len(jobs))
     )
     threads = draw(st.booleans())
-    return jobs, truncated, maxsize, seeded, batches, estimates, threads
+    return jobs, truncated, maxsize, seeded, estimates, threads
 
 
 @SETTINGS
 @given(case=_cases())
 def test_dispatch_equals_the_serial_loop(case):
-    jobs, truncated, maxsize, seeded, batches, estimates, threads = case
+    jobs, truncated, maxsize, seeded, estimates, threads = case
 
     reference_context = _seeded_context(maxsize, seeded)
     expected = _reference(jobs, reference_context.ctp_cache, truncated)
@@ -126,10 +123,7 @@ def test_dispatch_equals_the_serial_loop(case):
         MODE,
         shutdown=executor.shutdown,
     )
-    with dispatch:
-        for batch in batches:  # one batch = barrier, singletons = pipelined
-            dispatch.submit(batch, overlapped=batch is not batches[-1])
-        outcomes = dispatch.finish()
+    outcomes = dispatch.run(jobs)
 
     # Always: right rows, honest stamps, one probe per keyed job, bounded.
     assert len(outcomes) == len(jobs)
@@ -171,9 +165,7 @@ def test_inline_submission_order_is_schedule_order_but_replay_is_ctp_order():
     ]
     schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0, 2: 4.0})
     start = lambda job: executor.submit(_search, job, frozenset())  # noqa: E731
-    dispatch = Dispatch(context, schedule, start, MODE)
-    dispatch.submit(jobs)
-    dispatch.finish()
+    Dispatch(context, schedule, start, MODE).run(jobs)
     assert [args[0].index for _, args in executor.submitted] == [1, 2, 0]
     assert list(context.ctp_cache._data) == ["a", "b", "c"]
 
@@ -181,18 +173,13 @@ def test_inline_submission_order_is_schedule_order_but_replay_is_ctp_order():
 def test_inline_settle_lands_before_the_next_grant_is_read():
     """Serial semantics: a finished CTP's unspent budget reaches the next
     one — so the ledger must be settled when the run ends (the future's
-    done-callback), not when ``finish()`` gets around to it."""
+    done-callback), not when ``run()`` collects the outcomes."""
     clock = FakeClock()
-    ledger = DeadlineLedger(9.0, started=0.0, workers=1, clock=clock)
     costs = {0: 1.0, 1: 1.0, 2: 1.0}
-    ledger.prime(costs)
+    ledger = DeadlineLedger(9.0, started=0.0, costs=costs, workers=1, clock=clock)
     schedule = QuerySchedule(estimates=costs, ledger=ledger)
     jobs = [
-        CTPJob(
-            index=i,
-            seed_sets=[],
-            config=SearchConfig(timeout=ledger.register(i, costs[i], None)),
-        )
+        CTPJob(index=i, seed_sets=[], config=SearchConfig(timeout=ledger.register(i, None)))
         for i in range(3)
     ]
     assert [job.config.timeout for job in jobs] == [3.0, 3.0, 3.0]
@@ -205,9 +192,7 @@ def test_inline_settle_lands_before_the_next_grant_is_read():
 
     executor = InlineExecutor()
     dispatch = Dispatch(None, schedule, lambda job: executor.submit(run, job), "serial", reorder=False)
-    dispatch.submit(jobs[:2])
-    dispatch.submit(jobs[2:])
-    outcomes = dispatch.finish()
+    outcomes = dispatch.run(jobs)
     # 9s: CTP 0 is granted a third; CTP 1 half of the 8s left (CTP 0 has
     # settled); CTP 2 all of the 7s left.  Unsettled, they would read 3/3/3.
     assert granted == [3.0, 4.0, 7.0]
@@ -230,9 +215,7 @@ def test_finished_dispatch_is_freed_by_reference_counting():
             MODE,
             shutdown=executor.shutdown,
         )
-        with dispatch:
-            dispatch.submit(jobs)
-            outcomes = dispatch.finish()
+        outcomes = dispatch.run(jobs)
         gone = weakref.ref(dispatch)
         del dispatch
         assert gone() is None

@@ -19,8 +19,6 @@ def test_registry_contains_every_figure_and_table():
         "abl01",
         "chaos",
         "delta",
-        "parallel",
-        "process-parallel",
         "scale",
         "serve",
     }
@@ -38,60 +36,6 @@ class TestAbl01:
 def test_unknown_experiment():
     with pytest.raises(ReproError):
         get_experiment("fig99")
-
-
-class TestProcessParallelBench:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return get_experiment("process-parallel")(scale=0.25)
-
-    def test_all_regimes_and_worker_counts_present(self, report):
-        assert {row["regime"] for row in report.rows} == {"complete", "deadline", "snapshot"}
-        assert {row["workers"] for row in report.rows if row["regime"] == "complete"} == {1, 2, 4}
-
-    def test_complete_regime_rows_identical_at_every_worker_count(self, report):
-        for row in report.rows:
-            if row["regime"] in ("complete", "snapshot"):
-                assert row["identical"] is True
-        assert not any("FAILURE" in note for note in report.notes)
-
-    def test_deadline_regime_saturates(self, report):
-        deadline_rows = [row for row in report.rows if row["regime"] == "deadline"]
-        assert deadline_rows
-        for row in deadline_rows:
-            assert row["ctps_timed_out"] == 4  # every CTP exhausted its budget
-
-    def test_snapshot_row_reports_costs(self, report):
-        (row,) = [row for row in report.rows if row["regime"] == "snapshot"]
-        assert row["file_bytes"] > 0
-        assert row["save_ms"] > 0 and row["mmap_load_ms"] > 0
-
-    def test_cpu_count_recorded(self, report):
-        # Readers of a checked-in JSON need to know whether the complete
-        # regime had cores to overlap onto.
-        assert report.config["cpu_count"] >= 1
-
-
-class TestParallelBench:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return get_experiment("parallel")(scale=0.25)
-
-    def test_all_regimes_and_worker_counts_present(self, report):
-        assert {row["regime"] for row in report.rows} == {"complete", "deadline", "batch"}
-        assert {row["workers"] for row in report.rows if row["regime"] == "complete"} == {2, 4, 8}
-
-    def test_deterministic_regimes_row_identical(self, report):
-        for row in report.rows:
-            if row["regime"] in ("complete", "batch"):
-                assert row["identical"] is True
-        assert not any("FAILURE" in note for note in report.notes)
-
-    def test_deadline_regime_saturates(self, report):
-        deadline_rows = [row for row in report.rows if row["regime"] == "deadline"]
-        assert deadline_rows
-        for row in deadline_rows:
-            assert row["ctps_timed_out"] == 4  # every CTP exhausted its budget
 
 
 class TestFig02:

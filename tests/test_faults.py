@@ -253,7 +253,7 @@ def test_pool_recovers_from_injected_crash(fig1):
     serial = _serial(fig1)
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(at=(0,), epochs=(0,)),)))
     with WorkerPool(fig1, workers=2) as pool:
-        config = SearchConfig(parallelism=2, parallelism_mode="process")
+        config = SearchConfig(parallelism=2)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert result.rows == serial.rows
         assert [r.dispatch_mode for r in result.ctp_reports] == ["process", "process", "memo"]
@@ -272,7 +272,7 @@ def test_pool_recovers_from_corrupt_snapshot(fig1):
         FaultPlan(specs=(FaultSpec.corrupt_snapshot(at=(0,), epochs=(0,)),))
     )
     with WorkerPool(fig1, workers=1) as pool:
-        config = SearchConfig(parallelism=2, parallelism_mode="process")
+        config = SearchConfig(parallelism=2)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert result.rows == serial.rows
         assert result.resilience.retries == 1
@@ -286,7 +286,7 @@ def test_hang_watchdog_kills_and_degrades_honestly(fig1):
     )
     resilience = PoolResilienceConfig(hang_grace=0.3)
     with WorkerPool(fig1, workers=1, resilience=resilience) as pool:
-        config = SearchConfig(parallelism=2, parallelism_mode="process", timeout=0.5)
+        config = SearchConfig(parallelism=2, timeout=0.5)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         # The watchdog (sum of CTP timeouts + grace) fired, the wedged
         # worker was kill-respawned, and — the hung attempt having spent
@@ -305,7 +305,7 @@ def test_hang_watchdog_kills_and_degrades_honestly(fig1):
 def test_scorer_fault_is_a_typed_error_never_wrong_rows(fig1):
     faults.install_plan(FaultPlan(specs=(FaultSpec.scorer(at=(0,), epochs=(0,)),)))
     with WorkerPool(fig1, workers=1) as pool:
-        config = SearchConfig(parallelism=2, parallelism_mode="process")
+        config = SearchConfig(parallelism=2)
         with pytest.raises(FaultInjected):
             evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         # Not retried, not degraded, breaker not charged: a deterministic
@@ -317,7 +317,7 @@ def test_scorer_fault_is_a_typed_error_never_wrong_rows(fig1):
 def test_recycling_after_request_threshold(fig1):
     serial = _serial(fig1)
     resilience = PoolResilienceConfig(recycle_after=1)
-    config = SearchConfig(parallelism=2, parallelism_mode="process")
+    config = SearchConfig(parallelism=2)
     with WorkerPool(fig1, workers=1, resilience=resilience) as pool:
         first = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert pool.recycles == 0  # recycling happens BETWEEN queries
@@ -336,7 +336,7 @@ def test_recycling_on_rss_growth(fig1):
     # recycles the bloated worker at the next dispatch boundary.
     faults.install_plan(FaultPlan(specs=(FaultSpec.rss(grow_mb=32.0, every=1),)))
     resilience = PoolResilienceConfig(max_worker_rss_mb=64.0, rss_check_every=1)
-    config = SearchConfig(parallelism=2, parallelism_mode="process")
+    config = SearchConfig(parallelism=2)
     with WorkerPool(fig1, workers=1, resilience=resilience) as pool:
         evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
@@ -355,7 +355,7 @@ def test_degradation_chain_under_crash_faults(fig1, algo):
     policy = RetryPolicy(max_attempts=1)  # first failure is final
     breaker = CircuitBreaker(failure_threshold=100)  # isolate the hop logic
     with WorkerPool(fig1, workers=1, retry_policy=policy, breaker=breaker) as pool:
-        config = SearchConfig(parallelism=2, parallelism_mode="process")
+        config = SearchConfig(parallelism=2)
         result = evaluate_query(
             fig1, MATRIX_QUERY, algorithm=algo, base_config=config, pool=pool
         )
@@ -374,7 +374,7 @@ def test_degradation_chain_reaches_serial(fig1):
     serial = _serial(fig1)
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(every=1),)))
     with WorkerPool(fig1, workers=1, retry_policy=RetryPolicy(max_attempts=1)) as pool:
-        config = SearchConfig(parallelism=1, parallelism_mode="process")
+        config = SearchConfig(parallelism=1)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
     assert result.rows == serial.rows
     assert [r.dispatch_mode for r in result.ctp_reports] == [
@@ -390,7 +390,7 @@ def test_open_breaker_degrades_without_touching_the_pool(fig1):
     breaker = CircuitBreaker(failure_threshold=1, cooldown=3600.0)
     breaker.record_failure()  # trip it open for the whole test
     with WorkerPool(fig1, workers=2, breaker=breaker) as pool:
-        config = SearchConfig(parallelism=2, parallelism_mode="process")
+        config = SearchConfig(parallelism=2)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert pool.dispatches == 0  # the open breaker spared the pool
     assert result.rows == serial.rows
@@ -410,7 +410,7 @@ def test_breaker_trips_then_half_open_probe_recovers(fig1):
     # cooldown the half-open probe finds clean epoch-2 workers.
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(every=1, epochs=(0, 1)),)))
     breaker = CircuitBreaker(failure_threshold=2, cooldown=0.1)
-    config = SearchConfig(parallelism=2, parallelism_mode="process")
+    config = SearchConfig(parallelism=2)
     with WorkerPool(fig1, workers=1, breaker=breaker) as pool:
         first = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert first.rows == serial.rows
@@ -435,7 +435,7 @@ def test_half_open_probe_without_a_pool_verdict_is_handed_back(fig1, probe):
     breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=clock)
     breaker.record_failure()
     clock.advance(2.0)  # cooldown over: the next dispatch is the half-open probe
-    config = SearchConfig(parallelism=2, parallelism_mode="process")
+    config = SearchConfig(parallelism=2)
     with WorkerPool(fig1, workers=1, breaker=breaker) as pool:
         if probe == "unpicklable":
             score = lambda graph, edges, nodes: -len(edges)  # noqa: E731

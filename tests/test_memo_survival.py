@@ -11,7 +11,7 @@ same CTP on the view pinned at the new generation — **in emission order**
 (edges, nodes, seeds, weight and score of every result).
 
 The property drives the real memo path (one keyed job through
-``run_ctp_jobs`` with the evaluator's memo key, into one long-lived
+``open_dispatch`` with the evaluator's memo key, into one long-lived
 context) over Hypothesis multigraphs with self-loops, parallel edges and
 labels, all eight algorithms, ``uni`` / ``labels`` / ``strict_merge2`` /
 ``mo_inject_always`` / ``balanced_queues`` / ``limit`` and the
@@ -38,7 +38,7 @@ from repro.ctp.context import SearchContext
 from repro.ctp.registry import get_algorithm
 from repro.graph.graph import Graph
 from repro.query.evaluator import _ctp_memo_key
-from repro.query.parallel import CTPJob, run_ctp_jobs
+from repro.query.parallel import CTPJob, open_dispatch
 from repro.query.scoring import get_score_function
 
 LABELS = ("a", "b", "c")
@@ -135,7 +135,7 @@ def _apply(graph: Graph, batch: Sequence[Any]) -> None:
 
 def _memo_run(view: Any, algorithm: str, seed_sets: Sequence[Any], config: SearchConfig, context: SearchContext):
     key = _ctp_memo_key(view, algorithm, seed_sets, config)
-    (outcome,) = run_ctp_jobs(view, algorithm, [CTPJob(0, list(seed_sets), config, key)], context)
+    (outcome,) = open_dispatch(view, algorithm, context, 1).run([CTPJob(0, list(seed_sets), config, key)])
     return outcome
 
 

@@ -1,8 +1,11 @@
 """Parallel CTP dispatch: concurrency is wall-clock only, never semantics.
 
+The thread executor runs only as the worker pool's fallback, so the
+thread cases here reach it through :func:`repro.testing.fallback_pool`
+(a pool whose breaker is open: process -> thread, no worker spawned).
 Five layers:
 
-* **determinism matrix** — every algorithm × 1/2/4/8 workers produces *exactly* the serial rows (same order, same trees) on a
+* **determinism matrix** — every algorithm × 2/4/8 fallback threads produces *exactly* the serial rows (same order, same trees) on a
   multi-CTP query with a repeated CTP (exercising in-flight dedup);
 * **sharded-pool safety** — a Hypothesis property that concurrent
   interning from several threads never hands out two handles for one edge
@@ -31,7 +34,8 @@ from repro.ctp.registry import ALGORITHMS, evaluate_ctp
 from repro.ctp.stats import SearchStats
 from repro.graph.graph import Graph
 from repro.query.evaluator import evaluate_query
-from repro.query.parallel import CTPJob, effective_parallelism, evaluate_queries, run_ctp_jobs
+from repro.query.parallel import CTPJob, effective_parallelism, evaluate_queries, open_dispatch
+from repro.testing import fallback_pool
 
 MATRIX_QUERY = """
 SELECT ?x ?w1 ?w2 ?w3 WHERE {
@@ -82,16 +86,20 @@ def _serial(fig1, algo: str):
     return _serial_rows[algo]
 
 
+def _threaded(graph, query, workers=4, **kwargs):
+    """``query`` on ``workers`` fallback threads (see the module docstring)."""
+    with fallback_pool(graph, workers) as pool:
+        return evaluate_query(
+            graph, query, base_config=SearchConfig(parallelism=workers), pool=pool, **kwargs
+        )
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_parallel_rows_identical_to_serial(fig1, algo, workers):
     serial = _serial(fig1, algo)
-    parallel = evaluate_query(
-        fig1,
-        MATRIX_QUERY,
-        algorithm=algo,
-        base_config=SearchConfig(parallelism=workers),
-    )
+    parallel = _threaded(fig1, MATRIX_QUERY, workers, algorithm=algo)
+    assert [r.dispatch_mode for r in parallel.ctp_reports] == ["process->thread"] * 2 + ["memo"]
     assert parallel.columns == serial.columns
     assert parallel.rows == serial.rows  # bit-identical, order included
     for par_report, ser_report in zip(parallel.ctp_reports, serial.ctp_reports):
@@ -106,7 +114,7 @@ def test_parallel_rows_identical_to_serial(fig1, algo, workers):
 
 def test_parallel_duplicate_ctp_in_flight_dedup(fig1):
     """The repeated CONNECT is evaluated once; the duplicate shares it."""
-    result = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
+    result = _threaded(fig1, MATRIX_QUERY)
     first, _, third = result.ctp_reports
     assert not first.cache_hit
     assert third.cache_hit  # the ?w3 duplicate of ?w1
@@ -121,7 +129,7 @@ def test_parallel_truncated_duplicates_rerun(fig1):
         "AS ?w3 MAX 3", "AS ?w3 MAX 3 LIMIT 1"
     )
     serial = evaluate_query(fig1, query)
-    parallel = evaluate_query(fig1, query, base_config=SearchConfig(parallelism=4))
+    parallel = _threaded(fig1, query)
     assert parallel.rows == serial.rows
     assert [r.cache_hit for r in parallel.ctp_reports] == [False, False, False]
     assert parallel.context_stats["runs"] == 3  # the duplicate searched again
@@ -130,30 +138,32 @@ def test_parallel_truncated_duplicates_rerun(fig1):
 
 def test_parallel_wildcard_query(fig1):
     serial = evaluate_query(fig1, WILDCARD_QUERY)
-    parallel = evaluate_query(fig1, WILDCARD_QUERY, base_config=SearchConfig(parallelism=4))
+    parallel = _threaded(fig1, WILDCARD_QUERY)
     assert parallel.rows == serial.rows
 
 
 def test_parallel_without_shared_context(fig1, fig1_seeds):
-    """Thread dispatch composes with context-less jobs (a private pool per
-    run, nothing memoized): same result sets as the inline executor."""
+    """The thread fallback composes with context-less jobs (a private pool
+    per run, nothing memoized): same result sets as the inline executor."""
     jobs = [
         CTPJob(index, list(seeds), SearchConfig(max_edges=4))
         for index, seeds in enumerate((fig1_seeds, fig1_seeds[:2], fig1_seeds))
     ]
-    serial = run_ctp_jobs(fig1, "molesp", jobs, None, parallelism=1)
-    parallel = run_ctp_jobs(fig1, "molesp", jobs, None, parallelism=4)
+    serial = open_dispatch(fig1, "molesp", None, len(jobs)).run(jobs)
+    with fallback_pool(fig1, 4) as pool:
+        parallel = open_dispatch(fig1, "molesp", None, len(jobs), 4, pool=pool).run(jobs)
     assert [[r.edges for r in o.result_set] for o in parallel] == [
         [r.edges for r in o.result_set] for o in serial
     ]
     assert [o.cache_hit for o in parallel] == [False, False, False]
-    assert [o.mode for o in parallel] == ["thread"] * 3
+    assert [o.mode for o in serial] == ["serial"] * 3
+    assert [o.mode for o in parallel] == ["process->thread"] * 3
 
 
 def test_parallel_csr_backend(fig1):
     frozen = fig1.freeze()
     serial = evaluate_query(frozen, MATRIX_QUERY)
-    parallel = evaluate_query(frozen, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
+    parallel = _threaded(frozen, MATRIX_QUERY)
     assert parallel.rows == serial.rows
     # One snapshot is adopted by every worker: no rejects.
     assert parallel.context_stats["rejects"] == 0
@@ -161,9 +171,8 @@ def test_parallel_csr_backend(fig1):
 
 def test_explicit_thread_safe_context_amortizes(fig1):
     context = SearchContext(thread_safe=True)
-    config = SearchConfig(parallelism=4)
-    first = evaluate_query(fig1, MATRIX_QUERY, base_config=config, context=context)
-    second = evaluate_query(fig1, MATRIX_QUERY, base_config=config, context=context)
+    first = _threaded(fig1, MATRIX_QUERY, context=context)
+    second = _threaded(fig1, MATRIX_QUERY, context=context)
     assert first.rows == second.rows
     assert all(report.cache_hit for report in second.ctp_reports)
 
@@ -172,11 +181,10 @@ def test_explicit_unsafe_context_downgrades_to_serial(fig1):
     """A non-thread-safe context must never be shared across workers."""
     context = SearchContext()
     serial = evaluate_query(fig1, MATRIX_QUERY)
-    result = evaluate_query(
-        fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=8), context=context
-    )
+    result = _threaded(fig1, MATRIX_QUERY, workers=8, context=context)
     assert result.rows == serial.rows
     assert context.runs == 2  # serial dispatch: dup was a memo hit
+    assert [r.dispatch_mode for r in result.ctp_reports] == ["process->serial"] * 2 + ["memo"]
 
 
 class TestEffectiveParallelism:
@@ -454,7 +462,7 @@ class TestStatsMerge:
 
     def test_query_reports_merge_deterministically(self, fig1):
         serial = evaluate_query(fig1, MATRIX_QUERY)
-        parallel = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
+        parallel = _threaded(fig1, MATRIX_QUERY)
         merge = lambda result: SearchStats.merged(
             r.result_set.stats for r in result.ctp_reports
         )
@@ -483,7 +491,10 @@ class TestEvaluateQueries:
         assert len(batch) == 0
         assert list(batch) == []
         assert batch.context is not None  # created, simply unused
-        assert batch.merged_ctp_stats().as_dict() == SearchStats().as_dict()
+        merged = SearchStats.merged(
+            report.result_set.stats for result in batch for report in result.ctp_reports
+        )
+        assert merged.as_dict() == SearchStats().as_dict()
 
     def test_single_query_matches_evaluate_query(self, fig1):
         single = evaluate_query(fig1, TWO_CTP)
@@ -503,9 +514,10 @@ class TestEvaluateQueries:
 
     def test_parallel_batch_rows_identical(self, fig1):
         serial = evaluate_queries(fig1, [MATRIX_QUERY, TWO_CTP])
-        parallel = evaluate_queries(
-            fig1, [MATRIX_QUERY, TWO_CTP], base_config=SearchConfig(parallelism=4)
-        )
+        with fallback_pool(fig1, 4) as pool:
+            parallel = evaluate_queries(
+                fig1, [MATRIX_QUERY, TWO_CTP], base_config=SearchConfig(parallelism=4), pool=pool
+            )
         assert parallel.context.thread_safe
         assert not serial.context.thread_safe
         for a, b in zip(serial, parallel):
@@ -541,9 +553,11 @@ class TestEvaluateQueries:
         assert not second[0].ctp_reports[0].cache_hit  # guard rejected reuse
         assert len(second[0]) == 2  # the new connection, not the stale set
 
-    def test_merged_ctp_stats_counts_all_queries(self, fig1):
+    def test_merged_stats_count_all_queries(self, fig1):
         batch = evaluate_queries(fig1, [TWO_CTP, TWO_CTP])
-        merged = batch.merged_ctp_stats()
+        merged = SearchStats.merged(
+            report.result_set.stats for result in batch for report in result.ctp_reports
+        )
         per_query = [
             SearchStats.merged(r.result_set.stats for r in result.ctp_reports)
             for result in batch

@@ -1,11 +1,12 @@
-"""Process-pool CTP dispatch: multi-core fan-out, same rows, same caches.
+"""Worker-pool CTP dispatch: multi-core fan-out, same rows, same caches.
 
-Layers:
+A query's CTPs run in the :class:`~repro.query.pool.WorkerPool` it is
+given, otherwise inline.  Layers:
 
-* **determinism matrix** — every algorithm × 1/2/4 workers under
-  ``parallelism_mode="process"`` produces exactly the serial rows (order
-  included) on a multi-CTP query with a repeated CTP, interning on and
-  off — the acceptance gate for the process pool;
+* **determinism matrix** — every algorithm × 1/2/4 pool workers produces
+  exactly the serial rows (order included) on a multi-CTP query with a
+  repeated CTP, and a complete 4-CTP fan-out does at every pool size —
+  the acceptance gate for the process pool;
 * **memo semantics** — the parent's cross-CTP memo serves and files in
   CTP order around the fan-out, so cache-hit provenance matches serial
   dispatch;
@@ -13,12 +14,10 @@ Layers:
   worker and every job reuses the worker-private graph/context;
 * **fallbacks** — unpicklable configs degrade to thread (or serial)
   dispatch instead of failing the query, and a non-thread-safe context
-  does *not* downgrade process dispatch (only the parent touches it);
-* **per-call dispatch is the pooled path** — without an injected pool a
-  process query runs on a ``WorkerPool`` that lives for the call: same
-  stamps, a ``ResilienceReport``, no worker or second snapshot file left
-  behind;
-* **batch API** — ``evaluate_queries`` under process mode.
+  does *not* downgrade pooled dispatch (only the parent touches it);
+* **no pool, no processes** — without a pool every CTP runs inline at
+  any ``parallelism``;
+* **deadline-bounded fan-outs and the batch API** through a pool.
 """
 
 from __future__ import annotations
@@ -29,9 +28,11 @@ import pickle
 import pytest
 
 from repro.ctp.config import WILDCARD, SearchConfig
+from repro.ctp.results import validate_result
 from repro.ctp.context import SearchContext
 from repro.ctp.registry import ALGORITHMS
 from repro.graph.datasets import figure1
+from repro.graph.graph import Graph
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.query import parallel as parallel_mod
 from repro.query.evaluator import evaluate_query
@@ -42,8 +43,10 @@ from repro.query.parallel import (
     _process_worker_run,
     effective_parallelism,
     evaluate_queries,
-    run_ctp_jobs,
+    open_dispatch,
 )
+from repro.query.pool import WorkerPool
+from repro.workloads.synthetic import grouped_star
 
 MATRIX_QUERY = """
 SELECT ?x ?w1 ?w2 ?w3 WHERE {
@@ -66,6 +69,13 @@ WORKER_COUNTS = (1, 2, 4)
 _serial_rows = {}
 
 
+def _pooled(graph, query, workers=2, config=None, **kwargs):
+    """``query`` with its CTPs in a ``workers``-process pool built for it."""
+    config = config if config is not None else SearchConfig(parallelism=workers)
+    with WorkerPool(graph, workers=workers) as pool:
+        return evaluate_query(graph, query, base_config=config, pool=pool, **kwargs)
+
+
 def _serial(fig1, algo: str):
     if algo not in _serial_rows:
         _serial_rows[algo] = evaluate_query(
@@ -84,23 +94,39 @@ def _serial(fig1, algo: str):
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_process_rows_identical_to_serial(fig1, algo, workers):
     serial = _serial(fig1, algo)
-    process = evaluate_query(
-        fig1,
-        MATRIX_QUERY,
-        algorithm=algo,
-        base_config=SearchConfig(parallelism=workers, parallelism_mode="process"),
-    )
+    process = _pooled(fig1, MATRIX_QUERY, workers, algorithm=algo)
     assert process.columns == serial.columns
     assert process.rows == serial.rows
+    assert [r.dispatch_mode for r in process.ctp_reports] == ["process", "process", "memo"]
+
+
+def _fan_out_query(num_ctps: int) -> str:
+    """``num_ctps`` CTPs sharing the g0 seed set, each connecting it to its
+    own group of :func:`grouped_star` — joins on ``?a`` keep the final
+    table linear, not a cross product."""
+    filters = ['FILTER(type(?a) = "g0")']
+    filters += [f'FILTER(type(?b{j}) = "g{j + 1}")' for j in range(num_ctps)]
+    ctps = [f"CONNECT(?a, ?b{j}) AS ?w{j}" for j in range(num_ctps)]
+    head = " ".join(["?a"] + [f"?w{j}" for j in range(num_ctps)])
+    return f"SELECT {head} WHERE {{ {' '.join(filters + ctps)} }}"
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_complete_four_ctp_fan_out_rows_identical_at_every_pool_size(workers):
+    """Four distinct CTPs searched to completion, one leader each."""
+    star = grouped_star(5, 2, 3)
+    query = _fan_out_query(4)
+    serial = evaluate_query(star, query)
+    process = _pooled(star, query, workers)
+    assert serial.rows
+    assert process.columns == serial.columns and process.rows == serial.rows
+    assert [r.dispatch_mode for r in process.ctp_reports] == ["process"] * 4
+    assert all(r.result_set.complete for r in process.ctp_reports)
 
 
 def test_process_wildcard_query(fig1):
     serial = evaluate_query(fig1, WILDCARD_QUERY)
-    process = evaluate_query(
-        fig1,
-        WILDCARD_QUERY,
-        base_config=SearchConfig(parallelism=2, parallelism_mode="process"),
-    )
+    process = _pooled(fig1, WILDCARD_QUERY)
     assert process.columns == serial.columns
     assert process.rows == serial.rows
 
@@ -115,11 +141,7 @@ def test_process_rows_identical_on_loaded_snapshot(fig1, tmp_path, monkeypatch):
 
     monkeypatch.setattr("repro.graph.snapshot.save_snapshot", boom)
     serial = evaluate_query(loaded, MATRIX_QUERY)
-    process = evaluate_query(
-        loaded,
-        MATRIX_QUERY,
-        base_config=SearchConfig(parallelism=2, parallelism_mode="process"),
-    )
+    process = _pooled(loaded, MATRIX_QUERY)
     assert process.rows == serial.rows
 
 
@@ -128,11 +150,7 @@ def test_process_rows_identical_on_loaded_snapshot(fig1, tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 def test_cache_hit_provenance_matches_serial(fig1):
     serial = evaluate_query(fig1, MATRIX_QUERY)
-    process = evaluate_query(
-        fig1,
-        MATRIX_QUERY,
-        base_config=SearchConfig(parallelism=4, parallelism_mode="process"),
-    )
+    process = _pooled(fig1, MATRIX_QUERY, 4)
     # ?w3 repeats ?w1: the serial path serves it from the cross-CTP memo,
     # the process path shares the in-flight leader's result — both report
     # the same hit pattern.
@@ -151,9 +169,10 @@ def test_explicit_context_memo_survives_process_dispatch(fig1):
     """A second query over the same explicit context is served from the
     memo the first (process-dispatched) query filed."""
     context = SearchContext(thread_safe=True)
-    config = SearchConfig(parallelism=2, parallelism_mode="process")
-    first = evaluate_query(fig1, MATRIX_QUERY, base_config=config, context=context)
-    second = evaluate_query(fig1, MATRIX_QUERY, base_config=config, context=context)
+    config = SearchConfig(parallelism=2)
+    with WorkerPool(fig1, workers=2) as pool:
+        first = evaluate_query(fig1, MATRIX_QUERY, base_config=config, context=context, pool=pool)
+        second = evaluate_query(fig1, MATRIX_QUERY, base_config=config, context=context, pool=pool)
     assert second.rows == first.rows
     assert all(r.cache_hit for r in second.ctp_reports)
     assert [r.dispatch_mode for r in second.ctp_reports] == ["memo"] * 3
@@ -164,7 +183,7 @@ def test_explicit_context_memo_survives_process_dispatch(fig1):
 # ----------------------------------------------------------------------
 class TestEffectiveParallelism:
     def test_process_mode_ignores_context_thread_safety(self):
-        # Only the parent thread touches the context under process mode.
+        # Only the parent thread touches the context under pooled dispatch.
         assert effective_parallelism(4, 3, SearchContext(), mode="process") == 3
         assert effective_parallelism(4, 3, SearchContext(), mode="thread") == 1
 
@@ -204,11 +223,7 @@ class TestStartMethod:
         thread.start()
         try:
             serial = _serial(fig1, "molesp")
-            process = evaluate_query(
-                fig1,
-                MATRIX_QUERY,
-                base_config=SearchConfig(parallelism=2, parallelism_mode="process"),
-            )
+            process = _pooled(fig1, MATRIX_QUERY)
             assert process.rows == serial.rows
             assert [r.dispatch_mode for r in process.ctp_reports] == ["process", "process", "memo"]
         finally:
@@ -260,17 +275,11 @@ class TestFallbacks:
         serial = evaluate_query(
             fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=1, score=score)
         )
-        process = evaluate_query(
-            fig1,
-            MATRIX_QUERY,
-            base_config=SearchConfig(
-                parallelism=2, parallelism_mode="process", score=score
-            ),
-        )
+        process = _pooled(fig1, MATRIX_QUERY, config=SearchConfig(parallelism=2, score=score))
         assert process.rows == serial.rows
         # The degradation is silent for the query but observable in the
         # reports: the jobs actually ran on the thread pool, and the hop is
-        # stamped — a per-call dispatch takes the pooled path's policy.
+        # stamped.
         assert [r.dispatch_mode for r in process.ctp_reports] == [
             "process->thread",
             "process->thread",
@@ -287,11 +296,8 @@ class TestFallbacks:
         serial = evaluate_query(
             fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=1, score=score)
         )
-        process = evaluate_query(
-            fig1,
-            MATRIX_QUERY,
-            base_config=SearchConfig(parallelism=4, parallelism_mode="process", score=score),
-            context=context,
+        process = _pooled(
+            fig1, MATRIX_QUERY, config=SearchConfig(parallelism=4, score=score), context=context
         )
         assert process.rows == serial.rows
         assert context.runs > 0  # the serial loop really used the context
@@ -302,74 +308,106 @@ class TestFallbacks:
         ]
         assert process.resilience.degraded_to == "serial"
 
-    def test_run_ctp_jobs_direct_process_mode(self, fig1):
+    def test_open_dispatch_direct_through_a_pool(self, fig1):
         """The dispatch API itself, without the evaluator on top."""
         seeds = [fig1.nodes_with_type("entrepreneur"), fig1.nodes_with_type("politician")]
         config = SearchConfig(max_edges=3)
         jobs = [CTPJob(index=i, seed_sets=seeds, config=config) for i in range(3)]
-        serial = run_ctp_jobs(fig1, "molesp", jobs, None, parallelism=1)
-        process = run_ctp_jobs(fig1, "molesp", jobs, None, parallelism=2, mode="process")
+        serial = open_dispatch(fig1, "molesp", None, len(jobs)).run(jobs)
+        with WorkerPool(fig1, workers=2) as pool:
+            process = open_dispatch(fig1, "molesp", None, len(jobs), 2, pool=pool).run(jobs)
         assert len(process) == 3
+        assert [o.mode for o in process] == ["process"] * 3
         for a, b in zip(serial, process):
             assert [r.edges for r in a.result_set] == [r.edges for r in b.result_set]
 
 
 # ----------------------------------------------------------------------
-# per-call process dispatch is the pooled path on a call-scoped pool
+# no pool: every CTP runs inline, whatever the parallelism
 # ----------------------------------------------------------------------
-def test_per_call_process_dispatch_is_the_pooled_path(fig1):
+def test_no_pool_means_no_processes(fig1):
     import multiprocessing
 
-    from repro.graph import snapshot as snapshot_mod
-
-    config = SearchConfig(parallelism=2, parallelism_mode="process")
-    files_before = set(snapshot_mod._AUTO_SNAPSHOTS)
-    first = evaluate_query(fig1, MATRIX_QUERY, base_config=config)
-    files_after_first = set(snapshot_mod._AUTO_SNAPSHOTS) - files_before
-    second = evaluate_query(fig1, MATRIX_QUERY, base_config=config)
-    for result in (first, second):
-        assert result.rows == _serial(fig1, "molesp").rows
-        assert [r.dispatch_mode for r in result.ctp_reports] == ["process", "process", "memo"]
-        # The pooled path's telemetry, not the old bare fork.
-        assert result.resilience is not None
-        assert result.resilience.degraded_to is None and result.resilience.retries == 0
-    # The call-scoped pool is gone (no live workers) but the snapshot it
-    # mapped stays memoized on the graph: the second call wrote no file.
-    assert not [p for p in multiprocessing.active_children() if p.is_alive()]
-    assert len(files_after_first) <= 1
-    assert set(snapshot_mod._AUTO_SNAPSHOTS) - files_before == files_after_first
-    assert all(os.path.exists(path) for path in files_after_first)
+    serial = _serial(fig1, "molesp")
+    result = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
+    assert multiprocessing.active_children() == []
+    assert [r.dispatch_mode for r in result.ctp_reports] == ["serial", "serial", "memo"]
+    assert result.rows == serial.rows
+    assert result.resilience is None
+    # The same query handed a two-worker pool runs in it, same rows.
+    pooled = _pooled(fig1, MATRIX_QUERY, config=SearchConfig(parallelism=4))
+    assert [r.dispatch_mode for r in pooled.ctp_reports] == ["process", "process", "memo"]
+    assert pooled.rows == serial.rows
 
 
 # ----------------------------------------------------------------------
-# deadline-bounded CTPs and the batch API under process mode
+# deadline-bounded CTPs and the batch API through a pool
 # ----------------------------------------------------------------------
 def test_timed_out_ctps_complete_under_process_mode(fig1):
     """Timeout truncation is wall-clock-dependent, so rows are not asserted
     — but the dispatch must complete, flag the truncation, and not file
     non-replayable sets into the memo."""
-    result = evaluate_query(
-        fig1,
-        MATRIX_QUERY,
-        base_config=SearchConfig(parallelism=2, parallelism_mode="process", timeout=1e-9),
-    )
+    result = _pooled(fig1, MATRIX_QUERY, config=SearchConfig(parallelism=2, timeout=1e-9))
     assert len(result.ctp_reports) == 3
     assert all(r.result_set.timed_out for r in result.ctp_reports)
     assert not any(r.cache_hit for r in result.ctp_reports)
     assert result.context_stats["ctp_cache_hits"] == 0
 
 
+def _typed_expander(num_groups: int, nodes_per_group: int, spokes: int, extra_edges: int) -> Graph:
+    """Typed seed groups hanging off a shared core ring through ``spokes``
+    attachment points plus modular chords: connection search between two
+    groups has combinatorially many minimal trees, enough that an
+    unbounded enumeration blows any small per-CTP timeout.  No RNG."""
+    graph = Graph(f"typed-expander({num_groups}x{nodes_per_group})")
+    core = [graph.add_node(f"c{i}") for i in range(num_groups * spokes)]
+    for i, node in enumerate(core):
+        graph.add_edge(node, core[(i + 1) % len(core)], "ring")
+    for step in range(2, 2 + extra_edges):
+        for i in range(0, len(core), step):
+            graph.add_edge(core[i], core[(i + step * step) % len(core)], f"chord{step}")
+    for group in range(num_groups):
+        for j in range(nodes_per_group):
+            member = graph.add_node(f"g{group}_{j}", types=(f"g{group}",))
+            for s in range(spokes):
+                anchor = core[(group * spokes + s * (j + 1)) % len(core)]
+                graph.add_edge(anchor, member, "attach")
+    return graph
+
+
+def test_four_ctp_timeout_fan_out_through_a_pool():
+    """Four distinct CTPs that each exhaust their per-CTP TIMEOUT on two
+    workers: every one returns a flagged partial set of valid trees."""
+    graph = _typed_expander(num_groups=8, nodes_per_group=2, spokes=3, extra_edges=3)
+    ctps = " ".join(
+        f'FILTER(type(?a{j}) = "g{2 * j}") FILTER(type(?b{j}) = "g{2 * j + 1}") '
+        f"CONNECT(?a{j}, ?b{j}) AS ?w{j} SCORE size TOP 2"
+        for j in range(4)
+    )
+    query = f"SELECT ?w0 ?w1 ?w2 ?w3 WHERE {{ {ctps} }}"
+    result = _pooled(graph, query, default_timeout=0.05)
+    assert [r.dispatch_mode for r in result.ctp_reports] == ["process"] * 4
+    assert all(r.result_set.timed_out for r in result.ctp_reports)
+    for j, report in enumerate(result.ctp_reports):
+        seed_sets = [graph.nodes_with_type(f"g{2 * j}"), graph.nodes_with_type(f"g{2 * j + 1}")]
+        for tree in report.result_set:
+            assert validate_result(graph, tree, seed_sets) == []
+
+
 def test_evaluate_queries_batch_process_mode(fig1):
     queries = [MATRIX_QUERY, WILDCARD_QUERY, MATRIX_QUERY]
     per_query = [evaluate_query(fig1, q) for q in queries]
-    batch = evaluate_queries(
-        fig1,
-        queries,
-        base_config=SearchConfig(parallelism=2, parallelism_mode="process"),
-    )
+    inline = evaluate_queries(fig1, queries)
+    with WorkerPool(fig1, workers=2) as pool:
+        batch = evaluate_queries(fig1, queries, base_config=SearchConfig(parallelism=2), pool=pool)
     assert len(batch) == 3
     for expected, got in zip(per_query, batch):
         assert got.columns == expected.columns
         assert got.rows == expected.rows
-    # The repeated query is served from the shared context's memo.
+    # The repeated query is served from the shared context's memo, with
+    # the hits of the inline batch.
     assert all(r.cache_hit for r in batch[2].ctp_reports)
+    assert [[r.cache_hit for r in result.ctp_reports] for result in batch] == [
+        [r.cache_hit for r in result.ctp_reports] for result in inline
+    ]
+    assert batch.context_stats()["ctp_cache_hits"] == inline.context_stats()["ctp_cache_hits"]

@@ -112,7 +112,6 @@ def test_search_config_fields_are_exactly_these():
         "strict_merge2",
         "mo_inject_always",
         "parallelism",
-        "parallelism_mode",
     ]
 
 
@@ -170,14 +169,12 @@ def test_search_state_keeps_only_what_is_read():
         "elapsed_seconds",
     ]
     assert [spec.name for spec in fields(ScheduleReport)] == list(ScheduleReport().as_dict()) == [
-        "mode_requested",
         "mode_selected",
         "estimates",
         "actual_seconds",
         "submit_order",
         "rebalances",
         "rebalanced_seconds",
-        "pipeline_overlaps",
     ]
     assert list(SearchContext().stats_dict()) == [
         "runs",
@@ -217,7 +214,7 @@ def test_ctp_exports_one_pool():
 
 
 @pytest.mark.parametrize("command", ["query", "serve"])
-@pytest.mark.parametrize("flag", ["--no-interning", "--no-dense-ids"])
+@pytest.mark.parametrize("flag", ["--no-interning", "--no-dense-ids", "--parallelism-mode"])
 def test_retired_cli_flags_are_argparse_errors(command, flag, capsys):
     from repro.cli import main
 

@@ -1,33 +1,38 @@
 """Cost-model-driven CTP scheduling: the property-test harness.
 
 The scheduling layer (``repro.query.costmodel`` + the dispatch hooks in
-``repro.query.parallel``) makes four decisions for every query — auto mode
-selection, longest-first submission, deadline shares and their
-rebalancing, pipelined (A)→(B) overlap — and every one of them must be
+``repro.query.parallel``) makes two decisions for every query —
+longest-first submission and deadline shares with their rebalancing —
+and reports what executed the searches.  Every decision must be
 **representation-only**: rows are bit-identical to serial dispatch
 whatever the scheduler decided.  Five layers pin that:
 
-* **determinism matrix** — every algorithm × serial/thread/process/auto
-  dispatch, with and without a deadline ledger, produces exactly the
-  serial rows on the multi-CTP query with a repeated CTP — and the rows
-  ``tests/data/knobs_golden.json`` recorded from ``scheduling=False``
-  before that switch was retired (so do the pipeline query and the star
-  identity batch of the retired ``repro.bench schedule``);
+* **determinism matrix** — every algorithm × inline / thread-fallback /
+  worker-pool dispatch, with and without a deadline ledger, produces
+  exactly the serial rows on the multi-CTP query with a repeated CTP —
+  and the rows ``tests/data/knobs_golden.json`` recorded from
+  ``scheduling=False`` before that switch was retired (so do the
+  pipeline query and the star identity batch of the retired
+  ``repro.bench schedule``);
 * **fake-clock ledger** — :class:`DeadlineLedger` build budgets are
   cost-proportional and sum to the deadline, grants never drop below the
   build budget (even past the deadline) and never exceed the intrinsic
   timeout, settled budget flows to pending CTPs — exact arithmetic via
   ``repro.testing.FakeClock``, no wall-clock races;
-* **inline-executor ordering** — ``Dispatch.submit`` starts leaders
+* **inline-executor ordering** — ``Dispatch.run`` starts leaders
   longest-first with ties broken by CTP index, recorded deterministically
   by ``repro.testing.InlineExecutor``, and in-flight dedup survives
   reordering;
 * **Hypothesis properties** — *arbitrary* estimate assignments (any
-  permutation the cost model could ever produce) leave thread-dispatch
+  permutation the cost model could ever produce) leave thread-fallback
   rows identical to serial, and ledger invariants hold for random
   costs/clock advances;
-* **satellite regressions** — tolerant ``SearchStats`` merge/round-trip
-  and per-response schedule telemetry through the query server.
+* **satellite regressions** — ``mode_selected`` read off what executed,
+  tolerant ``SearchStats`` merge/round-trip and per-response schedule
+  telemetry through the query server.
+
+The thread executor runs only as the worker pool's fallback, so thread
+cells reach it through :func:`repro.testing.fallback_pool`.
 """
 
 from __future__ import annotations
@@ -48,16 +53,12 @@ from repro.ctp.stats import SearchStats
 from repro.errors import ConfigError
 from repro.graph.datasets import figure1
 from repro.graph.graph import Graph
-from repro.query.costmodel import (
-    LEDGER_FLOOR,
-    DeadlineLedger,
-    QuerySchedule,
-    choose_mode,
-)
+from repro.query.costmodel import LEDGER_FLOOR, DeadlineLedger, QuerySchedule
 from repro.query.evaluator import evaluate_query
-from repro.query.parallel import CTPJob, Dispatch, run_ctp_jobs
+from repro.query.parallel import CTPJob, Dispatch, open_dispatch
+from repro.query.pool import WorkerPool
 from repro.serve import STATUS_OK, QueryRequest, QueryServer
-from repro.testing import FakeClock, InlineExecutor, query_record
+from repro.testing import FakeClock, InlineExecutor, fallback_pool, query_record
 from repro.workloads.synthetic import grouped_star
 
 SETTINGS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -71,8 +72,8 @@ SELECT ?x ?w1 ?w2 ?w3 WHERE {
 }
 """
 
-#: The third CONNECT has constant-only seeds: no BGP variable binds it, so
-#: the pipelined path may start it before step (A) runs at all.
+#: The third CONNECT has constant-only seeds: no BGP variable binds it
+#: (the retired pipelined path started it before step (A) ran).
 PIPELINE_QUERY = """
 SELECT ?x ?w1 ?w4 WHERE {
   ?x founded "OrgB" .
@@ -123,23 +124,38 @@ def golden():
 # ----------------------------------------------------------------------
 # determinism matrix: scheduled rows identical to serial, every algorithm
 # ----------------------------------------------------------------------
-#: The ids predate the retirement of ``SearchConfig.scheduling`` and are
-#: kept, so that a cell keeps its name from one test log to the next.  The
-#: ``-sched`` cells run what they always ran.  The three ``-nosched`` cells
-#: differed from them only by the flag; they now hold cells the matrix
-#: lacked: process mode collapsing to the inline executor at one worker,
-#: two threads instead of four, and a deadline under process dispatch.
+#: The ids predate the retirement of ``SearchConfig.scheduling`` and of
+#: the ``auto`` dispatch mode, and are kept, so that a cell keeps its
+#: name from one test log to the next.  Each cell is a config and what
+#: runs its CTPs: ``None`` (no pool: inline), ``"thread"`` (the pool's
+#: thread fallback, :func:`repro.testing.fallback_pool`) or ``"process"``
+#: (a two-worker :class:`WorkerPool`).  ``serial-nosched`` asks for four
+#: workers without a pool, which runs inline.
 SCHED_VARIANTS = {
-    "serial-nosched": dict(parallelism=1, parallelism_mode="process"),
-    "serial-sched": dict(parallelism=1),
-    "serial-deadline-sched": dict(parallelism=1, deadline=60.0),
-    "thread-nosched": dict(parallelism=2),
-    "thread-sched": dict(parallelism=4),
-    "thread-deadline-sched": dict(parallelism=4, deadline=60.0),
-    "process-nosched": dict(parallelism=2, parallelism_mode="process", deadline=60.0),
-    "process-sched": dict(parallelism=2, parallelism_mode="process"),
-    "auto-sched": dict(parallelism=4, parallelism_mode="auto"),
+    "serial-nosched": (dict(parallelism=4), None),
+    "serial-sched": (dict(parallelism=1), None),
+    "serial-deadline-sched": (dict(parallelism=1, deadline=60.0), None),
+    "thread-nosched": (dict(parallelism=2), "thread"),
+    "thread-sched": (dict(parallelism=4), "thread"),
+    "thread-deadline-sched": (dict(parallelism=4, deadline=60.0), "thread"),
+    "process-nosched": (dict(parallelism=2, deadline=60.0), "process"),
+    "process-sched": (dict(parallelism=2), "process"),
 }
+
+
+def _evaluate(graph, query, variant, algorithm="molesp"):
+    """``query`` under a :data:`SCHED_VARIANTS` cell."""
+    options, executor = SCHED_VARIANTS[variant]
+    config = SearchConfig(**options)
+    if executor is None:
+        return evaluate_query(graph, query, algorithm, base_config=config)
+    if executor == "thread":
+        pool = fallback_pool(graph, config.parallelism)
+    else:
+        pool = WorkerPool(graph, workers=config.parallelism)
+    with pool:
+        return evaluate_query(graph, query, algorithm, base_config=config, pool=pool)
+
 
 _serial_rows = {}
 
@@ -154,12 +170,7 @@ def _serial(fig1, algo: str):
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_scheduled_rows_identical_to_serial(fig1, golden, algo, variant):
     serial = _serial(fig1, algo)
-    scheduled = evaluate_query(
-        fig1,
-        MATRIX_QUERY,
-        algorithm=algo,
-        base_config=SearchConfig(**SCHED_VARIANTS[variant]),
-    )
+    scheduled = _evaluate(fig1, MATRIX_QUERY, variant, algorithm=algo)
     assert scheduled.columns == serial.columns
     assert scheduled.rows == serial.rows  # bit-identical, order included
     assert query_record(scheduled) == golden[f"matrix|{algo}"]
@@ -170,23 +181,21 @@ def test_scheduled_rows_identical_to_serial(fig1, golden, algo, variant):
         ]
     assert len(scheduled.schedule.estimates) == 3
     assert all(estimate > 0 for estimate in scheduled.schedule.estimates)
+    executor = SCHED_VARIANTS[variant][1]
+    want = {None: "serial", "thread": "process->thread", "process": "process"}[executor]
+    assert scheduled.schedule.mode_selected == want
 
 
 @pytest.mark.parametrize("name", sorted(STAR_QUERIES))
 def test_star_batch_rows_identical_under_every_dispatch(golden, name):
     star = grouped_star(5, 3, 3)
-    for config in (
-        SearchConfig(),
-        SearchConfig(parallelism=2),
-        SearchConfig(parallelism=2, parallelism_mode="process"),
-        SearchConfig(parallelism=2, parallelism_mode="auto"),
-    ):
-        result = evaluate_query(star, STAR_QUERIES[name], "bft", base_config=config)
+    for variant in ("serial-sched", "serial-nosched", "thread-nosched", "process-sched"):
+        result = _evaluate(star, STAR_QUERIES[name], variant, algorithm="bft")
         assert query_record(result) == golden[f"{name}|bft"]
 
 
 def test_scheduled_dedup_still_shares_the_repeated_ctp(fig1):
-    result = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
+    result = _evaluate(fig1, MATRIX_QUERY, "thread-sched")
     first, _, third = result.ctp_reports
     assert not first.cache_hit
     assert third.cache_hit  # the ?w3 duplicate of ?w1
@@ -194,72 +203,44 @@ def test_scheduled_dedup_still_shares_the_repeated_ctp(fig1):
 
 
 # ----------------------------------------------------------------------
-# pipelined (A)→(B) overlap
+# the pipeline query (named for the retired pipelined submission)
 # ----------------------------------------------------------------------
-def test_pipelined_free_ctp_overlaps_bgp(fig1):
-    serial = evaluate_query(fig1, PIPELINE_QUERY)
-    result = evaluate_query(fig1, PIPELINE_QUERY, base_config=SearchConfig(parallelism=4))
-    assert result.columns == serial.columns and result.rows == serial.rows
-    assert result.schedule.mode_selected == "thread"
-    # The constant-seeded CONNECT was submitted while the BGP still ran.
-    assert result.schedule.pipeline_overlaps == 1
-
-
-def test_pipelined_bound_ctps_wait_for_their_bgp(fig1):
-    serial = evaluate_query(fig1, MATRIX_QUERY)
-    result = evaluate_query(fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=4))
-    assert result.rows == serial.rows
-    # Every CONNECT seeds from ?x, bound by the one BGP: nothing overlaps.
-    assert result.schedule.pipeline_overlaps == 0
-
-
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_pipelined_rows_match_golden(fig1, golden, algo):
-    result = evaluate_query(
-        fig1,
-        PIPELINE_QUERY,
-        algorithm=algo,
-        base_config=SearchConfig(parallelism=4),
-    )
+    result = _evaluate(fig1, PIPELINE_QUERY, "thread-sched", algorithm=algo)
     assert query_record(result) == golden[f"pipeline|{algo}"]
-    assert result.schedule.pipeline_overlaps == 1
 
 
 def test_pipelined_with_deadline_keeps_rows(fig1):
     serial = evaluate_query(fig1, PIPELINE_QUERY)
-    result = evaluate_query(
-        fig1,
-        PIPELINE_QUERY,
-        base_config=SearchConfig(parallelism=4, deadline=60.0),
-    )
+    result = _evaluate(fig1, PIPELINE_QUERY, "thread-deadline-sched")
     assert result.rows == serial.rows
-    assert result.schedule.pipeline_overlaps == 1
 
 
 # ----------------------------------------------------------------------
-# auto mode selection
+# mode_selected: what executed, read off the outcomes
 # ----------------------------------------------------------------------
-def test_auto_mode_single_ctp_stays_serial(fig1):
-    query = 'SELECT ?w WHERE { CONNECT("France", "National Liberal Party") AS ?w MAX 3 }'
-    serial = evaluate_query(fig1, query)
-    result = evaluate_query(
-        fig1, query, base_config=SearchConfig(parallelism=4, parallelism_mode="auto")
-    )
-    assert result.rows == serial.rows
-    assert result.schedule.mode_requested == "auto"
-    assert result.schedule.mode_selected == "serial"  # one job: nothing to overlap
+def test_mode_selected_is_what_executed_not_what_was_asked(fig1):
+    """A lambda scorer cannot cross the process boundary: a query handed a
+    pool degrades to threads, and the report must say so."""
+    score = lambda graph, edges, nodes: -len(edges)  # noqa: E731
+    with WorkerPool(fig1, workers=2) as pool:
+        result = evaluate_query(
+            fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=2, score=score), pool=pool
+        )
+    executed = [r.dispatch_mode for r in result.ctp_reports if r.dispatch_mode != "memo"]
+    assert executed == ["process->thread"] * 2
+    assert result.schedule.mode_selected == "process->thread"
 
 
-def test_auto_mode_selection_consistent_with_choose_mode(fig1):
-    result = evaluate_query(
-        fig1,
-        MATRIX_QUERY,
-        algorithm="bft",
-        base_config=SearchConfig(parallelism=4, parallelism_mode="auto"),
-    )
-    report = result.schedule
-    assert report.mode_requested == "auto"
-    assert report.mode_selected == choose_mode(sum(report.estimates), len(report.estimates), 4)
+def test_mode_selected_when_every_ctp_is_served_from_the_memo(fig1):
+    from repro.ctp.context import SearchContext
+
+    context = SearchContext()
+    evaluate_query(fig1, MATRIX_QUERY, context=context)
+    again = evaluate_query(fig1, MATRIX_QUERY, context=context)
+    assert [r.dispatch_mode for r in again.ctp_reports] == ["memo"] * 3
+    assert again.schedule.mode_selected == "memo"
 
 
 # ----------------------------------------------------------------------
@@ -267,42 +248,34 @@ def test_auto_mode_selection_consistent_with_choose_mode(fig1):
 # ----------------------------------------------------------------------
 def test_ledger_rejects_non_positive_deadline():
     with pytest.raises(ConfigError):
-        DeadlineLedger(0.0, started=0.0)
+        DeadlineLedger(0.0, started=0.0, costs={})
 
 
 def test_ledger_primed_builds_are_cost_proportional():
-    ledger = DeadlineLedger(10.0, started=0.0, workers=1, clock=FakeClock())
-    ledger.prime({0: 3.0, 1: 1.0})
-    # The cost passed to register is ignored for a primed index (idempotence).
-    assert ledger.register(0, 999.0, None) == pytest.approx(7.5)
-    assert ledger.register(1, 999.0, None) == pytest.approx(2.5)
+    # Every cost is known up front, so the first build already sees the
+    # whole query's pending cost.
+    ledger = DeadlineLedger(10.0, started=0.0, costs={0: 3.0, 1: 1.0}, clock=FakeClock())
+    assert ledger.register(0, None) == pytest.approx(7.5)
+    assert ledger.register(1, None) == pytest.approx(2.5)
     # Serial shares sum to the whole deadline — no budget is stranded.
     assert ledger.build_budget(0) + ledger.build_budget(1) == pytest.approx(10.0)
-
-
-def test_ledger_unprimed_first_register_sees_only_itself():
-    # The pipelined path's documented heuristic: incremental registration
-    # gives early CTPs generous shares (pending pool = themselves).
-    ledger = DeadlineLedger(10.0, started=0.0, clock=FakeClock())
-    assert ledger.register(0, 3.0, None) == pytest.approx(10.0)
-    assert ledger.register(1, 1.0, None) == pytest.approx(2.5)  # 10 * 1/4
 
 
 def test_ledger_workers_degenerate_to_full_remaining():
     # With every CTP on its own worker the shares hit the min(1, ...) cap:
     # the historical full-remaining behaviour.
-    ledger = DeadlineLedger(10.0, started=0.0, workers=2, clock=FakeClock())
-    ledger.prime({0: 1.0, 1: 1.0})
-    assert ledger.register(0, 1.0, None) == pytest.approx(10.0)
-    assert ledger.register(1, 1.0, None) == pytest.approx(10.0)
+    ledger = DeadlineLedger(
+        10.0, started=0.0, costs={0: 1.0, 1: 1.0}, workers=2, clock=FakeClock()
+    )
+    assert ledger.register(0, None) == pytest.approx(10.0)
+    assert ledger.register(1, None) == pytest.approx(10.0)
 
 
 def test_ledger_grant_never_below_build_even_past_deadline():
     clock = FakeClock()
-    ledger = DeadlineLedger(1.0, started=0.0, clock=clock)
-    ledger.prime({0: 1.0, 1: 1.0})
-    ledger.register(0, 1.0, None)
-    build = ledger.register(1, 1.0, None)
+    ledger = DeadlineLedger(1.0, started=0.0, costs={0: 1.0, 1: 1.0}, clock=clock)
+    ledger.register(0, None)
+    build = ledger.register(1, None)
     clock.advance(5.0)  # deadline long gone
     assert ledger.remaining() == LEDGER_FLOOR
     assert ledger.grant(1) == pytest.approx(build)  # the pinned invariant
@@ -311,10 +284,9 @@ def test_ledger_grant_never_below_build_even_past_deadline():
 
 def test_ledger_settled_budget_flows_to_pending_ctp():
     clock = FakeClock()
-    ledger = DeadlineLedger(10.0, started=0.0, clock=clock)
-    ledger.prime({0: 1.0, 1: 9.0})
-    ledger.register(0, 1.0, None)
-    build = ledger.register(1, 9.0, None)
+    ledger = DeadlineLedger(10.0, started=0.0, costs={0: 1.0, 1: 9.0}, clock=clock)
+    ledger.register(0, None)
+    build = ledger.register(1, None)
     assert build == pytest.approx(9.0)
     clock.advance(0.5)
     ledger.settle(0)  # the cheap CTP finished half its share early
@@ -326,10 +298,9 @@ def test_ledger_settled_budget_flows_to_pending_ctp():
 
 
 def test_ledger_grant_capped_by_intrinsic_timeout():
-    ledger = DeadlineLedger(10.0, started=0.0, clock=FakeClock())
-    ledger.prime({0: 1.0, 1: 1.0})
-    assert ledger.register(0, 1.0, 0.25) == pytest.approx(0.25)  # tighter than share
-    ledger.register(1, 1.0, None)
+    ledger = DeadlineLedger(10.0, started=0.0, costs={0: 1.0, 1: 1.0}, clock=FakeClock())
+    assert ledger.register(0, 0.25) == pytest.approx(0.25)  # tighter than share
+    ledger.register(1, None)
     ledger.settle(1)
     # Fair share is now the whole remaining deadline; intrinsic still caps.
     assert ledger.grant(0) == pytest.approx(0.25)
@@ -347,9 +318,10 @@ def test_ledger_grant_capped_by_intrinsic_timeout():
 )
 def test_ledger_grant_invariants_property(costs, advance, intrinsic, workers):
     clock = FakeClock()
-    ledger = DeadlineLedger(5.0, started=0.0, workers=workers, clock=clock)
-    ledger.prime(dict(enumerate(costs)))
-    builds = {i: ledger.register(i, cost, intrinsic) for i, cost in enumerate(costs)}
+    ledger = DeadlineLedger(
+        5.0, started=0.0, costs=dict(enumerate(costs)), workers=workers, clock=clock
+    )
+    builds = {i: ledger.register(i, intrinsic) for i in range(len(costs))}
     clock.advance(advance)
     for index in range(len(costs) // 2):
         ledger.settle(index)
@@ -397,10 +369,9 @@ def test_deadline_bounds_a_serial_query(fig1, monkeypatch):
 # ----------------------------------------------------------------------
 def test_config_for_run_applies_upward_grant_only():
     clock = FakeClock()
-    ledger = DeadlineLedger(10.0, started=0.0, clock=clock)
-    ledger.prime({0: 1.0, 1: 9.0})
-    build0 = ledger.register(0, 1.0, None)
-    build1 = ledger.register(1, 9.0, None)
+    ledger = DeadlineLedger(10.0, started=0.0, costs={0: 1.0, 1: 9.0}, clock=clock)
+    build0 = ledger.register(0, None)
+    build1 = ledger.register(1, None)
     schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0}, ledger=ledger)
     job0 = CTPJob(index=0, seed_sets=[], config=SearchConfig(timeout=build0))
     # Grant equals the build budget: the very same config object comes back
@@ -416,12 +387,17 @@ def test_config_for_run_applies_upward_grant_only():
 
 
 def test_finalize_folds_estimates_actuals_and_ledger_counters():
-    ledger = DeadlineLedger(10.0, started=0.0, clock=FakeClock())
+    ledger = DeadlineLedger(10.0, started=0.0, costs={}, clock=FakeClock())
     ledger.rebalances = 2
     ledger.rebalanced_seconds = 0.75
     schedule = QuerySchedule(estimates={1: 4.0}, ledger=ledger)
-    outcomes = [SimpleNamespace(seconds=0.1), SimpleNamespace(seconds=0.2), None]
+    outcomes = [
+        SimpleNamespace(seconds=0.1, mode="memo"),
+        SimpleNamespace(seconds=0.2, mode="process"),
+        None,
+    ]
     report = schedule.finalize(outcomes)
+    assert report.mode_selected == "process"  # what executed, memo aside
     assert report.estimates == [0.0, 4.0, 0.0]  # padded to outcome count
     assert report.actual_seconds == [0.1, 0.2, 0.0]
     assert report.rebalances == 2
@@ -441,8 +417,7 @@ def _dispatch(jobs, executor, schedule, reorder=True):
     """One barrier dispatch over ``executor``: ``(outcomes, follower indices)``."""
     start = lambda job: executor.submit(lambda j: (_FakeResultSet(), 0.0), job)  # noqa: E731
     dispatch = Dispatch(None, schedule, start, "thread", reorder=reorder)
-    dispatch.submit(jobs)
-    return dispatch.finish(), dispatch.followers
+    return dispatch.run(jobs), dispatch.followers
 
 
 def test_fan_out_submits_longest_first_ties_by_index():
@@ -515,7 +490,7 @@ _chain_serial = None
 def _chain_reference():
     global _chain_serial
     if _chain_serial is None:
-        outcomes = run_ctp_jobs(_CHAIN, "bft", _chain_jobs(), None, parallelism=1)
+        outcomes = open_dispatch(_CHAIN, "bft", None, len(_CHAIN_PAIRS)).run(_chain_jobs())
         _chain_serial = [[r.edges for r in o.result_set] for o in outcomes]
     return _chain_serial
 
@@ -530,11 +505,12 @@ def _chain_reference():
 )
 def test_any_estimate_assignment_keeps_rows_identical(estimates):
     schedule = QuerySchedule(estimates=dict(enumerate(estimates)))
-    outcomes = run_ctp_jobs(
-        _CHAIN, "bft", _chain_jobs(), None, parallelism=4, mode="thread", schedule=schedule
-    )
+    with fallback_pool(_CHAIN, 4) as pool:
+        outcomes = open_dispatch(
+            _CHAIN, "bft", None, len(_CHAIN_PAIRS), 4, pool=pool, schedule=schedule
+        ).run(_chain_jobs())
     assert [[r.edges for r in o.result_set] for o in outcomes] == _chain_reference()
-    assert all(outcome.mode == "thread" for outcome in outcomes)
+    assert all(outcome.mode == "process->thread" for outcome in outcomes)
     expected = sorted(range(4), key=lambda i: (-estimates[i], i))
     assert schedule.report.submit_order == expected
 

@@ -7,8 +7,8 @@ The PR-6 suite.  The amortization tentpole has three claims to hold:
    long-lived context must never leak one request's state into another's
    rows);
 2. **Resilience** — a crashed worker costs one respawn, not silent
-   thread-fallback forever, and a closed/mismatched pool degrades to the
-   historical dispatch chain instead of failing the query;
+   thread-fallback forever, and a closed/mismatched pool is ignored —
+   the CTPs run inline instead of failing the query;
 3. **Serving discipline** — admission control rejects (never queues
    unboundedly), expired deadlines are refused up front, live deadlines
    cap per-CTP budgets, and every refusal is a typed response.
@@ -57,7 +57,7 @@ SELECT ?x ?w1 ?w2 ?w3 WHERE {
 }
 """
 
-PROCESS_CONFIG = SearchConfig(parallelism=2, parallelism_mode="process")
+PROCESS_CONFIG = SearchConfig(parallelism=2)
 
 
 def _pool_eval(graph, pool, algorithm="molesp", query=MATRIX_QUERY, config=PROCESS_CONFIG):
@@ -143,7 +143,7 @@ def test_closed_pool_rejects_and_evaluator_degrades(fig1):
         pool.respawn()
     pool.close()  # idempotent
     # An injected-but-closed pool must not fail the query: the dispatch
-    # gate ignores it and the per-call chain runs.
+    # gate ignores it and the CTPs run inline.
     serial = evaluate_query(fig1, MATRIX_QUERY)
     result = _pool_eval(fig1, pool)
     assert result.rows == serial.rows
