@@ -163,6 +163,20 @@ def distance_bound(
     return reach, need
 
 
+def merge_partner_buckets(
+    index: Dict[int, List[SearchTree]], sat: int, root_mask: int, full_sat: int
+) -> List[List[SearchTree]]:
+    """The buckets of a root's sat -> trees ``index`` that pass Merge2 for ``sat``.
+
+    A partner bucket passes when its sat shares no bit with ``sat`` outside
+    ``root_mask`` (the root's own seed sets; 0 under ``strict_merge2``).
+    Every bucket sat is a submask of ``full_sat``.  Buckets come back in
+    the index's order.
+    """
+    blocked = sat & ~root_mask
+    return [bucket for bucket_sat, bucket in index.items() if not bucket_sat & blocked]
+
+
 class GAMFamilySearch:
     """Base class: run one of the GAM-family algorithms on a CTP.
 
@@ -602,6 +616,7 @@ class _GAMRun:
         seed_mask = self.seed_mask
         stats = self.stats
         pool = self.pool
+        full_sat = self.full_sat
         while work:
             if self.deadline.expired():
                 raise _StopSearch(timed_out=True)
@@ -626,11 +641,7 @@ class _GAMRun:
                     continue
                 partners = bucket
             else:
-                compat = [
-                    bucket
-                    for bucket_sat, bucket in index.items()
-                    if not (sat & bucket_sat) & ~root_mask
-                ]
+                compat = merge_partner_buckets(index, sat, root_mask, full_sat)
                 stats.merge_buckets_skipped += len(index) - len(compat)
                 if not compat:
                     continue
