@@ -37,7 +37,9 @@ Faithfulness notes:
 
 Performance: tree state is *interned* (:mod:`repro.ctp.interning`) — edge
 sets are hash-consed handles, node sets carry exact bitmasks, merge
-partners are bucketed by sat mask, and balanced pops use a lazy size heap.
+partners are bucketed by sat mask and found by probing the submasks of
+the sats Merge2 allows (:func:`merge_partner_buckets`), and balanced pops
+use a lazy size heap.
 The Grow frontier is *lazy*: a kept tree files one heap entry whose
 cursor walks the root's adjacency tuple, applying Grow1/Grow2 as it
 advances.  Both depend only on the immutable tree and the fixed seed map,
@@ -170,10 +172,26 @@ def merge_partner_buckets(
 
     A partner bucket passes when its sat shares no bit with ``sat`` outside
     ``root_mask`` (the root's own seed sets; 0 under ``strict_merge2``).
-    Every bucket sat is a submask of ``full_sat``.  Buckets come back in
-    the index's order.
+    Every bucket sat is a submask of ``full_sat``, so a bucket passes
+    exactly when its sat is a submask of ``allowed``.  When ``allowed`` has
+    fewer submasks than the root has buckets, probe the index once per
+    submask; otherwise scan the buckets.  Either way the same buckets come
+    back, in an order the caller does not read (several buckets are
+    re-sorted by ``seq``).
     """
     blocked = sat & ~root_mask
+    allowed = full_sat & ~blocked
+    if 1 << allowed.bit_count() < len(index):
+        probe = index.get
+        found = []
+        sub = allowed
+        while True:
+            bucket = probe(sub)
+            if bucket is not None:
+                found.append(bucket)
+            if not sub:
+                return found
+            sub = (sub - 1) & allowed
     return [bucket for bucket_sat, bucket in index.items() if not bucket_sat & blocked]
 
 
@@ -263,10 +281,10 @@ class _GAMRun:
         self.hist: Set[int] = set()  # edge-set history (ESP)
         self.rooted_keys: Set[Tuple[int, int]] = set()  # rooted-tree history (GAM / LESP)
         #: Merge-partner index: root -> sat mask -> trees, so a cascade
-        #: step skips Merge2-incompatible partners one bucket at a time
-        #: instead of testing them one tree at a time (global insertion
-        #: order is restored from the per-tree ``seq`` tickets when
-        #: several buckets are compatible).
+        #: step finds Merge2-compatible partners a bucket at a time
+        #: (merge_partner_buckets) instead of testing them one tree at a
+        #: time (global insertion order is restored from the per-tree
+        #: ``seq`` tickets when several buckets are compatible).
         self.trees_rooted_in: Dict[int, Dict[int, List[SearchTree]]] = {}
         self._seq = 0
         self.ss: Dict[int, int] = {}  # seed signatures (Section 4.6)
