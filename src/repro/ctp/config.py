@@ -1,9 +1,13 @@
 """Search configuration: CTP filters (Section 2) and engine knobs.
 
 The paper's CTP filters — ``UNI``, ``LABEL {l1..lk}``, ``MAX n``,
-``SCORE sigma [TOP k]``, a per-CTP timeout, and ``LIMIT`` — are *pushed into*
-the search (Section 4.8) rather than applied on materialized results, so
-they all live on :class:`SearchConfig`, which every algorithm accepts.
+``SCORE sigma [TOP k]``, a per-CTP timeout, and ``LIMIT`` — all live on
+:class:`SearchConfig`, which every algorithm accepts.  ``UNI``, ``LABEL``,
+``MAX``, the timeout and ``LIMIT`` are *pushed into* the search (Section
+4.8) rather than applied on materialized results.  ``TOP k`` is not: the
+search scores every result it finds, and the k best are kept after it
+ends (``_GAMRun._final_results`` in :mod:`repro.ctp.engine`).  Pushing it
+down is ROADMAP item 13(c).
 """
 
 from __future__ import annotations
@@ -90,9 +94,14 @@ class SearchConfig:
         Use the *literal* Merge2 of Section 4.2 — ``sat(t1) ∩ sat(t2) = ∅``
         — instead of the relaxed reading this library argues for (overlap
         allowed through the shared root; the argument is in the
-        :mod:`repro.ctp.engine` docstring).  With the strict
-        condition GAM loses completeness on results whose internal
-        branching node is a seed; exposed to make that measurable.
+        :mod:`repro.ctp.engine` docstring).  Two trees that both hold a
+        seed can then never merge at it, so no strict result has a seed
+        of tree degree 3 or more.  GAM loses exactly the results that
+        have one.  MoESP and MoLESP lose more, because their Mo copies
+        are rooted at a seed and merge only there: every result they
+        lose has a seed of tree degree 2 or more, and most have no seed
+        of degree 3 or more (``tests/test_strict_merge2.py``).  Exposed
+        to make the loss measurable.
     mo_inject_always (ablation):
         Inject Mo copies for *every* new tree (Algorithm 3 read literally)
         instead of only when seed coverage grew (the Section 4.5 text).

@@ -173,7 +173,8 @@ def merge_partner_buckets(
     A partner bucket passes when its sat shares no bit with ``sat`` outside
     ``root_mask`` (the root's own seed sets; 0 under ``strict_merge2``).
     Every bucket sat is a submask of ``full_sat``, so a bucket passes
-    exactly when its sat is a submask of ``allowed``.  When ``allowed`` has
+    exactly when its sat is a submask of ``allowed = full_sat & ~(sat &
+    ~root_mask)``.  When ``allowed`` has
     fewer submasks than the root has buckets, probe the index once per
     submask; otherwise scan the buckets.  Either way the same buckets come
     back, in an order the caller does not read (several buckets are
