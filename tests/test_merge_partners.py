@@ -73,7 +73,6 @@ def test_the_lookup_returns_exactly_the_scanned_buckets(lookup):
     got = engine.merge_partner_buckets(index, sat, root_mask, full_sat)
     want = scan_partner_buckets(index, sat, root_mask, full_sat)
     assert sorted(map(id, got)) == sorted(map(id, want))
-    assert len(got) == len(want)
     allowed = full_sat & ~(sat & ~root_mask)
     event("submask" if (1 << bin(allowed).count("1")) < len(index) else "scan")
 
