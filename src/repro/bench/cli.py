@@ -41,10 +41,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.scale = min(args.scale, 0.25)
         args.no_save = True
     names = list(EXPERIMENTS) if "all" in args.experiment else args.experiment
+    wrong_rows = False
     for name in names:
         runner = get_experiment(name)
         report = runner(scale=args.scale, timeout=args.timeout, repeats=args.repeats)
         print(report_to_text(report))
+        # A row whose identity gate failed (``identical`` exactly False)
+        # fails the command, so a smoke run catches wrong rows, not only
+        # crashes.
+        for row in report.rows:
+            if row.get("identical") is False:
+                wrong_rows = True
+                print(f"error: {report.experiment}: row not identical: {row}", file=sys.stderr)
         if args.chart:
             from repro.bench.plots import charts_for_experiment
 
@@ -56,7 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.no_save:
             target = report.save_json(args.out)
             print(f"[saved {target}]")
-    return 0
+    return 1 if wrong_rows else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

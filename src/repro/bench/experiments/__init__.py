@@ -13,9 +13,7 @@ from repro.bench.experiments import (
     fig13_cdf_m2,
     fig14_cdf_m3,
     micro_chaos,
-    micro_delta,
     micro_scale,
-    micro_serve,
     table1_yago,
 )
 from repro.bench.harness import ExperimentReport
@@ -32,9 +30,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentReport]] = {
     "table1": table1_yago.run,
     "abl01": abl01_design.run,
     "chaos": micro_chaos.run,
-    "delta": micro_delta.run,
     "scale": micro_scale.run,
-    "serve": micro_serve.run,
 }
 
 

@@ -30,12 +30,12 @@ byte-for-byte under ``PYTHONHASHSEED=0``.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.bench.experiments.micro_serve import NUM_GROUPS, _percentile, _serve_query
 from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.faults import FaultPlan, FaultSpec
@@ -48,6 +48,34 @@ from repro.workloads.synthetic import grouped_star
 #: recovery machinery, and one worker makes every fault's firing schedule
 #: (per-process invocation counters) exactly reproducible.
 CHAOS_WORKERS = 1
+NUM_GROUPS = 5
+
+
+def _serve_query(pair_a: Tuple[int, int], pair_b: Tuple[int, int], max_edges: int) -> str:
+    """A 2-CTP EQL query connecting two seed-group pairs of ``grouped_star``.
+
+    Two CTPs (not one) so the dispatch layer always has pooled work.
+    """
+    (a1, a2), (b1, b2) = pair_a, pair_b
+    return f"""
+    SELECT ?w0 ?w1 WHERE {{
+      FILTER(type(?x) = "g{a1}")
+      FILTER(type(?y) = "g{a2}")
+      FILTER(type(?u) = "g{b1}")
+      FILTER(type(?v) = "g{b2}")
+      CONNECT(?x, ?y) AS ?w0 MAX {max_edges}
+      CONNECT(?u, ?v) AS ?w1 MAX {max_edges}
+    }}
+    """
+
+
+def _percentile(latencies: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (exact for the small samples a bench has)."""
+    if not latencies:
+        return 0.0
+    ordered = sorted(latencies)
+    rank = min(len(ordered), max(1, math.ceil(q / 100.0 * len(ordered))))
+    return ordered[rank - 1]
 
 
 def _stream(count: int) -> List[str]:

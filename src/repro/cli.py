@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="delta-overlay mutations tolerated before the pool refreezes "
-        "base ∪ delta (0 = legacy resnapshot-per-mutation, negative = "
+        "base ∪ delta (0 = compact on any mutation, negative = "
         "never compact; default 256)",
     )
     serve.set_defaults(handler=_cmd_serve)

@@ -497,9 +497,10 @@ class OverlayGraph:
     def materialize(self) -> Any:
         """A full CSR snapshot of base ∪ delta (one frozen file, no overlay).
 
-        The slow path: used when an overlay must become a standalone
-        snapshot (e.g. the non-pooled process dispatcher serializing the
-        view).  The pooled path never calls this — it ships the delta.
+        The slow path: :func:`repro.graph.snapshot._freeze` calls it when
+        an overlay is handed to ``save_snapshot`` or ``ensure_snapshot``
+        and must become one flat file.  The worker pool never calls this —
+        it ships the delta.
         """
         return self.to_graph().freeze()
 

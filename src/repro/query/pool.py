@@ -156,8 +156,7 @@ class WorkerPool:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         #: Delta size at which a dispatch boundary compacts base ∪ delta into
         #: a new snapshot generation (full re-snapshot, re-mapped by the warm
-        #: workers).  ``None`` never compacts; ``0`` compacts on any mutation
-        #: — the legacy resnapshot-per-mutation behaviour, kept for A/B benching.
+        #: workers).  ``None`` never compacts; ``0`` compacts on any mutation.
         self.compaction_threshold = compaction_threshold
         #: Thrash detector: a resnapshot landing within this many dispatches
         #: of the previous one counts as thrash and warns.

@@ -8,8 +8,9 @@
 client threads — with admission control, per-request deadlines, and
 per-response provenance (warm pool? memo hits? what dispatch ran?).
 
-``python -m repro serve`` drives one from the command line;
-``python -m repro.bench serve`` measures the warm-vs-cold claim.
+``python -m repro serve`` drives one from the command line; the
+``serve_read`` and ``serve_ingest`` workloads of ``benchmarks/e2e``
+measure it.
 """
 
 from repro.serve.models import (

@@ -104,8 +104,7 @@ class QueryServer:
     compaction_threshold:
         Delta-overlay mutations tolerated before base ∪ delta is
         refrozen into a fresh base snapshot (``None`` = never compact,
-        ``0`` = compact on any mutation, i.e. the legacy
-        resnapshot-per-mutation behavior).  Under process dispatch the
+        ``0`` = compact on any mutation).  Under process dispatch the
         worker pool compacts at its dispatch boundary; under serial
         dispatch :meth:`ingest` compacts inline.
 

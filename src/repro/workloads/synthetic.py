@@ -17,8 +17,9 @@ singleton, matching the paper's setup ("each seed set is of size 1").
   has exactly ``2^N`` results (the exponential worst case motivating CTP
   filters and timeouts).
 
-:func:`grouped_star` is the micro-benches' variant of ``Star``: the arm
-tips are typed by seed group instead of being returned as seed sets.
+:func:`grouped_star` is a variant of ``Star`` for the serving tests and
+the ``chaos`` bench: the arm tips are typed by seed group instead of being
+returned as seed sets.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 The randomized-graph helpers live in :mod:`repro.testing`; test modules
 import them explicitly (``from repro.testing import ...``) rather than via
-the bare ``conftest`` module name, which ``benchmarks/conftest.py`` shadows
-when pytest runs from the repository root.  They are re-exported here only
-for backward compatibility.
+the bare ``conftest`` module name.  They are re-exported here only for
+backward compatibility.
 """
 
 from __future__ import annotations

@@ -181,6 +181,27 @@ class TestBenchCli:
         with pytest.raises(ReproError):
             bench_main(["fig99", "--no-save"])
 
+    @pytest.mark.parametrize("identical, code", [(True, 0), (False, 1)])
+    def test_row_not_identical_fails_the_command(self, monkeypatch, capsys, identical, code):
+        from repro.bench.cli import main as bench_main
+        from repro.bench.experiments import EXPERIMENTS
+        from repro.bench.harness import ExperimentReport
+
+        def fake(scale, timeout, repeats):
+            report = ExperimentReport(experiment="fake", title="fake", config={})
+            report.add_row(regime="ok", identical=True)
+            report.add_row(regime="suspect", identical=identical)
+            return report
+
+        monkeypatch.setitem(EXPERIMENTS, "fake", fake)
+        assert bench_main(["fake", "--no-save"]) == code
+        err = capsys.readouterr().err
+        if identical:
+            assert "not identical" not in err
+        else:
+            assert "fake" in err and "suspect" in err
+            assert "regime': 'ok'" not in err
+
 
 def test_module_entrypoint_runs():
     completed = subprocess.run(

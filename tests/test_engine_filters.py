@@ -124,6 +124,8 @@ class TestTimeoutAndLimit:
         results = MoLESPSearch().run(fig1, fig1_seeds, SearchConfig(limit=3))
         assert len(results) == 3
         assert not results.complete
+        graph, seeds = chain_graph(12)
+        assert len(MoLESPSearch().run(graph, seeds, SearchConfig(limit=100))) == 100
 
     def test_limit_one_like_figure12(self, fig1, fig1_seeds):
         results = MoLESPSearch().run(fig1, fig1_seeds, SearchConfig(limit=1))

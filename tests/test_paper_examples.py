@@ -50,7 +50,7 @@ class TestSection2Figure1:
 
 class TestFigure2Chain:
     def test_exponential_result_count(self):
-        for n in (2, 4, 7):
+        for n in (2, 4, 7, 8):
             graph, seeds = chain_graph(n)
             results = MoLESPSearch().run(graph, seeds)
             assert len(results) == 2**n
