@@ -14,15 +14,19 @@ from typing import Iterable, Iterator, Optional
 class Deadline:
     """A monotonic-clock deadline shared across the stages of an evaluation.
 
-    ``Deadline(None)`` never expires.  Searches poll :meth:`expired` in their
-    hot loops; the helper is deliberately branch-cheap.
+    ``Deadline(None)`` never expires.  ``bounded`` says whether the deadline
+    can expire at all, so a hot loop reads that flag once and polls
+    :meth:`expired` (one clock read) only when it is true; an unbounded
+    search never polls.
     """
 
-    __slots__ = ("_limit", "_start")
+    __slots__ = ("_limit", "_start", "bounded")
 
     def __init__(self, seconds: Optional[float]):
         self._start = time.monotonic()
         self._limit = None if seconds is None else self._start + float(seconds)
+        #: True when the deadline can expire (it was given a number of seconds).
+        self.bounded = seconds is not None
 
     @classmethod
     def never(cls) -> "Deadline":

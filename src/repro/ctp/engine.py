@@ -54,11 +54,17 @@ Node bitmasks live in a dense per-search id space
 (:mod:`repro.ctp.idremap`): masks are sized by |nodes this search
 touched| instead of the graph's largest node id, which is what makes
 million-node (and sparse-huge-id) graphs viable.
-Both the UNI filter and the Algorithm 4 history check run *before* a
-grown/merged tree is constructed, so pruned candidates cost a few int
-lookups and no allocation.  Result sets and order-sensitive counters are
-pinned to the seed implementation's frozenset bookkeeping by recorded
-goldens (see ``tests/test_interning_equivalence.py``).
+Runtime tracks the number of provenances built (Fig. 11), so the price of
+each is kept to a few Python calls.  The construction contract: the UNI
+filter and the Algorithm 4 history check are decided *before* a grown or
+merged tree is built — the history check inlined at both call sites, a
+pruned candidate costs a few int lookups and no allocation — and a kept
+tree is then built in one positional call (:mod:`repro.ctp.tree`).  The
+deadline is polled only when the search has one.  Result sets and
+order-sensitive counters are pinned to the seed implementation's frozenset
+bookkeeping by recorded goldens (``tests/test_interning_equivalence.py``),
+and rows in emission order plus every counter, ``merges_attempted`` and
+cut runs included, by ``tests/test_provenance_golden.py``.
 """
 
 from __future__ import annotations
@@ -368,25 +374,31 @@ class _GAMRun:
         remap_bit = self.remap.bit
         reach_of = self.reach.get
         for node, mask in self.seed_mask.items():
-            tree = make_init(self.pool, node, mask, uni, node_bit=remap_bit(node), reach=reach_of(node, 0))
+            tree = make_init(self.pool, node, mask, uni, remap_bit(node), reach_of(node, 0))
             self.stats.init_trees += 1
             self.ss[node] = self.ss.get(node, 0) | mask
-            work = self._absorb(tree, gained=True)
+            work = self._absorb(tree, True)
             if work:
                 self._merge_cascade(deque(work))
 
     def _main_loop(self) -> None:
         deadline = self.deadline
-        graph = self.graph
+        bounded = deadline.bounded
+        edge_weight = self.graph.edge_weight
         seed_mask = self.seed_mask
         uni = self.config.uni
-        pool = self.pool
+        union1 = self.pool.union1
         stats = self.stats
         ss = self.ss
         remap_bit = self.remap.bit
         reach_of = self.reach.get
+        esp = self.algo.edge_set_pruning
+        lesp_guard = self.algo.lesp_guard
+        hist = self.hist
+        rooted_keys = self.rooted_keys
+        absorb = self._absorb
         for tree, edge_id, other, outgoing in self._grows():
-            if deadline.expired():
+            if bounded and deadline.expired():
                 raise _StopSearch(timed_out=True)
             stats.grows += 1
             # The UNI filter and the history check both precede tree
@@ -405,8 +417,15 @@ class _GAMRun:
             path_seed = tree.path_seed if other not in seed_mask else None
             if path_seed is not None:
                 ss[other] = ss.get(other, 0) | seed_mask[path_seed]
-            eset = pool.union1(tree.eset, edge_id)
-            if not self._is_new_rooted(other, eset):
+            eset = union1(tree.eset, edge_id)
+            # Algorithm 4 (isNew), inlined: an edge set new to the history
+            # is new; only the empty set and the LESP guard need a second look.
+            if esp:
+                if not eset or eset in hist:
+                    if (eset and not lesp_guard) or not self._is_new_rooted(other, eset):
+                        stats.pruned_history += 1
+                        continue
+            elif (other, eset) in rooted_keys:
                 stats.pruned_history += 1
                 continue
             grown = make_grow(
@@ -415,15 +434,15 @@ class _GAMRun:
                 other,
                 seed_mask.get(other, 0),
                 other in seed_mask,
-                graph.edge_weight(edge_id),
+                edge_weight(edge_id),
                 outgoing,
                 uni,
-                eset=eset,
-                uni_state=uni_state,
-                node_bit=remap_bit(other),
-                new_root_reach=reach_of(other, 0),
+                remap_bit(other),
+                eset,
+                uni_state,
+                reach_of(other, 0),
             )
-            work = self._absorb(grown, gained=grown.sat != tree.sat)
+            work = absorb(grown, grown.sat != tree.sat)
             if work:
                 self._merge_cascade(deque(work))
 
@@ -534,7 +553,10 @@ class _GAMRun:
         """Algorithm 4 on the *identity* of a rooted tree.
 
         Takes the (root, edge-set handle) pair rather than a built tree so
-        the engine can prune before constructing anything.
+        the engine can prune before constructing anything.  The Grow loop
+        and the merge cascade inline the common cases (GAM's rooted-key
+        test, and an edge set new to the ESP history) and call this only
+        for an empty edge set or an edge set the LESP guard may still save.
         """
         if not eset:
             # ESP never discards an empty edge set (Definition 4.3).
@@ -566,7 +588,7 @@ class _GAMRun:
         """
         if self.algo.edge_set_pruning:
             self.hist.add(tree.eset)
-        self.rooted_keys.add(tree.rooted_key())
+        self.rooted_keys.add((tree.root, tree.eset))
         self.stats.trees_kept += 1
         if self.config.max_trees is not None and self.stats.trees_kept > self.config.max_trees:
             raise _StopSearch()
@@ -634,10 +656,18 @@ class _GAMRun:
         need = self.need
         seed_mask = self.seed_mask
         stats = self.stats
-        pool = self.pool
+        union2 = self.pool.union2
         full_sat = self.full_sat
+        deadline = self.deadline
+        bounded = deadline.bounded
+        node_index = self.remap.indexes
+        esp = self.algo.edge_set_pruning
+        lesp_guard = self.algo.lesp_guard
+        hist = self.hist
+        rooted_keys = self.rooted_keys
+        absorb = self._absorb
         while work:
-            if self.deadline.expired():
+            if bounded and deadline.expired():
                 raise _StopSearch(timed_out=True)
             t1 = work.popleft()
             if not t1.eset:  # merging with a one-node tree is a no-op
@@ -680,8 +710,8 @@ class _GAMRun:
             node_mask = t1.node_mask
             root = t1.root
             # The root is always already in the remap (it entered as an
-            # Init seed or a Grow frontier node), so this is a dict hit.
-            root_bit = self.remap.bit(root)
+            # Init seed or a Grow frontier node): read its bit off the dict.
+            root_bit = 1 << node_index[root]
             t1_eset = t1.eset
             t1_size = t1.size
             for i in range(length):
@@ -707,14 +737,19 @@ class _GAMRun:
                     if uni_state is None:
                         stats.pruned_filters += 1
                         continue
-                eset = pool.union2(t1_eset, tp.eset)
-                if not self._is_new_rooted(root, eset):
+                eset = union2(t1_eset, tp.eset)
+                # Algorithm 4 (isNew), inlined as in the Grow loop.
+                if esp:
+                    if not eset or eset in hist:
+                        if (eset and not lesp_guard) or not self._is_new_rooted(root, eset):
+                            stats.pruned_history += 1
+                            continue
+                elif (root, eset) in rooted_keys:
                     stats.pruned_history += 1
                     continue
-                merged = make_merge(t1, tp, uni, eset=eset, uni_state=uni_state)
+                merged = make_merge(t1, tp, uni, eset, uni_state)
                 stats.merges += 1
-                gained = merged.sat != t1.sat and merged.sat != tp.sat
-                work.extend(self._absorb(merged, gained))
+                work.extend(absorb(merged, merged.sat != t1.sat and merged.sat != tp.sat))
 
     # ------------------------------------------------------------------
     # results

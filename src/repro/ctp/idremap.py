@@ -67,6 +67,11 @@ class IdRemap:
             self._inv.append(node)
         return 1 << compact
 
+    @property
+    def indexes(self) -> Dict[int, int]:
+        """The live global id -> compact index dict (read it, do not write it)."""
+        return self._fwd
+
     def node(self, compact: int) -> int:
         """Inverse: the global node id behind a compact index."""
         return self._inv[compact]

@@ -55,10 +55,16 @@ family needs in its hot path:
     bookkeeping, not part of the tree's identity.
 
 Construction goes through :func:`make_init`, :func:`make_grow`,
-:func:`make_merge` and :func:`make_mo`; the *semantic* pre-conditions
-(Grow1/Grow2, Merge1/Merge2, filters) are the engine's responsibility, while
-the UNI arborescence rules live here because they are intrinsically about
-tree shape.
+:func:`make_merge` and :func:`make_mo`, and each builds its tree in **one
+positional call** of :class:`SearchTree` (fields in ``__slots__`` order: a
+keyword call costs about three times as much, and a search builds tens of
+thousands of trees).  Everything that can reject a tree is decided before
+that call: the *semantic* pre-conditions (Grow1/Grow2, Merge1/Merge2,
+filters) and the Algorithm 4 history check are the engine's, and so is the
+UNI filter — the engine asks :func:`uni_grow_state` / :func:`uni_merge_state`
+and passes the answer in, so the constructors only fall back to deriving it
+when called on their own.  The UNI arborescence rules live here because
+they are intrinsically about tree shape.
 """
 
 from __future__ import annotations
@@ -70,7 +76,11 @@ INIT, GROW, MERGE, MO = "init", "grow", "merge", "mo"
 
 
 class SearchTree:
-    """An immutable rooted tree built during CTP search."""
+    """An immutable rooted tree built during CTP search.
+
+    Built positionally, in ``__slots__`` order, by the ``make_*`` functions
+    below; ``seq`` is the engine's and starts at -1.
+    """
 
     __slots__ = (
         "pool",
@@ -146,20 +156,20 @@ def make_init(pool, node: int, sat: int, uni: bool, node_bit: int, reach: int = 
     (:mod:`repro.ctp.idremap`); ``reach`` is the node's reach mask.
     """
     return SearchTree(
-        pool=pool,
-        root=node,
-        eset=pool.EMPTY,
-        size=0,
-        nodes=frozenset((node,)),
-        node_mask=node_bit,
-        sat=sat,
-        weight=0.0,
-        kind=INIT,
-        mo_tainted=False,
-        path_seed=node,
-        arb_root=node if uni else None,
-        root_in_deg=0,
-        reach=reach,
+        pool,
+        node,
+        pool.EMPTY,
+        0,  # size
+        frozenset((node,)),
+        node_bit,
+        sat,
+        0.0,  # weight
+        INIT,
+        False,  # mo_tainted
+        node,  # path_seed
+        node if uni else None,  # arb_root
+        0,  # root_in_deg
+        reach,
     )
 
 
@@ -241,20 +251,20 @@ def make_grow(
         path_seed = None
     pool = tree.pool
     return SearchTree(
-        pool=pool,
-        root=new_root,
-        eset=eset if eset is not None else pool.union1(tree.eset, edge_id),
-        size=tree.size + 1,
-        nodes=tree.nodes | {new_root},
-        node_mask=tree.node_mask | node_bit,
-        sat=tree.sat | new_root_sat,
-        weight=tree.weight + edge_weight,
-        kind=GROW,
-        mo_tainted=tree.mo_tainted,
-        path_seed=path_seed,
-        arb_root=arb_root,
-        root_in_deg=root_in_deg,
-        reach=tree.reach | new_root_reach,
+        pool,
+        new_root,
+        eset if eset is not None else pool.union1(tree.eset, edge_id),
+        tree.size + 1,
+        tree.nodes | {new_root},
+        tree.node_mask | node_bit,
+        tree.sat | new_root_sat,
+        tree.weight + edge_weight,
+        GROW,
+        tree.mo_tainted,
+        path_seed,
+        arb_root,
+        root_in_deg,
+        tree.reach | new_root_reach,
     )
 
 
@@ -285,20 +295,20 @@ def make_merge(
         root_in_deg = 0
     pool = t1.pool
     return SearchTree(
-        pool=pool,
-        root=root,
-        eset=eset if eset is not None else pool.union2(t1.eset, t2.eset),
-        size=t1.size + t2.size,
-        nodes=t1.nodes | t2.nodes,
-        node_mask=t1.node_mask | t2.node_mask,
-        sat=t1.sat | t2.sat,
-        weight=t1.weight + t2.weight,
-        kind=MERGE,
-        mo_tainted=t1.mo_tainted or t2.mo_tainted,
-        path_seed=None,
-        arb_root=arb_root,
-        root_in_deg=root_in_deg,
-        reach=t1.reach | t2.reach,
+        pool,
+        root,
+        eset if eset is not None else pool.union2(t1.eset, t2.eset),
+        t1.size + t2.size,
+        t1.nodes | t2.nodes,
+        t1.node_mask | t2.node_mask,
+        t1.sat | t2.sat,
+        t1.weight + t2.weight,
+        MERGE,
+        t1.mo_tainted or t2.mo_tainted,
+        None,
+        arb_root,
+        root_in_deg,
+        t1.reach | t2.reach,
     )
 
 
@@ -310,18 +320,18 @@ def make_mo(tree: SearchTree, new_root: int, new_root_in_deg: int) -> SearchTree
     which the engine computes from the graph (needed for UNI merges).
     """
     return SearchTree(
-        pool=tree.pool,
-        root=new_root,
-        eset=tree.eset,
-        size=tree.size,
-        nodes=tree.nodes,
-        node_mask=tree.node_mask,
-        sat=tree.sat,
-        weight=tree.weight,
-        kind=MO,
-        mo_tainted=True,
-        path_seed=None,
-        arb_root=tree.arb_root,
-        root_in_deg=new_root_in_deg,
-        reach=tree.reach,
+        tree.pool,
+        new_root,
+        tree.eset,
+        tree.size,
+        tree.nodes,
+        tree.node_mask,
+        tree.sat,
+        tree.weight,
+        MO,
+        True,
+        None,
+        tree.arb_root,
+        new_root_in_deg,
+        tree.reach,
     )

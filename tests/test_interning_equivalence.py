@@ -11,7 +11,10 @@ The protection is a **golden file** (``tests/data/interning_golden.json``)
 captured from the pre-interning implementation; every GAM-family variant
 and every BFT variant is replayed over the same workload matrix and
 compared field by field (``merges_attempted`` is excluded by design:
-sat-bucket skipping avoids attempts the linear scan paid for).  Random
+sat-bucket skipping avoids attempts the linear scan paid for; the current
+engines' ``merges_attempted`` is pinned instead by
+``tests/test_provenance_golden.py``, together with the rows in emission
+order and every other counter, cut runs included).  Random
 multigraphs are covered the same way by the recorded corpus of
 ``tests/test_interning.py``
 (``test_interned_engines_match_fallback_on_random_graphs``).

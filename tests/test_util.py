@@ -11,6 +11,11 @@ class TestDeadline:
         assert not deadline.expired()
         assert deadline.remaining() is None
 
+    def test_bounded_says_whether_it_can_expire(self):
+        assert not Deadline(None).bounded
+        assert not Deadline.never().bounded
+        assert Deadline(0.0).bounded and Deadline(10.0).bounded
+
     def test_never_constructor(self):
         assert not Deadline.never().expired()
 
