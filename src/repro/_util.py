@@ -14,10 +14,11 @@ from typing import Iterable, Iterator, Optional
 class Deadline:
     """A monotonic-clock deadline shared across the stages of an evaluation.
 
-    ``Deadline(None)`` never expires.  ``bounded`` says whether the deadline
-    can expire at all, so a hot loop reads that flag once and polls
-    :meth:`expired` (one clock read) only when it is true; an unbounded
-    search never polls.
+    ``Deadline(None)`` never expires.  Each :meth:`expired` poll of a
+    bounded deadline reads the clock.  ``bounded`` says whether the
+    deadline can expire at all, so a hot loop can read that flag once and
+    skip the poll when it is false (the GAM-family engine's Grow loop and
+    merge cascade do).
     """
 
     __slots__ = ("_limit", "_start", "bounded")

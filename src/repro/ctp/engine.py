@@ -550,30 +550,20 @@ class _GAMRun:
     # pruning (Algorithm 4: isNew)
     # ------------------------------------------------------------------
     def _is_new_rooted(self, root: int, eset) -> bool:
-        """Algorithm 4 on the *identity* of a rooted tree.
+        """Algorithm 4 for the two ESP-family cases its call sites leave open.
 
-        Takes the (root, edge-set handle) pair rather than a built tree so
-        the engine can prune before constructing anything.  The Grow loop
-        and the merge cascade inline the common cases (GAM's rooted-key
-        test, and an edge set new to the ESP history) and call this only
-        for an empty edge set or an edge set the LESP guard may still save.
+        The Grow loop and the merge cascade settle the common cases inline,
+        before any tree is built: GAM's rooted-key test, and an edge set new
+        to the ESP history.  What is left comes here as a (root, edge-set
+        handle) pair: an empty edge set, which ESP never discards
+        (Definition 4.3), and — under the LESP guard only — an edge set
+        already in the history, which LESP keeps at a root of degree >= 3
+        whose seed signature holds >= 3 seed sets.  Either way the rooted
+        tree itself must be new.
         """
-        if not eset:
-            # ESP never discards an empty edge set (Definition 4.3).
-            return (root, eset) not in self.rooted_keys
-        if not self.algo.edge_set_pruning:
-            return (root, eset) not in self.rooted_keys
-        if eset not in self.hist:
-            return True
-        if self.algo.lesp_guard:
-            signature = self.ss.get(root, 0)
-            if (
-                popcount(signature) >= 3
-                and self.graph.degree(root) >= 3
-                and (root, eset) not in self.rooted_keys
-            ):
-                return True
-        return False
+        if eset and not (popcount(self.ss.get(root, 0)) >= 3 and self.graph.degree(root) >= 3):
+            return False
+        return (root, eset) not in self.rooted_keys
 
     # ------------------------------------------------------------------
     # tree registration (Algorithm 2: processTree / Algorithm 3)

@@ -305,7 +305,7 @@ def make_merge(
         t1.weight + t2.weight,
         MERGE,
         t1.mo_tainted or t2.mo_tainted,
-        None,
+        None,  # path_seed
         arb_root,
         root_in_deg,
         t1.reach | t2.reach,
@@ -329,8 +329,8 @@ def make_mo(tree: SearchTree, new_root: int, new_root_in_deg: int) -> SearchTree
         tree.sat,
         tree.weight,
         MO,
-        True,
-        None,
+        True,  # mo_tainted
+        None,  # path_seed
         tree.arb_root,
         new_root_in_deg,
         tree.reach,
