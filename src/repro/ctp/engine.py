@@ -569,7 +569,7 @@ class _GAMRun:
     # tree registration (Algorithm 2: processTree / Algorithm 3)
     # ------------------------------------------------------------------
     def _absorb(self, tree: SearchTree, gained: bool) -> List[SearchTree]:
-        """Register a tree that passed ``_is_new_rooted``; return merge-cascade work.
+        """Register a tree that passed Algorithm 4; return merge-cascade work.
 
         Results are reported and not recorded for merging (Algorithm 2);
         other trees are indexed in ``TreesRootedIn``, get their Mo copies
@@ -739,7 +739,8 @@ class _GAMRun:
                     continue
                 merged = make_merge(t1, tp, uni, eset, uni_state)
                 stats.merges += 1
-                work.extend(absorb(merged, merged.sat != t1.sat and merged.sat != tp.sat))
+                gained = merged.sat != t1.sat and merged.sat != tp.sat
+                work.extend(absorb(merged, gained))
 
     # ------------------------------------------------------------------
     # results
