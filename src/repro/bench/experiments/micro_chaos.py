@@ -189,7 +189,7 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
         ("crash", dict(plan=FaultPlan(specs=(FaultSpec.crash(at=(0,), epochs=(0,)),)))),
         # First CTP run sleeps far past the watchdog: the per-submit budget
         # (2 jobs x 0.8s timeout + 0.4s grace) expires, the wedged worker is
-        # kill-respawned, and the spent-budget request degrades to threads.
+        # kill-respawned, and the spent-budget request degrades to inline.
         (
             "hang",
             dict(

@@ -74,8 +74,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     for report in result.ctp_reports:
         memo = " [ctp-cache hit]" if report.cache_hit else ""
-        # Surface the dispatch that actually ran (the pool can degrade to
-        # thread/serial for unpicklable jobs).
+        # Surface the dispatch that actually ran (the pool degrades to
+        # inline for unpicklable jobs).
         mode = f" [{report.dispatch_mode}]" if args.parallelism > 1 else ""
         print(f"?{report.tree_var}:{mode} {report.result_set.stats.format()}{memo}")
     if args.parallelism > 1 and len(result.ctp_reports) > 1:

@@ -110,15 +110,12 @@ class SearchConfig:
         Evaluator-level knob (ignored by standalone engine runs): how many
         of a query's CTPs may run at once.  A query's CTPs run in the
         :class:`~repro.query.pool.WorkerPool` passed to the evaluator, or
-        inline without one (:mod:`repro.query.parallel`); this knob sizes
-        the deadline ledger's worker slots under a pool and the thread
-        pool of its process -> thread fallback.  Values above 1 make
-        ``evaluate_query`` create its query-scoped context *thread-safe*
-        (sharded pool, locked memo), so that fallback can share it; an
-        explicitly passed non-thread-safe context makes the fallback run
-        serially instead.  Dispatch-only: result rows are bit-identical to
-        serial evaluation regardless of worker count.  Must be >= 1;
-        anything else raises :class:`~repro.errors.ConfigError`.
+        inline without one (:mod:`repro.query.parallel`); this knob only
+        sizes the deadline ledger's concurrent slots under a pool
+        (``min(parallelism, number of CTPs)``).  Inline runs, including a
+        pool's fallback, use one slot.  Dispatch-only: result rows are
+        bit-identical to serial evaluation regardless of its value.  Must
+        be >= 1; anything else raises :class:`~repro.errors.ConfigError`.
     """
 
     uni: bool = False

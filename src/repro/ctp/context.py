@@ -13,8 +13,8 @@ count (:class:`ResultCache`) that owns every reference it holds, so a
 long-lived context cannot grow without limit.
 
 ``SearchContext(thread_safe=True)`` makes all of that state safe to share
-across the worker threads of a parallel dispatch
-(:mod:`repro.query.parallel`): the pool is built thread-safe (its
+across threads (the request threads of
+:class:`~repro.serve.QueryServer`): the pool is built thread-safe (its
 exact-interning step serialized per fingerprint shard) and the memo takes
 a lock around its LRU mutations.  Sharing stays representation-only
 either way: a search never reads another run's private state, so results
@@ -138,8 +138,9 @@ class SearchContext:
     pool) when the run's graph is not of the context's graph lineage;
     refusals are counted, never raised.
 
-    ``thread_safe=True`` builds the concurrency-safe variant for the
-    parallel dispatcher (:mod:`repro.query.parallel`): the pool is an
+    ``thread_safe=True`` builds the concurrency-safe variant for threads
+    that share one context (a :class:`~repro.serve.QueryServer`'s
+    request threads): the pool is an
     ``EdgeSetPool(thread_safe=True)``, the memo locks its LRU mutations,
     and one context lock serializes :meth:`adopt`'s graph-binding check
     and the ``memo_carried`` count.

@@ -234,13 +234,12 @@ class GAMFamilySearch:
         Concurrency contract: all mutable *search* state lives in the
         per-call :class:`_GAMRun`, and the only shared structure a run
         touches is the context's pool — so concurrent runs
-        over one ``SearchContext(thread_safe=True)`` (the parallel
-        dispatcher's setup, :mod:`repro.query.parallel`) are safe and
-        produce exactly the rows a serial run would: handles are opaque
-        identities, never ordered on, so interleaved handle numbering
-        cannot change a search outcome.  Sharing a *non*-thread-safe
-        context across threads is the caller's bug; the dispatcher
-        downgrades that case to serial.
+        over one ``SearchContext(thread_safe=True)`` (the request threads
+        of :class:`~repro.serve.QueryServer`) are safe and produce exactly
+        the rows a serial run would: handles are opaque identities, never
+        ordered on, so interleaved handle numbering cannot change a search
+        outcome.  Sharing a *non*-thread-safe context across threads is
+        the caller's bug.
         """
         run = _GAMRun(graph, seed_sets, config or DEFAULT_CONFIG, self, context)
         return run.execute()

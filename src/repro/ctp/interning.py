@@ -38,8 +38,7 @@ falsy, so engine code can say ``if tree.eset:``.
 
 A pool is private to one search unless a query-scoped
 :class:`~repro.ctp.context.SearchContext` lends it to every CTP of a
-query (or, ``thread_safe=True``, to the worker threads of a parallel
-dispatch).
+query (or, ``thread_safe=True``, to every thread sharing that context).
 """
 
 from __future__ import annotations
@@ -140,9 +139,9 @@ class EdgeSetPool:
     Every constructor is **probe, then lock**: :meth:`_find_or_add` probes
     the fingerprint index without a lock and returns an already-interned
     set at once; only when nothing is found does it take the locks, probe
-    again, and add.  ``thread_safe=True`` makes one pool shareable by the
-    worker threads of a parallel dispatch (:mod:`repro.query.parallel`);
-    all three locks it creates are ``None`` otherwise:
+    again, and add.  ``thread_safe=True`` makes one pool shareable by
+    threads that share a context (a :class:`~repro.serve.QueryServer`'s
+    request threads); all three locks it creates are ``None`` otherwise:
 
     * the one correctness-critical race is the check-then-insert of the
       fingerprint index: two threads interning the *same* new set must not

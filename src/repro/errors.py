@@ -113,8 +113,8 @@ class StaleViewError(PoolError):
     to the pooled workers, which apply it on top of their mmap-loaded
     base.  If the source graph compacted past the view's base generation
     and its file is gone, a worker not mapping it cannot serve the view
-    consistently — the dispatch layer degrades to thread/serial
-    (which read the pinned view directly) instead of charging the breaker
+    consistently — the dispatch layer degrades to inline (which reads
+    the pinned view directly) instead of charging the breaker
     for what is merely an outdated reader.
     """
 

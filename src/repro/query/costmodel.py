@@ -168,8 +168,8 @@ class ScheduleReport:
     moved).
 
     ``mode_selected`` is read off the outcomes once dispatch has run: the
-    stamp its executed CTPs carry (``"process"``, ``"serial"``, or a
-    fallback hop such as ``"process->thread"``), ``"memo"`` when every CTP
+    stamp its executed CTPs carry (``"process"``, ``"serial"``, or the
+    fallback hop ``"process->serial"``), ``"memo"`` when every CTP
     was served from the memo.
     """
 
@@ -219,8 +219,9 @@ class DeadlineLedger:
     never above its intrinsic per-CTP ``timeout``.
 
     ``clock`` is injectable (``repro.testing.FakeClock``) so rebalancing
-    decisions are testable without wall-time flakiness.  Thread-safe:
-    grants happen inside worker threads under the thread fallback.
+    decisions are testable without wall-time flakiness.  Locked: grants
+    run on the calling thread, but :meth:`settle` runs from pool-future
+    done-callbacks, on the executor's own thread.
     """
 
     def __init__(
@@ -300,6 +301,21 @@ class DeadlineLedger:
         with self._lock:
             self._pending.pop(index, None)
 
+    def recut_serial(self, indices: Sequence[int]) -> Dict[int, float]:
+        """Re-cut the build budgets of CTPs ``indices`` for one slot.
+
+        For CTPs about to run back to back after budgets were cut for
+        concurrent slots (a dispatch that gave up on its pool): each is
+        pending again and gets its cost-proportional share of what is left
+        now, so the shares sum to the remaining deadline.  The intrinsic
+        timeout recorded at :meth:`register` stays the ceiling.
+        """
+        with self._lock:
+            self.workers = 1
+            for index in indices:
+                self._pending[index] = self._costs[index]
+        return {index: self.register(index, self._intrinsic[index]) for index in indices}
+
 
 class QuerySchedule:
     """One query's scheduling state, threaded through the dispatch layer.
@@ -350,6 +366,15 @@ class QuerySchedule:
     def settle(self, index: int) -> None:
         if self.ledger is not None:
             self.ledger.settle(index)
+
+    def recut_serial(self, jobs: Sequence[Any]) -> None:
+        """Give ``jobs`` the budgets of one slot before they run inline
+        (:meth:`DeadlineLedger.recut_serial`); a no-op without a deadline."""
+        if self.ledger is None:
+            return
+        budgets = self.ledger.recut_serial([job.index for job in jobs])
+        for job in jobs:
+            job.config = job.config.with_(timeout=budgets[job.index])
 
     def finalize(self, outcomes: Sequence[Any]) -> ScheduleReport:
         """Fold the executed mode, estimates, actuals, and ledger counters

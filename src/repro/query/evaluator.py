@@ -58,7 +58,7 @@ from repro.graph.graph import Graph
 from repro.query.ast import CTP, CTPFilters, EQLQuery, Predicate
 from repro.query.bgp import evaluate_bgp, matching_nodes
 from repro.query.costmodel import CTPCostEstimator, DeadlineLedger, QuerySchedule, ScheduleReport
-from repro.query.parallel import CTPJob, effective_parallelism, open_dispatch, serving_pool
+from repro.query.parallel import CTPJob, open_dispatch, serving_pool
 from repro.query.resilience import ResilienceReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (pool imports from parallel)
@@ -85,9 +85,9 @@ class CTPReport:
     #: What actually produced this CTP's result: "serial" (inline) or
     #: "process" (a pool worker) when a search executed, "memo" when it
     #: was served from the cross-CTP memo without running.  Pooled
-    #: dispatch degrades when jobs cannot cross a process boundary or the
-    #: pool fails — silently for the query, but recorded here as
-    #: "process->thread"/"process->serial".
+    #: dispatch degrades to the calling thread when jobs cannot cross a
+    #: process boundary or the pool fails — silently for the query, but
+    #: recorded here as "process->serial".
     dispatch_mode: str = "serial"
 
 
@@ -411,9 +411,10 @@ def evaluate_query(
         An explicit :class:`~repro.ctp.context.SearchContext` to run the
         query's CTPs in.  Passing one shared across *queries* amortizes the
         pool further (same graph required); by default a fresh context is
-        created per query (thread-safe when ``base_config.parallelism >
-        1``).  An explicit non-thread-safe context makes the pool's thread
-        fallback run serially rather than share unlocked state.
+        created per query.  Only the calling thread touches it — pool
+        workers keep contexts of their own — so it need not be
+        thread-safe unless other threads share it (as
+        :class:`~repro.serve.QueryServer`'s request threads do).
     pool:
         A persistent :class:`~repro.query.pool.WorkerPool` to run the
         query's CTPs in.  The pool's long-lived workers keep their
@@ -432,10 +433,7 @@ def evaluate_query(
         query = parse_query(query)
     base_config = base_config or SearchConfig()
     if context is None:
-        # Only the parent thread touches the context under pooled
-        # dispatch, but keeping it thread-safe lets a workload the pool
-        # cannot run degrade to threads instead of all the way to serial.
-        context = SearchContext(thread_safe=base_config.parallelism > 1)
+        context = SearchContext()
 
     ctps = query.ctps
     seed_vars = {seed.var for ctp in ctps for seed in ctp.seeds}
@@ -480,9 +478,7 @@ def evaluate_query(
         # Each CTP's budget is its cost-proportional share of the remaining
         # deadline (re-granted upward at execution); its own timeout stays
         # the ceiling.  A pool runs up to ``parallelism`` CTPs at once.
-        workers = 1
-        if pool is not None:
-            workers = effective_parallelism(base_config.parallelism, len(jobs), None, "process")
+        workers = min(base_config.parallelism, len(jobs)) if pool is not None else 1
         schedule.ledger = DeadlineLedger(base_config.deadline, query_started, costs, workers)
         for job in jobs:
             job.config = job.config.with_(timeout=schedule.ledger.register(job.index, job.config.timeout))
@@ -492,7 +488,6 @@ def evaluate_query(
         algorithm,
         context,
         len(jobs),
-        base_config.parallelism,
         pool=pool,
         report=resilience,
         schedule=schedule,

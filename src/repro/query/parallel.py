@@ -27,8 +27,7 @@ state is safe to share.  This module implements that step **once**:
       executing and settled from its future's done-callback, so a fast
       CTP's unspent budget reaches the ones still pending;
     * **stats** — per-CTP ``SearchStats`` stay on their reports and merge
-      in CTP order, never completion order.  Only the shared-pool
-      ``pool_*`` deltas become approximate under the thread fallback.
+      in CTP order, never completion order.
 
     What runs a job is a seam of three things: ``start(job)`` returning a
     future of ``(result_set, seconds)``, a ``shutdown`` and the ``mode``
@@ -47,9 +46,9 @@ state is safe to share.  This module implements that step **once**:
 :class:`_PooledDispatch`
     The failure policy around the pool executor, applied once: breaker
     gate, picklability pre-flight, hang watchdog, retry-after-respawn, and
-    the process → thread → serial fallback with the hop stamped in
-    ``mode``.  Those fallback threads are the only thread pool step (B)
-    ever uses.
+    the process → serial fallback with the hop stamped in ``mode``.  Step
+    (B) has two executors, the pool and the calling thread; it never
+    starts a thread of its own.
 
 :func:`evaluate_queries`
     The batch front-end: many queries against **one** shared context, so
@@ -67,7 +66,7 @@ import multiprocessing
 import pickle
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, as_completed
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -109,9 +108,9 @@ class CTPOutcome:
     served from the cross-CTP memo (or shared from an in-flight duplicate)
     and no search ran for this job at all.  A pooled dispatch that could
     not cross the process boundary, exhausted its retries or was refused
-    by an open circuit breaker stamps the hop — ``"process->thread"`` /
+    by an open circuit breaker runs the job inline and stamps the hop,
     ``"process->serial"``.  The fallback is silent for the query by
-    design, but it must stay *observable* so a ~0.9x thread run never
+    design, but it must stay *observable* so an inline run never
     masquerades as multi-core.
     """
 
@@ -119,29 +118,6 @@ class CTPOutcome:
     cache_hit: bool
     seconds: float
     mode: str = "serial"
-
-
-def effective_parallelism(
-    parallelism: int,
-    num_jobs: int,
-    context: Optional[SearchContext],
-    mode: str = "thread",
-) -> int:
-    """Worker count a dispatch will actually use.
-
-    Collapses to serial when there is at most one job, when the caller
-    asked for one worker, or when — for the *thread* fallback — an
-    explicit context is not thread-safe: sharing unlocked state across
-    workers is never worth a corrupted pool, and the serial path is always
-    correct.  Pool (``"process"``) workers never share the context (only
-    the parent thread touches it, for memo serve/file), so a
-    non-thread-safe context does not reduce them.
-    """
-    if num_jobs <= 1 or parallelism <= 1:
-        return 1
-    if mode == "thread" and context is not None and not context.thread_safe:
-        return 1
-    return min(parallelism, num_jobs)
 
 
 def serving_pool(pool: Optional[WorkerPool], graph: Graph) -> Optional[WorkerPool]:
@@ -357,34 +333,22 @@ def _local_dispatch(
     algorithm: str,
     context: Optional[SearchContext],
     schedule: QuerySchedule,
-    workers: int = 1,
-    hop: str = "",
+    mode: str = "serial",
 ) -> Dispatch:
-    """A :class:`Dispatch` in this process: inline, or — the pool's
-    fallback only — ``workers`` threads."""
+    """A :class:`Dispatch` that runs every job inline, on the calling
+    thread, in CTP order, stamped ``mode``."""
     algo = get_algorithm(algorithm)
+    executor = InlineExecutor()
 
     def run_one(job: CTPJob) -> Tuple[CTPResultSet, float]:
-        # The deadline-budget grant is read at *execution* start (inside
-        # the worker thread), not at start-up: a job that queued behind
-        # siblings picks up whatever budget they left unspent.
+        # The deadline-budget grant is read at execution start: a job
+        # picks up whatever budget the jobs before it left unspent.
         config = schedule.config_for_run(job)
         started = time.perf_counter()
         result_set = algo.run(graph, job.seed_sets, config, context=context)
         return result_set, time.perf_counter() - started
 
-    if workers > 1:
-        executor: Any = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-ctp")
-    else:
-        executor = InlineExecutor()
-    return Dispatch(
-        context,
-        schedule,
-        lambda job: executor.submit(run_one, job),
-        hop + ("thread" if workers > 1 else "serial"),
-        shutdown=executor.shutdown,
-        reorder=workers > 1,
-    )
+    return Dispatch(context, schedule, lambda job: executor.submit(run_one, job), mode, reorder=False)
 
 
 def open_dispatch(
@@ -392,7 +356,6 @@ def open_dispatch(
     algorithm: str,
     context: Optional[SearchContext],
     num_jobs: int,
-    parallelism: int = 1,
     pool: Optional[WorkerPool] = None,
     report: Optional[ResilienceReport] = None,
     schedule: Optional[QuerySchedule] = None,
@@ -401,10 +364,9 @@ def open_dispatch(
     ``run(jobs)`` gives one :class:`CTPOutcome` per job, in CTP order.
 
     One rule.  A ``pool`` that can serve ``graph`` (:func:`serving_pool`)
-    runs every job — even a single one, even at ``parallelism == 1``: a
-    warm worker beats any spin-up — under the failure policy of
-    :class:`_PooledDispatch`, whose fallback runs ``parallelism`` threads,
-    else the serial loop.  Without one the jobs run inline, on the calling
+    runs every job — even a single one: a warm worker beats any spin-up —
+    under the failure policy of :class:`_PooledDispatch`, whose fallback is
+    the inline loop.  Without one the jobs run inline, on the calling
     thread.  ``report`` collects what resilience machinery fired around
     the pool.  ``schedule`` carries the cost estimates that order the
     fan-out and the deadline ledger, if any; a caller with neither gets a
@@ -415,7 +377,7 @@ def open_dispatch(
     pool = serving_pool(pool, graph)
     if pool is not None and num_jobs:
         report = report if report is not None else ResilienceReport()
-        return _PooledDispatch(pool, graph, algorithm, context, parallelism, report, schedule)
+        return _PooledDispatch(pool, graph, algorithm, context, report, schedule)
     return _local_dispatch(graph, algorithm, context, schedule)
 
 
@@ -629,9 +591,12 @@ class _PooledDispatch:
       (no respawn can fix that) and a view the workers' base has moved
       past (:class:`~repro.errors.StaleViewError`, from ``prepare_for`` or
       from a worker that cannot map the base the job names) degrade to
-      ``parallelism`` threads, else the inline executor, with the hop
-      stamped — ``"process->thread"`` / ``"process->serial"`` — rather
-      than failing the query.  Deterministic evaluation errors (a raising
+      the inline executor, with the hop stamped ``"process->serial"``,
+      rather than failing the query.  A deadline ledger cut for the pool's
+      concurrent slots is re-cut for one slot first
+      (:meth:`~repro.query.costmodel.QuerySchedule.recut_serial`): the jobs now
+      run back to back, and their budgets must still sum to the deadline.
+      Deterministic evaluation errors (a raising
       scorer) are *not* retried or degraded: they propagate as typed
       errors, because re-running them elsewhere would just fail again —
       or worse, mask a real bug.
@@ -641,16 +606,15 @@ class _PooledDispatch:
     graph: Graph
     algorithm: str
     context: Optional[SearchContext]
-    parallelism: int
     report: ResilienceReport
     schedule: QuerySchedule
 
     def _degraded(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
-        """Give up on the pool: run threads, else inline, stamping the hop."""
-        workers = effective_parallelism(self.parallelism, len(jobs), self.context)
-        self.report.degraded_to = "thread" if workers > 1 else "serial"
+        """Give up on the pool: run inline, stamping the hop."""
+        self.report.degraded_to = "serial"
+        self.schedule.recut_serial(jobs)
         return _local_dispatch(
-            self.graph, self.algorithm, self.context, self.schedule, workers, hop="process->"
+            self.graph, self.algorithm, self.context, self.schedule, "process->serial"
         ).run(jobs)
 
     def run(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
@@ -794,7 +758,8 @@ def evaluate_queries(
     (:meth:`~repro.ctp.context.SearchContext.memo_get`).
 
     Pass an explicit ``context`` to amortize across *batches*; otherwise
-    one is created per call (thread-safe when ``parallelism > 1``).
+    one is created per call.  Only the calling thread touches it: pool
+    workers keep contexts of their own.
 
     ``pool`` is the process-side analogue: a persistent
     :class:`~repro.query.pool.WorkerPool` runs every query's CTPs in the
@@ -805,7 +770,7 @@ def evaluate_queries(
 
     base_config = base_config or SearchConfig()
     if context is None:
-        context = SearchContext(thread_safe=base_config.parallelism > 1)
+        context = SearchContext()
     results = [
         evaluate_query(
             graph,

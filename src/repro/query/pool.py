@@ -22,7 +22,7 @@ pool its caller passed in (a query without one runs its CTPs inline).
   worker; a :class:`~concurrent.futures.process.BrokenProcessPool`
   triggers :meth:`respawn` (tear down, rebuild, counted in
   :attr:`respawns`) so a crashed worker costs one retry, not permanent
-  thread-fallback degradation.
+  inline degradation.
 * **Snapshot generations (MVCC)** — the pool snapshots the source graph's
   *base* (:meth:`~repro.graph.graph.Graph.ensure_base`); mutations ship as
   cheap picklable :class:`~repro.graph.delta.GraphDelta` objects applied
@@ -69,6 +69,10 @@ from repro.query.resilience import CircuitBreaker, PoolResilienceConfig, RetryPo
 #: direct callers get per-submit resolution so they can never read stale
 #: topology from the workers' base snapshot.
 _UNRESOLVED: Any = object()
+
+#: Thrash detector: a resnapshot landing within this many dispatches of
+#: the previous one counts as thrash and warns :class:`PoolThrashWarning`.
+THRASH_WINDOW = 3
 
 
 class _Resolved(NamedTuple):
@@ -144,7 +148,6 @@ class WorkerPool:
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         compaction_threshold: Optional[int] = 256,
-        thrash_window: int = 3,
     ):
         if workers is not None and workers < 1:
             raise PoolError(f"WorkerPool needs workers >= 1, got {workers}")
@@ -158,9 +161,6 @@ class WorkerPool:
         #: a new snapshot generation (full re-snapshot, re-mapped by the warm
         #: workers).  ``None`` never compacts; ``0`` compacts on any mutation.
         self.compaction_threshold = compaction_threshold
-        #: Thrash detector: a resnapshot landing within this many dispatches
-        #: of the previous one counts as thrash and warns.
-        self.thrash_window = thrash_window
         #: Lifecycle knobs (recycling thresholds, hang watchdog budgets).
         self.resilience = resilience if resilience is not None else PoolResilienceConfig()
         #: Retry discipline the dispatch layer applies to pooled fan-outs.
@@ -190,7 +190,7 @@ class WorkerPool:
         #: Mutated-graph dispatches served by shipping a delta instead of
         #: paying a full re-snapshot (one per delta generation).
         self.resnapshots_avoided = 0
-        #: Thrash episodes: resnapshots within ``thrash_window`` dispatches
+        #: Thrash episodes: resnapshots within :data:`THRASH_WINDOW` dispatches
         #: of the previous one (each also warns :class:`PoolThrashWarning`).
         self.resnapshot_thrash = 0
         # Work served by the CURRENT executor epoch — warmth is per epoch
@@ -262,7 +262,7 @@ class WorkerPool:
     def _note_resnapshot_locked(self) -> None:
         """Thrash detection, called whenever a resnapshot is charged."""
         last = self._dispatches_at_last_resnapshot
-        if last is not None and self.dispatches - last <= self.thrash_window:
+        if last is not None and self.dispatches - last <= THRASH_WINDOW:
             self.resnapshot_thrash += 1
             warnings.warn(
                 f"WorkerPool resnapshot thrash: full re-snapshot "
@@ -315,7 +315,7 @@ class WorkerPool:
         pinned base CSR view (no delta), or a legacy CSR (no delta).
         Raises :class:`~repro.errors.StaleViewError` when a pinned view
         predates the workers' base — the pooled path cannot reconstruct
-        that generation, and the dispatch layer degrades to thread/serial.
+        that generation, and the dispatch layer degrades to inline.
         """
         source = self.graph if graph is self.graph else getattr(graph, "view_source", None)
         if source is None or not hasattr(source, "ensure_base"):
@@ -473,7 +473,7 @@ class WorkerPool:
         ``BrokenProcessPool``; the replacement executor re-runs the worker
         initializer, so the workers come back warm-loadable (same snapshot
         file) at the cost of one spin-up — instead of every later dispatch
-        silently degrading to the thread pool forever.
+        silently degrading to inline forever.
 
         ``kill=True`` is the hang-recovery form: a wedged worker would
         block the executor's graceful ``shutdown(wait=True)`` forever, so

@@ -18,7 +18,7 @@ dispatch layer composes:
 :class:`CircuitBreaker`
     The classic closed → open → half-open machine guarding pooled
     dispatch.  Repeated pool failures trip it open: while open, dispatch
-    degrades straight to thread/serial (cheap, always correct) instead of
+    degrades straight to inline (cheap, always correct) instead of
     paying a doomed spawn-fail-respawn cycle per query.  After a cooldown
     it admits a bounded number of half-open probes; one success closes it
     again, a probe failure re-opens it for another cooldown.
@@ -272,8 +272,8 @@ class ResilienceReport:
     #: (request-count or RSS threshold), as of this response.
     recycled_workers: int = 0
     #: Terminal degradation of this query's process dispatch, if any:
-    #: ``None`` (pool served it) or the mode that actually ran
-    #: ("thread"/"serial") after the pool was given up on.
+    #: ``None`` (pool served it) or ``"serial"``, the inline run that
+    #: replaced the pool once it was given up on.
     degraded_to: Optional[str] = None
 
     def merge_from(self, other: "ResilienceReport") -> None:

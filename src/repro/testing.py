@@ -69,10 +69,10 @@ class InlineExecutor(_InlineExecutor):
 def fallback_pool(graph: Any, workers: int = 2) -> WorkerPool:
     """A :class:`~repro.query.pool.WorkerPool` whose circuit breaker is open.
 
-    Every dispatch through it takes the process → thread → serial fallback
-    (stamped ``"process->thread"`` / ``"process->serial"``) without
-    spawning a worker or writing a snapshot — the way tests reach the
-    thread executor, which runs nowhere else.  Close it like any pool.
+    Every dispatch through it takes the process → serial fallback (the
+    jobs run inline, stamped ``"process->serial"``, under a deadline
+    ledger cut for ``workers`` slots and then re-cut for one) without
+    spawning a worker or writing a snapshot.  Close it like any pool.
     """
     breaker = CircuitBreaker(failure_threshold=1, cooldown=float("inf"))
     breaker.record_failure()

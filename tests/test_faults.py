@@ -13,8 +13,8 @@ Layers:
   the real pooled dispatch (and the query server): each request returns
   rows bit-identical to serial or a typed error, never a silently wrong
   answer;
-* **degradation chain** — process → thread → serial under injected
-  faults, across every registered algorithm, with each hop recorded in
+* **degradation chain** — process → serial under injected faults,
+  across every registered algorithm, with the hop recorded in
   ``CTPReport.dispatch_mode``;
 * **serving hygiene** — priority load shedding, graceful drain, typed
   :class:`~repro.errors.PoolClosedError` after close, bounded ping.
@@ -230,11 +230,11 @@ def test_circuit_breaker_state_machine():
 
 def test_resilience_report_merge():
     a = ResilienceReport(retries=1, hangs=1, respawns=2, recycled_workers=3)
-    b = ResilienceReport(retries=2, breaker_state=BREAKER_OPEN, degraded_to="thread")
+    b = ResilienceReport(retries=2, breaker_state=BREAKER_OPEN, degraded_to="serial")
     a.merge_from(b)
     assert (a.retries, a.hangs, a.respawns) == (3, 1, 2)
     assert a.breaker_state == BREAKER_OPEN
-    assert a.recycled_workers == 3 and a.degraded_to == "thread"
+    assert a.recycled_workers == 3 and a.degraded_to == "serial"
 
 
 def test_pool_resilience_config_validation():
@@ -290,14 +290,14 @@ def test_hang_watchdog_kills_and_degrades_honestly(fig1):
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         # The watchdog (sum of CTP timeouts + grace) fired, the wedged
         # worker was kill-respawned, and — the hung attempt having spent
-        # the budget a retry would need — dispatch degraded to threads,
+        # the budget a retry would need — dispatch degraded to inline,
         # stamping the hop.  The rows are still exactly serial's.
         assert result.rows == serial.rows
         assert result.resilience.hangs == 1
         assert pool.hangs == 1
         assert [r.dispatch_mode for r in result.ctp_reports] == [
-            "process->thread",
-            "process->thread",
+            "process->serial",
+            "process->serial",
             "memo",
         ]
 
@@ -345,11 +345,11 @@ def test_recycling_on_rss_growth(fig1):
 
 
 # ----------------------------------------------------------------------
-# degradation chain: process -> thread -> serial, every algorithm
+# degradation chain: process -> serial, every algorithm
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_degradation_chain_under_crash_faults(fig1, algo):
-    """Unrecoverable crashes walk process -> thread, rows stay serial's."""
+    """Unrecoverable crashes walk process -> serial, rows stay serial's."""
     serial = _serial(fig1, algo)
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(every=1),)))
     policy = RetryPolicy(max_attempts=1)  # first failure is final
@@ -362,15 +362,15 @@ def test_degradation_chain_under_crash_faults(fig1, algo):
     assert result.columns == serial.columns
     assert result.rows == serial.rows
     assert [r.dispatch_mode for r in result.ctp_reports] == [
-        "process->thread",
-        "process->thread",
+        "process->serial",
+        "process->serial",
         "memo",
     ]
-    assert result.resilience.degraded_to == "thread"
+    assert result.resilience.degraded_to == "serial"
 
 
 def test_degradation_chain_reaches_serial(fig1):
-    """With one worker of parallelism the thread hop collapses to serial."""
+    """With one worker of parallelism the hop is the same: inline."""
     serial = _serial(fig1)
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(every=1),)))
     with WorkerPool(fig1, workers=1, retry_policy=RetryPolicy(max_attempts=1)) as pool:
@@ -395,8 +395,8 @@ def test_open_breaker_degrades_without_touching_the_pool(fig1):
         assert pool.dispatches == 0  # the open breaker spared the pool
     assert result.rows == serial.rows
     assert [r.dispatch_mode for r in result.ctp_reports] == [
-        "process->thread",
-        "process->thread",
+        "process->serial",
+        "process->serial",
         "memo",
     ]
     assert result.resilience.breaker_skips == 1
@@ -414,7 +414,7 @@ def test_breaker_trips_then_half_open_probe_recovers(fig1):
     with WorkerPool(fig1, workers=1, breaker=breaker) as pool:
         first = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert first.rows == serial.rows
-        assert first.resilience.degraded_to == "thread"
+        assert first.resilience.degraded_to == "serial"
         assert breaker.state == BREAKER_OPEN and breaker.trips == 1
         second = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert second.rows == serial.rows
@@ -442,7 +442,7 @@ def test_half_open_probe_without_a_pool_verdict_is_handed_back(fig1, probe):
             first = evaluate_query(
                 fig1, MATRIX_QUERY, base_config=config.with_(score=score), pool=pool
             )
-            assert {r.dispatch_mode for r in first.ctp_reports} == {"process->thread", "memo"}
+            assert {r.dispatch_mode for r in first.ctp_reports} == {"process->serial", "memo"}
         else:
             faults.install_plan(FaultPlan(specs=(FaultSpec.scorer(at=(0,), epochs=(0,)),)))
             with pytest.raises(FaultInjected):

@@ -1,12 +1,15 @@
 """Parallel CTP dispatch: concurrency is wall-clock only, never semantics.
 
-The thread executor runs only as the worker pool's fallback, so the
-thread cases here reach it through :func:`repro.testing.fallback_pool`
-(a pool whose breaker is open: process -> thread, no worker spawned).
-Five layers:
+A pool that gives up runs its CTPs inline, on the calling thread; the
+fallback cases here reach that path through
+:func:`repro.testing.fallback_pool` (a pool whose breaker is open:
+process -> serial, no worker spawned).  Five layers:
 
-* **determinism matrix** — every algorithm × 2/4/8 fallback threads produces *exactly* the serial rows (same order, same trees) on a
-  multi-CTP query with a repeated CTP (exercising in-flight dedup);
+* **determinism matrix** — every algorithm × a pool fallback asked for
+  2/4/8 workers (the ids predate the inline fallback, under which the
+  count changes nothing) produces *exactly* the serial rows (same order,
+  same trees) on a multi-CTP query with a repeated CTP (exercising
+  in-flight dedup);
 * **sharded-pool safety** — a Hypothesis property that concurrent
   interning from several threads never hands out two handles for one edge
   set, plus internal-consistency checks (fingerprints, sizes, bijection);
@@ -34,7 +37,7 @@ from repro.ctp.registry import ALGORITHMS, evaluate_ctp
 from repro.ctp.stats import SearchStats
 from repro.graph.graph import Graph
 from repro.query.evaluator import evaluate_query
-from repro.query.parallel import CTPJob, effective_parallelism, evaluate_queries, open_dispatch
+from repro.query.parallel import CTPJob, evaluate_queries, open_dispatch
 from repro.testing import fallback_pool
 
 MATRIX_QUERY = """
@@ -86,8 +89,9 @@ def _serial(fig1, algo: str):
     return _serial_rows[algo]
 
 
-def _threaded(graph, query, workers=4, **kwargs):
-    """``query`` on ``workers`` fallback threads (see the module docstring)."""
+def _fallback(graph, query, workers=4, **kwargs):
+    """``query`` through a ``workers``-worker pool that gives up (see the
+    module docstring)."""
     with fallback_pool(graph, workers) as pool:
         return evaluate_query(
             graph, query, base_config=SearchConfig(parallelism=workers), pool=pool, **kwargs
@@ -98,8 +102,8 @@ def _threaded(graph, query, workers=4, **kwargs):
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_parallel_rows_identical_to_serial(fig1, algo, workers):
     serial = _serial(fig1, algo)
-    parallel = _threaded(fig1, MATRIX_QUERY, workers, algorithm=algo)
-    assert [r.dispatch_mode for r in parallel.ctp_reports] == ["process->thread"] * 2 + ["memo"]
+    parallel = _fallback(fig1, MATRIX_QUERY, workers, algorithm=algo)
+    assert [r.dispatch_mode for r in parallel.ctp_reports] == ["process->serial"] * 2 + ["memo"]
     assert parallel.columns == serial.columns
     assert parallel.rows == serial.rows  # bit-identical, order included
     for par_report, ser_report in zip(parallel.ctp_reports, serial.ctp_reports):
@@ -114,7 +118,7 @@ def test_parallel_rows_identical_to_serial(fig1, algo, workers):
 
 def test_parallel_duplicate_ctp_in_flight_dedup(fig1):
     """The repeated CONNECT is evaluated once; the duplicate shares it."""
-    result = _threaded(fig1, MATRIX_QUERY)
+    result = _fallback(fig1, MATRIX_QUERY)
     first, _, third = result.ctp_reports
     assert not first.cache_hit
     assert third.cache_hit  # the ?w3 duplicate of ?w1
@@ -129,7 +133,7 @@ def test_parallel_truncated_duplicates_rerun(fig1):
         "AS ?w3 MAX 3", "AS ?w3 MAX 3 LIMIT 1"
     )
     serial = evaluate_query(fig1, query)
-    parallel = _threaded(fig1, query)
+    parallel = _fallback(fig1, query)
     assert parallel.rows == serial.rows
     assert [r.cache_hit for r in parallel.ctp_reports] == [False, False, False]
     assert parallel.context_stats["runs"] == 3  # the duplicate searched again
@@ -138,12 +142,12 @@ def test_parallel_truncated_duplicates_rerun(fig1):
 
 def test_parallel_wildcard_query(fig1):
     serial = evaluate_query(fig1, WILDCARD_QUERY)
-    parallel = _threaded(fig1, WILDCARD_QUERY)
+    parallel = _fallback(fig1, WILDCARD_QUERY)
     assert parallel.rows == serial.rows
 
 
 def test_parallel_without_shared_context(fig1, fig1_seeds):
-    """The thread fallback composes with context-less jobs (a private pool
+    """The pool fallback composes with context-less jobs (a private pool
     per run, nothing memoized): same result sets as the inline executor."""
     jobs = [
         CTPJob(index, list(seeds), SearchConfig(max_edges=4))
@@ -151,19 +155,19 @@ def test_parallel_without_shared_context(fig1, fig1_seeds):
     ]
     serial = open_dispatch(fig1, "molesp", None, len(jobs)).run(jobs)
     with fallback_pool(fig1, 4) as pool:
-        parallel = open_dispatch(fig1, "molesp", None, len(jobs), 4, pool=pool).run(jobs)
+        parallel = open_dispatch(fig1, "molesp", None, len(jobs), pool=pool).run(jobs)
     assert [[r.edges for r in o.result_set] for o in parallel] == [
         [r.edges for r in o.result_set] for o in serial
     ]
     assert [o.cache_hit for o in parallel] == [False, False, False]
     assert [o.mode for o in serial] == ["serial"] * 3
-    assert [o.mode for o in parallel] == ["process->thread"] * 3
+    assert [o.mode for o in parallel] == ["process->serial"] * 3
 
 
 def test_parallel_csr_backend(fig1):
     frozen = fig1.freeze()
     serial = evaluate_query(frozen, MATRIX_QUERY)
-    parallel = _threaded(frozen, MATRIX_QUERY)
+    parallel = _fallback(frozen, MATRIX_QUERY)
     assert parallel.rows == serial.rows
     # One snapshot is adopted by every worker: no rejects.
     assert parallel.context_stats["rejects"] == 0
@@ -171,34 +175,42 @@ def test_parallel_csr_backend(fig1):
 
 def test_explicit_thread_safe_context_amortizes(fig1):
     context = SearchContext(thread_safe=True)
-    first = _threaded(fig1, MATRIX_QUERY, context=context)
-    second = _threaded(fig1, MATRIX_QUERY, context=context)
+    first = _fallback(fig1, MATRIX_QUERY, context=context)
+    second = _fallback(fig1, MATRIX_QUERY, context=context)
     assert first.rows == second.rows
     assert all(report.cache_hit for report in second.ctp_reports)
 
 
 def test_explicit_unsafe_context_downgrades_to_serial(fig1):
-    """A non-thread-safe context must never be shared across workers."""
+    """A non-thread-safe context is only ever touched by the calling thread."""
     context = SearchContext()
     serial = evaluate_query(fig1, MATRIX_QUERY)
-    result = _threaded(fig1, MATRIX_QUERY, workers=8, context=context)
+    result = _fallback(fig1, MATRIX_QUERY, workers=8, context=context)
     assert result.rows == serial.rows
     assert context.runs == 2  # serial dispatch: dup was a memo hit
     assert [r.dispatch_mode for r in result.ctp_reports] == ["process->serial"] * 2 + ["memo"]
 
 
+def test_degraded_dispatch_runs_every_search_on_the_calling_thread(fig1, monkeypatch):
+    """A pool that gives up runs its jobs inline: every search runs on the
+    caller's thread, and no dispatch thread is ever started."""
+    seen = []
+
+    class Recording:
+        def run(self, graph, seed_sets, config, context=None):
+            seen.append((threading.current_thread(), [t.name for t in threading.enumerate()]))
+            return evaluate_ctp(graph, seed_sets, "molesp", config, context=context)
+
+    monkeypatch.setattr("repro.query.parallel.get_algorithm", lambda name: Recording())
+    result = _fallback(fig1, MATRIX_QUERY, workers=4)
+    assert len(seen) == 2
+    assert all(thread is threading.current_thread() for thread, _ in seen)
+    assert not any(name.startswith("repro-ctp") for _, names in seen for name in names)
+    assert [r.dispatch_mode for r in result.ctp_reports] == ["process->serial"] * 2 + ["memo"]
+
+
 class TestEffectiveParallelism:
-    def test_single_job_is_serial(self):
-        assert effective_parallelism(8, 1, None) == 1
-
-    def test_capped_by_jobs(self):
-        assert effective_parallelism(8, 3, None) == 3
-
-    def test_unsafe_context_forces_serial(self):
-        assert effective_parallelism(8, 3, SearchContext()) == 1
-
-    def test_thread_safe_context_allows_workers(self):
-        assert effective_parallelism(2, 3, SearchContext(thread_safe=True)) == 2
+    """The ``parallelism`` knob: validated, and never part of a memo key."""
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -462,7 +474,7 @@ class TestStatsMerge:
 
     def test_query_reports_merge_deterministically(self, fig1):
         serial = evaluate_query(fig1, MATRIX_QUERY)
-        parallel = _threaded(fig1, MATRIX_QUERY)
+        parallel = _fallback(fig1, MATRIX_QUERY)
         merge = lambda result: SearchStats.merged(
             r.result_set.stats for r in result.ctp_reports
         )
@@ -518,7 +530,8 @@ class TestEvaluateQueries:
             parallel = evaluate_queries(
                 fig1, [MATRIX_QUERY, TWO_CTP], base_config=SearchConfig(parallelism=4), pool=pool
             )
-        assert parallel.context.thread_safe
+        # Only the calling thread touches a batch's context.
+        assert not parallel.context.thread_safe
         assert not serial.context.thread_safe
         for a, b in zip(serial, parallel):
             assert a.rows == b.rows

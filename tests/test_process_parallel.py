@@ -12,9 +12,9 @@ given, otherwise inline.  Layers:
   dispatch;
 * **worker lifecycle** — the initializer loads the snapshot once per
   worker and every job reuses the worker-private graph/context;
-* **fallbacks** — unpicklable configs degrade to thread (or serial)
-  dispatch instead of failing the query, and a non-thread-safe context
-  does *not* downgrade pooled dispatch (only the parent touches it);
+* **fallbacks** — unpicklable configs degrade to inline dispatch
+  instead of failing the query, over any context (only the parent
+  touches it);
 * **no pool, no processes** — without a pool every CTP runs inline at
   any ``parallelism``;
 * **deadline-bounded fan-outs and the batch API** through a pool.
@@ -41,7 +41,6 @@ from repro.query.parallel import (
     _jobs_picklable,
     _process_worker_init,
     _process_worker_run,
-    effective_parallelism,
     evaluate_queries,
     open_dispatch,
 )
@@ -181,17 +180,6 @@ def test_explicit_context_memo_survives_process_dispatch(fig1):
 # ----------------------------------------------------------------------
 # dispatch plumbing
 # ----------------------------------------------------------------------
-class TestEffectiveParallelism:
-    def test_process_mode_ignores_context_thread_safety(self):
-        # Only the parent thread touches the context under pooled dispatch.
-        assert effective_parallelism(4, 3, SearchContext(), mode="process") == 3
-        assert effective_parallelism(4, 3, SearchContext(), mode="thread") == 1
-
-    def test_collapses_to_serial_like_thread_mode(self):
-        assert effective_parallelism(8, 1, None, mode="process") == 1
-        assert effective_parallelism(1, 8, None, mode="process") == 1
-
-
 class TestStartMethod:
     def test_fork_only_when_single_threaded(self):
         import multiprocessing
@@ -278,19 +266,18 @@ class TestFallbacks:
         process = _pooled(fig1, MATRIX_QUERY, config=SearchConfig(parallelism=2, score=score))
         assert process.rows == serial.rows
         # The degradation is silent for the query but observable in the
-        # reports: the jobs actually ran on the thread pool, and the hop is
-        # stamped.
+        # reports: the jobs actually ran inline, and the hop is stamped.
         assert [r.dispatch_mode for r in process.ctp_reports] == [
-            "process->thread",
-            "process->thread",
+            "process->serial",
+            "process->serial",
             "memo",
         ]
-        assert process.resilience.degraded_to == "thread"
+        assert process.resilience.degraded_to == "serial"
 
     def test_unpicklable_with_non_thread_safe_context_runs_serial(self, fig1):
-        """Worst case — jobs cannot cross a process boundary AND the
-        explicit context cannot be shared across threads: the dispatch
-        must degrade all the way to the serial loop, still correct."""
+        """Jobs that cannot cross a process boundary, with an explicit
+        context that is not thread-safe: the dispatch degrades to the
+        serial loop over that context, still correct."""
         score = lambda graph, edges, nodes: -len(edges)  # noqa: E731
         context = SearchContext()  # not thread-safe
         serial = evaluate_query(
@@ -315,7 +302,7 @@ class TestFallbacks:
         jobs = [CTPJob(index=i, seed_sets=seeds, config=config) for i in range(3)]
         serial = open_dispatch(fig1, "molesp", None, len(jobs)).run(jobs)
         with WorkerPool(fig1, workers=2) as pool:
-            process = open_dispatch(fig1, "molesp", None, len(jobs), 2, pool=pool).run(jobs)
+            process = open_dispatch(fig1, "molesp", None, len(jobs), pool=pool).run(jobs)
         assert len(process) == 3
         assert [o.mode for o in process] == ["process"] * 3
         for a, b in zip(serial, process):

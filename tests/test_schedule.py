@@ -7,7 +7,7 @@ and reports what executed the searches.  Every decision must be
 **representation-only**: rows are bit-identical to serial dispatch
 whatever the scheduler decided.  Five layers pin that:
 
-* **determinism matrix** — every algorithm × inline / thread-fallback /
+* **determinism matrix** — every algorithm × inline / pool-fallback /
   worker-pool dispatch, with and without a deadline ledger, produces
   exactly the serial rows on the multi-CTP query with a repeated CTP —
   and the rows ``tests/data/knobs_golden.json`` recorded from
@@ -24,15 +24,15 @@ whatever the scheduler decided.  Five layers pin that:
   by ``repro.testing.InlineExecutor``, and in-flight dedup survives
   reordering;
 * **Hypothesis properties** — *arbitrary* estimate assignments (any
-  permutation the cost model could ever produce) leave thread-fallback
-  rows identical to serial, and ledger invariants hold for random
+  submission order the cost model could ever produce) leave rows
+  identical to serial, and ledger invariants hold for random
   costs/clock advances;
 * **satellite regressions** — ``mode_selected`` read off what executed,
   tolerant ``SearchStats`` merge/round-trip and per-response schedule
   telemetry through the query server.
 
-The thread executor runs only as the worker pool's fallback, so thread
-cells reach it through :func:`repro.testing.fallback_pool`.
+A pool that gives up runs its CTPs inline; the fallback cells reach
+that path through :func:`repro.testing.fallback_pool`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ctp.config import SearchConfig
-from repro.ctp.registry import ALGORITHMS
+from repro.ctp.context import SearchContext
+from repro.ctp.registry import ALGORITHMS, get_algorithm
 from repro.ctp.results import CTPResultSet
 from repro.ctp.stats import SearchStats
 from repro.errors import ConfigError
@@ -124,20 +125,22 @@ def golden():
 # ----------------------------------------------------------------------
 # determinism matrix: scheduled rows identical to serial, every algorithm
 # ----------------------------------------------------------------------
-#: The ids predate the retirement of ``SearchConfig.scheduling`` and of
-#: the ``auto`` dispatch mode, and are kept, so that a cell keeps its
-#: name from one test log to the next.  Each cell is a config and what
-#: runs its CTPs: ``None`` (no pool: inline), ``"thread"`` (the pool's
-#: thread fallback, :func:`repro.testing.fallback_pool`) or ``"process"``
-#: (a two-worker :class:`WorkerPool`).  ``serial-nosched`` asks for four
-#: workers without a pool, which runs inline.
+#: The ids predate the retirement of ``SearchConfig.scheduling``, of the
+#: ``auto`` dispatch mode and of the thread fallback, and are kept, so
+#: that a cell keeps its name from one test log to the next.  Each cell
+#: is a config and what runs its CTPs: ``None`` (no pool: inline),
+#: ``"fallback"`` (a pool that gives up, :func:`repro.testing.fallback_pool`:
+#: the ledger is cut for ``parallelism`` slots, then re-cut for one and
+#: the CTPs run inline) or ``"process"`` (a two-worker
+#: :class:`WorkerPool`).  ``serial-nosched`` asks for four workers without
+#: a pool, which runs inline.
 SCHED_VARIANTS = {
     "serial-nosched": (dict(parallelism=4), None),
     "serial-sched": (dict(parallelism=1), None),
     "serial-deadline-sched": (dict(parallelism=1, deadline=60.0), None),
-    "thread-nosched": (dict(parallelism=2), "thread"),
-    "thread-sched": (dict(parallelism=4), "thread"),
-    "thread-deadline-sched": (dict(parallelism=4, deadline=60.0), "thread"),
+    "thread-nosched": (dict(parallelism=2), "fallback"),
+    "thread-sched": (dict(parallelism=4), "fallback"),
+    "thread-deadline-sched": (dict(parallelism=4, deadline=60.0), "fallback"),
     "process-nosched": (dict(parallelism=2, deadline=60.0), "process"),
     "process-sched": (dict(parallelism=2), "process"),
 }
@@ -149,7 +152,7 @@ def _evaluate(graph, query, variant, algorithm="molesp"):
     config = SearchConfig(**options)
     if executor is None:
         return evaluate_query(graph, query, algorithm, base_config=config)
-    if executor == "thread":
+    if executor == "fallback":
         pool = fallback_pool(graph, config.parallelism)
     else:
         pool = WorkerPool(graph, workers=config.parallelism)
@@ -182,7 +185,7 @@ def test_scheduled_rows_identical_to_serial(fig1, golden, algo, variant):
     assert len(scheduled.schedule.estimates) == 3
     assert all(estimate > 0 for estimate in scheduled.schedule.estimates)
     executor = SCHED_VARIANTS[variant][1]
-    want = {None: "serial", "thread": "process->thread", "process": "process"}[executor]
+    want = {None: "serial", "fallback": "process->serial", "process": "process"}[executor]
     assert scheduled.schedule.mode_selected == want
 
 
@@ -222,20 +225,18 @@ def test_pipelined_with_deadline_keeps_rows(fig1):
 # ----------------------------------------------------------------------
 def test_mode_selected_is_what_executed_not_what_was_asked(fig1):
     """A lambda scorer cannot cross the process boundary: a query handed a
-    pool degrades to threads, and the report must say so."""
+    pool degrades to inline, and the report must say so."""
     score = lambda graph, edges, nodes: -len(edges)  # noqa: E731
     with WorkerPool(fig1, workers=2) as pool:
         result = evaluate_query(
             fig1, MATRIX_QUERY, base_config=SearchConfig(parallelism=2, score=score), pool=pool
         )
     executed = [r.dispatch_mode for r in result.ctp_reports if r.dispatch_mode != "memo"]
-    assert executed == ["process->thread"] * 2
-    assert result.schedule.mode_selected == "process->thread"
+    assert executed == ["process->serial"] * 2
+    assert result.schedule.mode_selected == "process->serial"
 
 
 def test_mode_selected_when_every_ctp_is_served_from_the_memo(fig1):
-    from repro.ctp.context import SearchContext
-
     context = SearchContext()
     evaluate_query(fig1, MATRIX_QUERY, context=context)
     again = evaluate_query(fig1, MATRIX_QUERY, context=context)
@@ -364,6 +365,39 @@ def test_deadline_bounds_a_serial_query(fig1, monkeypatch):
     assert budgets == [0.01, 0.01, 0.01]
 
 
+@pytest.mark.parametrize("explicit_context", [False, True], ids=["default-context", "explicit-context"])
+def test_deadline_bounds_a_degraded_pool_query(fig1, monkeypatch, explicit_context):
+    """A pool that gives up runs its CTPs inline, back to back: budgets cut
+    for four concurrent slots must be re-cut for one, or three deadline-
+    hungry CTPs are handed ~2.9x the deadline."""
+    clock = FakeClock()
+    fake_time = SimpleNamespace(perf_counter=clock)
+    monkeypatch.setattr("repro.query.evaluator.time", fake_time)
+    monkeypatch.setattr("repro.query.costmodel.time", fake_time)
+    budgets = []
+
+    class Greedy:
+        def run(self, graph, seed_sets, config, context=None):
+            budgets.append(config.timeout)
+            clock.advance(config.timeout)
+            return CTPResultSet([], SearchStats(), complete=False, timed_out=True)
+
+    monkeypatch.setattr("repro.query.parallel.get_algorithm", lambda name: Greedy())
+    query = MATRIX_QUERY.replace("AS ?w3 MAX 3", "AS ?w3 MAX 4")  # three distinct CTPs
+    context = SearchContext() if explicit_context else None
+    with fallback_pool(fig1, 4) as pool:
+        result = evaluate_query(
+            fig1,
+            query,
+            base_config=SearchConfig(parallelism=4, deadline=0.5),
+            context=context,
+            pool=pool,
+        )
+    assert len(budgets) == 3
+    assert sum(budgets) <= 0.5 + 3 * LEDGER_FLOOR
+    assert [report.dispatch_mode for report in result.ctp_reports] == ["process->serial"] * 3
+
+
 # ----------------------------------------------------------------------
 # QuerySchedule: grants applied to run configs
 # ----------------------------------------------------------------------
@@ -416,7 +450,7 @@ class _FakeResultSet:
 def _dispatch(jobs, executor, schedule, reorder=True):
     """One barrier dispatch over ``executor``: ``(outcomes, follower indices)``."""
     start = lambda job: executor.submit(lambda j: (_FakeResultSet(), 0.0), job)  # noqa: E731
-    dispatch = Dispatch(None, schedule, start, "thread", reorder=reorder)
+    dispatch = Dispatch(None, schedule, start, "process", reorder=reorder)
     return dispatch.run(jobs), dispatch.followers
 
 
@@ -504,14 +538,18 @@ def _chain_reference():
     )
 )
 def test_any_estimate_assignment_keeps_rows_identical(estimates):
+    """Runs the searches in the longest-first order a pool submits them
+    in, one after the other (the pool's own fallback keeps CTP order)."""
     schedule = QuerySchedule(estimates=dict(enumerate(estimates)))
-    with fallback_pool(_CHAIN, 4) as pool:
-        outcomes = open_dispatch(
-            _CHAIN, "bft", None, len(_CHAIN_PAIRS), 4, pool=pool, schedule=schedule
-        ).run(_chain_jobs())
+    bft = get_algorithm("bft")
+    executor = InlineExecutor()
+    start = lambda job: executor.submit(  # noqa: E731
+        lambda j: (bft.run(_CHAIN, j.seed_sets, j.config), 0.0), job
+    )
+    outcomes = Dispatch(None, schedule, start, "process").run(_chain_jobs())
     assert [[r.edges for r in o.result_set] for o in outcomes] == _chain_reference()
-    assert all(outcome.mode == "process->thread" for outcome in outcomes)
     expected = sorted(range(4), key=lambda i: (-estimates[i], i))
+    assert [args[0].index for _, args in executor.submitted] == expected
     assert schedule.report.submit_order == expected
 
 

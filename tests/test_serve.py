@@ -7,7 +7,7 @@ The PR-6 suite.  The amortization tentpole has three claims to hold:
    long-lived context must never leak one request's state into another's
    rows);
 2. **Resilience** — a crashed worker costs one respawn, not silent
-   thread-fallback forever, and a closed/mismatched pool is ignored —
+   inline fallback forever, and a closed/mismatched pool is ignored —
    the CTPs run inline instead of failing the query;
 3. **Serving discipline** — admission control rejects (never queues
    unboundedly), expired deadlines are refused up front, live deadlines
@@ -186,9 +186,8 @@ def test_pool_ships_delta_after_mutation(fig1):
 
 
 def test_pool_resnapshots_after_mutation_legacy_threshold(fig1):
-    # compaction_threshold=0 restores the legacy contract: any mutation
-    # compacts at the next dispatch boundary, which re-snapshots and
-    # releases the stale temp file eagerly.
+    # compaction_threshold=0 compacts on any mutation: the next dispatch
+    # boundary re-snapshots and releases the stale temp file eagerly.
     with WorkerPool(fig1, workers=1, compaction_threshold=0) as pool:
         _pool_eval(fig1, pool)
         first_path = pool.snapshot_path
