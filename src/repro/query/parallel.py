@@ -592,14 +592,14 @@ class _PooledDispatch:
       past (:class:`~repro.errors.StaleViewError`, from ``prepare_for`` or
       from a worker that cannot map the base the job names) degrade to
       the inline executor, with the hop stamped ``"process->serial"``,
-      rather than failing the query.  A deadline ledger cut for the pool's
-      concurrent slots is re-cut for one slot first
-      (:meth:`~repro.query.costmodel.QuerySchedule.recut_serial`): the jobs now
-      run back to back, and their budgets must still sum to the deadline.
-      Deterministic evaluation errors (a raising
-      scorer) are *not* retried or degraded: they propagate as typed
-      errors, because re-running them elsewhere would just fail again —
-      or worse, mask a real bug.
+      rather than failing the query.  A deadline ledger cut for the
+      pool's concurrent slots is re-cut for one slot first
+      (:meth:`~repro.query.costmodel.QuerySchedule.recut_serial`): the
+      jobs now run back to back, and their budgets must still sum to the
+      deadline.  Deterministic evaluation errors (a raising scorer) are
+      *not* retried or degraded: they propagate as typed errors, because
+      re-running them elsewhere would just fail again — or worse, mask a
+      real bug.
     """
 
     pool: WorkerPool
