@@ -90,9 +90,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     sched = result.schedule
     print(
-        f"schedule: mode {sched.mode_selected} "
-        f"estimates={[round(e, 1) for e in sched.estimates]} "
-        f"order={sched.submit_order} rebalances={sched.rebalances} "
+        f"schedule: mode {sched.mode_selected} rebalances={sched.rebalances} "
         f"(+{sched.rebalanced_seconds:.3f}s)"
     )
     return 0

@@ -62,13 +62,12 @@ class SearchConfig:
     deadline:
         Whole-*query* wall-clock budget in seconds, enforced by the
         evaluator (standalone engine runs ignore it): each CTP's effective
-        ``timeout`` is its cost-proportional share of the budget
+        ``timeout`` is its equal share of the budget
         (:class:`~repro.query.costmodel.DeadlineLedger`), re-granted
-        upward at execution as cheaper CTPs finish under theirs, so the
+        upward at execution as faster CTPs finish under theirs, so the
         CTPs of a query together spend about one deadline of wall time —
-        the per-query deadline discipline a serving front-end needs
-        ("Complexity of Evaluating GQL Queries" motivates how wildly
-        per-fragment cost varies).  Deadline-truncated result sets are
+        the per-query deadline discipline a serving front-end needs.
+        Deadline-truncated result sets are
         flagged ``timed_out`` and never memoized, exactly like ``timeout``
         truncation.  ``None`` (default) means no query budget.
     limit:
@@ -107,15 +106,13 @@ class SearchConfig:
         instead of only when seed coverage grew (the Section 4.5 text).
         Same results, strictly more work; exposed to quantify the cost.
     parallelism:
-        Evaluator-level knob (ignored by standalone engine runs): how many
-        of a query's CTPs may run at once.  A query's CTPs run in the
+        Read by no query evaluation: a query's CTPs run in the
         :class:`~repro.query.pool.WorkerPool` passed to the evaluator, or
-        inline without one (:mod:`repro.query.parallel`); this knob only
-        sizes the deadline ledger's concurrent slots under a pool
-        (``min(parallelism, number of CTPs)``).  Inline runs, including a
-        pool's fallback, use one slot.  Dispatch-only: result rows are
-        bit-identical to serial evaluation regardless of its value.  Must
-        be >= 1; anything else raises :class:`~repro.errors.ConfigError`.
+        inline without one (:mod:`repro.query.parallel`), and the deadline
+        ledger takes its concurrent slots from that pool's ``workers``.
+        Kept for callers that still pass it.  Result rows never depend on
+        it.  Must be >= 1; anything else raises
+        :class:`~repro.errors.ConfigError`.
     """
 
     uni: bool = False

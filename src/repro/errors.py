@@ -152,13 +152,5 @@ class AdmissionError(PoolError):
     """
 
 
-class BudgetExceeded(ReproError):
-    """Internal signal used to unwind a search when a deadline fires.
-
-    Searches catch this and return the results accumulated so far, flagging
-    the result set as partial; it never escapes the public API.
-    """
-
-
 class WorkloadError(ReproError):
     """Raised for invalid workload-generator parameters."""

@@ -207,10 +207,6 @@ def active_plan() -> Optional[FaultPlan]:
     return _active_plan
 
 
-def current_epoch() -> int:
-    return _epoch
-
-
 def _next_counter(site: str) -> int:
     count = _counters.get(site, 0)
     _counters[site] = count + 1

@@ -30,13 +30,7 @@ from repro.query.ast import (
 )
 from repro.query.parser import parse_query
 from repro.query.bgp import evaluate_bgp
-from repro.query.costmodel import (
-    CostFeatures,
-    CTPCostEstimator,
-    DeadlineLedger,
-    QuerySchedule,
-    ScheduleReport,
-)
+from repro.query.costmodel import DeadlineLedger, QuerySchedule, ScheduleReport
 from repro.query.evaluator import QueryResult, evaluate_query
 from repro.query.parallel import BatchResult, evaluate_queries
 from repro.query.pool import WorkerPool
@@ -47,10 +41,8 @@ __all__ = [
     "BatchResult",
     "WorkerPool",
     "CTP",
-    "CTPCostEstimator",
     "CTPFilters",
     "Condition",
-    "CostFeatures",
     "DeadlineLedger",
     "EQLQuery",
     "EdgePattern",

@@ -34,13 +34,12 @@ re-checks equality).  The batch counterpart
 :func:`~repro.query.parallel.evaluate_queries` runs many queries against
 one shared context for cross-query memo hits.
 
-Every query runs under the cost model (:mod:`repro.query.costmodel`): each
-CTP is estimated once its seed sets resolve; the estimates order a pooled
-fan-out longest-first and — when ``SearchConfig.deadline`` is set — size
-each CTP's share of the query's wall budget through a
-:class:`~repro.query.costmodel.DeadlineLedger`, so the deadline bounds the
-*query*, not each CTP separately.  What it decided, and what executed the
-searches, is on ``QueryResult.schedule``.
+Dispatch starts the searches in CTP order.  When ``SearchConfig.deadline``
+is set, a :class:`~repro.query.costmodel.DeadlineLedger` gives each CTP an
+equal share of the query's wall budget, re-granted upward at execution as
+faster CTPs finish under theirs, so the deadline bounds the *query*, not
+each CTP separately.  What executed the searches, how long each took and
+what the ledger moved is on ``QueryResult.schedule``.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.errors import EvaluationError
 from repro.graph.graph import Graph
 from repro.query.ast import CTP, CTPFilters, EQLQuery, Predicate
 from repro.query.bgp import evaluate_bgp, matching_nodes
-from repro.query.costmodel import CTPCostEstimator, DeadlineLedger, QuerySchedule, ScheduleReport
+from repro.query.costmodel import DeadlineLedger, QuerySchedule, ScheduleReport
 from repro.query.parallel import CTPJob, open_dispatch, serving_pool
 from repro.query.resilience import ResilienceReport
 
@@ -131,9 +130,8 @@ class QueryResult:
     #: MVCC generation of the graph (view) the query evaluated against.
     #: Rows are reproducible against a full freeze of that generation.
     generation: Optional[int] = None
-    #: The cost model's decisions and measurements for this query: what
-    #: executed its searches, per-CTP estimates vs. actual seconds,
-    #: submission order, rebalance counters.
+    #: How this query's searches ran: what executed them, per-CTP actual
+    #: seconds, deadline rebalance counters.
     schedule: ScheduleReport = field(default_factory=ScheduleReport)
 
     def __len__(self) -> int:
@@ -380,10 +378,6 @@ def _ctp_memo_key(graph: Graph, algorithm: str, seed_sets: Sequence, config: Sea
     )
 
 
-#: The one cost model.  Stateless, so every query of the process shares it.
-_ESTIMATOR = CTPCostEstimator()
-
-
 def evaluate_query(
     graph: Graph,
     query: Union[str, EQLQuery],
@@ -424,9 +418,11 @@ def evaluate_query(
         CTPs run inline on the calling thread.
 
     When ``base_config.deadline`` is set, each CTP's effective timeout is
-    its cost-proportional share of the whole-query budget, re-granted
-    upward at execution time as faster CTPs finish under their shares
-    (:class:`~repro.query.costmodel.DeadlineLedger`).
+    its equal share of the whole-query budget, re-granted upward at
+    execution time as faster CTPs finish under their shares
+    (:class:`~repro.query.costmodel.DeadlineLedger`).  Under a pool the
+    shares are cut for ``min(pool.workers, number of CTPs)`` concurrent
+    slots; ``base_config.parallelism`` is not read.
     """
     query_started = time.perf_counter()
     if isinstance(query, str):
@@ -451,12 +447,11 @@ def evaluate_query(
         binding_values.update(derive_binding_values(bgp_tables[-1:], only=seed_vars))
 
     # Step (B): derive every CTP's seed sets (serially — the derivations
-    # share one dedup cache), estimate it, and hand the searches to the
-    # dispatch, all running inside the query-scoped context.
+    # share one dedup cache) and hand the searches to the dispatch, all
+    # running inside the query-scoped context.
     seed_cache: Dict[Any, List[int]] = {}
     seed_cache_hits = 0
     schedule = QuerySchedule()  # its ledger stays None without a deadline
-    costs = schedule.estimates
     derived: List[Tuple[Tuple[Optional[int], ...], List[int]]] = []
     jobs: List[CTPJob] = []
     for index, ctp in enumerate(ctps):
@@ -465,7 +460,6 @@ def evaluate_query(
         )
         seed_cache_hits += hits
         config = config_for_ctp(ctp.filters, base_config, default_timeout)
-        costs[index] = _ESTIMATOR.estimate_ctp(graph, algorithm, sizes, config)
         derived.append((sizes, wildcard_positions))
         # Keyed on the CTP's own config, before a deadline share is
         # written into ``timeout``: only complete, untruncated sets are
@@ -475,11 +469,12 @@ def evaluate_query(
 
     pool = serving_pool(pool, graph)
     if base_config.deadline is not None:
-        # Each CTP's budget is its cost-proportional share of the remaining
-        # deadline (re-granted upward at execution); its own timeout stays
-        # the ceiling.  A pool runs up to ``parallelism`` CTPs at once.
-        workers = min(base_config.parallelism, len(jobs)) if pool is not None else 1
-        schedule.ledger = DeadlineLedger(base_config.deadline, query_started, costs, workers)
+        # Each CTP's budget is its equal share of the remaining deadline
+        # (re-granted upward at execution); its own timeout stays the
+        # ceiling.  A pool runs up to ``pool.workers`` CTPs at once.
+        workers = min(pool.workers, len(jobs)) if pool is not None else 1
+        indices = [job.index for job in jobs]
+        schedule.ledger = DeadlineLedger(base_config.deadline, query_started, indices, workers)
         for job in jobs:
             job.config = job.config.with_(timeout=schedule.ledger.register(job.index, job.config.timeout))
     resilience = ResilienceReport() if pool is not None else None

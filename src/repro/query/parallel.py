@@ -166,14 +166,11 @@ class Dispatch:
     (memo-served and shared outcomes say ``"memo"`` — claiming a worker ran
     them would defeat the observability the field exists for).
 
-    :meth:`run` takes every job of the query at once.  Distinct memo keys
-    are started **longest-first** by the schedule's estimates (ties by CTP
-    index, so the order is deterministic): with fewer workers than
-    leaders, starting the stragglers first shrinks the makespan.
-    ``reorder=False`` keeps CTP order — an inline executor overlaps
-    nothing, and CTP order is the reference the serial deadline ledger is
-    defined against.  Order is representation-only either way: outcomes
-    are keyed by CTP index and the memo is replayed in CTP order.
+    :meth:`run` takes every job of the query at once and starts one
+    leader per distinct memo key, in CTP order — the order the serial
+    deadline ledger is defined against — whatever executes them.  Outcomes
+    are keyed by CTP index and the memo is replayed in CTP order, so
+    completion order never shows.
 
     ``watchdog`` (pool executor only) is a wall-clock budget for the whole
     dispatch.  Blowing it raises :class:`~repro.errors.WorkerHangError` —
@@ -192,7 +189,6 @@ class Dispatch:
         mode: str,
         shutdown: Optional[Callable[..., None]] = None,
         watchdog: Optional[float] = None,
-        reorder: bool = True,
     ) -> None:
         self.context = context
         self.schedule = schedule
@@ -200,7 +196,6 @@ class Dispatch:
         self._start_one = start
         self._shutdown = shutdown
         self._watchdog = watchdog
-        self._reorder = reorder
         self._outcomes: Dict[int, CTPOutcome] = {}
         #: leader future -> [leader, followers still waiting on it...].
         self._running: Dict["Future[Any]", List[CTPJob]] = {}
@@ -269,12 +264,8 @@ class Dispatch:
                 else:
                     outcomes[job.index] = CTPOutcome(cached, True, 0.0, "memo")
                     self.schedule.settle(job.index)
-        ordered = list(groups.values())
-        if self._reorder:
-            ordered = self.schedule.ordered(ordered, lambda group: group[0].index)
-            self.schedule.record_submits([group[0].index for group in ordered])
         started = []
-        for group in ordered:  # every leader first, then the riders
+        for group in groups.values():  # every leader first, then the riders
             future = self._start(group[0])
             self._running[future] = [group[0]]
             started.append((future, group[1:]))
@@ -348,7 +339,7 @@ def _local_dispatch(
         result_set = algo.run(graph, job.seed_sets, config, context=context)
         return result_set, time.perf_counter() - started
 
-    return Dispatch(context, schedule, lambda job: executor.submit(run_one, job), mode, reorder=False)
+    return Dispatch(context, schedule, lambda job: executor.submit(run_one, job), mode)
 
 
 def open_dispatch(
@@ -368,9 +359,8 @@ def open_dispatch(
     under the failure policy of :class:`_PooledDispatch`, whose fallback is
     the inline loop.  Without one the jobs run inline, on the calling
     thread.  ``report`` collects what resilience machinery fired around
-    the pool.  ``schedule`` carries the cost estimates that order the
-    fan-out and the deadline ledger, if any; a caller with neither gets a
-    blank one (CTP order, job timeouts as built).
+    the pool.  ``schedule`` carries the deadline ledger, if any; a caller
+    without one gets a blank one (job timeouts as built).
     """
     if schedule is None:
         schedule = QuerySchedule()

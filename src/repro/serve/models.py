@@ -159,10 +159,10 @@ class ResponseStats:
     compactions: int = 0
     resnapshots_avoided: int = 0
     resnapshot_thrash: int = 0
-    #: Cost-model scheduling telemetry
-    #: (:meth:`repro.query.costmodel.ScheduleReport.as_dict`): per-CTP
-    #: estimates vs. actual seconds, submission order, rebalance counters,
-    #: pipeline overlap, and the dispatch mode the cost model selected.
+    #: Dispatch telemetry
+    #: (:meth:`repro.query.costmodel.ScheduleReport.as_dict`): what
+    #: executed the searches, per-CTP actual seconds and the deadline
+    #: ledger's rebalance counters.
     schedule: Dict[str, Any] = field(default_factory=dict)
 
 

@@ -21,7 +21,7 @@ shares:
 layer runs it from N client threads.  Per-request deadlines are enforced
 in two places — an already-expired deadline is refused up front
 (``STATUS_EXPIRED``, nothing runs), and a live one is split across the
-request's CTPs in cost-proportional shares
+request's CTPs in equal shares, re-granted as fast CTPs finish
 (:class:`repro.query.costmodel.DeadlineLedger`), so one expensive CONNECT
 cannot eat the whole query's allowance and k of them cannot spend k
 deadlines.

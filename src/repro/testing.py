@@ -53,8 +53,8 @@ class InlineExecutor(_InlineExecutor):
     Every submit runs inline, in order (the serial path of
     :mod:`repro.query.parallel`, not a stand-in for it), and the exact
     submission order lands in :attr:`submitted` — so tests can pin
-    *scheduling decisions* (longest-first ordering, rebalance timing)
-    without threads, wall clocks, or flaky completion races.
+    *scheduling decisions* (CTP-order starts, rebalance timing) without
+    threads, wall clocks, or flaky completion races.
     """
 
     def __init__(self) -> None:

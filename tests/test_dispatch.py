@@ -7,8 +7,8 @@ CTP-order memo replay, whatever executes the searches.  Its contract is
 ~20 lines of get → run → put (:func:`_reference`), and a Hypothesis
 property drives the real object against it over random job lists
 (duplicate memo keys, unkeyed jobs, replayable and truncated fake result
-sets, a pre-seeded memo, caches small enough to evict) × with and
-without cost estimates × inline and thread executors.
+sets, a pre-seeded memo, caches small enough to evict) × inline and
+thread executors.
 
 What is asserted where:
 
@@ -94,18 +94,14 @@ def _cases(draw: Any) -> Tuple[Any, ...]:
     truncated = frozenset(draw(st.sets(st.sampled_from(KEYS + tuple(range(len(jobs)))))))
     maxsize = draw(st.sampled_from((1, 2, 3, 64)))
     seeded = draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=maxsize))
-    estimates = draw(
-        st.none()
-        | st.lists(st.integers(min_value=0, max_value=3), min_size=len(jobs), max_size=len(jobs))
-    )
     threads = draw(st.booleans())
-    return jobs, truncated, maxsize, seeded, estimates, threads
+    return jobs, truncated, maxsize, seeded, threads
 
 
 @SETTINGS
 @given(case=_cases())
 def test_dispatch_equals_the_serial_loop(case):
-    jobs, truncated, maxsize, seeded, estimates, threads = case
+    jobs, truncated, maxsize, seeded, threads = case
 
     reference_context = _seeded_context(maxsize, seeded)
     expected = _reference(jobs, reference_context.ctp_cache, truncated)
@@ -114,11 +110,10 @@ def test_dispatch_equals_the_serial_loop(case):
     context = _seeded_context(maxsize, seeded, thread_safe=threads)
     cache = context.ctp_cache
     probes_before = cache.hits + cache.misses
-    schedule = QuerySchedule(estimates=dict(enumerate(estimates or ())))
     executor = ThreadPoolExecutor(max_workers=3) if threads else InlineExecutor()
     dispatch = Dispatch(
         context,
-        schedule,
+        QuerySchedule(),
         lambda job: executor.submit(_search, job, truncated),
         MODE,
         shutdown=executor.shutdown,
@@ -143,9 +138,6 @@ def test_dispatch_equals_the_serial_loop(case):
     keyed = sum(1 for job in jobs if job.memo_key is not None)
     assert cache.hits + cache.misses - probes_before == keyed
     assert len(cache) <= maxsize
-    order = schedule.report.submit_order
-    executed = {job.index for job, outcome in zip(jobs, outcomes) if not outcome.cache_hit}
-    assert len(set(order)) == len(order) and set(order) <= executed
 
     # Whenever the serial loop evicted nothing: identical to it, in full.
     if want.evictions == 0:
@@ -155,29 +147,13 @@ def test_dispatch_equals_the_serial_loop(case):
         assert list(cache._data) == list(want._data)
 
 
-def test_inline_submission_order_is_schedule_order_but_replay_is_ctp_order():
-    """Longest-first reorders who *runs* first, never what the memo sees."""
-    executor = InlineExecutor()
-    context = _seeded_context(64, [])
-    jobs = [
-        CTPJob(index=i, seed_sets=[], config=SearchConfig(), memo_key=key)
-        for i, key in enumerate("abc")
-    ]
-    schedule = QuerySchedule(estimates={0: 1.0, 1: 9.0, 2: 4.0})
-    start = lambda job: executor.submit(_search, job, frozenset())  # noqa: E731
-    Dispatch(context, schedule, start, MODE).run(jobs)
-    assert [args[0].index for _, args in executor.submitted] == [1, 2, 0]
-    assert list(context.ctp_cache._data) == ["a", "b", "c"]
-
-
 def test_inline_settle_lands_before_the_next_grant_is_read():
     """Serial semantics: a finished CTP's unspent budget reaches the next
     one — so the ledger must be settled when the run ends (the future's
     done-callback), not when ``run()`` collects the outcomes."""
     clock = FakeClock()
-    costs = {0: 1.0, 1: 1.0, 2: 1.0}
-    ledger = DeadlineLedger(9.0, started=0.0, costs=costs, workers=1, clock=clock)
-    schedule = QuerySchedule(estimates=costs, ledger=ledger)
+    ledger = DeadlineLedger(9.0, started=0.0, indices=[0, 1, 2], workers=1, clock=clock)
+    schedule = QuerySchedule(ledger=ledger)
     jobs = [
         CTPJob(index=i, seed_sets=[], config=SearchConfig(timeout=ledger.register(i, None)))
         for i in range(3)
@@ -191,13 +167,13 @@ def test_inline_settle_lands_before_the_next_grant_is_read():
         return _FakeResultSet(("ran", job.index)), 1.0
 
     executor = InlineExecutor()
-    dispatch = Dispatch(None, schedule, lambda job: executor.submit(run, job), "serial", reorder=False)
+    dispatch = Dispatch(None, schedule, lambda job: executor.submit(run, job), "serial")
     outcomes = dispatch.run(jobs)
     # 9s: CTP 0 is granted a third; CTP 1 half of the 8s left (CTP 0 has
     # settled); CTP 2 all of the 7s left.  Unsettled, they would read 3/3/3.
     assert granted == [3.0, 4.0, 7.0]
+    assert [args[0].index for _, args in executor.submitted] == [0, 1, 2]
     assert [o.mode for o in outcomes] == ["serial"] * 3
-    assert schedule.report.submit_order == []  # CTP order is not a decision
 
 
 def test_finished_dispatch_is_freed_by_reference_counting():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.ctp.registry import ALGORITHMS, COMPLETE_ALGORITHMS, evaluate_ctp, get_algorithm
 from repro.errors import (
-    BudgetExceeded,
     ConfigError,
     EvaluationError,
     GraphError,
@@ -25,7 +24,6 @@ def test_hierarchy():
         StorageError,
         QueryError,
         SearchError,
-        BudgetExceeded,
         WorkloadError,
     ):
         assert issubclass(error_class, ReproError)

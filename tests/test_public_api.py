@@ -79,7 +79,7 @@ def test_algorithm_classes_have_paper_docs():
 def test_errors_all_exported():
     from repro import errors
 
-    public = [n for n in dir(errors) if n.endswith("Error") or n == "BudgetExceeded"]
+    public = [n for n in dir(errors) if n.endswith("Error")]
     import repro
 
     for name in ("ReproError", "GraphError", "QueryError", "SearchError"):
@@ -139,11 +139,11 @@ def test_retired_representation_flags_are_type_errors(retired):
 
 def test_search_state_keeps_only_what_is_read():
     """One count-bounded memo per context, no per-root cache, no byte
-    bound, and a cost model with fixed weights and no refit."""
+    bound, and a schedule report with no cost estimate."""
     from dataclasses import fields
 
     from repro.ctp import ResultCache, SearchContext, SearchStats
-    from repro.query import CTPCostEstimator, ScheduleReport
+    from repro.query import ScheduleReport
 
     assert list(inspect.signature(SearchContext).parameters) == ["ctp_cache_size", "thread_safe"]
     assert list(inspect.signature(ResultCache).parameters) == ["maxsize", "thread_safe"]
@@ -170,9 +170,7 @@ def test_search_state_keeps_only_what_is_read():
     ]
     assert [spec.name for spec in fields(ScheduleReport)] == list(ScheduleReport().as_dict()) == [
         "mode_selected",
-        "estimates",
         "actual_seconds",
-        "submit_order",
         "rebalances",
         "rebalanced_seconds",
     ]
@@ -189,8 +187,6 @@ def test_search_state_keeps_only_what_is_read():
         "ctp_cache_misses",
         "ctp_cache_evictions",
     ]
-    assert fields(CTPCostEstimator) == ()
-    assert not hasattr(CTPCostEstimator, "fit")
 
 
 def test_config_fingerprint_has_thirteen_elements():
