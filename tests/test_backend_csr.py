@@ -31,6 +31,7 @@ from repro.ctp.esp import ESPSearch
 from repro.ctp.molesp import MoLESPSearch
 from repro.errors import GraphError
 from repro.graph.backend import CSRGraph, GraphBackend
+from repro.graph.delta import OverlayGraph
 from repro.graph.graph import Graph
 from repro.graph.traversal import ball, bfs_distances, dijkstra_distances
 from repro.testing import (
@@ -54,8 +55,20 @@ def _normalize(entries):
 class TestBackendSelection:
     def test_both_backends_satisfy_protocol(self):
         graph = random_graph(random.Random(0), num_nodes=6, num_edges=9)
-        assert isinstance(graph, GraphBackend)
-        assert isinstance(graph.freeze(), GraphBackend)
+        graph.ensure_base()
+        graph.add_edge(0, 1, "late")
+        frozen, overlay = graph.freeze(), graph.read_view()
+        assert isinstance(overlay, OverlayGraph)
+        for view in (graph, frozen, overlay):
+            assert isinstance(view, GraphBackend)
+        for view in (frozen, overlay):
+            assert view.freeze() is view
+            frozen_name = f"frozen {type(view).__name__}"
+            with pytest.raises(GraphError, match=frozen_name):
+                view.add_node("x")
+            with pytest.raises(GraphError, match=frozen_name):
+                view.add_edge(0, 1, "x")
+        assert graph.freeze() is frozen
 
     def test_backend_names(self):
         graph = Graph()

@@ -86,27 +86,54 @@ def _unique_node(graph, label):
         return "not unique"
 
 
-def graph_content(graph) -> dict:
-    """Every read of the ``GraphBackend`` surface (plus the object
-    accessors and index key orders), as plain comparable values."""
+def _type_names(graph) -> list:
+    """Type index keys in index order; an overlay keeps no index of its
+    own, so for it the order a rebuild of its nodes would give."""
+    index = getattr(graph, "_nodes_by_type", None)
+    if index is None:
+        return list(dict.fromkeys(name for node in graph.nodes() for name in node.types))
+    return list(index)
+
+
+def stored_content(graph) -> dict:
+    """Every read a store answers from what it holds (the graph shape,
+    the object accessors, adjacency, edge scalars and the label/type
+    indexes with their key orders), as plain comparable values."""
     node_ids, edge_ids = list(graph.node_ids()), list(graph.edge_ids())
-    type_names = list(graph._nodes_by_type)
     return {
         "shape": (graph.name, graph.num_nodes, graph.num_edges),
+        "ids": (node_ids, edge_ids),
         "nodes()": [_node_row(node) for node in graph.nodes()],
         "node(i)": [_node_row(graph.node(i)) for i in node_ids],
         "edges()": [_edge_row(edge) for edge in graph.edges()],
         "edge(i)": [_edge_row(graph.edge(i)) for i in edge_ids],
-        "adjacent": [graph.adjacent(i) for i in node_ids],
-        "neighbor_ids": [graph.neighbor_ids(i) for i in node_ids],
+        "adjacent": [tuple(graph.adjacent(i)) for i in node_ids],
+        "neighbor_ids": [tuple(graph.neighbor_ids(i)) for i in node_ids],
+        "neighbors": [graph.neighbors(i) for i in node_ids],
         "degree": [graph.degree(i) for i in node_ids],
         "edge scalars": [
             (graph.edge_weight(i), graph.edge_label(i), graph.edge_endpoints(i)) for i in edge_ids
         ],
+        "edge_source/target": [(graph.edge_source(i), graph.edge_target(i)) for i in edge_ids],
         "nodes_with_label": [(label, graph.nodes_with_label(label)) for label in graph.node_labels()],
         "find_node_by_label": [_unique_node(graph, label) for label in graph.node_labels()],
-        "nodes_with_type": [(name, graph.nodes_with_type(name)) for name in type_names],
+        "nodes_with_type": [(name, graph.nodes_with_type(name)) for name in _type_names(graph)],
         "edges_with_label": [(label, graph.edges_with_label(label)) for label in graph.edge_labels()],
+    }
+
+
+def graph_content(graph) -> dict:
+    """Every read of the ``GraphBackend`` surface: :func:`stored_content`
+    plus the reads that follow ids from one element to another
+    (incident edge objects, node scans, the describe helpers)."""
+    node_ids, edge_ids = list(graph.node_ids()), list(graph.edge_ids())
+    return {
+        **stored_content(graph),
+        "out_edges": [[_edge_row(edge) for edge in graph.out_edges(i)] for i in node_ids],
+        "in_edges": [[_edge_row(edge) for edge in graph.in_edges(i)] for i in node_ids],
+        "find_nodes": graph.find_nodes(lambda node: bool(node.types) or not node.label),
+        "describe_edge": [graph.describe_edge(i) for i in edge_ids],
+        "describe_tree": (graph.describe_tree(edge_ids), graph.describe_tree(())),
     }
 
 
@@ -218,6 +245,34 @@ def test_roundtrip_is_elementwise_identical(tmp_path_factory, graph, use_mmap):
     assert [_node_row(n) for n in overlay.nodes()] == [_node_row(n) for n in graph.nodes()]
     assert [_edge_row(e) for e in overlay.edges()] == [_edge_row(e) for e in graph.edges()]
     assert overlay.nodes_with_label("new") == graph.nodes_with_label("new")
+
+
+class TestOneReadSurface:
+    """The dict store and the overlay answer every read like the CSR
+    freeze of the same generation."""
+
+    @pytest.mark.parametrize("build", [figure1, rich_graph, lambda: Graph("empty")], ids=["figure1", "rich", "empty"])
+    def test_dict_graph_reads_like_its_freeze(self, build):
+        graph = build()
+        assert_same_graph_view(graph, graph.freeze())
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=rich_graphs())
+    def test_dict_graph_reads_like_its_freeze_property(self, graph):
+        assert_same_graph_view(graph, graph.freeze())
+
+    def test_overlay_reads_like_the_freeze_of_its_generation(self):
+        graph = rich_graph()
+        graph.ensure_base()
+        dave = graph.add_node("Dave", types=("person",), age=40)
+        graph.add_edge(0, dave, "knows", weight=0.75)  # base node -> delta node
+        graph.add_edge(dave, dave, "self")  # self-loop in the delta
+        graph.add_edge(2, 1, "mentors", weight=2.0)  # delta edge between base nodes
+        graph.set_edge_weight(1, 4.0)  # re-weighted base edge
+        overlay = graph.read_view()
+        assert isinstance(overlay, OverlayGraph)
+        assert_same_graph_view(overlay, graph.freeze())
+        assert_same_graph_view(graph, overlay)
 
 
 # ----------------------------------------------------------------------
@@ -529,9 +584,9 @@ class TestIntegrityContract:
 
 
 def read_everything(path, **kwargs):
-    """Load + every read of :func:`graph_content`, or the SnapshotError."""
+    """Load + every read of :func:`stored_content`, or the SnapshotError."""
     try:
-        return graph_content(load_snapshot(path, **kwargs))
+        return stored_content(load_snapshot(path, **kwargs))
     except SnapshotError as error:
         return error
 
@@ -560,7 +615,7 @@ def test_fuzz_single_byte_flip(tmp_path, rich_bytes, region, where, flip):
     raw[position] ^= flip
     bad = tmp_path / f"flip-{position}-{flip}.snapshot"
     bad.write_bytes(bytes(raw))
-    original = graph_content(rich_graph().freeze())
+    original = stored_content(rich_graph().freeze())
 
     outcome = read_everything(bad)
     if region == "meta blob":
