@@ -1,12 +1,10 @@
-"""Pluggable graph backends: the ``GraphBackend`` protocol and CSR storage.
+"""CSR storage: the frozen, compressed-sparse-row graph store.
 
 The CTP engines (``repro.ctp``), the traversal utilities and the baseline
-simulators only ever *read* a graph, and they read it through a small
-surface: neighbor iteration, per-edge scalars (weight, label), and the
-label/type indexes.  :class:`GraphBackend` names that surface so any
-storage layout can be swapped in underneath the algorithms.
-
-Two backends ship today:
+simulators only ever *read* a graph, and they read it through one class:
+:class:`GraphBackend` (defined in :mod:`repro.graph.graph` next to
+:class:`~repro.graph.graph.Graph`, re-exported here), which writes every
+derived read once over a store's few primitives.  Three stores subclass it:
 
 ``dict``
     :class:`repro.graph.graph.Graph` itself — the mutable, append-only
@@ -20,10 +18,14 @@ Two backends ship today:
     indexes plus per-node caches make repeated neighborhood expansion —
     the hot loop of every algorithm in Section 4 of the paper — cheap.
 
-A search runs on whichever representation it is handed —
-``algorithm.run(graph.freeze(), ...)`` is the CSR one; the two backends are
-drop-in interchangeable (see ``tests/test_backend_csr.py`` for the
-equivalence property tests).
+``overlay``
+    :class:`repro.graph.delta.OverlayGraph` — a CSR base plus the delta of
+    the mutations since it froze (MVCC read views).
+
+A search runs on whichever store it is handed —
+``algorithm.run(graph.freeze(), ...)`` is the CSR one; the stores answer
+every read alike (see ``tests/test_backend_csr.py`` for the equivalence
+property tests).
 """
 
 from __future__ import annotations
@@ -32,80 +34,18 @@ from array import array
 from collections import OrderedDict
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import GraphError, SnapshotError
-from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node, WeakBackReference, label_index
-
-
-@runtime_checkable
-class GraphBackend(Protocol):
-    """The read surface the search algorithms require of a graph.
-
-    ``Graph`` (the mutable dict backend) and :class:`CSRGraph` (the frozen
-    CSR backend) both satisfy this protocol; algorithms must not rely on
-    anything outside it so the backends stay interchangeable.
-    """
-
-    #: Backend identifier ("dict" or "csr").
-    backend: str
-
-    @property
-    def num_nodes(self) -> int: ...
-
-    @property
-    def num_edges(self) -> int: ...
-
-    def node(self, node_id: int) -> Node: ...
-
-    def edge(self, edge_id: int) -> Edge: ...
-
-    def node_ids(self) -> range: ...
-
-    def edge_ids(self) -> range: ...
-
-    def adjacent(self, node_id: int) -> Sequence[AdjacencyEntry]: ...
-
-    def adjacent_filtered(
-        self, node_id: int, labels: Optional[FrozenSet[str]] = None
-    ) -> Sequence[AdjacencyEntry]: ...
-
-    def degree(self, node_id: int) -> int: ...
-
-    def neighbors(self, node_id: int) -> List[int]: ...
-
-    def neighbor_ids(self, node_id: int) -> Sequence[int]: ...
-
-    def edge_weight(self, edge_id: int) -> float: ...
-
-    def edge_label(self, edge_id: int) -> str: ...
-
-    def edge_endpoints(self, edge_id: int) -> Tuple[int, int]: ...
-
-    def edge_source(self, edge_id: int) -> int: ...
-
-    def edge_target(self, edge_id: int) -> int: ...
-
-    def nodes_with_label(self, label: str) -> List[int]: ...
-
-    def nodes_with_type(self, type_name: str) -> List[int]: ...
-
-    def edges_with_label(self, label: str) -> List[int]: ...
+from repro.graph.graph import (
+    AdjacencyEntry,
+    Edge,
+    Graph,
+    GraphBackend,
+    Node,
+    WeakBackReference,
+    label_index,
+)
 
 
 def dictionary_encode(values: Iterable[Hashable]) -> Tuple[List[Any], "array"]:
@@ -120,7 +60,7 @@ def dictionary_encode(values: Iterable[Hashable]) -> Tuple[List[Any], "array"]:
     return list(codes), array("q", list(map(codes.__getitem__, values)))
 
 
-class CSRGraph:
+class CSRGraph(GraphBackend):
     """An immutable CSR (compressed sparse row) snapshot of a :class:`Graph`.
 
     Adjacency is stored as three flat parallel columns — incident edge id,
@@ -222,10 +162,6 @@ class CSRGraph:
     #: search that touches a few thousand nodes) to plain dicts holding only
     #: the nodes actually expanded.
     _LAZY_CACHE_THRESHOLD = 1 << 17
-    #: Entry cap of the label-filtered adjacency cache.  Its key space is
-    #: nodes x label-sets — unbounded on a big graph under a long-lived
-    #: server — so it evicts least-recently-used beyond this.
-    _FILTERED_CACHE_CAP = 4096
 
     def _reset_caches(self) -> None:
         """(Re)initialize the lazy per-node view caches."""
@@ -319,25 +255,6 @@ class CSRGraph:
             ),
         )
 
-    # ------------------------------------------------------------------
-    # immutability
-    # ------------------------------------------------------------------
-    def add_node(self, *args: Any, **kwargs: Any) -> int:
-        raise GraphError(
-            "cannot add_node to a frozen CSRGraph; "
-            "mutate the source Graph and call freeze() again"
-        )
-
-    def add_edge(self, *args: Any, **kwargs: Any) -> int:
-        raise GraphError(
-            "cannot add_edge to a frozen CSRGraph; "
-            "mutate the source Graph and call freeze() again"
-        )
-
-    def freeze(self, force: bool = False) -> "CSRGraph":
-        """Already frozen — freezing is idempotent."""
-        return self
-
     @property
     def generation(self) -> int:
         """Mutation generation of this (immutable) view — constant.
@@ -351,14 +268,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return self._num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
     def node(self, node_id: int) -> Node:
         if not 0 <= node_id < self._num_nodes:
             raise GraphError(f"unknown node id {node_id}")
@@ -368,18 +277,6 @@ class CSRGraph:
         if not 0 <= edge_id < self._num_edges:
             raise GraphError(f"unknown edge id {edge_id}")
         return self._edges[edge_id]
-
-    def nodes(self) -> Iterator[Node]:
-        return iter(self._nodes)
-
-    def edges(self) -> Iterator[Edge]:
-        return iter(self._edges)
-
-    def node_ids(self) -> range:
-        return range(self._num_nodes)
-
-    def edge_ids(self) -> range:
-        return range(self._num_edges)
 
     # ------------------------------------------------------------------
     # adjacency
@@ -400,29 +297,11 @@ class CSRGraph:
             cache[node_id] = cached
         return cached
 
-    def adjacent_filtered(
-        self, node_id: int, labels: Optional[FrozenSet[str]] = None
-    ) -> Tuple[AdjacencyEntry, ...]:
-        """Incident edges whose label is in ``labels`` (all when ``None``)."""
-        if labels is None:
-            return self.adjacent(node_id)
-        if not isinstance(labels, frozenset):
-            labels = frozenset(labels)  # cache key; dict backend takes any iterable
-        key = (node_id, labels)
-        cache = self._filtered_cache
-        cached = cache.get(key)
-        if cached is None:
-            label_ids = self._edge_label_ids
-            names = self._label_names
-            cached = tuple(
-                entry for entry in self.adjacent(node_id) if names[label_ids[entry[0]]] in labels
-            )
-            cache[key] = cached
-            if len(cache) > self._FILTERED_CACHE_CAP:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
-        return cached
+    def _filter_adjacent(self, node_id: int, labels: FrozenSet[str]) -> Tuple[AdjacencyEntry, ...]:
+        """Incident edges whose label is in ``labels`` (cached by the base)."""
+        label_ids = self._edge_label_ids
+        names = self._label_names
+        return tuple(entry for entry in self.adjacent(node_id) if names[label_ids[entry[0]]] in labels)
 
     def degree(self, node_id: int) -> int:
         return self._offsets[node_id + 1] - self._offsets[node_id]
@@ -437,16 +316,6 @@ class CSRGraph:
             cached = tuple(dict.fromkeys(others))
             cache[node_id] = cached
         return cached
-
-    def neighbors(self, node_id: int) -> List[int]:
-        return list(self.neighbor_ids(node_id))
-
-    def out_edges(self, node_id: int) -> List[Edge]:
-        return [self._edges[e] for e, _, outgoing in self.adjacent(node_id) if outgoing]
-
-    def in_edges(self, node_id: int) -> List[Edge]:
-        # A self-loop is listed once, as outgoing: it is an in-edge too.
-        return [self._edges[e] for e, other, outgoing in self.adjacent(node_id) if not outgoing or other == node_id]
 
     # ------------------------------------------------------------------
     # per-edge scalar columns (the hot-path accessors)
@@ -468,12 +337,6 @@ class CSRGraph:
         """``(source, target)`` read off the flat endpoint columns."""
         return self._edge_source[edge_id], self._edge_target[edge_id]
 
-    def edge_source(self, edge_id: int) -> int:
-        return self._edge_source[edge_id]
-
-    def edge_target(self, edge_id: int) -> int:
-        return self._edge_target[edge_id]
-
     # ------------------------------------------------------------------
     # label / type indexes
     # ------------------------------------------------------------------
@@ -491,50 +354,6 @@ class CSRGraph:
             labels = labels() if labels is not None else map(attrgetter("label"), self._nodes)
             index = self._nodes_by_label = label_index(labels)
         return index
-
-    def nodes_with_label(self, label: str) -> List[int]:
-        return list(self._label_index().get(label, ()))
-
-    def nodes_with_type(self, type_name: str) -> List[int]:
-        return list(self._nodes_by_type.get(type_name, ()))
-
-    def edges_with_label(self, label: str) -> List[int]:
-        return list(self._edges_by_label.get(label, ()))
-
-    def node_labels(self) -> List[str]:
-        return list(self._label_index())
-
-    def edge_labels(self) -> List[str]:
-        return list(self._edges_by_label)
-
-    def find_nodes(self, predicate: Callable[[Node], bool]) -> List[int]:
-        return [node.id for node in self._nodes if predicate(node)]
-
-    def find_node_by_label(self, label: str) -> int:
-        ids = self._label_index().get(label, ())
-        if len(ids) != 1:
-            raise GraphError(f"expected exactly one node labelled {label!r}, found {len(ids)}")
-        return ids[0]
-
-    # ------------------------------------------------------------------
-    # display helpers
-    # ------------------------------------------------------------------
-    def describe_edge(self, edge_id: int) -> str:
-        edge = self.edge(edge_id)
-        source = self._nodes[edge.source].label or str(edge.source)
-        target = self._nodes[edge.target].label or str(edge.target)
-        label = edge.label or "-"
-        return f"{source} -[{label}]-> {target}"
-
-    def describe_tree(self, edge_ids: Iterable[int]) -> str:
-        parts = sorted(self.describe_edge(e) for e in edge_ids)
-        if not parts:
-            return "(single node)"
-        return "; ".join(parts)
-
-    def __repr__(self) -> str:
-        name = f" {self.name!r}" if self.name else ""
-        return f"CSRGraph({name} nodes={self.num_nodes}, edges={self.num_edges})"
 
 
 def column_from_bytes(typecode: str, raw: Any) -> "array":

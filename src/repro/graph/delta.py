@@ -14,15 +14,15 @@ mutation.  This module splits a mutating graph into
     happened since: appended nodes/edges, every edge re-weighted since,
     and the per-label/type index suffixes those appends imply.
 
-:class:`OverlayGraph` merges the two behind the existing ``GraphBackend``
-protocol, so the CTP engines, traversal, and baselines read a graph at
-generation G without knowing whether it is one frozen file or base ∪
-delta.  Reads reproduce a full re-freeze of the same graph **exactly** —
-same adjacency order (base entries precede delta entries, both in
-edge-insertion order, which is edge-id order), same index order, same
-weights — so search results are bit-identical to evaluating over a fresh
-:meth:`~repro.graph.graph.Graph.freeze` (``tests/test_delta.py`` pins
-this per algorithm and per generation).
+:class:`OverlayGraph` merges the two as the third store under the one
+``GraphBackend`` read surface, so the CTP engines, traversal, and
+baselines read a graph at generation G without knowing whether it is one
+frozen file or base ∪ delta.  Reads reproduce a full re-freeze of the
+same graph **exactly** — same adjacency order (base entries precede delta
+entries, both in edge-insertion order, which is edge-id order), same index
+order, same weights — so search results are bit-identical to evaluating
+over a fresh :meth:`~repro.graph.graph.Graph.freeze`
+(``tests/test_delta.py`` pins this per algorithm and per generation).
 
 Lifecycle (driven by :class:`~repro.graph.graph.Graph` and the worker
 pool)::
@@ -48,20 +48,11 @@ across request threads and shipped (delta only) to worker processes.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from collections import OrderedDict
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import GraphError
-from repro.graph.graph import AdjacencyEntry, Edge, Graph, Node, WeakBackReference
+from repro.graph.graph import AdjacencyEntry, Edge, Graph, GraphBackend, Node, WeakBackReference
 
 
 class GraphDelta:
@@ -189,14 +180,15 @@ class GraphDelta:
         )
 
 
-class OverlayGraph:
+class OverlayGraph(GraphBackend):
     """A frozen read view merging a CSR base with a :class:`GraphDelta`.
 
-    Implements the full ``GraphBackend`` read surface (plus the
-    ``out_edges``/``in_edges``/``nodes``/``edges``/``find_nodes``/describe
-    helpers the BGP evaluator and scorers use), so the 8 CTP algorithms
-    run over it unchanged.  Reads are bit-identical to a full re-freeze of
-    base ∪ delta: ids are dense across the boundary, adjacency and index
+    Supplies the store primitives of
+    :class:`~repro.graph.graph.GraphBackend` (element lookup, adjacency,
+    edge scalars) and its own base-then-delta index getters; every derived
+    read comes from the base class, so the 8 CTP algorithms run over it
+    unchanged.  Reads are bit-identical to a full re-freeze of base ∪
+    delta: ids are dense across the boundary, adjacency and index
     sequences concatenate base-then-delta in insertion order, and
     :meth:`edge` substitutes the delta's weight-overridden edge objects
     for their stale base-range originals.
@@ -207,7 +199,7 @@ class OverlayGraph:
     """
 
     backend = "overlay"
-    frozen = True
+    _MUTATE_HINT = "mutate the source Graph and pin a new read_view()"
     #: The mutable Graph this view was pinned from, held weakly (``None``
     #: when the view was assembled elsewhere, e.g. inside a pool worker, or
     #: once that graph is gone).
@@ -233,7 +225,7 @@ class OverlayGraph:
         self._num_edges = base.num_edges + len(delta.edges)
         self._adj_cache: Dict[int, Tuple[AdjacencyEntry, ...]] = {}
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
-        self._filtered_cache: Dict[Tuple[int, FrozenSet[str]], Tuple[AdjacencyEntry, ...]] = {}
+        self._filtered_cache: "OrderedDict[Tuple[int, FrozenSet[str]], Tuple[AdjacencyEntry, ...]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # generation identity
@@ -256,35 +248,8 @@ class OverlayGraph:
         return self._delta.base_generation
 
     # ------------------------------------------------------------------
-    # immutability
-    # ------------------------------------------------------------------
-    def add_node(self, *args: Any, **kwargs: Any) -> int:
-        raise GraphError(
-            "cannot add_node to a frozen OverlayGraph; "
-            "mutate the source Graph and pin a new read_view()"
-        )
-
-    def add_edge(self, *args: Any, **kwargs: Any) -> int:
-        raise GraphError(
-            "cannot add_edge to a frozen OverlayGraph; "
-            "mutate the source Graph and pin a new read_view()"
-        )
-
-    def freeze(self, force: bool = False) -> "OverlayGraph":
-        """Already frozen — an overlay is itself an immutable view."""
-        return self
-
-    # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return self._num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
     def node(self, node_id: int) -> Node:
         if node_id >= self._delta.num_base_nodes:
             try:
@@ -320,12 +285,6 @@ class OverlayGraph:
             yield from self._base.edges()
         yield from self._delta.edges
 
-    def node_ids(self) -> range:
-        return range(self._num_nodes)
-
-    def edge_ids(self) -> range:
-        return range(self._num_edges)
-
     # ------------------------------------------------------------------
     # adjacency (base entries precede delta entries, both in edge-id order —
     # exactly the append order a full re-freeze would have recorded)
@@ -344,32 +303,15 @@ class OverlayGraph:
             self._adj_cache[node_id] = cached
         return cached
 
-    def adjacent_filtered(
-        self, node_id: int, labels: Optional[Iterable[str]] = None
-    ) -> Tuple[AdjacencyEntry, ...]:
-        if labels is None:
-            return self.adjacent(node_id)
-        if not isinstance(labels, frozenset):
-            labels = frozenset(labels)
-        key = (node_id, labels)
-        cached = self._filtered_cache.get(key)
-        if cached is None:
-            extra = self._delta.adjacency.get(node_id, ())
-            if node_id < self._delta.num_base_nodes:
-                filtered: Tuple[AdjacencyEntry, ...] = tuple(
-                    self._base.adjacent_filtered(node_id, labels)
-                )
-            else:
-                filtered = ()
-            if extra:
-                filtered += tuple(
-                    entry for entry in extra if self.edge_label(entry[0]) in labels
-                )
-            self._filtered_cache[key] = cached = filtered
-        return cached
-
-    def degree(self, node_id: int) -> int:
-        return len(self.adjacent(node_id))
+    def _filter_adjacent(self, node_id: int, labels: FrozenSet[str]) -> Tuple[AdjacencyEntry, ...]:
+        extra = self._delta.adjacency.get(node_id, ())
+        if node_id < self._delta.num_base_nodes:
+            filtered: Tuple[AdjacencyEntry, ...] = tuple(self._base.adjacent_filtered(node_id, labels))
+        else:
+            filtered = ()
+        if extra:
+            filtered += tuple(entry for entry in extra if self.edge_label(entry[0]) in labels)
+        return filtered
 
     def neighbor_ids(self, node_id: int) -> Tuple[int, ...]:
         cached = self._neighbor_cache.get(node_id)
@@ -388,16 +330,6 @@ class OverlayGraph:
                 cached = tuple(dict.fromkeys(other for _, other, _ in self.adjacent(node_id)))
             self._neighbor_cache[node_id] = cached
         return cached
-
-    def neighbors(self, node_id: int) -> List[int]:
-        return list(self.neighbor_ids(node_id))
-
-    def out_edges(self, node_id: int) -> List[Edge]:
-        return [self.edge(e) for e, _, outgoing in self.adjacent(node_id) if outgoing]
-
-    def in_edges(self, node_id: int) -> List[Edge]:
-        # A self-loop is listed once, as outgoing: it is an in-edge too.
-        return [self.edge(e) for e, other, outgoing in self.adjacent(node_id) if not outgoing or other == node_id]
 
     # ------------------------------------------------------------------
     # per-edge scalar accessors
@@ -423,18 +355,6 @@ class OverlayGraph:
             edge = delta.edges[edge_id - delta.num_base_edges]
             return edge.source, edge.target
         return self._base.edge_endpoints(edge_id)
-
-    def edge_source(self, edge_id: int) -> int:
-        delta = self._delta
-        if edge_id >= delta.num_base_edges:
-            return delta.edges[edge_id - delta.num_base_edges].source
-        return self._base.edge_source(edge_id)
-
-    def edge_target(self, edge_id: int) -> int:
-        delta = self._delta
-        if edge_id >= delta.num_base_edges:
-            return delta.edges[edge_id - delta.num_base_edges].target
-        return self._base.edge_target(edge_id)
 
     # ------------------------------------------------------------------
     # label / type indexes (base ids then delta ids — both ascending, so the
@@ -467,15 +387,6 @@ class OverlayGraph:
         labels.extend(label for label in self._delta.edges_by_label if label not in seen)
         return labels
 
-    def find_nodes(self, predicate: Callable[[Node], bool]) -> List[int]:
-        return [node.id for node in self.nodes() if predicate(node)]
-
-    def find_node_by_label(self, label: str) -> int:
-        ids = self.nodes_with_label(label)
-        if len(ids) != 1:
-            raise GraphError(f"expected exactly one node labelled {label!r}, found {len(ids)}")
-        return ids[0]
-
     # ------------------------------------------------------------------
     # materialization (equivalence tests, slow-path snapshotting)
     # ------------------------------------------------------------------
@@ -503,22 +414,6 @@ class OverlayGraph:
         it ships the delta.
         """
         return self.to_graph().freeze()
-
-    # ------------------------------------------------------------------
-    # display helpers
-    # ------------------------------------------------------------------
-    def describe_edge(self, edge_id: int) -> str:
-        edge = self.edge(edge_id)
-        source = self.node(edge.source).label or str(edge.source)
-        target = self.node(edge.target).label or str(edge.target)
-        label = edge.label or "-"
-        return f"{source} -[{label}]-> {target}"
-
-    def describe_tree(self, edge_ids: Iterable[int]) -> str:
-        parts = sorted(self.describe_edge(e) for e in edge_ids)
-        if not parts:
-            return "(single node)"
-        return "; ".join(parts)
 
     def __repr__(self) -> str:
         name = f" {self.name!r}" if self.name else ""

@@ -184,7 +184,178 @@ def label_index(labels: Iterable[str]) -> Dict[str, List[int]]:
     return index
 
 
-class Graph:
+class GraphBackend:
+    """The one read surface of a graph, written once over three stores.
+
+    Definition 2.1's labelled multigraph, read the way Section 4's
+    bidirectional traversal needs it: adjacency in both directions,
+    per-edge scalars, and label/type indexes.  The CTP engines, the
+    traversal utilities, the BGP evaluator and the baselines read a graph
+    through this class and nothing else.
+
+    Three stores subclass it: :class:`Graph` (mutable dict/list store),
+    :class:`~repro.graph.backend.CSRGraph` (frozen CSR columns, in memory
+    or mapped from a snapshot file) and
+    :class:`~repro.graph.delta.OverlayGraph` (a frozen CSR base plus a
+    delta).  A store supplies ``node``/``edge``, ``adjacent``,
+    ``neighbor_ids`` and the edge scalars ``edge_weight``/``edge_label``/
+    ``edge_endpoints``; the defaults here read the element sequences
+    ``_nodes``/``_edges``, the counts ``_num_nodes``/``_num_edges``, the
+    node-label index ``_label_index()`` and the ``_nodes_by_type``/
+    ``_edges_by_label`` maps.  Every other read is derived here.
+
+    The defaults are those of a frozen view: ``add_node``/``add_edge``
+    raise, ``freeze()`` returns the view itself, and ``adjacent_filtered``
+    caches what the store's ``_filter_adjacent`` computes in the
+    ``OrderedDict`` ``_filtered_cache``.  :class:`Graph` overrides these.
+    """
+
+    #: Backend identifier ("dict", "csr" or "overlay").
+    backend: str
+    frozen = True
+    #: What a frozen view's ``add_node``/``add_edge`` error says to do instead.
+    _MUTATE_HINT = "mutate the source Graph and call freeze() again"
+    #: Entry cap of the label-filtered adjacency cache.  Its key space is
+    #: nodes x label-sets — unbounded on a big graph under a long-lived
+    #: server — so it evicts least-recently-used beyond this.
+    _FILTERED_CACHE_CAP = 4096
+
+    # ------------------------------------------------------------------
+    # immutability (frozen views)
+    # ------------------------------------------------------------------
+    def add_node(self, *args: Any, **kwargs: Any) -> int:
+        raise GraphError(f"cannot add_node to a frozen {type(self).__name__}; {self._MUTATE_HINT}")
+
+    def add_edge(self, *args: Any, **kwargs: Any) -> int:
+        raise GraphError(f"cannot add_edge to a frozen {type(self).__name__}; {self._MUTATE_HINT}")
+
+    def freeze(self, force: bool = False) -> "GraphBackend":
+        """Already frozen — freezing is idempotent."""
+        return self
+
+    # ------------------------------------------------------------------
+    # access
+    # ------------------------------------------------------------------
+    @property
+    def num_nodes(self) -> int:
+        return self._num_nodes
+
+    @property
+    def num_edges(self) -> int:
+        return self._num_edges
+
+    def nodes(self) -> Iterator[Node]:
+        return iter(self._nodes)
+
+    def edges(self) -> Iterator[Edge]:
+        return iter(self._edges)
+
+    def node_ids(self) -> range:
+        return range(self.num_nodes)
+
+    def edge_ids(self) -> range:
+        return range(self.num_edges)
+
+    # ------------------------------------------------------------------
+    # adjacency (bidirectional: requirement R3)
+    # ------------------------------------------------------------------
+    def adjacent_filtered(
+        self, node_id: int, labels: Optional[Iterable[str]] = None
+    ) -> Sequence[AdjacencyEntry]:
+        """Incident edges whose label is in ``labels`` (all when ``None``)."""
+        if labels is None:
+            return self.adjacent(node_id)
+        if not isinstance(labels, frozenset):
+            labels = frozenset(labels)  # cache key; any iterable is accepted
+        key = (node_id, labels)
+        cache = self._filtered_cache
+        cached = cache.get(key)
+        if cached is None:
+            cached = cache[key] = self._filter_adjacent(node_id, labels)
+            if len(cache) > self._FILTERED_CACHE_CAP:
+                cache.popitem(last=False)
+        else:
+            try:
+                cache.move_to_end(key)
+            except KeyError:  # evicted by another reader since the get
+                pass
+        return cached
+
+    def degree(self, node_id: int) -> int:
+        """Number of incident edges (``d_n`` in Section 4.6)."""
+        return len(self.adjacent(node_id))
+
+    def neighbors(self, node_id: int) -> List[int]:
+        """Distinct neighbouring node ids, ignoring edge direction."""
+        return list(self.neighbor_ids(node_id))
+
+    def out_edges(self, node_id: int) -> List[Edge]:
+        edge = self.edge
+        return [edge(e) for e, _, outgoing in self.adjacent(node_id) if outgoing]
+
+    def in_edges(self, node_id: int) -> List[Edge]:
+        # A self-loop is filed once, as outgoing: it is an in-edge too.
+        edge = self.edge
+        return [edge(e) for e, other, outgoing in self.adjacent(node_id) if not outgoing or other == node_id]
+
+    def edge_source(self, edge_id: int) -> int:
+        return self.edge_endpoints(edge_id)[0]
+
+    def edge_target(self, edge_id: int) -> int:
+        return self.edge_endpoints(edge_id)[1]
+
+    # ------------------------------------------------------------------
+    # label / type indexes
+    # ------------------------------------------------------------------
+    def nodes_with_label(self, label: str) -> List[int]:
+        return list(self._label_index().get(label, ()))
+
+    def nodes_with_type(self, type_name: str) -> List[int]:
+        return list(self._nodes_by_type.get(type_name, ()))
+
+    def edges_with_label(self, label: str) -> List[int]:
+        return list(self._edges_by_label.get(label, ()))
+
+    def node_labels(self) -> List[str]:
+        return list(self._label_index())
+
+    def edge_labels(self) -> List[str]:
+        return list(self._edges_by_label)
+
+    def find_nodes(self, predicate: Callable[[Node], bool]) -> List[int]:
+        """Ids of all nodes satisfying ``predicate`` (full scan)."""
+        return [node.id for node in self.nodes() if predicate(node)]
+
+    def find_node_by_label(self, label: str) -> int:
+        """The unique node carrying ``label`` (convenience for tests/examples)."""
+        ids = self.nodes_with_label(label)
+        if len(ids) != 1:
+            raise GraphError(f"expected exactly one node labelled {label!r}, found {len(ids)}")
+        return ids[0]
+
+    # ------------------------------------------------------------------
+    # display helpers
+    # ------------------------------------------------------------------
+    def describe_edge(self, edge_id: int) -> str:
+        edge = self.edge(edge_id)
+        source = self.node(edge.source).label or str(edge.source)
+        target = self.node(edge.target).label or str(edge.target)
+        label = edge.label or "-"
+        return f"{source} -[{label}]-> {target}"
+
+    def describe_tree(self, edge_ids: Iterable[int]) -> str:
+        """Human-readable rendering of a set of edges (a CTP result)."""
+        parts = sorted(self.describe_edge(e) for e in edge_ids)
+        if not parts:
+            return "(single node)"
+        return "; ".join(parts)
+
+    def __repr__(self) -> str:
+        name = f" {self.name!r}" if self.name else ""
+        return f"{type(self).__name__}({name} nodes={self.num_nodes}, edges={self.num_edges})"
+
+
+class Graph(GraphBackend):
     """A directed multigraph with bidirectional adjacency and label indexes.
 
     The class is append-only: nodes and edges can be added but not removed,
@@ -359,18 +530,6 @@ class Graph:
             raise GraphError(f"unknown edge id {edge_id}")
         return self._edges[edge_id]
 
-    def nodes(self) -> Iterator[Node]:
-        return iter(self._nodes)
-
-    def edges(self) -> Iterator[Edge]:
-        return iter(self._edges)
-
-    def node_ids(self) -> range:
-        return range(len(self._nodes))
-
-    def edge_ids(self) -> range:
-        return range(len(self._edges))
-
     # ------------------------------------------------------------------
     # adjacency (bidirectional: requirement R3)
     # ------------------------------------------------------------------
@@ -382,27 +541,17 @@ class Graph:
         return self._adjacency[node_id]
 
     def degree(self, node_id: int) -> int:
-        """Number of incident edges (``d_n`` in Section 4.6)."""
         return len(self._adjacency[node_id])
 
-    def neighbors(self, node_id: int) -> List[int]:
-        """Distinct neighbouring node ids, ignoring edge direction."""
-        seen = set()
-        out = []
-        for _, other, _ in self._adjacency[node_id]:
-            if other not in seen:
-                seen.add(other)
-                out.append(other)
-        return out
-
-    def neighbor_ids(self, node_id: int) -> Sequence[int]:
-        """Distinct neighbour ids (backend API; cached on the CSR backend)."""
-        return self.neighbors(node_id)
+    def neighbor_ids(self, node_id: int) -> List[int]:
+        """Distinct neighbour ids in adjacency order, ignoring direction."""
+        return list(dict.fromkeys(other for _, other, _ in self._adjacency[node_id]))
 
     def adjacent_filtered(
         self, node_id: int, labels: Optional[Iterable[str]] = None
     ) -> Sequence[AdjacencyEntry]:
-        """Incident edges whose label is in ``labels`` (all when ``None``)."""
+        """Incident edges whose label is in ``labels`` (uncached: the
+        adjacency grows under a mutable graph)."""
         entries = self._adjacency[node_id]
         if labels is None:
             return entries
@@ -422,23 +571,6 @@ class Graph:
         edge = self._edges[edge_id]
         return edge.source, edge.target
 
-    def edge_source(self, edge_id: int) -> int:
-        """Source node of edge ``edge_id`` (hot-path, unchecked)."""
-        return self._edges[edge_id].source
-
-    def edge_target(self, edge_id: int) -> int:
-        """Target node of edge ``edge_id`` (hot-path, unchecked)."""
-        return self._edges[edge_id].target
-
-    def out_edges(self, node_id: int) -> List[Edge]:
-        return [self._edges[e] for e, _, outgoing in self._adjacency[node_id] if outgoing]
-
-    def in_edges(self, node_id: int) -> List[Edge]:
-        # A self-loop is filed once, as outgoing: it is an in-edge too.
-        return [
-            self._edges[e] for e, other, outgoing in self._adjacency[node_id] if not outgoing or other == node_id
-        ]
-
     # ------------------------------------------------------------------
     # label / type indexes
     # ------------------------------------------------------------------
@@ -450,32 +582,6 @@ class Graph:
             with self._lock:  # add_node waits rather than miss the index
                 index = self._nodes_by_label = label_index(node.label for node in self._nodes)
         return index
-
-    def nodes_with_label(self, label: str) -> List[int]:
-        return list(self._label_index().get(label, ()))
-
-    def nodes_with_type(self, type_name: str) -> List[int]:
-        return list(self._nodes_by_type.get(type_name, ()))
-
-    def edges_with_label(self, label: str) -> List[int]:
-        return list(self._edges_by_label.get(label, ()))
-
-    def node_labels(self) -> List[str]:
-        return list(self._label_index())
-
-    def edge_labels(self) -> List[str]:
-        return list(self._edges_by_label)
-
-    def find_nodes(self, predicate: Callable[[Node], bool]) -> List[int]:
-        """Ids of all nodes satisfying ``predicate`` (full scan)."""
-        return [node.id for node in self._nodes if predicate(node)]
-
-    def find_node_by_label(self, label: str) -> int:
-        """The unique node carrying ``label`` (convenience for tests/examples)."""
-        ids = self._label_index().get(label, ())
-        if len(ids) != 1:
-            raise GraphError(f"expected exactly one node labelled {label!r}, found {len(ids)}")
-        return ids[0]
 
     # ------------------------------------------------------------------
     # backends
@@ -646,38 +752,3 @@ class Graph:
         self._frozen_snapshot = None
         self._lock = threading.RLock()
         self._init_mvcc_state()
-
-    # ------------------------------------------------------------------
-    # display helpers
-    # ------------------------------------------------------------------
-    def describe_edge(self, edge_id: int) -> str:
-        edge = self.edge(edge_id)
-        source = self._nodes[edge.source].label or str(edge.source)
-        target = self._nodes[edge.target].label or str(edge.target)
-        label = edge.label or "-"
-        return f"{source} -[{label}]-> {target}"
-
-    def describe_tree(self, edge_ids: Iterable[int]) -> str:
-        """Human-readable rendering of a set of edges (a CTP result)."""
-        parts = sorted(self.describe_edge(e) for e in edge_ids)
-        if not parts:
-            return "(single node)"
-        return "; ".join(parts)
-
-    def __repr__(self) -> str:
-        name = f" {self.name!r}" if self.name else ""
-        return f"Graph({name} nodes={self.num_nodes}, edges={self.num_edges})"
-
-
-def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Dict[int, List[int]]:
-    """Undirected adjacency (node -> neighbour list) of a subset of edges.
-
-    Used to analyse CTP results: leaf detection, path checks, decomposition
-    into simple edge sets (Definitions 4.5-4.7).
-    """
-    adjacency: Dict[int, List[int]] = {}
-    for edge_id in edge_ids:
-        edge = graph.edge(edge_id)
-        adjacency.setdefault(edge.source, []).append(edge.target)
-        adjacency.setdefault(edge.target, []).append(edge.source)
-    return adjacency

@@ -1,4 +1,4 @@
-"""The pluggable backend layer: CSR <-> dict equivalence and freeze semantics.
+"""The CSR store against the dict store: read equivalence and freeze semantics.
 
 Two groups of tests:
 

@@ -19,7 +19,9 @@ invariant at three layers:
 
 from __future__ import annotations
 
+import itertools
 import pickle
+import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,6 +44,7 @@ from repro.serve import (
     QueryRequest,
     QueryServer,
 )
+from repro.testing import random_graph
 
 PROCESS_CONFIG = SearchConfig(parallelism=2)
 
@@ -246,6 +249,24 @@ class TestOverlayEquivalence:
         _assert_backend_equivalent(graph.read_view(), graph.freeze())  # gen 3: override
         graph.compact()
         _assert_backend_equivalent(graph.read_view(), graph.freeze())  # gen 3: compacted
+
+    def test_filtered_adjacency_cache_is_bounded(self):
+        """The overlay's label-filtered cache evicts past its cap, like the
+        CSR one, and an evicted key still answers like the freeze."""
+        graph = random_graph(random.Random(7), num_nodes=8, num_edges=20, num_labels=3)
+        graph.ensure_base()
+        graph.add_edge(graph.add_node("late"), 0, "l0")
+        view, frozen = graph.read_view(), graph.freeze()
+        assert isinstance(view, OverlayGraph)
+        view._FILTERED_CACHE_CAP = cap = 8
+        labels = sorted(graph.edge_labels())
+        label_sets = [frozenset(c) for k in (1, 2, 3) for c in itertools.combinations(labels, k)]
+        keys = [(node, s) for s in label_sets for node in graph.node_ids()]
+        assert len(keys) > 4 * cap
+        for _ in range(2):
+            for node, label_set in keys:
+                assert view.adjacent_filtered(node, label_set) == frozen.adjacent_filtered(node, label_set)
+                assert len(view._filtered_cache) <= cap
 
     @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
     def test_ctp_golden_rows_across_generations(self, algo):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.graph import Graph, induced_edge_subgraph
+from repro.graph.graph import Graph
 
 
 @pytest.fixture
@@ -152,9 +152,3 @@ class TestDescribe:
 
     def test_describe_empty_tree(self, small):
         assert small.describe_tree([]) == "(single node)"
-
-
-def test_induced_edge_subgraph(small):
-    adjacency = induced_edge_subgraph(small, [0, 1])
-    assert sorted(adjacency) == [0, 1, 2]
-    assert adjacency[1] == [0, 2]
