@@ -76,8 +76,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         memo = " [ctp-cache hit]" if report.cache_hit else ""
         # Surface the dispatch that actually ran (the pool degrades to
         # inline for unpicklable jobs).
-        mode = f" [{report.dispatch_mode}]" if args.parallelism > 1 else ""
-        print(f"?{report.tree_var}:{mode} {report.result_set.stats.format()}{memo}")
+        stats = report.result_set.stats.format()
+        print(f"?{report.tree_var}: [{report.dispatch_mode}] {stats}{memo}")
     if args.parallelism > 1 and len(result.ctp_reports) > 1:
         merged = SearchStats.merged(r.result_set.stats for r in result.ctp_reports)
         print(f"all CTPs x{args.parallelism} workers (merged in CTP order): {merged.format()}")
@@ -88,11 +88,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"ctp_cache={ctx['ctp_cache_hits']}/{ctx['ctp_cache_hits'] + ctx['ctp_cache_misses']} "
         f"carried={ctx['memo_carried']} seed_cache_hits={ctx['seed_cache_hits']}"
     )
-    sched = result.schedule
-    print(
-        f"schedule: mode {sched.mode_selected} rebalances={sched.rebalances} "
-        f"(+{sched.rebalanced_seconds:.3f}s)"
-    )
+    print(f"deadline: rebalances={result.rebalances} (+{result.rebalanced_seconds:.3f}s)")
     return 0
 
 

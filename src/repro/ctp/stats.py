@@ -94,18 +94,6 @@ class SearchStats:
         out["provenances"] = self.provenances
         return out
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "SearchStats":
-        """Rebuild from :meth:`as_dict` output, tolerantly in both directions.
-
-        Unknown keys (derived values like ``provenances``, or counters
-        from a *newer* writer) are ignored; missing keys (a dict from an
-        *older* writer) keep their dataclass defaults — so round-tripping
-        never drops known counters and never crashes on vintage data.
-        """
-        known = {spec.name for spec in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
-
     def format(self) -> str:
         return (
             f"provenances={self.provenances} (kept={self.trees_kept}, mo={self.mo_copies}) "

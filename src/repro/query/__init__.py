@@ -30,7 +30,7 @@ from repro.query.ast import (
 )
 from repro.query.parser import parse_query
 from repro.query.bgp import evaluate_bgp
-from repro.query.costmodel import DeadlineLedger, QuerySchedule, ScheduleReport
+from repro.query.costmodel import DeadlineLedger
 from repro.query.evaluator import QueryResult, evaluate_query
 from repro.query.parallel import BatchResult, evaluate_queries
 from repro.query.pool import WorkerPool
@@ -48,9 +48,7 @@ __all__ = [
     "EdgePattern",
     "Predicate",
     "QueryResult",
-    "QuerySchedule",
     "SCORE_FUNCTIONS",
-    "ScheduleReport",
     "evaluate_bgp",
     "evaluate_queries",
     "evaluate_query",

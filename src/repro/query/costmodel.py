@@ -1,57 +1,30 @@
-"""Deadline shares for one query's CTPs, and what its dispatch reports.
+"""Deadline shares for one query's CTPs: the :class:`DeadlineLedger`.
 
 The paper evaluates every CTP as an independent search and joins the
 results (Section 3); how long one search takes is not known before it
 runs ("Complexity of Evaluating GQL Queries").  So nothing here predicts
-a cost.  Under ``SearchConfig.deadline`` a :class:`DeadlineLedger` gives
-each pending CTP an equal share of the query's wall budget and re-grants
-unspent budget from fast CTPs to still-pending slow ones at *execution*
-time: measured work, not an estimate, moves budget.  A grant never drops
-below the original build budget.  Dispatch starts leader jobs in CTP
-order — the order the serial ledger is defined against.
+a cost.  Under ``SearchConfig.deadline`` the ledger gives each pending
+CTP an equal share of the query's wall budget and re-grants unspent
+budget from fast CTPs to still-pending slow ones at *execution* time:
+measured work, not an estimate, moves budget.  A grant never drops below
+the original build budget.  Dispatch starts leader jobs in CTP order —
+the order the serial ledger is defined against.
 
-:class:`QuerySchedule` threads the ledger through the dispatch layer and
-folds what executed into the :class:`ScheduleReport` the serving layer
-surfaces.
+Every query holds one ledger, threaded through the dispatch layer; a
+query without a deadline holds the deadline-free ledger
+(``DeadlineLedger(None, ...)``), which hands every job its config as
+built.  What ran is recorded where it ran: each CTP's mode and seconds
+on its ``CTPReport``, the ledger's rebalance counters on the
+``QueryResult``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import ConfigError
-
-
-@dataclass
-class ScheduleReport:
-    """How one query's CTPs ran: what executed them, for how long.
-
-    Threaded ``QueryResult.schedule`` → ``ResponseStats.schedule`` so a
-    serving client can see how its query ran: what executed its
-    searches, the measured seconds per CTP, and how many deadline-budget
-    rebalances fired (and how much wall budget they moved).
-
-    ``mode_selected`` is read off the outcomes once dispatch has run: the
-    stamp its executed CTPs carry (``"process"``, ``"serial"``, or the
-    fallback hop ``"process->serial"``), ``"memo"`` when every CTP
-    was served from the memo.
-    """
-
-    mode_selected: str = "serial"
-    actual_seconds: List[float] = field(default_factory=list)
-    rebalances: int = 0
-    rebalanced_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "mode_selected": self.mode_selected,
-            "actual_seconds": list(self.actual_seconds),
-            "rebalances": self.rebalances,
-            "rebalanced_seconds": self.rebalanced_seconds,
-        }
 
 
 #: Smallest grant a ledger ever hands out (seconds).  A CTP built after
@@ -62,11 +35,14 @@ LEDGER_FLOOR = 1e-6
 
 
 class DeadlineLedger:
-    """Wall-budget accounting for one deadline-bounded query.
+    """Wall-budget accounting for one query's CTPs.
 
     The ledger is built with the indices of every CTP of the query, all
-    pending.  At job-build time each CTP gets a **build budget**: with
-    ``workers`` concurrent slots, a CTP may spend
+    pending.  ``deadline=None`` is the deadline-free ledger: it moves no
+    budget, and :meth:`config_for` hands every job its config as built.
+
+    Under a deadline, each CTP gets a **build budget** at job-build time
+    (:meth:`register`): with ``workers`` concurrent slots, a CTP may spend
     ``remaining * min(1, workers / len(pending))`` — equal shares that sum
     to the remaining deadline under serial dispatch (``workers=1``) and
     degenerate to the full remaining budget when every CTP has its own
@@ -89,13 +65,13 @@ class DeadlineLedger:
 
     def __init__(
         self,
-        deadline: float,
-        started: float,
-        indices: Sequence[int],
+        deadline: Optional[float] = None,
+        started: float = 0.0,
+        indices: Sequence[int] = (),
         workers: int = 1,
         clock: Any = None,
     ) -> None:
-        if deadline <= 0:
+        if deadline is not None and deadline <= 0:
             raise ConfigError("DeadlineLedger needs a positive deadline")
         self.deadline = deadline
         self.started = started
@@ -151,79 +127,44 @@ class DeadlineLedger:
                 self.rebalanced_seconds += granted - build
             return granted
 
-    def settle(self, index: int) -> None:
-        """Mark CTP ``index`` finished: it leaves the pending pool."""
-        with self._lock:
-            self._pending.discard(index)
-
-    def recut_serial(self, indices: Sequence[int]) -> Dict[int, float]:
-        """Re-cut the build budgets of CTPs ``indices`` for one slot.
-
-        For CTPs about to run back to back after budgets were cut for
-        concurrent slots (a dispatch that gave up on its pool): each is
-        pending again and gets its equal share of what is left now, so the
-        shares sum to the remaining deadline.  The intrinsic timeout
-        recorded at :meth:`register` stays the ceiling.
-        """
-        with self._lock:
-            self.workers = 1
-            self._pending.update(indices)
-        return {index: self.register(index, self._intrinsic[index]) for index in indices}
-
-
-class QuerySchedule:
-    """One query's scheduling state, threaded through the dispatch layer.
-
-    Bundles the :class:`DeadlineLedger` of a deadline-bounded query
-    (``None`` without a deadline) and the :class:`ScheduleReport` the
-    serving layer surfaces.
-    """
-
-    def __init__(self, ledger: Optional[DeadlineLedger] = None) -> None:
-        self.ledger = ledger
-        self.report = ScheduleReport()
-
-    def config_for_run(self, job: Any) -> Any:
+    def config_for(self, job: Any) -> Any:
         """The config a dispatched job should actually run with.
 
-        Applies the ledger's execution-time grant to the job's timeout;
-        identical to the build config when there is no deadline or the
-        grant equals the build budget.  The job's memo key was taken
-        from its config before any budget was written into it — only
-        complete, untruncated result sets are ever memoized, and those
-        are budget-independent — so a regranted run files the same entry
-        a deadline-free one would.
+        Applies the execution-time :meth:`grant` to the job's timeout;
+        ``job.config`` itself when there is no deadline or the grant
+        equals the build budget.  The job's memo key was taken from its
+        config before any budget was written into it — only complete,
+        untruncated result sets are ever memoized, and those are
+        budget-independent — so a regranted run files the same entry a
+        deadline-free one would.
         """
-        if self.ledger is None:
+        if self.deadline is None:
             return job.config
-        granted = self.ledger.grant(job.index)
+        granted = self.grant(job.index)
         if job.config.timeout is not None and abs(granted - job.config.timeout) <= LEDGER_FLOOR:
             return job.config
         return job.config.with_(timeout=granted)
 
     def settle(self, index: int) -> None:
-        if self.ledger is not None:
-            self.ledger.settle(index)
+        """Mark CTP ``index`` finished: it leaves the pending pool."""
+        with self._lock:
+            self._pending.discard(index)
 
     def recut_serial(self, jobs: Sequence[Any]) -> None:
-        """Give ``jobs`` the budgets of one slot before they run inline
-        (:meth:`DeadlineLedger.recut_serial`); a no-op without a deadline."""
-        if self.ledger is None:
-            return
-        budgets = self.ledger.recut_serial([job.index for job in jobs])
-        for job in jobs:
-            job.config = job.config.with_(timeout=budgets[job.index])
+        """Re-cut the budgets of ``jobs`` for one slot, in their configs.
 
-    def finalize(self, outcomes: Sequence[Any]) -> ScheduleReport:
-        """Fold the executed mode, actuals and ledger counters into the
-        report."""
-        executed = [o.mode for o in outcomes if o is not None and o.mode != "memo"]
-        if executed or outcomes:
-            self.report.mode_selected = executed[0] if executed else "memo"
-        self.report.actual_seconds = [
-            outcome.seconds if outcome is not None else 0.0 for outcome in outcomes
-        ]
-        if self.ledger is not None:
-            self.report.rebalances = self.ledger.rebalances
-            self.report.rebalanced_seconds = self.ledger.rebalanced_seconds
-        return self.report
+        For CTPs about to run back to back after budgets were cut for
+        concurrent slots (a dispatch that gave up on its pool): each is
+        pending again and gets its equal share of what is left now, so the
+        shares sum to the remaining deadline.  The intrinsic timeout
+        recorded at :meth:`register` stays the ceiling.  A no-op without
+        a deadline.
+        """
+        if self.deadline is None:
+            return
+        with self._lock:
+            self.workers = 1
+            self._pending.update(job.index for job in jobs)
+        for job in jobs:
+            budget = self.register(job.index, self._intrinsic[job.index])
+            job.config = job.config.with_(timeout=budget)

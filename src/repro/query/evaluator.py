@@ -34,12 +34,14 @@ re-checks equality).  The batch counterpart
 :func:`~repro.query.parallel.evaluate_queries` runs many queries against
 one shared context for cross-query memo hits.
 
-Dispatch starts the searches in CTP order.  When ``SearchConfig.deadline``
-is set, a :class:`~repro.query.costmodel.DeadlineLedger` gives each CTP an
-equal share of the query's wall budget, re-granted upward at execution as
-faster CTPs finish under theirs, so the deadline bounds the *query*, not
-each CTP separately.  What executed the searches, how long each took and
-what the ledger moved is on ``QueryResult.schedule``.
+Dispatch starts the searches in CTP order and holds the query's
+:class:`~repro.query.costmodel.DeadlineLedger`.  When
+``SearchConfig.deadline`` is set, the ledger gives each CTP an equal share
+of the query's wall budget, re-granted upward at execution as faster CTPs
+finish under theirs, so the deadline bounds the *query*, not each CTP
+separately.  What executed each search and how long it took is on its
+``CTPReport`` (``dispatch_mode``, ``seconds``); what the ledger moved is
+``QueryResult.rebalances`` / ``rebalanced_seconds``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.ctp.config import WILDCARD, SearchConfig
 from repro.ctp.context import MemoKey, SearchContext
@@ -56,7 +58,7 @@ from repro.errors import EvaluationError
 from repro.graph.graph import Graph
 from repro.query.ast import CTP, CTPFilters, EQLQuery, Predicate
 from repro.query.bgp import evaluate_bgp, matching_nodes
-from repro.query.costmodel import DeadlineLedger, QuerySchedule, ScheduleReport
+from repro.query.costmodel import DeadlineLedger
 from repro.query.parallel import CTPJob, open_dispatch, serving_pool
 from repro.query.resilience import ResilienceReport
 
@@ -115,6 +117,8 @@ class QueryResult:
     tree variables.  ``context_stats`` summarizes the query-scoped search
     context (pool size, memo/cache hit counters); the pool counters in
     each report's ``result_set.stats`` are per-run deltas against it.
+    ``edge_columns`` names the edge-variable columns, which
+    :meth:`format` renders as edge labels.
     """
 
     columns: Tuple[str, ...]
@@ -123,16 +127,18 @@ class QueryResult:
     timings: QueryTimings = field(default_factory=QueryTimings)
     ctp_reports: List[CTPReport] = field(default_factory=list)
     context_stats: Dict[str, int] = field(default_factory=dict)
-    #: What resilience machinery fired around the worker pool (retries,
-    #: hang kills, breaker state, degradation) — ``None`` when the query
+    #: What resilience machinery fired around the worker pool for this
+    #: query (retries, hang kills, degradation) — ``None`` when the query
     #: was given no :class:`~repro.query.pool.WorkerPool`.
     resilience: Optional[ResilienceReport] = None
     #: MVCC generation of the graph (view) the query evaluated against.
     #: Rows are reproducible against a full freeze of that generation.
     generation: Optional[int] = None
-    #: How this query's searches ran: what executed them, per-CTP actual
-    #: seconds, deadline rebalance counters.
-    schedule: ScheduleReport = field(default_factory=ScheduleReport)
+    #: Deadline-ledger grants above a CTP's build budget, and the wall
+    #: seconds they moved (both 0 without a deadline).
+    rebalances: int = 0
+    rebalanced_seconds: float = 0.0
+    edge_columns: FrozenSet[str] = frozenset()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -148,9 +154,11 @@ class QueryResult:
         lines = [" | ".join(f"?{c}" for c in self.columns)]
         for row in self.rows[:limit]:
             cells = []
-            for value in row:
+            for column, value in zip(self.columns, row):
                 if isinstance(value, ResultTree):
                     cells.append(value.describe(self.graph))
+                elif column in self.edge_columns:
+                    cells.append(self.graph.edge_label(value) or str(value))
                 elif isinstance(value, int) and 0 <= value < self.graph.num_nodes:
                     cells.append(self.graph.node(value).label or str(value))
                 else:
@@ -451,7 +459,6 @@ def evaluate_query(
     # running inside the query-scoped context.
     seed_cache: Dict[Any, List[int]] = {}
     seed_cache_hits = 0
-    schedule = QuerySchedule()  # its ledger stays None without a deadline
     derived: List[Tuple[Tuple[Optional[int], ...], List[int]]] = []
     jobs: List[CTPJob] = []
     for index, ctp in enumerate(ctps):
@@ -468,24 +475,17 @@ def evaluate_query(
         jobs.append(CTPJob(index, seed_sets, config, memo_key))
 
     pool = serving_pool(pool, graph)
+    # Under a deadline each CTP's budget is its equal share of the
+    # remaining deadline (re-granted upward at execution); its own timeout
+    # stays the ceiling.  A pool runs up to ``pool.workers`` CTPs at once.
+    workers = min(pool.workers, len(jobs)) if pool is not None else 1
+    ledger = DeadlineLedger(base_config.deadline, query_started, [job.index for job in jobs], workers)
     if base_config.deadline is not None:
-        # Each CTP's budget is its equal share of the remaining deadline
-        # (re-granted upward at execution); its own timeout stays the
-        # ceiling.  A pool runs up to ``pool.workers`` CTPs at once.
-        workers = min(pool.workers, len(jobs)) if pool is not None else 1
-        indices = [job.index for job in jobs]
-        schedule.ledger = DeadlineLedger(base_config.deadline, query_started, indices, workers)
         for job in jobs:
-            job.config = job.config.with_(timeout=schedule.ledger.register(job.index, job.config.timeout))
+            job.config = job.config.with_(timeout=ledger.register(job.index, job.config.timeout))
     resilience = ResilienceReport() if pool is not None else None
     outcomes = open_dispatch(
-        graph,
-        algorithm,
-        context,
-        len(jobs),
-        pool=pool,
-        report=resilience,
-        schedule=schedule,
+        graph, algorithm, context, len(jobs), ledger, pool=pool, report=resilience
     ).run(jobs)
     ctp_tables: List[Table] = []
     reports: List[CTPReport] = []
@@ -527,5 +527,7 @@ def evaluate_query(
         context_stats=context_stats,
         resilience=resilience,
         generation=getattr(graph, "generation", 0),
-        schedule=schedule.finalize(outcomes),
+        rebalances=ledger.rebalances,
+        rebalanced_seconds=ledger.rebalanced_seconds,
+        edge_columns=frozenset(pattern.edge.var for pattern in query.patterns),
     )

@@ -23,7 +23,8 @@ state is safe to share.  This module implements that step **once**:
       has settled, so the cache's hits, misses and LRU order are the
       serial loop's and never depend on worker scheduling (short of an
       eviction landing between a probe and its replay);
-    * **deadline ledger** — a job's budget grant is read when it starts
+    * **deadline ledger** — a job's budget grant is read off the query's
+      :class:`~repro.query.costmodel.DeadlineLedger` when it starts
       executing and settled from its future's done-callback, so a fast
       CTP's unspent budget reaches the ones still pending;
     * **stats** — per-CTP ``SearchStats`` stay on their reports and merge
@@ -76,7 +77,7 @@ from repro.ctp.registry import get_algorithm
 from repro.ctp.results import CTPResultSet
 from repro.errors import GraphError, PoolClosedError, ReproError, StaleViewError, WorkerHangError
 from repro.graph.graph import Graph
-from repro.query.costmodel import QuerySchedule
+from repro.query.costmodel import DeadlineLedger
 from repro.query.pool import WorkerPool
 from repro.query.resilience import ResilienceReport
 
@@ -184,14 +185,14 @@ class Dispatch:
     def __init__(
         self,
         context: Optional[SearchContext],
-        schedule: QuerySchedule,
+        ledger: DeadlineLedger,
         start: Callable[[CTPJob], "Future[Tuple[CTPResultSet, float]]"],
         mode: str,
         shutdown: Optional[Callable[..., None]] = None,
         watchdog: Optional[float] = None,
     ) -> None:
         self.context = context
-        self.schedule = schedule
+        self.ledger = ledger
         self.mode = mode
         self._start_one = start
         self._shutdown = shutdown
@@ -208,10 +209,10 @@ class Dispatch:
         future = self._start_one(job)
         # Settled where the run ends, not when run() collects it: under the
         # inline executor the next job's grant must already see this one
-        # gone.  The callback holds the schedule, not this dispatch: through
+        # gone.  The callback holds the ledger, not this dispatch: through
         # ``self`` it would close a cycle with ``_running`` and leave every
         # query's result sets to the cyclic collector.
-        settle, index = self.schedule.settle, job.index
+        settle, index = self.ledger.settle, job.index
         future.add_done_callback(lambda _done: settle(index))
         if future.done():
             future.result()  # an inline run that raised stops the query here
@@ -230,7 +231,7 @@ class Dispatch:
         if _replayable(result_set):
             # Exactly the runs the serial loop would serve as memo hits.
             self._outcomes[job.index] = CTPOutcome(result_set, True, 0.0, "memo")
-            self.schedule.settle(job.index)
+            self.ledger.settle(job.index)
         else:
             # Re-run at once, so the rerun overlaps still-running leaders
             # instead of queueing behind the slowest one.
@@ -263,7 +264,7 @@ class Dispatch:
                     groups[key] = [job]
                 else:
                     outcomes[job.index] = CTPOutcome(cached, True, 0.0, "memo")
-                    self.schedule.settle(job.index)
+                    self.ledger.settle(job.index)
         started = []
         for group in groups.values():  # every leader first, then the riders
             future = self._start(group[0])
@@ -323,7 +324,7 @@ def _local_dispatch(
     graph: Graph,
     algorithm: str,
     context: Optional[SearchContext],
-    schedule: QuerySchedule,
+    ledger: DeadlineLedger,
     mode: str = "serial",
 ) -> Dispatch:
     """A :class:`Dispatch` that runs every job inline, on the calling
@@ -334,12 +335,12 @@ def _local_dispatch(
     def run_one(job: CTPJob) -> Tuple[CTPResultSet, float]:
         # The deadline-budget grant is read at execution start: a job
         # picks up whatever budget the jobs before it left unspent.
-        config = schedule.config_for_run(job)
+        config = ledger.config_for(job)
         started = time.perf_counter()
         result_set = algo.run(graph, job.seed_sets, config, context=context)
         return result_set, time.perf_counter() - started
 
-    return Dispatch(context, schedule, lambda job: executor.submit(run_one, job), mode)
+    return Dispatch(context, ledger, lambda job: executor.submit(run_one, job), mode)
 
 
 def open_dispatch(
@@ -347,9 +348,9 @@ def open_dispatch(
     algorithm: str,
     context: Optional[SearchContext],
     num_jobs: int,
+    ledger: DeadlineLedger,
     pool: Optional[WorkerPool] = None,
     report: Optional[ResilienceReport] = None,
-    schedule: Optional[QuerySchedule] = None,
 ) -> Any:
     """What runs a query of ``num_jobs`` CTPs; returns an object whose
     ``run(jobs)`` gives one :class:`CTPOutcome` per job, in CTP order.
@@ -358,17 +359,15 @@ def open_dispatch(
     runs every job — even a single one: a warm worker beats any spin-up —
     under the failure policy of :class:`_PooledDispatch`, whose fallback is
     the inline loop.  Without one the jobs run inline, on the calling
-    thread.  ``report`` collects what resilience machinery fired around
-    the pool.  ``schedule`` carries the deadline ledger, if any; a caller
-    without one gets a blank one (job timeouts as built).
+    thread.  ``ledger`` grants each job its budget as it starts
+    (``DeadlineLedger()`` runs every job with its config as built);
+    ``report`` collects what resilience machinery fired around the pool.
     """
-    if schedule is None:
-        schedule = QuerySchedule()
     pool = serving_pool(pool, graph)
     if pool is not None and num_jobs:
         report = report if report is not None else ResilienceReport()
-        return _PooledDispatch(pool, graph, algorithm, context, report, schedule)
-    return _local_dispatch(graph, algorithm, context, schedule)
+        return _PooledDispatch(pool, graph, algorithm, context, report, ledger)
+    return _local_dispatch(graph, algorithm, context, ledger)
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +583,7 @@ class _PooledDispatch:
       the inline executor, with the hop stamped ``"process->serial"``,
       rather than failing the query.  A deadline ledger cut for the
       pool's concurrent slots is re-cut for one slot first
-      (:meth:`~repro.query.costmodel.QuerySchedule.recut_serial`): the
+      (:meth:`~repro.query.costmodel.DeadlineLedger.recut_serial`): the
       jobs now run back to back, and their budgets must still sum to the
       deadline.  Deterministic evaluation errors (a raising scorer) are
       *not* retried or degraded: they propagate as typed errors, because
@@ -597,14 +596,14 @@ class _PooledDispatch:
     algorithm: str
     context: Optional[SearchContext]
     report: ResilienceReport
-    schedule: QuerySchedule
+    ledger: DeadlineLedger
 
     def _degraded(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
         """Give up on the pool: run inline, stamping the hop."""
         self.report.degraded_to = "serial"
-        self.schedule.recut_serial(jobs)
+        self.ledger.recut_serial(jobs)
         return _local_dispatch(
-            self.graph, self.algorithm, self.context, self.schedule, "process->serial"
+            self.graph, self.algorithm, self.context, self.ledger, "process->serial"
         ).run(jobs)
 
     def run(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
@@ -612,7 +611,6 @@ class _PooledDispatch:
         breaker, policy = pool.breaker, pool.retry_policy
         if not breaker.allow():
             report.breaker_skips += 1
-            self._note_pool_state()
             return self._degraded(jobs)
         verdict = False  # has the breaker heard anything about the pool yet?
         try:
@@ -636,7 +634,7 @@ class _PooledDispatch:
                 # A process job's grant is read at submit time (the worker
                 # cannot reach the parent's ledger); the shipped config
                 # carries it, and `resolved` the base the job reads.
-                config = self.schedule.config_for_run(job)
+                config = self.ledger.config_for(job)
                 return pool.submit(self.algorithm, job.seed_sets, config, delta=resolved)
 
             budget = min(
@@ -649,7 +647,7 @@ class _PooledDispatch:
             while True:
                 try:
                     outcomes = Dispatch(
-                        self.context, self.schedule, ship, "process",
+                        self.context, self.ledger, ship, "process",
                         watchdog=_watchdog_budget(jobs, pool),
                     ).run(jobs)
                     breaker.record_success()
@@ -683,12 +681,6 @@ class _PooledDispatch:
         finally:
             if not verdict:
                 breaker.release()
-            self._note_pool_state()
-
-    def _note_pool_state(self) -> None:
-        """Record the pool's breaker state and recycle count on the report."""
-        self.report.breaker_state = self.pool.breaker.state
-        self.report.recycled_workers = self.pool.recycles
 
 
 # ----------------------------------------------------------------------

@@ -24,11 +24,14 @@ dispatch layer composes:
     again, a probe failure re-opens it for another cooldown.
 
 :class:`ResilienceReport`
-    Per-query telemetry of what machinery actually fired — retries,
-    hang kills, breaker state, recycled workers — threaded from the
-    dispatch layer into :class:`~repro.query.evaluator.QueryResult` and
-    from there into every :class:`~repro.serve.models.QueryResponse`, so
-    degradation is *observable* even when it is survivable.
+    Per-query telemetry of what machinery actually fired for that query
+    — retries, hang kills, respawns, breaker skips, degradation —
+    threaded from the dispatch layer into
+    :class:`~repro.query.evaluator.QueryResult` and from there into every
+    :class:`~repro.serve.models.QueryResponse`, so degradation is
+    *observable* even when it is survivable.  Pool-lifetime state (the
+    breaker's state, recycled workers) is the pool's, read from
+    :meth:`~repro.query.pool.WorkerPool.stats`.
 """
 
 from __future__ import annotations
@@ -263,29 +266,12 @@ class ResilienceReport:
     hangs: int = 0
     #: Worker respawns performed for this query (crash or hang recovery).
     respawns: int = 0
-    #: Breaker state observed when dispatch settled ("closed" when no
-    #: breaker was involved at all).
-    breaker_state: str = BREAKER_CLOSED
     #: Dispatches refused by an open breaker (degraded without trying).
     breaker_skips: int = 0
-    #: Lifetime count of workers proactively recycled by the serving pool
-    #: (request-count or RSS threshold), as of this response.
-    recycled_workers: int = 0
     #: Terminal degradation of this query's process dispatch, if any:
     #: ``None`` (pool served it) or ``"serial"``, the inline run that
     #: replaced the pool once it was given up on.
     degraded_to: Optional[str] = None
-
-    def merge_from(self, other: "ResilienceReport") -> None:
-        """Fold another report into this one (batch front-ends)."""
-        self.retries += other.retries
-        self.hangs += other.hangs
-        self.respawns += other.respawns
-        self.breaker_skips += other.breaker_skips
-        self.breaker_state = other.breaker_state
-        self.recycled_workers = max(self.recycled_workers, other.recycled_workers)
-        if other.degraded_to is not None:
-            self.degraded_to = other.degraded_to
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,8 @@ class ResponseStats:
     served from the shared cross-CTP/cross-request memo without running a
     search; ``dispatch_modes`` records what actually executed each CTP
     ("process" from a pool worker, "memo", or a degraded mode).
+    Every field but ``compactions`` is a fact about *this* request;
+    pool-lifetime counters live in ``QueryServer.stats()["pool"]``.
     """
 
     warm_pool: bool = False
@@ -137,33 +139,23 @@ class ResponseStats:
     ctp_count: int = 0
     dispatch_modes: List[str] = field(default_factory=list)
     deadline_truncated: bool = False
-    pool_dispatches: int = 0
-    pool_respawns: int = 0
     pending: int = 0
     seconds: float = 0.0
     #: Resilience telemetry for THIS request: pooled fan-outs re-run
     #: after a crash/hang, and hang-watchdog kills it triggered.
     retries: int = 0
     hangs: int = 0
-    #: Pool-level state as of this response: the circuit breaker's state
-    #: ("closed"/"open"/"half_open") and the lifetime count of workers
-    #: proactively recycled (request-count or RSS threshold).
-    breaker_state: str = "closed"
-    recycled_workers: int = 0
     #: MVCC view telemetry: the graph generation this response's rows are
     #: consistent with (rows match a full freeze at this generation), the
     #: size of the mutable delta overlay at evaluation time, and the
-    #: pool's lifetime compaction/avoided-resnapshot/thrash counters.
+    #: compactions so far (read per response to spot a compaction stall).
     generation: Optional[int] = None
     delta_size: int = 0
     compactions: int = 0
-    resnapshots_avoided: int = 0
-    resnapshot_thrash: int = 0
-    #: Dispatch telemetry
-    #: (:meth:`repro.query.costmodel.ScheduleReport.as_dict`): what
-    #: executed the searches, per-CTP actual seconds and the deadline
-    #: ledger's rebalance counters.
-    schedule: Dict[str, Any] = field(default_factory=dict)
+    #: Deadline-ledger grants above a CTP's build budget for this request,
+    #: and the wall seconds they moved (as on ``QueryResult``).
+    rebalances: int = 0
+    rebalanced_seconds: float = 0.0
 
 
 @dataclass(frozen=True)

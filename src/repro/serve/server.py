@@ -430,14 +430,10 @@ class QueryServer:
             dispatch_modes=[report.dispatch_mode for report in result.ctp_reports],
             deadline_truncated=deadline is not None
             and any(report.result_set.timed_out for report in result.ctp_reports),
-            pool_dispatches=self.pool.dispatches if self.pool is not None else 0,
-            pool_respawns=self.pool.respawns if self.pool is not None else 0,
             pending=pending,
             seconds=time.perf_counter() - started,
             retries=resilience.retries if resilience is not None else 0,
             hangs=resilience.hangs if resilience is not None else 0,
-            breaker_state=self.pool.breaker.state if self.pool is not None else "closed",
-            recycled_workers=self.pool.recycles if self.pool is not None else 0,
             generation=result.generation,
             delta_size=getattr(self.graph, "delta_size", 0),
             compactions=(
@@ -445,9 +441,8 @@ class QueryServer:
                 if self.pool is not None
                 else getattr(self.graph, "compactions", 0)
             ),
-            resnapshots_avoided=self.pool.resnapshots_avoided if self.pool is not None else 0,
-            resnapshot_thrash=self.pool.resnapshot_thrash if self.pool is not None else 0,
-            schedule=result.schedule.as_dict(),
+            rebalances=result.rebalances,
+            rebalanced_seconds=result.rebalanced_seconds,
         )
         with self._gauge_lock:
             self.served += 1
@@ -462,7 +457,9 @@ class QueryServer:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Server + pool + shared-context counters, one flat snapshot."""
+        """Server + pool + shared-context counters, one flat snapshot: the
+        one home of process-wide counters (a response's ``ResponseStats``
+        holds facts about its own request only)."""
         with self._gauge_lock:
             counters = {
                 "served": self.served,

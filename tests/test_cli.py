@@ -94,8 +94,9 @@ class TestQueryCommand:
         assert serial == 0 and process == 0
         assert serial_out.split("\n\n")[0] == process_out.split("\n\n")[0]
         assert "?w1: [process]" in process_out
-        assert "schedule: mode process " in process_out
-        assert "schedule: mode serial " in serial_out
+        assert "?w1: [serial]" in serial_out
+        assert "deadline: rebalances=0 " in process_out
+        assert "deadline: rebalances=0 " in serial_out
 
     def test_bad_query_reports_error(self, capsys):
         code = main(["query", "SELECT ?w WHERE {"])

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro.ctp.config import SearchConfig
 from repro.ctp.context import SearchContext
-from repro.query.costmodel import DeadlineLedger, QuerySchedule
+from repro.query.costmodel import DeadlineLedger
 from repro.query.parallel import CTPJob, Dispatch
 from repro.testing import FakeClock, InlineExecutor
 
@@ -113,7 +113,7 @@ def test_dispatch_equals_the_serial_loop(case):
     executor = ThreadPoolExecutor(max_workers=3) if threads else InlineExecutor()
     dispatch = Dispatch(
         context,
-        QuerySchedule(),
+        DeadlineLedger(),
         lambda job: executor.submit(_search, job, truncated),
         MODE,
         shutdown=executor.shutdown,
@@ -153,7 +153,6 @@ def test_inline_settle_lands_before_the_next_grant_is_read():
     done-callback), not when ``run()`` collects the outcomes."""
     clock = FakeClock()
     ledger = DeadlineLedger(9.0, started=0.0, indices=[0, 1, 2], workers=1, clock=clock)
-    schedule = QuerySchedule(ledger=ledger)
     jobs = [
         CTPJob(index=i, seed_sets=[], config=SearchConfig(timeout=ledger.register(i, None)))
         for i in range(3)
@@ -162,12 +161,12 @@ def test_inline_settle_lands_before_the_next_grant_is_read():
     granted = []
 
     def run(job):
-        granted.append(schedule.config_for_run(job).timeout)
+        granted.append(ledger.config_for(job).timeout)
         clock.advance(1.0)  # every CTP finishes 2s under its share
         return _FakeResultSet(("ran", job.index)), 1.0
 
     executor = InlineExecutor()
-    dispatch = Dispatch(None, schedule, lambda job: executor.submit(run, job), "serial")
+    dispatch = Dispatch(None, ledger, lambda job: executor.submit(run, job), "serial")
     outcomes = dispatch.run(jobs)
     # 9s: CTP 0 is granted a third; CTP 1 half of the 8s left (CTP 0 has
     # settled); CTP 2 all of the 7s left.  Unsettled, they would read 3/3/3.
@@ -186,7 +185,7 @@ def test_finished_dispatch_is_freed_by_reference_counting():
     try:
         dispatch = Dispatch(
             _seeded_context(64, []),
-            QuerySchedule(),
+            DeadlineLedger(),
             lambda job: executor.submit(_search, job, frozenset()),
             MODE,
             shutdown=executor.shutdown,

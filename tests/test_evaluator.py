@@ -76,6 +76,16 @@ class TestQ1:
         assert "Carole" in text or "Bob" in text
         assert "?w" in text
 
+    def test_format_renders_edge_variables_as_edge_labels(self, fig1):
+        result = evaluate_query(fig1, "SELECT ?x ?e ?y WHERE { ?x ?e ?y . }")
+        lines = result.format(limit=fig1.num_edges).splitlines()
+        assert lines[0] == "?x | ?e | ?y"
+        assert "Bob | founded | OrgB" in lines  # edge 0, not "Bob | OrgB | OrgB"
+        assert sorted(lines[1:]) == sorted(
+            f"{fig1.node(edge.source).label} | {edge.label} | {fig1.node(edge.target).label}"
+            for edge in fig1.edges()
+        )
+
     def test_to_dicts(self, fig1):
         dicts = evaluate_query(fig1, Q1).to_dicts()
         assert set(dicts[0]) == {"x", "y", "z", "w"}

@@ -52,7 +52,6 @@ from repro.query.resilience import (
     BREAKER_OPEN,
     CircuitBreaker,
     PoolResilienceConfig,
-    ResilienceReport,
     RetryPolicy,
 )
 from repro.testing import FakeClock
@@ -228,15 +227,6 @@ def test_circuit_breaker_state_machine():
     assert breaker.state == BREAKER_CLOSED and breaker.allow()
 
 
-def test_resilience_report_merge():
-    a = ResilienceReport(retries=1, hangs=1, respawns=2, recycled_workers=3)
-    b = ResilienceReport(retries=2, breaker_state=BREAKER_OPEN, degraded_to="serial")
-    a.merge_from(b)
-    assert (a.retries, a.hangs, a.respawns) == (3, 1, 2)
-    assert a.breaker_state == BREAKER_OPEN
-    assert a.recycled_workers == 3 and a.degraded_to == "serial"
-
-
 def test_pool_resilience_config_validation():
     with pytest.raises(ConfigError):
         PoolResilienceConfig(recycle_after=0)
@@ -324,7 +314,6 @@ def test_recycling_after_request_threshold(fig1):
         second = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert pool.recycles >= 1
         assert first.rows == serial.rows and second.rows == serial.rows
-        assert second.resilience.recycled_workers >= 1
 
 
 @pytest.mark.skipif(
@@ -400,7 +389,7 @@ def test_open_breaker_degrades_without_touching_the_pool(fig1):
         "memo",
     ]
     assert result.resilience.breaker_skips == 1
-    assert result.resilience.breaker_state == BREAKER_OPEN
+    assert pool.breaker.state == BREAKER_OPEN
 
 
 def test_breaker_trips_then_half_open_probe_recovers(fig1):
@@ -533,12 +522,11 @@ def test_server_reports_resilience_telemetry(fig1):
         response = server.handle(QueryRequest(query=MATRIX_QUERY))
         assert response.status == STATUS_OK
         assert response.stats.retries == 1
-        assert response.stats.breaker_state == BREAKER_CLOSED
-        assert response.stats.recycled_workers == 0
         assert response.stats.dispatch_modes == ["process", "process", "memo"]
         stats = server.stats()
         assert stats["pool"]["respawns"] == 1
         assert stats["pool"]["breaker_state"] == BREAKER_CLOSED
+        assert stats["pool"]["recycles"] == 0
 
 
 def test_server_scorer_fault_surfaces_as_error_status(fig1):

@@ -38,6 +38,7 @@ from repro.ctp.context import SearchContext
 from repro.ctp.registry import get_algorithm
 from repro.graph.graph import Graph
 from repro.query.evaluator import _ctp_memo_key
+from repro.query.costmodel import DeadlineLedger
 from repro.query.parallel import CTPJob, open_dispatch
 from repro.query.scoring import get_score_function
 
@@ -135,7 +136,9 @@ def _apply(graph: Graph, batch: Sequence[Any]) -> None:
 
 def _memo_run(view: Any, algorithm: str, seed_sets: Sequence[Any], config: SearchConfig, context: SearchContext):
     key = _ctp_memo_key(view, algorithm, seed_sets, config)
-    (outcome,) = open_dispatch(view, algorithm, context, 1).run([CTPJob(0, list(seed_sets), config, key)])
+    (outcome,) = open_dispatch(view, algorithm, context, 1, DeadlineLedger()).run(
+        [CTPJob(0, list(seed_sets), config, key)]
+    )
     return outcome
 
 

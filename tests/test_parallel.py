@@ -37,6 +37,7 @@ from repro.ctp.registry import ALGORITHMS, evaluate_ctp
 from repro.ctp.stats import SearchStats
 from repro.graph.graph import Graph
 from repro.query.evaluator import evaluate_query
+from repro.query.costmodel import DeadlineLedger
 from repro.query.parallel import CTPJob, evaluate_queries, open_dispatch
 from repro.testing import fallback_pool
 
@@ -153,9 +154,11 @@ def test_parallel_without_shared_context(fig1, fig1_seeds):
         CTPJob(index, list(seeds), SearchConfig(max_edges=4))
         for index, seeds in enumerate((fig1_seeds, fig1_seeds[:2], fig1_seeds))
     ]
-    serial = open_dispatch(fig1, "molesp", None, len(jobs)).run(jobs)
+    serial = open_dispatch(fig1, "molesp", None, len(jobs), DeadlineLedger()).run(jobs)
     with fallback_pool(fig1, 4) as pool:
-        parallel = open_dispatch(fig1, "molesp", None, len(jobs), pool=pool).run(jobs)
+        parallel = open_dispatch(
+            fig1, "molesp", None, len(jobs), DeadlineLedger(), pool=pool
+        ).run(jobs)
     assert [[r.edges for r in o.result_set] for o in parallel] == [
         [r.edges for r in o.result_set] for o in serial
     ]

@@ -35,6 +35,7 @@ from repro.graph.datasets import figure1
 from repro.graph.graph import Graph
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.query import parallel as parallel_mod
+from repro.query.costmodel import DeadlineLedger
 from repro.query.evaluator import evaluate_query
 from repro.query.parallel import (
     CTPJob,
@@ -300,9 +301,11 @@ class TestFallbacks:
         seeds = [fig1.nodes_with_type("entrepreneur"), fig1.nodes_with_type("politician")]
         config = SearchConfig(max_edges=3)
         jobs = [CTPJob(index=i, seed_sets=seeds, config=config) for i in range(3)]
-        serial = open_dispatch(fig1, "molesp", None, len(jobs)).run(jobs)
+        serial = open_dispatch(fig1, "molesp", None, len(jobs), DeadlineLedger()).run(jobs)
         with WorkerPool(fig1, workers=2) as pool:
-            process = open_dispatch(fig1, "molesp", None, len(jobs), pool=pool).run(jobs)
+            process = open_dispatch(
+                fig1, "molesp", None, len(jobs), DeadlineLedger(), pool=pool
+            ).run(jobs)
         assert len(process) == 3
         assert [o.mode for o in process] == ["process"] * 3
         for a, b in zip(serial, process):

@@ -139,11 +139,15 @@ def test_retired_representation_flags_are_type_errors(retired):
 
 def test_search_state_keeps_only_what_is_read():
     """One count-bounded memo per context, no per-root cache, no byte
-    bound, and a schedule report with no cost estimate."""
+    bound, and per-query records that hold facts about their own query
+    only: no copy of a CTP report's mode or seconds, no pool-lifetime
+    counter."""
     from dataclasses import fields
 
     from repro.ctp import ResultCache, SearchContext, SearchStats
-    from repro.query import ScheduleReport
+    from repro.query import QueryResult
+    from repro.query.resilience import ResilienceReport
+    from repro.serve import ResponseStats
 
     assert list(inspect.signature(SearchContext).parameters) == ["ctp_cache_size", "thread_safe"]
     assert list(inspect.signature(ResultCache).parameters) == ["maxsize", "thread_safe"]
@@ -168,11 +172,41 @@ def test_search_state_keeps_only_what_is_read():
         "pool_union_misses",
         "elapsed_seconds",
     ]
-    assert [spec.name for spec in fields(ScheduleReport)] == list(ScheduleReport().as_dict()) == [
-        "mode_selected",
-        "actual_seconds",
+    assert [spec.name for spec in fields(QueryResult)] == [
+        "columns",
+        "rows",
+        "graph",
+        "timings",
+        "ctp_reports",
+        "context_stats",
+        "resilience",
+        "generation",
         "rebalances",
         "rebalanced_seconds",
+        "edge_columns",
+    ]
+    assert [spec.name for spec in fields(ResponseStats)] == [
+        "warm_pool",
+        "memo_hits",
+        "ctp_count",
+        "dispatch_modes",
+        "deadline_truncated",
+        "pending",
+        "seconds",
+        "retries",
+        "hangs",
+        "generation",
+        "delta_size",
+        "compactions",
+        "rebalances",
+        "rebalanced_seconds",
+    ]
+    assert [spec.name for spec in fields(ResilienceReport)] == [
+        "retries",
+        "hangs",
+        "respawns",
+        "breaker_skips",
+        "degraded_to",
     ]
     assert list(SearchContext().stats_dict()) == [
         "runs",

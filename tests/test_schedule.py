@@ -1,14 +1,16 @@
-"""CTP scheduling: deadline shares, CTP-order starts, and the telemetry.
+"""CTP scheduling: deadline shares, CTP-order starts, and what ran.
 
-The scheduling layer (``repro.query.costmodel`` + the dispatch hooks in
-``repro.query.parallel``) starts a query's searches in CTP order, splits
-a deadline into equal shares that are re-granted as CTPs finish, and
-reports what executed the searches.  All of it must be
+The scheduling layer (the :class:`DeadlineLedger` of
+``repro.query.costmodel``, which ``repro.query.parallel`` threads through
+dispatch) starts a query's searches in CTP order and splits a deadline
+into equal shares that are re-granted as CTPs finish.  Each CTP's report
+says what executed it (``dispatch_mode``), and the result carries the
+ledger's rebalance counters.  All of it must be
 **representation-only**: rows are bit-identical to serial dispatch.
 Five layers pin that:
 
 * **determinism matrix** — every algorithm × inline / pool-fallback /
-  worker-pool dispatch, with and without a deadline ledger, produces
+  worker-pool dispatch, with and without a deadline, produces
   exactly the serial rows on the multi-CTP query with a repeated CTP —
   and the rows ``tests/data/knobs_golden.json`` recorded from
   ``scheduling=False`` before that switch was retired (so do the
@@ -24,10 +26,10 @@ Five layers pin that:
   with in-flight dedup intact;
 * **Hypothesis properties** — ledger invariants hold for random CTP
   counts, worker slots and clock advances;
-* **satellite regressions** — ``mode_selected`` read off what executed,
-  the ledger's slot count taken from the pool, tolerant ``SearchStats``
-  merge/round-trip and per-response schedule telemetry through the
-  query server.
+* **satellite regressions** — ``dispatch_mode`` is what executed, the
+  ledger's slot count is taken from the pool, its rebalance counters
+  reach ``QueryResult``, tolerant ``SearchStats`` merge and ``as_dict``,
+  and per-response dispatch modes through the query server.
 
 A pool that gives up runs its CTPs inline; the fallback cells reach
 that path through :func:`repro.testing.fallback_pool`.
@@ -51,7 +53,7 @@ from repro.ctp.results import CTPResultSet
 from repro.ctp.stats import SearchStats
 from repro.errors import ConfigError
 from repro.graph.datasets import figure1
-from repro.query.costmodel import LEDGER_FLOOR, DeadlineLedger, QuerySchedule
+from repro.query.costmodel import LEDGER_FLOOR, DeadlineLedger
 from repro.query.evaluator import evaluate_query
 from repro.query.parallel import CTPJob, Dispatch
 from repro.query.pool import WorkerPool
@@ -122,24 +124,21 @@ def golden():
 # ----------------------------------------------------------------------
 # determinism matrix: scheduled rows identical to serial, every algorithm
 # ----------------------------------------------------------------------
-#: The ids predate the retirement of ``SearchConfig.scheduling``, of the
-#: ``auto`` dispatch mode and of the thread fallback, and are kept, so
-#: that a cell keeps its name from one test log to the next.  Each cell
-#: is a config and what runs its CTPs: ``None`` (no pool: inline),
-#: ``"fallback"`` (a pool that gives up, :func:`repro.testing.fallback_pool`:
-#: the ledger is cut for ``parallelism`` slots, then re-cut for one and
-#: the CTPs run inline) or ``"process"`` (a two-worker
-#: :class:`WorkerPool`).  ``serial-nosched`` asks for four workers without
-#: a pool, which runs inline.
+#: Each cell is named for what runs its CTPs, and holds a config and that
+#: executor: ``None`` (no pool: inline), ``"fallback"`` (a pool that gives
+#: up, :func:`repro.testing.fallback_pool`: under a deadline the ledger is
+#: cut for ``parallelism`` slots, then re-cut for one, and the CTPs run
+#: inline) or ``"pool"`` (a two-worker :class:`WorkerPool`).  Each runs
+#: once without and once with a deadline.  ``parallelism`` only sizes the
+#: pool here (query evaluation does not read it), and only the ledger
+#: reads a fallback pool's size.
 SCHED_VARIANTS = {
-    "serial-nosched": (dict(parallelism=4), None),
-    "serial-sched": (dict(parallelism=1), None),
-    "serial-deadline-sched": (dict(parallelism=1, deadline=60.0), None),
-    "thread-nosched": (dict(parallelism=2), "fallback"),
-    "thread-sched": (dict(parallelism=4), "fallback"),
-    "thread-deadline-sched": (dict(parallelism=4, deadline=60.0), "fallback"),
-    "process-nosched": (dict(parallelism=2, deadline=60.0), "process"),
-    "process-sched": (dict(parallelism=2), "process"),
+    "inline": (dict(parallelism=1), None),
+    "inline-deadline": (dict(parallelism=1, deadline=60.0), None),
+    "fallback": (dict(parallelism=4), "fallback"),
+    "fallback-deadline": (dict(parallelism=4, deadline=60.0), "fallback"),
+    "pool": (dict(parallelism=2), "pool"),
+    "pool-deadline": (dict(parallelism=2, deadline=60.0), "pool"),
 }
 
 
@@ -179,22 +178,24 @@ def test_scheduled_rows_identical_to_serial(fig1, golden, algo, variant):
         assert [r.edges for r in sched_report.result_set] == [
             r.edges for r in ser_report.result_set
         ]
-    assert len(scheduled.schedule.actual_seconds) == 3
     executor = SCHED_VARIANTS[variant][1]
-    want = {None: "serial", "fallback": "process->serial", "process": "process"}[executor]
-    assert scheduled.schedule.mode_selected == want
+    want = {None: "serial", "fallback": "process->serial", "pool": "process"}[executor]
+    # ?w3 repeats ?w1: it rides ?w1's run and is served from the memo.
+    assert [report.dispatch_mode for report in scheduled.ctp_reports] == [want, want, "memo"]
+    if "deadline" not in variant:
+        assert (scheduled.rebalances, scheduled.rebalanced_seconds) == (0, 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(STAR_QUERIES))
 def test_star_batch_rows_identical_under_every_dispatch(golden, name):
     star = grouped_star(5, 3, 3)
-    for variant in ("serial-sched", "serial-nosched", "thread-nosched", "process-sched"):
+    for variant in ("inline", "fallback", "pool"):
         result = _evaluate(star, STAR_QUERIES[name], variant, algorithm="bft")
         assert query_record(result) == golden[f"{name}|bft"]
 
 
 def test_scheduled_dedup_still_shares_the_repeated_ctp(fig1):
-    result = _evaluate(fig1, MATRIX_QUERY, "thread-sched")
+    result = _evaluate(fig1, MATRIX_QUERY, "fallback")
     first, _, third = result.ctp_reports
     assert not first.cache_hit
     assert third.cache_hit  # the ?w3 duplicate of ?w1
@@ -206,20 +207,20 @@ def test_scheduled_dedup_still_shares_the_repeated_ctp(fig1):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_pipelined_rows_match_golden(fig1, golden, algo):
-    result = _evaluate(fig1, PIPELINE_QUERY, "thread-sched", algorithm=algo)
+    result = _evaluate(fig1, PIPELINE_QUERY, "fallback", algorithm=algo)
     assert query_record(result) == golden[f"pipeline|{algo}"]
 
 
 def test_pipelined_with_deadline_keeps_rows(fig1):
     serial = evaluate_query(fig1, PIPELINE_QUERY)
-    result = _evaluate(fig1, PIPELINE_QUERY, "thread-deadline-sched")
+    result = _evaluate(fig1, PIPELINE_QUERY, "fallback-deadline")
     assert result.rows == serial.rows
 
 
 # ----------------------------------------------------------------------
-# mode_selected: what executed, read off the outcomes
+# dispatch_mode: what executed each CTP
 # ----------------------------------------------------------------------
-def test_mode_selected_is_what_executed_not_what_was_asked(fig1):
+def test_dispatch_mode_is_what_executed_not_what_was_asked(fig1):
     """A lambda scorer cannot cross the process boundary: a query handed a
     pool degrades to inline, and the report must say so."""
     score = lambda graph, edges, nodes: -len(edges)  # noqa: E731
@@ -229,15 +230,14 @@ def test_mode_selected_is_what_executed_not_what_was_asked(fig1):
         )
     executed = [r.dispatch_mode for r in result.ctp_reports if r.dispatch_mode != "memo"]
     assert executed == ["process->serial"] * 2
-    assert result.schedule.mode_selected == "process->serial"
 
 
-def test_mode_selected_when_every_ctp_is_served_from_the_memo(fig1):
+def test_dispatch_mode_when_every_ctp_is_served_from_the_memo(fig1):
     context = SearchContext()
     evaluate_query(fig1, MATRIX_QUERY, context=context)
     again = evaluate_query(fig1, MATRIX_QUERY, context=context)
     assert [r.dispatch_mode for r in again.ctp_reports] == ["memo"] * 3
-    assert again.schedule.mode_selected == "memo"
+    assert [r.seconds for r in again.ctp_reports] == [0.0] * 3
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +354,40 @@ def test_deadline_bounds_a_serial_query(fig1, monkeypatch):
     assert budgets == [0.01, 0.01, 0.01]
 
 
+def test_rebalances_are_read_off_the_ledger(fig1, monkeypatch):
+    """The first of three CTPs finishes well under its share: the two
+    after it are granted more than their build budgets, and the result
+    reports exactly the ledger's rebalance counters."""
+    clock = FakeClock()
+    fake_time = SimpleNamespace(perf_counter=clock)
+    monkeypatch.setattr("repro.query.evaluator.time", fake_time)
+    monkeypatch.setattr("repro.query.costmodel.time", fake_time)
+    ledgers, budgets = [], []
+
+    class Spy(DeadlineLedger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            ledgers.append(self)
+
+    class FastThenGreedy:
+        def run(self, graph, seed_sets, config, context=None):
+            budgets.append(config.timeout)
+            clock.advance(0.05 if len(budgets) == 1 else config.timeout)
+            return CTPResultSet([], SearchStats(), complete=False, timed_out=True)
+
+    monkeypatch.setattr("repro.query.evaluator.DeadlineLedger", Spy)
+    monkeypatch.setattr("repro.query.parallel.get_algorithm", lambda name: FastThenGreedy())
+    query = MATRIX_QUERY.replace("AS ?w3 MAX 3", "AS ?w3 MAX 4")  # three distinct CTPs
+    result = evaluate_query(fig1, query, base_config=SearchConfig(deadline=0.6))
+    # Builds are 0.2 each.  After 0.05s, CTP 1 gets half of the 0.55s
+    # left; it spends it all, and CTP 2 gets the 0.275s that remain.
+    assert budgets == pytest.approx([0.2, 0.275, 0.275])
+    (ledger,) = ledgers
+    assert result.rebalances == ledger.rebalances == 2
+    assert result.rebalanced_seconds == ledger.rebalanced_seconds
+    assert result.rebalanced_seconds == pytest.approx(0.15)
+
+
 @pytest.mark.parametrize("explicit_context", [False, True], ids=["default-context", "explicit-context"])
 def test_deadline_bounds_a_degraded_pool_query(fig1, monkeypatch, explicit_context):
     """A pool that gives up runs its CTPs inline, back to back: budgets cut
@@ -412,44 +446,25 @@ def test_ledger_slots_come_from_the_pool(fig1, monkeypatch, pool_workers, parall
 
 
 # ----------------------------------------------------------------------
-# QuerySchedule: grants applied to run configs
+# DeadlineLedger.config_for: grants applied to run configs
 # ----------------------------------------------------------------------
-def test_config_for_run_applies_upward_grant_only():
+def test_config_for_applies_upward_grant_only():
     clock = FakeClock()
     ledger = DeadlineLedger(10.0, started=0.0, indices=[0, 1], clock=clock)
     build0 = ledger.register(0, None)
     build1 = ledger.register(1, None)
     assert (build0, build1) == (5.0, 5.0)
-    schedule = QuerySchedule(ledger=ledger)
     job0 = CTPJob(index=0, seed_sets=[], config=SearchConfig(timeout=build0))
     # Grant equals the build budget: the very same config object comes back
-    # — as it does from a schedule with no ledger (no deadline) at all.
-    assert schedule.config_for_run(job0) is job0.config
-    assert QuerySchedule().config_for_run(job0) is job0.config
+    # — as it does from the deadline-free ledger.
+    assert ledger.config_for(job0) is job0.config
+    assert DeadlineLedger().config_for(job0) is job0.config
     clock.advance(0.5)
-    schedule.settle(0)
+    ledger.settle(0)
     job1 = CTPJob(index=1, seed_sets=[], config=SearchConfig(timeout=build1))
-    regranted = schedule.config_for_run(job1)
+    regranted = ledger.config_for(job1)
     assert regranted is not job1.config
     assert regranted.timeout == 9.5
-
-
-def test_finalize_folds_actuals_and_ledger_counters():
-    ledger = DeadlineLedger(10.0, started=0.0, indices=[], clock=FakeClock())
-    ledger.rebalances = 2
-    ledger.rebalanced_seconds = 0.75
-    schedule = QuerySchedule(ledger=ledger)
-    outcomes = [
-        SimpleNamespace(seconds=0.1, mode="memo"),
-        SimpleNamespace(seconds=0.2, mode="process"),
-        None,
-    ]
-    report = schedule.finalize(outcomes)
-    assert report.mode_selected == "process"  # what executed, memo aside
-    assert report.actual_seconds == [0.1, 0.2, 0.0]  # padded to outcome count
-    assert report.rebalances == 2
-    assert report.rebalanced_seconds == 0.75
-    assert set(report.as_dict()) >= {"actual_seconds", "rebalances"}
 
 
 # ----------------------------------------------------------------------
@@ -460,10 +475,10 @@ class _FakeResultSet:
     timed_out = False
 
 
-def _dispatch(jobs, executor, schedule):
+def _dispatch(jobs, executor):
     """One barrier dispatch over ``executor``: ``(outcomes, follower indices)``."""
     start = lambda job: executor.submit(lambda j: (_FakeResultSet(), 0.0), job)  # noqa: E731
-    dispatch = Dispatch(None, schedule, start, "process")
+    dispatch = Dispatch(None, DeadlineLedger(), start, "process")
     return dispatch.run(jobs), dispatch.followers
 
 
@@ -471,7 +486,7 @@ def test_fan_out_without_reorder_keeps_ctp_order():
     """``Dispatch`` has no ordering knob: leaders start in CTP order."""
     jobs = [CTPJob(index=i, seed_sets=[], config=SearchConfig()) for i in range(3)]
     executor = InlineExecutor()
-    outcomes, followers = _dispatch(jobs, executor, QuerySchedule())
+    outcomes, followers = _dispatch(jobs, executor)
     assert [args[0].index for _, args in executor.submitted] == [0, 1, 2]
     assert followers == []
     assert all(outcome is not None for outcome in outcomes)
@@ -484,7 +499,7 @@ def test_fan_out_dedup_keeps_ctp_order():
         CTPJob(index=1, seed_sets=[], config=SearchConfig(), memo_key="solo"),
         CTPJob(index=2, seed_sets=[], config=SearchConfig(), memo_key="dup"),
     ]
-    outcomes, followers = _dispatch(jobs, executor, QuerySchedule())
+    outcomes, followers = _dispatch(jobs, executor)
     # Two leaders only (the duplicate shares), started in CTP order.
     assert [args[0].index for _, args in executor.submitted] == [0, 1]
     assert followers == [2]
@@ -493,7 +508,7 @@ def test_fan_out_dedup_keeps_ctp_order():
 
 
 # ----------------------------------------------------------------------
-# satellite: tolerant SearchStats merge / round-trip
+# satellite: tolerant SearchStats merge, every counter in as_dict
 # ----------------------------------------------------------------------
 def test_search_stats_merge_tolerates_older_instances():
     stats = SearchStats(grows=3, pool_sets=2)
@@ -509,23 +524,23 @@ def test_search_stats_dict_round_trip():
     stats = SearchStats(grows=2, merges=1, trees_kept=5, elapsed_seconds=0.5)
     data = stats.as_dict()
     assert data["provenances"] == stats.provenances  # derived key present
-    assert SearchStats.from_dict(data) == stats  # round-trip, derived key ignored
-    # Vintage dict: missing counters default, unknown counters are ignored.
-    legacy = SearchStats.from_dict({"grows": 7, "future_counter": 3})
-    assert legacy.grows == 7
-    assert legacy.pool_sets == 0
+    assert {key: data[key] for key in ("grows", "merges", "trees_kept", "elapsed_seconds")} == {
+        "grows": 2,
+        "merges": 1,
+        "trees_kept": 5,
+        "elapsed_seconds": 0.5,
+    }
 
 
 # ----------------------------------------------------------------------
-# satellite: per-response schedule telemetry through the server
+# satellite: per-response dispatch modes through the server
 # ----------------------------------------------------------------------
 def test_server_response_carries_schedule_telemetry(fig1):
     with QueryServer(fig1, dispatch_mode="serial") as server:
         response = server.handle(QueryRequest(query=MATRIX_QUERY))
         assert response.status == STATUS_OK
-        telemetry = response.stats.schedule
-        assert telemetry["mode_selected"] == "serial"
-        assert len(telemetry["actual_seconds"]) == 3
+        assert response.stats.dispatch_modes == ["serial", "serial", "memo"]
+        assert (response.stats.rebalances, response.stats.rebalanced_seconds) == (0, 0.0)
 
 
 if __name__ == "__main__":
