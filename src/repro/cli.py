@@ -18,7 +18,6 @@ import sys
 from typing import List, Optional
 
 from repro.bench.cli import main as bench_main
-from repro.ctp.config import SearchConfig
 from repro.ctp.stats import SearchStats
 from repro.errors import ReproError
 from repro.graph.datasets import figure1
@@ -47,10 +46,6 @@ def _resolve_graph(args: argparse.Namespace):
 
 def _cmd_query(args: argparse.Namespace) -> int:
     graph = _resolve_graph(args)
-    try:
-        base_config = SearchConfig(parallelism=args.parallelism)
-    except ValueError as error:  # bad flag values are user errors
-        raise ReproError(str(error)) from None
     # The command's CTPs run in a worker pool of --parallelism processes
     # that lives for the command; at 1 they run inline.
     pool = WorkerPool(graph, workers=args.parallelism) if args.parallelism > 1 else None
@@ -59,7 +54,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             graph,
             args.query,
             algorithm=args.algorithm,
-            base_config=base_config,
             default_timeout=args.timeout,
             pool=pool,
         )
@@ -134,10 +128,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import QueryRequest, QueryServer
 
     graph = _resolve_graph(args)
-    try:
-        base_config = SearchConfig(parallelism=max(args.workers, 1))
-    except ValueError as error:
-        raise ReproError(str(error)) from None
     requests = [
         QueryRequest(
             query=text,
@@ -153,7 +143,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with QueryServer(
         graph,
         algorithm=args.algorithm,
-        base_config=base_config,
         workers=args.workers,
         max_pending=args.max_pending,
         default_timeout=args.timeout,
@@ -247,6 +236,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parallelism(text: str) -> int:
+    """``--parallelism``: an integer >= 1; a smaller one is a user error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise ReproError(f"parallelism must be an integer >= 1 (1 = serial CTP dispatch), got {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--algorithm", default="molesp", help="CTP algorithm (default molesp)")
     query.add_argument(
         "--parallelism",
-        type=int,
+        type=_parallelism,
         default=1,
         help="worker processes for the query's independent CTP evaluations, over "
         "an mmap-shared CSR snapshot (default 1 = inline; rows are identical at "
@@ -350,8 +350,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "bench":
         return bench_main(argv[1:])
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

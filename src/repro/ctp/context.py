@@ -442,12 +442,13 @@ def adopt_pool(context: Optional[SearchContext], graph):
 def pool_stats_delta(stats, pool, baseline) -> None:
     """Fill a run's pool counters as deltas against its adoption baseline.
 
-    When several runs share one pool *concurrently* (a thread-safe context
-    under the parallel dispatcher) the deltas attribute overlapping
-    activity: counters stay monotone, so values are non-negative, but a
-    run's delta includes sibling workers' interning.  Per-run pool
-    attribution is only exact under serial dispatch — search-outcome
-    counters (grows, merges, results) are unaffected either way.
+    When several runs share one pool *concurrently* (the request threads
+    of a :class:`~repro.serve.QueryServer` over one thread-safe context)
+    the deltas attribute overlapping activity: counters stay monotone, so
+    values are non-negative, but a run's delta includes sibling threads'
+    interning.  Per-run pool attribution is exact only when the runs do
+    not overlap — search-outcome counters (grows, merges, results) are
+    unaffected either way.
     """
     len0, hits0, misses0 = baseline
     stats.pool_sets = len(pool) - len0

@@ -60,11 +60,12 @@ filter and the Algorithm 4 history check are decided *before* a grown or
 merged tree is built — the history check inlined at both call sites, a
 pruned candidate costs a few int lookups and no allocation — and a kept
 tree is then built in one positional call (:mod:`repro.ctp.tree`).  The
-deadline is polled only when the search has one.  Result sets and
-order-sensitive counters are pinned to the seed implementation's frozenset
-bookkeeping by recorded goldens (``tests/test_interning_equivalence.py``),
-and rows in emission order plus every counter, ``merges_attempted`` and
-cut runs included, by ``tests/test_provenance_golden.py``.
+deadline is polled only when the search has one.  Rows in emission
+order, ``complete``, ``results_found`` and ``provenances`` are pinned to
+the paper's algorithms run as a plain spec (:mod:`repro.testing.reference`,
+``tests/test_reference_spec.py``), and every implementation counter,
+``merges_attempted`` and cut runs included, by
+``tests/test_provenance_golden.py``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ spent ... in the BGP evaluation and final joins").
 Step (B) runs inside one **query-scoped search context**
 (:class:`~repro.ctp.context.SearchContext`): every CTP evaluation adopts
 the same edge-set pool (edge sets a sibling CTP interned are memo hits,
-not fresh allocations), rooted-tree results are cached per ``(root, eset
-handle, config fingerprint)``, and whole *complete* CTP result sets are
+not fresh allocations), and whole *complete* CTP result sets are
 memoized across CTPs — a CONNECT repeated under several tree variables
 (or re-evaluated across BGP embeddings) runs once.  The context is
 representation and reuse only: rows are those of a context-less engine

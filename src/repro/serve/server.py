@@ -232,7 +232,7 @@ class QueryServer:
         deployment can pay the cold cost off the request path.
         """
         if self.pool is None:
-            # Thread/serial dispatch: the only cold cost is the base freeze.
+            # Inline dispatch: the only cold cost is the base freeze.
             if hasattr(self.graph, "ensure_base"):
                 self.graph.ensure_base()
             return True

@@ -1,24 +1,17 @@
-"""Dense search-local node identity: rows are those of global-id masks.
+"""Dense search-local node identity: rows do not depend on node-id magnitude.
 
 The engines key every node bitmask by a search-local compact index
 (``repro.ctp.idremap``) and keep the interning pool's hot maps in flat
 arrays (``repro.ctp.interning``).  All of it is *representation*: because
 the remap is injective, every mask predicate (Merge1's shared-node test,
-BFT's common-mask recovery) decides exactly what it decided over
-global-id masks, so the search trajectory — and with it every row, seed
-tuple, weight, and order-sensitive counter — is the one the global-id
-implementation produced.
+BFT's common-mask recovery) decides exactly what it would decide over
+global-id masks.  What the engines compute is pinned to the paper's
+algorithms by ``tests/test_reference_spec.py``; this module holds the
+representation itself:
 
-Four layers:
-
-* the **matrix**: all 8 search algorithms x the golden workload graphs
-  (and figure-1 config variants), snapshots compared by digest with what
-  the legacy implementation — global-id masks, dict-backed pool — recorded
-  in ``tests/data/dense_ids_golden.json`` before it was deleted
-  (``pool_sets`` included: the flat pool assigns the *same handle
-  numbering*; the union hit/miss counters are left out);
-* **DPBF**: packed small-int DP state keys vs the recorded result of the
-  legacy ``(v, X)`` tuple keys;
+* **DPBF** (outside the spec): packed small-int DP state keys vs the
+  recorded result of the legacy ``(v, X)`` tuple keys, the 12 digests in
+  ``tests/data/dense_ids_golden.json``;
 * a **Hypothesis property** over graphs relabelled into sparse node ids
   (up to 10^9, a handful of nodes): the outcome depends only on the
   graph's shape, never on the magnitude of its node ids.  This is the
@@ -26,11 +19,6 @@ Four layers:
   125MB integer per tree;
 * the **pool against a set model**: 20 000 random operations, handles
   equal iff sets equal, numbering reproducible.
-
-``python tests/test_dense_ids.py --regen`` rewrites the golden file from
-the current engines (only meaningful on a commit whose engines are
-trusted); ``--drop COUNTER`` rewrites it with one retired stats counter
-left out, and writes nothing unless every recorded digest replays first.
 """
 
 from __future__ import annotations
@@ -38,51 +26,24 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ctp.bft import BFTAMSearch, BFTMSearch, BFTSearch
+from repro.baselines.dpbf import dpbf_optimal_tree
 from repro.ctp.config import SearchConfig
-from repro.ctp.esp import ESPSearch
-from repro.ctp.gam import GAMSearch
 from repro.ctp.idremap import IdRemap
 from repro.ctp.interning import EdgeSetPool, fingerprint_of
-from repro.ctp.lesp import LESPSearch
-from repro.ctp.moesp import MoESPSearch
-from repro.ctp.molesp import MoLESPSearch
-from repro.baselines.dpbf import dpbf_optimal_tree
-from repro.graph.datasets import figure1, figure1_seed_sets, figure3, figure5, figure6
+from repro.ctp.registry import ALGORITHMS
+from repro.graph.datasets import figure1, figure1_seed_sets, figure3
 from repro.testing import random_graph, random_seed_sets
 from repro.workloads.synthetic import chain_graph, comb_graph, star_graph
-
-ALGORITHMS = {
-    "gam": GAMSearch,
-    "esp": ESPSearch,
-    "moesp": MoESPSearch,
-    "lesp": LESPSearch,
-    "molesp": MoLESPSearch,
-    "bft": BFTSearch,
-    "bft-m": BFTMSearch,
-    "bft-am": BFTAMSearch,
-}
-
-#: Timing differs run to run, and the two union counters describe how the
-#: pool answered a union, not what the search did (their meaning is the
-#: pool's to define), so the digests leave them out.  Unlike the interning
-#: equivalence suite we keep ``merges_attempted``: the recorded legacy run
-#: used the *same* engine code path, so even that counter — like
-#: ``pool_sets`` and ``merge_buckets_skipped`` — must replay exactly.
-UNSTABLE_STATS = {"elapsed_seconds", "pool_union_hits", "pool_union_misses"}
 
 
 def _graphs():
     fig1 = figure1()
     g3, s3 = figure3()
-    g5, s5 = figure5()
-    g6, s6 = figure6()
     chain, chain_seeds = chain_graph(5)
     star, star_seeds = star_graph(4, 2)
     comb, comb_seeds = comb_graph(2, 1, 2)
@@ -92,8 +53,6 @@ def _graphs():
     return {
         "fig1": (fig1, figure1_seed_sets(fig1)),
         "fig3": (g3, s3),
-        "fig5": (g5, s5),
-        "fig6": (g6, s6),
         "chain5": (chain, chain_seeds),
         "star": (star, star_seeds),
         "comb": (comb, comb_seeds),
@@ -101,48 +60,15 @@ def _graphs():
     }
 
 
-def _snapshot(result_set):
-    results = sorted(
-        (
-            tuple(sorted(r.edges)),
-            tuple(sorted(r.nodes)),
-            r.seeds,
-            round(r.weight, 9),
-            r.score,
-        )
-        for r in result_set
-    )
-    stats = {k: v for k, v in result_set.stats.as_dict().items() if k not in UNSTABLE_STATS}
-    return {
-        "results": results,
-        "stats": stats,
-        "complete": result_set.complete,
-        "algorithm": result_set.algorithm,
-    }
-
-
-#: Counters that exist only because of the edge-set pool and the
-#: sat-bucketed partner index; the recorded frozenset run has no say on them.
-POOL_STATS = {"merges_attempted", "merge_buckets_skipped", "pool_sets"}
-
-
-def _without_pool_stats(snapshot):
-    stats = {k: v for k, v in snapshot["stats"].items() if k not in POOL_STATS}
-    return {**snapshot, "stats": stats}
-
-
 MAX_TREES = {"bft": 3000, "bft-m": 3000, "bft-am": 3000}
 
 
-def _run(algo_name, graph, seeds, **overrides):
-    overrides.setdefault("max_trees", MAX_TREES.get(algo_name, 20000))
-    if overrides.pop("frozen", False):
-        graph = graph.freeze()
-    return ALGORITHMS[algo_name]().run(graph, seeds, SearchConfig(**overrides))
+def _run(algo_name, graph, seeds):
+    config = SearchConfig(max_trees=MAX_TREES.get(algo_name, 20000))
+    return ALGORITHMS[algo_name]().run(graph, seeds, config)
 
 
-#: Digests of the legacy run (global-id masks, dict pools, tuple DP keys)
-#: of every case below.
+#: Digests of DPBF's legacy run (tuple DP keys) of every DPBF case below.
 GOLDEN_PATH = Path(__file__).parent / "data" / "dense_ids_golden.json"
 
 
@@ -153,47 +79,6 @@ def golden():
 
 def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# the matrix: 8 algorithms x workload graphs, dense vs recorded legacy
-# ----------------------------------------------------------------------
-def _matrix_cases():
-    for graph_name, (graph, seeds) in _graphs().items():
-        for algo_name in ALGORITHMS:
-            yield graph_name, graph, seeds, algo_name
-
-
-@pytest.mark.parametrize(
-    "graph_name,graph,seeds,algo_name",
-    [pytest.param(*case, id=f"{case[0]}|{case[3]}") for case in _matrix_cases()],
-)
-def test_dense_matches_legacy(golden, graph_name, graph, seeds, algo_name):
-    got = _snapshot(_run(algo_name, graph, seeds))
-    assert _digest(got) == golden[f"{graph_name}|{algo_name}"]
-
-
-#: ``interning`` is the default config against the run recorded from the
-#: frozenset fallback (no edge-set pool, linear partner scans) over
-#: global-id masks: everything but the pool's own counters must match.
-VARIANTS = {
-    "uni": {"uni": True},
-    "limit": {"limit": 5},
-    "max_edges": {"max_edges": 4},
-    "balanced_queues": {"balanced_queues": True},
-    "interning": {},
-    "backend": {"frozen": True},  # the search runs on graph.freeze()
-}
-
-
-@pytest.mark.parametrize("algo_name", sorted(ALGORITHMS))
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_dense_matches_legacy_under_config_variants(golden, algo_name, variant):
-    graph = figure1()
-    got = _snapshot(_run(algo_name, graph, figure1_seed_sets(graph), **VARIANTS[variant]))
-    if variant == "interning":
-        got = _without_pool_stats(got)
-    assert _digest(got) == golden[f"fig1|{variant}|{algo_name}"]
 
 
 # ----------------------------------------------------------------------
@@ -415,47 +300,3 @@ def test_flat_pool_accepts_overlapping_unions():
     assert pool.edges(u) == frozenset({1, 2, 3, 4})
     assert pool.union1(u, 2) == u  # already-present edge is a no-op
     assert len(pool) == 4
-
-
-def _golden_snapshots():
-    for graph_name, graph, seeds, algo_name in _matrix_cases():
-        yield f"{graph_name}|{algo_name}", _snapshot(_run(algo_name, graph, seeds))
-    fig1 = figure1()
-    for variant, overrides in VARIANTS.items():
-        for algo_name in ALGORITHMS:
-            got = _snapshot(_run(algo_name, fig1, figure1_seed_sets(fig1), **overrides))
-            yield f"fig1|{variant}|{algo_name}", _without_pool_stats(got) if variant == "interning" else got
-    for graph_name in DPBF_GRAPHS:
-        graph, seeds = _graphs()[graph_name]
-        for uni in (False, True):
-            yield f"dpbf|{graph_name}|{uni}", _dpbf_row(graph, seeds, uni)
-
-
-def _digests_without(counter):
-    """The golden digests with stats ``counter`` dropped, or ``SystemExit``
-    unless every snapshot, ``counter`` included, replays its recorded digest
-    — so a re-record can drop a retired counter and change nothing else."""
-    recorded = json.loads(GOLDEN_PATH.read_text())
-    out, differs = {}, []
-    for name, snapshot in _golden_snapshots():
-        if _digest(snapshot) != recorded[name]:
-            differs.append(name)
-        elif isinstance(snapshot, dict):
-            stats = {k: v for k, v in snapshot["stats"].items() if k != counter}
-            snapshot = {**snapshot, "stats": stats}
-        out[name] = _digest(snapshot)
-    if differs:
-        raise SystemExit(f"refusing to write: {len(differs)} snapshots differ from the golden: {differs}")
-    return out
-
-
-if __name__ == "__main__":
-    if "--regen" in sys.argv:
-        digests = {name: _digest(snapshot) for name, snapshot in _golden_snapshots()}
-    elif "--drop" in sys.argv:
-        digests = _digests_without(sys.argv[sys.argv.index("--drop") + 1])
-    else:
-        print(__doc__)
-        sys.exit()
-    GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}")

@@ -11,9 +11,9 @@ module holds the engine's lookup to it
 * end to end: GAM, ESP, MoESP, LESP and MoLESP on random multigraphs with
   5-10 seed sets give the same results in emission order and the same
   ``SearchStats`` (bar ``elapsed_seconds``) with the lookup swapped back
-  to the scan.  ``tests/test_dense_ids.py`` pins ``merges_attempted`` only
-  on graphs with at most 4 seed sets, where a root rarely holds enough
-  buckets for the lookup to differ from a scan.
+  to the scan.  ``tests/test_provenance_golden.py`` pins
+  ``merges_attempted`` only on the Line/Comb/Star points, where a root
+  rarely holds enough buckets for the lookup to differ from a scan.
 """
 
 from __future__ import annotations
