@@ -1,4 +1,4 @@
-"""Equivalence suite: interned tree state must not change any search outcome.
+"""Equivalence suite: the engines still replay the seed implementation.
 
 The interning layer (``repro.ctp.interning``) replaces per-tree frozenset
 bookkeeping with hash-consed edge-set handles, node bitmasks, and
@@ -7,66 +7,53 @@ set of results, the recorded seeds/weights, and every order-sensitive
 counter (grows, merges, queue pushes, history prunes) must stay exactly
 what the seed frozenset implementation produced.
 
-The protection is a **golden file** (``tests/data/interning_golden.json``)
-captured from the pre-interning implementation; every GAM-family variant
-and every BFT variant is replayed over the same workload matrix and
-compared field by field (``merges_attempted`` is excluded by design:
-sat-bucket skipping avoids attempts the linear scan paid for; the current
-engines' ``merges_attempted`` is pinned instead by
-``tests/test_provenance_golden.py``, together with the rows in emission
-order and every other counter, cut runs included).  Random
-multigraphs are covered the same way by the recorded corpus of
-``tests/test_interning.py``
-(``test_interned_engines_match_fallback_on_random_graphs``).
-
-Regenerate the golden file (only meaningful on a commit whose engines are
-trusted) with::
-
-    PYTHONPATH=src python tests/test_interning_equivalence.py --regen
-
-When a PR *redefines* one counter (PR 12: ``queue_pushes`` counts heap
-entries — one per tree — instead of one per adjacent edge), re-record that
-counter alone; the script refuses to write if any other golden field of
-any case (rows, other counters, completeness) differs from the live run::
-
-    PYTHONPATH=src python tests/test_interning_equivalence.py --rerecord queue_pushes
+``tests/test_reference_spec.py`` holds rows in emission order,
+``complete``, ``results_found`` and ``provenances`` to the paper's
+algorithms on the same graphs and configs.  The counters the paper does
+not define are what this module adds: ``tests/data/interning_golden.json``
+holds, per case, the SHA-256 of the snapshot the pre-interning
+implementation produced (results, ``complete``, the algorithm name and
+the counters in :data:`SEED_STATS`).  The digests were recorded from code
+that no longer exists, so there is no script to regenerate them; a change
+that redefines one of these counters must show that everything else still
+replays before it re-records a digest.  ``merges_attempted`` is excluded
+by design: sat-bucket skipping avoids attempts the linear scan paid for;
+the current engines' ``merges_attempted`` is pinned instead by
+``tests/test_provenance_golden.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from repro.ctp.bft import BFTAMSearch, BFTMSearch, BFTSearch
 from repro.ctp.config import SearchConfig
-from repro.ctp.esp import ESPSearch
-from repro.ctp.gam import GAMSearch
-from repro.ctp.lesp import LESPSearch
-from repro.ctp.moesp import MoESPSearch
-from repro.ctp.molesp import MoLESPSearch
+from repro.ctp.registry import ALGORITHMS
 from repro.graph.datasets import figure1, figure1_seed_sets, figure3, figure5, figure6
 from repro.testing import random_graph, random_seed_sets
 from repro.workloads.synthetic import chain_graph, comb_graph, star_graph
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "interning_golden.json"
 
-ALGORITHMS = {
-    "gam": GAMSearch,
-    "esp": ESPSearch,
-    "moesp": MoESPSearch,
-    "lesp": LESPSearch,
-    "molesp": MoLESPSearch,
-    "bft": BFTSearch,
-    "bft-m": BFTMSearch,
-    "bft-am": BFTAMSearch,
-}
-
-#: Stats that may legitimately differ: sat-bucket indexing skips partner
-#: scans wholesale (merges_attempted), and timing is timing.
-UNSTABLE_STATS = {"merges_attempted", "elapsed_seconds"}
+#: The counters the seed implementation kept; newer counters are additive
+#: and the digests know nothing of them.
+SEED_STATS = (
+    "duplicate_results",
+    "grows",
+    "init_trees",
+    "merges",
+    "mo_copies",
+    "provenances",
+    "pruned_filters",
+    "pruned_history",
+    "queue_pushes",
+    "results_found",
+    "trees_kept",
+)
 
 
 def _graphs():
@@ -124,8 +111,8 @@ def _cases():
 
 
 def _snapshot(result_set):
-    # JSON-canonical: lists only, so live snapshots compare equal to the
-    # golden file after a round-trip.
+    # JSON-canonical: lists only, so a live snapshot digests exactly as
+    # the recorded one did after its round-trip through the golden file.
     results = sorted(
         [
             sorted(r.edges),
@@ -134,15 +121,17 @@ def _snapshot(result_set):
         ]
         for r in result_set
     )
-    stats = {
-        k: v for k, v in result_set.stats.as_dict().items() if k not in UNSTABLE_STATS
-    }
+    stats = result_set.stats.as_dict()
     return {
         "results": results,
-        "stats": stats,
+        "stats": {k: stats.get(k) for k in SEED_STATS},
         "complete": result_set.complete,
         "algorithm": result_set.algorithm,
     }
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
 #: Deterministic run bounds.  ``max_trees`` cuts by *count* (order-stable,
@@ -152,30 +141,16 @@ MAX_TREES = {"bft": 3000, "bft-m": 3000, "bft-am": 3000}
 DEFAULT_MAX_TREES = 20000
 
 
-def _run(algo_name, graph, seeds, overrides, **extra):
-    extra.setdefault("max_trees", MAX_TREES.get(algo_name, DEFAULT_MAX_TREES))
+def _run(algo_name, graph, seeds, overrides):
     overrides = dict(overrides)
     if overrides.pop("frozen", False):
         graph = graph.freeze()
-    config = SearchConfig(**overrides, **extra)
+    config = SearchConfig(**overrides, max_trees=MAX_TREES.get(algo_name, DEFAULT_MAX_TREES))
     return ALGORITHMS[algo_name]().run(graph, seeds, config)
-
-
-def generate_golden() -> dict:
-    golden = {}
-    for graph_name, graph, seeds, config_name, overrides, algo_name in _cases():
-        key = f"{graph_name}|{config_name}|{algo_name}"
-        golden[key] = _snapshot(_run(algo_name, graph, seeds, overrides))
-    return golden
 
 
 @pytest.fixture(scope="module")
 def golden():
-    if not GOLDEN_PATH.exists():  # pragma: no cover - regen instructions
-        pytest.fail(
-            f"missing {GOLDEN_PATH}; regenerate with "
-            "PYTHONPATH=src python tests/test_interning_equivalence.py --regen"
-        )
     return json.loads(GOLDEN_PATH.read_text())
 
 
@@ -186,48 +161,5 @@ def golden():
 def test_matches_seed_golden(golden, graph_name, graph, seeds, config_name, overrides, algo_name):
     """Interned engines replay the seed implementation byte for byte."""
     key = f"{graph_name}|{config_name}|{algo_name}"
-    expected = golden[key]
     got = _snapshot(_run(algo_name, graph, seeds, overrides))
-    # The golden file predates the interning layer: compare only the stat
-    # counters it knows about (new pool counters are additive).
-    got["stats"] = {k: got["stats"].get(k) for k in expected["stats"]}
-    assert got == expected, f"{key}: interned engine diverged from seed behaviour"
-
-
-def rerecord_stat(field: str) -> int:
-    """Rewrite ``stats[field]`` of every golden case from a live run.
-
-    Every other golden field must match the live run exactly, else nothing
-    is written.  Returns the number of cases whose ``field`` changed.
-    """
-    golden = json.loads(GOLDEN_PATH.read_text())
-    live = generate_golden()
-    if live.keys() != golden.keys():
-        raise SystemExit("case matrix changed; nothing written")
-    changed = 0
-    for key, expected in golden.items():
-        got = live[key]
-        got["stats"] = {k: got["stats"].get(k) for k in expected["stats"]}
-        new_value = got["stats"][field]
-        got["stats"][field] = expected["stats"][field]
-        if got != expected:
-            raise SystemExit(f"{key}: fields other than stats.{field} differ; nothing written")
-        changed += new_value != expected["stats"][field]
-        expected["stats"][field] = new_value
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True))
-    return changed
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--rerecord" in sys.argv:
-        name = sys.argv[sys.argv.index("--rerecord") + 1]
-        count = rerecord_stat(name)
-        print(f"re-recorded stats.{name} in {count} of {len(list(_cases()))} cases; all other fields identical")
-    elif "--regen" in sys.argv:
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(json.dumps(generate_golden(), indent=1, sort_keys=True))
-        print(f"wrote {GOLDEN_PATH}")
-    else:
-        print(__doc__)
+    assert _digest(got) == golden[key], f"{key}: interned engine diverged from seed behaviour"

@@ -7,11 +7,13 @@ search *does* untouched.  This module pins, per case, a digest of the
 result rows in emission order and every :class:`~repro.ctp.stats.SearchStats`
 counter except ``elapsed_seconds`` — ``merges_attempted`` included.
 
-It is the one golden of engine search work left.  What the engines compute
-(rows in emission order, ``complete``, ``results_found``, ``provenances``)
-is held to the paper's algorithms by ``tests/test_reference_spec.py``; the
-implementation counters the paper does not define (``merges_attempted``,
-merge buckets skipped, queue pushes, pool sets) are pinned only here.
+It is the one golden of engine search work recorded from the current
+engines.  What the engines compute (rows in emission order, ``complete``,
+``results_found``, ``provenances``) is held to the paper's algorithms by
+``tests/test_reference_spec.py``; the seed implementation's counters (no
+``merges_attempted``) by the digests of ``tests/test_interning_equivalence.py``
+and ``tests/test_dense_ids.py``; and ``merges_attempted`` and the cut runs'
+counters only here.
 
 The matrix is the ``ctp_synthetic`` Line/Comb/Star points x the five
 GAM-family algorithms x four configs: the default complete enumeration,
