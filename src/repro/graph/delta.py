@@ -43,13 +43,15 @@ entry older than the previous base is recomputed, never carried
 (:meth:`~repro.ctp.context.SearchContext.memo_get`).
 
 Everything here is immutable after construction: views can be shared
-across request threads and shipped (delta only) to worker processes.
+across request threads and shipped (delta only, encoded once per
+generation) to worker processes.
 """
 
 from __future__ import annotations
 
+import pickle
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.graph.graph import AdjacencyEntry, Edge, Graph, GraphBackend, Node, WeakBackReference
@@ -58,15 +60,18 @@ from repro.graph.graph import AdjacencyEntry, Edge, Graph, GraphBackend, Node, W
 class GraphDelta:
     """Everything that happened to a graph since its base snapshot froze.
 
-    A plain, picklable value object: the process-pool dispatcher ships it
-    per dispatch to workers that keep the (mmap-shared) base loaded, so a
-    mutation costs bytes-proportional-to-the-delta instead of a full graph
+    A plain, picklable value object: the process-pool dispatcher encodes
+    it once per generation (:meth:`encode`) and ships those bytes to
+    workers that keep the (mmap-shared) base loaded, so a mutation costs
+    bytes-proportional-to-the-delta instead of a full graph
     re-serialization.  All sequences are in insertion order — which for
     dense ids is id order — because the overlay's bit-identical-reads
     guarantee depends on reproducing the source graph's append order.
     """
 
-    __slots__ = (
+    #: The pickled state; ``_encoded`` (the kept :meth:`encode` result)
+    #: stays out of it.
+    _STATE = (
         "base_generation",
         "generation",
         "num_base_nodes",
@@ -80,6 +85,7 @@ class GraphDelta:
         "nodes_by_type",
         "edges_by_label",
     )
+    __slots__ = _STATE + ("_encoded",)
 
     def __init__(
         self,
@@ -108,6 +114,7 @@ class GraphDelta:
         self.nodes_by_label = nodes_by_label
         self.nodes_by_type = nodes_by_type
         self.edges_by_label = edges_by_label
+        self._encoded: Optional[EncodedDelta] = None
 
     @classmethod
     def capture(cls, graph: Graph) -> "GraphDelta":
@@ -165,12 +172,29 @@ class GraphDelta:
         """Mutation count: appended nodes + appended edges + weight overrides."""
         return len(self.nodes) + len(self.edges) + len(self.weight_overrides)
 
+    def encode(self) -> "EncodedDelta":
+        """This delta as it crosses a process boundary, pickled on first use.
+
+        The delta never changes, so the bytes are kept with it and every
+        later dispatch at its generation ships them as they are: the
+        parent pickles a generation once, not once per job.  Raises what
+        :func:`pickle.dumps` raises for an unpicklable node or edge
+        property, and keeps nothing then.  Two threads encoding at once
+        may both pickle; either result is the same bytes.
+        """
+        encoded = self._encoded
+        if encoded is None:
+            encoded = EncodedDelta((self.base_generation, self.generation), pickle.dumps(self))
+            self._encoded = encoded
+        return encoded
+
     def __getstate__(self) -> Dict[str, Any]:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return {slot: getattr(self, slot) for slot in self._STATE}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        for slot in self.__slots__:
+        for slot in self._STATE:
             setattr(self, slot, state[slot])
+        self._encoded = None
 
     def __repr__(self) -> str:
         return (
@@ -178,6 +202,22 @@ class GraphDelta:
             f"+{len(self.nodes)} nodes, +{len(self.edges)} edges, "
             f"{len(self.weight_overrides)} overrides)"
         )
+
+
+class EncodedDelta(NamedTuple):
+    """A :class:`GraphDelta` on the wire: its pickled bytes, named by key.
+
+    ``key`` is the delta's (base generation, generation), which fixes its
+    content over one base, so a worker already holding the overlay for
+    that key skips :meth:`decode`: however many jobs in a row ship one
+    generation, each worker decodes it once.
+    """
+
+    key: Tuple[int, int]
+    data: bytes
+
+    def decode(self) -> GraphDelta:
+        return pickle.loads(self.data)
 
 
 class OverlayGraph(GraphBackend):

@@ -106,7 +106,7 @@ class Edge:
 
     # Default slot pickling restores via setattr and would trip the guard.
     def __getstate__(self) -> Tuple[Any, ...]:
-        return tuple(getattr(self, slot) for slot in self.__slots__)
+        return (self.id, self.source, self.target, self.label, self.weight, self._props)
 
     def __setstate__(self, state: Tuple[Any, ...]) -> None:
         for slot, value in zip(self.__slots__, state):

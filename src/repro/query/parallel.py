@@ -76,6 +76,7 @@ from repro.ctp.context import SearchContext
 from repro.ctp.registry import get_algorithm
 from repro.ctp.results import CTPResultSet
 from repro.errors import GraphError, PoolClosedError, ReproError, StaleViewError, WorkerHangError
+from repro.graph.delta import EncodedDelta, GraphDelta, OverlayGraph
 from repro.graph.graph import Graph
 from repro.query.costmodel import DeadlineLedger
 from repro.query.pool import WorkerPool
@@ -383,8 +384,8 @@ _worker_context: Optional[SearchContext] = None
 #: Delta-overlay state: the overlay assembled for the most recent delta
 #: generation dispatched to this worker, keyed by (base_generation,
 #: generation), plus the overlay-scoped context its jobs evaluate in.  One
-#: overlay is kept — serving flights at one generation reuse it; a new
-#: generation replaces it.
+#: overlay is kept — serving flights at one generation reuse it without
+#: decoding the shipped bytes again; a new generation replaces it.
 _worker_overlay: Any = None
 _worker_overlay_key: Optional[Tuple[int, int]] = None
 _worker_overlay_context: Optional[SearchContext] = None
@@ -432,7 +433,9 @@ def _process_worker_init(
         _worker_base = None
 
 
-def _worker_state_for(delta: Any, base: Any) -> Tuple[Any, Optional[SearchContext]]:
+def _worker_state_for(
+    delta: Optional[EncodedDelta], base: Any
+) -> Tuple[Any, Optional[SearchContext]]:
     """The (graph, context) a worker job evaluates against.
 
     ``base`` is the (snapshot path, base generation) the job was resolved
@@ -444,10 +447,12 @@ def _worker_state_for(delta: Any, base: Any) -> Tuple[Any, Optional[SearchContex
     the view stale.
 
     ``delta=None`` is the base-only fast path: the mmap-loaded snapshot
-    and the long-lived worker context.  A :class:`~repro.graph.delta.GraphDelta`
-    selects (building on first sight) the overlay for its generation — the
-    base stays loaded, the delta is applied on top, and the overlay gets
-    its own context so generation-scoped cache state never mixes with the
+    and the long-lived worker context.  An
+    :class:`~repro.graph.delta.EncodedDelta` selects the overlay for its
+    key, decoding and building it only when the key differs from the one
+    held — once, however many jobs in a row ship that generation.  The base
+    stays loaded, the delta is applied on top, and the overlay gets its
+    own context so generation-scoped cache state never mixes with the
     base's.  The overlay validates the delta's base against the mapped
     snapshot; a mismatch raises :class:`~repro.errors.StaleViewError` too.
     """
@@ -459,28 +464,29 @@ def _worker_state_for(delta: Any, base: Any) -> Tuple[Any, Optional[SearchContex
             raise StaleViewError(f"worker cannot map base {base[1]}: {error}") from error
     if delta is None:
         return _worker_graph, _worker_context
-    key = (delta.base_generation, delta.generation)
-    if _worker_overlay_key != key:
-        from repro.graph.delta import OverlayGraph
-
+    if _worker_overlay_key != delta.key:
         try:
-            _worker_overlay = OverlayGraph(_worker_graph, delta)
+            _worker_overlay = OverlayGraph(_worker_graph, delta.decode())
         except GraphError as error:
             raise StaleViewError(f"worker base moved past the pinned view: {error}") from error
         _worker_overlay_context = SearchContext()
-        _worker_overlay_key = key
+        _worker_overlay_key = delta.key
     return _worker_overlay, _worker_overlay_context
 
 
 def _process_worker_run(
-    algorithm: str, seed_sets: List[Any], config: SearchConfig, delta: Any = None, base: Any = None
+    algorithm: str,
+    seed_sets: List[Any],
+    config: SearchConfig,
+    delta: Optional[EncodedDelta] = None,
+    base: Any = None,
 ) -> Tuple[CTPResultSet, float]:
     """Evaluate one CTP inside a worker against the worker's graph/context.
 
-    ``base`` and ``delta`` (shipped per job by the pooled dispatcher) name
-    the snapshot the parent resolved and the overlay over it, so the
-    evaluation sees the exact generation the parent pinned — without
-    re-serializing the graph.
+    ``base`` and ``delta`` (the delta's bytes, encoded once per generation
+    and shipped with every job) name the snapshot the parent resolved and
+    the overlay over it, so the evaluation sees the exact generation the
+    parent pinned — without re-serializing the graph.
     """
     from repro import faults
 
@@ -514,17 +520,24 @@ def _process_pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def _jobs_picklable(algorithm: str, jobs: Sequence[CTPJob], delta: Any = None) -> bool:
+def _jobs_picklable(
+    algorithm: str, jobs: Sequence[CTPJob], delta: Optional[GraphDelta] = None
+) -> bool:
     """Pre-flight: can every job (and its delta, if any) cross a process boundary?
 
     A ``SearchConfig`` carrying a lambda/closure score function (or seed
     values pickle refuses) cannot be shipped to a worker — nor can a delta
     whose appended nodes/edges carry unpicklable properties; detecting
     that up front lets dispatch degrade gracefully instead of raising
-    from deep inside the executor machinery.
+    from deep inside the executor machinery.  The delta is not pickled
+    again here: :meth:`~repro.graph.delta.GraphDelta.encode` runs once per
+    generation, and every job of this and later fan-outs at that
+    generation ships the bytes it kept.
     """
     try:
-        pickle.dumps((algorithm, delta, [(job.seed_sets, job.config) for job in jobs]))
+        if delta is not None:
+            delta.encode()
+        pickle.dumps((algorithm, [(job.seed_sets, job.config) for job in jobs]))
         return True
     except (pickle.PicklingError, TypeError, AttributeError):
         return False

@@ -27,7 +27,8 @@ pool its caller passed in (a query without one runs its CTPs inline).
   *base* (:meth:`~repro.graph.graph.Graph.ensure_base`); mutations ship as
   cheap picklable :class:`~repro.graph.delta.GraphDelta` objects applied
   by the workers over their mmap-loaded base, so a mutated graph costs a
-  per-dispatch delta instead of a re-serialize.  Only when the
+  delta encoded once per generation (and decoded by a worker only when it
+  holds another) instead of a re-serialize.  Only when the
   delta crosses :attr:`~WorkerPool.compaction_threshold` does a dispatch
   boundary compact base ∪ delta into a new snapshot generation (counted
   in :attr:`~WorkerPool.resnapshots`, avoided dispatches in
@@ -76,8 +77,9 @@ THRASH_WINDOW = 3
 
 
 class _Resolved(NamedTuple):
-    """The delta a fan-out's jobs ship and the base they name for it:
-    (snapshot path, base generation) — :func:`_process_worker_run`'s tail."""
+    """The delta a fan-out's jobs ship, encoded once per generation
+    (:meth:`GraphDelta.encode`), and the base they name for it: (snapshot
+    path, base generation) — :func:`_process_worker_run`'s tail."""
 
     delta: Optional[GraphDelta]
     base: Tuple[Optional[str], Optional[int]]
@@ -449,10 +451,10 @@ class WorkerPool:
         Runs the recycling check, compacts the source when its delta
         crossed :attr:`compaction_threshold`, aligns the snapshot file
         with the (possibly new) base, makes the executor live, and returns
-        the delta the fan-out must ship with each job (``None`` when the
-        workers' base alone reproduces ``graph``).  Raises
-        :class:`~repro.errors.StaleViewError` for views the workers can no
-        longer serve consistently.
+        the delta the fan-out ships, encoded once per generation, with each
+        job (``None`` when the workers' base alone reproduces ``graph``).
+        Raises :class:`~repro.errors.StaleViewError` for views the workers
+        can no longer serve consistently.
         """
         return self._resolve(graph).delta
 
@@ -524,12 +526,14 @@ class WorkerPool:
         dispatch layer passes :meth:`_resolve`'s result instead, naming the
         base resolved once per fan-out; when omitted, the pool resolves the
         source graph's *current* delta itself, so direct callers always see
-        current topology.
+        current topology.  The job carries the delta's one encoding per
+        generation, keyed by its generation, never a fresh pickle.
 
         May raise ``BrokenProcessPool`` (executor already broken) or
         :class:`~repro.errors.PoolClosedError` (submitting after
         ``close()``); snapshot failures propagate from
-        :func:`ensure_snapshot`.  The dispatch layer wraps this with
+        :func:`ensure_snapshot`, and an unpicklable delta raises what
+        :func:`pickle.dumps` raises.  The dispatch layer wraps this with
         retry-after-respawn under its :class:`RetryPolicy`.
         """
         from repro.query.parallel import _process_worker_run
@@ -541,7 +545,8 @@ class WorkerPool:
             job = delta if isinstance(delta, _Resolved) else _Resolved(delta, self._base)
             self.dispatches += 1
             self._epoch_work += 1
-        return executor.submit(_process_worker_run, algorithm, seed_sets, config, *job)
+        encoded = None if job.delta is None else job.delta.encode()
+        return executor.submit(_process_worker_run, algorithm, seed_sets, config, encoded, job.base)
 
     def ping(self, timeout: float = 5.0) -> Dict[str, Any]:
         """Round-trip a health probe through a worker.

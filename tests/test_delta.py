@@ -209,7 +209,11 @@ class TestGraphGenerations:
         graph.add_edge(a, d, "r", 2.0)
         graph.set_edge_weight(0, 5.0)
         delta = graph.delta_since_base()
-        clone = pickle.loads(pickle.dumps(delta))
+        encoded = delta.encode()
+        assert encoded.key == (delta.base_generation, delta.generation)
+        assert delta.encode() is encoded  # kept: one pickle per generation
+        assert pickle.dumps(delta) == encoded.data  # ...and not pickled along
+        clone = encoded.decode()
         assert isinstance(clone, GraphDelta)
         assert clone.size == delta.size == 3
         overlay = OverlayGraph(base, clone)
@@ -493,6 +497,46 @@ class TestPoolDelta:
             serial = evaluate_query(head, self.QUERY)
             result = evaluate_query(head, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             assert result.rows == serial.rows
+
+    def test_parent_encodes_a_generation_once(self, monkeypatch):
+        """Four fan-outs at one generation: the delta is pickled once, by
+        the first preflight, and every job ships those kept bytes."""
+        graph, (a, b, c) = _chain_graph()
+        d = graph.add_node("D")
+        graph.add_edge(c, d, "r")
+        pickled = []
+        real_getstate = GraphDelta.__getstate__
+
+        def counting_getstate(delta):
+            pickled.append(delta.generation)
+            return real_getstate(delta)
+
+        monkeypatch.setattr(GraphDelta, "__getstate__", counting_getstate)
+        with WorkerPool(graph, workers=1) as pool:
+            for source, target in (("A", "C"), ("A", "D"), ("B", "D"), ("A", "B")):
+                query = f'SELECT ?t WHERE {{ CONNECT("{source}", "{target}") AS ?t }}'
+                result = evaluate_query(graph, query, base_config=PROCESS_CONFIG, pool=pool)
+                assert result.rows == evaluate_query(graph, query).rows
+                assert [r.dispatch_mode for r in result.ctp_reports] == ["process"]
+            assert pool.dispatches == 4
+        assert pickled == [graph.generation]
+
+    def test_unpicklable_delta_property_degrades_inline(self):
+        """A node appended after the base with a property pickle refuses
+        cannot ride the delta: the fan-out runs inline with the serial rows,
+        and the workload, not the pool, is at fault — the breaker stays
+        closed.  A second fan-out at the generation degrades the same way."""
+        graph, (a, _b, _c) = _chain_graph()
+        graph.add_edge(a, graph.add_node("X", f=lambda: 1), "r")
+        serial = evaluate_query(graph, self.QUERY)
+        with WorkerPool(graph, workers=1) as pool:
+            for _ in range(2):
+                result = evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
+                assert result.resilience.degraded_to == "serial"
+                assert [r.dispatch_mode for r in result.ctp_reports] == ["process->serial"]
+                assert result.rows == serial.rows
+            assert pool.breaker.state == "closed"
+            assert pool.dispatches == 0
 
     def test_pool_rejects_bad_threshold(self):
         graph, _ = _chain_graph()

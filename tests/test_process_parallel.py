@@ -31,7 +31,9 @@ from repro.ctp.config import WILDCARD, SearchConfig
 from repro.ctp.results import validate_result
 from repro.ctp.context import SearchContext
 from repro.ctp.registry import ALGORITHMS
+from repro.errors import StaleViewError
 from repro.graph.datasets import figure1
+from repro.graph.delta import EncodedDelta
 from repro.graph.graph import Graph
 from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.query import parallel as parallel_mod
@@ -42,6 +44,7 @@ from repro.query.parallel import (
     _jobs_picklable,
     _process_worker_init,
     _process_worker_run,
+    _worker_state_for,
     evaluate_queries,
     open_dispatch,
 )
@@ -253,6 +256,80 @@ class TestWorkerLifecycle:
         assert parallel_mod._worker_context is context
         assert context.runs == 2 and context.rejects == 0
         assert [r.edges for r in first] == [r.edges for r in second]
+
+
+def _twin_graph(compact_midway: bool) -> Graph:
+    """A -r-> B based at generation 3, then +C and +D with an edge each:
+    generation 7 either way, on base 3 or (compacted after C) base 5."""
+    graph = Graph("twin")
+    a, b = graph.add_node("A"), graph.add_node("B")
+    graph.add_edge(a, b, "r")
+    graph.ensure_base()
+    c = graph.add_node("C")
+    graph.add_edge(b, c, "r")
+    if compact_midway:
+        graph.compact()
+    graph.add_edge(c, graph.add_node("D"), "r")
+    return graph
+
+
+class TestWorkerDeltaDecode:
+    """A worker decodes a delta only when it holds another generation: a
+    job whose key matches the overlay it holds never reaches ``pickle.loads``."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_worker(self, monkeypatch):
+        for name in (
+            "_worker_graph", "_worker_base", "_worker_context",
+            "_worker_overlay", "_worker_overlay_key", "_worker_overlay_context",
+        ):
+            monkeypatch.setattr(parallel_mod, name, None)
+
+    @staticmethod
+    def _map_base(graph: Graph, tmp_path, name: str):
+        path = str(save_snapshot(graph.ensure_base(), tmp_path / f"{name}.snapshot"))
+        base = (path, graph.base_generation)
+        _process_worker_init(*base)
+        return base
+
+    def test_same_key_reuses_the_overlay_without_decoding(self, tmp_path):
+        graph = _twin_graph(compact_midway=False)
+        base = self._map_base(graph, tmp_path, "twin")
+        job = graph.delta_since_base().encode()
+        overlay, context = _worker_state_for(job, base)
+        assert overlay.generation == graph.generation
+        # Same key, bytes that cannot be unpickled: the held overlay answers.
+        again = _worker_state_for(EncodedDelta(job.key, b"not a pickle"), base)
+        assert again == (overlay, context)
+
+    def test_a_new_generation_is_decoded(self, tmp_path):
+        graph = _twin_graph(compact_midway=False)
+        base = self._map_base(graph, tmp_path, "twin")
+        first, first_context = _worker_state_for(graph.delta_since_base().encode(), base)
+        graph.add_node("E")
+        second, second_context = _worker_state_for(graph.delta_since_base().encode(), base)
+        assert second is not first and second_context is not first_context
+        assert second.generation == graph.generation == first.generation + 1
+        assert second.num_nodes == first.num_nodes + 1
+
+    def test_equal_generation_on_a_compacted_base_is_not_the_old_overlay(self, tmp_path):
+        plain, compacted = _twin_graph(compact_midway=False), _twin_graph(compact_midway=True)
+        assert plain.generation == compacted.generation
+        assert plain.base_generation != compacted.base_generation
+        plain_base = self._map_base(plain, tmp_path, "plain")
+        old, _ = _worker_state_for(plain.delta_since_base().encode(), plain_base)
+        job = compacted.delta_since_base().encode()
+        # The key names the base generation too: while the worker still maps
+        # the old base the delta is decoded and refused, never served by
+        # the overlay held for the same generation number...
+        with pytest.raises(StaleViewError):
+            _worker_state_for(job, plain_base)
+        # ...and once the job names its own base, the overlay is built on it.
+        path = str(save_snapshot(compacted.ensure_base(), tmp_path / "compacted.snapshot"))
+        new, _ = _worker_state_for(job, (path, compacted.base_generation))
+        assert new is not old
+        assert new.base_generation == compacted.base_generation != old.base_generation
+        assert new.num_edges == old.num_edges and new.generation == old.generation
 
 
 # ----------------------------------------------------------------------
