@@ -10,10 +10,31 @@ Each queue is a ``heapq`` list popped in ``(size, ticket)`` order, holding
 one entry per legal Grow.
 
 :func:`reference_search` runs one algorithm by its registry name and
-returns the rows in emission order with ``complete``, ``results_found``
-and ``provenances``.  ``tests/test_reference_spec.py`` pins all eight
-engines of :mod:`repro.ctp` to it.  Implementation counters such as
-``merges_attempted`` are not the paper's, so the spec does not count them.
+returns an :class:`Outcome`: the rows in emission order, ``complete``, and
+the search's work as eleven counters named as in
+:class:`repro.ctp.stats.SearchStats`.  Each counter is counted at the
+pseudo-code step that defines it:
+
+* ``init_trees``: Algorithm 1's Init loop, one per seed node;
+* ``grows``: one per Grow taken off the queue (Algorithm 1's main loop);
+* ``queue_pushes``: Algorithm 2 lines 9-13, one per tree filed with its
+  Grows (see :meth:`_GAMSearch.file_grows` for the reading);
+* ``merges``: one per tree Merge builds (Algorithm 5, and BFT-M / BFT-AM);
+* ``mo_copies``: Algorithm 3 lines 2-5, one per re-rooted copy;
+* ``pruned_history``: one per grown or merged tree that Algorithm 4
+  (isNew), or BFT's memory of built edge sets, rejects;
+* ``pruned_filters``: one per Grow or Merge that UNI rejects
+  (Section 4.8), and one per covering tree that is not a result;
+* ``duplicate_results``: one per result whose edge set was reported before;
+* ``trees_kept``: Algorithm 2 (processTree), one per tree it registers;
+* ``results_found`` and ``provenances`` (``trees_kept + mo_copies``, the
+  Figure 11 metric).
+
+``tests/test_reference_spec.py`` pins all eight engines of
+:mod:`repro.ctp` to it, rows and counters alike.  Counters of the engines'
+own data structures, such as ``merges_attempted`` or ``pool_sets``, are
+not the paper's, so the spec does not count them;
+``tests/test_provenance_golden.py`` pins those.
 
 Where the paper leaves a choice open, the reading this library takes is
 written out at the place it acts, under ``Reading:``.  None of them is a
@@ -30,8 +51,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.ctp.config import WILDCARD, SearchConfig
@@ -56,12 +77,26 @@ Row = Tuple[FrozenSet[int], Tuple[int, ...], float]
 
 @dataclass
 class Outcome:
-    """What the spec pins: the rows in emission order and three run facts."""
+    """What the spec pins: the rows in emission order, whether the search
+    ran out of work, and the counters of the work it did."""
 
     rows: List[Row]
     complete: bool
+    init_trees: int
+    grows: int
+    queue_pushes: int
+    merges: int
+    mo_copies: int
+    pruned_history: int
+    pruned_filters: int
+    duplicate_results: int
+    trees_kept: int
     results_found: int
     provenances: int
+
+
+#: The counters of an :class:`Outcome`, named as in ``SearchStats``.
+COUNTERS = tuple(spec.name for spec in fields(Outcome))[2:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +139,7 @@ class _Search:
             for node in seed_set:
                 self.seed_mask[node] = self.seed_mask.get(node, 0) | 1 << index
         self.full = (1 << len(self.sets)) - 1
-        self.kept = 0
-        self.mo_copies = 0
+        self.count: Counter = Counter()  # the Outcome counters, by name
         self.rows: List[Row] = []
         self.result_edges: Set[FrozenSet[int]] = set()
         self.distances: Optional[List[Dict[int, int]]] = None
@@ -150,8 +184,10 @@ class _Search:
         return all(node in self.seed_mask for node, count in degree.items() if count == 1)
 
     def count_kept(self) -> None:
-        self.kept += 1
-        if self.config.max_trees is not None and self.kept > self.config.max_trees:
+        """Algorithm 2 (processTree) registers a tree; ``max_trees`` is the
+        valve on this count."""
+        self.count["trees_kept"] += 1
+        if self.config.max_trees is not None and self.count["trees_kept"] > self.config.max_trees:
             raise _Cut
 
     def report(self, edges: FrozenSet[int], nodes: FrozenSet[int], weight: float) -> None:
@@ -163,8 +199,10 @@ class _Search:
         every Mo copy comes from a tree whose root is a seed or branches.
         """
         if not self.minimal(edges) or (self.config.uni and not self.unidirectional(edges)):
+            self.count["pruned_filters"] += 1
             return
         if edges in self.result_edges:
+            self.count["duplicate_results"] += 1
             return
         self.result_edges.add(edges)
         seeds = tuple(
@@ -206,6 +244,7 @@ class _GAMSearch(_Search):
         if not all(self.sets):
             return  # an empty seed set has no embeddings, hence no results
         for node, mask in self.seed_mask.items():  # Init
+            self.count["init_trees"] += 1
             self.ss[node] = self.ss.get(node, 0) | mask
             if self.is_new(node, frozenset()):
                 tree = Tree(node, frozenset(), frozenset((node,)), mask, 0.0, path_seed=node)
@@ -215,8 +254,10 @@ class _GAMSearch(_Search):
             if entry is None:
                 return
             tree, edge, other = entry[2:]
+            self.count["grows"] += 1
             edges = tree.edges | {edge}
             if self.config.uni and not self.unidirectional(edges):
+                self.count["pruned_filters"] += 1
                 continue
             # Reading: the seed signature of the new root is updated before
             # any pruning decision (Algorithm 1 line 10).
@@ -224,6 +265,7 @@ class _GAMSearch(_Search):
             if path_seed is not None:
                 self.ss[other] = self.ss.get(other, 0) | self.seed_mask[path_seed]
             if not self.is_new(other, edges):
+                self.count["pruned_history"] += 1
                 continue
             grown = Tree(
                 other,
@@ -249,16 +291,25 @@ class _GAMSearch(_Search):
         return heapq.heappop(self.queues[min(live)[1]])
 
     def file_grows(self, tree: Tree) -> None:
-        """Algorithm 2 lines 9-13: queue every legal Grow of ``tree``."""
+        """Algorithm 2 lines 9-13: queue every legal Grow of ``tree``.
+
+        Reading: ``queue_pushes`` counts the trees filed, not the Grows: a
+        tree with at least one legal Grow is one push.  The engines file a
+        tree once, with a cursor over its root's edges, and pop its Grows in
+        the order one entry per Grow would give.
+        """
         size = len(tree.edges) + 1
         if self.config.max_edges is not None and size > self.config.max_edges:
             return
         queue = self.queues.setdefault(tree.sat if self.balanced else 0, [])
+        filed = False
         for edge, other, _ in self.graph.adjacent_filtered(tree.root, self.config.labels):
             if other in tree.nodes or self.seed_mask.get(other, 0) & tree.sat:  # Grow1, Grow2
                 continue
             if self.within(tree.nodes | {other}, size):
                 heapq.heappush(queue, (size - 1, next(self.ticket), tree, edge, other))
+                filed = True
+        self.count["queue_pushes"] += filed
 
     def is_new(self, root: int, edges: FrozenSet[int]) -> bool:
         """Algorithm 4 (isNew)."""
@@ -309,7 +360,7 @@ class _GAMSearch(_Search):
                 continue
             copy = Tree(node, tree.edges, tree.nodes, tree.sat, tree.weight, mo=True)
             self.rooted.add((node, tree.edges))
-            self.mo_copies += 1
+            self.count["mo_copies"] += 1
             self.rooted_in.setdefault(node, []).append(copy)
             copies.append(copy)
         return copies
@@ -344,10 +395,13 @@ class _GAMSearch(_Search):
                     continue
                 edges = t1.edges | t2.edges
                 if self.config.uni and not self.unidirectional(edges):
+                    self.count["pruned_filters"] += 1
                     continue
                 if not self.is_new(root, edges):
+                    self.count["pruned_history"] += 1
                     continue
                 merged = Tree(root, edges, nodes, t1.sat | t2.sat, t1.weight + t2.weight, t1.mo or t2.mo)
+                self.count["merges"] += 1
                 work.extend(self.process(merged, merged.sat not in (t1.sat, t2.sat)))
 
 
@@ -367,6 +421,7 @@ class _BFTSearch(_Search):
         if not all(self.sets):
             return
         for node, mask in self.seed_mask.items():
+            self.count["init_trees"] += 1
             self.process(Tree(None, frozenset(), frozenset((node,)), mask, 0.0), merge=False)
         max_edges = self.config.max_edges
         while self.queue:
@@ -380,8 +435,14 @@ class _BFTSearch(_Search):
                     if other in tree.nodes or self.seed_mask.get(other, 0) & tree.sat:  # Grow1, Grow2
                         continue
                     nodes = tree.nodes | {other}
+                    if not self.within(nodes, size):
+                        continue
+                    self.count["grows"] += 1
                     edges = tree.edges | {edge}
-                    if not self.within(nodes, size) or edges in self.memory:
+                    if edges in self.memory:
+                        # Reading: the BFT engines count a Grow whose edge
+                        # set was built before in ``grows`` only; a Merge
+                        # of one counts in ``pruned_history``.
                         continue
                     sat = tree.sat | self.seed_mask.get(other, 0)
                     grown = Tree(None, edges, nodes, sat, tree.weight + self.graph.edge_weight(edge))
@@ -393,6 +454,7 @@ class _BFTSearch(_Search):
         if tree.sat == self.full:
             self.report_minimized(tree)
             return
+        # Reading: the BFT engines count no queue pushes.
         self.queue.append(tree)
         if self.merge is not None and tree.edges:
             for node in tree.nodes:
@@ -423,12 +485,14 @@ class _BFTSearch(_Search):
                     continue
                 edges = t1.edges | t2.edges
                 if edges in self.memory:
+                    self.count["pruned_history"] += 1
                     continue
                 merged = Tree(None, edges, nodes, t1.sat | t2.sat, t1.weight + t2.weight)
+                self.count["merges"] += 1
                 self.memory.add(edges)
                 # A merged tree counts as kept, but only processTree checks
                 # the max_trees valve.
-                self.kept += 1
+                self.count["trees_kept"] += 1
                 if merged.sat == self.full:
                     self.report_minimized(merged)
                     continue
@@ -469,4 +533,7 @@ def reference_search(algorithm: str, graph, seed_sets: Sequence, config: Optiona
         run.search()
     except _Cut:
         complete = False
-    return Outcome(run.rows, complete, len(run.rows), run.kept + run.mo_copies)
+    count = run.count
+    count["results_found"] = len(run.rows)
+    count["provenances"] = count["trees_kept"] + count["mo_copies"]
+    return Outcome(run.rows, complete, **{name: count[name] for name in COUNTERS})

@@ -4,8 +4,9 @@
 history check, MergeAll, Mo injection and the BFT loops with frozensets,
 dicts and one list per queue.  Each case here runs an engine of
 :mod:`repro.ctp` and the spec on the same CTP and asserts equal rows in
-emission order (edges, seeds, weight), equal ``complete``, equal
-``results_found`` and equal ``provenances``.
+emission order (edges, seeds, weight), equal ``complete`` and equal
+counters: the eleven :data:`repro.testing.reference.COUNTERS`, from
+``init_trees`` and ``grows`` to ``pruned_history`` and ``provenances``.
 
 Three sources of CTPs:
 
@@ -17,8 +18,9 @@ Three sources of CTPs:
   graphs carry parallel edges, self-loops, odd labels and non-unit
   weights, with seed sets that may overlap.
 
-Implementation counters (``merges_attempted``, buckets skipped) are not
-the paper's; ``tests/test_provenance_golden.py`` pins those.
+Implementation counters (``merges_attempted``, buckets skipped, pool
+sets) are not the paper's; ``tests/test_provenance_golden.py`` pins those
+for the GAM family.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.ctp.registry import ALGORITHMS
 from repro.graph.datasets import figure1, figure1_seed_sets, figure3, figure5, figure6
 from repro.testing import random_graph, random_seed_sets, rich_graphs
 from repro.testing import reference
-from repro.testing.reference import BFT_FAMILY, Outcome, reference_search
+from repro.testing.reference import BFT_FAMILY, COUNTERS, Outcome, reference_search
 from repro.workloads.synthetic import chain_graph, comb_graph, star_graph
 
 
@@ -91,8 +93,7 @@ def _engine(algorithm: str, graph, seed_sets, config: SearchConfig) -> Outcome:
     return Outcome(
         [(tree.edges, tree.seeds, tree.weight) for tree in result_set],
         result_set.complete,
-        result_set.stats.results_found,
-        result_set.stats.provenances,
+        **{name: getattr(result_set.stats, name) for name in COUNTERS},
     )
 
 
