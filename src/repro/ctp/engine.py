@@ -61,12 +61,13 @@ merged tree is built — the history check inlined at both call sites, a
 pruned candidate costs a few int lookups and no allocation — and a kept
 tree is then built in one positional call (:mod:`repro.ctp.tree`).  The
 deadline is polled only when the search has one.  Rows in emission
-order, ``complete``, ``results_found`` and ``provenances`` are pinned to
-the paper's algorithms run as a plain spec (:mod:`repro.testing.reference`,
-``tests/test_reference_spec.py``); the order-sensitive counters to digests
-recorded from the seed implementation (``tests/test_interning_equivalence.py``);
-and every implementation counter, ``merges_attempted`` and cut runs
-included, by ``tests/test_provenance_golden.py``.
+order, ``complete`` and the search-work counters (Grows, queue pushes,
+Merges, history prunes and the rest of
+:data:`repro.testing.reference.COUNTERS`) are pinned to the paper's
+algorithms run as a plain spec (:mod:`repro.testing.reference`,
+``tests/test_reference_spec.py``); the implementation counters,
+``merges_attempted`` and cut runs included, by
+``tests/test_provenance_golden.py``.
 """
 
 from __future__ import annotations

@@ -5,22 +5,15 @@ The engines key every node bitmask by a search-local compact index
 arrays (``repro.ctp.interning``).  All of it is *representation*: because
 the remap is injective, every mask predicate (Merge1's shared-node test,
 BFT's common-mask recovery) decides exactly what it decided over
-global-id masks, so the search trajectory — and with it every row, seed
-tuple, weight, and order-sensitive counter — is the one the global-id
-implementation produced.  What the engines compute is also held to the
-paper's algorithms by ``tests/test_reference_spec.py``; the digests here
-add the implementation counters the spec does not define.
+global-id masks.  What the engines compute — rows in emission order and
+every search-work counter — is held to the paper's algorithms by
+``tests/test_reference_spec.py``; this module holds what is particular to
+the id space:
 
-Four layers:
-
-* the **matrix**: all 8 search algorithms x the golden workload graphs
-  (and figure-1 config variants), snapshots compared by digest with what
-  the legacy implementation — global-id masks, dict-backed pool — recorded
-  in ``tests/data/dense_ids_golden.json`` before it was deleted
-  (``pool_sets`` included: the flat pool assigns the *same handle
-  numbering*; the union hit/miss counters are left out);
 * **DPBF** (outside the spec): packed small-int DP state keys vs the
-  recorded result of the legacy ``(v, X)`` tuple keys;
+  result of the legacy ``(v, X)`` tuple keys, recorded by digest in
+  ``tests/data/dense_ids_golden.json`` from code that no longer exists
+  (there is no script to regenerate them);
 * a **Hypothesis property** over graphs relabelled into sparse node ids
   (up to 10^9, a handful of nodes): the outcome depends only on the
   graph's shape, never on the magnitude of its node ids.  This is the
@@ -28,9 +21,6 @@ Four layers:
   125MB integer per tree;
 * the **pool against a set model**: 20 000 random operations, handles
   equal iff sets equal, numbering reproducible.
-
-The digests were recorded from code that no longer exists, so there is
-no script to regenerate them.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ from repro.ctp.config import SearchConfig
 from repro.ctp.idremap import IdRemap
 from repro.ctp.interning import EdgeSetPool, fingerprint_of
 from repro.ctp.registry import ALGORITHMS
-from repro.graph.datasets import figure1, figure1_seed_sets, figure3, figure5, figure6
+from repro.graph.datasets import figure1, figure1_seed_sets, figure3
 from repro.testing import random_graph, random_seed_sets
 from repro.workloads.synthetic import chain_graph, comb_graph, star_graph
 
@@ -56,8 +46,6 @@ from repro.workloads.synthetic import chain_graph, comb_graph, star_graph
 def _graphs():
     fig1 = figure1()
     g3, s3 = figure3()
-    g5, s5 = figure5()
-    g6, s6 = figure6()
     chain, chain_seeds = chain_graph(5)
     star, star_seeds = star_graph(4, 2)
     comb, comb_seeds = comb_graph(2, 1, 2)
@@ -67,8 +55,6 @@ def _graphs():
     return {
         "fig1": (fig1, figure1_seed_sets(fig1)),
         "fig3": (g3, s3),
-        "fig5": (g5, s5),
-        "fig6": (g6, s6),
         "chain5": (chain, chain_seeds),
         "star": (star, star_seeds),
         "comb": (comb, comb_seeds),
@@ -76,57 +62,13 @@ def _graphs():
     }
 
 
-#: Timing differs run to run, and the two union counters describe how the
-#: pool answered a union, not what the search did (their meaning is the
-#: pool's to define), so the digests leave them out.  Unlike the interning
-#: equivalence suite we keep ``merges_attempted``: the recorded legacy run
-#: used the *same* engine code path, so even that counter — like
-#: ``pool_sets`` and ``merge_buckets_skipped`` — must replay exactly.
-UNSTABLE_STATS = {"elapsed_seconds", "pool_union_hits", "pool_union_misses"}
+def _run(algo_name, graph, seeds):
+    # The valve keeps BFT's exponential cases bounded; the cut is count-based.
+    max_trees = 3000 if algo_name == "bft" else 20000
+    return ALGORITHMS[algo_name]().run(graph, seeds, SearchConfig(max_trees=max_trees))
 
 
-def _snapshot(result_set):
-    results = sorted(
-        (
-            tuple(sorted(r.edges)),
-            tuple(sorted(r.nodes)),
-            r.seeds,
-            round(r.weight, 9),
-            r.score,
-        )
-        for r in result_set
-    )
-    stats = {k: v for k, v in result_set.stats.as_dict().items() if k not in UNSTABLE_STATS}
-    return {
-        "results": results,
-        "stats": stats,
-        "complete": result_set.complete,
-        "algorithm": result_set.algorithm,
-    }
-
-
-#: Counters that exist only because of the edge-set pool and the
-#: sat-bucketed partner index; the recorded frozenset run has no say on them.
-POOL_STATS = {"merges_attempted", "merge_buckets_skipped", "pool_sets"}
-
-
-def _without_pool_stats(snapshot):
-    stats = {k: v for k, v in snapshot["stats"].items() if k not in POOL_STATS}
-    return {**snapshot, "stats": stats}
-
-
-MAX_TREES = {"bft": 3000, "bft-m": 3000, "bft-am": 3000}
-
-
-def _run(algo_name, graph, seeds, **overrides):
-    overrides.setdefault("max_trees", MAX_TREES.get(algo_name, 20000))
-    if overrides.pop("frozen", False):
-        graph = graph.freeze()
-    return ALGORITHMS[algo_name]().run(graph, seeds, SearchConfig(**overrides))
-
-
-#: Digests of the legacy run (global-id masks, dict pools, tuple DP keys)
-#: of every case below.
+#: Digests of the legacy DPBF run (tuple DP keys) of every case below.
 GOLDEN_PATH = Path(__file__).parent / "data" / "dense_ids_golden.json"
 
 
@@ -140,58 +82,14 @@ def _digest(value) -> str:
 
 
 # ----------------------------------------------------------------------
-# the matrix: 8 algorithms x workload graphs, dense vs recorded legacy
-# ----------------------------------------------------------------------
-def _matrix_cases():
-    for graph_name, (graph, seeds) in _graphs().items():
-        for algo_name in ALGORITHMS:
-            yield graph_name, graph, seeds, algo_name
-
-
-@pytest.mark.parametrize(
-    "graph_name,graph,seeds,algo_name",
-    [pytest.param(*case, id=f"{case[0]}|{case[3]}") for case in _matrix_cases()],
-)
-def test_dense_matches_legacy(golden, graph_name, graph, seeds, algo_name):
-    got = _snapshot(_run(algo_name, graph, seeds))
-    assert _digest(got) == golden[f"{graph_name}|{algo_name}"]
-
-
-#: ``interning`` is the default config against the run recorded from the
-#: frozenset fallback (no edge-set pool, linear partner scans) over
-#: global-id masks: everything but the pool's own counters must match.
-VARIANTS = {
-    "uni": {"uni": True},
-    "limit": {"limit": 5},
-    "max_edges": {"max_edges": 4},
-    "balanced_queues": {"balanced_queues": True},
-    "interning": {},
-    "backend": {"frozen": True},  # the search runs on graph.freeze()
-}
-
-
-@pytest.mark.parametrize("algo_name", sorted(ALGORITHMS))
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_dense_matches_legacy_under_config_variants(golden, algo_name, variant):
-    graph = figure1()
-    got = _snapshot(_run(algo_name, graph, figure1_seed_sets(graph), **VARIANTS[variant]))
-    if variant == "interning":
-        got = _without_pool_stats(got)
-    assert _digest(got) == golden[f"fig1|{variant}|{algo_name}"]
-
-
-# ----------------------------------------------------------------------
 # DPBF: packed state keys vs recorded legacy tuples
 # ----------------------------------------------------------------------
-DPBF_GRAPHS = ["fig1", "fig3", "chain5", "star", "comb", "random"]
-
-
 def _dpbf_row(graph, seeds, uni):
     tree = dpbf_optimal_tree(graph, seeds, uni=uni)
     return None if tree is None else (sorted(tree.edges), sorted(tree.nodes), tree.seeds, tree.weight)
 
 
-@pytest.mark.parametrize("graph_name", DPBF_GRAPHS)
+@pytest.mark.parametrize("graph_name", list(_graphs()))
 def test_dpbf_dense_matches_legacy(golden, graph_name):
     graph, seeds = _graphs()[graph_name]
     for uni in (False, True):

@@ -14,8 +14,6 @@ bookkeeping now stands on, so it gets the strongest tests in the suite:
   second run cannot perturb the first run's pool or results;
 * the engine-level structures riding on the pool: the sat-bucketed merge
   index, the balanced-queue size heap, and the pool telemetry counters;
-* the engines against digests recorded from the seed frozenset
-  representation on a fixed corpus of random multigraphs;
 * ``repro.testing.approx_bytes``, the deep size walk the pool-footprint
   checks measure with.
 """
@@ -23,13 +21,9 @@ bookkeeping now stands on, so it gets the strongest tests in the suite:
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-import json
-import random
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -40,11 +34,10 @@ from repro.ctp.gam import GAMSearch
 from repro.ctp.context import SearchContext
 from repro.ctp.interning import EdgeSetPool, splitmix64
 from repro.ctp.molesp import MoLESPSearch
-from repro.ctp.registry import ALGORITHMS
 from repro.ctp.tree import make_grow, make_init
 from repro.graph.datasets import figure1, figure1_seed_sets
 from repro.graph.graph import Graph
-from repro.testing import approx_bytes, random_graph, random_seed_sets
+from repro.testing import approx_bytes
 from repro.workloads.synthetic import chain_graph, star_graph
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -309,61 +302,6 @@ class TestEngineIntegration:
         assert first.edge_sets() == second.edge_sets()
         assert first.stats.as_dict().keys() == second.stats.as_dict().keys()
         assert first.stats.pool_sets == second.stats.pool_sets
-
-
-# ----------------------------------------------------------------------
-# the engines vs the recorded frozenset fallback, on random multigraphs
-# ----------------------------------------------------------------------
-def _outcome(result_set):
-    stats = result_set.stats
-    return (
-        sorted((tuple(sorted(r.edges)), r.seeds, round(r.weight, 9)) for r in result_set),
-        stats.grows,
-        stats.merges,
-        stats.trees_kept,
-        stats.mo_copies,
-        stats.queue_pushes,
-        stats.results_found,
-        result_set.complete,
-    )
-
-
-#: 64 fixed ``(seed, uni, balanced)`` triples: the seeds drive
-#: ``random_graph``/``random_seed_sets``; the two flags cycle through all
-#: four combinations.
-RANDOM_CORPUS = [
-    (seed, bool(index & 1), bool(index & 2))
-    for index, seed in enumerate(random.Random(2023).sample(range(10_001), 64))
-]
-RANDOM_CORPUS_GOLDEN = Path(__file__).parent / "data" / "random_graphs_golden.json"
-
-
-def _corpus_digests():
-    """SHA-256 of every algorithm's canonical ``_outcome`` per corpus triple."""
-    digests = {}
-    for seed, uni, balanced in RANDOM_CORPUS:
-        rng = random.Random(seed)
-        graph = random_graph(rng, rng.randint(5, 11), rng.randint(6, 18), num_labels=2)
-        seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
-        config = SearchConfig(uni=uni, balanced_queues=balanced, max_trees=20000)
-        digests[f"{seed}|{uni}|{balanced}"] = {
-            name: hashlib.sha256(json.dumps(_outcome(cls().run(graph, seed_sets, config))).encode()).hexdigest()
-            for name, cls in ALGORITHMS.items()
-        }
-    return digests
-
-
-def test_interned_engines_match_fallback_on_random_graphs():
-    """Rows and order-sensitive counters equal the frozenset fallback's.
-
-    The fallback side is *recorded*: ``random_graphs_golden.json`` holds
-    the digests the seed representation — frozenset edge sets, linear
-    partner scans, global-id node masks — produced on this corpus at the
-    commit that deleted it.  ``tests/test_reference_spec.py`` runs the
-    same corpus against the paper's algorithms; this digest adds the
-    counters the spec does not define.
-    """
-    assert _corpus_digests() == json.loads(RANDOM_CORPUS_GOLDEN.read_text())
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,12 @@ result rows in emission order and every :class:`~repro.ctp.stats.SearchStats`
 counter except ``elapsed_seconds`` — ``merges_attempted`` included.
 
 It is the one golden of engine search work recorded from the current
-engines.  What the engines compute (rows in emission order, ``complete``,
-``results_found``, ``provenances``) is held to the paper's algorithms by
-``tests/test_reference_spec.py``; the seed implementation's counters (no
-``merges_attempted``) by the digests of ``tests/test_interning_equivalence.py``
-and ``tests/test_dense_ids.py``; and ``merges_attempted`` and the cut runs'
-counters only here.
+engines.  What the engines compute (rows in emission order, ``complete``
+and the search-work counters, ``grows`` to ``provenances``) is held to
+the paper's algorithms by ``tests/test_reference_spec.py``; the counters
+of the engines' own data structures (``merges_attempted``,
+``merge_buckets_skipped``, ``pool_sets``, ``balanced_pop_scans``) only
+here, for the GAM family.
 
 The matrix is the ``ctp_synthetic`` Line/Comb/Star points x the five
 GAM-family algorithms x four configs: the default complete enumeration,

@@ -10,7 +10,7 @@ counters: the eleven :data:`repro.testing.reference.COUNTERS`, from
 
 Three sources of CTPs:
 
-* the matrix: 8 algorithms x 10 configs x the paper's figure graphs, the
+* the matrix: 8 algorithms x 11 configs x the paper's figure graphs, the
   Line, Star and Comb shapes and one random graph;
 * a fixed corpus of 64 random multigraphs, under the four UNI x balanced
   combinations;
@@ -66,7 +66,21 @@ def _graphs():
 GRAPHS = _graphs()
 
 #: ``csr`` runs the engine on ``graph.freeze()`` and the spec on the graph.
-CONFIGS = ("default", "uni", "balanced", "limit", "maxedges", "labels", "strict", "moalways", "csr", "maxtrees")
+#: ``maxedgesvalve`` is ``MAX`` under a ``max_trees`` valve that does not
+#: trip, which switches the distance bound off.
+CONFIGS = (
+    "default",
+    "uni",
+    "balanced",
+    "limit",
+    "maxedges",
+    "maxedgesvalve",
+    "labels",
+    "strict",
+    "moalways",
+    "csr",
+    "maxtrees",
+)
 
 
 def _config(name: str, algorithm: str, labels=(), max_edges: int = 4) -> SearchConfig:
@@ -75,6 +89,7 @@ def _config(name: str, algorithm: str, labels=(), max_edges: int = 4) -> SearchC
         "balanced": {"balanced_queues": True},
         "limit": {"limit": 5},
         "maxedges": {"max_edges": max_edges},
+        "maxedgesvalve": {"max_edges": max_edges, "max_trees": 20000},
         "labels": {"labels": frozenset(labels)},
         "strict": {"strict_merge2": True},
         "moalways": {"mo_inject_always": True},
@@ -130,15 +145,21 @@ RANDOM_CORPUS = [
 ]
 
 
-def test_engines_match_spec_on_random_graphs():
+def _random_corpus():
+    """``(label, graph, seed_sets, config)`` per corpus triple."""
     for seed, uni, balanced in RANDOM_CORPUS:
         rng = random.Random(seed)
         graph = random_graph(rng, rng.randint(5, 11), rng.randint(6, 18), num_labels=2)
         seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
         config = SearchConfig(uni=uni, balanced_queues=balanced, max_trees=20000)
+        yield (seed, uni, balanced), graph, seed_sets, config
+
+
+def test_engines_match_spec_on_random_graphs():
+    for label, graph, seed_sets, config in _random_corpus():
         for algorithm in ALGORITHMS:
             got = _engine(algorithm, graph, seed_sets, config)
-            assert got == reference_search(algorithm, graph, seed_sets, config), (seed, uni, balanced, algorithm)
+            assert got == reference_search(algorithm, graph, seed_sets, config), (label, algorithm)
 
 
 @st.composite
