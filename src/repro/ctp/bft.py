@@ -206,6 +206,7 @@ class _BFTRun:
                     # costs one handle lookup, no sets and no _BFTTree.
                     eset = pool.union1(tree.eset, edge_id)
                     if eset in memory:
+                        stats.pruned_history += 1
                         continue
                     grown = _BFTTree(
                         pool,
@@ -230,6 +231,7 @@ class _BFTRun:
             self._report(tree)
             return
         self.queue.append(tree)
+        self.stats.queue_pushes += 1
         if self.algo.merge_mode != "none" and tree.eset:
             for node in tree.nodes:
                 self.trees_containing.setdefault(node, []).append(tree)
@@ -293,6 +295,7 @@ class _BFTRun:
                     self._report(merged)
                     continue
                 self.queue.append(merged)
+                self.stats.queue_pushes += 1
                 for node in merged.nodes:
                     self.trees_containing.setdefault(node, []).append(merged)
                 if cascade:

@@ -28,6 +28,7 @@ class SearchStats:
     #: Grow-frontier heap entries pushed: one per kept tree that has a legal
     #: Grow, so ``queue_pushes <= trees_kept`` whatever the roots' degrees
     #: (the entry's cursor yields the Grows one by one; ``grows`` counts those).
+    #: The BFT family pushes every kept tree that is not a result.
     queue_pushes: int = 0
     results_found: int = 0
     duplicate_results: int = 0

@@ -17,8 +17,9 @@ pseudo-code step that defines it:
 
 * ``init_trees``: Algorithm 1's Init loop, one per seed node;
 * ``grows``: one per Grow taken off the queue (Algorithm 1's main loop);
-* ``queue_pushes``: Algorithm 2 lines 9-13, one per tree filed with its
-  Grows (see :meth:`_GAMSearch.file_grows` for the reading);
+* ``queue_pushes``: one per tree queued for Grow: Algorithm 2 lines 9-13
+  in the GAM family (see :meth:`_GAMSearch.file_grows` for the reading),
+  BFT's FIFO queue of unfinished trees;
 * ``merges``: one per tree Merge builds (Algorithm 5, and BFT-M / BFT-AM);
 * ``mo_copies``: Algorithm 3 lines 2-5, one per re-rooted copy;
 * ``pruned_history``: one per grown or merged tree that Algorithm 4
@@ -439,10 +440,8 @@ class _BFTSearch(_Search):
                         continue
                     self.count["grows"] += 1
                     edges = tree.edges | {edge}
-                    if edges in self.memory:
-                        # Reading: the BFT engines count a Grow whose edge
-                        # set was built before in ``grows`` only; a Merge
-                        # of one counts in ``pruned_history``.
+                    if edges in self.memory:  # BFT's history: every edge set built
+                        self.count["pruned_history"] += 1
                         continue
                     sat = tree.sat | self.seed_mask.get(other, 0)
                     grown = Tree(None, edges, nodes, sat, tree.weight + self.graph.edge_weight(edge))
@@ -454,8 +453,8 @@ class _BFTSearch(_Search):
         if tree.sat == self.full:
             self.report_minimized(tree)
             return
-        # Reading: the BFT engines count no queue pushes.
         self.queue.append(tree)
+        self.count["queue_pushes"] += 1
         if self.merge is not None and tree.edges:
             for node in tree.nodes:
                 self.containing.setdefault(node, []).append(tree)
@@ -497,6 +496,7 @@ class _BFTSearch(_Search):
                     self.report_minimized(merged)
                     continue
                 self.queue.append(merged)
+                self.count["queue_pushes"] += 1
                 for node in merged.nodes:
                     self.containing.setdefault(node, []).append(merged)
                 if self.merge == "cascade":
