@@ -221,8 +221,9 @@ class _BFTRun:
 
     # ------------------------------------------------------------------
     def _process(self, tree: _BFTTree, allow_merge: bool) -> None:
-        """Register a candidate tree (already absent from ``memory``);
-        report/minimize, queue, and merge."""
+        """Register a grown or merged tree (already absent from ``memory``):
+        count it against ``max_trees``, report/minimize or queue it, and
+        merge it when ``allow_merge``."""
         self.memory.add(tree.eset)
         self.stats.trees_kept += 1
         if self.config.max_trees is not None and self.stats.trees_kept > self.config.max_trees:
@@ -289,16 +290,8 @@ class _BFTRun:
                     t1.reach | tp.reach,
                 )
                 self.stats.merges += 1
-                self.memory.add(eset)
-                self.stats.trees_kept += 1
-                if merged.sat == self.full_sat:
-                    self._report(merged)
-                    continue
-                self.queue.append(merged)
-                self.stats.queue_pushes += 1
-                for node in merged.nodes:
-                    self.trees_containing.setdefault(node, []).append(merged)
-                if cascade:
+                self._process(merged, allow_merge=False)
+                if cascade and merged.sat != self.full_sat:
                     work.append(merged)
 
     # ------------------------------------------------------------------

@@ -448,6 +448,8 @@ class _BFTSearch(_Search):
                     self.process(grown, merge=self.merge is not None)
 
     def process(self, tree: Tree, merge: bool) -> None:
+        """Register a built tree, grown or merged: remember its edge set,
+        count it against ``max_trees``, report it or queue it."""
         self.memory.add(tree.edges)
         self.count_kept()
         if tree.sat == self.full:
@@ -488,18 +490,8 @@ class _BFTSearch(_Search):
                     continue
                 merged = Tree(None, edges, nodes, t1.sat | t2.sat, t1.weight + t2.weight)
                 self.count["merges"] += 1
-                self.memory.add(edges)
-                # A merged tree counts as kept, but only processTree checks
-                # the max_trees valve.
-                self.count["trees_kept"] += 1
-                if merged.sat == self.full:
-                    self.report_minimized(merged)
-                    continue
-                self.queue.append(merged)
-                self.count["queue_pushes"] += 1
-                for node in merged.nodes:
-                    self.containing.setdefault(node, []).append(merged)
-                if self.merge == "cascade":
+                self.process(merged, merge=False)
+                if self.merge == "cascade" and merged.sat != self.full:
                     work.append(merged)
 
     def report_minimized(self, tree: Tree) -> None:

@@ -95,6 +95,14 @@ class TestBFTConfig:
         assert len(results) == 2
         assert not results.complete
 
+    @pytest.mark.parametrize("algo_class", [BFTMSearch, BFTAMSearch])
+    def test_merged_trees_trip_the_max_trees_valve(self, fig1, fig1_seeds, algo_class):
+        # A merged tree counts against max_trees as a grown one does: the
+        # search stops at the 41st tree kept, as GAM and MoLESP do.
+        results = algo_class().run(fig1, fig1_seeds, SearchConfig(max_trees=40))
+        assert not results.complete
+        assert results.stats.trees_kept == 41
+
     def test_labels(self, fig1, fig1_seeds):
         allowed = frozenset({"citizenOf", "parentOf", "founded", "investsIn"})
         results = BFTSearch().run(fig1, fig1_seeds, SearchConfig(labels=allowed))

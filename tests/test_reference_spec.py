@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,32 @@ def test_engines_match_spec_on_random_graphs():
         for algorithm in ALGORITHMS:
             got = _engine(algorithm, graph, seed_sets, config)
             assert got == reference_search(algorithm, graph, seed_sets, config), (label, algorithm)
+
+
+@pytest.mark.parametrize("cut", ["limit", "max_trees"])
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_cut_run_emits_a_prefix(algorithm, cut):
+    """A run cut by ``LIMIT n`` or ``max_trees=n`` emits a prefix, in
+    emission order, of the rows of the run without the cut, on Figure 1
+    and the random corpus; ``LIMIT n`` emits exactly n rows."""
+    fig1, fig1_seeds = GRAPHS["fig1"]
+    ctps = [("fig1", fig1, fig1_seeds, _config("default", algorithm))]
+    for label, graph, seed_sets, config in _random_corpus():
+        ctps.append((label, graph, seed_sets, config))
+    cuts = 0
+    for label, graph, seed_sets, config in ctps:
+        full = _engine(algorithm, graph, seed_sets, config)
+        total = len(full.rows) if cut == "limit" else full.trees_kept
+        for n in sorted({1, total // 3, 2 * total // 3, total - 1}):
+            if not 0 < n < total:
+                continue
+            cut_config = replace(config, limit=n) if cut == "limit" else replace(config, max_trees=n)
+            got = _engine(algorithm, graph, seed_sets, cut_config)
+            assert not got.complete and got.rows == full.rows[: len(got.rows)], (label, n)
+            if cut == "limit":
+                assert len(got.rows) == n, (label, n)
+            cuts += 1
+    assert cuts > 100
 
 
 @st.composite
