@@ -18,7 +18,7 @@ Each scenario reports recovery shape, not just survival:
   recycles, breaker trips/state) and the degraded dispatch modes seen.
 
 Determinism gate: every ``ok`` response's rows are asserted bit-identical
-to serial dispatch (``parallelism=1``, no pool) — the ``identical``
+to an inline evaluation of the same query (no pool) — the ``identical``
 column must be true on every row of a checked-in JSON.  A fault may cost
 latency or a typed error, never a silently wrong answer.
 
@@ -103,7 +103,6 @@ def _run_scenario(
     the breaker scenario uses it to let the cooldown elapse so the
     half-open probe is reached deterministically.
     """
-    process_config = SearchConfig(parallelism=2)
     latencies_ok: List[float] = []
     statuses: List[str] = []
     modes: List[str] = []
@@ -113,7 +112,7 @@ def _run_scenario(
     try:
         with QueryServer(
             graph,
-            base_config=process_config,
+            base_config=SearchConfig(),
             workers=CHAOS_WORKERS,
             max_pending=4,
             default_timeout=30.0,
@@ -265,8 +264,8 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
         "on-path), steady_p50_ms the post-recovery median"
     )
     report.note(
-        "identical = every ok response's rows bit-equal to serial dispatch (parallelism=1, "
-        "no pool); a fault may cost latency or a typed error (scorer: typed_errors=1), "
+        "identical = every ok response's rows bit-equal to an inline evaluation (no pool); "
+        "a fault may cost latency or a typed error (scorer: typed_errors=1), "
         "never a silently wrong answer"
     )
     report.note(
@@ -289,7 +288,7 @@ def _overload_scenario(graph: Any, serial_reference) -> Dict[str, Any]:
     try:
         with QueryServer(
             graph,
-            base_config=SearchConfig(parallelism=2),
+            base_config=SearchConfig(),
             workers=CHAOS_WORKERS,
             max_pending=3,
             shed_threshold=1,
