@@ -17,6 +17,7 @@ and ``type`` are always available, ``type`` testing set membership.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -26,6 +27,11 @@ from repro.errors import ValidationError
 #: Comparison operators of the paper's Omega, extended with the symmetric
 #: comparisons and inequality for convenience.
 OPERATORS = ("=", "!=", "<", "<=", ">", ">=", "~")
+
+#: Variables the parser makes up for a constant or a ``*`` argument are
+#: named ``_c1``, ``_c2``, ... in the order it meets them.
+FRESH_VAR_PREFIX = "_c"
+_FRESH_VAR = re.compile(re.escape(FRESH_VAR_PREFIX) + r"\d+")
 
 
 @dataclass(frozen=True)
@@ -272,14 +278,61 @@ class EQLQuery:
         return out
 
     def __str__(self) -> str:
-        lines = [f"SELECT {' '.join('?' + v for v in self.head)} WHERE {{"]
-        for pattern in self.patterns:
-            lines.append(f"  {pattern}")
-        for ctp in self.ctps:
-            seeds = ", ".join(str(seed) for seed in ctp.seeds)
-            lines.append(f"  CONNECT({seeds}) AS ?{ctp.tree_var}")
-        lines.append("}")
-        return "\n".join(lines)
+        """EQL text that :func:`repro.query.parser.parse_query` reads back
+        to an equal query.
+
+        A predicate over a made-up variable prints as what the parser made
+        it from: its label constant, or ``*`` when it is empty (a wildcard
+        seed).  The conditions on a named variable print as one ``FILTER``.
+        """
+        conditions: Dict[str, Tuple[Condition, ...]] = {}
+
+        def term(predicate: Predicate) -> str:
+            if _FRESH_VAR.fullmatch(predicate.var):
+                if predicate.is_empty:
+                    return "*"
+                if len(predicate.conditions) == 1 and predicate.label_constant() is not None:
+                    return _literal(predicate.label_constant())
+            if predicate.conditions:
+                conditions.setdefault(predicate.var, predicate.conditions)
+            return f"?{predicate.var}"
+
+        body = [f"  {term(p.source)} {term(p.edge)} {term(p.target)} ." for p in self.patterns]
+        connects = [
+            f"  CONNECT({', '.join(term(seed) for seed in ctp.seeds)}) AS ?{ctp.tree_var}{_ctp_filters(ctp.filters)}"
+            for ctp in self.ctps
+        ]
+        for var, conjunction in conditions.items():
+            tests = " AND ".join(f"{c.prop}(?{var}) {c.op} {_literal(c.value)}" for c in conjunction)
+            body.append(f"  FILTER({tests})")
+        limit = "" if self.limit is None else f" LIMIT {self.limit}"
+        head = " ".join(f"?{var}" for var in self.head)
+        return "\n".join([f"SELECT {head} WHERE {{", *body, *connects, f"}}{limit}"])
+
+
+def _literal(value: Any) -> str:
+    """A constant as the EQL tokenizer reads it: strings quoted and escaped."""
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return repr(value)
+
+
+def _ctp_filters(filters: CTPFilters) -> str:
+    """The CTP filter clauses of ``filters``, each with a leading space."""
+    clauses = []
+    if filters.uni:
+        clauses.append("UNI")
+    if filters.labels:
+        clauses.append(f"LABEL({', '.join(_literal(label) for label in sorted(filters.labels))})")
+    if filters.max_edges is not None:
+        clauses.append(f"MAX {filters.max_edges}")
+    if filters.score is not None:
+        clauses.append(f"SCORE {filters.score}" + ("" if filters.top_k is None else f" TOP {filters.top_k}"))
+    if filters.timeout is not None:
+        clauses.append(f"TIMEOUT {filters.timeout!r}")
+    if filters.limit is not None:
+        clauses.append(f"LIMIT {filters.limit}")
+    return "".join(f" {clause}" for clause in clauses)
 
 
 def _connected_pattern_groups(patterns: Sequence[EdgePattern]) -> List[List[EdgePattern]]:

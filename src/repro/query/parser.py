@@ -25,7 +25,7 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ParseError, ValidationError
-from repro.query.ast import CTP, Condition, CTPFilters, EdgePattern, EQLQuery, Predicate
+from repro.query.ast import FRESH_VAR_PREFIX, CTP, Condition, CTPFilters, EdgePattern, EQLQuery, Predicate
 
 _TOKEN_RE = re.compile(
     r"""
@@ -142,7 +142,7 @@ class _Parser:
 
     def fresh_var(self) -> str:
         self.anon_counter += 1
-        return f"_c{self.anon_counter}"
+        return f"{FRESH_VAR_PREFIX}{self.anon_counter}"
 
     # ------------------------------------------------------------------
     # grammar
@@ -357,7 +357,7 @@ class _Parser:
             if var not in body_vars:
                 raise ValidationError(f"FILTER constrains ?{var}, which does not occur in the query body")
         if head is None:
-            head = [var for var in body_vars if not var.startswith("_c")]
+            head = [var for var in body_vars if not var.startswith(FRESH_VAR_PREFIX)]
         return EQLQuery(head=tuple(head), patterns=patterns, ctps=ctps, limit=limit)
 
 
