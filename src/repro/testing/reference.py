@@ -303,14 +303,14 @@ class _GAMSearch(_Search):
         if self.config.max_edges is not None and size > self.config.max_edges:
             return
         queue = self.queues.setdefault(tree.sat if self.balanced else 0, [])
-        filed = False
+        before = len(queue)
         for edge, other, _ in self.graph.adjacent_filtered(tree.root, self.config.labels):
             if other in tree.nodes or self.seed_mask.get(other, 0) & tree.sat:  # Grow1, Grow2
                 continue
             if self.within(tree.nodes | {other}, size):
                 heapq.heappush(queue, (size - 1, next(self.ticket), tree, edge, other))
-                filed = True
-        self.count["queue_pushes"] += filed
+        if len(queue) > before:
+            self.count["queue_pushes"] += 1
 
     def is_new(self, root: int, edges: FrozenSet[int]) -> bool:
         """Algorithm 4 (isNew)."""

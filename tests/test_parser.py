@@ -210,6 +210,7 @@ class TestPrintParsesBack:
         cdf_query(2, "UNI TIMEOUT 5"),
         cdf_query(3),
         'SELECT ?x WHERE { ?x a "back\\\\slash" } LIMIT 3',
+        'SELECT ?w WHERE { CONNECT(?a, *, "B") AS ?w UNI MAX 3 TIMEOUT 1.5 LIMIT 2 FILTER(type(?a) = "p") } LIMIT 4',
     ]
 
     @pytest.mark.parametrize("text", QUERIES)
@@ -220,9 +221,3 @@ class TestPrintParsesBack:
         graph = figure1()
         for seed in range(200):
             parse(random_query(graph, random.Random(seed)))
-
-    def test_filters_and_wildcards_are_printed(self):
-        text = str(parse('SELECT ?w WHERE { CONNECT(?a, *, "B") AS ?w UNI MAX 3 TIMEOUT 1.5 LIMIT 2 '
-                         'FILTER(type(?a) = "p") } LIMIT 4'))
-        assert 'CONNECT(?a, *, "B") AS ?w UNI MAX 3 TIMEOUT 1.5 LIMIT 2' in text
-        assert 'FILTER(type(?a) = "p")' in text and text.endswith("} LIMIT 4")
