@@ -156,37 +156,34 @@ def _random_corpus():
         yield (seed, uni, balanced), graph, seed_sets, config
 
 
+def _assert_cuts_emit_prefixes(algorithm: str, graph, seed_sets, config: SearchConfig, full: Outcome) -> None:
+    """A run cut by ``LIMIT n`` or ``max_trees=n`` emits a prefix, in
+    emission order, of the rows of ``full``, the run without the cut;
+    ``LIMIT n`` emits exactly n rows."""
+    for cut, total in (("limit", len(full.rows)), ("max_trees", full.trees_kept)):
+        for n in sorted({1, total - 1}):
+            if not 0 < n < total:
+                continue
+            got = _engine(algorithm, graph, seed_sets, replace(config, **{cut: n}))
+            assert not got.complete and got.rows == full.rows[: len(got.rows)], (cut, n)
+            assert cut != "limit" or len(got.rows) == n, n
+
+
 def test_engines_match_spec_on_random_graphs():
+    """The engines match the spec on the corpus, and their cut runs are
+    prefixes of the runs the spec matched."""
     for label, graph, seed_sets, config in _random_corpus():
         for algorithm in ALGORITHMS:
             got = _engine(algorithm, graph, seed_sets, config)
             assert got == reference_search(algorithm, graph, seed_sets, config), (label, algorithm)
+            _assert_cuts_emit_prefixes(algorithm, graph, seed_sets, config, got)
 
 
-@pytest.mark.parametrize("cut", ["limit", "max_trees"])
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
-def test_cut_run_emits_a_prefix(algorithm, cut):
-    """A run cut by ``LIMIT n`` or ``max_trees=n`` emits a prefix, in
-    emission order, of the rows of the run without the cut, on Figure 1
-    and the random corpus; ``LIMIT n`` emits exactly n rows."""
-    fig1, fig1_seeds = GRAPHS["fig1"]
-    ctps = [("fig1", fig1, fig1_seeds, _config("default", algorithm))]
-    for label, graph, seed_sets, config in _random_corpus():
-        ctps.append((label, graph, seed_sets, config))
-    cuts = 0
-    for label, graph, seed_sets, config in ctps:
-        full = _engine(algorithm, graph, seed_sets, config)
-        total = len(full.rows) if cut == "limit" else full.trees_kept
-        for n in sorted({1, total // 3, 2 * total // 3, total - 1}):
-            if not 0 < n < total:
-                continue
-            cut_config = replace(config, limit=n) if cut == "limit" else replace(config, max_trees=n)
-            got = _engine(algorithm, graph, seed_sets, cut_config)
-            assert not got.complete and got.rows == full.rows[: len(got.rows)], (label, n)
-            if cut == "limit":
-                assert len(got.rows) == n, (label, n)
-            cuts += 1
-    assert cuts > 100
+def test_figure1_cut_runs_emit_prefixes(algorithm):
+    graph, seed_sets = GRAPHS["fig1"]
+    config = _config("default", algorithm)
+    _assert_cuts_emit_prefixes(algorithm, graph, seed_sets, config, _engine(algorithm, graph, seed_sets, config))
 
 
 @st.composite
