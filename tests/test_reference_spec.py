@@ -146,16 +146,6 @@ RANDOM_CORPUS = [
 ]
 
 
-def _random_corpus():
-    """``(label, graph, seed_sets, config)`` per corpus triple."""
-    for seed, uni, balanced in RANDOM_CORPUS:
-        rng = random.Random(seed)
-        graph = random_graph(rng, rng.randint(5, 11), rng.randint(6, 18), num_labels=2)
-        seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
-        config = SearchConfig(uni=uni, balanced_queues=balanced, max_trees=20000)
-        yield (seed, uni, balanced), graph, seed_sets, config
-
-
 def _assert_cuts_emit_prefixes(algorithm: str, graph, seed_sets, config: SearchConfig, full: Outcome) -> None:
     """A run cut by ``LIMIT n`` or ``max_trees=n`` emits a prefix, in
     emission order, of the rows of ``full``, the run without the cut;
@@ -172,10 +162,14 @@ def _assert_cuts_emit_prefixes(algorithm: str, graph, seed_sets, config: SearchC
 def test_engines_match_spec_on_random_graphs():
     """The engines match the spec on the corpus, and their cut runs are
     prefixes of the runs the spec matched."""
-    for label, graph, seed_sets, config in _random_corpus():
+    for seed, uni, balanced in RANDOM_CORPUS:
+        rng = random.Random(seed)
+        graph = random_graph(rng, rng.randint(5, 11), rng.randint(6, 18), num_labels=2)
+        seed_sets = random_seed_sets(random.Random(seed + 1), graph, rng.randint(2, 3), max_size=2)
+        config = SearchConfig(uni=uni, balanced_queues=balanced, max_trees=20000)
         for algorithm in ALGORITHMS:
             got = _engine(algorithm, graph, seed_sets, config)
-            assert got == reference_search(algorithm, graph, seed_sets, config), (label, algorithm)
+            assert got == reference_search(algorithm, graph, seed_sets, config), (seed, uni, balanced, algorithm)
             _assert_cuts_emit_prefixes(algorithm, graph, seed_sets, config, got)
 
 
