@@ -32,7 +32,10 @@ pseudo-code step that defines it:
   Figure 11 metric).
 
 ``tests/test_reference_spec.py`` pins all eight engines of
-:mod:`repro.ctp` to it, rows and counters alike.  Counters of the engines'
+:mod:`repro.ctp` to it, rows and counters alike, and so do
+``tests/test_interning_equivalence.py`` (the seed implementation's cases,
+under its ``max_trees`` valve) and ``tests/test_dense_ids.py`` (graphs
+relabelled into node ids up to 10^9).  Counters of the engines'
 own data structures, such as ``merges_attempted`` or ``pool_sets``, are
 not the paper's, so the spec does not count them;
 ``tests/test_provenance_golden.py`` pins those.

@@ -10,6 +10,12 @@ every search-work counter — is held to the paper's algorithms by
 ``tests/test_reference_spec.py``; this module holds what is particular to
 the id space:
 
+* the **matrix**: all 8 search algorithms x the workload graphs (and
+  Figure 1 config variants), each relabelled into huge sparse node ids,
+  against the spec :mod:`repro.testing.reference` on the same relabelled
+  graph.  The spec keys node sets by global id, as the deleted legacy
+  implementation did, so rows and counters equal iff the remap changes
+  nothing but the representation;
 * **DPBF** (outside the spec): packed small-int DP state keys vs the
   result of the legacy ``(v, X)`` tuple keys, recorded by digest in
   ``tests/data/dense_ids_golden.json`` from code that no longer exists
@@ -38,14 +44,17 @@ from repro.ctp.config import SearchConfig
 from repro.ctp.idremap import IdRemap
 from repro.ctp.interning import EdgeSetPool, fingerprint_of
 from repro.ctp.registry import ALGORITHMS
-from repro.graph.datasets import figure1, figure1_seed_sets, figure3
+from repro.graph.datasets import figure1, figure1_seed_sets, figure3, figure5, figure6
 from repro.testing import random_graph, random_seed_sets
+from repro.testing.reference import BFT_FAMILY, COUNTERS, Outcome, reference_search
 from repro.workloads.synthetic import chain_graph, comb_graph, star_graph
 
 
 def _graphs():
     fig1 = figure1()
     g3, s3 = figure3()
+    g5, s5 = figure5()
+    g6, s6 = figure6()
     chain, chain_seeds = chain_graph(5)
     star, star_seeds = star_graph(4, 2)
     comb, comb_seeds = comb_graph(2, 1, 2)
@@ -55,6 +64,8 @@ def _graphs():
     return {
         "fig1": (fig1, figure1_seed_sets(fig1)),
         "fig3": (g3, s3),
+        "fig5": (g5, s5),
+        "fig6": (g6, s6),
         "chain5": (chain, chain_seeds),
         "star": (star, star_seeds),
         "comb": (comb, comb_seeds),
@@ -82,14 +93,78 @@ def _digest(value) -> str:
 
 
 # ----------------------------------------------------------------------
+# the matrix: 8 algorithms x workload graphs at huge ids, dense vs the spec
+# ----------------------------------------------------------------------
+def _huge_ids(graph, seeds):
+    """``graph`` and ``seeds`` relabelled into ids up to 10^9.
+
+    The relabelling keeps node order, so every tie the engines or the spec
+    break by node id falls as it does on ``graph``.
+    """
+    ids = sorted(random.Random(graph.num_nodes).sample(range(10**9), graph.num_nodes))
+    mapping = dict(zip(range(graph.num_nodes), ids))
+    return RelabeledGraph(graph, mapping), [tuple(mapping[n] for n in s) for s in seeds]
+
+
+def _check_dense_matches_legacy(algo_name, graph, seeds, **overrides):
+    overrides.setdefault("max_trees", 3000 if algo_name in BFT_FAMILY else 20000)
+    base = graph.freeze() if overrides.pop("frozen", False) else graph
+    relabeled, relabeled_seeds = _huge_ids(base, seeds)
+    config = SearchConfig(**overrides)
+    result_set = ALGORITHMS[algo_name]().run(relabeled, relabeled_seeds, config)
+    got = Outcome(
+        [(tree.edges, tree.seeds, tree.weight) for tree in result_set],
+        result_set.complete,
+        **{name: getattr(result_set.stats, name) for name in COUNTERS},
+    )
+    assert got == reference_search(algo_name, relabeled, relabeled_seeds, config)
+
+
+def _matrix_cases():
+    for graph_name, (graph, seeds) in _graphs().items():
+        for algo_name in ALGORITHMS:
+            yield graph_name, graph, seeds, algo_name
+
+
+@pytest.mark.parametrize(
+    "graph_name,graph,seeds,algo_name",
+    [pytest.param(*case, id=f"{case[0]}|{case[3]}") for case in _matrix_cases()],
+)
+def test_dense_matches_legacy(graph_name, graph, seeds, algo_name):
+    _check_dense_matches_legacy(algo_name, graph, seeds)
+
+
+#: ``interning`` is the default config; ``backend`` relabels the ids of
+#: ``graph.freeze()``.
+VARIANTS = {
+    "uni": {"uni": True},
+    "limit": {"limit": 5},
+    "max_edges": {"max_edges": 4},
+    "balanced_queues": {"balanced_queues": True},
+    "interning": {},
+    "backend": {"frozen": True},
+}
+
+
+@pytest.mark.parametrize("algo_name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dense_matches_legacy_under_config_variants(algo_name, variant):
+    graph = figure1()
+    _check_dense_matches_legacy(algo_name, graph, figure1_seed_sets(graph), **VARIANTS[variant])
+
+
+# ----------------------------------------------------------------------
 # DPBF: packed state keys vs recorded legacy tuples
 # ----------------------------------------------------------------------
+DPBF_GRAPHS = ["fig1", "fig3", "chain5", "star", "comb", "random"]
+
+
 def _dpbf_row(graph, seeds, uni):
     tree = dpbf_optimal_tree(graph, seeds, uni=uni)
     return None if tree is None else (sorted(tree.edges), sorted(tree.nodes), tree.seeds, tree.weight)
 
 
-@pytest.mark.parametrize("graph_name", list(_graphs()))
+@pytest.mark.parametrize("graph_name", DPBF_GRAPHS)
 def test_dpbf_dense_matches_legacy(golden, graph_name):
     graph, seeds = _graphs()[graph_name]
     for uni in (False, True):

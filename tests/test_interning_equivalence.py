@@ -1,33 +1,23 @@
-"""Equivalence suite: the engines still replay the seed implementation.
+"""The seed implementation's cases, held to the paper's algorithms.
 
 The interning layer (``repro.ctp.interning``) replaces per-tree frozenset
 bookkeeping with hash-consed edge-set handles, node bitmasks, and
 sat-bucketed merge-partner indexes.  All of that is *representation*: the
-set of results, the recorded seeds/weights, and every order-sensitive
-counter (grows, merges, queue pushes, history prunes) must stay exactly
-what the seed frozenset implementation produced.
+rows in emission order, ``complete`` and every search-work counter must be
+what the paper's algorithms, run as the spec :mod:`repro.testing.reference`
+over plain frozensets, produce.
 
-``tests/test_reference_spec.py`` holds rows in emission order,
-``complete``, ``results_found`` and ``provenances`` to the paper's
-algorithms on the same graphs and configs.  The counters the paper does
-not define are what this module adds: ``tests/data/interning_golden.json``
-holds, per case, the SHA-256 of the snapshot the pre-interning
-implementation produced (results, ``complete``, the algorithm name and
-the counters in :data:`SEED_STATS`).  The digests were recorded from code
-that no longer exists, so there is no script to regenerate them; a change
-that redefines one of these counters must show that everything else still
-replays before it re-records a digest.  ``merges_attempted`` is excluded
-by design: sat-bucket skipping avoids attempts the linear scan paid for;
-the current engines' ``merges_attempted`` is pinned instead by
-``tests/test_provenance_golden.py``.
+The cases are the ones the seed frozenset implementation was replayed on:
+the full config set on Figure 1 and the random graph, the order-sensitive
+core on the structural workloads, every algorithm, each run under the
+count-based ``max_trees`` valve of the seed runs (3,000 trees for the BFT
+family, 20,000 for the others), so a truncated search is pinned as well.
+``tests/test_reference_spec.py`` runs the same graphs without that valve.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -35,25 +25,8 @@ from repro.ctp.config import SearchConfig
 from repro.ctp.registry import ALGORITHMS
 from repro.graph.datasets import figure1, figure1_seed_sets, figure3, figure5, figure6
 from repro.testing import random_graph, random_seed_sets
+from repro.testing.reference import BFT_FAMILY, COUNTERS, Outcome, reference_search
 from repro.workloads.synthetic import chain_graph, comb_graph, star_graph
-
-GOLDEN_PATH = Path(__file__).parent / "data" / "interning_golden.json"
-
-#: The counters the seed implementation kept; newer counters are additive
-#: and the digests know nothing of them.
-SEED_STATS = (
-    "duplicate_results",
-    "grows",
-    "init_trees",
-    "merges",
-    "mo_copies",
-    "provenances",
-    "pruned_filters",
-    "pruned_history",
-    "queue_pushes",
-    "results_found",
-    "trees_kept",
-)
 
 
 def _graphs():
@@ -90,7 +63,7 @@ def _configs(graph):
         "labels": {"labels": frozenset(labels)},
         "strict": {"strict_merge2": True},
         "moalways": {"mo_inject_always": True},
-        "csr": {"frozen": True},  # the search runs on graph.freeze()
+        "csr": {"frozen": True},  # the engine runs on graph.freeze()
     }
 
 
@@ -110,56 +83,19 @@ def _cases():
                 yield graph_name, graph, seeds, config_name, overrides, algo_name
 
 
-def _snapshot(result_set):
-    # JSON-canonical: lists only, so a live snapshot digests exactly as
-    # the recorded one did after its round-trip through the golden file.
-    results = sorted(
-        [
-            sorted(r.edges),
-            [(-1 if s is None else s) for s in r.seeds],
-            round(r.weight, 9),
-        ]
-        for r in result_set
-    )
-    stats = result_set.stats.as_dict()
-    return {
-        "results": results,
-        "stats": {k: stats.get(k) for k in SEED_STATS},
-        "complete": result_set.complete,
-        "algorithm": result_set.algorithm,
-    }
-
-
-def _digest(value) -> str:
-    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
-
-
-#: Deterministic run bounds.  ``max_trees`` cuts by *count* (order-stable,
-#: unlike a wall-clock timeout), so even truncated searches must replay the
-#: seed behaviour exactly — the cut itself is part of what we pin down.
-MAX_TREES = {"bft": 3000, "bft-m": 3000, "bft-am": 3000}
-DEFAULT_MAX_TREES = 20000
-
-
-def _run(algo_name, graph, seeds, overrides):
-    overrides = dict(overrides)
-    if overrides.pop("frozen", False):
-        graph = graph.freeze()
-    config = SearchConfig(**overrides, max_trees=MAX_TREES.get(algo_name, DEFAULT_MAX_TREES))
-    return ALGORITHMS[algo_name]().run(graph, seeds, config)
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN_PATH.read_text())
-
-
 @pytest.mark.parametrize(
     "graph_name,graph,seeds,config_name,overrides,algo_name",
     [pytest.param(*case, id=f"{case[0]}|{case[3]}|{case[5]}") for case in _cases()],
 )
-def test_matches_seed_golden(golden, graph_name, graph, seeds, config_name, overrides, algo_name):
-    """Interned engines replay the seed implementation byte for byte."""
-    key = f"{graph_name}|{config_name}|{algo_name}"
-    got = _snapshot(_run(algo_name, graph, seeds, overrides))
-    assert _digest(got) == golden[key], f"{key}: interned engine diverged from seed behaviour"
+def test_matches_seed_golden(graph_name, graph, seeds, config_name, overrides, algo_name):
+    """Interned engines do the seed implementation's search, step for step."""
+    overrides = dict(overrides)
+    engine_graph = graph.freeze() if overrides.pop("frozen", False) else graph
+    config = SearchConfig(**overrides, max_trees=3000 if algo_name in BFT_FAMILY else 20000)
+    result_set = ALGORITHMS[algo_name]().run(engine_graph, seeds, config)
+    got = Outcome(
+        [(tree.edges, tree.seeds, tree.weight) for tree in result_set],
+        result_set.complete,
+        **{name: getattr(result_set.stats, name) for name in COUNTERS},
+    )
+    assert got == reference_search(algo_name, graph, seeds, config)
