@@ -40,7 +40,7 @@ from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.faults import FaultPlan, FaultSpec
 from repro.query.evaluator import evaluate_query
-from repro.query.resilience import CircuitBreaker, PoolResilienceConfig, RetryPolicy
+from repro.query.resilience import CircuitBreaker, PoolResilienceConfig
 from repro.serve import PRIORITY_LOW, QueryRequest, QueryServer
 from repro.workloads.synthetic import grouped_star
 

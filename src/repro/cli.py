@@ -146,9 +146,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_pending=args.max_pending,
         default_timeout=args.timeout,
-        compaction_threshold=(
-            None if args.compaction_threshold < 0 else args.compaction_threshold
-        ),
     ) as server:
         # Graceful shutdown: the first SIGINT/SIGTERM starts a drain on a
         # helper thread (a handler must not block the main thread, which
@@ -208,7 +205,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"resnapshots={pool['resnapshots']} hangs={pool['hangs']} "
         f"recycles={pool['recycles']} breaker={pool['breaker_state']} | "
         f"delta: size={pool['delta_size']} compactions={pool['compactions']} "
-        f"avoided={pool['resnapshots_avoided']} thrash={pool['resnapshot_thrash']} "
+        f"avoided={pool['resnapshots_avoided']} "
         f"generation={counters['generation']} | "
         f"ctp_cache={context['ctp_cache_hits']}/"
         f"{context['ctp_cache_hits'] + context['ctp_cache_misses']}"
@@ -325,14 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline", type=float, help="per-request wall-clock budget in seconds")
     serve.add_argument("--timeout", type=float, default=30.0, help="default per-CTP timeout in seconds")
     serve.add_argument("--rows", type=int, help="per-response row limit (pagination)")
-    serve.add_argument(
-        "--compaction-threshold",
-        type=int,
-        default=256,
-        help="delta-overlay mutations tolerated before the pool refreezes "
-        "base ∪ delta (0 = compact on any mutation, negative = "
-        "never compact; default 256)",
-    )
     serve.set_defaults(handler=_cmd_serve)
 
     demo = sub.add_parser("demo", help="run the paper's Q1 on the Figure 1 graph")

@@ -119,17 +119,6 @@ class StaleViewError(PoolError):
     """
 
 
-class PoolThrashWarning(RuntimeWarning):
-    """Warned when a :class:`~repro.query.pool.WorkerPool` resnapshot-thrashes.
-
-    A full re-snapshot (freeze + save) on (nearly) every dispatch means
-    the workload mutates faster than the pool amortizes — the exact
-    failure mode delta overlays exist to avoid.  The pool counts these
-    episodes (``resnapshot_thrash``) and warns once per episode so a
-    misconfigured compaction threshold is loud instead of silently slow.
-    """
-
-
 class FaultInjected(ReproError):
     """Raised by :mod:`repro.faults` machinery inside a fault-injected run.
 

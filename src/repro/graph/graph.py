@@ -229,7 +229,7 @@ class GraphBackend:
     def add_edge(self, *args: Any, **kwargs: Any) -> int:
         raise GraphError(f"cannot add_edge to a frozen {type(self).__name__}; {self._MUTATE_HINT}")
 
-    def freeze(self, force: bool = False) -> "GraphBackend":
+    def freeze(self) -> "GraphBackend":
         """Already frozen — freezing is idempotent."""
         return self
 
@@ -586,7 +586,7 @@ class Graph(GraphBackend):
     # ------------------------------------------------------------------
     # backends
     # ------------------------------------------------------------------
-    def freeze(self, force: bool = False):
+    def freeze(self):
         """A CSR (compressed sparse row) snapshot of this graph.
 
         The snapshot is memoized: repeated calls return the same
@@ -598,17 +598,13 @@ class Graph(GraphBackend):
 
         :class:`Edge` objects are immutable, so every weight change flows
         through :meth:`set_edge_weight` and the generation memo is always
-        sound; ``force=True`` remains available to rebuild unconditionally.
+        sound.
         """
         from repro.graph.backend import CSRGraph
 
         with self._lock:
             snapshot = self._frozen_snapshot
-            if (
-                not force
-                and snapshot is not None
-                and snapshot.source_generation == self._generation
-            ):
+            if snapshot is not None and snapshot.source_generation == self._generation:
                 return snapshot
             snapshot = CSRGraph(self)
             # MVCC stamps: which graph lineage this view belongs to (a weak
@@ -670,8 +666,8 @@ class Graph(GraphBackend):
     def compact(self) -> Any:
         """Refreeze base ∪ delta into a new base snapshot generation.
 
-        Called at dispatch boundaries (e.g. by the worker pool when the
-        delta crosses its compaction threshold).  A no-op when the delta
+        Called by the writer (``QueryServer.ingest``, once a batch leaves
+        the delta past its compaction threshold).  A no-op when the delta
         is empty.  Compaction changes *representation*, never content, so
         the mutation generation is untouched: a view pinned at generation
         G before the compaction and a fresh one pinned after it are

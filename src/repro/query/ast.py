@@ -76,9 +76,6 @@ class Condition:
         except TypeError:
             return False
 
-    def __str__(self) -> str:
-        return f"{self.prop}(v) {self.op} {self.value!r}"
-
 
 @dataclass(frozen=True)
 class Predicate:
@@ -116,11 +113,6 @@ class Predicate:
         """The paper's shorthand: a constant stands for ``label(v) = c``."""
         return cls(var, (Condition("label", "=", label),))
 
-    def __str__(self) -> str:
-        if self.is_empty:
-            return f"?{self.var}"
-        return f"?{self.var}[{' AND '.join(map(str, self.conditions))}]"
-
 
 @dataclass(frozen=True)
 class EdgePattern:
@@ -132,9 +124,6 @@ class EdgePattern:
 
     def variables(self) -> Tuple[str, str, str]:
         return (self.source.var, self.edge.var, self.target.var)
-
-    def __str__(self) -> str:
-        return f"({self.source}, {self.edge}, {self.target})"
 
 
 @dataclass(frozen=True)

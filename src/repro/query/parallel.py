@@ -682,11 +682,12 @@ class _PooledDispatch:
                         # The pool cannot be rebuilt (closed under us,
                         # snapshot gone): no retry can succeed on it.
                         return self._degraded(jobs)
+                    backoff = policy.backoff_seconds(attempt, rng)
                     if not policy.should_retry(
-                        attempt, error, elapsed=time.monotonic() - started, budget=budget
+                        attempt, error, elapsed=time.monotonic() - started,
+                        budget=budget, backoff=backoff,
                     ):
                         return self._degraded(jobs)
-                    backoff = policy.backoff_seconds(attempt, rng)
                     if backoff > 0:
                         time.sleep(backoff)
                     report.retries += 1

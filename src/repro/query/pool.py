@@ -28,12 +28,12 @@ pool its caller passed in (a query without one runs its CTPs inline).
   cheap picklable :class:`~repro.graph.delta.GraphDelta` objects applied
   by the workers over their mmap-loaded base, so a mutated graph costs a
   delta encoded once per generation (and decoded by a worker only when it
-  holds another) instead of a re-serialize.  Only when the
-  delta crosses :attr:`~WorkerPool.compaction_threshold` does a dispatch
-  boundary compact base ∪ delta into a new snapshot generation (counted
-  in :attr:`~WorkerPool.resnapshots`, avoided dispatches in
-  :attr:`~WorkerPool.resnapshots_avoided`); resnapshot thrash warns
-  (:class:`~repro.errors.PoolThrashWarning`).
+  holds another) instead of a re-serialize.  The pool never decides when
+  base ∪ delta is refrozen — the graph's writer does
+  (:meth:`~repro.graph.graph.Graph.compact`, called by ``QueryServer``'s
+  ingest); a moved base is the pool's one reason to write a new snapshot
+  generation (counted in :attr:`~WorkerPool.resnapshots`, avoided
+  dispatches in :attr:`~WorkerPool.resnapshots_avoided`).
 * **Base moves re-map, never respawn** — every job names the base it
   was resolved against (snapshot path, base generation); a warm worker
   mapping another one maps the named file (an O(header) load) instead.
@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ctp.config import SearchConfig
-from repro.errors import PoolClosedError, PoolError, PoolThrashWarning, StaleViewError
+from repro.errors import PoolClosedError, PoolError, StaleViewError
 from repro.graph.delta import GraphDelta, OverlayGraph
 from repro.graph.snapshot import ensure_snapshot, release_auto_snapshot
 from repro.query.resilience import CircuitBreaker, PoolResilienceConfig, RetryPolicy
@@ -70,10 +69,6 @@ from repro.query.resilience import CircuitBreaker, PoolResilienceConfig, RetryPo
 #: direct callers get per-submit resolution so they can never read stale
 #: topology from the workers' base snapshot.
 _UNRESOLVED: Any = object()
-
-#: Thrash detector: a resnapshot landing within this many dispatches of
-#: the previous one counts as thrash and warns :class:`PoolThrashWarning`.
-THRASH_WINDOW = 3
 
 
 class _Resolved(NamedTuple):
@@ -130,9 +125,9 @@ class WorkerPool:
     ----------
     graph:
         The graph every job runs against.  The pool freezes and snapshots
-        it on first use (reusing an existing snapshot file when the graph
-        has one) and re-snapshots automatically when the graph's mutation
-        generation changes.
+        its base on first use (reusing an existing snapshot file when the
+        graph has one) and re-snapshots when a compaction moves the base;
+        a frozen CSR source cannot mutate and is snapshotted once.
     workers:
         Worker process count (default: ``os.cpu_count()``).
 
@@ -149,20 +144,11 @@ class WorkerPool:
         resilience: Optional[PoolResilienceConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        compaction_threshold: Optional[int] = 256,
     ):
         if workers is not None and workers < 1:
             raise PoolError(f"WorkerPool needs workers >= 1, got {workers}")
-        if compaction_threshold is not None and compaction_threshold < 0:
-            raise PoolError(
-                f"WorkerPool needs compaction_threshold >= 0 or None, got {compaction_threshold}"
-            )
         self.graph = graph
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        #: Delta size at which a dispatch boundary compacts base ∪ delta into
-        #: a new snapshot generation (full re-snapshot, re-mapped by the warm
-        #: workers).  ``None`` never compacts; ``0`` compacts on any mutation.
-        self.compaction_threshold = compaction_threshold
         #: Lifecycle knobs (recycling thresholds, hang watchdog budgets).
         self.resilience = resilience if resilience is not None else PoolResilienceConfig()
         #: Retry discipline the dispatch layer applies to pooled fan-outs.
@@ -187,20 +173,14 @@ class WorkerPool:
         self.hangs = 0
         #: Proactive worker recycles (request-count or RSS threshold).
         self.recycles = 0
-        #: Compactions this pool triggered at dispatch boundaries.
-        self.compactions = 0
         #: Mutated-graph dispatches served by shipping a delta instead of
         #: paying a full re-snapshot (one per delta generation).
         self.resnapshots_avoided = 0
-        #: Thrash episodes: resnapshots within :data:`THRASH_WINDOW` dispatches
-        #: of the previous one (each also warns :class:`PoolThrashWarning`).
-        self.resnapshot_thrash = 0
         # Work served by the CURRENT executor epoch — warmth is per epoch
         # (a respawned-but-idle executor is cold again), while the public
         # counters above are lifetime totals.
         self._epoch_work = 0
         self._rss_countdown = self.resilience.rss_check_every
-        self._dispatches_at_last_resnapshot: Optional[int] = None
         self._last_delta_generation: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -261,22 +241,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # executor management
     # ------------------------------------------------------------------
-    def _note_resnapshot_locked(self) -> None:
-        """Thrash detection, called whenever a resnapshot is charged."""
-        last = self._dispatches_at_last_resnapshot
-        if last is not None and self.dispatches - last <= THRASH_WINDOW:
-            self.resnapshot_thrash += 1
-            warnings.warn(
-                f"WorkerPool resnapshot thrash: full re-snapshot "
-                f"after only {self.dispatches - last} dispatch(es) — the workload "
-                f"mutates faster than the pool amortizes (compaction_threshold="
-                f"{self.compaction_threshold}); raise the threshold so mutations "
-                f"ride the delta overlay instead",
-                PoolThrashWarning,
-                stacklevel=4,
-            )
-        self._dispatches_at_last_resnapshot = self.dispatches
-
     def _snapshot_locked(self) -> None:
         """Align the pool's snapshot file with the graph's current *base*.
 
@@ -284,9 +248,8 @@ class WorkerPool:
         are snapshotted at their base generation — later mutations ship as
         deltas (:meth:`prepare_for`), so only a *base* move (compaction)
         writes a new file, releases the old one and charges ``resnapshots``
-        — the workers stay up and re-map it when a job names it.  Legacy
-        sources (a bare CSR bound directly) snapshot at their own
-        generation, preserving the old resnapshot-per-mutation contract.
+        — the workers stay up and re-map it when a job names it.  A frozen
+        CSR bound directly cannot mutate: it is snapshotted once.
         """
         graph = self.graph
         if hasattr(graph, "ensure_base"):
@@ -301,20 +264,19 @@ class WorkerPool:
             release_auto_snapshot(self._snapshot_path)
             self._snapshot_path = None
             self.resnapshots += 1
-            self._note_resnapshot_locked()
         # ensure_snapshot may raise (unpicklable metadata, I/O): the caller
         # decides how to degrade; the pool stays constructible/closable.
         self._csr, self._snapshot_path = ensure_snapshot(base)
         self._snapshot_generation = generation
 
     def _resolve_delta_locked(self, graph: Any) -> Optional[GraphDelta]:
-        """Snapshot/compact as needed and return the delta ``graph`` requires.
+        """Follow the source's base and return the delta ``graph`` requires.
 
         ``graph`` is whatever the dispatch holds:
         the pool's mutable source graph (serve its *current* delta), a
         pinned :class:`~repro.graph.delta.OverlayGraph` view (serve its
         own delta so the evaluation stays at the pinned generation), a
-        pinned base CSR view (no delta), or a legacy CSR (no delta).
+        pinned base CSR view (no delta), or a frozen CSR source (no delta).
         Raises :class:`~repro.errors.StaleViewError` when a pinned view
         predates the workers' base — the pooled path cannot reconstruct
         that generation, and the dispatch layer degrades to inline.
@@ -323,16 +285,6 @@ class WorkerPool:
         if source is None or not hasattr(source, "ensure_base"):
             self._snapshot_locked()
             return None
-        # Compaction check at the dispatch boundary — only when dispatching
-        # the head generation (compacting under an older pinned view would
-        # not help it anyway).
-        if (
-            self.compaction_threshold is not None
-            and getattr(graph, "generation", None) == source.generation
-            and source.delta_size > self.compaction_threshold
-        ):
-            source.compact()
-            self.compactions += 1
         self._snapshot_locked()
         pool_generation = self._snapshot_generation
         if graph is source:
@@ -448,9 +400,8 @@ class WorkerPool:
     def prepare_for(self, graph: Any) -> Optional[GraphDelta]:
         """Dispatch-boundary preparation for a fan-out over ``graph``.
 
-        Runs the recycling check, compacts the source when its delta
-        crossed :attr:`compaction_threshold`, aligns the snapshot file
-        with the (possibly new) base, makes the executor live, and returns
+        Runs the recycling check, aligns the snapshot file with the
+        source's (possibly moved) base, makes the executor live, and returns
         the delta the fan-out ships, encoded once per generation, with each
         job (``None`` when the workers' base alone reproduces ``graph``).
         Raises :class:`~repro.errors.StaleViewError` for views the workers
@@ -614,10 +565,8 @@ class WorkerPool:
             "breaker_state": self.breaker.state,
             "breaker_trips": self.breaker.trips,
             "snapshot_generation": self._snapshot_generation,
-            "compaction_threshold": self.compaction_threshold,
-            "compactions": self.compactions,
+            "compactions": getattr(self.graph, "compactions", 0),
             "resnapshots_avoided": self.resnapshots_avoided,
-            "resnapshot_thrash": self.resnapshot_thrash,
             "delta_size": getattr(self.graph, "delta_size", 0),
         }
 

@@ -121,19 +121,21 @@ class RetryPolicy:
         error: BaseException,
         elapsed: float = 0.0,
         budget: Optional[float] = None,
+        backoff: float = 0.0,
     ) -> bool:
         """Whether attempt ``attempt`` (1-based, just failed) warrants another.
 
         ``budget`` is the smallest per-CTP timeout of the dispatched jobs —
         under a query deadline those timeouts were already capped to the
         remaining wall budget at job-build time, so it is an honest upper
-        bound on what the query can still afford.  A retry whose backoff
-        would land past that budget is pointless (the rerun would be
-        truncated to nothing) and is refused.
+        bound on what the query can still afford.  ``backoff`` is the wait
+        the caller will sleep before the retry (:meth:`backoff_seconds`,
+        drawn once): a retry whose backoff would land past the budget is
+        pointless (the rerun would be truncated to nothing) and is refused.
         """
         if attempt >= self.max_attempts or not self.is_retryable(error):
             return False
-        if budget is not None and elapsed + self.backoff_seconds(attempt, self.rng()) >= budget:
+        if budget is not None and elapsed + backoff >= budget:
             return False
         return True
 

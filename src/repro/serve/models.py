@@ -148,7 +148,8 @@ class ResponseStats:
     #: MVCC view telemetry: the graph generation this response's rows are
     #: consistent with (rows match a full freeze at this generation), the
     #: size of the mutable delta overlay at evaluation time, and the
-    #: compactions so far (read per response to spot a compaction stall).
+    #: graph's compactions so far (read per response to spot a compaction
+    #: stall).
     generation: Optional[int] = None
     delta_size: int = 0
     compactions: int = 0

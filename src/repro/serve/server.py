@@ -9,13 +9,18 @@ shares:
 
 * a :class:`~repro.query.pool.WorkerPool` — workers spawn once, load the
   mmap-shared snapshot once, and keep their per-worker contexts warm
-  across requests (the amortization fix this PR exists for);
+  across requests;
 * a thread-safe :class:`~repro.ctp.context.SearchContext` — the
   cross-CTP memo and interning pool span *requests*, so a CONNECT one
   client evaluated is a memo hit for every later client that repeats it;
 * admission control — a bounded in-flight budget (``max_pending``):
   request N+1 gets a typed ``STATUS_REJECTED`` response immediately
-  instead of queueing without bound while every caller's deadline rots.
+  instead of queueing without bound while every caller's deadline rots;
+* the one compaction rule — :meth:`QueryServer.ingest` applies atomic
+  write batches, and a batch that leaves the delta overlay larger than
+  :attr:`QueryServer.compaction_threshold` refreezes base ∪ delta before
+  it returns, under either dispatch mode.  The pool decides nothing about
+  compaction: it re-snapshots the moved base at its next dispatch.
 
 :meth:`QueryServer.handle` is synchronous and thread-safe: a transport
 layer runs it from N client threads.  Per-request deadlines are enforced
@@ -101,12 +106,6 @@ class QueryServer:
         (one CTP at a time on the handling thread).  Both pin the same
         MVCC read view per request, so :meth:`ingest` is safe under
         either.
-    compaction_threshold:
-        Delta-overlay mutations tolerated before base ∪ delta is
-        refrozen into a fresh base snapshot (``None`` = never compact,
-        ``0`` = compact on any mutation).  Under process dispatch the
-        worker pool compacts at its dispatch boundary; under serial
-        dispatch :meth:`ingest` compacts inline.
 
     Use as a context manager (or call :meth:`close`): the pool holds OS
     processes and a temp snapshot file, which should die with the server,
@@ -114,6 +113,10 @@ class QueryServer:
     call :meth:`drain` first — it stops admissions, lets in-flight
     requests finish, then closes.
     """
+
+    #: Delta-overlay mutations tolerated before :meth:`ingest` refreezes
+    #: base ∪ delta into a fresh base (the pool then re-snapshots it).
+    compaction_threshold = 256
 
     def __init__(
         self,
@@ -127,7 +130,6 @@ class QueryServer:
         default_timeout: Optional[float] = None,
         pool_config: Optional[Dict[str, Any]] = None,
         dispatch_mode: str = "process",
-        compaction_threshold: Optional[int] = 256,
     ):
         if max_pending < 1:
             raise ReproError(f"QueryServer needs max_pending >= 1, got {max_pending}")
@@ -143,7 +145,6 @@ class QueryServer:
         self.graph = graph
         self.algorithm = algorithm
         self.dispatch_mode = dispatch_mode
-        self.compaction_threshold = compaction_threshold
         self.base_config = base_config or SearchConfig()
         self.default_deadline = default_deadline
         self.default_timeout = default_timeout
@@ -153,12 +154,7 @@ class QueryServer:
         )
         self.pool: Optional[WorkerPool] = None
         if dispatch_mode == "process":
-            self.pool = WorkerPool(
-                graph,
-                workers=workers,
-                compaction_threshold=compaction_threshold,
-                **(pool_config or {}),
-            )
+            self.pool = WorkerPool(graph, workers=workers, **(pool_config or {}))
         #: Shared across requests (thread-safe): cross-request memo + pool.
         self.context = SearchContext(thread_safe=True)
         self._slots = threading.BoundedSemaphore(max_pending)
@@ -251,10 +247,10 @@ class QueryServer:
         or none of it.  Queries already running are untouched — they keep
         reading their pinned generation (MVCC), and the next dispatch
         ships the enlarged delta to the pool's workers without respawning
-        them.  Under serial dispatch the server itself compacts
-        the overlay once it outgrows ``compaction_threshold`` (the worker
-        pool owns that decision under process dispatch, at its own
-        dispatch boundary).
+        them.  A batch that leaves the overlay larger than
+        :attr:`compaction_threshold` folds it into a new base before
+        returning, under either dispatch mode: the writer pays the
+        refreeze, and the pool's next dispatch re-snapshots the moved base.
         """
         if self._closed or self._draining:
             reason = "server is draining" if self._draining and not self._closed else "server is closed"
@@ -287,11 +283,7 @@ class QueryServer:
                 )
                 for edge_id, weight in request.weights:
                     self.graph.set_edge_weight(edge_id, weight)
-                if (
-                    self.pool is None
-                    and self.compaction_threshold is not None
-                    and getattr(self.graph, "delta_size", 0) > self.compaction_threshold
-                ):
+                if getattr(self.graph, "delta_size", 0) > self.compaction_threshold:
                     self.graph.compact()
                 generation = self.graph.generation
                 delta_size = getattr(self.graph, "delta_size", 0)
@@ -436,11 +428,7 @@ class QueryServer:
             hangs=resilience.hangs if resilience is not None else 0,
             generation=result.generation,
             delta_size=getattr(self.graph, "delta_size", 0),
-            compactions=(
-                self.pool.compactions
-                if self.pool is not None
-                else getattr(self.graph, "compactions", 0)
-            ),
+            compactions=getattr(self.graph, "compactions", 0),
             rebalances=result.rebalances,
             rebalanced_seconds=result.rebalanced_seconds,
         )
@@ -475,7 +463,6 @@ class QueryServer:
                 "dispatch_mode": self.dispatch_mode,
                 "generation": getattr(self.graph, "generation", 0),
                 "delta_size": getattr(self.graph, "delta_size", 0),
-                "graph_compactions": getattr(self.graph, "compactions", 0),
             }
         counters["pool"] = self.pool.stats() if self.pool is not None else None
         counters["context"] = self.context.stats_dict()

@@ -13,6 +13,7 @@ from repro.query.ast import (
     EQLQuery,
     Predicate,
 )
+from repro.query.parser import parse_query
 
 
 @pytest.fixture
@@ -92,8 +93,12 @@ class TestPredicate:
         assert predicate.label_constant() is None
 
     def test_str_forms(self):
-        assert str(Predicate("v")) == "?v"
-        assert "label" in str(Predicate.label_equals("v", "x"))
+        query = parse_query('SELECT ?v ?e WHERE { ?v ?e "Alice" . FILTER(label(?v) = "Bob") }')
+        (pattern,) = query.patterns
+        assert pattern.source == Predicate.label_equals("v", "Bob")
+        assert pattern.edge == Predicate("e")
+        assert pattern.target.label_constant() == "Alice"
+        assert parse_query(str(query)) == query
 
 
 class TestBGP:

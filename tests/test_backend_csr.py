@@ -300,7 +300,7 @@ class TestFreeze:
         frozen = graph.freeze()
         # In-place Edge mutation is impossible (frozen objects are shared
         # with pinned views); the supported path bumps the generation, so
-        # the freeze memo sees it without force=True.
+        # the freeze memo sees it.
         with pytest.raises(GraphError):
             graph.edge(e).weight = 9.0
         graph.set_edge_weight(e, 9.0)
@@ -308,7 +308,7 @@ class TestFreeze:
         refrozen = graph.freeze()
         assert refrozen is not frozen
         assert refrozen.edge_weight(e) == 9.0
-        assert refrozen.freeze(force=True) is refrozen  # idempotent on frozen views
+        assert refrozen.freeze() is refrozen  # idempotent on frozen views
 
     def test_describe_helpers_match(self):
         graph = Graph()

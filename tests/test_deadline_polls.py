@@ -1,12 +1,14 @@
-"""Deterministic deadline cuts of the GAM-family engines.
+"""Deterministic deadline cuts of the GAM-family and BFT engines.
 
-The engines poll their :class:`~repro._util.Deadline` once per Grow in the
-main loop and once per work item of the merge cascade, and only when the
+The GAM-family engines poll their :class:`~repro._util.Deadline` once per
+Grow in the main loop and once per work item of the merge cascade; the BFT
+engines once per dequeued tree in the main loop and, for ``bft-m`` and
+``bft-am``, once per work item of the merge.  They poll only when the
 search has a timeout.  A wall-clock timeout cannot show where a search
 stops, so these tests replace the clock the deadline reads: it stands
 still until the k-th poll, then jumps past the limit.  A recording run
-lists the poll sites in order, k is chosen to land on a Grow-loop poll or
-on a merge-cascade poll, and the cut run must then
+lists the poll sites in order, k is chosen to land on a main-loop poll or
+on a merge poll the engine makes, and the cut run must then
 
 * report ``timed_out`` and not ``complete``;
 * return a prefix, in emission order, of the rows of the unbounded run.
@@ -25,11 +27,21 @@ import repro._util
 from repro.ctp.config import SearchConfig
 from repro.ctp.registry import get_algorithm
 from repro.graph.datasets import figure1, figure1_seed_sets
-
-ALGORITHMS = ("gam", "esp", "moesp", "lesp", "molesp")
+from repro.workloads.synthetic import chain_graph
 
 GROW_SITE = "_main_loop"
 MERGE_SITE = "_merge_cascade"
+BFT_MERGE_SITE = "_merge"
+
+#: The poll sites each engine reaches (plain BFT never merges).
+SITES = {
+    **{name: (GROW_SITE, MERGE_SITE) for name in ("gam", "esp", "moesp", "lesp", "molesp")},
+    "bft": (GROW_SITE,),
+    "bft-m": (GROW_SITE, BFT_MERGE_SITE),
+    "bft-am": (GROW_SITE, BFT_MERGE_SITE),
+}
+ALGORITHMS = tuple(SITES)
+CUTS = [(name, site) for name, sites in SITES.items() for site in sites]
 
 
 class PollClock:
@@ -65,10 +77,16 @@ def _counters(result_set):
 
 
 def _search(algorithm, timeout=None):
-    # Figure 1: every engine emits its results spread over both poll sites
-    # (the synthetic Line/Comb/Star points have one result each).
-    graph = figure1()
-    return get_algorithm(algorithm).run(graph, figure1_seed_sets(graph), SearchConfig(timeout=timeout))
+    # Figure 1: every GAM-family engine emits its results spread over both
+    # poll sites (the synthetic Line/Comb/Star points have one result
+    # each).  The BFT engines run on chain(5), whose 32 results they find
+    # completely, without a max_trees valve, in a few milliseconds.
+    if algorithm.startswith("bft"):
+        graph, seed_sets = chain_graph(5)
+    else:
+        graph = figure1()
+        seed_sets = figure1_seed_sets(graph)
+    return get_algorithm(algorithm).run(graph, seed_sets, SearchConfig(timeout=timeout))
 
 
 def _run(monkeypatch, algorithm, clock, timeout):
@@ -98,14 +116,13 @@ def test_unbounded_run_never_polls(monkeypatch, algorithm, unbounded):
 def test_bounded_run_that_never_expires_replays_unbounded(monkeypatch, algorithm, unbounded):
     clock = PollClock()
     result_set = _run(monkeypatch, algorithm, clock, timeout=1.0)
-    assert {name for name, _ in clock.polls} == {GROW_SITE, MERGE_SITE}
+    assert {name for name, _ in clock.polls} == set(SITES[algorithm])
     assert result_set.complete and not result_set.timed_out
     assert _rows(result_set) == _rows(unbounded[algorithm])
     assert _counters(result_set) == _counters(unbounded[algorithm])
 
 
-@pytest.mark.parametrize("site", [GROW_SITE, MERGE_SITE])
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm,site", CUTS)
 def test_cut_at_kth_poll_returns_prefix(monkeypatch, algorithm, site, unbounded):
     recorder = PollClock()
     _run(monkeypatch, algorithm, recorder, timeout=1.0)

@@ -10,8 +10,8 @@ invariant at three layers:
 1. **protocol** — ``OverlayGraph`` answers the whole ``GraphBackend``
    surface exactly like a full refreeze (goldens + a Hypothesis sweep);
 2. **dispatch** — the worker pool ships deltas instead of re-snapshots,
-   compacts at its threshold, flags thrash, and refuses stale views
-   without charging the breaker;
+   re-snapshots when the writer's compaction moves the base, and refuses
+   stale views without charging the breaker;
 3. **serving** — concurrent ``ingest()`` + queries on a ``QueryServer``
    return rows matching a full freeze at each response's recorded
    generation, under serial and process dispatch alike.
@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.ctp import ALGORITHMS
 from repro.ctp.config import SearchConfig
 from repro.ctp.registry import evaluate_ctp
-from repro.errors import GraphError, PoolThrashWarning, StaleViewError
+from repro.errors import GraphError, StaleViewError
 from repro.graph import CSRGraph, Edge, Graph, GraphDelta, OverlayGraph
 from repro.query.evaluator import evaluate_query
 from repro.query.pool import WorkerPool
@@ -338,24 +338,27 @@ class TestOverlayEquivalence:
 
 
 # ----------------------------------------------------------------------
-# 4. pool dispatch: deltas ship, compaction triggers, stale views refuse
+# 4. pool dispatch: deltas ship, base moves re-snapshot, stale views refuse
 # ----------------------------------------------------------------------
 class TestPoolDelta:
     QUERY = 'SELECT ?t WHERE { CONNECT("A", "C") AS ?t }'
 
     def test_compaction_at_threshold_crossing(self):
+        """The pool never compacts: it ships any delta, and follows the base
+        the writer's compaction (at its threshold crossing) moved."""
         graph, (a, _b, _c) = _chain_graph()
-        with WorkerPool(graph, workers=1, compaction_threshold=2) as pool:
+        with WorkerPool(graph, workers=1) as pool:
             pool.prepare()
             first_path = pool.snapshot_path
             graph.add_node("D")
             graph.add_edge(a, 3, "r")
-            assert pool.prepare_for(graph) is not None  # delta of 2: under threshold
-            assert pool.resnapshots == 0 and pool.compactions == 0
-            assert pool.snapshot_path == first_path
             graph.add_node("E")
-            assert pool.prepare_for(graph) is None  # 3 > 2: compacted, base is current
-            assert pool.compactions == 1 and pool.resnapshots == 1
+            assert pool.prepare_for(graph) is not None
+            assert pool.resnapshots == 0 and graph.compactions == 0
+            assert pool.snapshot_path == first_path
+            graph.compact()
+            assert pool.prepare_for(graph) is None  # the base is current
+            assert pool.stats()["compactions"] == 1 and pool.resnapshots == 1
             assert graph.delta_size == 0
             assert pool.snapshot_path != first_path
 
@@ -369,38 +372,27 @@ class TestPoolDelta:
             assert pool.resnapshots_avoided == 1
             assert pool.resnapshots == 0
 
-    def test_thrash_warning_on_rapid_resnapshots(self):
-        graph, _ = _chain_graph()
-        with WorkerPool(graph, workers=1, compaction_threshold=0) as pool:
-            pool.prepare()
-            graph.add_node("D")
-            pool.prepare_for(graph)  # first resnapshot: no prior episode, no warning
-            assert pool.resnapshot_thrash == 0
-            graph.add_node("E")
-            with pytest.warns(PoolThrashWarning):
-                pool.prepare_for(graph)  # consecutive resnapshot, zero dispatches apart
-            assert pool.resnapshot_thrash == 1
-            assert pool.resnapshots == 2
-
     def test_stale_view_raises_without_breaker_charge(self):
         graph, _ = _chain_graph()
-        with WorkerPool(graph, workers=1, compaction_threshold=0) as pool:
+        with WorkerPool(graph, workers=1) as pool:
             pool.prepare()
             graph.add_node("D")
             stale = graph.read_view()
             graph.add_node("E")
-            pool.prepare_for(graph)  # compacts: the pool's base moves past `stale`
+            graph.compact()
+            pool.prepare_for(graph)  # the pool's base moves past `stale`
             with pytest.raises(StaleViewError):
                 pool.prepare_for(stale)
             assert pool.breaker.state == "closed"
 
     def test_stale_view_dispatch_degrades_with_correct_rows(self):
         graph, _ = _chain_graph()
-        with WorkerPool(graph, workers=1, compaction_threshold=0) as pool:
+        with WorkerPool(graph, workers=1) as pool:
             pool.prepare()
             graph.add_node("D")
             stale = graph.read_view()
             graph.add_node("E")
+            graph.compact()
             pool.prepare_for(graph)
             serial = evaluate_query(stale, self.QUERY)
             result = evaluate_query(stale, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
@@ -417,7 +409,7 @@ class TestPoolDelta:
         serves it in-process — same as a view ``prepare_for`` finds stale —
         instead of failing the request with an untyped ``GraphError``."""
         graph, (a, _b, _c) = _chain_graph()
-        with WorkerPool(graph, workers=1, compaction_threshold=2) as pool:
+        with WorkerPool(graph, workers=1) as pool:
             evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)  # warm
             graph.add_edge(a, graph.add_node("D"), "r")
             view = graph.read_view()  # pinned: base + a delta of 2
@@ -427,14 +419,15 @@ class TestPoolDelta:
             def racing_submit(*args, **kwargs):
                 if not raced:
                     raced.append(True)
-                    for label in "EFGH":  # a concurrent ingest crosses the threshold...
+                    for label in "EFGH":  # a concurrent ingest compacts...
                         graph.add_edge(a, graph.add_node(label), "r")
-                    pool.prepare_for(graph)  # ...and its dispatch compacts
+                    graph.compact()
+                    pool.prepare_for(graph)  # ...and the next dispatch re-snapshots
                 return real_submit(*args, **kwargs)
 
             pool.submit = racing_submit
             result = evaluate_query(view, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
-            assert raced and pool.compactions == 1
+            assert raced and graph.compactions == pool.resnapshots == 1
             assert result.rows == serial.rows
             assert result.generation == view.generation
             # The warm worker still maps the pinned base and may serve it.
@@ -457,7 +450,7 @@ class TestPoolDelta:
         worker spawned after the superseded file was released cannot map
         it and degrades typed — both with the pinned view's rows."""
         graph, (a, _b, c) = _chain_graph()
-        with WorkerPool(graph, workers=1, compaction_threshold=2) as pool:
+        with WorkerPool(graph, workers=1) as pool:
             if warm:
                 evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             view = graph.read_view()  # pinned: the base itself, no delta
@@ -468,14 +461,15 @@ class TestPoolDelta:
                 if not raced:
                     raced.append(True)
                     graph.add_edge(a, c, "r")  # a direct A-C edge and two
-                    graph.add_node("D")  # nodes: a delta of 3 > 2...
+                    graph.add_node("D")  # nodes, folded in by an ingest...
                     graph.add_node("E")
-                    pool.prepare_for(graph)  # ...another request's dispatch compacts
+                    graph.compact()
+                    pool.prepare_for(graph)  # ...and another request's dispatch re-snapshots
                 return real_submit(*args, **kwargs)
 
             pool.submit = racing_submit
             result = evaluate_query(view, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
-            assert raced and pool.compactions == 1
+            assert raced and graph.compactions == pool.resnapshots == 1
             assert len(serial.rows) == 1
             assert result.rows == serial.rows
             assert result.generation == view.generation
@@ -488,12 +482,13 @@ class TestPoolDelta:
 
     def test_pinned_head_view_dispatches_after_compaction(self):
         graph, _ = _chain_graph()
-        with WorkerPool(graph, workers=1, compaction_threshold=0) as pool:
+        with WorkerPool(graph, workers=1) as pool:
             pool.prepare()
             graph.add_node("D")
             head = graph.read_view()
-            assert pool.prepare_for(head) is None  # compaction landed at head's generation
-            assert pool.compactions == 1
+            graph.compact()  # lands at head's generation
+            assert pool.prepare_for(head) is None
+            assert pool.resnapshots == 1
             serial = evaluate_query(head, self.QUERY)
             result = evaluate_query(head, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             assert result.rows == serial.rows
@@ -537,13 +532,6 @@ class TestPoolDelta:
                 assert result.rows == serial.rows
             assert pool.breaker.state == "closed"
             assert pool.dispatches == 0
-
-    def test_pool_rejects_bad_threshold(self):
-        graph, _ = _chain_graph()
-        from repro.errors import PoolError
-
-        with pytest.raises(PoolError):
-            WorkerPool(graph, workers=1, compaction_threshold=-1)
 
 
 # ----------------------------------------------------------------------
@@ -598,12 +586,37 @@ class TestServerIngest:
 
     def test_serial_dispatch_compacts_inline(self):
         graph, _ = _chain_graph()
-        with QueryServer(
-            graph, dispatch_mode="serial", max_pending=2, compaction_threshold=1
-        ) as server:
-            server.ingest(IngestRequest(nodes=(("D", ""), ("E", ""))))
-            assert graph.delta_size == 0  # 2 > 1: compacted inside ingest
+        with QueryServer(graph, dispatch_mode="serial", max_pending=2) as server:
+            threshold = server.compaction_threshold
+            server.ingest(IngestRequest(nodes=tuple((f"n{i}", "") for i in range(threshold))))
+            assert graph.delta_size == threshold and graph.compactions == 0  # not past it
+            server.ingest(IngestRequest(nodes=(("D", ""),)))
+            assert graph.delta_size == 0  # compacted inside ingest
             assert graph.compactions == 1
+
+    @pytest.mark.parametrize("mode", DISPATCH_MODES)
+    def test_ingest_past_the_threshold_compacts_before_returning(self, mode):
+        """The writer folds the delta in, under either dispatch mode; under
+        process dispatch the pool's next dispatch re-snapshots the moved
+        base onto the same warm workers."""
+        graph, (a, _b, c) = _chain_graph()
+        query = 'SELECT ?s ?t WHERE { CONNECT("A", "C") AS ?s CONNECT("A", "C") AS ?t }'
+        with QueryServer(graph, dispatch_mode=mode, workers=1, max_pending=2) as server:
+            assert server.handle(QueryRequest(query=query)).ok
+            padding = tuple((f"n{i}", "") for i in range(server.compaction_threshold))
+            result = server.ingest(IngestRequest(nodes=padding, edges=((a, c, "r", 1.0),)))
+            assert result.ok and result.delta_size == 0
+            assert graph.delta_size == 0 and graph.compactions == 1
+            response = server.handle(QueryRequest(query=query))
+            assert response.ok and response.stats.generation == result.generation
+            assert response.stats.compactions == 1
+            expected = evaluate_query(graph.freeze(), query)
+            assert len(expected.rows) == 4  # A-C and A-B-C, for each CTP
+            assert response.rows == expected.rows
+            if mode == "process":
+                assert response.stats.dispatch_modes == ["process", "memo"]
+                assert server.pool.resnapshots == 1 and server.pool.respawns == 0
+                assert server.stats()["pool"]["compactions"] == 1
 
     def test_response_stats_carry_generation(self):
         graph, _ = _chain_graph()
@@ -643,17 +656,21 @@ def test_concurrent_ingest_and_queries_are_generation_consistent(mode):
         dispatch_mode=mode,
         workers=1,
         max_pending=queries + 1,
-        compaction_threshold=3,
     ) as server:
         server.prewarm()
         snapshots[graph.generation] = pickle.dumps(graph)
+
+        # Untyped, unlinked padding past half the threshold: the 2nd and
+        # 4th batches compact while queries are in flight.
+        padding = server.compaction_threshold // 2
 
         def writer():
             for round_index in range(rounds):
                 new_id = graph.num_nodes
                 result = server.ingest(
                     IngestRequest(
-                        nodes=((f"d{round_index}", f"g{round_index % 2}"),),
+                        nodes=((f"d{round_index}", f"g{round_index % 2}"),)
+                        + tuple((f"pad{round_index}_{i}", "") for i in range(padding)),
                         edges=((hub, new_id, "e", 1.0),),
                     )
                 )
@@ -676,6 +693,7 @@ def test_concurrent_ingest_and_queries_are_generation_consistent(mode):
             ingest_future.result()
         # ...and one after all writes covers the final generation too.
         responses.append(reader(queries))
+    assert graph.compactions == 2
 
     observed = set()
     for response in responses:

@@ -27,6 +27,7 @@ import os
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,6 +45,8 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.graph.snapshot import save_snapshot
+from repro.query import parallel
+from repro.query.costmodel import DeadlineLedger
 from repro.query.evaluator import evaluate_query
 from repro.query.pool import WorkerPool
 from repro.query.resilience import (
@@ -52,6 +55,7 @@ from repro.query.resilience import (
     BREAKER_OPEN,
     CircuitBreaker,
     PoolResilienceConfig,
+    ResilienceReport,
     RetryPolicy,
 )
 from repro.testing import FakeClock
@@ -189,8 +193,9 @@ def test_retry_policy_attempt_and_budget_limits():
     assert not policy.should_retry(3, error)  # attempts exhausted
     assert not policy.should_retry(1, FaultInjected("scorer"))
     # A backoff that would overrun the per-CTP budget is refused.
-    assert not policy.should_retry(1, error, elapsed=0.5, budget=0.6)
-    assert policy.should_retry(1, error, elapsed=0.1, budget=0.6)
+    backoff = policy.backoff_seconds(1)
+    assert not policy.should_retry(1, error, elapsed=0.5, budget=0.6, backoff=backoff)
+    assert policy.should_retry(1, error, elapsed=0.1, budget=0.6, backoff=backoff)
 
 
 def test_retry_policy_backoff_schedule_and_seeded_jitter():
@@ -204,6 +209,41 @@ def test_retry_policy_backoff_schedule_and_seeded_jitter():
     assert waits_a == waits_b  # pinning the seed pins the chaos run
     base = RetryPolicy().base_backoff
     assert base * 0.5 <= waits_a[0] <= base * 1.5  # jitter=0.5 band
+
+
+class _BrokenPool:
+    """A pool stand-in whose executor is broken at every submit."""
+
+    def __init__(self):
+        self.breaker = CircuitBreaker()
+        self.retry_policy = RetryPolicy()  # unseeded jitter, as served
+        self.resilience = PoolResilienceConfig()
+
+    def _resolve(self, graph):
+        return SimpleNamespace(delta=None)
+
+    def submit(self, *args, **kwargs):
+        raise BrokenProcessPool("boom")
+
+    def respawn(self):
+        pass
+
+
+def test_approved_retry_sleeps_within_the_budget(fig1, fig1_seeds, monkeypatch):
+    # A 20 ms budget sits inside attempt 1's 10-30 ms jitter band: the
+    # backoff the retry check approves must be the one slept, or about a
+    # quarter of these dispatches sleep past the budget.
+    budget = 0.02
+    waits = []
+    monkeypatch.setattr(time, "sleep", waits.append)
+    job = parallel.CTPJob(0, list(fig1_seeds), SearchConfig(timeout=budget))
+    for _ in range(200):
+        dispatch = parallel._PooledDispatch(
+            _BrokenPool(), fig1, "molesp", None, ResilienceReport(), DeadlineLedger()
+        )
+        assert dispatch.run([job])[0].mode == "process->serial"
+    assert waits  # some retries were approved
+    assert max(waits) < budget
 
 
 def test_circuit_breaker_state_machine():

@@ -185,18 +185,19 @@ def test_pool_ships_delta_after_mutation(fig1):
         assert result.rows == serial.rows
 
 
-def test_pool_resnapshots_after_mutation_legacy_threshold(fig1):
-    # compaction_threshold=0 compacts on any mutation: the next dispatch
-    # boundary re-snapshots and releases the stale temp file eagerly.
-    with WorkerPool(fig1, workers=1, compaction_threshold=0) as pool:
+def test_pool_resnapshots_after_compaction(fig1):
+    # A compaction moves the base: the next dispatch boundary re-snapshots
+    # and releases the stale temp file eagerly.
+    with WorkerPool(fig1, workers=1) as pool:
         _pool_eval(fig1, pool)
         first_path = pool.snapshot_path
         node = fig1.add_node("Zed")
         fig1.add_edge(node, 0, "rel")
+        fig1.compact()
         serial = evaluate_query(fig1, MATRIX_QUERY)
         result = _pool_eval(fig1, pool)
         assert pool.resnapshots == 1
-        assert pool.compactions == 1
+        assert pool.stats()["compactions"] == 1
         assert pool.snapshot_path != first_path
         assert not os.path.exists(first_path)  # stale file released eagerly
         assert result.rows == serial.rows
@@ -212,13 +213,14 @@ def test_base_moves_rebase_warm_workers_without_respawn(fig1):
     """Each compaction moves the workers' base, not the workers: the same
     processes re-map the new snapshot, answer every algorithm exactly like
     serial at every generation, and never map more than one base."""
-    with WorkerPool(fig1, workers=2, compaction_threshold=0) as pool:
+    with WorkerPool(fig1, workers=2) as pool:
         _pool_eval(fig1, pool)  # two jobs at once: both workers spawn
         pids = set(pool._executor._processes)
         assert len(pids) == 2
         for generation in range(4):
             if generation:
                 fig1.add_edge(fig1.add_node(f"Zed{generation}"), 0, "rel")
+                fig1.compact()
             for algo in sorted(ALGORITHMS):
                 serial = evaluate_query(fig1, MATRIX_QUERY, algorithm=algo)
                 assert _pool_eval(fig1, pool, algorithm=algo).rows == serial.rows, algo
@@ -227,7 +229,7 @@ def test_base_moves_rebase_warm_workers_without_respawn(fig1):
             if os.path.exists("/proc/self/maps"):
                 for pid in pids:
                     assert len(_mapped_snapshots(pid)) <= 1, _mapped_snapshots(pid)
-        assert pool.compactions == pool.resnapshots == 3
+        assert fig1.compactions == pool.resnapshots == 3
         assert pool.respawns == pool.recycles == 0
 
 
@@ -243,11 +245,12 @@ def test_lazily_spawned_worker_maps_the_live_base(fig1, monkeypatch):
         pytest.skip("forkserver start method unavailable")
     context = multiprocessing.get_context("forkserver")
     monkeypatch.setattr(parallel, "_process_pool_context", lambda: context)
-    with WorkerPool(fig1, workers=2, compaction_threshold=0) as pool:
+    with WorkerPool(fig1, workers=2) as pool:
         pool.prepare()  # executor built over the first base; nothing spawned
         spawn_time_path = pool.snapshot_path
         fig1.add_edge(fig1.add_node("Zed"), 0, "rel")
-        pool.prepare_for(fig1)  # compacts and releases the spawn-time file
+        fig1.compact()
+        pool.prepare_for(fig1)  # re-snapshots and releases the spawn-time file
         assert not os.path.exists(spawn_time_path)
         serial = evaluate_query(fig1, MATRIX_QUERY)
         result = _pool_eval(fig1, pool)
@@ -448,7 +451,6 @@ def test_far_ingest_keeps_the_memo_entry_near_ingest_recomputes(mode):
 
 
 @pytest.mark.parametrize("mode", ["serial", "process"])
-@pytest.mark.filterwarnings("ignore:WorkerPool resnapshot thrash")  # back-to-back compactions
 def test_memo_entry_survives_one_compaction_not_two(mode):
     graph = _survival_graph()
     with QueryServer(graph, workers=1, dispatch_mode=mode) as server:
