@@ -253,8 +253,11 @@ class WorkerPool:
         """
         graph = self.graph
         if hasattr(graph, "ensure_base"):
+            # The generation is read off the base itself: a compaction by the
+            # writer may land after ensure_base() returns, and the graph's
+            # base_generation would then label this base with the next one's.
             base = graph.ensure_base()
-            generation = graph.base_generation
+            generation = base.base_generation
         else:
             base = graph
             generation = getattr(graph, "generation", 0)
@@ -288,9 +291,12 @@ class WorkerPool:
         self._snapshot_locked()
         pool_generation = self._snapshot_generation
         if graph is source:
-            if source.generation == pool_generation:
-                return None
             delta = source.delta_since_base()
+            while delta.base_generation != pool_generation:
+                # The writer compacted after the snapshot: follow the new base.
+                self._snapshot_locked()
+                pool_generation = self._snapshot_generation
+                delta = source.delta_since_base()
         elif isinstance(graph, OverlayGraph):
             delta = graph.delta
             if delta.generation == pool_generation:

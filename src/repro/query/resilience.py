@@ -121,7 +121,7 @@ class RetryPolicy:
         error: BaseException,
         elapsed: float = 0.0,
         budget: Optional[float] = None,
-        backoff: float = 0.0,
+        backoff: Optional[float] = None,
     ) -> bool:
         """Whether attempt ``attempt`` (1-based, just failed) warrants another.
 
@@ -132,7 +132,11 @@ class RetryPolicy:
         the caller will sleep before the retry (:meth:`backoff_seconds`,
         drawn once): a retry whose backoff would land past the budget is
         pointless (the rerun would be truncated to nothing) and is refused.
+        A ``budget`` without its ``backoff`` is a :class:`TypeError`: the
+        check would approve a wait it never saw.
         """
+        if budget is not None and backoff is None:
+            raise TypeError("RetryPolicy.should_retry: a budget needs the backoff it must cover")
         if attempt >= self.max_attempts or not self.is_retryable(error):
             return False
         if budget is not None and elapsed + backoff >= budget:

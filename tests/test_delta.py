@@ -493,6 +493,42 @@ class TestPoolDelta:
             result = evaluate_query(head, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             assert result.rows == serial.rows
 
+    @pytest.mark.parametrize("racing", ["ensure_base", "delta_since_base"])
+    def test_writer_compaction_inside_resolution_is_followed(self, racing):
+        """The writer compacts while a dispatch resolves the source graph:
+        right after the pool reads the base, or after it snapshotted and
+        before it captures the delta.  The pool must label each snapshot
+        with the generation of the base it wrote, notice the base moved,
+        and re-snapshot, so the workers serve the folded batch."""
+        graph, (a, _b, c) = _chain_graph()
+        seeds = [(a,), (c,)]
+        with WorkerPool(graph, workers=1) as pool:
+            pool.prepare()
+            graph.add_node("D")
+            real, armed = getattr(graph, racing), [True]
+
+            def racing_call():
+                if not armed:
+                    return real()
+                armed.clear()
+                if racing == "ensure_base":
+                    result = real()
+                    graph.add_edge(a, c, "r", 1.0)  # a direct A-C edge...
+                    graph.compact()  # ...folded in by the writer
+                    return result
+                graph.add_edge(a, c, "r", 1.0)
+                graph.compact()
+                return real()
+
+            setattr(graph, racing, racing_call)
+            rows, _seconds = pool.submit("molesp", seeds, SearchConfig()).result(timeout=60)
+            delattr(graph, racing)
+            assert not armed and graph.compactions == pool.resnapshots == 1
+            assert pool.snapshot_generation == graph.base_generation == graph.generation
+            serial = evaluate_ctp(graph.read_view(), seeds)
+            assert sorted(map(sorted, rows.edge_sets())) == [[0, 1], [2]]
+            assert sorted(map(sorted, serial.edge_sets())) == [[0, 1], [2]]
+
     def test_parent_encodes_a_generation_once(self, monkeypatch):
         """Four fan-outs at one generation: the delta is pickled once, by
         the first preflight, and every job ships those kept bytes."""

@@ -196,6 +196,8 @@ def test_retry_policy_attempt_and_budget_limits():
     backoff = policy.backoff_seconds(1)
     assert not policy.should_retry(1, error, elapsed=0.5, budget=0.6, backoff=backoff)
     assert policy.should_retry(1, error, elapsed=0.1, budget=0.6, backoff=backoff)
+    with pytest.raises(TypeError):  # a budget check that never saw the wait
+        policy.should_retry(1, error, elapsed=0.1, budget=0.6)
 
 
 def test_retry_policy_backoff_schedule_and_seeded_jitter():
