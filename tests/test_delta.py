@@ -33,6 +33,7 @@ from repro.ctp.config import SearchConfig
 from repro.ctp.registry import evaluate_ctp
 from repro.errors import GraphError, StaleViewError
 from repro.graph import CSRGraph, Edge, Graph, GraphDelta, OverlayGraph
+from repro.graph.snapshot import load_snapshot, save_snapshot
 from repro.query.evaluator import evaluate_query
 from repro.query.pool import WorkerPool
 from repro.serve import (
@@ -44,7 +45,8 @@ from repro.serve import (
     QueryRequest,
     QueryServer,
 )
-from repro.testing import random_graph
+from repro.testing import random_graph, rich_graphs
+from test_snapshot import graph_content
 
 PROCESS_CONFIG = SearchConfig(parallelism=2)
 
@@ -236,6 +238,110 @@ class TestGraphGenerations:
         assert clone.generation == graph.generation
         assert clone.delta_size == 0  # base is per-process state, dropped
         _assert_backend_equivalent(clone.freeze(), graph.freeze())
+
+
+# ----------------------------------------------------------------------
+# 2b. compaction splices the new base from the old base's columns
+# ----------------------------------------------------------------------
+def _held_state(csr):
+    """What a CSR store holds, as comparable values: every column's format
+    and bytes, the element objects themselves, and the label table and
+    indexes with their key orders."""
+    return {
+        "shape": (csr.name, csr.num_nodes, csr.num_edges),
+        "columns": [
+            (attr, memoryview(csr.__dict__[attr]).format, csr.__dict__[attr].tobytes())
+            for attr, _ in CSRGraph._COLUMN_SPECS
+        ],
+        "nodes": list(csr._nodes),
+        "edges": list(csr._edges),
+        "label_names": csr._label_names,
+        "nodes_by_type": list(csr._nodes_by_type.items()),
+        "edges_by_label": [(label, ids.typecode, ids.tobytes()) for label, ids in csr._edges_by_label.items()],
+    }
+
+
+class TestSplicedCompaction:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(base=rich_graphs(), data=st.data())
+    def test_compact_holds_what_a_full_freeze_builds(self, tmp_path_factory, base, data):
+        """One to three compactions in a row, each over the base the last
+        one built: every batch may add nodes with and without edges, edges
+        between new nodes, self-loops, parallel edges, a label and a type
+        no base had, props, types merged into new nodes and re-weights of
+        base and delta edges (the same edge twice too).  The new base
+        holds exactly what ``CSRGraph(graph)`` would, and saves and loads
+        back to the same content."""
+        graph = base
+        graph.ensure_base()
+        weights = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+        props = st.dictionaries(st.sampled_from(["k", "tag"]), st.integers(0, 3), max_size=1)
+        for round_ in range(data.draw(st.integers(1, 3), label="compactions")):
+            if data.draw(st.booleans(), label="label index built"):
+                graph.ensure_base().node_labels()
+            labels = st.sampled_from(["", "a", "名前", f"fresh{round_}"])
+            types = st.frozensets(st.sampled_from(["t", "person", f"fresh{round_}"]), max_size=2)
+            first_new = graph.num_nodes
+            kinds = ["node", "edge", "loop", "parallel", "weight", "retype"]
+            for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=10), label="batch"):
+                node = st.integers(0, graph.num_nodes - 1)
+                if kind == "node":
+                    graph.add_node(data.draw(labels), data.draw(types), **data.draw(props))
+                elif kind == "retype" and graph.num_nodes > first_new:
+                    target = data.draw(st.integers(first_new, graph.num_nodes - 1))
+                    graph.update_node(target, data.draw(types), **data.draw(props))
+                elif kind in ("edge", "loop") and graph.num_nodes:
+                    source = data.draw(node)
+                    target = source if kind == "loop" else data.draw(node)
+                    graph.add_edge(source, target, data.draw(labels), data.draw(weights), **data.draw(props))
+                elif kind == "parallel" and graph.num_edges:
+                    twin = graph.edge(data.draw(st.integers(0, graph.num_edges - 1)))
+                    graph.add_edge(twin.source, twin.target, twin.label, data.draw(weights))
+                elif kind == "weight" and graph.num_edges:
+                    graph.set_edge_weight(data.draw(st.integers(0, graph.num_edges - 1)), data.draw(weights))
+            if not graph.delta_size:  # a batch that could do nothing yet
+                graph.add_node(data.draw(labels))
+            expected = CSRGraph(graph)
+            folded = (graph.base_generation, frozenset(graph.delta_since_base().weight_overrides))
+            built = graph.ensure_base()._nodes_by_label is not None
+            spliced = graph.compact()
+            assert _held_state(spliced) == _held_state(expected)
+            if not built:
+                assert spliced._nodes_by_label is None
+            assert list(spliced._label_index().items()) == list(expected._label_index().items())
+            assert spliced.folded_weights == folded
+            assert spliced.base_generation == spliced.source_generation == graph.generation
+            assert spliced.view_source is graph and graph.freeze() is spliced
+            path = save_snapshot(spliced, tmp_path_factory.mktemp("splice") / "g.snapshot")
+            assert graph_content(load_snapshot(path)) == graph_content(expected)
+
+    def test_compaction_never_rebuilds_from_the_dict_store(self, monkeypatch):
+        """After the first base, ``compact()`` builds no ``CSRGraph`` from
+        the graph: it splices the old base's columns with the delta, and
+        carries the base's node-label index forward."""
+        graph, (a, _b, c) = _chain_graph()
+        graph.ensure_base().node_labels()  # the base holds its label index
+
+        def refuse(self, source):
+            raise AssertionError("compaction rebuilt the base from the dict store")
+
+        monkeypatch.setattr(CSRGraph, "__init__", refuse)
+        for round_ in range(3):
+            new = graph.add_node(f"D{round_}", types=("t",))
+            graph.add_edge(c, new, "r")
+            graph.add_edge(new, a, f"s{round_}")
+            graph.set_edge_weight(0, 2.0 + round_)
+            base = graph.compact()
+            assert graph.compactions == round_ + 1
+            assert base._nodes_by_label is not None
+            assert graph.freeze() is base
+        monkeypatch.undo()
+        assert not hasattr(OverlayGraph, "to_graph")
+        _assert_backend_equivalent(graph.read_view(), CSRGraph(graph))
 
 
 # ----------------------------------------------------------------------
