@@ -189,8 +189,9 @@ class CSRGraph(GraphBackend):
     ) -> "CSRGraph":
         """Assemble a snapshot directly from pre-built columns.
 
-        The constructor used by the binary snapshot loader and by
-        unpickling: ``columns`` maps each :attr:`_COLUMN_SPECS` attribute
+        The constructor used by the binary snapshot loader, by unpickling
+        and by :meth:`~repro.graph.delta.OverlayGraph.materialize`'s
+        splice: ``columns`` maps each :attr:`_COLUMN_SPECS` attribute
         to an ``array`` or (possibly ``mmap``-backed) ``memoryview`` of the
         right typecode.  ``nodes`` / ``edges`` are any sequences indexed by
         id — plain lists, or the loader's column-backed lazy sequences; a

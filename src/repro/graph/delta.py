@@ -24,17 +24,19 @@ order, same weights — so search results are bit-identical to evaluating
 over a fresh :meth:`~repro.graph.graph.Graph.freeze`
 (``tests/test_delta.py`` pins this per algorithm and per generation).
 
-Lifecycle (driven by :class:`~repro.graph.graph.Graph` and the worker
-pool)::
+Lifecycle (driven by :class:`~repro.graph.graph.Graph` and its writer)::
 
     freeze base ──► mutations accumulate in the delta
          ▲               │ read_view() => OverlayGraph(base, delta)
          │               ▼
-         └── compact() when delta_size crosses the pool's threshold
-             (refreeze base ∪ delta; generation unchanged — same content;
-             warm pool workers re-map the new base, none respawns; the
-             new base keeps the folded delta's re-weighted edge ids as
-             ``folded_weights``, and nothing older)
+         └── compact() once an ingest batch leaves delta_size past
+             QueryServer.compaction_threshold (the writer applies it)
+             (OverlayGraph.materialize splices base ∪ delta from the
+             base's columns, in time proportional to the delta plus
+             C-level column copies; generation unchanged — same content;
+             warm pool workers re-map the new base at their next dispatch,
+             none respawns; the new base keeps the folded delta's
+             re-weighted edge ids as ``folded_weights``, and nothing older)
 
 A memo entry of the query layer filed at generation G0 is vetted against
 a view at G1 with exactly these records — edges appended since G0, the
@@ -50,10 +52,14 @@ generation) to worker processes.
 from __future__ import annotations
 
 import pickle
+from array import array
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from itertools import accumulate, chain, repeat
+from operator import add, attrgetter, itemgetter
+from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
+from repro.graph.backend import CSRGraph, column_from_bytes
 from repro.graph.graph import AdjacencyEntry, Edge, Graph, GraphBackend, Node, WeakBackReference
 
 
@@ -142,11 +148,17 @@ class GraphDelta:
         for node in nodes:
             adjacency.setdefault(node.id, [])
         nodes_by_label: Dict[str, List[int]] = {}
-        nodes_by_type: Dict[str, List[int]] = {}
         for node in nodes:
             nodes_by_label.setdefault(node.label, []).append(node.id)
-            for type_name in node.types:
-                nodes_by_type.setdefault(type_name, []).append(node.id)
+        # Type suffixes come off the graph's own index: update_node files a
+        # new node under a type in call order, not id order.  A base node
+        # never changes, so the base's ids are a prefix of every list.
+        base_types = graph._base._nodes_by_type
+        nodes_by_type: Dict[str, List[int]] = {}
+        for type_name, ids in graph._nodes_by_type.items():
+            suffix = ids[len(base_types.get(type_name, ())):]
+            if suffix:
+                nodes_by_type[type_name] = suffix
         edges_by_label: Dict[str, List[int]] = {}
         for edge in edges:
             edges_by_label.setdefault(edge.label, []).append(edge.id)
@@ -397,8 +409,8 @@ class OverlayGraph(GraphBackend):
         return self._base.edge_endpoints(edge_id)
 
     # ------------------------------------------------------------------
-    # label / type indexes (base ids then delta ids — both ascending, so the
-    # concatenation is exactly the full-freeze insertion order)
+    # label / type indexes (base ids then the delta's suffix — each in the
+    # graph's own insertion order, so the concatenation is the full freeze's)
     # ------------------------------------------------------------------
     def nodes_with_label(self, label: str) -> List[int]:
         combined = self._base.nodes_with_label(label)
@@ -428,32 +440,75 @@ class OverlayGraph(GraphBackend):
         return labels
 
     # ------------------------------------------------------------------
-    # materialization (equivalence tests, slow-path snapshotting)
+    # materialization (compaction, snapshotting an overlay)
     # ------------------------------------------------------------------
-    def to_graph(self) -> Graph:
-        """Rebuild a mutable :class:`Graph` holding base ∪ delta."""
-        graph = Graph(self.name)
-        # Props go in after the add: a property named like an add_node /
-        # add_edge parameter ("label", "weight", ...) cannot be a keyword.
-        for node in self.nodes():
-            node_id = graph.add_node(node.label, node.types)
-            if node._props:
-                graph._nodes[node_id]._props = dict(node._props)
-        for edge in self.edges():
-            edge_id = graph.add_edge(edge.source, edge.target, edge.label, edge.weight)
-            if edge._props:
-                object.__setattr__(graph._edges[edge_id], "_props", dict(edge._props))
-        return graph
+    def materialize(self) -> CSRGraph:
+        """One CSR store holding base ∪ delta, spliced from the base's columns.
 
-    def materialize(self) -> Any:
-        """A full CSR snapshot of base ∪ delta (one frozen file, no overlay).
-
-        The slow path: :func:`repro.graph.snapshot._freeze` calls it when
-        an overlay is handed to ``save_snapshot`` or ``ensure_snapshot``
-        and must become one flat file.  The worker pool never calls this —
-        it ships the delta.
+        :meth:`Graph.compact` builds each new base with it, and
+        :func:`repro.graph.snapshot._freeze` when an overlay must become
+        one flat file.  The result holds exactly what a full freeze of
+        the same generation would (``tests/test_delta.py`` compares every
+        column's bytes), but builds nothing from a dict store: the base's
+        columns are copied in C — adjacency one byte slice per run of
+        untouched nodes, each per-edge column whole — and Python touches
+        only the delta's entries, its new label names and its index
+        suffixes.  A node-label index the base has built is carried
+        forward, not rebuilt.  Generation stamps are the caller's.
         """
-        return self.to_graph().freeze()
+        base, delta = self._base, self._delta
+        offsets, adj_edge, adj_other, adj_out = _spliced_adjacency(base, delta)
+        # --- per-edge columns: the base's, then the delta's edges; the
+        # re-weights go in last, as they may name the delta's own edges ---
+        edges = list(base._edges)
+        edges.extend(delta.edges)
+        weights = _copied(base._weights)
+        weights.extend(map(attrgetter("weight"), delta.edges))
+        for edge_id, weight in delta.weight_overrides.items():
+            weights[edge_id] = weight
+            edges[edge_id] = delta.override_edges[edge_id]
+        sources = _copied(base._edge_source)
+        sources.extend(map(attrgetter("source"), delta.edges))
+        targets = _copied(base._edge_target)
+        targets.extend(map(attrgetter("target"), delta.edges))
+        codes = {name: code for code, name in enumerate(base._label_names)}
+        label_ids = _copied(base._edge_label_ids)
+        label_ids.extend(codes.setdefault(edge.label, len(codes)) for edge in delta.edges)
+        # --- indexes: the base's ids, then the delta's suffixes ---
+        nodes_by_type = {name: tuple(ids) for name, ids in base._nodes_by_type.items()}
+        for name, ids in delta.nodes_by_type.items():
+            nodes_by_type[name] = nodes_by_type.get(name, ()) + ids
+        edges_by_label = {label: _copied(ids) for label, ids in base._edges_by_label.items()}
+        for label, ids in delta.edges_by_label.items():
+            edges_by_label.setdefault(label, array("q")).extend(ids)
+        nodes = list(base._nodes)
+        nodes.extend(delta.nodes)
+        merged = CSRGraph._from_columns(
+            self.name,
+            nodes,
+            edges,
+            {
+                "_offsets": offsets,
+                "_adj_edge": adj_edge,
+                "_adj_other": adj_other,
+                "_adj_out": adj_out,
+                "_weights": weights,
+                "_edge_source": sources,
+                "_edge_target": targets,
+                "_edge_label_ids": label_ids,
+            },
+            list(codes),
+            nodes_by_type,
+            edges_by_label,
+        )
+        label_index = base._nodes_by_label
+        if label_index is not None:
+            # Untouched labels share the base's (never mutated) id lists.
+            label_index = dict(label_index)
+            for label, ids in delta.nodes_by_label.items():
+                label_index[label] = [*label_index.get(label, ()), *ids]
+            merged._nodes_by_label = label_index
+        return merged
 
     def __repr__(self) -> str:
         name = f" {self.name!r}" if self.name else ""
@@ -461,3 +516,53 @@ class OverlayGraph(GraphBackend):
             f"OverlayGraph({name} nodes={self.num_nodes}, edges={self.num_edges}, "
             f"base_gen={self.base_generation}, gen={self.generation})"
         )
+
+
+def _copied(column: Any) -> "array":
+    """A private ``array`` copy of a CSR column (an array or memoryview)."""
+    return column_from_bytes(memoryview(column).format, memoryview(column).cast("B"))
+
+
+def _spliced_adjacency(base: CSRGraph, delta: GraphDelta) -> Tuple["array", "array", "array", "array"]:
+    """``(offsets, adj_edge, adj_other, adj_out)`` of base ∪ delta.
+
+    A base node the delta touches keeps its slice and gains its delta
+    entries after it, as :meth:`Graph.add_edge` appended them, so each
+    column is runs of base entries (up to and including a touched node's
+    slice), each followed by that node's delta entries; the new nodes'
+    entries follow the last run.  Every run is one byte slice and each
+    column one ``join``; offsets shift by the delta entries spliced in
+    before them.
+    """
+    num_base_nodes = delta.num_base_nodes
+    adjacency = delta.adjacency
+    touched = sorted(node for node in adjacency if node < num_base_nodes)
+    fresh = [adjacency.get(node, ()) for node in range(num_base_nodes, num_base_nodes + len(delta.nodes))]
+    base_offsets = base._offsets
+    steps = array("q", bytes(8 * (num_base_nodes + 1)))
+    for node in touched:
+        steps[node + 1] = len(adjacency[node])
+    offsets = array("q", map(add, base_offsets, accumulate(steps)))
+    offsets.extend(map(add, accumulate(map(len, fresh)), repeat(offsets[-1])))
+    # Run i: base entries [ends[i-1], ends[i]), then delta entries
+    # [spliced[i-1], spliced[i]) — spliced counts those in up to node i.
+    ends = [base_offsets[node + 1] for node in touched]
+    spliced = [offsets[node + 1] - end for node, end in zip(touched, ends)]
+    entries = list(chain.from_iterable(map(adjacency.__getitem__, touched)))
+    entries.extend(chain.from_iterable(fresh))
+    runs = list(
+        zip(
+            zip([0, *ends], [*ends, base_offsets[num_base_nodes]]),
+            zip([0, *spliced], [*spliced, len(entries)]),
+        )
+    )
+    columns = []
+    for field, base_column in enumerate((base._adj_edge, base._adj_other, base._adj_out)):
+        added = array(base_column.format, map(itemgetter(field), entries))
+        size = added.itemsize
+        based, extra = base_column.cast("B"), memoryview(added).cast("B")
+        chunks = []
+        for (low, high), (first, last) in runs:
+            chunks += (based[low * size : high * size], extra[first * size : last * size])
+        columns.append(column_from_bytes(base_column.format, b"".join(chunks)))
+    return (offsets, *columns)

@@ -664,14 +664,19 @@ class Graph(GraphBackend):
             return self._base
 
     def compact(self) -> Any:
-        """Refreeze base ∪ delta into a new base snapshot generation.
+        """Fold base ∪ delta into a new base snapshot generation.
 
         Called by the writer (``QueryServer.ingest``, once a batch leaves
         the delta past its compaction threshold).  A no-op when the delta
-        is empty.  Compaction changes *representation*, never content, so
-        the mutation generation is untouched: a view pinned at generation
-        G before the compaction and a fresh one pinned after it are
-        interchangeable, and generation-keyed cache entries stay valid.
+        is empty.  The new base is the current read view's
+        :meth:`~repro.graph.delta.OverlayGraph.materialize`: C-level
+        copies of the old base's columns plus Python work in proportion to
+        the delta, never a rebuild from this dict store.  It also becomes
+        the :meth:`freeze` memo.  Compaction changes *representation*,
+        never content, so the mutation generation is untouched: a view
+        pinned at generation G before the compaction and a fresh one
+        pinned after it are interchangeable, and generation-keyed cache
+        entries stay valid.
 
         The new base records what it folded in as ``folded_weights``: the
         previous base's generation and the edges re-weighted since it, so
@@ -682,8 +687,13 @@ class Graph(GraphBackend):
             self.ensure_base()
             if self._generation != self._base_generation:
                 folded = (self._base_generation, frozenset(self._weight_overrides))
-                self._set_base_locked(self.freeze())
-                self._base.folded_weights = folded
+                base = self.read_view().materialize()
+                # The stamps freeze() gives a view it builds (see there).
+                base.view_source = self
+                base.base_generation = base.source_generation = self._generation
+                base.folded_weights = folded
+                self._frozen_snapshot = base
+                self._set_base_locked(base)
                 self._compactions += 1
             return self._base
 

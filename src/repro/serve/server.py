@@ -18,8 +18,8 @@ shares:
   instead of queueing without bound while every caller's deadline rots;
 * the one compaction rule — :meth:`QueryServer.ingest` applies atomic
   write batches, and a batch that leaves the delta overlay larger than
-  :attr:`QueryServer.compaction_threshold` refreezes base ∪ delta before
-  it returns, under either dispatch mode.  The pool decides nothing about
+  :attr:`QueryServer.compaction_threshold` folds base ∪ delta into a new
+  base before it returns, under either dispatch mode.  The pool decides nothing about
   compaction: it re-snapshots the moved base at its next dispatch.
 
 :meth:`QueryServer.handle` is synchronous and thread-safe: a transport
@@ -114,7 +114,7 @@ class QueryServer:
     requests finish, then closes.
     """
 
-    #: Delta-overlay mutations tolerated before :meth:`ingest` refreezes
+    #: Delta-overlay mutations tolerated before :meth:`ingest` folds
     #: base ∪ delta into a fresh base (the pool then re-snapshots it).
     compaction_threshold = 256
 
@@ -249,8 +249,9 @@ class QueryServer:
         ships the enlarged delta to the pool's workers without respawning
         them.  A batch that leaves the overlay larger than
         :attr:`compaction_threshold` folds it into a new base before
-        returning, under either dispatch mode: the writer pays the
-        refreeze, and the pool's next dispatch re-snapshots the moved base.
+        returning, under either dispatch mode: the writer pays the fold
+        (``Graph.compact``), and the pool's next dispatch re-snapshots the
+        moved base.
         """
         if self._closed or self._draining:
             reason = "server is draining" if self._draining and not self._closed else "server is closed"

@@ -360,6 +360,17 @@ class TestOverlayEquivalence:
         graph.compact()
         _assert_backend_equivalent(graph.read_view(), graph.freeze())  # gen 3: compacted
 
+    def test_type_index_keeps_the_update_order(self):
+        """``update_node`` files a new node under a type when it is called,
+        not in id order; the overlay and the compacted base keep that order."""
+        graph, _ = _chain_graph()
+        x = graph.add_node("x")
+        y = graph.add_node("y", types=("u",))
+        graph.update_node(x, types=("u",))
+        assert graph.freeze().nodes_with_type("u") == [y, x]
+        assert graph.read_view().nodes_with_type("u") == [y, x]
+        assert graph.compact().nodes_with_type("u") == [y, x]
+
     def test_filtered_adjacency_cache_is_bounded(self):
         """The overlay's label-filtered cache evicts past its cap, like the
         CSR one, and an evicted key still answers like the freeze."""

@@ -226,7 +226,7 @@ def test_roundtrip_is_elementwise_identical(tmp_path_factory, graph, use_mmap):
         assert loaded.node(0) is loaded.node(0)  # decoded once, then cached
     assert_same_graph_view(frozen, pickle.loads(pickle.dumps(load_snapshot(path, use_mmap=use_mmap))))
     # A fresh load under an overlay: the base is still undecoded when the
-    # overlay (and its to_graph()/materialize()) first reads it.
+    # overlay (and the splice of its materialize()) first reads it.
     graph.ensure_base()
     node = graph.add_node("new", types=("t",), k=1)
     graph.add_edge(node, 0, "a", weight=0.5)
