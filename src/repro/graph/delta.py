@@ -56,7 +56,7 @@ from array import array
 from collections import OrderedDict
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, itemgetter
-from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.graph.backend import CSRGraph, column_from_bytes
