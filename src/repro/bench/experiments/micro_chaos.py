@@ -6,16 +6,21 @@ fault class :mod:`repro.faults` can inject — worker **crash** mid-CTP,
 **hang** past the watchdog, **slow** returns, **rss** growth cured by
 recycling, a deterministic **scorer** exception, and a
 **corrupt_snapshot** handed to the worker initializer — plus a crash
-storm that trips the circuit **breaker** open and an **overload** run
-that sheds low-priority traffic.
+**storm** across two worker generations, a pool that crashes **always**,
+and an **overload** run that sheds low-priority traffic.
 
-Each scenario reports recovery shape, not just survival:
+A failed fan-out runs inline and the next dispatch spawns fresh workers,
+so each scenario reports recovery shape, not just survival:
 
 * ``first_ok_ms`` — latency of the first successful request, which pays
-  the recovery (respawn, watchdog expiry, breaker probe) on-path;
+  the failure (a dead worker or a watchdog expiry, then the inline run)
+  on-path;
 * ``steady_p50_ms`` — later requests, which must be back to normal;
-* the resilience counters that fired (retries, hangs, respawns,
-  recycles, breaker trips/state) and the degraded dispatch modes seen.
+* the resilience counters that fired (hangs, respawns, recycles) and the
+  CTPs that ran inline.
+
+With ``repeats`` above 1 each scenario runs that many times on a fresh
+server: timings are the median run's, counts the worst run's.
 
 Determinism gate: every ``ok`` response's rows are asserted bit-identical
 to an inline evaluation of the same query (no pool) — the ``identical``
@@ -31,6 +36,7 @@ byte-for-byte under ``PYTHONHASHSEED=0``.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -40,7 +46,7 @@ from repro.bench.harness import ExperimentReport, Measurement
 from repro.ctp.config import SearchConfig
 from repro.faults import FaultPlan, FaultSpec
 from repro.query.evaluator import evaluate_query
-from repro.query.resilience import CircuitBreaker, PoolResilienceConfig
+from repro.query.resilience import PoolResilienceConfig
 from repro.serve import PRIORITY_LOW, QueryRequest, QueryServer
 from repro.workloads.synthetic import grouped_star
 
@@ -95,19 +101,13 @@ def _run_scenario(
     serial_reference,
     request_timeout: Optional[float] = None,
     pool_config: Optional[Dict[str, Any]] = None,
-    pause_before: Optional[Tuple[int, float]] = None,
 ) -> Dict[str, Any]:
-    """Drive ``texts`` through a fresh server under ``plan``; summarize.
-
-    ``pause_before=(index, seconds)`` sleeps before request ``index`` —
-    the breaker scenario uses it to let the cooldown elapse so the
-    half-open probe is reached deterministically.
-    """
+    """Drive ``texts`` through a fresh server under ``plan``; summarize."""
     latencies_ok: List[float] = []
     statuses: List[str] = []
     modes: List[str] = []
     identical = True
-    retries = hangs = 0
+    hangs = 0
     faults.install_plan(plan)
     try:
         with QueryServer(
@@ -118,9 +118,7 @@ def _run_scenario(
             default_timeout=30.0,
             pool_config=pool_config,
         ) as server:
-            for index, text in enumerate(texts):
-                if pause_before is not None and index == pause_before[0]:
-                    time.sleep(pause_before[1])
+            for text in texts:
                 started = time.perf_counter()
                 response = server.handle(QueryRequest(query=text, timeout=request_timeout))
                 elapsed = time.perf_counter() - started
@@ -128,7 +126,6 @@ def _run_scenario(
                 if response.status == "ok":
                     latencies_ok.append(elapsed)
                     modes.extend(response.stats.dispatch_modes)
-                    retries += response.stats.retries
                     hangs += response.stats.hangs
                     columns, rows = serial_reference(text)
                     if response.columns != columns or response.rows != rows:
@@ -142,15 +139,30 @@ def _run_scenario(
         "typed_errors": statuses.count("error"),
         "first_ok_ms": round(first_ok * 1000, 3),
         "steady_p50_ms": round(_percentile(latencies_ok[1:], 50) * 1000, 3),
-        "retries": retries,
         "hangs": hangs,
         "respawns": pool_stats["respawns"],
         "recycles": pool_stats["recycles"],
-        "breaker_trips": pool_stats["breaker_trips"],
-        "breaker_state_final": pool_stats["breaker_state"],
         "degraded_ctps": sum(1 for mode in modes if mode.startswith("process->")),
         "identical": identical,
     }
+
+
+def _combine(runs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """One row from repeated runs of a scenario: ``*_ms`` values are
+    medians, ``ok`` the fewest any run had, every other count the most,
+    and ``identical`` holds only if it held in every run."""
+    row: Dict[str, Any] = {}
+    for key in runs[0]:
+        values = [values[key] for values in runs]
+        if key.endswith("_ms"):
+            row[key] = round(statistics.median(values), 3)
+        elif key == "identical":
+            row[key] = all(values)
+        elif key == "ok":
+            row[key] = min(values)
+        else:
+            row[key] = max(values)
+    return row
 
 
 def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -> ExperimentReport:
@@ -184,11 +196,12 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
     scenarios: List[Tuple[str, Dict[str, Any]]] = [
         ("baseline", dict(plan=None)),
         # First CTP run crashes the worker (os._exit): BrokenProcessPool ->
-        # respawn -> retried fan-out succeeds on the clean epoch-1 workers.
+        # the fan-out runs inline, and the next request spawns clean
+        # epoch-1 workers.
         ("crash", dict(plan=FaultPlan(specs=(FaultSpec.crash(at=(0,), epochs=(0,)),)))),
         # First CTP run sleeps far past the watchdog: the per-submit budget
         # (2 jobs x 0.8s timeout + 0.4s grace) expires, the wedged worker is
-        # kill-respawned, and the spent-budget request degrades to inline.
+        # killed, and the request runs inline.
         (
             "hang",
             dict(
@@ -210,36 +223,37 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
                 },
             ),
         ),
-        # First CTP run raises a deterministic user-code error: NOT retried
+        # First CTP run raises a deterministic user-code error: NOT re-run
         # (it would raise identically), surfaces as one typed STATUS_ERROR.
         ("scorer", dict(plan=FaultPlan(specs=(FaultSpec.scorer(at=(0,), epochs=(0,)),)))),
         # The epoch-0 worker initializer loads a truncated snapshot copy and
-        # dies on the format's real validation; respawn + retry recovers.
+        # dies on the format's real validation; the request runs inline and
+        # the next one spawns workers that load clean.
         (
             "corrupt_snapshot",
             dict(plan=FaultPlan(specs=(FaultSpec.corrupt_snapshot(at=(0,), epochs=(0,)),))),
         ),
-        # Crash storm across two worker generations trips the breaker open
-        # (threshold 2): the next request degrades without touching the
-        # pool, then the post-cooldown half-open probe finds clean epoch-2
-        # workers and closes the breaker again.
-        (
-            "breaker_trip",
-            dict(
-                plan=FaultPlan(specs=(FaultSpec.crash(every=1, epochs=(0, 1)),)),
-                pool_config={"breaker": CircuitBreaker(failure_threshold=2, cooldown=0.15)},
-                pause_before=(2, 0.25),
-            ),
-        ),
+        # Crash storm across two worker generations: the first two requests
+        # run inline, the third finds clean epoch-2 workers.
+        ("crash_storm", dict(plan=FaultPlan(specs=(FaultSpec.crash(every=1, epochs=(0, 1)),)))),
+        # Every worker generation crashes: what a persistently failing pool
+        # costs — one spawn attempt and an inline run per request, rows
+        # still identical.
+        ("crash_always", dict(plan=FaultPlan(specs=(FaultSpec.crash(every=1),)))),
     ]
 
+    repeats = max(1, repeats)
     for name, kwargs in scenarios:
         started = time.perf_counter()
-        values = _run_scenario(graph, texts, serial_reference=serial_reference, **kwargs)
+        runs = [
+            _run_scenario(graph, texts, serial_reference=serial_reference, **kwargs)
+            for _ in range(repeats)
+        ]
+        values = _combine(runs)
         report.add(
             Measurement(
                 params={"scenario": name, "requests": requests},
-                seconds=time.perf_counter() - started,
+                seconds=(time.perf_counter() - started) / repeats,
                 values=values,
             )
         )
@@ -260,8 +274,10 @@ def run(scale: float = 1.0, timeout: Optional[float] = None, repeats: int = 1) -
     report.note(
         "each fault scenario drives a fresh single-worker QueryServer through the same "
         "distinct-query stream under a seeded, epoch-gated FaultPlan; first_ok_ms is the "
-        "recovery latency (the first successful request pays the respawn/watchdog/probe "
-        "on-path), steady_p50_ms the post-recovery median"
+        "recovery latency (the first successful request pays the crash or watchdog and "
+        "the inline run on-path), steady_p50_ms the post-recovery median; with repeats "
+        "> 1 time_ms is the mean run, the other *_ms columns are medians over runs and "
+        "the counts the worst run's"
     )
     report.note(
         "identical = every ok response's rows bit-equal to an inline evaluation (no pool); "

@@ -203,7 +203,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"errors={counters['errors']} | "
         f"pool: dispatches={pool['dispatches']} respawns={pool['respawns']} "
         f"resnapshots={pool['resnapshots']} hangs={pool['hangs']} "
-        f"recycles={pool['recycles']} breaker={pool['breaker_state']} | "
+        f"recycles={pool['recycles']} | "
         f"delta: size={pool['delta_size']} compactions={pool['compactions']} "
         f"avoided={pool['resnapshots_avoided']} "
         f"generation={counters['generation']} | "

@@ -88,7 +88,7 @@ class PoolClosedError(PoolError):
     A typed, stable signal that the pool's lifecycle is over — callers used
     to see whatever the torn-down executor happened to throw.  The CLI
     surfaces it as a user-facing error line, and the dispatch layer treats
-    it as "degrade without the pool", never as a retryable worker crash.
+    it as "degrade without the pool", never as a worker crash to recover.
     """
 
 
@@ -98,10 +98,9 @@ class WorkerHangError(PoolError):
     The watchdog is derived from the CTP timeouts of the dispatched jobs
     (plus a grace period): a worker that does not answer inside it is
     presumed wedged — stuck in native code, a pathological scorer, an
-    injected fault — and is killed and respawned rather than awaited
-    forever.  Retryable: the evaluation is idempotent, so the dispatch
-    layer may re-run it on the fresh workers if the retry policy and the
-    remaining deadline budget allow.
+    injected fault — and is killed rather than awaited forever.  The
+    evaluation is deterministic, so the dispatch layer runs the fan-out
+    inline, and the next dispatch spawns fresh workers.
     """
 
 
@@ -114,8 +113,8 @@ class StaleViewError(PoolError):
     base.  If the source graph compacted past the view's base generation
     and its file is gone, a worker not mapping it cannot serve the view
     consistently — the dispatch layer degrades to inline (which reads
-    the pinned view directly) instead of charging the breaker
-    for what is merely an outdated reader.
+    the pinned view directly) and leaves the workers up: an outdated
+    reader is not a pool failure.
     """
 
 
@@ -125,9 +124,9 @@ class FaultInjected(ReproError):
     Only ever raised when a test/bench installed a
     :class:`~repro.faults.FaultPlan` (e.g. the ``scorer`` fault raises it
     from inside a score callable mid-search).  Deterministic user-code
-    failures are *not* retryable — the error must surface to the caller as
-    a typed error, never be papered over by a retry that happens to miss
-    the injection.
+    failures are *not* pool failures — the error must surface to the
+    caller as a typed error, never be papered over by an inline re-run
+    that happens to miss the injection.
     """
 
 

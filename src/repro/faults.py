@@ -222,7 +222,8 @@ def inject(site: str) -> None:
     from the parent's ``BrokenProcessPool``); ``hang``/``slow`` sleep;
     ``rss`` retains ballast; ``scorer`` raises
     :class:`~repro.errors.FaultInjected` (a deterministic user-code
-    error: NOT retryable, must surface to the caller as a typed error).
+    error: not a pool failure, never re-run; it must surface to the caller
+    as a typed error).
     """
     plan = _active_plan
     if plan is None:

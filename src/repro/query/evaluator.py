@@ -127,7 +127,7 @@ class QueryResult:
     ctp_reports: List[CTPReport] = field(default_factory=list)
     context_stats: Dict[str, int] = field(default_factory=dict)
     #: What resilience machinery fired around the worker pool for this
-    #: query (retries, hang kills, degradation) — ``None`` when the query
+    #: query (respawns, hang kills, degradation) — ``None`` when the query
     #: was given no :class:`~repro.query.pool.WorkerPool`.
     resilience: Optional[ResilienceReport] = None
     #: MVCC generation of the graph (view) the query evaluated against.

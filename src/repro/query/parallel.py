@@ -45,11 +45,12 @@ state is safe to share.  This module implements that step **once**:
     thread, inline.
 
 :class:`_PooledDispatch`
-    The failure policy around the pool executor, applied once: breaker
-    gate, picklability pre-flight, hang watchdog, retry-after-respawn, and
-    the process → serial fallback with the hop stamped in ``mode``.  Step
-    (B) has two executors, the pool and the calling thread; it never
-    starts a thread of its own.
+    The failure rule around the pool executor, applied once: picklability
+    pre-flight, hang watchdog, and one answer to a pool that fails — tear
+    its workers down, run the fan-out inline with the hop stamped in
+    ``mode``, and let the next dispatch rebuild them.  Step (B) has two
+    executors, the pool and the calling thread; it never starts a thread
+    of its own.
 
 :func:`evaluate_queries`
     The batch front-end: many queries against **one** shared context, so
@@ -68,6 +69,7 @@ import pickle
 import threading
 import time
 from concurrent.futures import Future, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -109,11 +111,10 @@ class CTPOutcome:
     ``"process"`` for an executed search, ``"memo"`` when the result was
     served from the cross-CTP memo (or shared from an in-flight duplicate)
     and no search ran for this job at all.  A pooled dispatch that could
-    not cross the process boundary, exhausted its retries or was refused
-    by an open circuit breaker runs the job inline and stamps the hop,
-    ``"process->serial"``.  The fallback is silent for the query by
-    design, but it must stay *observable* so an inline run never
-    masquerades as multi-core.
+    not cross the process boundary, or whose workers crashed or hung, runs
+    the job inline and stamps the hop, ``"process->serial"``.  The
+    fallback is silent for the query by design, but it must stay
+    *observable* so an inline run never masquerades as multi-core.
     """
 
     result_set: CTPResultSet
@@ -543,6 +544,13 @@ def _jobs_picklable(
         return False
 
 
+#: What a pooled fan-out raises when the pool, not the workload, failed: a
+#: dead worker, a blown hang watchdog, or the OS refusing a process or a
+#: pipe.  Each is answered by running the fan-out inline; a deterministic
+#: evaluation error (a raising scorer) is not in it, because it would fail
+#: the same way anywhere.
+POOL_FAILURES = (BrokenProcessPool, WorkerHangError, OSError)
+
 
 def _watchdog_budget(jobs: Sequence[CTPJob], pool: WorkerPool) -> float:
     """The hang watchdog for one pooled fan-out, in seconds.
@@ -566,42 +574,37 @@ def _watchdog_budget(jobs: Sequence[CTPJob], pool: WorkerPool) -> float:
 
 @dataclass
 class _PooledDispatch:
-    """The failure policy around the pool executor, applied once.
+    """The failure rule around the pool executor, applied once.
 
     :meth:`run` is a :class:`Dispatch` whose ``start`` ships a job to the
-    pool's long-lived workers, wrapped in the pool's
-    :class:`~repro.query.resilience.CircuitBreaker` and
-    :class:`~repro.query.resilience.RetryPolicy`:
+    pool's long-lived workers, with one answer for every way that can
+    fail.  Each CTP search is a deterministic function of (graph, seeds,
+    config), so a fan-out the pool did not finish can always be run again
+    in-process and give the same rows:
 
-    * While the breaker is open (repeated pool failures) dispatch degrades
-      *directly* instead of paying a doomed spawn/fail cycle per query;
-      half-open probes are admitted per the breaker's policy.  Every
-      admitted dispatch settles the breaker: success closes it, each
-      failed attempt is charged, and a dispatch that ends without learning
-      anything about the pool (stale view, unpicklable workload, an
-      evaluation error) hands its probe back — otherwise a spent probe
-      would leave the breaker half-open with nothing left to admit.
-    * Every attempt runs under a **hang watchdog** derived from the jobs'
-      CTP timeouts (:func:`_watchdog_budget`); blowing it kill-respawns
-      the workers instead of waiting forever.
-    * A retryable infrastructure failure (``BrokenProcessPool``, hang,
-      ``OSError``) respawns the workers and re-runs the fan-out — the
-      evaluation is idempotent — up to the policy's attempt budget, with
-      jittered backoff, and never when the backoff would overrun the
-      smallest budget the jobs have left.
-    * Exhausted retries, a workload that cannot cross the process boundary
-      (no respawn can fix that) and a view the workers' base has moved
-      past (:class:`~repro.errors.StaleViewError`, from ``prepare_for`` or
-      from a worker that cannot map the base the job names) degrade to
-      the inline executor, with the hop stamped ``"process->serial"``,
-      rather than failing the query.  A deadline ledger cut for the
-      pool's concurrent slots is re-cut for one slot first
-      (:meth:`~repro.query.costmodel.DeadlineLedger.recut_serial`): the
-      jobs now run back to back, and their budgets must still sum to the
-      deadline.  Deterministic evaluation errors (a raising scorer) are
-      *not* retried or degraded: they propagate as typed errors, because
-      re-running them elsewhere would just fail again — or worse, mask a
-      real bug.
+    * Every fan-out runs under a **hang watchdog** derived from the jobs'
+      CTP timeouts (:func:`_watchdog_budget`).
+    * A pool failure (:data:`POOL_FAILURES`: ``BrokenProcessPool``, a
+      blown watchdog, ``OSError``) tears the executor down at once —
+      killing the workers on a hang, so a wedged worker does not keep its
+      CPU — counts the respawn (and the hang), and runs the fan-out
+      inline.  The next dispatch rebuilds the workers
+      (:meth:`~repro.query.pool.WorkerPool._resolve`); nothing is retried
+      and nothing sleeps.
+    * A pool that cannot be prepared (closed under us, a snapshot that
+      cannot be written), a workload that cannot cross the process
+      boundary, and a view the workers' base has moved past
+      (:class:`~repro.errors.StaleViewError`, from ``prepare_for`` or from
+      a worker that cannot map the base the job names) run inline too,
+      with no respawn: the workers are not at fault.
+
+    Every inline run is stamped ``"process->serial"``.  A deadline ledger
+    cut for the pool's concurrent slots is re-cut for one slot first
+    (:meth:`~repro.query.costmodel.DeadlineLedger.recut_serial`): the
+    jobs now run back to back, and their budgets must still sum to the
+    deadline.  Deterministic evaluation errors (a raising scorer)
+    propagate as typed errors, because running them elsewhere would just
+    fail again — or worse, mask a real bug.
     """
 
     pool: WorkerPool
@@ -620,81 +623,39 @@ class _PooledDispatch:
         ).run(jobs)
 
     def run(self, jobs: Sequence[CTPJob]) -> List[CTPOutcome]:
-        pool, report = self.pool, self.report
-        breaker, policy = pool.breaker, pool.retry_policy
-        if not breaker.allow():
-            report.breaker_skips += 1
-            return self._degraded(jobs)
-        verdict = False  # has the breaker heard anything about the pool yet?
+        pool = self.pool
         try:
+            resolved = pool._resolve(self.graph)
+        except (ReproError, OSError, pickle.PicklingError, TypeError, AttributeError):
+            # A stale pinned view, a closed pool or a snapshot that cannot
+            # be written: serve the view in-process.
+            return self._degraded(jobs)
+        if not _jobs_picklable(self.algorithm, jobs, resolved.delta):
+            return self._degraded(jobs)
+
+        def ship(job: CTPJob) -> "Future[Any]":
+            # A process job's grant is read at submit time (the worker
+            # cannot reach the parent's ledger); the shipped config
+            # carries it, and `resolved` the base the job reads.
+            config = self.ledger.config_for(job)
+            return pool.submit(self.algorithm, job.seed_sets, config, delta=resolved)
+
+        try:
+            return Dispatch(
+                self.context, self.ledger, ship, "process",
+                watchdog=_watchdog_budget(jobs, pool),
+            ).run(jobs)
+        except StaleViewError:
+            return self._degraded(jobs)
+        except POOL_FAILURES as error:
+            hung = isinstance(error, WorkerHangError)
+            self.report.hangs += hung
             try:
-                resolved = pool._resolve(self.graph)
-            except StaleViewError:
-                # Not a pool failure — the pinned view outlived the workers'
-                # base (a compaction moved past it), so serve it in-process
-                # instead of charging the breaker for an outdated reader.
-                return self._degraded(jobs)
-            except (ReproError, OSError, pickle.PicklingError, TypeError, AttributeError):
-                breaker.record_failure()
-                verdict = True
-                return self._degraded(jobs)
-            if not _jobs_picklable(self.algorithm, jobs, resolved.delta):
-                # Not a pool failure either: the workload itself cannot
-                # cross a process boundary.
-                return self._degraded(jobs)
-
-            def ship(job: CTPJob) -> "Future[Any]":
-                # A process job's grant is read at submit time (the worker
-                # cannot reach the parent's ledger); the shipped config
-                # carries it, and `resolved` the base the job reads.
-                config = self.ledger.config_for(job)
-                return pool.submit(self.algorithm, job.seed_sets, config, delta=resolved)
-
-            budget = min(
-                (job.config.timeout for job in jobs if job.config.timeout is not None),
-                default=None,
-            )
-            started = time.monotonic()
-            rng = policy.rng()
-            attempt = 1
-            while True:
-                try:
-                    outcomes = Dispatch(
-                        self.context, self.ledger, ship, "process",
-                        watchdog=_watchdog_budget(jobs, pool),
-                    ).run(jobs)
-                    breaker.record_success()
-                    verdict = True
-                    return outcomes
-                except StaleViewError:
-                    return self._degraded(jobs)
-                except policy.retryable as error:
-                    breaker.record_failure()
-                    verdict = True
-                    try:
-                        if isinstance(error, WorkerHangError):
-                            report.hangs += 1
-                            pool.recover_from_hang()
-                        else:
-                            pool.respawn()
-                        report.respawns += 1
-                    except (PoolClosedError, ReproError, OSError):
-                        # The pool cannot be rebuilt (closed under us,
-                        # snapshot gone): no retry can succeed on it.
-                        return self._degraded(jobs)
-                    backoff = policy.backoff_seconds(attempt, rng)
-                    if not policy.should_retry(
-                        attempt, error, elapsed=time.monotonic() - started,
-                        budget=budget, backoff=backoff,
-                    ):
-                        return self._degraded(jobs)
-                    if backoff > 0:
-                        time.sleep(backoff)
-                    report.retries += 1
-                    attempt += 1
-        finally:
-            if not verdict:
-                breaker.release()
+                pool.respawn(kill=hung)
+                self.report.respawns += 1
+            except PoolClosedError:
+                pass  # closed under us: there is nothing left to rebuild
+            return self._degraded(jobs)
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,11 @@ pool its caller passed in (a query without one runs its CTPs inline).
   *across requests*, not just across the CTPs of one query) until a job
   names a newer base.
 * **Health & respawn** — :meth:`ping` round-trips a probe through a
-  worker; a :class:`~concurrent.futures.process.BrokenProcessPool`
-  triggers :meth:`respawn` (tear down, rebuild, counted in
-  :attr:`respawns`) so a crashed worker costs one retry, not permanent
-  inline degradation.
+  worker; a fan-out that dies with a
+  :class:`~concurrent.futures.process.BrokenProcessPool` or hangs
+  triggers :meth:`respawn` (tear down, counted in :attr:`respawns`) and
+  runs inline, and the next dispatch builds fresh workers — so a crashed
+  worker costs one inline fan-out, not permanent inline degradation.
 * **Snapshot generations (MVCC)** — the pool snapshots the source graph's
   *base* (:meth:`~repro.graph.graph.Graph.ensure_base`); mutations ship as
   cheap picklable :class:`~repro.graph.delta.GraphDelta` objects applied
@@ -61,7 +62,7 @@ from repro.ctp.config import SearchConfig
 from repro.errors import PoolClosedError, PoolError, StaleViewError
 from repro.graph.delta import GraphDelta, OverlayGraph
 from repro.graph.snapshot import ensure_snapshot, release_auto_snapshot
-from repro.query.resilience import CircuitBreaker, PoolResilienceConfig, RetryPolicy
+from repro.query.resilience import PoolResilienceConfig
 
 #: Sentinel for :meth:`WorkerPool.submit`'s ``delta`` parameter: "resolve
 #: the current delta for me".  The dispatch layer resolves once per fan-out
@@ -142,8 +143,6 @@ class WorkerPool:
         graph: Any,
         workers: Optional[int] = None,
         resilience: Optional[PoolResilienceConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
     ):
         if workers is not None and workers < 1:
             raise PoolError(f"WorkerPool needs workers >= 1, got {workers}")
@@ -151,17 +150,13 @@ class WorkerPool:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         #: Lifecycle knobs (recycling thresholds, hang watchdog budgets).
         self.resilience = resilience if resilience is not None else PoolResilienceConfig()
-        #: Retry discipline the dispatch layer applies to pooled fan-outs.
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        #: Failure gate for dispatch through this pool.
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._csr: Any = None
         self._snapshot_path: Optional[str] = None
         self._snapshot_generation: Optional[int] = None
         self._lock = threading.Lock()
         self._closed = False
-        #: Number of executor rebuilds after a BrokenProcessPool.
+        #: Executor teardowns after a crashed or hung fan-out.
         self.respawns = 0
         #: Number of snapshot regenerations forced by a base-generation move.
         self.resnapshots = 0
@@ -169,7 +164,7 @@ class WorkerPool:
         self.dispatches = 0
         #: Health probes served (a successful ping proves spawned workers).
         self.pings = 0
-        #: Hang-watchdog recoveries (kill-respawns of a wedged executor).
+        #: Hang-watchdog recoveries (kill-teardowns of a wedged executor).
         self.hangs = 0
         #: Proactive worker recycles (request-count or RSS threshold).
         self.recycles = 0
@@ -426,18 +421,20 @@ class WorkerPool:
             return _Resolved(delta, self._base)
 
     def respawn(self, kill: bool = False) -> None:
-        """Tear the executor down and rebuild it (crashed-worker recovery).
+        """Tear the executor down and count it (crashed-worker recovery).
 
         Called by the dispatch layer when a fan-out dies with
-        ``BrokenProcessPool``; the replacement executor re-runs the worker
-        initializer, so the workers come back warm-loadable (same snapshot
-        file) at the cost of one spin-up — instead of every later dispatch
-        silently degrading to inline forever.
+        ``BrokenProcessPool`` or blows its hang watchdog.  The next
+        dispatch's :meth:`_ensure_locked` builds a replacement executor,
+        whose workers re-run the initializer over the same snapshot file —
+        one spin-up, instead of every later dispatch silently degrading to
+        inline forever.
 
-        ``kill=True`` is the hang-recovery form: a wedged worker would
-        block the executor's graceful ``shutdown(wait=True)`` forever, so
-        the worker processes are killed outright and the shutdown does not
-        wait.  Pending futures are cancelled either way.
+        ``kill=True`` is the hang-recovery form, counted in :attr:`hangs`:
+        a wedged worker would block the executor's graceful
+        ``shutdown(wait=True)`` forever and keep its CPU, so the worker
+        processes are killed outright and the shutdown does not wait.
+        Pending futures are cancelled either way.
         """
         with self._lock:
             if self._closed:
@@ -453,18 +450,7 @@ class WorkerPool:
             else:
                 self._shutdown_locked()
             self.respawns += 1
-            self._ensure_locked()
-
-    def recover_from_hang(self) -> None:
-        """Hang-watchdog recovery: count the hang, kill-respawn the workers.
-
-        The dispatch layer calls this when a pooled fan-out blows its
-        watchdog (:class:`~repro.errors.WorkerHangError`): the hung worker
-        is presumed wedged in native code or a pathological scorer, so a
-        graceful shutdown would never return.
-        """
-        self.hangs += 1
-        self.respawn(kill=True)
+            self.hangs += kill
 
     # ------------------------------------------------------------------
     # work
@@ -490,8 +476,9 @@ class WorkerPool:
         :class:`~repro.errors.PoolClosedError` (submitting after
         ``close()``); snapshot failures propagate from
         :func:`ensure_snapshot`, and an unpicklable delta raises what
-        :func:`pickle.dumps` raises.  The dispatch layer wraps this with
-        retry-after-respawn under its :class:`RetryPolicy`.
+        :func:`pickle.dumps` raises.  The dispatch layer answers a broken
+        pool by tearing it down (:meth:`respawn`) and running the fan-out
+        inline.
         """
         from repro.query.parallel import _process_worker_run
 
@@ -568,8 +555,6 @@ class WorkerPool:
             "resnapshots": self.resnapshots,
             "hangs": self.hangs,
             "recycles": self.recycles,
-            "breaker_state": self.breaker.state,
-            "breaker_trips": self.breaker.trips,
             "snapshot_generation": self._snapshot_generation,
             "compactions": getattr(self.graph, "compactions", 0),
             "resnapshots_avoided": self.resnapshots_avoided,

@@ -141,9 +141,8 @@ class ResponseStats:
     deadline_truncated: bool = False
     pending: int = 0
     seconds: float = 0.0
-    #: Resilience telemetry for THIS request: pooled fan-outs re-run
-    #: after a crash/hang, and hang-watchdog kills it triggered.
-    retries: int = 0
+    #: Resilience telemetry for THIS request: hang-watchdog kills it
+    #: triggered.
     hangs: int = 0
     #: MVCC view telemetry: the graph generation this response's rows are
     #: consistent with (rows match a full freeze at this generation), the

@@ -99,7 +99,7 @@ class QueryServer:
         Extra keyword arguments for the server's
         :class:`~repro.query.pool.WorkerPool` — ``resilience``
         (:class:`~repro.query.resilience.PoolResilienceConfig`: recycling
-        thresholds, hang watchdog budgets), ``retry_policy``, ``breaker``.
+        thresholds, hang watchdog budgets).
     dispatch_mode:
         How CTPs execute (:data:`DISPATCH_MODES`): ``"process"`` (the
         default — persistent worker pool, mmap snapshot) or ``"serial"``
@@ -425,7 +425,6 @@ class QueryServer:
             and any(report.result_set.timed_out for report in result.ctp_reports),
             pending=pending,
             seconds=time.perf_counter() - started,
-            retries=resilience.retries if resilience is not None else 0,
             hangs=resilience.hangs if resilience is not None else 0,
             generation=result.generation,
             delta_size=getattr(self.graph, "delta_size", 0),

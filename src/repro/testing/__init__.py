@@ -20,8 +20,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.ctp.results import CTPResultSet, ResultTree, validate_result
 from repro.graph.graph import Graph
 from repro.query.parallel import InlineExecutor as _InlineExecutor
+from repro.errors import PoolError
 from repro.query.pool import WorkerPool
-from repro.query.resilience import CircuitBreaker
 
 
 class FakeClock:
@@ -66,17 +66,22 @@ class InlineExecutor(_InlineExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
+class _FallbackPool(WorkerPool):
+    """A pool that can never be prepared for a fan-out."""
+
+    def _resolve(self, graph: Any) -> Any:
+        raise PoolError("fallback_pool never runs a worker")
+
+
 def fallback_pool(graph: Any, workers: int = 2) -> WorkerPool:
-    """A :class:`~repro.query.pool.WorkerPool` whose circuit breaker is open.
+    """A :class:`~repro.query.pool.WorkerPool` that cannot be prepared.
 
     Every dispatch through it takes the process → serial fallback (the
     jobs run inline, stamped ``"process->serial"``, under a deadline
     ledger cut for ``workers`` slots and then re-cut for one) without
     spawning a worker or writing a snapshot.  Close it like any pool.
     """
-    breaker = CircuitBreaker(failure_threshold=1, cooldown=float("inf"))
-    breaker.record_failure()
-    return WorkerPool(graph, workers=workers, breaker=breaker)
+    return _FallbackPool(graph, workers=workers)
 
 
 #: Containers :func:`approx_bytes` descends into element-wise.

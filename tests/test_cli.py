@@ -159,6 +159,15 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "nodes=12" in out
 
+    def test_serve_summary_line(self, capsys):
+        query = 'SELECT ?w WHERE { CONNECT("USA", "France") AS ?w MAX 3 }'
+        assert main(["serve", "--workers", "1", "--clients", "1", "--repeat", "1", query]) == 0
+        out = capsys.readouterr().out
+        (summary,) = [line for line in out.splitlines() if line.startswith("served=")]
+        assert "served=1 " in summary
+        assert "respawns=0 " in summary and "recycles=0 |" in summary
+        assert "breaker" not in summary
+
     def test_bench_delegation(self, capsys, tmp_path):
         code = main(["bench", "abl01", "--no-save", "--timeout", "2"])
         assert code == 0

@@ -11,7 +11,7 @@ invariant at three layers:
    surface exactly like a full refreeze (goldens + a Hypothesis sweep);
 2. **dispatch** — the worker pool ships deltas instead of re-snapshots,
    re-snapshots when the writer's compaction moves the base, and refuses
-   stale views without charging the breaker;
+   stale views without tearing the workers down;
 3. **serving** — concurrent ``ingest()`` + queries on a ``QueryServer``
    return rows matching a full freeze at each response's recorded
    generation, under serial and process dispatch alike.
@@ -500,7 +500,7 @@ class TestPoolDelta:
             pool.prepare_for(graph)  # the pool's base moves past `stale`
             with pytest.raises(StaleViewError):
                 pool.prepare_for(stale)
-            assert pool.breaker.state == "closed"
+            assert pool.respawns == 0
 
     def test_stale_view_dispatch_degrades_with_correct_rows(self):
         graph, _ = _chain_graph()
@@ -515,7 +515,7 @@ class TestPoolDelta:
             result = evaluate_query(stale, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             assert result.rows == serial.rows
             assert result.generation == stale.generation
-            assert pool.breaker.state == "closed"  # stale view is not a pool fault
+            assert pool.respawns == 0  # stale view is not a pool fault
 
     def test_compaction_between_prepare_and_worker_run_degrades_typed(self):
         """A compaction landing after this request's ``prepare_for`` but
@@ -551,7 +551,7 @@ class TestPoolDelta:
             modes = [r.dispatch_mode for r in result.ctp_reports]
             assert modes in (["process"], ["process->serial"])
             assert result.resilience.degraded_to == (None if modes == ["process"] else "serial")
-            assert pool.breaker.state == "closed"  # an overtaken reader is not a pool fault
+            assert pool.respawns == 0  # an overtaken reader is not a pool fault
             del pool.submit
             after = evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             assert [r.dispatch_mode for r in after.ctp_reports] == ["process"]
@@ -591,7 +591,7 @@ class TestPoolDelta:
             assert result.rows == serial.rows
             assert result.generation == view.generation
             assert [r.dispatch_mode for r in result.ctp_reports] == [mode]
-            assert pool.breaker.state == "closed"
+            assert pool.respawns == 0
             del pool.submit
             head = evaluate_query(graph, self.QUERY, base_config=PROCESS_CONFIG, pool=pool)
             assert len(head.rows) == 2
@@ -672,8 +672,8 @@ class TestPoolDelta:
     def test_unpicklable_delta_property_degrades_inline(self):
         """A node appended after the base with a property pickle refuses
         cannot ride the delta: the fan-out runs inline with the serial rows,
-        and the workload, not the pool, is at fault — the breaker stays
-        closed.  A second fan-out at the generation degrades the same way."""
+        and the workload, not the pool, is at fault — the workers are not
+        torn down.  A second fan-out at the generation degrades the same way."""
         graph, (a, _b, _c) = _chain_graph()
         graph.add_edge(a, graph.add_node("X", f=lambda: 1), "r")
         serial = evaluate_query(graph, self.QUERY)
@@ -683,7 +683,7 @@ class TestPoolDelta:
                 assert result.resilience.degraded_to == "serial"
                 assert [r.dispatch_mode for r in result.ctp_reports] == ["process->serial"]
                 assert result.rows == serial.rows
-            assert pool.breaker.state == "closed"
+            assert pool.respawns == 0
             assert pool.dispatches == 0
 
 

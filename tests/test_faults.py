@@ -5,10 +5,10 @@ Layers:
 * **fault plan units** — seeded :class:`~repro.faults.FaultPlan` firing
   rules (``at``/``every``/``probability``), epoch gating, and the
   injectable effects (scorer raise, ballast, corrupted snapshot copy);
-* **policy units** — :class:`~repro.query.resilience.RetryPolicy`
-  (retryable classes, attempt budget, deadline-budget refusal, seeded
-  jitter) and :class:`~repro.query.resilience.CircuitBreaker` (the
-  closed/open/half-open machine, driven by an injected clock);
+* **the failure rule** — a fan-out the pool fails (crash, hang, corrupt
+  snapshot) tears the workers down, runs inline with the hop stamped,
+  and the *next* request runs on fresh workers; nothing is retried and
+  nothing sleeps;
 * **recovery integration** — every injectable fault class driven through
   the real pooled dispatch (and the query server): each request returns
   rows bit-identical to serial or a typed error, never a silently wrong
@@ -27,7 +27,6 @@ import os
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +40,6 @@ from repro.errors import (
     PoolError,
     SnapshotError,
     ValidationError,
-    WorkerHangError,
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.graph.snapshot import save_snapshot
@@ -49,16 +47,8 @@ from repro.query import parallel
 from repro.query.costmodel import DeadlineLedger
 from repro.query.evaluator import evaluate_query
 from repro.query.pool import WorkerPool
-from repro.query.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
-    PoolResilienceConfig,
-    ResilienceReport,
-    RetryPolicy,
-)
-from repro.testing import FakeClock
+from repro.query.resilience import PoolResilienceConfig, ResilienceReport
+from repro.testing import fallback_pool
 from repro.serve import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
@@ -173,100 +163,30 @@ def test_corrupted_snapshot_copy_trips_real_validation(fig1, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# policy units
+# the failure rule
 # ----------------------------------------------------------------------
-def test_retry_policy_retryable_classes():
-    policy = RetryPolicy()
-    assert policy.is_retryable(BrokenProcessPool("boom"))
-    assert policy.is_retryable(WorkerHangError("wedged"))
-    assert policy.is_retryable(OSError("fork failed"))
-    # Deterministic user-code errors would fail identically on retry.
-    assert not policy.is_retryable(FaultInjected("scorer"))
-    assert not policy.is_retryable(ValueError("bad"))
+def test_broken_pool_fan_out_runs_inline_once_and_tears_down(fig1, fig1_seeds, monkeypatch):
+    sleeps, submits = [], []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    job = parallel.CTPJob(0, list(fig1_seeds), SearchConfig())
+    inline = parallel._local_dispatch(fig1, "molesp", None, DeadlineLedger()).run([job])
+    with WorkerPool(fig1, workers=1) as pool:
 
+        def broken_submit(*args, **kwargs):
+            submits.append(args)
+            raise BrokenProcessPool("boom")
 
-def test_retry_policy_attempt_and_budget_limits():
-    policy = RetryPolicy(max_attempts=3, base_backoff=0.2, jitter=0.0)
-    error = BrokenProcessPool("boom")
-    assert policy.should_retry(1, error)
-    assert policy.should_retry(2, error)
-    assert not policy.should_retry(3, error)  # attempts exhausted
-    assert not policy.should_retry(1, FaultInjected("scorer"))
-    # A backoff that would overrun the per-CTP budget is refused.
-    backoff = policy.backoff_seconds(1)
-    assert not policy.should_retry(1, error, elapsed=0.5, budget=0.6, backoff=backoff)
-    assert policy.should_retry(1, error, elapsed=0.1, budget=0.6, backoff=backoff)
-    with pytest.raises(TypeError):  # a budget check that never saw the wait
-        policy.should_retry(1, error, elapsed=0.1, budget=0.6)
-
-
-def test_retry_policy_backoff_schedule_and_seeded_jitter():
-    exact = RetryPolicy(base_backoff=0.02, multiplier=2.0, max_backoff=0.05, jitter=0.0)
-    assert exact.backoff_seconds(1) == pytest.approx(0.02)
-    assert exact.backoff_seconds(2) == pytest.approx(0.04)
-    assert exact.backoff_seconds(3) == pytest.approx(0.05)  # capped
-    seeded = RetryPolicy(seed=7)
-    waits_a = [seeded.backoff_seconds(k, seeded.rng()) for k in (1, 2, 3)]
-    waits_b = [seeded.backoff_seconds(k, seeded.rng()) for k in (1, 2, 3)]
-    assert waits_a == waits_b  # pinning the seed pins the chaos run
-    base = RetryPolicy().base_backoff
-    assert base * 0.5 <= waits_a[0] <= base * 1.5  # jitter=0.5 band
-
-
-class _BrokenPool:
-    """A pool stand-in whose executor is broken at every submit."""
-
-    def __init__(self):
-        self.breaker = CircuitBreaker()
-        self.retry_policy = RetryPolicy()  # unseeded jitter, as served
-        self.resilience = PoolResilienceConfig()
-
-    def _resolve(self, graph):
-        return SimpleNamespace(delta=None)
-
-    def submit(self, *args, **kwargs):
-        raise BrokenProcessPool("boom")
-
-    def respawn(self):
-        pass
-
-
-def test_approved_retry_sleeps_within_the_budget(fig1, fig1_seeds, monkeypatch):
-    # A 20 ms budget sits inside attempt 1's 10-30 ms jitter band: the
-    # backoff the retry check approves must be the one slept, or about a
-    # quarter of these dispatches sleep past the budget.
-    budget = 0.02
-    waits = []
-    monkeypatch.setattr(time, "sleep", waits.append)
-    job = parallel.CTPJob(0, list(fig1_seeds), SearchConfig(timeout=budget))
-    for _ in range(200):
-        dispatch = parallel._PooledDispatch(
-            _BrokenPool(), fig1, "molesp", None, ResilienceReport(), DeadlineLedger()
-        )
-        assert dispatch.run([job])[0].mode == "process->serial"
-    assert waits  # some retries were approved
-    assert max(waits) < budget
-
-
-def test_circuit_breaker_state_machine():
-    now = [0.0]
-    breaker = CircuitBreaker(failure_threshold=2, cooldown=10.0, clock=lambda: now[0])
-    assert breaker.state == BREAKER_CLOSED and breaker.allow()
-    breaker.record_failure()
-    assert breaker.state == BREAKER_CLOSED  # below threshold
-    breaker.record_failure()
-    assert breaker.state == BREAKER_OPEN and breaker.trips == 1
-    assert not breaker.allow()
-    now[0] = 10.0  # cooldown elapsed: half-open admits one probe
-    assert breaker.state == BREAKER_HALF_OPEN
-    assert breaker.allow()
-    assert not breaker.allow()  # probe budget spent, rest stay degraded
-    breaker.record_failure()  # the probe failed: straight back to open
-    assert breaker.state == BREAKER_OPEN and breaker.trips == 2
-    now[0] = 20.0
-    assert breaker.allow()
-    breaker.record_success()
-    assert breaker.state == BREAKER_CLOSED and breaker.allow()
+        monkeypatch.setattr(pool, "submit", broken_submit)
+        report = ResilienceReport()
+        outcomes = parallel._PooledDispatch(
+            pool, fig1, "molesp", None, report, DeadlineLedger()
+        ).run([job])
+        assert [outcome.mode for outcome in outcomes] == ["process->serial"]
+        assert outcomes[0].result_set.edge_sets() == inline[0].result_set.edge_sets()
+        assert sleeps == [] and len(submits) == 1
+        assert pool._executor is None  # the next dispatch builds fresh workers
+        assert pool.respawns == report.respawns == 1
+        assert report.degraded_to == "serial" and report.hangs == pool.hangs == 0
 
 
 def test_pool_resilience_config_validation():
@@ -281,6 +201,10 @@ def test_pool_resilience_config_validation():
 # ----------------------------------------------------------------------
 # recovery integration: every fault class through the real dispatch
 # ----------------------------------------------------------------------
+INLINE_MODES = ["process->serial", "process->serial", "memo"]
+POOLED_MODES = ["process", "process", "memo"]
+
+
 def test_pool_recovers_from_injected_crash(fig1):
     serial = _serial(fig1)
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(at=(0,), epochs=(0,)),)))
@@ -288,18 +212,21 @@ def test_pool_recovers_from_injected_crash(fig1):
         config = SearchConfig(parallelism=2)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert result.rows == serial.rows
-        assert [r.dispatch_mode for r in result.ctp_reports] == ["process", "process", "memo"]
-        assert result.resilience.retries == 1
+        assert [r.dispatch_mode for r in result.ctp_reports] == INLINE_MODES
         assert result.resilience.respawns == 1
         assert pool.respawns == 1
-        assert pool.breaker.state == BREAKER_CLOSED  # final success reset it
+        # The next request spawns clean epoch-1 workers.
+        again = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
+        assert again.rows == serial.rows
+        assert [r.dispatch_mode for r in again.ctp_reports] == POOLED_MODES
+        assert pool.respawns == 1
 
 
 def test_pool_recovers_from_corrupt_snapshot(fig1):
     serial = _serial(fig1)
     # The epoch-0 worker initializer loads a truncated snapshot copy and
-    # dies on the format's real validation; the respawned epoch-1 workers
-    # load clean and the retried fan-out succeeds.
+    # dies on the format's real validation: the fan-out runs inline, and
+    # the next request's epoch-1 workers load clean.
     faults.install_plan(
         FaultPlan(specs=(FaultSpec.corrupt_snapshot(at=(0,), epochs=(0,)),))
     )
@@ -307,7 +234,11 @@ def test_pool_recovers_from_corrupt_snapshot(fig1):
         config = SearchConfig(parallelism=2)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert result.rows == serial.rows
-        assert result.resilience.retries == 1
+        assert [r.dispatch_mode for r in result.ctp_reports] == INLINE_MODES
+        assert pool.respawns == 1
+        again = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
+        assert again.rows == serial.rows
+        assert [r.dispatch_mode for r in again.ctp_reports] == POOLED_MODES
         assert pool.respawns == 1
 
 
@@ -321,17 +252,13 @@ def test_hang_watchdog_kills_and_degrades_honestly(fig1):
         config = SearchConfig(parallelism=2, timeout=0.5)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         # The watchdog (sum of CTP timeouts + grace) fired, the wedged
-        # worker was kill-respawned, and — the hung attempt having spent
-        # the budget a retry would need — dispatch degraded to inline,
-        # stamping the hop.  The rows are still exactly serial's.
+        # worker was killed, and the fan-out ran inline, stamping the hop.
+        # The rows are still exactly serial's.
         assert result.rows == serial.rows
-        assert result.resilience.hangs == 1
-        assert pool.hangs == 1
-        assert [r.dispatch_mode for r in result.ctp_reports] == [
-            "process->serial",
-            "process->serial",
-            "memo",
-        ]
+        assert result.resilience.hangs == result.resilience.respawns == 1
+        assert pool.hangs == pool.respawns == 1
+        assert pool._executor is None
+        assert [r.dispatch_mode for r in result.ctp_reports] == INLINE_MODES
 
 
 def test_scorer_fault_is_a_typed_error_never_wrong_rows(fig1):
@@ -340,10 +267,9 @@ def test_scorer_fault_is_a_typed_error_never_wrong_rows(fig1):
         config = SearchConfig(parallelism=2)
         with pytest.raises(FaultInjected):
             evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
-        # Not retried, not degraded, breaker not charged: a deterministic
+        # Not re-run, not degraded, workers kept: a deterministic
         # evaluation error is the caller's to see.
         assert pool.respawns == 0
-        assert pool.breaker.state == BREAKER_CLOSED
 
 
 def test_recycling_after_request_threshold(fig1):
@@ -383,20 +309,14 @@ def test_degradation_chain_under_crash_faults(fig1, algo):
     """Unrecoverable crashes walk process -> serial, rows stay serial's."""
     serial = _serial(fig1, algo)
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(every=1),)))
-    policy = RetryPolicy(max_attempts=1)  # first failure is final
-    breaker = CircuitBreaker(failure_threshold=100)  # isolate the hop logic
-    with WorkerPool(fig1, workers=1, retry_policy=policy, breaker=breaker) as pool:
+    with WorkerPool(fig1, workers=1) as pool:
         config = SearchConfig(parallelism=2)
         result = evaluate_query(
             fig1, MATRIX_QUERY, algorithm=algo, base_config=config, pool=pool
         )
     assert result.columns == serial.columns
     assert result.rows == serial.rows
-    assert [r.dispatch_mode for r in result.ctp_reports] == [
-        "process->serial",
-        "process->serial",
-        "memo",
-    ]
+    assert [r.dispatch_mode for r in result.ctp_reports] == INLINE_MODES
     assert result.resilience.degraded_to == "serial"
 
 
@@ -404,71 +324,53 @@ def test_degradation_chain_reaches_serial(fig1):
     """With one worker of parallelism the hop is the same: inline."""
     serial = _serial(fig1)
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(every=1),)))
-    with WorkerPool(fig1, workers=1, retry_policy=RetryPolicy(max_attempts=1)) as pool:
+    with WorkerPool(fig1, workers=1) as pool:
         config = SearchConfig(parallelism=1)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
     assert result.rows == serial.rows
-    assert [r.dispatch_mode for r in result.ctp_reports] == [
-        "process->serial",
-        "process->serial",
-        "memo",
-    ]
+    assert [r.dispatch_mode for r in result.ctp_reports] == INLINE_MODES
     assert result.resilience.degraded_to == "serial"
 
 
-def test_open_breaker_degrades_without_touching_the_pool(fig1):
+def test_unpreparable_pool_degrades_without_spawning(fig1):
     serial = _serial(fig1)
-    breaker = CircuitBreaker(failure_threshold=1, cooldown=3600.0)
-    breaker.record_failure()  # trip it open for the whole test
-    with WorkerPool(fig1, workers=2, breaker=breaker) as pool:
+    with fallback_pool(fig1, 2) as pool:
         config = SearchConfig(parallelism=2)
         result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
-        assert pool.dispatches == 0  # the open breaker spared the pool
+        assert pool.dispatches == pool.respawns == 0
+        assert pool._executor is None and pool.snapshot_path is None
     assert result.rows == serial.rows
-    assert [r.dispatch_mode for r in result.ctp_reports] == [
-        "process->serial",
-        "process->serial",
-        "memo",
-    ]
-    assert result.resilience.breaker_skips == 1
-    assert pool.breaker.state == BREAKER_OPEN
+    assert [r.dispatch_mode for r in result.ctp_reports] == INLINE_MODES
+    assert result.resilience.degraded_to == "serial"
 
 
-def test_breaker_trips_then_half_open_probe_recovers(fig1):
+def test_crash_storm_runs_inline_then_recovers(fig1):
     serial = _serial(fig1)
-    # Crashes span two worker generations: request 1 burns both attempts
-    # (2 failures -> open), request 2 is breaker-skipped, and after the
-    # cooldown the half-open probe finds clean epoch-2 workers.
+    # Crashes span two worker generations: requests 1 and 2 each run
+    # inline and tear their workers down; request 3 finds clean epoch-2
+    # workers.
     faults.install_plan(FaultPlan(specs=(FaultSpec.crash(every=1, epochs=(0, 1)),)))
-    breaker = CircuitBreaker(failure_threshold=2, cooldown=0.1)
     config = SearchConfig(parallelism=2)
-    with WorkerPool(fig1, workers=1, breaker=breaker) as pool:
-        first = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
-        assert first.rows == serial.rows
-        assert first.resilience.degraded_to == "serial"
-        assert breaker.state == BREAKER_OPEN and breaker.trips == 1
-        second = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
-        assert second.rows == serial.rows
-        assert second.resilience.breaker_skips == 1
-        time.sleep(0.15)  # cooldown: the next dispatch is the probe
+    with WorkerPool(fig1, workers=1) as pool:
+        for respawns in (1, 2):
+            result = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
+            assert result.rows == serial.rows
+            assert [r.dispatch_mode for r in result.ctp_reports] == INLINE_MODES
+            assert pool.respawns == respawns and pool._executor is None
         third = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert third.rows == serial.rows
-        assert [r.dispatch_mode for r in third.ctp_reports] == ["process", "process", "memo"]
-        assert breaker.state == BREAKER_CLOSED
+        assert [r.dispatch_mode for r in third.ctp_reports] == POOLED_MODES
+        assert pool.respawns == 2
 
 
-@pytest.mark.parametrize("probe", ["unpicklable", "evaluation-error"])
-def test_half_open_probe_without_a_pool_verdict_is_handed_back(fig1, probe):
-    """A probe dispatch that ends without learning anything about the pool
-    must not leave the breaker half-open with no probe left to admit."""
+@pytest.mark.parametrize("cause", ["unpicklable", "evaluation-error"])
+def test_failure_outside_the_pool_keeps_the_workers(fig1, cause):
+    """A dispatch that fails for a reason the workers are not to blame for
+    leaves them up: the next request runs on the same pool."""
     serial = _serial(fig1)
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=clock)
-    breaker.record_failure()
-    clock.advance(2.0)  # cooldown over: the next dispatch is the half-open probe
     config = SearchConfig(parallelism=2)
-    with WorkerPool(fig1, workers=1, breaker=breaker) as pool:
-        if probe == "unpicklable":
+    with WorkerPool(fig1, workers=1) as pool:
+        if cause == "unpicklable":
             score = lambda graph, edges, nodes: -len(edges)  # noqa: E731
             first = evaluate_query(
                 fig1, MATRIX_QUERY, base_config=config.with_(score=score), pool=pool
@@ -478,13 +380,11 @@ def test_half_open_probe_without_a_pool_verdict_is_handed_back(fig1, probe):
             faults.install_plan(FaultPlan(specs=(FaultSpec.scorer(at=(0,), epochs=(0,)),)))
             with pytest.raises(FaultInjected):
                 evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
-        assert breaker.state == BREAKER_HALF_OPEN
-        clock.advance(1000.0)
+        assert pool.respawns == 0
         healthy = evaluate_query(fig1, MATRIX_QUERY, base_config=config, pool=pool)
         assert healthy.rows == serial.rows
-        assert healthy.resilience.breaker_skips == 0  # admitted, not refused
-        assert [r.dispatch_mode for r in healthy.ctp_reports] == ["process", "process", "memo"]
-        assert breaker.state == BREAKER_CLOSED
+        assert healthy.resilience.respawns == 0
+        assert [r.dispatch_mode for r in healthy.ctp_reports] == POOLED_MODES
 
 
 # ----------------------------------------------------------------------
@@ -563,12 +463,17 @@ def test_server_reports_resilience_telemetry(fig1):
     with QueryServer(fig1, workers=1, max_pending=4) as server:
         response = server.handle(QueryRequest(query=MATRIX_QUERY))
         assert response.status == STATUS_OK
-        assert response.stats.retries == 1
-        assert response.stats.dispatch_modes == ["process", "process", "memo"]
+        assert response.stats.dispatch_modes == INLINE_MODES
+        assert response.stats.hangs == 0
         stats = server.stats()
         assert stats["pool"]["respawns"] == 1
-        assert stats["pool"]["breaker_state"] == BREAKER_CLOSED
         assert stats["pool"]["recycles"] == 0
+        assert "breaker_state" not in stats["pool"]
+        # A CTP the memo cannot serve runs on fresh workers (?w2 repeats
+        # the first request's).
+        again = server.handle(QueryRequest(query=MATRIX_QUERY.replace("MAX 3", "MAX 4")))
+        assert again.status == STATUS_OK
+        assert again.stats.dispatch_modes == ["process", "memo", "memo"]
 
 
 def test_server_scorer_fault_surfaces_as_error_status(fig1):

@@ -2,7 +2,7 @@
 
 A pool that gives up runs its CTPs inline, on the calling thread; the
 fallback cases here reach that path through
-:func:`repro.testing.fallback_pool` (a pool whose breaker is open:
+:func:`repro.testing.fallback_pool` (a pool that cannot be prepared:
 process -> serial, no worker spawned).  Five layers:
 
 * **determinism matrix** — every algorithm × a pool fallback asked for

@@ -193,7 +193,6 @@ def test_search_state_keeps_only_what_is_read():
         "deadline_truncated",
         "pending",
         "seconds",
-        "retries",
         "hangs",
         "generation",
         "delta_size",
@@ -202,10 +201,8 @@ def test_search_state_keeps_only_what_is_read():
         "rebalanced_seconds",
     ]
     assert [spec.name for spec in fields(ResilienceReport)] == [
-        "retries",
         "hangs",
         "respawns",
-        "breaker_skips",
         "degraded_to",
     ]
     assert list(SearchContext().stats_dict()) == [
