@@ -20,7 +20,7 @@ so each scenario reports recovery shape, not just survival:
   CTPs that ran inline.
 
 With ``repeats`` above 1 each scenario runs that many times on a fresh
-server: timings are the median run's, counts the worst run's.
+server: timings are medians over the runs, counts the worst run's.
 
 Determinism gate: every ``ok`` response's rows are asserted bit-identical
 to an inline evaluation of the same query (no pool) — the ``identical``
@@ -153,7 +153,7 @@ def _combine(runs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     and ``identical`` holds only if it held in every run."""
     row: Dict[str, Any] = {}
     for key in runs[0]:
-        values = [values[key] for values in runs]
+        values = [one[key] for one in runs]
         if key.endswith("_ms"):
             row[key] = round(statistics.median(values), 3)
         elif key == "identical":

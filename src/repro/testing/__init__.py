@@ -18,9 +18,9 @@ from concurrent.futures import Future
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.ctp.results import CTPResultSet, ResultTree, validate_result
+from repro.errors import PoolError
 from repro.graph.graph import Graph
 from repro.query.parallel import InlineExecutor as _InlineExecutor
-from repro.errors import PoolError
 from repro.query.pool import WorkerPool
 
 
